@@ -16,10 +16,9 @@ bench:
 
 # Fast end-to-end exercise of the block-granular simulation engine:
 # one table, one benchmark, plus the reference-vs-fast engine comparison.
-# `--out ""` keeps the smoke run from clobbering the committed full-run
-# report (BENCH_pr7.json).
+# Writes no report file (pass `--out FILE` for one).
 bench-smoke:
-	dune exec bench/main.exe -- --only t6 --benchmarks wc --out ""
+	dune exec bench/main.exe -- --only t6 --benchmarks wc
 
 # Smoke the layout-strategy registry: the listing must enumerate it and
 # the comparison experiment must run every registered strategy end to end.
@@ -88,17 +87,11 @@ par-smoke:
 	  > _par/fuzz-j2.txt
 	cmp _par/fuzz-j1.txt _par/fuzz-j2.txt
 
-# Streaming/compressed trace store end to end: the same table must be
-# byte-identical between the streaming (default) and buffered engines,
-# and — under streaming — between -j 1 and -j 2; the committed scaled
+# Compressed trace store on scaled workloads end to end: the same table
+# must be byte-identical between -j 1 and -j 2; the committed scaled
 # bench report must parse.
 stream-smoke:
 	rm -rf _stream && mkdir -p _stream
-	dune exec bin/main.exe -- table 6 -b cmp,wc --engine streaming \
-	  > _stream/t6-streaming.txt
-	dune exec bin/main.exe -- table 6 -b cmp,wc --engine buffered \
-	  > _stream/t6-buffered.txt
-	cmp _stream/t6-streaming.txt _stream/t6-buffered.txt
 	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 1 \
 	  > _stream/t6-scale-j1.txt
 	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 2 \

@@ -23,11 +23,10 @@ let only_ids : string list option ref = ref None
 let bench_names : string list option ref = ref None
 let jobs = ref (Domain.recommended_domain_count ())
 let compare_serial = ref false
-let trace_engine = ref Sim.Trace.Streaming
 let scale = ref 1
 
-(* Machine-readable report destination; empty string disables it. *)
-let out_file = ref "BENCH_pr7.json"
+(* Machine-readable report destination; empty (the default) writes none. *)
+let out_file = ref ""
 
 let split_csv s = String.split_on_char ',' s |> List.filter (( <> ) "")
 
@@ -57,17 +56,8 @@ let parse_cli () =
       );
       ( "--out",
         Arg.Set_string out_file,
-        "FILE  Write the machine-readable bench report to FILE (default \
-         BENCH_pr7.json; empty disables)" );
-      ( "--engine",
-        Arg.String
-          (fun s ->
-            match Sim.Trace.engine_of_string s with
-            | Some e -> trace_engine := e
-            | None ->
-              raise (Arg.Bad "--engine must be 'streaming' or 'buffered'")),
-        "E  Trace store: streaming (born-compressed, default) or buffered \
-         (raw 8-byte-per-block reference)" );
+        "FILE  Write the machine-readable bench report to FILE (default: \
+         no report)" );
       ( "--scale",
         Arg.Int
           (fun n ->
@@ -98,7 +88,7 @@ let parse_cli () =
   Arg.parse spec
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))
     "bench/main.exe [--only t6,t8] [--benchmarks wc,grep] [--out FILE] \
-     [--engine streaming|buffered] [--scale N] [-j N] [--compare-serial]"
+     [--scale N] [-j N] [--compare-serial]"
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: table regeneration                                          *)
@@ -109,16 +99,13 @@ let regenerate_tables specs names =
     (match !only_ids with
     | None -> "all experiments"
     | Some ids -> "experiments " ^ String.concat "," ids);
-  say "(building pipelines for %s; engine %s, scale %d)"
+  say "(building pipelines for %s; scale %d)"
     (match names with
     | None -> "the ten benchmarks"
     | Some ns -> String.concat ", " ns)
-    (Sim.Trace.engine_name !trace_engine)
     !scale;
   let t0 = Unix.gettimeofday () in
-  let ctx =
-    Experiments.Context.create ~engine:!trace_engine ~scale:!scale ?names ()
-  in
+  let ctx = Experiments.Context.create ~scale:!scale ?names () in
   (* Force each benchmark's pipeline + trace up front so the per-table
      times below measure table computation, not lazy pipeline builds —
      and so the report can carry a per-benchmark build cost. *)
@@ -155,9 +142,7 @@ let serial_reference specs names =
   say "";
   say "=== --compare-serial: serial reference pass (no pool) ===";
   let t0 = Unix.gettimeofday () in
-  let ctx =
-    Experiments.Context.create ~engine:!trace_engine ~scale:!scale ?names ()
-  in
+  let ctx = Experiments.Context.create ~scale:!scale ?names () in
   let outcomes =
     List.map (fun spec -> Experiments.Runner.run_spec ctx spec) specs
   in
@@ -219,9 +204,9 @@ let engine_speedup ctx =
     in
     let reference, t_ref =
       time (fun () ->
-          List.map (fun c -> Sim.Driver.simulate c map trace) configs)
+          List.map (fun c -> Sim.Driver.reference c map trace) configs)
     in
-    let fast, t_fast = time (fun () -> Sim.Driver.simulate_many configs map trace) in
+    let fast, t_fast = time (fun () -> Sim.Driver.simulate configs map trace) in
     let identical =
       List.for_all2
         (fun (a : Sim.Driver.result) (b : Sim.Driver.result) ->
@@ -234,8 +219,8 @@ let engine_speedup ctx =
     let speedup = t_ref /. Float.max t_fast 1e-9 in
     say "";
     say
-      "=== engine speedup (%s, %d configs): word-granular simulate %.2fs \
-       vs single-pass simulate_many %.2fs = %.1fx%s ==="
+      "=== engine speedup (%s, %d configs): word-granular reference %.2fs \
+       vs single-pass simulate %.2fs = %.1fx%s ==="
       (Experiments.Context.name e)
       (List.length configs) t_ref t_fast speedup
       (if identical then ", results identical" else " — METRICS DIVERGE");
@@ -250,7 +235,7 @@ let engine_speedup ctx =
       }
 
 (* Differential cost of the instrumentation itself: the same
-   simulate_many workload with spans + metrics off vs on.  The span and
+   simulate workload with spans + metrics off vs on.  The span and
    metric hooks inside the sim driver are one load + branch when
    disabled and a handful of hashtable bumps per call when enabled, so
    the measured overhead must stay well under the 5%% acceptance line. *)
@@ -261,7 +246,7 @@ let telemetry_overhead ctx =
     let map = Experiments.Context.optimized_map e in
     let trace = Experiments.Context.trace e in
     let configs = Experiments.Table6.configs in
-    (* One simulate_many run varies ±20%% on a contended machine — far
+    (* One simulate run varies ±20%% on a contended machine — far
        more than the effect under measurement — so interleave off/on
        runs and compare the per-mode minima, which discards scheduler
        and GC noise instead of averaging it in. *)
@@ -270,12 +255,12 @@ let telemetry_overhead ctx =
       Obs.Span.set_enabled enabled;
       Obs.Metrics.set_enabled enabled;
       let t0 = Unix.gettimeofday () in
-      ignore (Sim.Driver.simulate_many configs map trace);
+      ignore (Sim.Driver.simulate configs map trace);
       Unix.gettimeofday () -. t0
     in
     let spans0 = Obs.Span.enabled () in
     let metrics0 = Obs.Metrics.enabled () in
-    ignore (Sim.Driver.simulate_many configs map trace);
+    ignore (Sim.Driver.simulate configs map trace);
     let t_off = ref infinity and t_on = ref infinity in
     for _ = 1 to reps do
       t_off := Float.min !t_off (time_once false);
@@ -287,7 +272,7 @@ let telemetry_overhead ctx =
     let overhead = (t_on -. t_off) /. Float.max t_off 1e-9 in
     say "";
     say
-      "=== telemetry overhead (simulate_many, best of %d on %s): off \
+      "=== telemetry overhead (simulate, best of %d on %s): off \
        %.3fs vs on %.3fs = %+.1f%% (target < 5%%) ==="
       reps
       (Experiments.Context.name e)
@@ -371,13 +356,11 @@ let write_report path ~names ~bench_seconds ~outcomes ~total_seconds
                 if lookups = 0 then Obs.Json.Null
                 else num (float_of_int hits /. float_of_int lookups) );
             ] );
-        (* Additive since the streaming/compressed trace store: the
-           recording engine, the workload scale factor, and the summed
-           trace-store gauges.  [trace.ratio] is the live compression
-           ratio; under the streaming engine peak residency IS the
-           stored size, so raw/peak is the peak-memory reduction over
-           the buffered engine. *)
-        ("trace_engine", Obs.Json.String (Sim.Trace.engine_name !trace_engine));
+        (* Additive since the compressed trace store: the workload
+           scale factor and the summed trace-store gauges.
+           [trace.ratio] is the live compression ratio; peak residency
+           IS the stored size, so raw/peak is the peak-memory reduction
+           over a plain 8-byte-per-block trace. *)
         ("scale", Obs.Json.Int !scale);
         ( "trace",
           Obs.Json.Obj
@@ -414,9 +397,8 @@ let trace_store_summary () =
   if stored > 0 then begin
     say "";
     say
-      "=== trace store (%s engine, scale %d): %d runs, raw %.0f KB -> \
-       stored %.0f KB (%.1fx), peak resident %.0f KB ==="
-      (Sim.Trace.engine_name !trace_engine)
+      "=== trace store (scale %d): %d runs, raw %.0f KB -> stored %.0f KB \
+       (%.1fx), peak resident %.0f KB ==="
       !scale runs (kb raw) (kb stored)
       (float_of_int raw /. Float.max (float_of_int stored) 1.)
       (kb peak)
@@ -500,8 +482,9 @@ module Fixture = struct
 
   let optimized = Placement.Address_map.build program ~layouts ~order:global
 
+  (* The production path: the block-granular sweep on one config. *)
   let simulate config map =
-    ignore (Sim.Driver.simulate config map trace)
+    ignore (Sim.Driver.simulate [ config ] map trace)
 end
 
 
@@ -551,18 +534,11 @@ let tests =
       (Staged.stage (fun () ->
            Fixture.simulate (Icache.Config.make ~size:2048 ~block:64 ())
              Fixture.optimized));
-    (* The same design point through the block-granular fast path. *)
-    Test.make ~name:"t6_sim_many_1cfg"
-      (Staged.stage (fun () ->
-           ignore
-             (Sim.Driver.simulate_many
-                [ Icache.Config.make ~size:2048 ~block:64 () ]
-                Fixture.optimized Fixture.trace)));
     (* All five Table 6 sizes in one single-pass trace walk. *)
     Test.make ~name:"t6_sim_many_5cfg"
       (Staged.stage (fun () ->
            ignore
-             (Sim.Driver.simulate_many Experiments.Table6.configs
+             (Sim.Driver.simulate Experiments.Table6.configs
                 Fixture.optimized Fixture.trace)));
     (* Table 7: small-block simulation. *)
     Test.make ~name:"t7_sim_direct_2k_16"

@@ -8,27 +8,9 @@ let bench_names_arg =
   let doc = "Restrict to these benchmarks (default: all ten)." in
   Arg.(value & opt (some (list string)) None & info [ "b"; "benchmarks" ] ~doc)
 
-let context_of ?(engine = Sim.Trace.Streaming) ?(scale = 1) names =
+let context_of ?(scale = 1) names =
   if scale < 1 then failwith (Printf.sprintf "--scale must be >= 1 (got %d)" scale);
-  Experiments.Context.create ~engine ~scale ?names ()
-
-let engine_arg =
-  let doc =
-    "Trace store for recorded executions: $(b,streaming) (blocks stream \
-     from the VM straight into the run-length/delta-compressed store; \
-     default) or $(b,buffered) (the raw 8-byte-per-block reference \
-     representation).  Results are bit-identical either way."
-  in
-  Arg.(
-    value
-    & opt
-        (Arg.enum
-           [
-             ("streaming", Sim.Trace.Streaming);
-             ("buffered", Sim.Trace.Buffered);
-           ])
-        Sim.Trace.Streaming
-    & info [ "engine" ] ~docv:"E" ~doc)
+  Experiments.Context.create ~scale ?names ()
 
 let scale_arg =
   let doc =
@@ -252,11 +234,11 @@ let table_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
-  let run id names engine scale validate obs jobs =
+  let run id names scale validate obs jobs =
     with_telemetry obs @@ fun () ->
     with_parallel jobs @@ fun () ->
     let spec = Experiments.Runner.find id in
-    let ctx = context_of ~engine ~scale names in
+    let ctx = context_of ~scale names in
     let o = Experiments.Runner.run_spec ctx spec in
     print_string (Report.Table.render o.Experiments.Runner.table);
     Option.iter (fun p -> write_json_report p ~names [ o ]) obs.json_out;
@@ -265,15 +247,15 @@ let table_cmd =
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate one of the paper's tables")
     Term.(
-      const run $ id_arg $ bench_names_arg $ engine_arg $ scale_arg
-      $ validate_arg $ obs_term $ jobs_term)
+      const run $ id_arg $ bench_names_arg $ scale_arg $ validate_arg
+      $ obs_term $ jobs_term)
 
 (* impact all *)
 let all_cmd =
-  let run names engine scale validate obs jobs =
+  let run names scale validate obs jobs =
     with_telemetry obs @@ fun () ->
     with_parallel jobs @@ fun () ->
-    let ctx = context_of ~engine ~scale names in
+    let ctx = context_of ~scale names in
     let outcomes =
       List.map
         (fun spec ->
@@ -289,8 +271,8 @@ let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table")
     Term.(
-      const run $ bench_names_arg $ engine_arg $ scale_arg $ validate_arg
-      $ obs_term $ jobs_term)
+      const run $ bench_names_arg $ scale_arg $ validate_arg $ obs_term
+      $ jobs_term)
 
 (* impact run BENCH *)
 let run_cmd =

@@ -17,7 +17,9 @@ let () =
     Sim.Trace.record pl.Placement.Pipeline.program
       (Workloads.Bench.trace_input bench)
   in
-  let simulate config map = Sim.Driver.simulate config map trace in
+  let simulate config map =
+    List.hd (Sim.Driver.simulate [ config ] map trace)
+  in
   let pct = Report.Fmtutil.pct in
 
   Printf.printf "benchmark %s: %d dynamic instructions, %d code bytes\n\n"

@@ -134,17 +134,15 @@ let () =
     Sim.Trace.record pl.Placement.Pipeline.program
       (Workloads.Bench.trace_input benchmark)
   in
-  List.iter
-    (fun size ->
-      let config = Icache.Config.make ~size ~block:64 () in
-      let natural =
-        Sim.Driver.simulate config pl.Placement.Pipeline.natural trace
-      in
-      let optimized =
-        Sim.Driver.simulate config pl.Placement.Pipeline.optimized trace
-      in
+  let configs =
+    List.map (fun size -> Icache.Config.make ~size ~block:64 ()) [ 512; 1024; 2048 ]
+  in
+  List.iter2
+    (fun (natural : Sim.Driver.result) (optimized : Sim.Driver.result) ->
       Printf.printf
-        "%4dB direct-mapped: natural miss %-8s optimized miss %s\n" size
+        "%4dB direct-mapped: natural miss %-8s optimized miss %s\n"
+        natural.Sim.Driver.config.Icache.Config.size
         (Report.Fmtutil.pct natural.Sim.Driver.miss_ratio)
         (Report.Fmtutil.pct optimized.Sim.Driver.miss_ratio))
-    [ 512; 1024; 2048 ]
+    (Sim.Driver.simulate configs pl.Placement.Pipeline.natural trace)
+    (Sim.Driver.simulate configs pl.Placement.Pipeline.optimized trace)

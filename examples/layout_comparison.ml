@@ -46,14 +46,21 @@ let () =
     (fun s -> Printf.printf "  %10s" s.Placement.Strategy.id)
     strategies;
   print_newline ();
-  List.iter
-    (fun size ->
-      let config = Icache.Config.make ~size ~block:64 () in
+  let sizes = [ 512; 1024; 2048; 4096; 8192 ] in
+  let configs =
+    List.map (fun size -> Icache.Config.make ~size ~block:64 ()) sizes
+  in
+  (* One trace walk per map simulates every size. *)
+  let columns =
+    List.map (fun map -> Sim.Driver.simulate configs map trace) maps
+  in
+  List.iteri
+    (fun i size ->
       Printf.printf "%5dB" size;
       List.iter
-        (fun map ->
-          let r = Sim.Driver.simulate config map trace in
+        (fun column ->
+          let r = List.nth column i in
           Printf.printf "  %10s" (Report.Fmtutil.pct r.Sim.Driver.miss_ratio))
-        maps;
+        columns;
       print_newline ())
-    [ 512; 1024; 2048; 4096; 8192 ]
+    sizes

@@ -81,10 +81,9 @@ let () =
   Printf.printf "trace: %d dynamic instructions\n"
     (Sim.Trace.result trace).Vm.Interp.dyn_insns;
   let config = Icache.Config.make ~size:512 ~block:64 () in
-  let natural = Sim.Driver.simulate config pl.Placement.Pipeline.natural trace in
-  let optimized =
-    Sim.Driver.simulate config pl.Placement.Pipeline.optimized trace
-  in
+  let simulate map = List.hd (Sim.Driver.simulate [ config ] map trace) in
+  let natural = simulate pl.Placement.Pipeline.natural in
+  let optimized = simulate pl.Placement.Pipeline.optimized in
   Printf.printf "512B direct-mapped, 64B blocks:\n";
   Printf.printf "  natural layout:   miss %-7s traffic %s\n"
     (Report.Fmtutil.pct natural.Sim.Driver.miss_ratio)

@@ -3,11 +3,10 @@
    results — all computed lazily and at most once, since every table
    draws on the same artifacts.
 
-   Traces are held as [Sim.Trace.t]: under the default [Streaming]
-   engine the VM streams blocks straight into the run-length/delta
-   compressing builder, so what the context memoizes is the compressed
-   store (typically ~10x smaller than the raw Bigarray vector the
-   [Buffered] engine keeps); replay is bit-identical either way.
+   Traces are held as [Sim.Trace.t]: the VM streams blocks straight
+   into the run-length/delta compressing builder, so what the context
+   memoizes is the compressed store (typically ~10x smaller than a plain
+   8-byte-per-block vector of the same trace).
 
    Address maps are produced per layout strategy through one memoized
    table ([strategy_map]); adding a strategy to [Placement.Strategy.all]
@@ -24,7 +23,7 @@
    unsafe in OCaml 5), the memo tables, the interning lists and the
    warning list.  The lock is held for memoized construction (so a
    strategy that raises records its fallback warning exactly once), but
-   never across [Sim.Driver.simulate_many]: the sweep may itself fan
+   never across [Sim.Driver.simulate]: the sweep may itself fan
    out across the domain pool, and the submitting domain helps run
    other tasks while it waits — tasks that may need this very lock.
    Two domains can therefore race to simulate the same uncached
@@ -86,9 +85,8 @@ let memo_evictions =
        caps (long-running services bound their residency; CLI runs \
        default to unbounded)"
 
-let make_entry ~engine ?memo_cap ?strategy_cap bench =
+let make_entry ?memo_cap ?strategy_cap bench =
   let bench_attr = [ ("bench", bench.Workloads.Bench.name) ] in
-  let engine_attr = ("engine", Sim.Trace.engine_name engine) in
   let pipeline =
     lazy
       (Obs.Span.with_ ~stage:"pipeline" ~attrs:bench_attr (fun () ->
@@ -109,10 +107,8 @@ let make_entry ~engine ?memo_cap ?strategy_cap bench =
   in
   let trace =
     lazy
-      (Obs.Span.with_ ~stage:"trace-record"
-         ~attrs:(engine_attr :: bench_attr)
-         (fun () ->
-           Sim.Trace.record ~engine
+      (Obs.Span.with_ ~stage:"trace-record" ~attrs:bench_attr (fun () ->
+           Sim.Trace.record
              (Lazy.force pipeline).Placement.Pipeline.program
              (Workloads.Bench.trace_input bench)))
   in
@@ -121,9 +117,9 @@ let make_entry ~engine ?memo_cap ?strategy_cap bench =
        the cleanup pass), so it matches original_map's labels. *)
     lazy
       (Obs.Span.with_ ~stage:"trace-record"
-         ~attrs:(engine_attr :: ("program", "original") :: bench_attr)
+         ~attrs:(("program", "original") :: bench_attr)
          (fun () ->
-           Sim.Trace.record ~engine
+           Sim.Trace.record
              (Lazy.force pipeline).Placement.Pipeline.original
              (Workloads.Bench.trace_input bench)))
   in
@@ -154,8 +150,7 @@ let make_entry ~engine ?memo_cap ?strategy_cap bench =
     sim_cache = Hashtbl.create 64;
   }
 
-let create ?(engine = Sim.Trace.Streaming) ?(scale = 1) ?memo_cap
-    ?strategy_cap ?names () =
+let create ?(scale = 1) ?memo_cap ?strategy_cap ?names () =
   let check_cap what = function
     | Some c when c < 1 ->
       invalid_arg (Printf.sprintf "Context.create: %s must be >= 1" what)
@@ -168,7 +163,7 @@ let create ?(engine = Sim.Trace.Streaming) ?(scale = 1) ?memo_cap
     | None -> Workloads.Registry.suite ~scale
     | Some names -> List.map (Workloads.Registry.find ~scale) names
   in
-  List.map (make_entry ~engine ?memo_cap ?strategy_cap) benches
+  List.map (make_entry ?memo_cap ?strategy_cap) benches
 
 let entries t = t
 
@@ -393,7 +388,7 @@ let simulate_many e configs map trace =
   (match missing with
   | [] -> ()
   | _ ->
-    let results = Sim.Driver.simulate_many missing map trace in
+    let results = Sim.Driver.simulate missing map trace in
     locked e (fun () ->
         List.iter2
           (fun c r ->

@@ -35,17 +35,14 @@ type entry = {
 type t = entry list
 
 val create :
-  ?engine:Sim.Trace.engine ->
   ?scale:int ->
   ?memo_cap:int ->
   ?strategy_cap:int ->
   ?names:string list ->
   unit ->
   t
-(** Default: the full ten-benchmark suite at scale 1, recording traces
-    with the [Streaming] engine (born-compressed store; [Buffered] is
-    the raw reference representation — results are bit-identical either
-    way).  [scale] > 1 substitutes the scaled-up workload variants of
+(** Default: the full ten-benchmark suite at scale 1.  [scale] > 1
+    substitutes the scaled-up workload variants of
     {!Workloads.Registry.suite}.
 
     [memo_cap] / [strategy_cap] (default unbounded, right for one-shot
@@ -123,7 +120,7 @@ val simulate_many :
   Sim.Driver.result list
 (** Like {!simulate} for several configurations at once: every uncached
     configuration is simulated in a single pass over the trace via
-    {!Sim.Driver.simulate_many}. *)
+    {!Sim.Driver.simulate}. *)
 
 (** {2 Telemetry} *)
 

@@ -15,9 +15,10 @@
      same under every strategy's map (layout invariance);
    - a cache simulation over each map accesses exactly that many
      instructions;
-   - the three simulation engines agree bit-for-bit: the word-granular
-     buffered reference, the run-length-compressed replay (per map) and
-     the fused VM->cache stream (once per seed, natural map);
+   - the two simulation engines agree bit-for-bit on the stored trace
+     under each map: the word-granular reference ([Sim.Driver.reference])
+     and the block-granular sweep every experiment uses
+     ([Sim.Driver.simulate]);
 
    - the abstract-interpretation cache bounds ([Analysis.Absint]) are
      sound against the simulated truth on small conflict-heavy
@@ -174,147 +175,63 @@ let check_program ?(strategies = Placement.Strategy.all)
               | [] -> (
               match
                 catching Ir.Diag.Simulation (fun () ->
-                    Sim.Trace_gen.record ~fuel p.Placement.Pipeline.program
+                    Sim.Trace.record ~fuel p.Placement.Pipeline.program
                       case_input)
               with
               | Error ds -> ds
-              | Ok tg -> (
-                let raw = Sim.Trace.of_gen tg in
-                let compressed =
-                  Sim.Trace.of_ctrace (Sim.Ctrace.of_trace_gen tg)
+              | Ok trace ->
+                let reference =
+                  Sim.Trace.dyn_insns p.Placement.Pipeline.natural trace
                 in
-                (* Engine differential, once per seed: the word-granular
-                   reference, the compressed-replay fast path and the
-                   fused VM->cache stream must agree on every result
-                   field for the natural map.  A mismatch is a
-                   shrinkable Simulation-stage failure like any
-                   other. *)
-                let engine_diags =
-                  let one what = function
-                    | [ (r : Sim.Driver.result) ] -> r
-                    | rs ->
-                      Ir.Diag.error ~stage:Ir.Diag.Simulation
-                        "%s: expected 1 result, got %d" what
-                        (List.length rs)
-                  in
-                  match
-                    catching Ir.Diag.Simulation (fun () ->
-                        let m = p.Placement.Pipeline.natural in
-                        let buffered = Sim.Driver.simulate sim_config m raw in
-                        let replayed =
-                          one "compressed replay"
-                            (Sim.Driver.simulate_many_serial [ sim_config ]
-                               m compressed)
-                        in
-                        let streamed =
-                          one "fused stream"
-                            (fst
-                               (Sim.Driver.simulate_stream ~fuel
-                                  [ sim_config ] m
-                                  p.Placement.Pipeline.program case_input))
-                        in
-                        (buffered, replayed, streamed))
-                  with
-                  | Error ds -> ds
-                  | Ok (buffered, replayed, streamed) ->
-                    (if replayed = buffered then []
-                     else
-                       [
-                         Ir.Diag.make ~stage:Ir.Diag.Simulation
-                           "compressed-trace replay diverged from the \
-                            buffered reference simulation";
-                       ])
-                    @
-                    if streamed = buffered then []
-                    else
+                List.concat_map
+                  (fun ((s : Placement.Strategy.t), m) ->
+                    let id = s.Placement.Strategy.id in
+                    let tagged =
+                      List.map (fun d -> { d with Ir.Diag.strategy = Some id })
+                    in
+                    let n = Sim.Trace.dyn_insns m trace in
+                    if n <> reference then
                       [
-                        Ir.Diag.make ~stage:Ir.Diag.Simulation
-                          "fused streaming simulation diverged from the \
-                           buffered reference simulation";
+                        Ir.Diag.make ~stage:Ir.Diag.Simulation ~strategy:id
+                          "layout changed the dynamic instruction count: %d \
+                           vs %d under the natural layout"
+                          n reference;
                       ]
-                in
-                match engine_diags with
-                | _ :: _ -> engine_diags
-                | [] ->
-                  let reference =
-                    Sim.Trace.dyn_insns p.Placement.Pipeline.natural raw
-                  in
-                  List.concat_map
-                    (fun ((s : Placement.Strategy.t), m) ->
-                      let id = s.Placement.Strategy.id in
-                      let n = Sim.Trace.dyn_insns m raw in
-                      if n <> reference then
+                    else
+                      (* Engine differential: the word-granular reference
+                         and the block-granular sweep must agree on every
+                         result field under this strategy's addresses. *)
+                      match
+                        catching Ir.Diag.Simulation (fun () ->
+                            ( Sim.Driver.reference sim_config m trace,
+                              Sim.Driver.simulate [ sim_config ] m trace ))
+                      with
+                      | Error ds -> tagged ds
+                      | Ok (r, _) when r.Sim.Driver.accesses <> n ->
                         [
-                          Ir.Diag.make ~stage:Ir.Diag.Simulation
-                            ~strategy:id
-                            "layout changed the dynamic instruction \
-                             count: %d vs %d under the natural layout"
-                            n reference;
+                          Ir.Diag.make ~stage:Ir.Diag.Simulation ~strategy:id
+                            "simulation accessed %d instructions but the \
+                             trace holds %d"
+                            r.Sim.Driver.accesses n;
                         ]
-                      else
+                      | Ok (r, [ fast ]) when fast = r -> (
+                        (* Soundness oracle: replay the trace against the
+                           abstract-interpretation claims on
+                           conflict-forcing geometries. *)
                         match
                           catching Ir.Diag.Simulation (fun () ->
-                              Sim.Driver.simulate sim_config m raw)
+                              Absint_exp.check_oracle ~strategy:id
+                                p.Placement.Pipeline.program m trace)
                         with
-                        | Error ds ->
-                          List.map
-                            (fun d -> { d with Ir.Diag.strategy = Some id })
-                            ds
-                        | Ok r -> (
-                          if r.Sim.Driver.accesses <> n then
-                            [
-                              Ir.Diag.make ~stage:Ir.Diag.Simulation
-                                ~strategy:id
-                                "simulation accessed %d instructions but \
-                                 the trace holds %d"
-                                r.Sim.Driver.accesses n;
-                            ]
-                          else
-                            (* Per-map: the compressed store must replay
-                               to the reference result under this
-                               strategy's addresses too. *)
-                            match
-                              catching Ir.Diag.Simulation (fun () ->
-                                  Sim.Driver.simulate_many_serial
-                                    [ sim_config ] m compressed)
-                            with
-                            | Error ds ->
-                              List.map
-                                (fun d ->
-                                  { d with Ir.Diag.strategy = Some id })
-                                ds
-                            | Ok [ rc ] ->
-                              if rc <> r then
-                                [
-                                  Ir.Diag.make ~stage:Ir.Diag.Simulation
-                                    ~strategy:id
-                                    "compressed-trace replay diverged \
-                                     from the reference under this map";
-                                ]
-                              else (
-                                (* Soundness oracle: replay the trace
-                                   against the abstract-interpretation
-                                   claims on conflict-forcing
-                                   geometries. *)
-                                match
-                                  catching Ir.Diag.Simulation (fun () ->
-                                      Absint_exp.check_oracle ~strategy:id
-                                        p.Placement.Pipeline.program m raw)
-                                with
-                                | Error ds ->
-                                  List.map
-                                    (fun d ->
-                                      { d with Ir.Diag.strategy = Some id })
-                                    ds
-                                | Ok ds -> ds)
-                            | Ok rs ->
-                              [
-                                Ir.Diag.make ~stage:Ir.Diag.Simulation
-                                  ~strategy:id
-                                  "expected 1 replay result, got %d"
-                                  (List.length rs);
-                              ]))
-                    maps))))))))
+                        | Error ds -> tagged ds
+                        | Ok ds -> ds)
+                      | Ok _ ->
+                        [
+                          Ir.Diag.make ~stage:Ir.Diag.Simulation ~strategy:id
+                            "block-granular simulation diverged from the \
+                             word-granular reference under this map";
+                        ])
+                  maps)))))))
 
 let first_error ds = match Ir.Diag.errors ds with d :: _ -> Some d | [] -> None
 

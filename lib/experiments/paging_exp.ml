@@ -19,24 +19,26 @@ type row = {
 
 let config = Paging.Page_sim.default_config (* 512B pages, 16 frames *)
 
-(* The page simulator as a block-source consumer: each executed block is
-   one (addr, words) run pushed into [Page_sim.access_run] — the same
-   sink contract the cache driver uses. *)
-let run_one map (source : Sim.Driver.source) =
+(* The page simulator as a trace consumer: each executed block is one
+   (addr, words) run pushed into [Page_sim.access_run], the same
+   granularity the cache driver's sweep uses. *)
+let run_one map trace =
   let sim = Paging.Page_sim.create config in
   let addr_of = map.Placement.Address_map.block_addr
   and words_of = map.Placement.Address_map.block_words in
-  source (fun fid label ->
+  Sim.Trace.iter_blocks
+    (fun fid label ->
       Paging.Page_sim.access_run sim ~addr:addr_of.(fid).(label)
-        ~words:words_of.(fid).(label));
+        ~words:words_of.(fid).(label))
+    trace;
   sim
 
 let compute ctx =
   Context.map_entries
     (fun e ->
-      let source = Sim.Trace.source (Context.trace e) in
-      let nat = run_one (Context.natural_map e) source in
-      let opt = run_one (Context.optimized_map e) source in
+      let trace = Context.trace e in
+      let nat = run_one (Context.natural_map e) trace in
+      let opt = run_one (Context.optimized_map e) trace in
       {
         name = Context.name e;
         nat_pages = Paging.Page_sim.distinct_pages nat;

@@ -18,7 +18,7 @@
    not help: a single-block run break — by far the most common record
    in branchy code — is one ~1-byte varint, a longer run ~2 bytes, and
    a steady loop one ~3-byte record for its whole execution, against
-   8 bytes per block in the buffered [Trace_gen] representation.
+   8 bytes per block for a plain vector of packed codes.
 
    Decoding reproduces the exact code sequence, so fid/label unpacking
    is exact even if a run were ever to cross a packing boundary; the
@@ -153,18 +153,13 @@ let finish b (result : Vm.Interp.result) : t =
 
 let push_block b fid label = push b (Trace_gen.pack fid label)
 
-(* Fused recording: the VM streams blocks straight into the compressing
+(* Recording: the VM streams blocks straight into the compressing
    builder, so peak trace residency is the compressed size — no raw
    vector ever exists. *)
 let record ?fuel prog input : t =
   let b = builder () in
   let result = Trace_gen.stream ?fuel prog input ~sink:(push_block b) in
   finish b result
-
-let of_trace_gen (tg : Trace_gen.t) : t =
-  let b = builder () in
-  Trace_gen.iter_blocks (push_block b) tg;
-  finish b tg.Trace_gen.result
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -210,12 +205,13 @@ let iter_blocks f t =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let result t = t.result
 let dyn_blocks t = t.nblocks
 let runs t = t.runs
 let compressed_bytes t = Bytes.length t.data
 
-(* What the buffered representation of the same trace occupies: one
-   64-bit entry per executed block. *)
+(* What a plain vector of the same packed codes would occupy: one 64-bit
+   entry per executed block. *)
 let raw_bytes t = 8 * t.nblocks
 
 let dyn_insns (map : Placement.Address_map.t) t =

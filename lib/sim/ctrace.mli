@@ -7,10 +7,8 @@
     the previous run's last code, with two flag bits marking an
     optional length field (single-block runs pay nothing) and an
     optional repeat count (non-repeating runs pay nothing).  Decoding
-    reproduces the
-    exact packed-code sequence, so replay is bit-identical to the
-    buffered {!Trace_gen} representation at a small fraction of the
-    resident bytes. *)
+    reproduces the exact packed-code sequence at a small fraction of the
+    8 bytes per block a plain code vector would hold. *)
 
 open Ir
 
@@ -36,13 +34,10 @@ val push_block : builder -> int -> Cfg.label -> unit
 val finish : builder -> Vm.Interp.result -> t
 
 val record : ?fuel:int -> Prog.program -> Vm.Io.input -> t
-(** Fused recording: the VM streams blocks straight into the compressing
-    builder ({!Trace_gen.stream}), so peak trace residency is the
-    compressed size — no raw vector ever exists.  Raises
-    {!Trace_gen.Too_many_blocks} like {!Trace_gen.record}. *)
-
-val of_trace_gen : Trace_gen.t -> t
-(** Compress an already-buffered trace (same codes, same order). *)
+(** The VM streams blocks straight into the compressing builder
+    ({!Trace_gen.stream}), so peak trace residency is the compressed
+    size — no raw vector ever exists.  Raises
+    {!Trace_gen.Too_many_blocks}. *)
 
 (** {2 Replay} *)
 
@@ -56,11 +51,12 @@ val iter_blocks : (int -> Cfg.label -> unit) -> t -> unit
 
 (** {2 Stats} *)
 
+val result : t -> Vm.Interp.result
 val dyn_blocks : t -> int
 val runs : t -> int
 val compressed_bytes : t -> int
 
 val raw_bytes : t -> int
-(** Size of the equivalent buffered representation (8 bytes/block). *)
+(** Size of a plain vector of the same packed codes (8 bytes/block). *)
 
 val dyn_insns : Placement.Address_map.t -> t -> int

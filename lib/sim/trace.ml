@@ -1,75 +1,35 @@
-(* Unified trace store: every consumer of a recorded execution (driver,
-   experiments, memo layer) traffics in this type and never cares whether
-   the blocks live in a raw Bigarray vector or in the run-length/delta
-   compressed form.
+(* The trace store: every consumer of a recorded execution (driver,
+   experiments, memo layer, paging) traffics in this type, which is the
+   run-length/delta-compressed [Ctrace] store.  The VM streams blocks
+   straight into the compressing builder, so peak residency is the
+   compressed size.
 
-   The engine knob picks the representation at recording time:
-   - [Buffered]: the PR 1 path — [Trace_gen.record] into an 8-byte-per-
-     block vector; the reference representation.
-   - [Streaming]: the VM streams blocks straight into the [Ctrace]
-     compressing builder, so the trace is born compressed and peak
-     residency is the compressed size.
-
-   Telemetry: every recording (either engine) bumps four gauges —
-   trace.runs, trace.raw_bytes, trace.compressed_bytes and
+   Telemetry: every recording bumps four gauges — trace.runs,
+   trace.raw_bytes, trace.compressed_bytes and
    trace.peak_resident_bytes.  raw/compressed accumulate what the
-   recording would occupy buffered vs what it actually stores, so their
-   ratio is the live compression ratio; peak_resident accumulates the
-   stored bytes of every trace recorded (traces are memoized for a whole
-   run and never freed, so the running total is the peak).  A module
-   mutex serializes the read-modify-write: recordings can race across
-   domains. *)
+   recording would occupy as a plain 8-byte-per-block code vector vs
+   what it actually stores, so their ratio is the live compression
+   ratio; peak_resident accumulates the stored bytes of every trace
+   recorded (traces are memoized for a whole run and never freed, so the
+   running total is the peak).  A module mutex serializes the
+   read-modify-write: recordings can race across domains. *)
 
-type engine = Buffered | Streaming
-
-let engine_name = function Buffered -> "buffered" | Streaming -> "streaming"
-
-let engine_of_string = function
-  | "buffered" -> Some Buffered
-  | "streaming" -> Some Streaming
-  | _ -> None
-
-type t = Raw of Trace_gen.t | Packed of Ctrace.t
+include Ctrace
 
 type stats = {
   st_runs : int;
   st_blocks : int;
-  st_raw_bytes : int; (* buffered footprint of this trace *)
-  st_stored_bytes : int; (* what this representation actually holds *)
+  st_raw_bytes : int; (* plain code-vector footprint of this trace *)
+  st_stored_bytes : int; (* what the compressed store actually holds *)
 }
 
-(* Count maximal runs of consecutive packed codes in a buffered trace —
-   the same grouping the compressor performs. *)
-let raw_runs (tg : Trace_gen.t) =
-  let runs = ref 0 in
-  let next = ref min_int in
-  Ivec.iter
-    (fun code ->
-      if code <> !next then incr runs;
-      next := code + 1)
-    tg.Trace_gen.blocks;
-  !runs
-
-let stats = function
-  | Raw tg ->
-    let blocks = Trace_gen.dyn_blocks tg in
-    {
-      st_runs = raw_runs tg;
-      st_blocks = blocks;
-      st_raw_bytes = 8 * blocks;
-      st_stored_bytes = 8 * blocks;
-    }
-  | Packed ct ->
-    {
-      st_runs = Ctrace.runs ct;
-      st_blocks = Ctrace.dyn_blocks ct;
-      st_raw_bytes = Ctrace.raw_bytes ct;
-      st_stored_bytes = Ctrace.compressed_bytes ct;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
-(* ------------------------------------------------------------------ *)
+let stats t =
+  {
+    st_runs = runs t;
+    st_blocks = dyn_blocks t;
+    st_raw_bytes = raw_bytes t;
+    st_stored_bytes = compressed_bytes t;
+  }
 
 let g_runs =
   Obs.Metrics.gauge "trace.runs"
@@ -77,7 +37,7 @@ let g_runs =
 
 let g_raw =
   Obs.Metrics.gauge "trace.raw_bytes"
-    ~help:"buffered (8 bytes/block) footprint of all recorded traces"
+    ~help:"plain (8 bytes/block) footprint of all recorded traces"
 
 let g_compressed =
   Obs.Metrics.gauge "trace.compressed_bytes"
@@ -105,43 +65,7 @@ let note t =
     Mutex.unlock metrics_lock
   end
 
-(* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let of_gen tg = Raw tg
-let of_ctrace ct = Packed ct
-
-let record ?(engine = Streaming) ?fuel prog input =
-  let t =
-    match engine with
-    | Buffered -> Raw (Trace_gen.record ?fuel prog input)
-    | Streaming -> Packed (Ctrace.record ?fuel prog input)
-  in
+let record ?fuel prog input =
+  let t = Ctrace.record ?fuel prog input in
   note t;
   t
-
-let engine_of = function Raw _ -> Buffered | Packed _ -> Streaming
-
-(* ------------------------------------------------------------------ *)
-(* Uniform accessors                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let result = function
-  | Raw tg -> tg.Trace_gen.result
-  | Packed ct -> ct.Ctrace.result
-
-let dyn_blocks = function
-  | Raw tg -> Trace_gen.dyn_blocks tg
-  | Packed ct -> Ctrace.dyn_blocks ct
-
-let dyn_insns map = function
-  | Raw tg -> Trace_gen.dyn_insns map tg
-  | Packed ct -> Ctrace.dyn_insns map ct
-
-let iter_blocks f = function
-  | Raw tg -> Trace_gen.iter_blocks f tg
-  | Packed ct -> Ctrace.iter_blocks f ct
-
-(* A trace as a re-walkable block source (the driver's input shape). *)
-let source t f = iter_blocks f t

@@ -1,7 +1,7 @@
-(* Dynamic trace capture and expansion.
+(* Block-stream capture.
 
-   A program run is recorded once as a compact sequence of executed basic
-   blocks (function id and label packed into one int).  The block trace is
+   A program run is captured as a sequence of executed basic blocks
+   (function id and label packed into one int).  The block sequence is
    layout-independent: replaying it against different address maps and
    cache configurations expands each block into its instruction-fetch
    addresses without re-running the interpreter. *)
@@ -16,19 +16,12 @@ let pack fid label = (fid lsl label_bits) lor label
 let unpack_fid code = code lsr label_bits
 let unpack_label code = code land label_mask
 
-type t = {
-  blocks : Ivec.t; (* packed (fid, label) in execution order *)
-  result : Vm.Interp.result;
-}
-
 exception Too_many_blocks of string
 
 type sink = int -> Cfg.label -> unit
 
 (* Stream the execution's block sequence into [sink] with no buffering:
-   the push-based VM->consumer path.  Every trace consumer (buffered
-   recording below, the compressed store, the fused simulation engine)
-   is a sink over this one entry point. *)
+   the push-based VM->consumer path the compressed store is built on. *)
 let stream ?fuel (prog : Prog.program) (input : Vm.Io.input) ~(sink : sink) :
     Vm.Interp.result =
   Array.iter
@@ -37,44 +30,3 @@ let stream ?fuel (prog : Prog.program) (input : Vm.Io.input) ~(sink : sink) :
         raise (Too_many_blocks f.name))
     prog.funcs;
   Vm.Interp.run ~block_sink:sink ?fuel prog input
-
-(* The buffered path: one sink implementation that appends packed codes
-   to a growable vector. *)
-let record ?fuel (prog : Prog.program) (input : Vm.Io.input) : t =
-  let blocks = Ivec.create ~capacity:65536 () in
-  let result =
-    stream ?fuel prog input ~sink:(fun fid label ->
-        Ivec.push blocks (pack fid label))
-  in
-  { blocks; result }
-
-let dyn_blocks t = Ivec.length t.blocks
-
-(* Dynamic instruction fetches under a given address map (block sizes may
-   differ from the recorded run when the map comes from a scaled program). *)
-let dyn_insns (map : Placement.Address_map.t) t =
-  let total = ref 0 in
-  Ivec.iter
-    (fun code ->
-      let fid = unpack_fid code and label = unpack_label code in
-      total := !total + map.block_words.(fid).(label))
-    t.blocks;
-  !total
-
-(* Expand the block trace into instruction-fetch addresses under [map],
-   calling [fetch] for every 4-byte instruction access. *)
-let iter_fetches (map : Placement.Address_map.t) t ~(fetch : int -> unit) =
-  let addr_of = map.block_addr and words_of = map.block_words in
-  Ivec.iter
-    (fun code ->
-      let fid = unpack_fid code and label = unpack_label code in
-      let base = addr_of.(fid).(label) in
-      let words = words_of.(fid).(label) in
-      for k = 0 to words - 1 do
-        fetch (base + (k * Insn.bytes_per_insn))
-      done)
-    t.blocks
-
-(* Iterate over executed blocks as (fid, label). *)
-let iter_blocks f t =
-  Ivec.iter (fun code -> f (unpack_fid code) (unpack_label code)) t.blocks

@@ -1,18 +1,15 @@
-(** Dynamic trace capture and expansion.
+(** Block-stream capture: the packed block code and the VM-to-consumer
+    stream every recorded trace is built from.
 
-    A run is recorded once as a compact block-level trace; replaying it
-    against different address maps and cache configurations expands each
-    block into instruction-fetch addresses without re-running the
-    interpreter. *)
+    A run is captured as the sequence of executed basic blocks, each a
+    (function id, label) pair packed into one int.  The sequence is
+    layout-independent: replaying it against different address maps and
+    cache configurations expands each block into instruction-fetch
+    addresses without re-running the interpreter. *)
 
 open Ir
 
 exception Too_many_blocks of string
-
-type t = {
-  blocks : Ivec.t;  (** packed (fid, label) in execution order *)
-  result : Vm.Interp.result;
-}
 
 val pack : int -> Cfg.label -> int
 val unpack_fid : int -> int
@@ -29,20 +26,3 @@ val stream :
 (** Execute and push every block straight into [sink] with no
     intermediate buffer.  Raises {!Too_many_blocks} if a function exceeds
     the packing capacity (2^20 blocks). *)
-
-val record : ?fuel:int -> Prog.program -> Vm.Io.input -> t
-(** Execute and capture into a buffered trace ({!stream} with an
-    appending sink).  Raises {!Too_many_blocks} if a function exceeds
-    the packing capacity (2^20 blocks). *)
-
-val dyn_blocks : t -> int
-
-val dyn_insns : Placement.Address_map.t -> t -> int
-(** Dynamic instruction fetches under the given address map (accounts for
-    code scaling). *)
-
-val iter_fetches :
-  Placement.Address_map.t -> t -> fetch:(int -> unit) -> unit
-(** Call [fetch] for every 4-byte instruction access of the trace. *)
-
-val iter_blocks : (int -> Cfg.label -> unit) -> t -> unit

@@ -27,7 +27,7 @@ let check_cls what expected a fid label =
         (Array.length cs)
 
 let record_trace prog =
-  Sim.Trace.of_gen (Sim.Trace_gen.record prog (Vm.Io.input []))
+  Sim.Trace.record prog (Vm.Io.input [])
 
 let oracle_clean what ?configs prog map =
   let trace = record_trace prog in

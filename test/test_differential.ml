@@ -77,9 +77,7 @@ let prop_layouts_agree_on_accesses =
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
-        Sim.Trace.of_gen
-          (Sim.Trace_gen.record pl.Placement.Pipeline.program
-             (Vm.Io.input []))
+        Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
       in
       let config = Icache.Config.make ~size:512 ~block:32 () in
       let program = pl.Placement.Pipeline.program in
@@ -97,7 +95,7 @@ let prop_layouts_agree_on_accesses =
       in
       let runs =
         List.map
-          (fun map -> Sim.Driver.simulate config map trace)
+          (fun map -> List.hd (Sim.Driver.simulate [ config ] map trace))
           [ pl.Placement.Pipeline.natural; pl.Placement.Pipeline.optimized; ph_map ]
       in
       match runs with

@@ -1,8 +1,8 @@
 (* Differential tests for the block-granular fast simulation engine:
-   [Icache.Cache.access_run] and [Sim.Driver.simulate_many] must be
-   exactly equivalent — counters, miss events, and every derived metric —
-   to the word-granular reference ([access] / [simulate]), across all
-   fill policies, associativities, and prefetch settings. *)
+   [Icache.Cache.access_run] and [Sim.Driver.simulate] must be exactly
+   equivalent — counters, miss events, and every derived metric — to the
+   word-granular reference ([access] / [Sim.Driver.reference]), across
+   all fill policies, associativities, and prefetch settings. *)
 
 let config_pool =
   [
@@ -90,7 +90,7 @@ let prop_access_run_equals_access =
           && Icache.Cache.invariant fast_cache)
         config_pool)
 
-(* --- simulate_many vs simulate on random programs --- *)
+(* --- simulate vs reference on random programs --- *)
 
 let results_equal (a : Sim.Driver.result) (b : Sim.Driver.result) =
   a.Sim.Driver.accesses = b.Sim.Driver.accesses
@@ -107,22 +107,22 @@ let results_equal (a : Sim.Driver.result) (b : Sim.Driver.result) =
 let seed_gen =
   QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 
-let prop_simulate_many_equals_simulate =
+let prop_simulate_equals_reference =
   QCheck.Test.make
-    ~name:"simulate_many = per-config simulate (random programs)" ~count:20
+    ~name:"simulate = per-config reference (random programs)" ~count:20
     seed_gen (fun seed ->
       let ast = Gen_prog.generate seed in
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
-        Sim.Trace.of_gen
-          (Sim.Trace_gen.record pl.Placement.Pipeline.program
-             (Vm.Io.input []))
+        Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
       in
       List.for_all
         (fun map ->
-          let fast = Sim.Driver.simulate_many config_pool map trace in
-          let ref_ = List.map (fun c -> Sim.Driver.simulate c map trace) config_pool in
+          let fast = Sim.Driver.simulate config_pool map trace in
+          let ref_ =
+            List.map (fun c -> Sim.Driver.reference c map trace) config_pool
+          in
           List.for_all2 results_equal ref_ fast)
         [ pl.Placement.Pipeline.optimized; pl.Placement.Pipeline.natural ])
 
@@ -195,5 +195,5 @@ let suite =
     Alcotest.test_case "sectored access_run events" `Quick sectored_run_events;
     Alcotest.test_case "prefetch access_run" `Quick prefetch_run;
     QCheck_alcotest.to_alcotest prop_access_run_equals_access;
-    QCheck_alcotest.to_alcotest prop_simulate_many_equals_simulate;
+    QCheck_alcotest.to_alcotest prop_simulate_equals_reference;
   ]

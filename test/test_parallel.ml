@@ -95,17 +95,18 @@ let tables_bit_identical () =
     (fun s p -> Alcotest.(check string) "rendered table" s p)
     serial parallel
 
-(* simulate_many's contiguous config partition concatenates back to the
-   serial sweep's exact results. *)
+(* Driver.simulate's contiguous config partition under a pool
+   concatenates back to the exact results of the serial sweep it runs
+   with no default pool. *)
 let driver_partition_identical () =
   let ctx = Experiments.Context.create ~names:[ "cmp" ] () in
   let e = Experiments.Context.find ctx "cmp" in
   let map = Experiments.Context.optimized_map e in
   let trace = Experiments.Context.trace e in
   let configs = Experiments.Table6.configs in
-  let serial = Sim.Driver.simulate_many_serial configs map trace in
+  let serial = Sim.Driver.simulate configs map trace in
   let parallel =
-    with_default_pool 4 (fun _ -> Sim.Driver.simulate_many configs map trace)
+    with_default_pool 4 (fun _ -> Sim.Driver.simulate configs map trace)
   in
   Alcotest.(check bool) "results identical" true (serial = parallel)
 

@@ -65,10 +65,10 @@ let effective_region_is_executed () =
   let p = run_pipeline "grep" in
   let map = p.Placement.Pipeline.optimized in
   let trace =
-    Sim.Trace_gen.record p.Placement.Pipeline.program
+    Sim.Trace.record p.Placement.Pipeline.program
       (List.hd (small_inputs "grep"))
   in
-  Sim.Trace_gen.iter_blocks
+  Sim.Trace.iter_blocks
     (fun fid label ->
       let addr = map.Placement.Address_map.block_addr.(fid).(label) in
       if addr >= map.Placement.Address_map.effective_bytes then
@@ -83,17 +83,13 @@ let optimized_not_worse () =
     (fun name ->
       let p = run_pipeline name in
       let trace =
-        Sim.Trace.of_gen
-          (Sim.Trace_gen.record p.Placement.Pipeline.program
-             (List.hd (small_inputs name)))
+        Sim.Trace.record p.Placement.Pipeline.program
+          (List.hd (small_inputs name))
       in
       let config = Icache.Config.make ~size:2048 ~block:64 () in
-      let opt =
-        Sim.Driver.simulate config p.Placement.Pipeline.optimized trace
-      in
-      let nat =
-        Sim.Driver.simulate config p.Placement.Pipeline.natural trace
-      in
+      let simulate map = List.hd (Sim.Driver.simulate [ config ] map trace) in
+      let opt = simulate p.Placement.Pipeline.optimized in
+      let nat = simulate p.Placement.Pipeline.natural in
       Alcotest.(check bool)
         (name ^ ": optimized misses <= natural misses") true
         (opt.Sim.Driver.misses <= nat.Sim.Driver.misses))

@@ -6,10 +6,8 @@ let ctx = lazy (Experiments.Context.create ~names:[ "cccp" ] ())
 
 let entry name = Experiments.Context.find (Lazy.force ctx) name
 
-let miss config map trace =
-  (Sim.Driver.simulate config map trace).Sim.Driver.miss_ratio
-
-let result config map trace = Sim.Driver.simulate config map trace
+let result config map trace = List.hd (Sim.Driver.simulate [ config ] map trace)
+let miss config map trace = (result config map trace).Sim.Driver.miss_ratio
 
 let direct ?fill size = Icache.Config.make ?fill ~size ~block:64 ()
 
@@ -61,7 +59,7 @@ let block_size_tradeoff () =
   let trace = Experiments.Context.trace e in
   let map = Experiments.Context.optimized_map e in
   let at block =
-    Sim.Driver.simulate (Icache.Config.make ~size:2048 ~block ()) map trace
+    result (Icache.Config.make ~size:2048 ~block ()) map trace
   in
   let r16 = at 16 and r128 = at 128 in
   Alcotest.(check bool) "bigger blocks, fewer misses" true

@@ -8,35 +8,58 @@ let pack_unpack () =
   Alcotest.(check int) "fid" 7 (Sim.Trace_gen.unpack_fid code);
   Alcotest.(check int) "label" 123456 (Sim.Trace_gen.unpack_label code)
 
+(* The plain block list of one execution, captured straight from the VM
+   stream: the oracle the stored trace is checked against. *)
+let stream_blocks prog input =
+  let blocks = ref [] in
+  let result =
+    Sim.Trace_gen.stream prog input ~sink:(fun fid label ->
+        blocks := (fid, label) :: !blocks)
+  in
+  (List.rev !blocks, result)
+
+let trace_blocks trace =
+  let blocks = ref [] in
+  Sim.Trace.iter_blocks (fun fid label -> blocks := (fid, label) :: !blocks) trace;
+  List.rev !blocks
+
 let record_consistency () =
   let p = Ir.Lower.program caller_prog in
-  let trace = Sim.Trace_gen.record p (Vm.Io.input []) in
+  let input = Vm.Io.input [] in
+  let blocks, result = stream_blocks p input in
+  let trace = Sim.Trace.record p input in
   Alcotest.(check int) "blocks recorded = blocks executed"
-    trace.Sim.Trace_gen.result.Vm.Interp.dyn_blocks
-    (Sim.Trace_gen.dyn_blocks trace);
+    result.Vm.Interp.dyn_blocks (Sim.Trace.dyn_blocks trace);
+  Alcotest.(check bool) "replay = streamed block list" true
+    (trace_blocks trace = blocks);
   (* Fetch expansion under the natural map equals the interpreter's count. *)
   let map = Placement.Address_map.natural p in
-  Alcotest.(check int) "dyn_insns match"
-    trace.Sim.Trace_gen.result.Vm.Interp.dyn_insns
-    (Sim.Trace_gen.dyn_insns map trace);
-  let count = ref 0 in
-  Sim.Trace_gen.iter_fetches map trace ~fetch:(fun _ -> incr count);
-  Alcotest.(check int) "iter_fetches count" (Sim.Trace_gen.dyn_insns map trace)
-    !count;
+  Alcotest.(check int) "dyn_insns match" result.Vm.Interp.dyn_insns
+    (Sim.Trace.dyn_insns map trace);
+  Alcotest.(check int) "streamed fetch count" result.Vm.Interp.dyn_insns
+    (List.fold_left
+       (fun n (fid, label) ->
+         n + map.Placement.Address_map.block_words.(fid).(label))
+       0 blocks);
   (* All fetches land inside the program image. *)
-  Sim.Trace_gen.iter_fetches map trace ~fetch:(fun a ->
-      if a < 0 || a >= map.Placement.Address_map.total_bytes then
-        Alcotest.failf "fetch address %d out of range" a)
+  List.iter
+    (fun (fid, label) ->
+      let base = map.Placement.Address_map.block_addr.(fid).(label) in
+      let words = map.Placement.Address_map.block_words.(fid).(label) in
+      let last = base + ((words - 1) * Ir.Insn.bytes_per_insn) in
+      if words > 0 && (base < 0 || last >= map.Placement.Address_map.total_bytes)
+      then Alcotest.failf "block fetch range [%d,%d] out of range" base last)
+    blocks
 
 let driver_metrics () =
   let p = Ir.Lower.program caller_prog in
-  let trace = Sim.Trace_gen.record p (Vm.Io.input []) in
+  let trace = Sim.Trace.record p (Vm.Io.input []) in
   let map = Placement.Address_map.natural p in
   (* A cache big enough for everything: only compulsory misses. *)
   let big = Icache.Config.make ~size:65536 ~block:64 () in
-  let r = Sim.Driver.simulate big map (Sim.Trace.of_gen trace) in
+  let r = Sim.Driver.reference big map trace in
   Alcotest.(check int) "accesses = dyn insns"
-    (Sim.Trace_gen.dyn_insns map trace)
+    (Sim.Trace.dyn_insns map trace)
     r.Sim.Driver.accesses;
   let blocks_touched =
     (map.Placement.Address_map.total_bytes + 63) / 64

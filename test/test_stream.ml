@@ -1,15 +1,13 @@
-(* The streaming/compressed trace store (PR 7):
+(* The compressed trace store:
 
    - Ctrace round-trip: the run-length/delta coder reproduces the exact
      pushed code sequence (QCheck over adversarial run shapes).
-   - Engine differentials on every benchmark: buffered and streaming
-     recordings, compressed replay, and the fused VM→cache engine all
-     produce bit-identical simulation results against the word-granular
-     reference.
-   - Rendered-table bit-identity between engines.
+   - Every benchmark: the stored trace replays exactly the block
+     sequence the VM streams, and the block-granular sweep over it
+     matches the word-granular reference.
    - Scaled workloads keep the original semantics (same return value and
      output, strictly more fetches and functions).
-   - The trace.* gauges account raw vs stored bytes. *)
+   - The trace.* gauges and stats account raw vs stored bytes. *)
 
 let results_equal (a : Sim.Driver.result) (b : Sim.Driver.result) =
   a.Sim.Driver.accesses = b.Sim.Driver.accesses
@@ -102,7 +100,7 @@ let ctrace_coalesces () =
     "compressed below raw" true
     (Sim.Ctrace.compressed_bytes ct < Sim.Ctrace.raw_bytes ct)
 
-(* --- engine differentials on every benchmark --- *)
+(* --- simulate vs reference on every benchmark --- *)
 
 (* Two configurations exercising the engine's hairiest paths (sector
    fills within set-associative lookup; partial fills); the cheap shapes
@@ -115,89 +113,65 @@ let diff_configs =
   ]
 
 (* For one benchmark (natural layout, no pipeline: this pins the trace
-   store, not the placement), every representation and engine must agree
-   with the buffered word-granular reference. *)
+   store, not the placement): the stored trace replays the VM's block
+   stream exactly, and simulating it agrees with the word-granular
+   reference. *)
 let check_benchmark name =
   let b = Workloads.Registry.find name in
   let program = Workloads.Bench.program b in
   let input = Workloads.Bench.trace_input b in
   let map = Placement.Address_map.natural program in
-  let tg = Sim.Trace_gen.record program input in
-  let raw = Sim.Trace.of_gen tg in
-  let packed = Sim.Trace.of_ctrace (Sim.Ctrace.of_trace_gen tg) in
-  let streamed = Sim.Trace.record ~engine:Sim.Trace.Streaming program input in
-  (* Identical executions and block streams. *)
+  let trace = Sim.Trace.record program input in
+  (* Round trip: decode the store into a plain code array, then
+     re-execute and compare it block by block with the VM's stream. *)
+  let codes = Array.make (Sim.Trace.dyn_blocks trace) 0 in
+  let n = ref 0 in
+  Sim.Trace.iter_blocks
+    (fun fid label ->
+      codes.(!n) <- Sim.Trace_gen.pack fid label;
+      incr n)
+    trace;
+  let streamed = ref 0 and mismatches = ref 0 in
+  let vm_result =
+    Sim.Trace_gen.stream program input ~sink:(fun fid label ->
+        let i = !streamed in
+        if i >= Array.length codes || codes.(i) <> Sim.Trace_gen.pack fid label
+        then incr mismatches;
+        incr streamed)
+  in
   Alcotest.(check int)
-    (name ^ ": packed blocks") (Sim.Trace.dyn_blocks raw)
-    (Sim.Trace.dyn_blocks packed);
-  Alcotest.(check int)
-    (name ^ ": streamed blocks") (Sim.Trace.dyn_blocks raw)
-    (Sim.Trace.dyn_blocks streamed);
-  Alcotest.(check int)
-    (name ^ ": dyn_insns") (Sim.Trace.dyn_insns map raw)
-    (Sim.Trace.dyn_insns map streamed);
+    (name ^ ": streamed blocks") !streamed (Sim.Trace.dyn_blocks trace);
+  Alcotest.(check int) (name ^ ": replay = stream") 0 !mismatches;
   Alcotest.(check bool)
     (name ^ ": results agree") true
-    (interp_results_equal (Sim.Trace.result streamed) (Sim.Trace.result raw));
-  (* Block-granular sweep per representation plus the fused VM→cache
-     engine: all bit-identical.  (Word-vs-block equivalence itself is
-     covered by the fast_sim/differential suites; here the subject is
-     the representation and the fusion.) *)
-  let baseline = Sim.Driver.simulate_many diff_configs map raw in
-  let agree label rs =
-    Alcotest.(check bool) (name ^ ": " ^ label) true
-      (List.for_all2 results_equal baseline rs)
-  in
-  agree "simulate_many on packed"
-    (Sim.Driver.simulate_many diff_configs map packed);
-  (* The fused recording must produce the byte-identical encoding to
-     compressing a buffered recording — which pins its replay to the
-     packed sweep above without another walk. *)
-  (match (streamed, packed) with
-  | Sim.Trace.Packed sct, Sim.Trace.Packed pct ->
+    (interp_results_equal vm_result (Sim.Trace.result trace));
+  Alcotest.(check int)
+    (name ^ ": dyn_insns") vm_result.Vm.Interp.dyn_insns
+    (Sim.Trace.dyn_insns map trace);
+  let fast = Sim.Driver.simulate diff_configs map trace in
+  List.iter
+    (fun (r : Sim.Driver.result) ->
+      Alcotest.(check int)
+        (name ^ ": accesses") vm_result.Vm.Interp.dyn_insns
+        r.Sim.Driver.accesses)
+    fast;
+  (* The word-granular reference per benchmark whose trace keeps the
+     word-by-word walk viable (the equivalence itself is
+     config-independent and covered on random programs by the
+     differential suites). *)
+  if Sim.Trace.dyn_blocks trace < 500_000 then
     Alcotest.(check bool)
-      (name ^ ": fused recording encodes identically") true
-      (Bytes.equal sct.Sim.Ctrace.data pct.Sim.Ctrace.data
-      && Sim.Ctrace.runs sct = Sim.Ctrace.runs pct)
-  | _ -> Alcotest.fail (name ^ ": expected compressed representations"));
-  let fused, vm_result = Sim.Driver.simulate_stream diff_configs map program input in
-  agree "fused simulate_stream" fused;
-  (* One word-granular reference point on the compressed representation
-     per benchmark whose trace keeps the word-by-word walk viable (the
-     equivalence itself is config-independent and covered on random
-     programs by the differential suites). *)
-  if Sim.Trace.dyn_blocks raw < 500_000 then begin
-    let c0 = List.hd diff_configs in
-    Alcotest.(check bool)
-      (name ^ ": word-granular reference on packed") true
-      (results_equal (List.hd baseline) (Sim.Driver.simulate c0 map packed))
-  end;
-  Alcotest.(check bool)
-    (name ^ ": fused VM result") true
-    (interp_results_equal vm_result (Sim.Trace.result raw));
+      (name ^ ": word-granular reference") true
+      (List.for_all2 results_equal fast
+         (List.map (fun c -> Sim.Driver.reference c map trace) diff_configs));
   (* The compressed representation really is smaller. *)
-  let s = Sim.Trace.stats packed in
+  let s = Sim.Trace.stats trace in
   Alcotest.(check bool)
     (name ^ ": compression wins") true
     (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
 let engines_agree_all_benchmarks () =
   List.iter check_benchmark Workloads.Registry.names
-
-(* --- rendered tables identical across engines --- *)
-
-let tables_identical_across_engines () =
-  let render engine =
-    let ctx =
-      Experiments.Context.create ~engine ~names:[ "cmp"; "tee" ] ()
-    in
-    let o = Experiments.Runner.run_spec ctx (Experiments.Runner.find "6") in
-    Report.Table.render o.Experiments.Runner.table
-  in
-  Alcotest.(check string)
-    "table 6 identical under buffered and streaming"
-    (render Sim.Trace.Buffered)
-    (render Sim.Trace.Streaming)
 
 (* --- scaled workloads preserve semantics --- *)
 
@@ -246,8 +220,7 @@ let gauges_account_recordings () =
   and runs0 = g "trace.runs" in
   let b = Workloads.Registry.find "cmp" in
   let t =
-    Sim.Trace.record ~engine:Sim.Trace.Streaming (Workloads.Bench.program b)
-      (Workloads.Bench.trace_input b)
+    Sim.Trace.record (Workloads.Bench.program b) (Workloads.Bench.trace_input b)
   in
   Obs.Metrics.set_enabled was;
   let s = Sim.Trace.stats t in
@@ -263,24 +236,26 @@ let gauges_account_recordings () =
   Alcotest.(check bool) "stored < raw" true
     (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
-(* Raw and packed stats describe the same trace identically except for
-   the stored size. *)
+(* Stats describe the trace exactly as the VM streamed it: the block
+   count, the maximal runs of consecutive codes and the 8-byte-per-block
+   plain footprint, of which the compressed store holds less. *)
 let stats_consistent () =
   let b = Workloads.Registry.find "wc" in
-  let tg =
-    Sim.Trace_gen.record (Workloads.Bench.program b)
-      (Workloads.Bench.trace_input b)
-  in
-  let sr = Sim.Trace.stats (Sim.Trace.of_gen tg) in
-  let sp = Sim.Trace.stats (Sim.Trace.of_ctrace (Sim.Ctrace.of_trace_gen tg)) in
-  Alcotest.(check int) "same runs" sr.Sim.Trace.st_runs sp.Sim.Trace.st_runs;
-  Alcotest.(check int) "same blocks" sr.Sim.Trace.st_blocks sp.Sim.Trace.st_blocks;
-  Alcotest.(check int) "same raw bytes" sr.Sim.Trace.st_raw_bytes
-    sp.Sim.Trace.st_raw_bytes;
-  Alcotest.(check bool) "raw stores raw" true
-    (sr.Sim.Trace.st_stored_bytes = sr.Sim.Trace.st_raw_bytes);
+  let program = Workloads.Bench.program b in
+  let input = Workloads.Bench.trace_input b in
+  let blocks = ref 0 and runs = ref 0 and next = ref min_int in
+  ignore
+    (Sim.Trace_gen.stream program input ~sink:(fun fid label ->
+         let code = Sim.Trace_gen.pack fid label in
+         if code <> !next then incr runs;
+         next := code + 1;
+         incr blocks));
+  let s = Sim.Trace.stats (Sim.Trace.record program input) in
+  Alcotest.(check int) "same runs" !runs s.Sim.Trace.st_runs;
+  Alcotest.(check int) "same blocks" !blocks s.Sim.Trace.st_blocks;
+  Alcotest.(check int) "raw bytes" (8 * !blocks) s.Sim.Trace.st_raw_bytes;
   Alcotest.(check bool) "packed stores less" true
-    (sp.Sim.Trace.st_stored_bytes < sp.Sim.Trace.st_raw_bytes)
+    (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
 let suite =
   [
@@ -289,8 +264,6 @@ let suite =
       ctrace_coalesces;
     Alcotest.test_case "engines agree on every benchmark" `Slow
       engines_agree_all_benchmarks;
-    Alcotest.test_case "tables identical across engines" `Slow
-      tables_identical_across_engines;
     Alcotest.test_case "scale preserves semantics" `Quick
       scale_preserves_semantics;
     Alcotest.test_case "scale grows the trace monotonically" `Slow

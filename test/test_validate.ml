@@ -131,20 +131,6 @@ let corrupted_address_map () =
   in
   Alcotest.(check bool) "entry-first claim checked" true (has_error ds)
 
-(* ---------------- descriptive Ivec bounds errors ---------------- *)
-
-let ivec_bounds () =
-  let v = Sim.Ivec.create () in
-  Sim.Ivec.push v 7;
-  Alcotest.check_raises "get"
-    (Invalid_argument "Ivec.get: index 3 outside [0,1)") (fun () ->
-      ignore (Sim.Ivec.get v 3));
-  Alcotest.check_raises "blit"
-    (Invalid_argument
-       "Ivec.blit: source range [0,5) outside source length 1") (fun () ->
-      Sim.Ivec.blit ~src:v ~src_pos:0 ~dst:(Sim.Ivec.create ()) ~dst_pos:0
-        ~len:5)
-
 (* ---------------- fuzzer catches an injected bad permutation -------- *)
 
 (* A deliberately broken strategy: the layout repeats the first block
@@ -235,7 +221,6 @@ let suite =
     Alcotest.test_case "zero-weight entry block" `Quick
       zero_weight_entry_block;
     Alcotest.test_case "corrupted address map" `Quick corrupted_address_map;
-    Alcotest.test_case "descriptive Ivec bounds" `Quick ivec_bounds;
     Alcotest.test_case "fuzzer catches bad permutation" `Slow
       fuzz_catches_bad_permutation;
     Alcotest.test_case "fuzz smoke" `Slow fuzz_smoke;
