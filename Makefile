@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci` on every PR.
 
-.PHONY: all build test bench bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
+.PHONY: all build test all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
 
 all: build
 
@@ -10,15 +10,16 @@ build:
 test:
 	dune runtest
 
-# Full evaluation: every table, figures, engine speedup, micro-benchmarks.
-bench:
-	dune exec bench/main.exe
-
-# Fast end-to-end exercise of the block-granular simulation engine:
-# one table, one benchmark, plus the reference-vs-fast engine comparison.
-# Writes no report file (pass `--out FILE` for one).
-bench-smoke:
-	dune exec bench/main.exe -- --only t6 --benchmarks wc
+# Every table plus Figures A-C on one benchmark end to end: the
+# impact.table-run/v1 report must re-parse and stdout must carry the
+# three figure titles.
+all-smoke:
+	rm -rf _obs && mkdir -p _obs
+	dune exec bin/main.exe -- all -b wc --json _obs/all.json > _obs/all.txt
+	dune exec bin/checkjson.exe -- _obs/all.json
+	grep -q "^Figure A:" _obs/all.txt
+	grep -q "^Figure B:" _obs/all.txt
+	grep -q "^Figure C:" _obs/all.txt
 
 # Smoke the layout-strategy registry: the listing must enumerate it and
 # the comparison experiment must run every registered strategy end to end.
@@ -88,8 +89,7 @@ par-smoke:
 	cmp _par/fuzz-j1.txt _par/fuzz-j2.txt
 
 # Compressed trace store on scaled workloads end to end: the same table
-# must be byte-identical between -j 1 and -j 2; the committed scaled
-# bench report must parse.
+# must be byte-identical between -j 1 and -j 2.
 stream-smoke:
 	rm -rf _stream && mkdir -p _stream
 	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 1 \
@@ -97,7 +97,6 @@ stream-smoke:
 	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 2 \
 	  > _stream/t6-scale-j2.txt
 	cmp _stream/t6-scale-j1.txt _stream/t6-scale-j2.txt
-	dune exec bin/checkjson.exe -- BENCH_pr7.json
 
 # Layout service end to end: the committed golden request stream must
 # replay byte-identically to the committed responses (serially and with
@@ -144,7 +143,7 @@ soak-smoke:
 	  --soak-out _soak/soak.json -q
 	dune exec bin/checkjson.exe -- _soak/soak.json
 
-ci: build test bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
+ci: build test all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
 
 clean:
 	dune clean

@@ -12,7 +12,6 @@
 let known_schemas =
   [
     "impact.table-run/v1";
-    "impact.bench/v1";
     "impact.lint/v1";
     "impact.absint/v1";
     "impact.serve/v1";

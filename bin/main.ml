@@ -250,6 +250,37 @@ let table_cmd =
       const run $ id_arg $ bench_names_arg $ scale_arg $ validate_arg
       $ obs_term $ jobs_term)
 
+(* Trend figures from the tables' memoized simulations: the Table 6
+   sweep as sparklines and the 2KB design point as bar charts, natural
+   vs optimized. *)
+let print_figures ctx =
+  let pct v = Printf.sprintf "%.2f%%" (100. *. v) in
+  print_string
+    (Report.Chart.sparklines ~format:pct
+       ~title:
+         "Figure A: miss ratio vs cache size (direct-mapped, 64B blocks, \
+          optimized layout; glyph ramp ' .:-=+*#@' scaled to the worst \
+          point)"
+       ~points:[ "8K"; "4K"; "2K"; "1K"; "0.5K" ]
+       (List.map
+          (fun (r : Experiments.Sweep.row) ->
+            (r.name, List.map (fun c -> c.Experiments.Sweep.miss) r.cells))
+          (Experiments.Table6.compute ctx)));
+  print_newline ();
+  let ablation = Experiments.Ablation.compute ctx in
+  let bars title value =
+    print_string
+      (Report.Chart.bars ~format:pct ~title
+         (List.map
+            (fun (r : Experiments.Ablation.row) -> (r.name, value r))
+            ablation))
+  in
+  bars "Figure B: 2KB/64B miss ratio, natural layout (pre-inlining baseline)"
+    (fun r -> r.baseline);
+  print_newline ();
+  bars "Figure C: 2KB/64B miss ratio, full placement pipeline" (fun r ->
+      r.full)
+
 (* impact all *)
 let all_cmd =
   let run names scale validate obs jobs =
@@ -265,11 +296,12 @@ let all_cmd =
           o)
         Experiments.Runner.all
     in
+    print_figures ctx;
     Option.iter (fun p -> write_json_report p ~names outcomes) obs.json_out;
     run_validation validate ctx
   in
   Cmd.v
-    (Cmd.info "all" ~doc:"Regenerate every table")
+    (Cmd.info "all" ~doc:"Regenerate every table, then Figures A-C")
     Term.(
       const run $ bench_names_arg $ scale_arg $ validate_arg $ obs_term
       $ jobs_term)

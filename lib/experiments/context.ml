@@ -58,6 +58,11 @@ type entry = {
          newest first (e.g. a strategy that raised and fell back) *)
   mutable scaled_maps : (float * Placement.Address_map.t) list;
   mutable map_ids : (Placement.Address_map.t * int) list;
+      (* interned maps; with [memo_cap] set, pruned to those the
+         remaining [sim_cache] keys reference *)
+  mutable next_map_id : int;
+      (* monotone id source: a pruned id is never reissued, so a fill
+         computed outside the lock cannot land under another map's id *)
   mutable trace_ids : (Sim.Trace.t * int) list;
   sim_cache : (int * int * Icache.Config.t, cached) Hashtbl.t;
 }
@@ -146,6 +151,7 @@ let make_entry ?memo_cap ?strategy_cap bench =
     warnings = [];
     scaled_maps = [];
     map_ids = [];
+    next_map_id = 0;
     trace_ids = [];
     sim_cache = Hashtbl.create 64;
   }
@@ -305,8 +311,10 @@ let scaled_map e factor =
 
 (* Intern maps and traces to small ids on physical identity, so cached
    results key on a hashable (map id, trace id, config) triple.  The
-   interning lists stay tiny — a handful of maps and two traces per
-   entry — while the result cache can hold hundreds of design points.
+   interning lists stay small — a handful of maps and two traces per
+   table entry, and at most [memo_cap] maps under a cap (eviction
+   unpins maps with no result left) — while the result cache can hold
+   hundreds of design points.
    Interning mutates the entry, so callers hold its lock (the
    [_unlocked] suffix marks the requirement). *)
 let map_id_unlocked e map =
@@ -315,7 +323,8 @@ let map_id_unlocked e map =
   with
   | Some i -> i
   | None ->
-    let i = List.length e.map_ids in
+    let i = e.next_map_id in
+    e.next_map_id <- i + 1;
     e.map_ids <- (map, i) :: e.map_ids;
     i
 
@@ -342,8 +351,7 @@ let tick_unlocked e =
 
 let evict_sim_unlocked e =
   match e.memo_cap with
-  | None -> ()
-  | Some cap ->
+  | Some cap when Hashtbl.length e.sim_cache > cap ->
     while Hashtbl.length e.sim_cache > cap do
       let victim =
         Hashtbl.fold
@@ -359,7 +367,12 @@ let evict_sim_unlocked e =
         Hashtbl.remove e.sim_cache k;
         e.memo_evicted <- e.memo_evicted + 1;
         Obs.Metrics.incr memo_evictions
-    done
+    done;
+    (* Unpin the maps whose results are all gone. *)
+    let live = Hashtbl.create 16 in
+    Hashtbl.iter (fun (mid, _, _) _ -> Hashtbl.replace live mid ()) e.sim_cache;
+    e.map_ids <- List.filter (fun (_, i) -> Hashtbl.mem live i) e.map_ids
+  | _ -> ()
 
 (* Simulate every configuration of [configs] on (map, trace), reusing
    cached results and running all uncached configurations through the

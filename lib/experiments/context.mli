@@ -28,6 +28,9 @@ type entry = {
   mutable warnings : Ir.Diag.t list;
   mutable scaled_maps : (float * Placement.Address_map.t) list;
   mutable map_ids : (Placement.Address_map.t * int) list;
+      (** interned maps; with [memo_cap] set, only those some memoized
+          result still references *)
+  mutable next_map_id : int;  (** monotone: an id is never reissued *)
   mutable trace_ids : (Sim.Trace.t * int) list;
   sim_cache : (int * int * Icache.Config.t, cached) Hashtbl.t;
 }

@@ -126,8 +126,7 @@ type t = {
   mutable by_tier : (string * int) list;
   mutable next_trace : int;
       (* trace-id source; bumped only by the single-threaded reader
-         (classify / handle_line), so ids are deterministic in input
-         order at any -j *)
+         (classify), so ids are deterministic in input order at any -j *)
   mutable subs : string list option list;
       (* subscription filters in arrival order; None = every profile *)
   mutable notifications_sent : int;
@@ -835,27 +834,6 @@ let oversize_response n limit =
     (Protocol.usage_error
        (Printf.sprintf "request too large: %d bytes (limit %d)" n limit))
 
-(* The serial total function: one line in, one response out.  What the
-   chaos harness and the unit tests drive directly.  Staleness
-   notifications are a serve-loop concept: an upload handled here drops
-   its pending notification without emitting it or consuming the
-   exactly-once guard. *)
-let handle_line t line : Obs.Json.t * bool =
-  let trace = fresh_trace t in
-  let n = String.length line in
-  if n > t.config.max_request_bytes then
-    (with_trace trace (oversize_response n t.config.max_request_bytes), false)
-  else
-    match Protocol.parse_request ~max_bytes:t.config.max_request_bytes line with
-    | Error (id, e) ->
-        (with_trace trace (Protocol.error_response ~id ~request:"unknown" e),
-         false)
-    | Ok p ->
-        let stop = match p.req with Protocol.Shutdown -> true | _ -> false in
-        let resp = respond t ~trace p in
-        t.last_upload <- None;
-        (resp, stop)
-
 (* ------------------------------------------------------------------ *)
 (* The batched serve loop                                              *)
 (* ------------------------------------------------------------------ *)
@@ -931,9 +909,12 @@ let account t resp =
    emits in input order, and handles barriers serially in between.
    Upload barriers additionally drain push-style staleness
    notifications right after their own response — serially, so the
-   notification stream is deterministic at any -j. *)
-let serve_generic t ~(next : unit -> string option) ~(emit : Obs.Json.t -> unit)
-    =
+   notification stream is deterministic at any -j.  A batch is also
+   flushed when [ready] says the next read would block, so a lone
+   client is answered without waiting for the batch to fill; batch
+   boundaries never change the emitted bytes. *)
+let serve_generic t ~(next : unit -> string option) ~(ready : unit -> bool)
+    ~(emit : Obs.Json.t -> unit) =
   let emit_accounted resp =
     Obs.Span.with_ ~stage:"serve.emit" @@ fun () ->
     account t resp;
@@ -957,6 +938,10 @@ let serve_generic t ~(next : unit -> string option) ~(emit : Obs.Json.t -> unit)
   in
   let rec loop pending npending =
     if t.stopped then flush pending
+    else if npending > 0 && not (ready ()) then begin
+      flush pending;
+      loop [] 0
+    end
     else
       match next () with
       | None ->
@@ -1011,9 +996,19 @@ let read_bounded ic limit : string option =
     Some (String.make (limit + 1) ' ')
   else Some (Buffer.contents buf)
 
+(* Input is ready when the descriptor has bytes (or EOF) to read now.
+   A line already sitting in the channel's buffer is not seen, which
+   only flushes a batch early. *)
+let input_ready ic =
+  match Unix.select [ Unix.descr_of_in_channel ic ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
 let serve_channels t ic oc =
   serve_generic t
     ~next:(fun () -> read_bounded ic t.config.max_request_bytes)
+    ~ready:(fun () -> input_ready ic)
     ~emit:(fun resp ->
       (* [to_channel] already terminates the line. *)
       Obs.Json.to_channel oc resp;
@@ -1029,6 +1024,7 @@ let run_lines t lines : Obs.Json.t list =
       | l :: rest ->
           remaining := rest;
           Some l)
+    ~ready:(fun () -> true)
     ~emit:(fun resp -> out := resp :: !out);
   List.rev !out
 

@@ -47,14 +47,6 @@ val create : ?config:config -> unit -> t
 val context : t -> Experiments.Context.t
 val store : t -> Store.t
 
-val handle_line : t -> string -> Obs.Json.t * bool
-(** The serial total function: one request line in, one response out,
-    never raises.  The boolean is [true] when the line was a shutdown
-    request.  The chaos harness and unit tests drive this directly.
-    Staleness notifications are a serve-loop concept: an upload handled
-    here drops its pending notification without emitting it or
-    consuming the exactly-once guard. *)
-
 val run_lines : t -> string list -> Obs.Json.t list
 (** Run a request stream through the full batched serve loop (the same
     code path as {!serve_channels}) and return the emitted lines —
@@ -64,8 +56,11 @@ val run_lines : t -> string list -> Obs.Json.t list
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Serve until EOF or a shutdown request; each response line is
-    flushed as emitted.  Lines are read through a bounded reader, so an
-    over-long request costs its length in I/O but not in memory. *)
+    flushed as emitted.  Pending read-only requests are answered as soon
+    as no further input is ready, so a client waiting on one response is
+    never held for a batch to fill.  Lines are read through a bounded
+    reader, so an over-long request costs its length in I/O but not in
+    memory. *)
 
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix socket, serving connections sequentially until a

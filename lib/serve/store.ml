@@ -205,16 +205,16 @@ let evict_unlocked t =
       | None -> ())
   | _ -> ()
 
+(* A new profile is built aside and only inserted (evicting at the cap)
+   once the upload is accepted: a rejected upload leaves no trace. *)
 let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
     (outcome, Protocol.error_info) result =
   Mutex.protect t.lock @@ fun () ->
-  let p =
+  let p, is_new =
     match Hashtbl.find_opt t.profiles u.Protocol.profile with
-    | Some p -> Ok p
+    | Some p -> (p, false)
     | None ->
-        evict_unlocked t;
-        let p =
-          {
+        ( {
             name = u.profile;
             bench = u.bench;
             prog;
@@ -227,94 +227,95 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
             fresh = None;
             fresh_violations = 0;
             last_good = None;
-            last_used = tick t;
-          }
-        in
-        Hashtbl.replace t.profiles u.profile p;
-        Ok p
+            last_used = 0;
+          },
+          true )
   in
-  match p with
-  | Error e -> Error e
-  | Ok p when p.bench <> u.bench ->
-      Error
-        (Protocol.usage_error
-           (Printf.sprintf "profile %S is bound to benchmark %S, not %S"
-              p.name p.bench u.bench))
-  | Ok p -> (
-      p.last_used <- tick t;
-      let epoch = Option.value ~default:p.current u.epoch in
-      if epoch < 0 then Error (Protocol.usage_error "epoch must be >= 0")
-      else if epoch < min_live_epoch p then
-        Ok
-          {
-            accepted = false;
-            reason = Some "stale-epoch";
-            epoch;
-            min_live = min_live_epoch p;
-            epochs_live = List.length p.epochs;
-            poisoned = p.poisoned;
-            flow_violations = p.fresh_violations;
-            revision = p.revision;
-          }
-      else
-        match validate_upload p.prog u with
-        | Some msg -> Error (Protocol.usage_error msg)
-        | None ->
-            if epoch > p.current then begin
-              p.current <- epoch;
-              let live = min_live_epoch p in
-              p.epochs <- List.filter (fun (e, _) -> e >= live) p.epochs
-            end;
-            let acc =
-              match List.assoc_opt epoch p.epochs with
-              | Some a -> a
-              | None ->
-                  let a = acc_create () in
-                  p.epochs <-
-                    List.sort (fun (a, _) (b, _) -> compare b a)
-                      ((epoch, a) :: p.epochs);
-                  a
-            in
-            let w = u.weight in
-            List.iter
-              (fun (fid, lbl, c) -> acc_add acc.blocks (fid, lbl) (w *. c))
-              u.blocks;
-            List.iter
-              (fun (fid, src, dst, c) ->
-                acc_add acc.arcs (fid, src, dst) (w *. c))
-              u.arcs;
-            List.iter
-              (fun (fid, c) -> acc_add acc.entries fid (w *. c))
-              u.entries;
-            List.iter
-              (fun (fid, blk, callee, c) ->
-                acc_add acc.calls (fid, blk, callee) (w *. c))
-              u.calls;
-            p.uploads <- p.uploads + 1;
-            p.revision <- p.revision + 1;
-            let vmprof = materialize p.prog p.epochs in
-            let violations = Placement.Validate.flow vmprof in
-            (match violations with
-            | [] ->
-                p.fresh <- Some vmprof;
-                p.poisoned <- false;
-                p.fresh_violations <- 0;
-                p.last_good <- Some (epoch, p.revision, vmprof)
-            | _ :: _ ->
-                p.fresh <- None;
-                p.poisoned <- true;
-                p.fresh_violations <- List.length violations);
-            Ok
-              {
-                accepted = true;
-                reason = None;
-                epoch;
-                min_live = min_live_epoch p;
-                epochs_live = List.length p.epochs;
-                poisoned = p.poisoned;
-                flow_violations = p.fresh_violations;
-                revision = p.revision;
-              })
+  if p.bench <> u.bench then
+    Error
+      (Protocol.usage_error
+         (Printf.sprintf "profile %S is bound to benchmark %S, not %S" p.name
+            p.bench u.bench))
+  else begin
+    p.last_used <- tick t;
+    let epoch = Option.value ~default:p.current u.epoch in
+    if epoch < 0 then Error (Protocol.usage_error "epoch must be >= 0")
+    else if epoch < min_live_epoch p then
+      Ok
+        {
+          accepted = false;
+          reason = Some "stale-epoch";
+          epoch;
+          min_live = min_live_epoch p;
+          epochs_live = List.length p.epochs;
+          poisoned = p.poisoned;
+          flow_violations = p.fresh_violations;
+          revision = p.revision;
+        }
+    else
+      match validate_upload p.prog u with
+      | Some msg -> Error (Protocol.usage_error msg)
+      | None ->
+          if is_new then begin
+            evict_unlocked t;
+            Hashtbl.replace t.profiles u.profile p
+          end;
+          if epoch > p.current then begin
+            p.current <- epoch;
+            let live = min_live_epoch p in
+            p.epochs <- List.filter (fun (e, _) -> e >= live) p.epochs
+          end;
+          let acc =
+            match List.assoc_opt epoch p.epochs with
+            | Some a -> a
+            | None ->
+                let a = acc_create () in
+                p.epochs <-
+                  List.sort (fun (a, _) (b, _) -> compare b a)
+                    ((epoch, a) :: p.epochs);
+                a
+          in
+          let w = u.weight in
+          List.iter
+            (fun (fid, lbl, c) -> acc_add acc.blocks (fid, lbl) (w *. c))
+            u.blocks;
+          List.iter
+            (fun (fid, src, dst, c) ->
+              acc_add acc.arcs (fid, src, dst) (w *. c))
+            u.arcs;
+          List.iter
+            (fun (fid, c) -> acc_add acc.entries fid (w *. c))
+            u.entries;
+          List.iter
+            (fun (fid, blk, callee, c) ->
+              acc_add acc.calls (fid, blk, callee) (w *. c))
+            u.calls;
+          p.uploads <- p.uploads + 1;
+          p.revision <- p.revision + 1;
+          let vmprof = materialize p.prog p.epochs in
+          let violations = Placement.Validate.flow vmprof in
+          (match violations with
+          | [] ->
+              p.fresh <- Some vmprof;
+              p.poisoned <- false;
+              p.fresh_violations <- 0;
+              p.last_good <- Some (epoch, p.revision, vmprof)
+          | _ :: _ ->
+              p.fresh <- None;
+              p.poisoned <- true;
+              p.fresh_violations <- List.length violations);
+          Ok
+            {
+              accepted = true;
+              reason = None;
+              epoch;
+              min_live = min_live_epoch p;
+              epochs_live = List.length p.epochs;
+              poisoned = p.poisoned;
+              flow_violations = p.fresh_violations;
+              revision = p.revision;
+            }
+  end
 
 (* ---- read side ---- *)
 

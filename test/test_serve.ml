@@ -47,6 +47,13 @@ let error_code resp =
       | _ -> -1)
   | None -> -1
 
+(* One request line through the production serve loop: its response and
+   whether the daemon has stopped. *)
+let serve_one d line =
+  match Serve.Daemon.run_lines d [ line ] with
+  | [ resp ] -> (resp, Serve.Daemon.stopped d)
+  | other -> Alcotest.failf "expected 1 response, got %d" (List.length other)
+
 let pipeline_profile () =
   let d = Lazy.force shared in
   let entry = Experiments.Context.find (Serve.Daemon.context d) bench in
@@ -149,19 +156,19 @@ let request_isolation () =
   in
   List.iter
     (fun abuse ->
-      let resp, stop = Serve.Daemon.handle_line d abuse in
+      let resp, stop = serve_one d abuse in
       Alcotest.(check bool) "abuse does not stop the daemon" false stop;
       Alcotest.(check string) "abuse answered with error" "error"
         (status_of resp);
       (* The daemon still serves ordinary traffic afterwards. *)
-      let ok, _ = Serve.Daemon.handle_line d (request ~id:9 ~typ:"stats" []) in
+      let ok, _ = serve_one d (request ~id:9 ~typ:"stats" []) in
       Alcotest.(check string) "still serving" "ok" (status_of ok))
     abuses
 
 let oversize_bounded () =
   let config = { small_config with max_request_bytes = 4096 } in
   let d = Serve.Daemon.create ~config () in
-  let resp, stop = Serve.Daemon.handle_line d (String.make 5000 'x') in
+  let resp, stop = serve_one d (String.make 5000 'x') in
   Alcotest.(check bool) "not fatal" false stop;
   Alcotest.(check string) "oversize is an error" "error" (status_of resp);
   Alcotest.(check int) "usage code" 2 (error_code resp)
@@ -292,6 +299,25 @@ let store_cap_evicts () =
   Alcotest.(check bool) "oldest profile evicted" true
     (Serve.Store.view store "a" = Serve.Store.Unknown)
 
+(* A rejected upload must not create (or, at the cap, evict for) its
+   profile. *)
+let rejected_upload_no_ghost () =
+  let store = Serve.Store.create ~cap:1 () in
+  let prog = prog_of_shared () in
+  let prof = pipeline_profile () in
+  ignore (must_upload store ~prog (upload_of ~name:"A" prof));
+  let bad = { (upload_of ~name:"B" prof) with blocks = [ (9999, 0, 1.0) ] } in
+  (match Serve.Store.upload store ~prog bad with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "out-of-range upload accepted");
+  Alcotest.(check bool) "A still fresh" true
+    (match Serve.Store.view store "A" with
+    | Serve.Store.Fresh _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "B unknown" true
+    (Serve.Store.view store "B" = Serve.Store.Unknown);
+  Alcotest.(check int) "nothing evicted" 0 (Serve.Store.evictions_total store)
+
 (* ------------------------------------------------------------------ *)
 (* Degradation tiers and deadlines                                     *)
 (* ------------------------------------------------------------------ *)
@@ -299,8 +325,7 @@ let store_cap_evicts () =
 let deadline_semantics () =
   let d = Lazy.force shared in
   let resp, _ =
-    Serve.Daemon.handle_line d
-      (layout_line ~id:1 [ ("deadline_ms", Obs.Json.Int 0) ])
+    serve_one d (layout_line ~id:1 [ ("deadline_ms", Obs.Json.Int 0) ])
   in
   Alcotest.(check string) "zero deadline times out" "timeout" (status_of resp);
   (match Obs.Json.member "retry_after_ms" resp with
@@ -308,8 +333,7 @@ let deadline_semantics () =
       Alcotest.(check bool) "retry hint bounded" true (r >= 1 && r <= 10_000)
   | _ -> Alcotest.fail "timeout must carry retry_after_ms");
   let resp, _ =
-    Serve.Daemon.handle_line d
-      (layout_line ~id:2 [ ("deadline_ms", Obs.Json.Int 1) ])
+    serve_one d (layout_line ~id:2 [ ("deadline_ms", Obs.Json.Int 1) ])
   in
   Alcotest.(check string) "tight deadline served" "ok" (status_of resp);
   Alcotest.(check string) "tier is cheapest-strategy" "cheapest-strategy"
@@ -333,8 +357,7 @@ let deadline_semantics () =
   | None -> Alcotest.fail "cheap tier must carry a certified bound");
   (* A roomy deadline still gets the simulated prediction. *)
   let resp, _ =
-    Serve.Daemon.handle_line d
-      (layout_line ~id:3 [ ("deadline_ms", Obs.Json.Int 30_000) ])
+    serve_one d (layout_line ~id:3 [ ("deadline_ms", Obs.Json.Int 30_000) ])
   in
   Alcotest.(check bool) "roomy deadline simulates" true
     (Obs.Json.member "predicted" resp <> None)
@@ -350,7 +373,7 @@ let raising_strategy_degrades () =
   Obs.Log.set_quiet true;
   Fun.protect ~finally:(fun () -> Obs.Log.set_quiet false) @@ fun () ->
   let resp, _ =
-    Serve.Daemon.handle_line d
+    serve_one d
       (layout_line ~id:1 [ ("strategy", Obs.Json.String "chaos-raise") ])
   in
   Alcotest.(check string) "raising strategy still serves" "ok"
@@ -392,7 +415,7 @@ let poisoned_profile_tier () =
 let unknown_profile_errors () =
   let d = Lazy.force shared in
   let resp, _ =
-    Serve.Daemon.handle_line d
+    serve_one d
       (layout_line ~id:1 [ ("profile", Obs.Json.String "never-uploaded") ])
   in
   Alcotest.(check string) "unknown profile is an error" "error"
@@ -429,6 +452,32 @@ let context_memo_cap () =
   Alcotest.(check (float 0.0)) "recomputed result identical"
     (List.hd results).Sim.Driver.miss_ratio again.Sim.Driver.miss_ratio
 
+(* Under a memo cap, interned maps whose results were all evicted are
+   unpinned, and results stay those of an uncapped context. *)
+let context_unpins_evicted_maps () =
+  let config = Icache.Config.make ~size:2048 ~block:64 () in
+  let misses ctx =
+    let entry = Experiments.Context.find ctx bench in
+    let trace = Experiments.Context.trace entry in
+    let pipeline = Experiments.Context.pipeline entry in
+    let prog = pipeline.Placement.Pipeline.program in
+    let rs =
+      List.init 20 (fun _ ->
+          (Experiments.Context.simulate entry config
+             (Placement.Address_map.natural prog)
+             trace)
+            .Sim.Driver.misses)
+    in
+    (entry, rs)
+  in
+  let capped, got =
+    misses (Experiments.Context.create ~memo_cap:2 ~names:[ bench ] ())
+  in
+  let _, want = misses (Experiments.Context.create ~names:[ bench ] ()) in
+  Alcotest.(check bool) "interned maps bounded by the cap" true
+    (List.length capped.Experiments.Context.map_ids <= 2);
+  Alcotest.(check (list int)) "results equal the uncapped context's" want got
+
 let strategy_map_cap () =
   let ctx = Experiments.Context.create ~strategy_cap:2 ~names:[ bench ] () in
   let entry = Experiments.Context.find ctx bench in
@@ -441,6 +490,37 @@ let strategy_map_cap () =
 (* ------------------------------------------------------------------ *)
 (* Golden vectors and batching determinism                             *)
 (* ------------------------------------------------------------------ *)
+
+(* A lone stdio client gets its read-only response while the daemon is
+   still reading, not when the stream ends. *)
+let lone_client_answered () =
+  let d = Serve.Daemon.create ~config:small_config () in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let ic = Unix.in_channel_of_descr req_r
+  and oc = Unix.out_channel_of_descr resp_w in
+  let server = Domain.spawn (fun () -> Serve.Daemon.serve_channels d ic oc) in
+  let to_daemon = Unix.out_channel_of_descr req_w
+  and from_daemon = Unix.in_channel_of_descr resp_r in
+  let send line =
+    output_string to_daemon (line ^ "\n");
+    flush to_daemon
+  in
+  send (layout_line ~id:1 []);
+  let answered =
+    match Unix.select [ resp_r ] [] [] 30.0 with
+    | [], _, _ -> false
+    | _ -> true
+  in
+  send (request ~id:2 ~typ:"shutdown" []);
+  let lines = List.init 2 (fun _ -> In_channel.input_line from_daemon) in
+  Domain.join server;
+  List.iter Unix.close [ req_r; req_w; resp_r; resp_w ];
+  Alcotest.(check bool) "answered before shutdown" true answered;
+  match lines with
+  | [ Some layout; Some _ ] ->
+      Alcotest.(check string) "layout served" "ok"
+        (status_of (Obs.Json.parse_exn layout))
+  | _ -> Alcotest.fail "expected two responses"
 
 let read_lines path =
   In_channel.with_open_bin path @@ fun ic ->
@@ -779,15 +859,20 @@ let suite =
     Alcotest.test_case "poisoned pins last good" `Quick poisoned_pins_last_good;
     Alcotest.test_case "stale epoch rejected" `Quick stale_epoch_rejected;
     Alcotest.test_case "store cap evicts LRU" `Quick store_cap_evicts;
+    Alcotest.test_case "rejected upload leaves no ghost" `Quick
+      rejected_upload_no_ghost;
     Alcotest.test_case "deadline semantics" `Quick deadline_semantics;
     Alcotest.test_case "raising strategy degrades" `Quick
       raising_strategy_degrades;
     Alcotest.test_case "poisoned profile tier" `Quick poisoned_profile_tier;
     Alcotest.test_case "unknown profile errors" `Quick unknown_profile_errors;
     Alcotest.test_case "context memo cap" `Quick context_memo_cap;
+    Alcotest.test_case "context unpins evicted maps" `Quick
+      context_unpins_evicted_maps;
     Alcotest.test_case "strategy map cap" `Quick strategy_map_cap;
     Alcotest.test_case "golden vector replay" `Quick golden_replay;
     Alcotest.test_case "batching deterministic" `Quick batching_deterministic;
+    Alcotest.test_case "lone client answered" `Quick lone_client_answered;
     Alcotest.test_case "stats v2 fields" `Quick stats_v2_fields;
     Alcotest.test_case "health verdicts" `Quick health_verdicts;
     Alcotest.test_case "subscribe notifies exactly once" `Quick
