@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci` on every PR.
 
-.PHONY: all build test all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
+.PHONY: all build test test-time all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
 
 all: build
 
@@ -9,6 +9,14 @@ build:
 
 test:
 	dune runtest
+
+# Suite wall time: the whole test suite rerun from scratch (built
+# artefacts reused), timed end to end.
+test-time:
+	@start=$$(date +%s.%N); dune runtest --force; status=$$?; \
+	end=$$(date +%s.%N); \
+	awk -v s=$$start -v e=$$end 'BEGIN { printf "test wall seconds: %.1f\n", e - s }'; \
+	exit $$status
 
 # Every table plus Figures A-C on one benchmark end to end: the
 # impact.table-run/v1 report must re-parse and stdout must carry the

@@ -160,23 +160,30 @@ let expand_once config ~budget (prog : Prog.program)
 
 (* Full expansion: profile, inline, and repeat so that calls inside freshly
    inlined bodies can be expanded too (paper reduces dynamic calls to ~1%
-   of control transfers). *)
-let expand ?(config = default_config) (prog : Prog.program)
-    ~(inputs : Vm.Io.input list) : Prog.program * report =
+   of control transfers).  Round 0 uses [profile] when given; a round
+   that inlines nothing returns its input program, whose profile is
+   handed back. *)
+let expand ?(config = default_config) ?profile (prog : Prog.program)
+    ~(inputs : Vm.Io.input list) : Prog.program * report * Vm.Profile.t option
+    =
   let insns_before = Prog.total_instr_count prog in
   let budget =
     int_of_float (config.max_program_growth *. float_of_int insns_before)
   in
-  let rec go round prog sites =
-    if round >= config.rounds then (prog, sites, round)
+  let rec go round prog profile sites =
+    if round >= config.rounds then (prog, sites, round, None)
     else begin
-      let profile = Vm.Profile.profile prog inputs in
+      let profile =
+        match profile with
+        | Some p -> p
+        | None -> Vm.Profile.profile prog inputs
+      in
       let prog', n = expand_once config ~budget prog profile in
-      if n = 0 then (prog', sites, round)
-      else go (round + 1) prog' (sites + n)
+      if n = 0 then (prog', sites, round, Some profile)
+      else go (round + 1) prog' None (sites + n)
     end
   in
-  let prog', sites_inlined, rounds_used = go 0 prog 0 in
+  let prog', sites_inlined, rounds_used, profile = go 0 prog profile 0 in
   Obs.Metrics.incr ~by:sites_inlined
     (Obs.Metrics.counter "pipeline.sites_inlined"
        ~help:"call sites expanded by inline rounds");
@@ -186,4 +193,5 @@ let expand ?(config = default_config) (prog : Prog.program)
       insns_before;
       insns_after = Prog.total_instr_count prog';
       rounds_used;
-    } )
+    },
+    profile )

@@ -35,7 +35,13 @@ val expand_once :
 
 val expand :
   ?config:config ->
+  ?profile:Vm.Profile.t ->
   Prog.program ->
   inputs:Vm.Io.input list ->
-  Prog.program * report
-(** Profile-inline-repeat until quiescence or the round limit. *)
+  Prog.program * report * Vm.Profile.t option
+(** Profile-inline-repeat until quiescence or the round limit.
+    [profile], when given, must be the profile of the input program over
+    [inputs]; round 0 uses it instead of profiling again.  The returned
+    profile is that of the returned program over [inputs], present when
+    the last round inlined nothing (the program is then the one that
+    round profiled). *)

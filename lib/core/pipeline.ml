@@ -49,10 +49,11 @@ let run ?(config = default_config) (original : Prog.program)
   in
   (* Step 2: inline expansion of the important call sites, then a second
      cleanup pass over the splices. *)
-  let program, inline_report =
+  let program, inline_report, inlined_profile =
     if config.do_inline then
       Obs.Span.with_ ~stage:"inline" (fun () ->
-          Inline.expand ~config:config.inline original ~inputs)
+          Inline.expand ~config:config.inline ~profile:original_profile
+            original ~inputs)
     else
       ( original,
         {
@@ -60,7 +61,8 @@ let run ?(config = default_config) (original : Prog.program)
           insns_before = Prog.total_instr_count original;
           insns_after = Prog.total_instr_count original;
           rounds_used = 0;
-        } )
+        },
+        Some original_profile )
   in
   let program =
     if config.do_simplify && config.do_inline then
@@ -73,12 +75,17 @@ let run ?(config = default_config) (original : Prog.program)
   let inline_report =
     { inline_report with Inline.insns_after = Prog.total_instr_count program }
   in
-  (* Re-profile the transformed program on the same inputs so the layout
-     steps see weights that match its control graphs. *)
+  (* The layout steps need weights that match the transformed program's
+     control graphs.  A profile already taken of an identical program
+     (inlining and cleanup changed nothing) is that profile; otherwise
+     re-profile on the same inputs. *)
   let profile =
-    Obs.Span.with_ ~stage:"profile"
-      ~attrs:[ ("program", "inlined") ]
-      (fun () -> Vm.Profile.profile program inputs)
+    match inlined_profile with
+    | Some p when p.Vm.Profile.prog.Prog.funcs = program.Prog.funcs -> p
+    | _ ->
+      Obs.Span.with_ ~stage:"profile"
+        ~attrs:[ ("program", "inlined") ]
+        (fun () -> Vm.Profile.profile program inputs)
   in
   (* Step 3: trace selection per function. *)
   let selections =

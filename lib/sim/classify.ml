@@ -62,16 +62,10 @@ let run (prog : Prog.program)
       prog.funcs
   in
   let counts = { desirable = 0; undesirable = 0; neutral = 0 } in
-  let observer =
-    {
-      Vm.Interp.null_observer with
-      on_arc =
-        (fun fid src dst ->
-          match classify_arc prepared.(fid) src dst with
-          | `Desirable -> counts.desirable <- counts.desirable + 1
-          | `Neutral -> counts.neutral <- counts.neutral + 1
-          | `Undesirable -> counts.undesirable <- counts.undesirable + 1);
-    }
-  in
-  ignore (Vm.Interp.run ~observer prog input);
+  let r = Vm.Interp.run prog input in
+  Vm.Interp.iter_arcs r.counts (fun fid src dst n ->
+      match classify_arc prepared.(fid) src dst with
+      | `Desirable -> counts.desirable <- counts.desirable + n
+      | `Neutral -> counts.neutral <- counts.neutral + n
+      | `Undesirable -> counts.undesirable <- counts.undesirable + n);
   counts

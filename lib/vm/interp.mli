@@ -1,5 +1,5 @@
 (** CFG interpreter: plain execution, execution profiling (via the
-    observer), and dynamic-trace generation all use this engine.
+    per-run counters) and dynamic-trace generation all use this engine.
 
     Dynamic instruction counts honor {!Ir.Cfg.block.size_override}, so the
     code-scaling transform is reflected in the fetch stream without
@@ -9,18 +9,28 @@ open Ir
 
 exception Fault of string
 
-type observer = {
-  on_block : int -> Cfg.label -> unit;
-      (** [on_block fid label]: the block is about to execute *)
-  on_arc : int -> Cfg.label -> Cfg.label -> unit;
-      (** intra-function control transfer [src -> dst]; the arc from a call
-          block to its return continuation is reported when the call
-          returns *)
-  on_call : int -> Cfg.label -> int -> unit;
-      (** [on_call caller_fid block callee_fid] *)
-}
+type counts
+(** Dense per-run counters: executions of every block, transfers through
+    every successor slot of every terminator (a [Br]'s true then false
+    target, a [Switch]'s cases then its default, a call's return
+    continuation), and the order in which slots and call blocks were
+    first taken. *)
 
-val null_observer : observer
+val block_count : counts -> int -> Cfg.label -> int
+(** [block_count c fid label]: executions of the block in the run. *)
+
+val iter_arcs : counts -> (int -> Cfg.label -> Cfg.label -> int -> unit) -> unit
+(** [iter_arcs c f] calls [f fid src dst n] once per successor slot taken
+    in the run, in first-taken order; [n] is the number of transfers
+    through the slot.  Slots of one block that share a target ([Br] with
+    [t = f], a [Switch] with repeated targets) are reported separately.
+    The arc from a call block to its return continuation is taken when
+    the call returns. *)
+
+val iter_calls : counts -> (int -> Cfg.label -> int -> int -> unit) -> unit
+(** [iter_calls c f] calls [f caller_fid block callee_fid n] once per call
+    block that made a call in the run, in first-call order; [n] is its
+    number of calls. *)
 
 type result = {
   return_value : int;
@@ -29,10 +39,10 @@ type result = {
   dyn_calls : int;  (** dynamic function calls *)
   dyn_branches : int;  (** control transfers other than call/return *)
   io : Io.t;  (** inspect outputs with {!Io.output} *)
+  counts : counts;
 }
 
 val run :
-  ?observer:observer ->
   ?block_sink:(int -> Cfg.label -> unit) ->
   ?fuel:int ->
   Prog.program ->
@@ -40,10 +50,10 @@ val run :
   result
 (** Execute the program to completion.  Raises {!Fault} on VM errors
     (division by zero, bad memory access, abort, fuel exhaustion — default
-    fuel 2e9 instructions).
+    fuel 2e9 instructions) and {!Ir.Prog.Unknown_function} when a call to
+    an absent function executes.
 
-    [block_sink fid label] is called for every executed block, after the
-    observer's [on_block].  It is the push-based trace path: a sink
-    streams fetch runs straight into a consumer (cache simulator,
-    compressed trace builder) with no intermediate buffer, and costs
-    nothing when absent. *)
+    [block_sink fid label] is called for every executed block.  It is the
+    push-based trace path: a sink streams fetch runs straight into a
+    consumer (cache simulator, compressed trace builder) with no
+    intermediate buffer, and costs one branch per block when absent. *)

@@ -9,7 +9,18 @@ type input = {
   args : int list; (* integer program arguments *)
 }
 
-let input ?(label = "") ?(args = []) streams = { label; streams; args }
+let max_streams = 8
+
+let check_streams streams =
+  let n = List.length streams in
+  if n > max_streams then
+    invalid_arg
+      (Printf.sprintf "Io: %d input streams, at most %d are supported" n
+         max_streams)
+
+let input ?(label = "") ?(args = []) streams =
+  check_streams streams;
+  { label; streams; args }
 
 type stream = { data : string; mutable pos : int }
 
@@ -19,12 +30,12 @@ type t = {
   args : int array;
 }
 
-let max_streams = 8
-
 let of_input (spec : input) =
+  check_streams spec.streams;
+  let streams = Array.of_list spec.streams in
   let inputs =
     Array.init max_streams (fun idx ->
-        let data = try List.nth spec.streams idx with _ -> "" in
+        let data = if idx < Array.length streams then streams.(idx) else "" in
         { data; pos = 0 })
   in
   {

@@ -7,13 +7,19 @@ type input = {
   args : int list;  (** integer program arguments *)
 }
 
+val max_streams : int
+(** Input and output streams per run (8). *)
+
 val input : ?label:string -> ?args:int list -> string list -> input
+(** Raises [Invalid_argument] when given more than {!max_streams}
+    streams. *)
 
 type t
 
-val max_streams : int
-
 val of_input : input -> t
+(** Raises [Invalid_argument] when [input] has more than {!max_streams}
+    streams. *)
+
 val getc : t -> int -> int
 (** Next byte of the stream, or [-1] at end / invalid stream. *)
 

@@ -4,7 +4,13 @@
    - the weighted control graph of every function (block and arc counts),
    - the weighted call graph (per-call-site counts and function entry
      counts),
-   - whole-program dynamic totals for Table 2 / Table 3. *)
+   - whole-program dynamic totals for Table 2 / Table 3.
+
+   Each run counts into the interpreter's dense per-run arrays; [run]
+   then folds them into the hash tables below.  New keys are inserted in
+   first-taken order, so every table has the layout (and [Hashtbl.fold]
+   order) that bumping a key per executed transfer would give: layout
+   ties break on that order. *)
 
 open Ir
 
@@ -50,29 +56,25 @@ let create (prog : Prog.program) =
     dyn_branches = 0;
   }
 
-let bump tbl key =
+let add tbl key n =
   let cur = match Hashtbl.find_opt tbl key with Some c -> c | None -> 0 in
-  Hashtbl.replace tbl key (cur + 1)
-
-let observer t =
-  {
-    Interp.on_block =
-      (fun fid l ->
-        let fp = t.funcs.(fid) in
-        fp.block_counts.(l) <- fp.block_counts.(l) + 1);
-    on_arc =
-      (fun fid src dst ->
-        let fp = t.funcs.(fid) in
-        bump fp.arc_counts.(src) dst);
-    on_call =
-      (fun caller block callee ->
-        bump t.site_counts (caller, block, callee);
-        t.entry_counts.(callee) <- t.entry_counts.(callee) + 1);
-  }
+  Hashtbl.replace tbl key (cur + n)
 
 let run t input =
   t.entry_counts.(t.prog.entry) <- t.entry_counts.(t.prog.entry) + 1;
-  let r = Interp.run ~observer:(observer t) t.prog input in
+  let r = Interp.run t.prog input in
+  let c = r.counts in
+  Array.iteri
+    (fun fid fp ->
+      Array.iteri
+        (fun l n -> fp.block_counts.(l) <- n + Interp.block_count c fid l)
+        fp.block_counts)
+    t.funcs;
+  Interp.iter_arcs c (fun fid src dst n ->
+      add t.funcs.(fid).arc_counts.(src) dst n);
+  Interp.iter_calls c (fun caller block callee n ->
+      add t.site_counts (caller, block, callee) n;
+      t.entry_counts.(callee) <- t.entry_counts.(callee) + n);
   t.runs <- t.runs + 1;
   t.dyn_insns <- t.dyn_insns + r.dyn_insns;
   t.dyn_blocks <- t.dyn_blocks + r.dyn_blocks;
@@ -86,18 +88,7 @@ let profile prog inputs =
   t
 
 let block_weight t fid l = t.funcs.(fid).block_counts.(l)
-
-let arc_weight t fid src dst =
-  match Hashtbl.find_opt t.funcs.(fid).arc_counts.(src) dst with
-  | Some c -> c
-  | None -> 0
-
 let func_weight t fid = t.entry_counts.(fid)
-
-let site_weight t ~caller ~block ~callee =
-  match Hashtbl.find_opt t.site_counts (caller, block, callee) with
-  | Some c -> c
-  | None -> 0
 
 let out_arcs t fid src =
   Hashtbl.fold
@@ -116,10 +107,3 @@ let in_arcs t fid =
         tbl)
     fp.arc_counts;
   incoming
-
-(* Total dynamic calls made from each call site of a function, by block. *)
-let call_sites_of t fid =
-  Hashtbl.fold
-    (fun (caller, block, callee) count acc ->
-      if caller = fid then (block, callee, count) :: acc else acc)
-    t.site_counts []

@@ -21,26 +21,24 @@ type t = {
   mutable dyn_calls : int;
   mutable dyn_branches : int;
 }
+(** Keys enter [arc_counts] and [site_counts] in the order their arcs and
+    call sites are first taken, run after run, so the tables'
+    [Hashtbl.fold] order is a function of the execution alone. *)
 
 val create : Prog.program -> t
-val observer : t -> Interp.observer
 
 val run : t -> Io.input -> Interp.result
-(** Execute one profiling run, accumulating counters. *)
+(** Execute one profiling run, accumulating counters.  A run that raises
+    (e.g. {!Interp.Fault}) leaves the profile unspecified. *)
 
 val profile : Prog.program -> Io.input list -> t
 (** Profile the program over all inputs. *)
 
 val block_weight : t -> int -> Cfg.label -> int
-val arc_weight : t -> int -> Cfg.label -> Cfg.label -> int
 val func_weight : t -> int -> int
-val site_weight : t -> caller:int -> block:Cfg.label -> callee:int -> int
 
 val out_arcs : t -> int -> Cfg.label -> (Cfg.label * int) list
 (** Outgoing intra-function arcs of a block with their counts. *)
 
 val in_arcs : t -> int -> (Cfg.label * int) list array
 (** Incoming intra-function arcs for every block of the function. *)
-
-val call_sites_of : t -> int -> (Cfg.label * int * int) list
-(** All call sites in the function: [(block, callee fid, count)]. *)

@@ -27,7 +27,7 @@ let prop_inline_preserves =
           max_program_growth = 5.;
         }
       in
-      let inlined, _ =
+      let inlined, _, _ =
         Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ]
       in
       Ir.Check.program inlined;

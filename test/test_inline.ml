@@ -6,7 +6,7 @@ open Helpers
 
 let behavior_preserved ?config prog inputs =
   let p = Ir.Lower.program prog in
-  let inlined, _report = Placement.Inline.expand ?config p ~inputs in
+  let inlined, _report, _ = Placement.Inline.expand ?config p ~inputs in
   Ir.Check.program inlined;
   List.iter
     (fun input ->
@@ -134,7 +134,7 @@ let growth_budget_respected () =
   let config =
     { aggressive with Placement.Inline.max_program_growth = 1.0 }
   in
-  let p', report = Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ] in
+  let p', report, _ = Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ] in
   (* With zero growth allowance nothing can be inlined. *)
   Alcotest.(check int) "no sites under zero budget" 0
     report.Placement.Inline.sites_inlined;

@@ -1,5 +1,5 @@
-(* Interpreter tests: intrinsics, faults, dynamic counters, observer
-   callbacks. *)
+(* Interpreter tests: intrinsics, faults, dynamic counters, per-run
+   block/arc/call counters. *)
 
 open Ir.Ast.Dsl
 open Helpers
@@ -69,45 +69,36 @@ let counters () =
     (r.Vm.Interp.dyn_branches > 0);
   (* dyn_insns equals the sum of instr_count over executed blocks *)
   let p = Ir.Lower.program caller_prog in
+  let r2 = Vm.Interp.run p (Vm.Io.input []) in
   let total = ref 0 in
-  let observer =
-    {
-      Vm.Interp.null_observer with
-      on_block =
-        (fun fid l ->
-          total := !total + Ir.Cfg.instr_count p.Ir.Prog.funcs.(fid).Ir.Prog.blocks.(l));
-    }
-  in
-  let r2 = Vm.Interp.run ~observer p (Vm.Io.input []) in
+  Ir.Prog.iter_blocks
+    (fun fid _ l b ->
+      total :=
+        !total
+        + (Vm.Interp.block_count r2.Vm.Interp.counts fid l
+          * Ir.Cfg.instr_count b))
+    p;
   Alcotest.(check int) "dyn_insns = sum of block sizes" r2.Vm.Interp.dyn_insns
     !total
 
-let observer_arcs () =
-  (* Each observed arc must be a structural successor of its source block,
-     and each call arc a real call site. *)
+let counted_arcs () =
+  (* Each counted arc must be a structural successor of its source block,
+     and each call a real call site. *)
   let p = Ir.Lower.program caller_prog in
+  let c = (Vm.Interp.run p (Vm.Io.input [])).Vm.Interp.counts in
   let bad = ref 0 in
   let arcs = ref 0 in
   let calls = ref 0 in
-  let observer =
-    {
-      Vm.Interp.null_observer with
-      on_arc =
-        (fun fid src dst ->
-          incr arcs;
-          let b = p.Ir.Prog.funcs.(fid).Ir.Prog.blocks.(src) in
-          if not (List.mem dst (Ir.Cfg.successors b)) then incr bad);
-      on_call =
-        (fun fid src callee ->
-          incr calls;
-          let b = p.Ir.Prog.funcs.(fid).Ir.Prog.blocks.(src) in
-          match Ir.Cfg.callee b with
-          | Some name ->
-            if Ir.Prog.func_index p name <> callee then incr bad
-          | None -> incr bad);
-    }
-  in
-  ignore (Vm.Interp.run ~observer p (Vm.Io.input []));
+  Vm.Interp.iter_arcs c (fun fid src dst n ->
+      arcs := !arcs + n;
+      let b = p.Ir.Prog.funcs.(fid).Ir.Prog.blocks.(src) in
+      if not (List.mem dst (Ir.Cfg.successors b)) then incr bad);
+  Vm.Interp.iter_calls c (fun fid src callee n ->
+      calls := !calls + n;
+      let b = p.Ir.Prog.funcs.(fid).Ir.Prog.blocks.(src) in
+      match Ir.Cfg.callee b with
+      | Some name -> if Ir.Prog.func_index p name <> callee then incr bad
+      | None -> incr bad);
   Alcotest.(check int) "all arcs structural" 0 !bad;
   Alcotest.(check int) "ten call arcs" 10 !calls;
   Alcotest.(check bool) "arcs observed" true (!arcs > 0)
@@ -138,14 +129,23 @@ let io_streams () =
   Vm.Io.putc io 2 65;
   Vm.Io.putc io 2 66;
   Alcotest.(check string) "output buffered" "AB" (Vm.Io.output io 2);
-  Alcotest.(check int) "arg" 5 (Vm.Io.arg io 0)
+  Alcotest.(check int) "arg" 5 (Vm.Io.arg io 0);
+  (* A stream past the last one is refused, not silently dropped. *)
+  let streams = List.init (Vm.Io.max_streams + 1) string_of_int in
+  let too_many = Invalid_argument "Io: 9 input streams, at most 8 are supported" in
+  Alcotest.check_raises "too many streams: input" too_many (fun () ->
+      ignore (Vm.Io.input streams));
+  Alcotest.check_raises "too many streams: of_input" too_many (fun () ->
+      ignore (Vm.Io.of_input { Vm.Io.label = ""; streams; args = [] }));
+  let io = Vm.Io.of_input (Vm.Io.input (List.filteri (fun i _ -> i < 8) streams)) in
+  Alcotest.(check int) "eighth stream read" (Char.code '7') (Vm.Io.getc io 7)
 
 let suite =
   [
     Alcotest.test_case "intrinsics" `Quick intrinsics;
     Alcotest.test_case "faults" `Quick faults;
     Alcotest.test_case "dynamic counters" `Quick counters;
-    Alcotest.test_case "observer arcs are structural" `Quick observer_arcs;
+    Alcotest.test_case "counted arcs are structural" `Quick counted_arcs;
     Alcotest.test_case "memory round trips" `Quick memory_roundtrip;
     Alcotest.test_case "io streams" `Quick io_streams;
   ]

@@ -109,6 +109,45 @@ let ablation_no_inline () =
   Alcotest.(check bool) "program unchanged" true
     (p.Placement.Pipeline.program == p.Placement.Pipeline.original)
 
+(* No program is profiled twice: when inlining and cleanup leave the
+   program unchanged, the pipeline's profile is the original one. *)
+let profile_reused () =
+  List.iter
+    (fun name ->
+      let b = Workloads.Registry.find name in
+      let p =
+        Placement.Pipeline.run (Workloads.Bench.program b)
+          ~inputs:(Workloads.Bench.profile_inputs b)
+      in
+      Alcotest.(check bool) (name ^ ": original profile reused") true
+        (p.Placement.Pipeline.profile == p.Placement.Pipeline.original_profile))
+    [ "tee"; "cmp" ]
+
+let prop_noinline_reuses =
+  QCheck.Test.make ~name:"inlining off reuses the original profile" ~count:30
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let config =
+        { Placement.Pipeline.default_config with do_inline = false }
+      in
+      let pl = Placement.Pipeline.run ~config p ~inputs:[ Vm.Io.input [] ] in
+      pl.Placement.Pipeline.profile == pl.Placement.Pipeline.original_profile)
+
+(* cccp's post-inline cleanup changes the program, so its profile must
+   be taken afresh — of exactly the program that ships. *)
+let reprofiled_when_changed () =
+  let b = Workloads.Registry.find "cccp" in
+  let p =
+    Placement.Pipeline.run (Workloads.Bench.program b)
+      ~inputs:(Workloads.Bench.profile_inputs b)
+  in
+  Alcotest.(check bool) "re-profiled" true
+    (p.Placement.Pipeline.profile.Vm.Profile.prog
+    == p.Placement.Pipeline.program);
+  Alcotest.(check int) "full validation" 0
+    (List.length (Placement.Validate.pipeline ~level:Placement.Validate.Full p))
+
 let suite =
   [
     Alcotest.test_case "structural invariants" `Quick structural_invariants;
@@ -118,4 +157,9 @@ let suite =
     Alcotest.test_case "optimized not worse than natural" `Quick
       optimized_not_worse;
     Alcotest.test_case "ablation: inlining off" `Quick ablation_no_inline;
+    Alcotest.test_case "unchanged program reuses its profile" `Quick
+      profile_reused;
+    QCheck_alcotest.to_alcotest prop_noinline_reuses;
+    Alcotest.test_case "changed program is re-profiled" `Quick
+      reprofiled_when_changed;
   ]
