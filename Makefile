@@ -58,18 +58,21 @@ obs-smoke:
 	dune exec bin/checkjson.exe -- _obs/trace.json _obs/rows.json
 
 # Static layout linter end to end: two benchmarks across every
-# registered strategy, JSON report written and re-parsed, lint metrics
-# dumped.  No simulation happens anywhere in this target.
+# registered strategy, JSON report written, re-parsed and byte-compared
+# against the committed golden report, lint metrics dumped.  No
+# simulation happens anywhere in this target.
 lint-smoke:
 	rm -rf _obs && mkdir -p _obs
 	dune exec bin/main.exe -- lint -b cmp,wc --strategy all --format json \
 	  --metrics-out=_obs/lint-metrics.txt > _obs/lint.json
 	test -s _obs/lint-metrics.txt
 	dune exec bin/checkjson.exe -- _obs/lint.json
+	cmp _obs/lint.json test/vectors/lint/cmp-wc.json
 
 # Abstract-interpretation cache bounds end to end: certify two
 # benchmarks across every registered strategy (no simulation), re-parse
-# the impact.absint/v1 report, then fuzz 200 seeded programs with the
+# the impact.absint/v1 report and byte-compare it against the committed
+# golden report, then fuzz 200 seeded programs with the
 # differential soundness oracle live (always-hit accesses never miss,
 # first-miss lines miss at most once per loop entry, simulated misses
 # inside every certified interval).
@@ -78,6 +81,7 @@ absint-smoke:
 	dune exec bin/main.exe -- absint -b cmp,yacc --strategy all \
 	  --format json > _obs/absint.json
 	dune exec bin/checkjson.exe -- _obs/absint.json
+	cmp _obs/absint.json test/vectors/absint/cmp-yacc.json
 	dune exec bin/fuzz.exe -- --seed 1 --count 200
 
 # Parallel bit-identity: the same table and the same quiet fuzz

@@ -17,7 +17,6 @@ let known_schemas =
     "impact.serve/v1";
     "impact.serve-chaos/v1";
     "impact.soak/v1";
-    "impact.metrics/v1";
   ]
 
 (* Known documents with a fixed shape also get a required-field check:
@@ -27,7 +26,6 @@ let required_fields =
   [
     ( "impact.soak/v1",
       [ "seed"; "requests"; "responses"; "latency"; "memory"; "violations" ] );
-    ("impact.metrics/v1", [ "metrics" ]);
     ("impact.absint/v1", [ "results" ]);
   ]
 

@@ -537,13 +537,25 @@ let lint_cmd =
   in
   let min_prob_arg =
     let doc =
-      "Hot-arc threshold: an arc is hot when it carries at least this \
-       fraction of both endpoint weights (default: the trace-selection \
-       MIN_PROB)."
+      "Hot-arc threshold in [0, 1]: an arc is hot when it carries at least \
+       this fraction of both endpoint weights (default: the \
+       trace-selection MIN_PROB)."
+    in
+    (* A probability: NaN and values outside [0, 1] are usage errors. *)
+    let probability =
+      let parse s =
+        match float_of_string_opt s with
+        | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+        | _ ->
+          Error
+            (Printf.sprintf "invalid value '%s', expected a number in [0, 1]"
+               s)
+      in
+      Arg.conv' (parse, Format.pp_print_float)
     in
     Arg.(
       value
-      & opt float Placement.Trace_select.default_min_prob
+      & opt probability Placement.Trace_select.default_min_prob
       & info [ "min-prob" ] ~docv:"P" ~doc)
   in
   let run names strategy format fail_on max_findings min_prob obs jobs =

@@ -235,7 +235,6 @@ let analyze ?max_iters (config : Icache.Config.t)
             Dataflow.v_nnodes = nnodes;
             v_succs = (fun v -> succs.(v));
             v_preds = (fun v -> preds.(v));
-            v_direction = Dataflow.Forward;
             v_boundary = [ entry_gid ];
             v_boundary_value = Cachedom.top u;
             v_lattice = lattice;

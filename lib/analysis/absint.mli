@@ -59,19 +59,13 @@ type t = {
 
 val gid : t -> int -> Cfg.label -> int
 
-val block_lines : Icache.Config.t -> addr:int -> words:int -> int list
-(** Absolute line numbers a block fetches, in order, consecutive
-    duplicates collapsed. *)
-
-val default_max_iters : int -> int
-
 val analyze :
   ?max_iters:int ->
   Icache.Config.t ->
   Placement.Address_map.t ->
   Prog.program ->
   t
-(** [max_iters] defaults to {!default_max_iters} of the node count;
+(** [max_iters] defaults to [1000 + 100 * nodes] of the supergraph;
     hitting the cap gates the whole result. *)
 
 type totals = {
@@ -125,7 +119,3 @@ val track : tracker -> int -> Cfg.label -> unit
 
 val tracked_counts : tracker -> int -> Cfg.label -> int
 val tracked_entries : tracker -> int -> int
-
-val blocks_classified_total : Obs.Metrics.counter
-val must_iterations_total : Obs.Metrics.counter
-val may_iterations_total : Obs.Metrics.counter

@@ -34,7 +34,6 @@ val top : universe -> state
 
 val copy : state -> state
 val assign : dst:state -> state -> unit
-val equal : state -> state -> bool
 val age : state -> int -> int
 val access_must : universe -> state -> int -> unit
 val access_may : universe -> state -> int -> unit

@@ -1,38 +1,12 @@
-(* Iterative bit-vector dataflow: a round-robin worklist over an
-   explicit graph, with the meet taken over flow-predecessors (graph
-   predecessors for a forward problem, successors for a backward one)
-   and the classic gen/kill transfer.
-
-   Interior nodes start at the confluence identity (empty set for Union,
-   full set for Intersection) so the first meet is a plain copy; nodes
-   never reached by the worklist (unreachable from every boundary node)
-   keep that identity, which callers can detect — reachability itself is
-   the Union instance with an empty gen/kill and a one-bit universe. *)
+(* Iterative forward dataflow: a round-robin worklist over an explicit
+   graph, with the meet taken over graph predecessors and the transfer
+   supplied by the caller.  Values are mutated in place
+   ([assign]/[join_into]/[transfer] write into [dst]), so a lattice
+   instance over byte arrays allocates exactly 2n + 2 states for the
+   whole solve.  No join identity is required: the meet assigns the
+   first contributor and joins the rest. *)
 
 open Ir
-
-type direction = Forward | Backward
-type confluence = Union | Intersection
-
-type problem = {
-  nnodes : int;
-  nbits : int;
-  succs : int -> int list;
-  preds : int -> int list;
-  gen : int -> Bitset.t;
-  kill : int -> Bitset.t;
-  direction : direction;
-  confluence : confluence;
-  boundary : int list;
-  boundary_value : Bitset.t;
-}
-
-type solution = {
-  in_ : Bitset.t array;
-  out : Bitset.t array;
-  iterations : int;
-  capped : bool;
-}
 
 let iterations_total =
   Obs.Metrics.counter "analysis.dataflow_iterations"
@@ -43,100 +17,6 @@ let cap_warning ~max_iters ~iterations =
     "dataflow: iteration cap %d hit after %d worklist pops; solution is a \
      pre-fixpoint and must not be trusted"
     max_iters iterations
-
-let solve ?max_iters (p : problem) : solution =
-  let n = p.nnodes in
-  let init () =
-    Array.init n (fun _ ->
-        let s = Bitset.create p.nbits in
-        (match p.confluence with Union -> () | Intersection -> Bitset.fill s);
-        s)
-  in
-  let in_ = init () and out = init () in
-  (* Flow-direction views: inputs of a node meet over its flow-preds,
-     and a changed output reschedules its flow-succs. *)
-  let flow_preds, flow_succs =
-    match p.direction with
-    | Forward -> (p.preds, p.succs)
-    | Backward -> (p.succs, p.preds)
-  in
-  let boundary = Array.make n false in
-  List.iter
-    (fun b ->
-      boundary.(b) <- true;
-      Bitset.assign ~dst:in_.(b) p.boundary_value)
-    p.boundary;
-  let on_list = Array.make n false in
-  let queue = Queue.create () in
-  let push v =
-    if not on_list.(v) then begin
-      on_list.(v) <- true;
-      Queue.add v queue
-    end
-  in
-  (* Seed in reverse-flow order so one sweep is often enough; the
-     boundary nodes come first. *)
-  List.iter push p.boundary;
-  for v = 0 to n - 1 do
-    push v
-  done;
-  let iterations = ref 0 in
-  let capped = ref false in
-  let over_cap () =
-    match max_iters with
-    | Some m when !iterations >= m ->
-        capped := true;
-        Queue.clear queue;
-        true
-    | _ -> false
-  in
-  while not (Queue.is_empty queue || over_cap ()) do
-    let v = Queue.pop queue in
-    on_list.(v) <- false;
-    incr iterations;
-    (* Meet over flow-predecessors (the boundary nodes additionally keep
-       their boundary value in the mix). *)
-    let preds = flow_preds v in
-    if preds <> [] || boundary.(v) then begin
-      let acc = Bitset.create p.nbits in
-      (match p.confluence with
-      | Union -> ()
-      | Intersection -> Bitset.fill acc);
-      let first = ref true in
-      let meet src =
-        if !first then begin
-          Bitset.assign ~dst:acc src;
-          first := false
-        end
-        else
-          ignore
-            (match p.confluence with
-            | Union -> Bitset.union_into ~dst:acc src
-            | Intersection -> Bitset.inter_into ~dst:acc src)
-      in
-      if boundary.(v) then meet p.boundary_value;
-      List.iter (fun u -> meet out.(u)) preds;
-      Bitset.assign ~dst:in_.(v) acc
-    end;
-    let changed =
-      Bitset.transfer ~gen:(p.gen v) ~kill:(p.kill v) ~src:in_.(v)
-        ~dst:out.(v)
-    in
-    if changed then List.iter push (flow_succs v)
-  done;
-  Obs.Metrics.incr ~by:!iterations iterations_total;
-  if !capped then
-    Obs.Log.warn "dataflow: iteration cap hit after %d pops; pre-fixpoint result"
-      !iterations;
-  { in_; out; iterations = !iterations; capped = !capped }
-
-(* Generic-lattice variant of the same chaotic iteration: callers supply
-   the value operations instead of gen/kill bit-vectors.  Values are
-   mutated in place ([assign]/[join_into]/[transfer] write into [dst]),
-   so a lattice instance over byte arrays allocates exactly 2n + 2
-   states for the whole solve.  No join identity is required: the meet
-   assigns the first contributor and joins the rest, exactly like the
-   bit-vector solver's [first] flag. *)
 
 type 'a lattice = {
   make : unit -> 'a;
@@ -151,7 +31,6 @@ type 'a value_problem = {
   v_nnodes : int;
   v_succs : int -> int list;
   v_preds : int -> int list;
-  v_direction : direction;
   v_boundary : int list;
   v_boundary_value : 'a;
   v_lattice : 'a lattice;
@@ -172,11 +51,6 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
   let in_ = Array.init n (fun _ -> lat.make ())
   and out = Array.init n (fun _ -> lat.make ()) in
   let scratch = lat.make () in
-  let flow_preds, flow_succs =
-    match p.v_direction with
-    | Forward -> (p.v_preds, p.v_succs)
-    | Backward -> (p.v_succs, p.v_preds)
-  in
   let boundary = Array.make n false in
   List.iter
     (fun b ->
@@ -209,7 +83,7 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
     let v = Queue.pop queue in
     on_list.(v) <- false;
     incr iterations;
-    let preds = flow_preds v in
+    let preds = p.v_preds v in
     if preds <> [] || boundary.(v) then begin
       let first = ref true in
       let meet src =
@@ -225,7 +99,7 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
     p.v_transfer v ~src:in_.(v) ~dst:scratch;
     if not (lat.equal scratch out.(v)) then begin
       lat.assign ~dst:out.(v) scratch;
-      List.iter push (flow_succs v)
+      List.iter push (p.v_succs v)
     end
   done;
   Obs.Metrics.incr ~by:!iterations iterations_total;

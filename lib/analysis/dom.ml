@@ -71,56 +71,9 @@ let dominators (f : Prog.func) : t =
     ~succs:(fun l -> Cfg.successors blocks.(l))
     ~preds:(fun l -> preds.(l))
 
-(* Post-dominators: dominators of the reversed CFG rooted at a virtual
-   exit that every Ret block flows to.  In the reversed graph the
-   virtual exit's successors are the Ret blocks and each block's
-   successors are its CFG predecessors. *)
-let post_dominators (f : Prog.func) : t =
-  let blocks = f.Prog.blocks in
-  let n = Array.length blocks in
-  let exit = n in
-  let preds = Dataflow.cfg_preds blocks in
-  let rets =
-    List.filter
-      (fun l ->
-        match blocks.(l).Cfg.term with Cfg.Ret _ -> true | _ -> false)
-      (List.init n Fun.id)
-  in
-  let rsuccs v = if v = exit then rets else preds.(v) in
-  let rpreds v =
-    if v = exit then []
-    else
-      let ps = Cfg.successors blocks.(v) in
-      match blocks.(v).Cfg.term with
-      | Cfg.Ret _ -> exit :: ps
-      | _ -> ps
-  in
-  compute ~nnodes:(n + 1) ~root:exit ~succs:rsuccs ~preds:rpreds
-
-let virtual_exit t =
-  if t.root = Array.length t.idom - 1 && t.root <> 0 then Some t.root
-  else None
-
 let dominates t a b =
   if t.idom.(b) < 0 || t.idom.(a) < 0 then false
   else begin
     let rec walk v = v = a || (v <> t.root && walk t.idom.(v)) in
     walk b
-  end
-
-let dom_set t v =
-  if t.idom.(v) < 0 then []
-  else begin
-    let rec up v acc =
-      let acc = v :: acc in
-      if v = t.root then acc else up t.idom.(v) acc
-    in
-    List.rev (up v [])
-  end
-
-let depth t v =
-  if t.idom.(v) < 0 then -1
-  else begin
-    let rec up v acc = if v = t.root then acc else up t.idom.(v) (acc + 1) in
-    up v 0
   end

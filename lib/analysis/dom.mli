@@ -1,15 +1,9 @@
-(** Dominator and post-dominator trees, via the Cooper–Harvey–Kennedy
-    iterative algorithm over reverse-postorder numbering.
+(** Dominator trees, via the Cooper–Harvey–Kennedy iterative algorithm
+    over reverse-postorder numbering.
 
-    Both directions share one representation: a rooted tree over node
-    indices where [idom.(root) = root] and nodes that cannot reach (or be
-    reached from) the root carry [idom = -1] — for dominators these are
-    the statically unreachable blocks, for post-dominators the blocks
-    that never reach a [Ret] (infinite loops).
-
-    Post-dominance is computed on the reversed CFG extended with one
-    virtual exit node (index [nblocks]) that every [Ret] block flows to,
-    so functions with several returns still get a single tree root. *)
+    A tree is rooted at the function entry with [idom.(root) = root];
+    nodes the root cannot reach (the statically unreachable blocks)
+    carry [idom = -1]. *)
 
 open Ir
 
@@ -25,21 +19,6 @@ type t = {
 val dominators : Prog.func -> t
 (** Tree over the function's blocks, rooted at the entry (label 0). *)
 
-val post_dominators : Prog.func -> t
-(** Tree over blocks plus a virtual exit: [idom] and [rpo] have length
-    [nblocks + 1] and [root = nblocks] is the virtual exit. *)
-
-val virtual_exit : t -> int option
-(** The virtual exit index of a post-dominator tree, [None] for a
-    dominator tree. *)
-
 val dominates : t -> int -> int -> bool
-(** [dominates t a b]: [a] (post-)dominates [b], reflexively.  False
+(** [dominates t a b]: [a] dominates [b], reflexively.  False
     whenever [b] is disconnected from the root. *)
-
-val dom_set : t -> int -> int list
-(** All dominators of a node, from the node itself up to the root;
-    [[]] when disconnected. *)
-
-val depth : t -> int -> int
-(** Tree depth of a node (root = 0); [-1] when disconnected. *)

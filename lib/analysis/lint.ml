@@ -29,33 +29,21 @@ type input = {
   config : Icache.Config.t;
   strategy : string option;
   min_prob : float;
-  page_bytes : int;
 }
 
-let make_input ?(min_prob = Placement.Trace_select.default_min_prob)
-    ?(page_bytes = 4096) ?strategy ?profile ~program ~weights ~calls ~map
-    ~config () =
+let of_pipeline ?(min_prob = Placement.Trace_select.default_min_prob)
+    ?strategy (p : Placement.Pipeline.t) ~map ~config =
+  let profile = p.Placement.Pipeline.profile in
   {
-    program;
-    weights;
-    calls;
-    profile;
+    program = p.Placement.Pipeline.program;
+    weights = (fun fid -> Placement.Weight.cfg_of_profile profile fid);
+    calls = Placement.Weight.call_of_profile profile;
+    profile = Some profile;
     map;
     config;
     strategy;
     min_prob;
-    page_bytes;
   }
-
-let of_pipeline ?min_prob ?page_bytes ?strategy (p : Placement.Pipeline.t)
-    ~map ~config =
-  make_input ?min_prob ?page_bytes ?strategy
-    ~profile:p.Placement.Pipeline.profile
-    ~program:p.Placement.Pipeline.program
-    ~weights:(fun fid ->
-      Placement.Weight.cfg_of_profile p.Placement.Pipeline.profile fid)
-    ~calls:(Placement.Weight.call_of_profile p.Placement.Pipeline.profile)
-    ~map ~config ()
 
 type finding = { pass : string; diag : Diag.t; score : float }
 
@@ -171,7 +159,7 @@ let unreachable_pass t =
   Array.iteri
     (fun fid (f : Prog.func) ->
       let w = t.weights fid in
-      let reach = Reach.func f in
+      let reach = Cfg.reachable f.Prog.blocks in
       Array.iteri
         (fun l _ ->
           if not reach.(l) then begin
@@ -258,6 +246,9 @@ let hot_arc_pass t =
 (* Pass: loop bodies straddling avoidable line/page boundaries         *)
 (* ------------------------------------------------------------------ *)
 
+(* Page granule of the loop-split pass: a conventional 4KB VM page. *)
+let page_bytes = 4096
+
 let loop_pass t =
   let line = t.config.Icache.Config.block in
   let acc = ref [] in
@@ -304,8 +295,8 @@ let loop_pass t =
               check ~granule:line ~what:"cache lines";
               (* Page straddles only matter for bodies a page could hold;
                  bigger bodies cross pages no matter the layout. *)
-              if body_bytes <= t.page_bytes then
-                check ~granule:t.page_bytes ~what:"pages"
+              if body_bytes <= page_bytes then
+                check ~granule:page_bytes ~what:"pages"
             end)
           loops.Loops.loops
       end)

@@ -3,18 +3,18 @@
     address map and the cache geometry alone.  Every finding is an
     {!Ir.Diag.t} with stage [Lint] (exit code 18).
 
-    Passes, in {!pass_names} order:
+    Passes, in [by_pass] order:
 
     - [flow] — profile flow conservation as a static lint (subsumes the
       corresponding part of [Placement.Validate]); errors.
-    - [unreachable] — statically dead blocks ({!Reach}) that either
+    - [unreachable] — statically dead blocks ({!Ir.Cfg.reachable}) that either
       carry profile weight (an error: the profile disagrees with the
       CFG) or are placed inside the packed effective region (a warning:
       dead bytes pollute the hot footprint).
     - [hot-arc] — arcs at or above [min_prob] of both endpoint weights
       that the layout does not place as fall-throughs; warnings.
     - [loop-split] — natural loops ({!Loops}) whose body occupies more
-      cache lines (or pages) than its byte size requires; warnings.
+      cache lines (or 4KB pages) than its byte size requires; warnings.
     - [set-conflict] — static cache-set conflict estimation: call-graph
       adjacent functions whose hot lines co-map to the same sets, the
       paper's "mapping conflict" made static; warnings, plus the
@@ -35,27 +35,11 @@ type input = {
   config : Icache.Config.t;
   strategy : string option;  (** tags every finding's diag context *)
   min_prob : float;
-  page_bytes : int;
 }
-
-val make_input :
-  ?min_prob:float ->
-  (* default {!Placement.Trace_select.default_min_prob} *)
-  ?page_bytes:int ->
-  (* default 4096 *)
-  ?strategy:string ->
-  ?profile:Vm.Profile.t ->
-  program:Prog.program ->
-  weights:(int -> Placement.Weight.cfg_weights) ->
-  calls:Placement.Weight.call_weights ->
-  map:Placement.Address_map.t ->
-  config:Icache.Config.t ->
-  unit ->
-  input
 
 val of_pipeline :
   ?min_prob:float ->
-  ?page_bytes:int ->
+  (* default {!Placement.Trace_select.default_min_prob} *)
   ?strategy:string ->
   Placement.Pipeline.t ->
   map:Placement.Address_map.t ->
@@ -89,17 +73,9 @@ type report = {
   absint_gated : string option;  (** why everything is unclassified *)
 }
 
-val pass_names : string list
-
 val run : input -> report
 (** Runs every pass inside a ["lint.<pass>"] span; no simulation
     anywhere on this path. *)
 
 val errors : report -> Diag.t list
 val warnings : report -> Diag.t list
-
-val findings_total : Obs.Metrics.counter
-(** Telemetry: findings across all passes and runs. *)
-
-val guaranteed_miss_blocks : Obs.Metrics.counter
-(** Weighted blocks with at least one certified always-miss line. *)

@@ -136,5 +136,3 @@ let of_func (f : Prog.func) : t =
     reducible = irreducible_edges = [];
     irreducible_edges;
   }
-
-let blocks_of t i = t.loops.(i).body

@@ -29,6 +29,3 @@ type t = {
 }
 
 val of_func : Prog.func -> t
-
-val blocks_of : t -> int -> Cfg.label list
-(** Body of loop [i] (sorted), e.g. for iterating a lint finding. *)

@@ -81,22 +81,3 @@ let natural (p : Prog.program) : t =
     total_bytes = !cursor - code_base;
     effective_bytes = !cursor - code_base;
   }
-
-(* Every block occupies a disjoint, contiguous address range. *)
-let is_disjoint t =
-  let ranges = ref [] in
-  Array.iteri
-    (fun fid addrs ->
-      Array.iteri
-        (fun l addr ->
-          ranges :=
-            (addr, addr + (t.block_words.(fid).(l) * Insn.bytes_per_insn))
-            :: !ranges)
-        addrs)
-    t.block_addr;
-  let sorted = List.sort compare !ranges in
-  let rec check = function
-    | (_, e1) :: ((s2, _) :: _ as rest) -> e1 <= s2 && check rest
-    | [ _ ] | [] -> true
-  in
-  check sorted

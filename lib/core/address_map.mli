@@ -21,6 +21,3 @@ val build :
 
 val natural : Prog.program -> t
 (** Unoptimized baseline: definition order, original block order. *)
-
-val is_disjoint : t -> bool
-(** Sanity: blocks occupy disjoint contiguous address ranges. *)

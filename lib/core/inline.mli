@@ -24,15 +24,6 @@ type report = {
 val code_increase : report -> float
 (** Fractional static code-size increase — the Table 3 [code inc] column. *)
 
-val splice : Prog.func -> Cfg.label -> Prog.func -> Prog.func
-(** [splice caller site callee] inlines one call site.  Raises
-    [Invalid_argument] if the block does not end in a call to [callee]. *)
-
-val expand_once :
-  config -> budget:int -> Prog.program -> Vm.Profile.t -> Prog.program * int
-(** One pass in decreasing dynamic-count order; returns the number of
-    sites inlined.  [budget] bounds total program instructions. *)
-
 val expand :
   ?config:config ->
   ?profile:Vm.Profile.t ->

@@ -16,6 +16,3 @@ val global : int -> entry:int -> Weight.call_weights -> Global_layout.t
 
 val chains_merged : Obs.Metrics.counter
 (** Telemetry: block-chain merges applied; shared with {!Exttsp}. *)
-
-val groups_merged : Obs.Metrics.counter
-(** Telemetry: global group concatenations. *)

@@ -172,6 +172,3 @@ let default_pool : t option ref = ref None
 
 let set_default p = default_pool := p
 let default () = !default_pool
-
-let default_lanes () =
-  match !default_pool with None -> 1 | Some t -> t.lanes

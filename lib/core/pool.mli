@@ -41,6 +41,3 @@ val shutdown : t -> unit
 
 val set_default : t option -> unit
 val default : unit -> t option
-
-val default_lanes : unit -> int
-(** Lanes of the default pool; 1 when none is set. *)

@@ -25,17 +25,6 @@ val impact : t
 val natural : t
 (** Unoptimized baseline: definition order everywhere. *)
 
-val ph : t
-(** Pettis-Hansen chain positioning and "closest is best" ordering. *)
-
-val exttsp : t
-(** Ext-TSP basic-block reordering ({!Exttsp}) with the paper's global
-    DFS: varies the function-body axis only. *)
-
-val c3 : t
-(** Call-chain clustering ({!C3_layout}) with the paper's trace-based
-    function bodies: varies the global-ordering axis only. *)
-
 val all : t list
 (** Registry, in presentation order. *)
 

@@ -139,23 +139,3 @@ let is_partition t nblocks =
        Array.iter (Array.iter (fun l -> seen.(l) <- seen.(l) + 1)) t.traces;
        Array.for_all (fun c -> c = 1) seen
      end
-
-(* Mean number of basic blocks per trace — the Table 4 [trace length]
-   column.  Computed over traces with nonzero weight, matching the paper's
-   focus on executed code. *)
-let mean_length ?(w : Weight.cfg_weights option) t =
-  let counted =
-    match w with
-    | None -> Array.to_list t.traces
-    | Some w ->
-      List.filter
-        (fun trace -> trace_weight w trace > 0)
-        (Array.to_list t.traces)
-  in
-  match counted with
-  | [] -> 0.
-  | _ ->
-    let total =
-      List.fold_left (fun acc trace -> acc + Array.length trace) 0 counted
-    in
-    float_of_int total /. float_of_int (List.length counted)

@@ -29,7 +29,3 @@ val trace_weight : Weight.cfg_weights -> Cfg.label array -> int
 
 val is_partition : t -> int -> bool
 (** Sanity: the traces partition the function's [nblocks] blocks. *)
-
-val mean_length : ?w:Weight.cfg_weights -> t -> float
-(** Mean basic blocks per trace (Table 4 [trace length]); when weights are
-    given, only nonzero-weight traces are counted. *)

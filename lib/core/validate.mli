@@ -16,9 +16,6 @@ val flow : Vm.Profile.t -> Diag.t list
     [weight = entries + sum(in-arcs)] (entries only at block 0) and
     [weight = sum(out-arcs)] unless the block returns. *)
 
-val selection : func:string -> Prog.func -> Trace_select.t -> Diag.t list
-(** Traces partition the blocks; entry block covered; no empty trace. *)
-
 val map :
   ?strategy:Strategy.t ->
   program:Prog.program ->

@@ -60,28 +60,3 @@ let call_of_profile (profile : Vm.Profile.t) =
     entries = (fun fid -> Vm.Profile.func_weight profile fid);
     size = (fun fid -> Prog.func_byte_size prog.Prog.funcs.(fid));
   }
-
-(* Hand-built control-graph weights, for tests and examples: a list of
-   (block, count) and a list of (src, dst, count). *)
-let cfg_of_lists ~func_weight ~blocks ~arcs =
-  let block_tbl = Hashtbl.create 16 in
-  List.iter (fun (l, c) -> Hashtbl.replace block_tbl l c) blocks;
-  let outs = Hashtbl.create 16 and ins = Hashtbl.create 16 in
-  List.iter
-    (fun (src, dst, c) ->
-      Hashtbl.replace outs src
-        ((dst, c) :: (Option.value ~default:[] (Hashtbl.find_opt outs src)));
-      Hashtbl.replace ins dst
-        ((src, c) :: (Option.value ~default:[] (Hashtbl.find_opt ins dst))))
-    arcs;
-  {
-    func_weight;
-    block =
-      (fun l ->
-        match Hashtbl.find_opt block_tbl l with Some c -> c | None -> 0);
-    arcs_out =
-      (fun l ->
-        match Hashtbl.find_opt outs l with Some a -> a | None -> []);
-    arcs_in =
-      (fun l -> match Hashtbl.find_opt ins l with Some a -> a | None -> []);
-  }

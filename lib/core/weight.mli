@@ -25,10 +25,3 @@ type call_weights = {
 
 val cfg_of_profile : Vm.Profile.t -> int -> cfg_weights
 val call_of_profile : Vm.Profile.t -> call_weights
-
-val cfg_of_lists :
-  func_weight:int ->
-  blocks:(Cfg.label * int) list ->
-  arcs:(Cfg.label * Cfg.label * int) list ->
-  cfg_weights
-(** Hand-built weights for tests and examples. *)

@@ -5,14 +5,6 @@
 
 open Analysis
 
-val default_configs : Icache.Config.t list
-(** The three E19 design points: 2KB/64B direct (E17's geometry),
-    8KB/64B direct, 4KB/64B 2-way — all whole-block fill, the shapes
-    the analysis can certify. *)
-
-val default_config : Icache.Config.t
-(** First of {!default_configs}; the [impact absint] default. *)
-
 val interval_json : Absint.interval -> Obs.Json.t
 val totals_json : Absint.totals -> Obs.Json.t
 
@@ -32,13 +24,6 @@ type result = {
   may_iterations : int;
 }
 
-val analyze_entry :
-  ?max_iters:int ->
-  config:Icache.Config.t ->
-  Context.entry ->
-  Placement.Strategy.t ->
-  result
-
 val sweep :
   ?max_iters:int ->
   ?config:Icache.Config.t ->
@@ -48,43 +33,16 @@ val sweep :
 (** Every (entry, strategy) at one config, pool-parallel over entries;
     results in entry-major registry order. *)
 
-val strategy_cell : result -> string
 val summary : result -> string
-val result_json : result -> Obs.Json.t
 
 val report_json : results:result list -> Obs.Json.t
 (** Top-level [impact.absint/v1] document. *)
 
 (** {2 E19 table} *)
 
-type row = {
-  r_bench : string;
-  r_strategy : string;
-  r_config : string;
-  r_est : float;
-  r_lo : float;
-  r_hi : float;
-  r_sim : float;
-  r_within : bool;
-  r_classified : string;
-}
-
-val compute :
-  ?configs:Icache.Config.t list ->
-  ?strategies:Placement.Strategy.t list ->
-  Context.t ->
-  row list
-(** Certified intervals are evaluated with block counts and loop-entry
-    counts taken from the SAME trace the simulator replays, so
-    [r_within] failing would be a soundness bug, not noise. *)
-
 val table : Context.t -> Report.Table.t
 
 (** {2 Differential soundness oracle} *)
-
-val oracle_configs : Icache.Config.t list
-(** Small geometries (512B/16B direct and 2-way) that force conflicts
-    on fuzz-sized programs. *)
 
 val check_oracle :
   ?configs:Icache.Config.t list ->
@@ -93,7 +51,9 @@ val check_oracle :
   Placement.Address_map.t ->
   Sim.Trace.t ->
   Ir.Diag.t list
-(** Replays the trace against a fresh cache per config and checks every
+(** Replays the trace against a fresh cache per config (default: two
+    small geometries that force conflicts on fuzz-sized programs,
+    512B/16B direct-mapped and 2-way) and checks every
     claim: always-hit accesses never miss, always-miss accesses never
     hit, first-miss (scope, line) pairs miss at most once per tracked
     scope entry, the simulated miss total lands inside the certified

@@ -127,12 +127,6 @@ val simulate_many :
 
 (** {2 Telemetry} *)
 
-val memo_hits : Obs.Metrics.counter
-(** Simulation results served from the memo table. *)
-
-val memo_misses : Obs.Metrics.counter
-(** Simulation cache misses (filled by the single-pass engine). *)
-
 val strategy_fallbacks : Obs.Metrics.counter
 (** Strategies that raised and degraded to the natural layout. *)
 

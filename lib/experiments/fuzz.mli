@@ -17,27 +17,6 @@ type failure = {
   shrink_steps : int;
 }
 
-val check_program :
-  ?strategies:Placement.Strategy.t list -> Ir.Ast.program -> Ir.Diag.t list
-(** All violations exhibited by one program ([] = everything holds).
-    [strategies] defaults to the full registry; tests inject broken
-    strategies here. *)
-
-val run_seed :
-  ?size:int -> ?strategies:Placement.Strategy.t list -> int ->
-  failure option
-(** Generate, check, and on failure shrink one seeded program. *)
-
-val shrink_failure :
-  size:int ->
-  ?strategies:Placement.Strategy.t list ->
-  int ->
-  Ir.Diag.t list ->
-  failure
-(** Shrink a seed already known to fail with the given diagnostics (the
-    seed regenerates the program deterministically).  Raises
-    [Invalid_argument] if none of them is error-severity. *)
-
 val report_failure : failure Fmt.t
 (** Violations, shrunk reproducer (lowered IR when it lowers), and the
     command line that replays the seed. *)

@@ -21,16 +21,14 @@ type result = {
 (* Same geometry as the strategy-comparison experiment (E17), so the
    static conflict ranking can be read against its simulated miss
    ratios. *)
-let default_config = Icache.Config.make ~size:2048 ~block:64 ()
+let config = Icache.Config.make ~size:2048 ~block:64 ()
 
-let lint_entry ?(config = default_config) ?min_prob ?page_bytes e
-    (s : Placement.Strategy.t) =
+let lint_entry ?min_prob e (s : Placement.Strategy.t) =
   let id = s.Placement.Strategy.id in
   let p = Context.pipeline e in
   let map = Context.strategy_map e s in
   let input =
-    Analysis.Lint.of_pipeline ?min_prob ?page_bytes ~strategy:id p ~map
-      ~config
+    Analysis.Lint.of_pipeline ?min_prob ~strategy:id p ~map ~config
   in
   let profile = p.Placement.Pipeline.profile in
   let estimate =
@@ -49,8 +47,8 @@ let lint_entry ?(config = default_config) ?min_prob ?page_bytes e
 (* The per-strategy lints are independent (each takes the entry lock
    only around its memoized lookups), so a multi-lane default pool lints
    strategies concurrently; order is the registry's either way. *)
-let sweep ?config ?min_prob ?page_bytes e =
-  let lint s = lint_entry ?config ?min_prob ?page_bytes e s in
+let sweep ?min_prob e =
+  let lint s = lint_entry ?min_prob e s in
   match Placement.Pool.default () with
   | Some pool when Placement.Pool.lanes pool > 1 ->
     Placement.Pool.map pool lint Placement.Strategy.all
@@ -116,7 +114,7 @@ let ranking_table bench results =
           bound first, heuristic conflict score as tie-break (no \
           simulation)"
          bench
-         (Icache.Config.describe default_config))
+         (Icache.Config.describe config))
     ~header:
       [ "rank"; "strategy"; "certified misses"; "est misses"; "conflict";
         "hot arcs broken"; "errors"; "warnings" ]

@@ -15,34 +15,22 @@ type result = {
           predictors side by side *)
 }
 
-val default_config : Icache.Config.t
-(** The paper's 2KB/64B direct-mapped design point — the same geometry
-    the strategy-comparison experiment (E17) simulates, so static
-    conflict scores are comparable with its miss ratios. *)
-
 val lint_entry :
-  ?config:Icache.Config.t ->
   ?min_prob:float ->
-  ?page_bytes:int ->
   Context.entry ->
   Placement.Strategy.t ->
   result
+(** Lints one strategy's map at the 2KB/64B direct-mapped geometry of
+    the strategy-comparison experiment (E17), so the static ranking can
+    be read against its simulated miss ratios. *)
 
-val sweep :
-  ?config:Icache.Config.t ->
-  ?min_prob:float ->
-  ?page_bytes:int ->
-  Context.entry ->
-  result list
+val sweep : ?min_prob:float -> Context.entry -> result list
 (** One {!result} per registered strategy, registry order. *)
 
-val rank : result list -> result list
-(** Best layout first: ascending certified miss upper bound, ties broken
-    by static conflict score, then broken-hot-arc weight, then registry
-    order (stable). *)
-
 val ranking_table : string -> result list -> Report.Table.t
-(** Sweep results of one benchmark as a ranking table. *)
+(** Sweep results of one benchmark as a ranking table, best layout
+    first: ascending certified miss upper bound, ties broken by static
+    conflict score, then broken-hot-arc weight, then registry order. *)
 
 val summary : result -> string
 (** One-line per-pass counts + aggregate scores. *)

@@ -85,8 +85,3 @@ let run_spec ctx spec =
          (Context.entries ctx) before)
   in
   { spec; table; wall_seconds; fresh_warnings }
-
-let run_one ctx spec = Report.Table.render (run_spec ctx spec).table
-
-let run_all ctx =
-  String.concat "\n" (List.map (fun spec -> run_one ctx spec) all)

@@ -28,8 +28,3 @@ type outcome = {
 
 val run_spec : Context.t -> spec -> outcome
 (** Build one table inside a ["table"] span, timing it. *)
-
-val run_one : Context.t -> spec -> string
-(** [run_spec] rendered to the plain-text table. *)
-
-val run_all : Context.t -> string

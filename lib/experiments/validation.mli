@@ -10,11 +10,8 @@
 
 type level = Placement.Validate.level = Cheap | Full
 
-val check_entry : ?level:level -> Context.entry -> Ir.Diag.t list
-(** Validate one benchmark entry.  [Cheap] (default) covers structure,
-    trace selection, layouts, every strategy's address map, and trace
-    layout-invariance; [Full] adds profile flow conservation and the
-    simulation access-count cross-check. *)
-
 val check : ?level:level -> Context.t -> Ir.Diag.t list
-(** {!check_entry} over every entry of the context. *)
+(** Validate every entry of the context.  [Cheap] (default) covers
+    structure, trace selection, layouts, every strategy's address map,
+    and trace layout-invariance; [Full] adds profile flow conservation
+    and the simulation access-count cross-check. *)

@@ -87,12 +87,3 @@ let effective_access_time t =
   else
     float_of_int ((t.accesses * t.model.hit_cycles) + t.stall_cycles)
     /. float_of_int t.accesses
-
-let avg_stall_per_miss t =
-  if t.misses = 0 then 0.
-  else float_of_int t.stall_cycles /. float_of_int t.misses
-
-let policy_name = function
-  | Blocking -> "blocking"
-  | Streaming -> "streaming"
-  | Streaming_partial -> "streaming+partial"

@@ -10,21 +10,6 @@ type policy =
 
 type model = { hit_cycles : int; mem_latency : int }
 
-val default_model : model
-(** 1-cycle hits, 10-cycle initial memory latency. *)
-
-val miss_stall :
-  model ->
-  policy ->
-  words_per_block:int ->
-  word_in_block:int ->
-  run_words:int ->
-  fetched_words:int ->
-  int
-(** Stall cycles beyond the hit time for one miss.  [run_words] is the
-    number of consecutive sequential words consumed after the miss before
-    a taken branch or the next miss. *)
-
 type t
 
 val create : ?model:model -> policy -> t
@@ -43,6 +28,3 @@ val on_miss :
 
 val effective_access_time : t -> float
 (** Mean cycles per instruction fetch. *)
-
-val avg_stall_per_miss : t -> float
-val policy_name : policy -> string

@@ -119,7 +119,6 @@ module Dsl = struct
   let stream_len s = Intrin (Insn.Stream_len, [ s ])
   let arg n = Intrin (Insn.Arg, [ Int n ])
   let alloc n = Intrin (Insn.Alloc, [ n ])
-  let abort_ = Expr (Intrin (Insn.Abort, []))
   let decl name e = Decl (name, e)
   let set name e = Assign (name, e)
   let st8 addr value = Store8 (addr, value)

@@ -55,9 +55,6 @@ type program = {
 
 val ginit_size : ginit -> int
 
-val stmt_lines : stmt -> int
-val func_lines : func -> int
-
 val program_lines : program -> int
 (** Approximate "C lines" of the program — the Table 2 [C lines] column. *)
 
@@ -97,7 +94,6 @@ module Dsl : sig
   val stream_len : expr -> expr
   val arg : int -> expr
   val alloc : expr -> expr
-  val abort_ : stmt
   val decl : string -> expr -> stmt
   val set : string -> expr -> stmt
   val st8 : expr -> expr -> stmt

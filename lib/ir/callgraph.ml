@@ -28,19 +28,6 @@ let build (p : Prog.program) =
     p;
   { sites = List.rev !sites; callees; callers }
 
-(* Functions reachable through calls from [root] (inclusive). *)
-let reachable t root =
-  let n = Array.length t.callees in
-  let seen = Array.make n false in
-  let rec go f =
-    if not seen.(f) then begin
-      seen.(f) <- true;
-      List.iter go t.callees.(f)
-    end
-  in
-  go root;
-  seen
-
 (* [true] when a call chain leads from [src] back to [src] through [dst]
    (i.e. inlining [dst] into [src] could require unbounded expansion). *)
 let in_cycle_with t ~src ~dst =
@@ -56,6 +43,3 @@ let in_cycle_with t ~src ~dst =
     end
   in
   go dst
-
-let is_recursive t f =
-  List.exists (fun callee -> in_cycle_with t ~src:f ~dst:callee) t.callees.(f)

@@ -12,12 +12,6 @@ type t = {
 
 val build : Prog.program -> t
 
-val reachable : t -> int -> bool array
-(** Functions reachable through calls from the given root, inclusive. *)
-
 val in_cycle_with : t -> src:int -> dst:int -> bool
 (** [true] when a call chain from [dst] leads back to [src]; inlining
     [dst] into [src] would then risk unbounded expansion. *)
-
-val is_recursive : t -> int -> bool
-(** [true] when the function can reach itself through calls. *)

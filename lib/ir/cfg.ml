@@ -66,9 +66,8 @@ let successors b =
   | Call { ret_to; _ } -> [ ret_to ]
 
 (* Canonical block reachability: the one definition of a statically dead
-   block, shared by the simplifier's unreachable sweep, the analysis
-   library ([Analysis.Reach]) and the layout linter.  Depth-first from
-   the entry block (label 0). *)
+   block, shared by the simplifier's unreachable sweep and the layout
+   linter.  Depth-first from the entry block (label 0). *)
 let reachable (blocks : block array) : bool array =
   let n = Array.length blocks in
   let reach = Array.make n false in
@@ -87,13 +86,6 @@ let callee b =
   match b.term with
   | Call { callee; _ } -> Some callee
   | Jump _ | Br _ | Switch _ | Ret _ -> None
-
-let term_mentions_label l = function
-  | Jump l' -> l = l'
-  | Br (_, t, f) -> l = t || l = f
-  | Switch (_, cases, d) -> l = d || Array.exists (fun (_, t) -> t = l) cases
-  | Ret _ -> false
-  | Call { ret_to; _ } -> l = ret_to
 
 (* Rewrite every label in a terminator through [f]. *)
 let map_term_labels f = function

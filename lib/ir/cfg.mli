@@ -47,14 +47,13 @@ val successors : block -> label list
 val reachable : block array -> bool array
 (** Blocks reachable from the entry block (label [0]).  This is the
     canonical definition of a statically dead block: the simplifier's
-    unreachable sweep, the [Analysis.Reach] pass and the layout linter
-    all route through it.  Labels out of range never appear — run
+    unreachable sweep and the layout linter's [unreachable] pass both
+    call it.  Labels out of range never appear — run
     {!Check} first on untrusted input. *)
 
 val callee : block -> string option
 (** Callee name when the block ends in a call. *)
 
-val term_mentions_label : label -> term -> bool
 val map_term_labels : (label -> label) -> term -> term
 val map_term_regs : (Insn.reg -> Insn.reg) -> term -> term
 

@@ -72,6 +72,3 @@ let diags (p : Prog.program) : Diag.t list =
   List.rev !acc
 
 let program (p : Prog.program) = Diag.raise_first (diags p)
-
-let is_valid p =
-  match program p with () -> true | exception Diag.Fail _ -> false

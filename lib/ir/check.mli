@@ -8,5 +8,3 @@ val diags : Prog.program -> Diag.t list
 
 val program : Prog.program -> unit
 (** Raises {!Diag.Fail} describing the first violation found. *)
-
-val is_valid : Prog.program -> bool

@@ -2,24 +2,8 @@
     the differential tests and the layout fuzzer.  Generated programs
     terminate by construction and write observable output. *)
 
-(** Deterministic splitmix64 generator (mirrors [Workloads.Rng], which
-    [ir] cannot depend on). *)
-module Rng : sig
-  type t
-
-  val create : int -> t
-  val int : t -> int -> int
-  val bool : t -> bool
-  val range : t -> int -> int -> int
-  val pick : t -> 'a array -> 'a
-end
-
 val generate : ?size:int -> int -> Ast.program
 (** Generate a whole program from a seed; [size] scales the fuel. *)
-
-val shrink_candidates : Ast.program -> Ast.program list
-(** One-step reductions, coarsest first: drop an uncalled non-entry
-    function, stub a body to [return 0], drop one top-level statement. *)
 
 val shrink :
   ?max_steps:int ->

@@ -441,9 +441,3 @@ let program (p : Ast.program) : Prog.program =
   let table, images, heap_base = layout_globals p.globals in
   let funcs = List.map (compile_func table) p.funcs in
   Prog.make ~data:images ~heap_base ~entry:p.entry funcs
-
-let program_with_globals (p : Ast.program) =
-  let table, images, heap_base = layout_globals p.globals in
-  let funcs = List.map (compile_func table) p.funcs in
-  let prog = Prog.make ~data:images ~heap_base ~entry:p.entry funcs in
-  (prog, table)

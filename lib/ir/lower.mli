@@ -17,8 +17,3 @@ val program : Ast.program -> Prog.program
     the offending function and block) on unbound variables, unknown
     globals, or malformed control flow; raises [Prog.Unknown_function]
     if the entry point is missing. *)
-
-val program_with_globals :
-  Ast.program -> Prog.program * (string, int) Hashtbl.t
-(** Same as {!program}, additionally returning the global name->address
-    table (useful in tests and examples). *)

@@ -1,8 +1,3 @@
 (** Pretty printers for the lowered IR. *)
 
-val operand : Insn.operand Fmt.t
-val insn : Insn.t Fmt.t
-val term : Cfg.term Fmt.t
-val block : (Cfg.label * Cfg.block) Fmt.t
-val func : Prog.func Fmt.t
 val program : Prog.program Fmt.t

@@ -22,8 +22,6 @@ let func_index p name =
   | Some i -> i
   | None -> raise (Unknown_function name)
 
-let func_by_name p name = p.funcs.(func_index p name)
-
 let make ?(data = []) ?(heap_base = 0) ~entry funcs =
   let funcs = Array.of_list funcs in
   let by_name = Hashtbl.create (Array.length funcs * 2) in

@@ -30,8 +30,6 @@ val make :
 val func_index : program -> string -> int
 (** Raises {!Unknown_function}. *)
 
-val func_by_name : program -> string -> func
-
 val with_funcs : program -> func array -> program
 (** Functional update of the function array, rebuilding the name index. *)
 

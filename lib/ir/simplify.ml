@@ -60,7 +60,7 @@ let thread_jumps (blocks : Cfg.block array) =
 
 (* Drop blocks unreachable from the entry, compacting labels (entry stays
    0).  Reachability comes from the canonical [Cfg.reachable], shared
-   with [Analysis.Reach] and the layout linter. *)
+   with the layout linter. *)
 let sweep_unreachable (blocks : Cfg.block array) =
   let n = Array.length blocks in
   let reach = Cfg.reachable blocks in

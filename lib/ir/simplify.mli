@@ -7,5 +7,4 @@
     effective region); blocks carrying size overrides are never threaded
     away. *)
 
-val func : Prog.func -> Prog.func
 val program : Prog.program -> Prog.program

@@ -268,5 +268,3 @@ let of_file path =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let to_list = function List xs -> Some xs | _ -> None

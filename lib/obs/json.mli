@@ -20,9 +20,6 @@ val to_file : string -> t -> unit
 
 exception Parse_error of string
 
-val default_max_depth : int
-(** Default nesting-depth limit of the parser (512). *)
-
 val parse_exn : ?max_depth:int -> ?max_bytes:int -> string -> t
 (** Raises {!Parse_error} on malformed input or trailing garbage.
 
@@ -36,5 +33,3 @@ val of_file : string -> (t, string) result
 
 val member : string -> t -> t option
 (** Field of an [Obj]; [None] for other constructors or missing keys. *)
-
-val to_list : t -> t list option

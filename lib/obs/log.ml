@@ -4,14 +4,14 @@
    "[error ...]"); preformatted diagnostics go through the [_raw]
    entry points unchanged so they are not double-prefixed.  The default
    sink writes to stderr, keeping stdout a pure table/report stream;
-   [set_quiet true] (the CLI's --quiet) drops [Info] and [Warn] while
-   [Error] always gets through.
+   [set_quiet true] (the CLI's --quiet) drops [Warn] while [Error]
+   always gets through.
 
    A mutex serializes sink invocations, so messages emitted from
    concurrent domains (e.g. a degradation warning surfacing inside a
    parallel table build) arrive whole instead of interleaved. *)
 
-type level = Info | Warn | Error
+type level = Warn | Error
 
 type sink = level -> string -> unit
 
@@ -27,7 +27,6 @@ let mutex = Mutex.create ()
 let set_sink s = the_sink := s
 let reset_sink () = the_sink := default_sink
 let set_quiet b = quiet_flag := b
-let quiet () = !quiet_flag
 
 let serialized sink level msg =
   Mutex.lock mutex;
@@ -36,9 +35,8 @@ let serialized sink level msg =
 let emit level msg =
   match level with
   | Error -> serialized !the_sink Error msg
-  | Info | Warn -> if not !quiet_flag then serialized !the_sink level msg
+  | Warn -> if not !quiet_flag then serialized !the_sink Warn msg
 
-let info fmt = Printf.ksprintf (emit Info) fmt
 let warn fmt = Printf.ksprintf (fun m -> emit Warn ("[warning] " ^ m)) fmt
 let error fmt = Printf.ksprintf (fun m -> emit Error ("[error] " ^ m)) fmt
 

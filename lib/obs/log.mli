@@ -1,20 +1,16 @@
 (** One log sink for progress/warning chatter.
 
     The default sink writes to stderr (stdout stays a pure table
-    stream).  [set_quiet true] suppresses [Info] and [Warn]; [Error]
+    stream).  [set_quiet true] suppresses [Warn]; [Error]
     always reaches the sink.  The [_raw] entry points emit preformatted
     messages (e.g. [Ir.Diag.to_string]) without adding a prefix. *)
 
-type level = Info | Warn | Error
+type level = Warn | Error
 type sink = level -> string -> unit
 
 val set_sink : sink -> unit
 val reset_sink : unit -> unit
 val set_quiet : bool -> unit
-val quiet : unit -> bool
-
-val info : ('a, unit, string, unit) format4 -> 'a
-(** No prefix; suppressed under quiet. *)
 
 val warn : ('a, unit, string, unit) format4 -> 'a
 (** Prefixed "[warning] "; suppressed under quiet. *)

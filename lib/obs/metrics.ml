@@ -32,8 +32,7 @@
    parallel runs report the same counts as serial ones.
 
    [dump] renders a deterministic text report (names sorted), written by
-   the CLI behind [--metrics-out]; [to_json] renders the same registry
-   as an `impact.metrics/v1` document. *)
+   the CLI behind [--metrics-out]. *)
 
 type counter = { c_name : string; c_help : string; count : int Atomic.t }
 type gauge = { g_name : string; g_help : string; mutable value : float }
@@ -214,10 +213,6 @@ let reset () =
         Array.fill h.buckets 0 nbuckets 0)
     registry
 
-(* Test helper: forget every registration (module-level instruments keep
-   working but re-register lazily on next lookup by other callers). *)
-let clear () = locked (fun () -> Hashtbl.reset registry)
-
 let sorted_entries () =
   let entries =
     locked (fun () ->
@@ -253,34 +248,6 @@ let dump () =
         Buffer.add_string buf (Printf.sprintf "#          ^ %s\n" help))
     (sorted_entries ());
   Buffer.contents buf
-
-let metric_json name m =
-  let base kind = [ ("name", Json.String name); ("kind", Json.String kind) ] in
-  match m with
-  | C c -> Json.Obj (base "counter" @ [ ("value", Json.Int (Atomic.get c.count)) ])
-  | G g -> Json.Obj (base "gauge" @ [ ("value", Json.Float g.value) ])
-  | H h ->
-    Json.Obj
-      (base "histogram"
-      @ [
-          ("n", Json.Int h.n);
-          ("sum", Json.Float (hist_sum h));
-          ("min", Json.Float (hist_min h));
-          ("mean", Json.Float (hist_mean h));
-          ("max", Json.Float (hist_max h));
-          ("p50", Json.Float (hist_quantile h 0.50));
-          ("p90", Json.Float (hist_quantile h 0.90));
-          ("p99", Json.Float (hist_quantile h 0.99));
-        ])
-
-let to_json () =
-  Json.Obj
-    [
-      ("schema", Json.String "impact.metrics/v1");
-      ( "metrics",
-        Json.List (List.map (fun (n, m) -> metric_json n m) (sorted_entries ()))
-      );
-    ]
 
 let write path =
   if path = "-" then prerr_string (dump ())

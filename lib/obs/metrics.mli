@@ -50,17 +50,9 @@ val reset : unit -> unit
 (** Zero every registered value (bucket arrays included);
     registrations survive. *)
 
-val clear : unit -> unit
-(** Forget every registration (test isolation). *)
-
 val dump : unit -> string
 (** Deterministic text report, one line per metric, names sorted.
     Histogram lines include p50/p90/p99 from {!hist_quantile}. *)
-
-val to_json : unit -> Json.t
-(** The registry as an [impact.metrics/v1] document: metrics sorted by
-    name; histogram entries carry n/sum/min/mean/max/p50/p90/p99 (all
-    zero when empty). *)
 
 val write : string -> unit
 (** Write {!dump} to a file, or to stderr when the path is ["-"]. *)

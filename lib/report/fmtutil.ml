@@ -17,5 +17,3 @@ let human n =
   else if f >= 1e6 then Printf.sprintf "%.1fM" (f /. 1e6)
   else if f >= 1e3 then Printf.sprintf "%.1fK" (f /. 1e3)
   else string_of_int n
-
-let opt_string = function Some s -> s | None -> "-"

@@ -11,5 +11,3 @@ val f2 : float -> string
 
 val human : int -> string
 (** ["11.7M"], ["2.2K"], … *)
-
-val opt_string : string option -> string

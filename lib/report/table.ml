@@ -68,5 +68,3 @@ let render t =
   line (List.map (fun width -> String.make width '-') (Array.to_list w));
   List.iter line t.rows;
   Buffer.contents buf
-
-let print t = print_string (render t)

@@ -22,4 +22,3 @@ val rows : t -> string list list
     exactly the cells the text rendering prints. *)
 
 val render : t -> string
-val print : t -> unit

@@ -71,16 +71,8 @@ val stopped : t -> bool
 
 (** {2 Telemetry} *)
 
-val requests_total : Obs.Metrics.counter
-val errors_total : Obs.Metrics.counter
-val timeouts_total : Obs.Metrics.counter
-val degraded_total : Obs.Metrics.counter
-
 val map_evictions : Obs.Metrics.counter
 (** Custom-profile address maps dropped by the LRU cap. *)
-
-val notifications_total : Obs.Metrics.counter
-(** Push staleness notifications emitted to subscribers. *)
 
 val latency_hist : string -> Obs.Metrics.histogram
 (** Per-request-type wall-clock latency histogram

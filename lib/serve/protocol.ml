@@ -288,7 +288,12 @@ let parse_request ?max_depth ?max_bytes (line : string) :
                   Option.value ~default:"impact"
                     (get_opt_string ~what:"strategy" (member "strategy" json));
                 min_prob =
-                  get_opt_number ~what:"min_prob" (member "min_prob" json);
+                  (match
+                     get_opt_number ~what:"min_prob" (member "min_prob" json)
+                   with
+                  | None -> None
+                  | Some p when p >= 0.0 && p <= 1.0 -> Some p
+                  | Some _ -> bad "min_prob must be in [0, 1]");
               }
           | "stats" -> Stats
           | "subscribe" ->

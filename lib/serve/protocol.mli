@@ -47,8 +47,6 @@ type error_info = { stage : string; code : int; message : string }
     code 1 marks an unexpected server-side exception. *)
 
 val usage_error : string -> error_info
-val internal_error : string -> error_info
-val error_of_diag : Ir.Diag.t -> error_info
 
 val error_of_exn : exn -> error_info
 (** Total: maps every exception to a structured error ([Diag.Fail] to

@@ -11,7 +11,8 @@
     {e poisoned} and pins readers to the last flow-conserving snapshot
     (the "last-good epoch" degradation tier).  The store is bounded:
     with a cap set, creating one profile past it evicts the
-    least-recently-used one (counted in {!evictions}). *)
+    least-recently-used one (counted in the [serve.profile_evictions]
+    metric). *)
 
 type t
 
@@ -64,6 +65,3 @@ val poisoned_count : t -> int
 
 val stats_json : t -> Obs.Json.t
 (** Per-profile summary rows, sorted by name. *)
-
-val evictions : Obs.Metrics.counter
-(** Named profiles dropped from the store by the LRU cap. *)

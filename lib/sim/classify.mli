@@ -12,7 +12,6 @@ type counts = {
       (** transfers from the end of a trace to the start of a trace *)
 }
 
-val total : counts -> int
 val fraction : int -> counts -> float
 
 val run :

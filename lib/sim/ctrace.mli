@@ -28,9 +28,6 @@ val builder : unit -> builder
 val push : builder -> int -> unit
 (** Append one packed block code (see {!Trace_gen.pack}). *)
 
-val push_block : builder -> int -> Cfg.label -> unit
-(** [push_block b fid label]: a {!Trace_gen.sink} over {!push}. *)
-
 val finish : builder -> Vm.Interp.result -> t
 
 val record : ?fuel:int -> Prog.program -> Vm.Io.input -> t

@@ -7,25 +7,24 @@ exception Fault of string
 
 let fault fmt = Fmt.kstr (fun s -> raise (Fault s)) fmt
 
-type t = { mutable data : Bytes.t; limit : int }
+type t = { mutable data : Bytes.t }
 
-let default_limit = 64 * 1024 * 1024
+let limit = 64 * 1024 * 1024
 
-let create ?(limit = default_limit) initial_size =
-  { data = Bytes.make (max initial_size 4096) '\000'; limit }
+let create initial_size = { data = Bytes.make (max initial_size 4096) '\000' }
 
 let ensure t addr len =
   if addr < Ir.Lower.globals_base then
     fault "access to unmapped low address %d" addr;
   let needed = addr + len in
-  if needed > t.limit then fault "address %d beyond memory limit %d" addr t.limit;
+  if needed > limit then fault "address %d beyond memory limit %d" addr limit;
   let cur = Bytes.length t.data in
   if needed > cur then begin
     let size = ref cur in
     while !size < needed do
       size := !size * 2
     done;
-    let bigger = Bytes.make (min !size t.limit) '\000' in
+    let bigger = Bytes.make (min !size limit) '\000' in
     Bytes.blit t.data 0 bigger 0 cur;
     t.data <- bigger
   end
@@ -54,11 +53,3 @@ let read32 t addr =
 let write32 t addr value =
   ensure t addr 4;
   Bytes.set_int32_le t.data addr (Int32.of_int value)
-
-let blit_string t s addr =
-  ensure t addr (String.length s);
-  Bytes.blit_string s 0 t.data addr (String.length s)
-
-let read_string t addr len =
-  ensure t addr len;
-  Bytes.sub_string t.data addr len

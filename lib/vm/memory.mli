@@ -7,12 +7,6 @@ exception Fault of string
 
 type t
 
-val default_limit : int
-
-val create : ?limit:int -> int -> t
-(** [create n] makes a memory of at least [n] bytes that can grow up to
-    [limit] (default 64 MiB). *)
-
 val of_program : Ir.Prog.program -> t
 (** Memory pre-loaded with the program's static data segment. *)
 
@@ -20,5 +14,3 @@ val read8 : t -> int -> int
 val write8 : t -> int -> int -> unit
 val read32 : t -> int -> int
 val write32 : t -> int -> int -> unit
-val blit_string : t -> string -> int -> unit
-val read_string : t -> int -> int -> string

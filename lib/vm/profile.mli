@@ -27,10 +27,6 @@ type t = {
 
 val create : Prog.program -> t
 
-val run : t -> Io.input -> Interp.result
-(** Execute one profiling run, accumulating counters.  A run that raises
-    (e.g. {!Interp.Fault}) leaves the profile unspecified. *)
-
 val profile : Prog.program -> Io.input list -> t
 (** Profile the program over all inputs. *)
 

@@ -27,4 +27,3 @@ let program t = Lazy.force t.program
 let profile_inputs t = Lazy.force t.profile_inputs
 let trace_input t = Lazy.force t.trace_input
 let source_lines t = Ir.Ast.program_lines (ast t)
-let runs t = List.length (profile_inputs t)

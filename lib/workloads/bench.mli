@@ -23,4 +23,3 @@ val program : t -> Ir.Prog.program
 val profile_inputs : t -> Vm.Io.input list
 val trace_input : t -> Vm.Io.input
 val source_lines : t -> int
-val runs : t -> int

@@ -77,58 +77,6 @@ let c_source ~seed ~lines =
   done;
   Buffer.contents buf
 
-(* C source with heavier preprocessor usage: #define/#undef directives,
-   #ifdef/#ifndef/#else/#endif blocks, and macro references in the
-   ordinary lines — the diet of the cccp workload. *)
-let cpp_source ~seed ~lines =
-  let rng = Rng.create seed in
-  let buf = Buffer.create (lines * 32) in
-  let macros = ref [] in
-  let nmacros = ref 0 in
-  let fresh_macro () =
-    let m = Printf.sprintf "M%s%d" (String.uppercase_ascii (Rng.word rng 2 5)) !nmacros in
-    incr nmacros;
-    macros := m :: !macros;
-    if List.length !macros > 24 then
-      macros := List.filteri (fun idx _ -> idx < 24) !macros;
-    m
-  in
-  let some_macro () =
-    match !macros with [] -> fresh_macro () | l -> Rng.pick_list rng l
-  in
-  let depth = ref 0 in
-  for _ = 1 to lines do
-    (match Rng.int rng 14 with
-    | 0 | 1 ->
-      buf_add buf (Printf.sprintf "#define %s %d" (fresh_macro ()) (Rng.int rng 4096))
-    | 2 -> buf_add buf (Printf.sprintf "#undef %s" (some_macro ()))
-    | 3 when !depth < 3 ->
-      incr depth;
-      buf_add buf
-        (Printf.sprintf "#%s %s"
-           (if Rng.bool rng then "ifdef" else "ifndef")
-           (some_macro ()))
-    | 4 when !depth > 0 -> buf_add buf "#else"
-    | 5 when !depth > 0 ->
-      decr depth;
-      buf_add buf "#endif"
-    | _ ->
-      let n = Rng.range rng 2 6 in
-      buf_add buf "  x =";
-      for _ = 1 to n do
-        Buffer.add_char buf ' ';
-        if Rng.int rng 3 = 0 then buf_add buf (some_macro ())
-        else buf_add buf (Rng.word rng 2 7);
-        buf_add buf " +"
-      done;
-      buf_add buf " 1;");
-    Buffer.add_char buf '\n'
-  done;
-  for _ = 1 to !depth do
-    buf_add buf "#endif\n"
-  done;
-  Buffer.contents buf
-
 (* Full cccp diet: a source heavy in directives plus an include library
    (stream 1) of "%% name"-delimited sections.  Exercises #include,
    #if/#elif expressions over macros and defined(), comments spanning
@@ -303,29 +251,6 @@ let makefile ~seed ~targets =
   done;
   Buffer.contents buf
 
-(* Arithmetic expression statements for the yacc workload's grammar:
-   expr ';' sequences with nesting. *)
-let expressions ~seed ~count =
-  let rng = Rng.create seed in
-  let buf = Buffer.create (count * 24) in
-  let rec expr depth =
-    if depth = 0 || Rng.int rng 3 = 0 then
-      buf_add buf (string_of_int (Rng.range rng 1 999))
-    else begin
-      let parens = Rng.int rng 3 = 0 in
-      if parens then Buffer.add_char buf '(';
-      expr (depth - 1);
-      buf_add buf (Rng.pick rng [| "+"; "-"; "*"; "/" |]);
-      expr (depth - 1);
-      if parens then Buffer.add_char buf ')'
-    end
-  in
-  for _ = 1 to count do
-    expr (Rng.range rng 1 4);
-    buf_add buf ";\n"
-  done;
-  Buffer.contents buf
-
 (* Statements for the yacc workload's richer grammar: a mix of assignments
    and expression statements over variables, numbers, parentheses and
    unary minus.  Variables are used only after they have been assigned. *)
@@ -386,15 +311,6 @@ let statements ~seed ~count =
     end
     else expr (Rng.range rng 1 4);
     buf_add buf ";\n"
-  done;
-  Buffer.contents buf
-
-(* Newline-separated member names for the tar workload. *)
-let name_list ~seed ~count =
-  let rng = Rng.create seed in
-  let buf = Buffer.create (count * 12) in
-  for idx = 0 to count - 1 do
-    buf_add buf (Printf.sprintf "%s%d.txt\n" (Rng.word rng 3 8) idx)
   done;
   Buffer.contents buf
 

@@ -11,9 +11,6 @@ val c_source : seed:int -> lines:int -> string
 (** C-like source with declarations, control statements, comments and
     [#define] lines. *)
 
-val cpp_source : seed:int -> lines:int -> string
-(** C source with heavy [#define]/[#ifdef] usage for cccp. *)
-
 val cpp_source_with_includes : seed:int -> lines:int -> string * string
 (** (source, include library for stream 1): the full cccp diet —
     [#include], [#if]/[#elif] expressions, comments, literals, splices. *)
@@ -21,15 +18,9 @@ val cpp_source_with_includes : seed:int -> lines:int -> string * string
 val makefile : seed:int -> targets:int -> string
 (** Acyclic makefile-like rules with commands. *)
 
-val expressions : seed:int -> count:int -> string
-(** Arithmetic [expr ;] statements for the yacc grammar. *)
-
 val statements : seed:int -> count:int -> string
 (** Assignment and expression statements over variables for the yacc
     workload's full grammar; variables are used only after definition. *)
-
-val name_list : seed:int -> count:int -> string
-(** Newline-separated member names for tar. *)
 
 val tar_manifest : seed:int -> members:int -> string * string
 (** (manifest of "name size" lines, concatenated member contents). *)
@@ -37,9 +28,6 @@ val tar_manifest : seed:int -> members:int -> string * string
 val tar_archive : seed:int -> members:int -> string * (string * int) list
 (** (USTAR archive bytes matching the tar workload's create mode, member
     specs); input for its list/extract modes. *)
-
-val dsl_hash_string : string -> int -> int
-(** The DSL library's djb2 hash, for mirroring hash-derived values. *)
 
 val compressible : seed:int -> bytes:int -> string
 (** Repetitive payload so compress finds structure. *)

@@ -32,8 +32,6 @@ let ctype_image =
       in
       Char.chr flags)
 
-let globals = [ ("__ctype", Ir.Ast.Gbytes ctype_image) ]
-
 (* ctype tests: table lookup guarded against out-of-range codes (getc
    returns -1 at end of input). *)
 let ctype_fn name mask =

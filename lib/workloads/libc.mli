@@ -5,12 +5,6 @@
     dynamic traces (as in the paper) and unused functions become the
     zero-weight code the layout pushes out of the effective region. *)
 
-val ctype_image : string
-(** 256-byte classification table backing the [is_*] functions. *)
-
-val globals : (string * Ir.Ast.ginit) list
-val funcs : Ir.Ast.func list
-
 val link :
   ?globals:(string * Ir.Ast.ginit) list ->
   entry:string ->

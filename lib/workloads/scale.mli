@@ -13,6 +13,3 @@
 val apply : scale:int -> Bench.t -> Bench.t
 (** Identity for [scale <= 1].  Generated functions carry the [xscale_]
     and [xlib_] name prefixes. *)
-
-val transform : scale:int -> Ir.Ast.program -> Ir.Ast.program
-(** The underlying AST transform ([apply] on a lazy program). *)

@@ -50,11 +50,35 @@ let diamond_loop_func : Ir.Prog.func =
       |];
   }
 
+(* Hand-built CFG weights from block counts and (src, dst, count) arcs. *)
+let cfg_of_lists ~func_weight ~blocks ~arcs : Placement.Weight.cfg_weights =
+  let block_tbl = Hashtbl.create 16 in
+  List.iter (fun (l, c) -> Hashtbl.replace block_tbl l c) blocks;
+  let outs = Hashtbl.create 16 and ins = Hashtbl.create 16 in
+  List.iter
+    (fun (src, dst, c) ->
+      Hashtbl.replace outs src
+        ((dst, c) :: (Option.value ~default:[] (Hashtbl.find_opt outs src)));
+      Hashtbl.replace ins dst
+        ((src, c) :: (Option.value ~default:[] (Hashtbl.find_opt ins dst))))
+    arcs;
+  {
+    Placement.Weight.func_weight;
+    block =
+      (fun l ->
+        match Hashtbl.find_opt block_tbl l with Some c -> c | None -> 0);
+    arcs_out =
+      (fun l ->
+        match Hashtbl.find_opt outs l with Some a -> a | None -> []);
+    arcs_in =
+      (fun l -> match Hashtbl.find_opt ins l with Some a -> a | None -> []);
+  }
+
 (* Hand weights for [diamond_loop_func] where arm 2 dominates: the loop
    ran 100 times, 90 through block 2 and 10 through block 3. *)
 let diamond_weights ?(hot = 90) ?(cold = 10) () =
   let n = hot + cold in
-  Placement.Weight.cfg_of_lists ~func_weight:1
+  cfg_of_lists ~func_weight:1
     ~blocks:[ (0, 1); (1, n + 1); (2, hot); (3, cold); (4, n); (5, 1) ]
     ~arcs:
       [
@@ -92,3 +116,28 @@ let caller_prog =
 let random_addresses ~seed ~count ~max_addr =
   let rng = Workloads.Rng.create seed in
   Array.init count (fun _ -> Workloads.Rng.int rng max_addr / 4 * 4)
+
+let func_by_name (p : Ir.Prog.program) name =
+  p.Ir.Prog.funcs.(Ir.Prog.func_index p name)
+
+(* Every block of the map occupies a disjoint, contiguous address range. *)
+let is_disjoint (t : Placement.Address_map.t) =
+  let ranges = ref [] in
+  Array.iteri
+    (fun fid addrs ->
+      Array.iteri
+        (fun l addr ->
+          ranges :=
+            ( addr,
+              addr
+              + t.Placement.Address_map.block_words.(fid).(l)
+                * Ir.Insn.bytes_per_insn )
+            :: !ranges)
+        addrs)
+    t.Placement.Address_map.block_addr;
+  let sorted = List.sort compare !ranges in
+  let rec check = function
+    | (_, e1) :: ((s2, _) :: _ as rest) -> e1 <= s2 && check rest
+    | [ _ ] | [] -> true
+  in
+  check sorted

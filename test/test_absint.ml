@@ -258,7 +258,11 @@ let prop_domains_consistent =
         (fun config ->
           let a = Analysis.Absint.analyze config map prog in
           a.Analysis.Absint.consistent)
-        Experiments.Absint_exp.oracle_configs)
+        (* the soundness oracle's geometries: 512B/16B direct, 2-way *)
+        [
+          Icache.Config.make ~size:512 ~block:16 ();
+          Icache.Config.make ~size:512 ~block:16 ~assoc:(Ways 2) ();
+        ])
 
 (* Random age vectors over a fixed line universe: the joins must be
    upper/lower bounds and the transfers monotone in the domain order
@@ -337,9 +341,16 @@ let yacc_8kb_ranking () =
   let ctx = Experiments.Context.create ~names:[ "yacc" ] () in
   let e = List.hd (Experiments.Context.entries ctx) in
   let config = Icache.Config.make ~size:8192 ~block:64 () in
+  let results =
+    Experiments.Absint_exp.sweep ~config
+      ~strategies:(List.map Placement.Strategy.find [ "impact"; "natural" ])
+      ctx
+  in
   let certified s =
-    (Experiments.Absint_exp.analyze_entry ~config e
-       (Placement.Strategy.find s))
+    (List.find
+       (fun (r : Experiments.Absint_exp.result) ->
+         r.Experiments.Absint_exp.strategy.Placement.Strategy.id = s)
+       results)
       .Experiments.Absint_exp.certified
       .Analysis.Absint.hi
   in

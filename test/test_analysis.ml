@@ -1,6 +1,6 @@
-(* Static-analysis layer: dominators/post-dominators on hand-built CFGs
-   (including an irreducible one), natural-loop nesting, register
-   liveness, the reachability unification, a dominator/reachability
+(* Static-analysis layer: dominators on hand-built CFGs (including an
+   irreducible one), natural-loop nesting, the reachability unification
+   and the dataflow solver's iteration cap, a dominator/reachability
    consistency property over generated programs, and the layout linter
    (hand-built error input, golden output on the cmp benchmark, static
    ranking, and the no-simulation guarantee). *)
@@ -89,6 +89,18 @@ let labels n = List.init n Fun.id
 
 (* --- dominators ------------------------------------------------------ *)
 
+(* All dominators of a node, from the node itself up to the root; [[]]
+   when disconnected. *)
+let dom_set (t : Analysis.Dom.t) v =
+  let rec up v acc =
+    if v = t.Analysis.Dom.root then List.rev (v :: acc)
+    else up t.Analysis.Dom.idom.(v) (v :: acc)
+  in
+  if t.Analysis.Dom.idom.(v) < 0 then [] else up v []
+
+(* Tree depth of a node (root = 0); -1 when disconnected. *)
+let depth t v = List.length (dom_set t v) - 1
+
 let dominators_diamond () =
   let dom = Analysis.Dom.dominators diamond in
   Alcotest.(check (list int))
@@ -100,27 +112,9 @@ let dominators_diamond () =
     (Analysis.Dom.dominates dom 3 5);
   Alcotest.(check bool) "reflexive" true (Analysis.Dom.dominates dom 3 3);
   Alcotest.(check (list int))
-    "dom_set walks to the root" [ 5; 2; 1; 0 ] (Analysis.Dom.dom_set dom 5);
-  Alcotest.(check int) "depth of join" 3 (Analysis.Dom.depth dom 5);
-  Alcotest.(check int) "depth of entry" 0 (Analysis.Dom.depth dom 0);
-  Alcotest.(check (option int))
-    "no virtual exit on a dominator tree" None (Analysis.Dom.virtual_exit dom)
-
-let post_dominators_diamond () =
-  let pdom = Analysis.Dom.post_dominators diamond in
-  let exit = Array.length diamond.Prog.blocks in
-  Alcotest.(check (option int))
-    "virtual exit" (Some exit)
-    (Analysis.Dom.virtual_exit pdom);
-  (* Both arms rejoin at 5; the loop can only leave through the header,
-     so the header's immediate post-dominator is the real exit block. *)
-  Alcotest.(check (list int))
-    "ipdom per block (virtual exit last)" [ 1; 6; 5; 5; 5; 1; exit; exit ]
-    (Array.to_list pdom.Analysis.Dom.idom);
-  Alcotest.(check bool) "exit block post-dominates loop head" true
-    (Analysis.Dom.dominates pdom 6 1);
-  Alcotest.(check bool) "hot arm does not post-dominate diamond head" false
-    (Analysis.Dom.dominates pdom 3 2)
+    "dom_set walks to the root" [ 5; 2; 1; 0 ] (dom_set dom 5);
+  Alcotest.(check int) "depth of join" 3 (depth dom 5);
+  Alcotest.(check int) "depth of entry" 0 (depth dom 0)
 
 let dominators_dead_blocks () =
   let dom = Analysis.Dom.dominators dead_block_func in
@@ -128,8 +122,8 @@ let dominators_dead_blocks () =
     dom.Analysis.Dom.idom.(1);
   Alcotest.(check bool) "nothing dominates a dead block" false
     (Analysis.Dom.dominates dom 0 1);
-  Alcotest.(check (list int)) "empty dom_set" [] (Analysis.Dom.dom_set dom 1);
-  Alcotest.(check int) "depth is -1" (-1) (Analysis.Dom.depth dom 1)
+  Alcotest.(check (list int)) "empty dom_set" [] (dom_set dom 1);
+  Alcotest.(check int) "depth is -1" (-1) (depth dom 1)
 
 (* --- loops ----------------------------------------------------------- *)
 
@@ -163,7 +157,8 @@ let loop_nesting () =
   Alcotest.(check int) "diamond has one loop" 1
     (Array.length d.Analysis.Loops.loops);
   Alcotest.(check (list int))
-    "diamond loop body" [ 1; 2; 3; 4; 5 ] (Analysis.Loops.blocks_of d 0);
+    "diamond loop body" [ 1; 2; 3; 4; 5 ]
+    d.Analysis.Loops.loops.(0).Analysis.Loops.body;
   Alcotest.(check (list int))
     "diamond latch" [ 5 ]
     d.Analysis.Loops.loops.(0).Analysis.Loops.latches
@@ -181,88 +176,79 @@ let irreducible_detected () =
     "diamond reducible" []
     (Analysis.Loops.of_func diamond).Analysis.Loops.irreducible_edges
 
-(* --- liveness -------------------------------------------------------- *)
-
-let elems s = Analysis.Bitset.elements s
-
-let liveness_diamond () =
-  let t = Analysis.Live.of_func diamond in
-  (* r0 (the parameter bound) and r3 (the accumulator, read before any
-     write on the loop path) are live into the entry; r1 is defined
-     there first. *)
-  Alcotest.(check (list int))
-    "live into entry" [ 0; 3 ]
-    (elems t.Analysis.Live.live_in.(0));
-  Alcotest.(check (list int))
-    "live out of loop head" [ 0; 1; 3 ]
-    (elems t.Analysis.Live.live_out.(1));
-  Alcotest.(check (list int))
-    "only the result lives into the exit" [ 3 ]
-    (elems t.Analysis.Live.live_in.(6));
-  Alcotest.(check (list int))
-    "exit is the boundary" []
-    (elems t.Analysis.Live.live_out.(6));
-  (* Block-local use/def of the diamond head: reads r3 and r1, defines
-     the comparison result r2 (read only by its own terminator, after
-     the def). *)
-  Alcotest.(check (list int))
-    "use of diamond head" [ 1; 3 ]
-    (elems t.Analysis.Live.use.(2));
-  Alcotest.(check (list int))
-    "def of diamond head" [ 2 ]
-    (elems t.Analysis.Live.def.(2))
-
-let dead_stores () =
-  let f : Prog.func =
-    {
-      Prog.name = "deadstore";
-      nparams = 0;
-      nregs = 1;
-      blocks =
-        [|
-          b
-            [ Insn.Mov (0, Imm 1); Insn.Mov (0, Imm 2) ]
-            (Ret (Some (Insn.Reg 0)));
-        |];
-    }
-  in
-  let t = Analysis.Live.of_func f in
-  Alcotest.(check (list (pair int int)))
-    "the overwritten store is dead" [ (0, 0) ]
-    (Analysis.Live.dead_stores f t);
-  Alcotest.(check (list (pair int int)))
-    "no dead stores in the diamond" []
-    (Analysis.Live.dead_stores diamond (Analysis.Live.of_func diamond))
-
 (* --- reachability unification ---------------------------------------- *)
 
+(* Reachability as a one-bit instance of the dataflow solver: the entry
+   boundary carries [true], the transfer is the identity and the join is
+   disjunction, so [v_out.(l)] holds iff block [l] is reachable. *)
+let reach_dataflow ?max_iters (f : Prog.func) =
+  let blocks = f.Prog.blocks in
+  let n = Array.length blocks in
+  let preds = Analysis.Dataflow.cfg_preds blocks in
+  Analysis.Dataflow.solve_values ?max_iters
+    {
+      Analysis.Dataflow.v_nnodes = n;
+      v_succs = (fun l -> Cfg.successors blocks.(l));
+      v_preds = (fun l -> preds.(l));
+      v_boundary = (if n = 0 then [] else [ 0 ]);
+      v_boundary_value = ref true;
+      v_lattice =
+        {
+          Analysis.Dataflow.make = (fun () -> ref false);
+          assign = (fun ~dst src -> dst := !src);
+          join_into = (fun ~dst src -> dst := !dst || !src);
+          equal = (fun a b -> !a = !b);
+        };
+      v_transfer = (fun _ ~src ~dst -> dst := !src);
+    }
+
+(* The join block 3's first predecessor (block 1) is dead, so its
+   reachability comes only from joining the second one. *)
+let dead_first_pred_func : Prog.func =
+  {
+    Prog.name = "deadfirstpred";
+    nparams = 0;
+    nregs = 1;
+    blocks = [| b [] (Jump 2); b [] (Jump 3); b [] (Jump 3); b [] (Ret None) |];
+  }
+
 let reach_unified () =
-  Alcotest.(check (list int))
-    "dead block found" [ 1 ]
-    (Analysis.Reach.unreachable dead_block_func);
-  (* One definition of "dead block": the pass is the canonical
-     [Ir.Cfg.reachable] that the simplifier sweeps with. *)
+  Alcotest.(check (list bool))
+    "dead block found" [ true; false; true ]
+    (Array.to_list (Cfg.reachable dead_block_func.Prog.blocks));
+  (* One definition of "dead block": the canonical [Ir.Cfg.reachable]
+     DFS, and the dataflow phrasing of the same fact agrees with it. *)
   List.iter
     (fun (f : Prog.func) ->
-      Alcotest.(check (list bool))
-        ("agrees with Cfg.reachable on " ^ f.Prog.name)
-        (Array.to_list (Cfg.reachable f.Prog.blocks))
-        (Array.to_list (Analysis.Reach.func f)))
-    [ diamond; dead_block_func; irreducible_func; nested_loops_func ];
-  (* ... and the dataflow phrasing of the same fact agrees with the
-     DFS. *)
-  List.iter
-    (fun (f : Prog.func) ->
-      let reach = Analysis.Reach.func f in
-      let df = Analysis.Reach.as_dataflow f in
+      let reach = Cfg.reachable f.Prog.blocks in
+      let df = reach_dataflow f in
+      Alcotest.(check bool) (f.Prog.name ^ " not capped") false
+        df.Analysis.Dataflow.v_capped;
       List.iter
         (fun l ->
           Alcotest.(check bool)
             (Printf.sprintf "dataflow reach of %s.b%d" f.Prog.name l)
-            reach.(l)
-            (not (Analysis.Bitset.is_empty df.Analysis.Dataflow.out.(l))))
+            reach.(l) !(df.Analysis.Dataflow.v_out.(l)))
         (labels (Array.length f.Prog.blocks)))
-    [ diamond; dead_block_func; irreducible_func ]
+    [
+      diamond;
+      dead_block_func;
+      irreducible_func;
+      nested_loops_func;
+      dead_first_pred_func;
+    ]
+
+(* A one-pop cap stops the worklist before the fixpoint: the solution is
+   flagged and carries exactly one Lint-stage warning. *)
+let dataflow_cap () =
+  let df = reach_dataflow ~max_iters:1 nested_loops_func in
+  Alcotest.(check bool) "capped" true df.Analysis.Dataflow.v_capped;
+  Alcotest.(check int) "one pop" 1 df.Analysis.Dataflow.v_iterations;
+  match df.Analysis.Dataflow.v_warnings with
+  | [ d ] ->
+    Alcotest.(check bool) "Lint stage" true (d.Diag.stage = Diag.Lint);
+    Alcotest.(check bool) "warning" true (d.Diag.severity = Diag.Warning)
+  | ws -> Alcotest.failf "expected one cap warning, got %d" (List.length ws)
 
 (* --- property: dominators are consistent with reachability ----------- *)
 
@@ -273,9 +259,9 @@ let prop_dom_reach =
       let prog = Lower.program (Gen.generate ~size:30 seed) in
       Array.for_all
         (fun (f : Prog.func) ->
-          let reach = Analysis.Reach.func f in
+          let reach = Cfg.reachable f.Prog.blocks in
           let dom = Analysis.Dom.dominators f in
-          let df = Analysis.Reach.as_dataflow f in
+          let df = reach_dataflow f in
           List.for_all
             (fun l ->
               (* Entry dominates exactly the reachable blocks; every
@@ -283,12 +269,8 @@ let prop_dom_reach =
                  dataflow instance agrees with the DFS. *)
               Analysis.Dom.dominates dom 0 l = reach.(l)
               && (reach.(l) = (dom.Analysis.Dom.idom.(l) >= 0))
-              && List.for_all
-                   (fun d -> reach.(d))
-                   (Analysis.Dom.dom_set dom l)
-              && reach.(l)
-                 = not
-                     (Analysis.Bitset.is_empty df.Analysis.Dataflow.out.(l)))
+              && List.for_all (fun d -> reach.(d)) (dom_set dom l)
+              && reach.(l) = !(df.Analysis.Dataflow.v_out.(l)))
             (labels (Array.length f.Prog.blocks)))
         prog.Prog.funcs)
 
@@ -305,14 +287,21 @@ let no_calls =
 let lint_dead_weight () =
   let program = Prog.make ~entry:"deadblock" [ dead_block_func ] in
   let weights _ =
-    Placement.Weight.cfg_of_lists ~func_weight:5
+    Helpers.cfg_of_lists ~func_weight:5
       ~blocks:[ (0, 5); (1, 3); (2, 5) ]
       ~arcs:[ (0, 2, 5); (1, 2, 3) ]
   in
   let input =
-    Analysis.Lint.make_input ~program ~weights ~calls:no_calls
-      ~map:(Placement.Address_map.natural program)
-      ~config:Experiments.Lint_exp.default_config ()
+    {
+      Analysis.Lint.program;
+      weights;
+      calls = no_calls;
+      profile = None;
+      map = Placement.Address_map.natural program;
+      config = Icache.Config.make ~size:2048 ~block:64 ();
+      strategy = None;
+      min_prob = Placement.Trace_select.default_min_prob;
+    }
   in
   let report = Analysis.Lint.run input in
   (match Analysis.Lint.errors report with
@@ -388,8 +377,8 @@ let golden_lint_cmp () =
   | Some (Obs.Json.String s) ->
     Alcotest.(check string) "schema" "impact.lint/v1" s
   | _ -> Alcotest.fail "schema missing");
-  match Option.bind (Obs.Json.member "results" json) Obs.Json.to_list with
-  | Some [ _ ] -> ()
+  match Obs.Json.member "results" json with
+  | Some (Obs.Json.List [ _ ]) -> ()
   | _ -> Alcotest.fail "results should hold exactly the one linted strategy"
 
 let lint_ranking_no_simulation () =
@@ -424,14 +413,15 @@ let lint_ranking_no_simulation () =
         (List.exists
            (fun (ev : Obs.Span.event) -> ev.Obs.Span.name = "lint." ^ pass)
            events))
-    Analysis.Lint.pass_names;
+    [
+      "flow"; "unreachable"; "hot-arc"; "loop-split"; "set-conflict"; "absint";
+    ];
   (* Static ranking: the profile-guided placement must statically beat
      the natural order, matching the simulated miss-ratio ordering. *)
   let ids =
     List.map
-      (fun (r : Experiments.Lint_exp.result) ->
-        r.Experiments.Lint_exp.strategy.Placement.Strategy.id)
-      (Experiments.Lint_exp.rank results)
+      (fun row -> List.hd (String.split_on_char ' ' (List.nth row 1)))
+      (Report.Table.rows (Experiments.Lint_exp.ranking_table "cmp" results))
   in
   let pos id =
     match List.find_index (String.equal id) ids with
@@ -445,15 +435,12 @@ let lint_ranking_no_simulation () =
 let suite =
   [
     Alcotest.test_case "dominators: diamond" `Quick dominators_diamond;
-    Alcotest.test_case "post-dominators: diamond" `Quick
-      post_dominators_diamond;
     Alcotest.test_case "dominators: dead blocks" `Quick
       dominators_dead_blocks;
     Alcotest.test_case "loop nesting" `Quick loop_nesting;
     Alcotest.test_case "irreducible graph" `Quick irreducible_detected;
-    Alcotest.test_case "liveness: diamond" `Quick liveness_diamond;
-    Alcotest.test_case "dead stores" `Quick dead_stores;
     Alcotest.test_case "reachability unified" `Quick reach_unified;
+    Alcotest.test_case "dataflow: iteration cap" `Quick dataflow_cap;
     QCheck_alcotest.to_alcotest prop_dom_reach;
     Alcotest.test_case "lint: dead weight is an error" `Quick
       lint_dead_weight;

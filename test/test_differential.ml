@@ -49,7 +49,7 @@ let prop_pipeline_invariants =
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let program = pl.Placement.Pipeline.program in
       Ir.Check.program program;
-      Placement.Address_map.is_disjoint pl.Placement.Pipeline.optimized
+      Helpers.is_disjoint pl.Placement.Pipeline.optimized
       && Placement.Global_layout.is_permutation pl.Placement.Pipeline.global
            (Array.length program.Ir.Prog.funcs)
       && Array.for_all

@@ -31,10 +31,12 @@ let aggressive =
 let simple_splice () =
   let p = Ir.Lower.program caller_prog in
   let prof = Vm.Profile.profile p [ Vm.Io.input [] ] in
-  let p', n =
-    Placement.Inline.expand_once aggressive ~budget:100000 p prof
+  let p', report, _ =
+    Placement.Inline.expand ~config:{ aggressive with rounds = 1 }
+      ~profile:prof p ~inputs:[ Vm.Io.input [] ]
   in
-  Alcotest.(check int) "one site inlined" 1 n;
+  Alcotest.(check int) "one site inlined" 1
+    report.Placement.Inline.sites_inlined;
   Ir.Check.program p';
   let r = Vm.Interp.run p' (Vm.Io.input []) in
   Alcotest.(check int) "behavior preserved" 90 r.Vm.Interp.return_value;
@@ -91,9 +93,12 @@ let recursion_not_inlined () =
   let prof = Vm.Profile.profile p [ Vm.Io.input [] ] in
   (* fact -> fact is recursive; main -> fact is fine (fact cannot reach
      main). *)
-  let p', _ = Placement.Inline.expand_once aggressive ~budget:100000 p prof in
+  let p', _, _ =
+    Placement.Inline.expand ~config:{ aggressive with rounds = 1 }
+      ~profile:prof p ~inputs:[ Vm.Io.input [] ]
+  in
   Ir.Check.program p';
-  let fact = Ir.Prog.func_by_name p' "fact" in
+  let fact = Helpers.func_by_name p' "fact" in
   let still_recursive =
     Array.exists
       (fun b -> Ir.Cfg.callee b = Some "fact")

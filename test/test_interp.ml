@@ -50,7 +50,8 @@ let faults () =
   expect_fault "rem by zero" [ decl "z" (i 0); ret (i 1 %% v "z") ];
   expect_fault "null load" [ ret (ld8 (i 0)) ];
   expect_fault "null store" [ st32 (i 12) (i 1); ret0 ];
-  expect_fault "abort" [ abort_; ret0 ];
+  expect_fault "abort"
+    [ Ir.Ast.Expr (Ir.Ast.Intrin (Ir.Insn.Abort, [])); ret0 ];
   (* fuel exhaustion *)
   (match
      Vm.Interp.run ~fuel:1000
@@ -104,15 +105,12 @@ let counted_arcs () =
   Alcotest.(check bool) "arcs observed" true (!arcs > 0)
 
 let memory_roundtrip () =
-  let m = Vm.Memory.create 4096 in
+  let m = Vm.Memory.of_program (Ir.Lower.program (main_prog [ ret0 ])) in
   Vm.Memory.write32 m 8192 0x12345678;
   Alcotest.(check int) "read32" 0x12345678 (Vm.Memory.read32 m 8192);
   Vm.Memory.write8 m 8192 0xff;
   Alcotest.(check int) "write8 modifies low byte" 0x123456ff
     (Vm.Memory.read32 m 8192);
-  Vm.Memory.blit_string m "hello" 9000;
-  Alcotest.(check string) "blit/read_string" "hello"
-    (Vm.Memory.read_string m 9000 5);
   Alcotest.(check int) "uninitialized reads as zero" 0 (Vm.Memory.read32 m 20000);
   Alcotest.check_raises "low address faults"
     (Vm.Memory.Fault "access to unmapped low address 0") (fun () ->

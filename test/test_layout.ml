@@ -20,7 +20,7 @@ let func_layout_basics () =
 let zero_blocks_sink () =
   (* Blocks 3 and 5 never execute: they must sink below the active split. *)
   let w =
-    Placement.Weight.cfg_of_lists ~func_weight:1
+    Helpers.cfg_of_lists ~func_weight:1
       ~blocks:[ (0, 1); (1, 101); (2, 100); (4, 100) ]
       ~arcs:[ (0, 1, 1); (1, 2, 100); (2, 4, 100); (4, 1, 100) ]
   in
@@ -77,9 +77,9 @@ let address_map_properties () =
   let opt = p.Placement.Pipeline.optimized in
   let nat = p.Placement.Pipeline.natural in
   Alcotest.(check bool) "optimized disjoint" true
-    (Placement.Address_map.is_disjoint opt);
+    (Helpers.is_disjoint opt);
   Alcotest.(check bool) "natural disjoint" true
-    (Placement.Address_map.is_disjoint nat);
+    (Helpers.is_disjoint nat);
   Alcotest.(check int) "same total bytes" nat.Placement.Address_map.total_bytes
     opt.Placement.Address_map.total_bytes;
   Alcotest.(check bool) "effective <= total" true
@@ -114,7 +114,7 @@ let ph_intra () =
   (* Zero-weight function: empty active region. *)
   let z =
     Placement.Ph_layout.layout diamond_loop_func
-      (Placement.Weight.cfg_of_lists ~func_weight:0 ~blocks:[] ~arcs:[])
+      (Helpers.cfg_of_lists ~func_weight:0 ~blocks:[] ~arcs:[])
   in
   Alcotest.(check int) "unexecuted inactive" 0 z.Placement.Func_layout.active_blocks
 
@@ -146,8 +146,8 @@ let ph_end_to_end () =
   (* P-H maps are valid address maps and preserve program size. *)
   let ctx = Experiments.Context.create ~names:[ "tee" ] () in
   let e = List.hd (Experiments.Context.entries ctx) in
-  let map = Experiments.Context.strategy_map e Placement.Strategy.ph in
-  Alcotest.(check bool) "disjoint" true (Placement.Address_map.is_disjoint map);
+  let map = Experiments.Context.strategy_map e (Placement.Strategy.find "ph") in
+  Alcotest.(check bool) "disjoint" true (Helpers.is_disjoint map);
   Alcotest.(check int) "same total bytes"
     (Experiments.Context.optimized_map e).Placement.Address_map.total_bytes
     map.Placement.Address_map.total_bytes
@@ -162,7 +162,7 @@ let prop_scaled_disjoint =
       let p = Ir.Lower.program caller_prog in
       let scaled = Ir.Prog.scale_code factor p in
       let map = Placement.Address_map.natural scaled in
-      Placement.Address_map.is_disjoint map
+      Helpers.is_disjoint map
       && map.Placement.Address_map.total_bytes
          = Ir.Prog.total_byte_size scaled)
 

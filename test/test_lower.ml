@@ -195,7 +195,7 @@ let structure () =
 
 let prologue_size_model () =
   let p = Ir.Lower.program caller_prog in
-  let f = Ir.Prog.func_by_name p "twice" in
+  let f = Helpers.func_by_name p "twice" in
   let entry = f.Ir.Prog.blocks.(0) in
   let base = Array.length entry.Ir.Cfg.insns + 1 in
   Alcotest.(check bool) "entry block carries prologue+epilogue padding" true

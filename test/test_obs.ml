@@ -293,7 +293,7 @@ let metrics_quantiles () =
     (Obs.Metrics.hist_quantile h1 0.5)
 
 (* The empty-histogram contract: every statistic is 0., never inf or
-   NaN, in the accessors, the text dump, and the JSON export. *)
+   NaN, in the accessors and the text dump. *)
 let metrics_empty_histogram () =
   with_clean_telemetry @@ fun () ->
   Obs.Metrics.set_enabled true;
@@ -315,37 +315,7 @@ let metrics_empty_histogram () =
   Alcotest.(check bool) "dump lists the empty histogram" true
     (contains ~needle:"test.obs.empty" dump);
   Alcotest.(check bool) "dump has no inf/nan" false
-    (contains ~needle:"inf" dump || contains ~needle:"nan" dump);
-  (* JSON export: the histogram row is present, all-zero, and the
-     document roundtrips through the in-tree parser. *)
-  let doc = Obs.Metrics.to_json () in
-  (match Obs.Json.member "schema" doc with
-  | Some (Obs.Json.String "impact.metrics/v1") -> ()
-  | _ -> Alcotest.fail "metrics export lacks impact.metrics/v1 schema");
-  let reparsed = Obs.Json.parse_exn (Obs.Json.to_string doc) in
-  let rows =
-    match Obs.Json.member "metrics" reparsed with
-    | Some (Obs.Json.List rows) -> rows
-    | _ -> Alcotest.fail "metrics export lacks a metrics list"
-  in
-  let row =
-    List.find_opt
-      (fun r ->
-        Obs.Json.member "name" r = Some (Obs.Json.String "test.obs.empty"))
-      rows
-  in
-  match row with
-  | None -> Alcotest.fail "empty histogram missing from JSON export"
-  | Some r ->
-      List.iter
-        (fun k ->
-          match Obs.Json.member k r with
-          | Some (Obs.Json.Float 0.0) | Some (Obs.Json.Int 0) -> ()
-          | Some j ->
-              Alcotest.failf "empty histogram %s = %s, want 0" k
-                (Obs.Json.to_string j)
-          | None -> Alcotest.failf "empty histogram row lacks %S" k)
-        [ "n"; "sum"; "min"; "mean"; "max"; "p50"; "p90"; "p99" ]
+    (contains ~needle:"inf" dump || contains ~needle:"nan" dump)
 
 (* The dump prints the same quantiles the accessors answer. *)
 let metrics_dump_quantiles () =
@@ -382,23 +352,20 @@ let log_sink_and_quiet () =
   let got = ref [] in
   Obs.Log.set_sink (fun level msg -> got := (level, msg) :: !got);
   Obs.Log.set_quiet false;
-  Obs.Log.info "hello %d" 1;
   Obs.Log.warn "weird %s" "thing";
   Obs.Log.error "broke";
   Obs.Log.warn_raw "[warning strategy ph] preformatted";
   (match List.rev !got with
   | [
-   (Obs.Log.Info, "hello 1");
    (Obs.Log.Warn, "[warning] weird thing");
    (Obs.Log.Error, "[error] broke");
    (Obs.Log.Warn, "[warning strategy ph] preformatted");
   ] ->
     ()
   | msgs -> Alcotest.failf "unexpected log stream (%d messages)" (List.length msgs));
-  (* Quiet drops Info and Warn; Error always reaches the sink. *)
+  (* Quiet drops Warn; Error always reaches the sink. *)
   got := [];
   Obs.Log.set_quiet true;
-  Obs.Log.info "dropped";
   Obs.Log.warn "dropped";
   Obs.Log.warn_raw "dropped";
   Obs.Log.error "kept";

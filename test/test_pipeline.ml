@@ -19,7 +19,7 @@ let structural_invariants () =
       let p = run_pipeline name in
       Ir.Check.program p.Placement.Pipeline.program;
       Alcotest.(check bool) (name ^ ": optimized map disjoint") true
-        (Placement.Address_map.is_disjoint p.Placement.Pipeline.optimized);
+        (Helpers.is_disjoint p.Placement.Pipeline.optimized);
       Alcotest.(check bool) (name ^ ": global order is a permutation") true
         (Placement.Global_layout.is_permutation p.Placement.Pipeline.global
            (Array.length p.Placement.Pipeline.program.Ir.Prog.funcs));

@@ -111,6 +111,39 @@ let protocol_roundtrip () =
        ]);
   expect_usage "truncated" {|{"schema":"impact.serve/v1","ty|}
 
+(* The hot-arc threshold is a probability: a lint request carrying a
+   value outside [0, 1] is a usage error, the bounds themselves are
+   accepted. *)
+let lint_min_prob_range () =
+  let lint_line p =
+    request ~id:1 ~typ:"lint-request"
+      [ ("bench", Obs.Json.String bench); ("min_prob", Obs.Json.Float p) ]
+  in
+  List.iter
+    (fun p ->
+      match Serve.Protocol.parse_request (lint_line p) with
+      | Error (_, e) ->
+        Alcotest.(check int) (Printf.sprintf "min_prob %g code" p) 2 e.code;
+        Alcotest.(check string)
+          (Printf.sprintf "min_prob %g message" p)
+          "min_prob must be in [0, 1]" e.message
+      | Ok _ -> Alcotest.failf "min_prob %g accepted" p)
+    [ 7.0; -0.5; 1.5 ];
+  List.iter
+    (fun p ->
+      match Serve.Protocol.parse_request (lint_line p) with
+      | Ok { req = Serve.Protocol.Lint_request r; _ } ->
+        Alcotest.(check (option (float 0.)))
+          (Printf.sprintf "min_prob %g kept" p)
+          (Some p) r.min_prob
+      | _ -> Alcotest.failf "min_prob %g rejected" p)
+    [ 0.0; 0.3; 1.0 ];
+  (* Through the serve loop the rejection is one usage-error response. *)
+  let resp, stopped = serve_one (Lazy.force shared) (lint_line 7.0) in
+  Alcotest.(check string) "error status" "error" (status_of resp);
+  Alcotest.(check int) "usage code" 2 (error_code resp);
+  Alcotest.(check bool) "daemon keeps serving" false stopped
+
 let error_taxonomy () =
   let open Serve.Protocol in
   Alcotest.(check int) "unknown bench is usage" 2
@@ -122,7 +155,7 @@ let error_taxonomy () =
   Alcotest.(check int) "internal code" 1 (error_of_exn Not_found).code;
   let d = Ir.Diag.make ~stage:Ir.Diag.Strategy "boom" in
   Alcotest.(check int) "diag keeps its taxonomy code"
-    (Ir.Diag.exit_code d) (error_of_diag d).code
+    (Ir.Diag.exit_code d) (error_of_exn (Ir.Diag.Fail d)).code
 
 (* ------------------------------------------------------------------ *)
 (* Isolation: every abuse is one error response, never a crash         *)
@@ -634,6 +667,46 @@ let upload_line ~id ~name ~epoch =
     (Serve.Protocol.upload_request_of_profile ~id:(Obs.Json.Int id) ~name
        ~bench ~epoch (pipeline_profile ()))
 
+(* The custom-profile map cache is LRU under [map_cap]: a hit refreshes
+   its entry, so after A, B, A, C the victim is B, a following A still
+   hits, and B comes back only by evicting again. *)
+let custom_map_lru_cap () =
+  let config = { small_config with Serve.Daemon.map_cap = 2 } in
+  let layout ~id name =
+    layout_line ~id [ ("profile", Obs.Json.String name) ]
+  in
+  let out =
+    run_stream ~config
+      [
+        upload_line ~id:1 ~name:"A" ~epoch:1;
+        upload_line ~id:2 ~name:"B" ~epoch:1;
+        upload_line ~id:3 ~name:"C" ~epoch:1;
+        layout ~id:4 "A";
+        layout ~id:5 "B";
+        layout ~id:6 "A";
+        layout ~id:7 "C";
+        request ~id:8 ~typ:"stats" [];
+        layout ~id:9 "A";
+        request ~id:10 ~typ:"stats" [];
+        layout ~id:11 "B";
+        request ~id:12 ~typ:"stats" [];
+      ]
+  in
+  Alcotest.(check int) "one response per request" 12 (List.length out);
+  List.iteri
+    (fun i resp ->
+      Alcotest.(check string) (Printf.sprintf "response %d ok" (i + 1)) "ok"
+        (status_of resp))
+    out;
+  let maps_evicted n =
+    match Obs.Json.member "evictions" (List.nth out (n - 1)) with
+    | Some ev -> int_field "maps" ev
+    | None -> Alcotest.failf "stats %d lacks evictions" n
+  in
+  Alcotest.(check int) "A, B, A, C evicts once" 1 (maps_evicted 8);
+  Alcotest.(check int) "the refreshed A still hits" 1 (maps_evicted 10);
+  Alcotest.(check int) "B was the victim" 2 (maps_evicted 12)
+
 let stats_v2_fields () =
   let out =
     run_stream
@@ -852,6 +925,7 @@ let suite =
   [
     Alcotest.test_case "protocol roundtrip" `Quick protocol_roundtrip;
     Alcotest.test_case "error taxonomy" `Quick error_taxonomy;
+    Alcotest.test_case "lint min_prob range" `Quick lint_min_prob_range;
     Alcotest.test_case "request isolation" `Quick request_isolation;
     Alcotest.test_case "oversize bounded" `Quick oversize_bounded;
     Alcotest.test_case "self-merge doubles weights" `Quick merge_self_doubles;
@@ -870,6 +944,7 @@ let suite =
     Alcotest.test_case "context unpins evicted maps" `Quick
       context_unpins_evicted_maps;
     Alcotest.test_case "strategy map cap" `Quick strategy_map_cap;
+    Alcotest.test_case "custom map LRU cap" `Quick custom_map_lru_cap;
     Alcotest.test_case "golden vector replay" `Quick golden_replay;
     Alcotest.test_case "batching deterministic" `Quick batching_deterministic;
     Alcotest.test_case "lone client answered" `Quick lone_client_answered;

@@ -74,6 +74,9 @@ let driver_metrics () =
     (r.Sim.Driver.eat_blocking >= r.Sim.Driver.eat_streaming);
   Alcotest.(check bool) "eat >= hit time" true (r.Sim.Driver.eat_streaming >= 1.)
 
+let total (c : Sim.Classify.counts) =
+  c.Sim.Classify.desirable + c.Sim.Classify.undesirable + c.Sim.Classify.neutral
+
 let classification () =
   (* Force one trace per block (min_prob > 1 forbids all growth): then no
      transfer is ever "desirable", and every arc goes tail->head, i.e.
@@ -107,30 +110,40 @@ let classification () =
   Alcotest.(check bool) "desirable dominates undesirable" true
     (c2.Sim.Classify.desirable > c2.Sim.Classify.undesirable);
   Alcotest.(check int) "same total transfers"
-    (Sim.Classify.total counts) (Sim.Classify.total c2)
+    (total counts) (total c2)
+
+(* Stall cycles of one miss, read back through the accumulated effective
+   access time: one access costs the hit time plus its stall. *)
+let miss_stall model policy ~words_per_block ~word_in_block ~run_words
+    ~fetched_words =
+  let t = Icache.Timing.create ~model policy in
+  Icache.Timing.on_miss t ~words_per_block ~word_in_block ~run_words
+    ~fetched_words;
+  int_of_float (Icache.Timing.effective_access_time t)
+  - model.Icache.Timing.hit_cycles
 
 let timing_model () =
   let model = { Icache.Timing.hit_cycles = 1; mem_latency = 10 } in
   (* Blocking: always latency + whole block. *)
   Alcotest.(check int) "blocking" 26
-    (Icache.Timing.miss_stall model Icache.Timing.Blocking ~words_per_block:16
+    (miss_stall model Icache.Timing.Blocking ~words_per_block:16
        ~word_in_block:3 ~run_words:5 ~fetched_words:16);
   (* Streaming: wait for words before the miss; leaving early pays the
      remaining fill. *)
   let s =
-    Icache.Timing.miss_stall model Icache.Timing.Streaming ~words_per_block:16
+    miss_stall model Icache.Timing.Streaming ~words_per_block:16
       ~word_in_block:0 ~run_words:16 ~fetched_words:16
   in
   Alcotest.(check int) "streaming straight-line run" 10 s;
   let s2 =
-    Icache.Timing.miss_stall model Icache.Timing.Streaming ~words_per_block:16
+    miss_stall model Icache.Timing.Streaming ~words_per_block:16
       ~word_in_block:8 ~run_words:0 ~fetched_words:16
   in
   (* miss at word 8, immediate branch: initial 18, tail = 26-18 = ... *)
   Alcotest.(check bool) "early branch pays the tail" true (s2 > 18 - 1);
   (* Partial: fill starts at the miss, minimal initial wait. *)
   let p =
-    Icache.Timing.miss_stall model Icache.Timing.Streaming_partial
+    miss_stall model Icache.Timing.Streaming_partial
       ~words_per_block:16 ~word_in_block:8 ~run_words:8 ~fetched_words:8
   in
   Alcotest.(check int) "partial straight-line" 10 p

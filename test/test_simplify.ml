@@ -43,6 +43,12 @@ let shrinks_code () =
   Alcotest.(check int) "value" 100
     (Vm.Interp.run s (Vm.Io.input [])).Vm.Interp.return_value
 
+(* One function simplified on its own, as the whole-program pass does
+   for each of its functions. *)
+let simplify_func (f : Ir.Prog.func) =
+  let p = Ir.Simplify.program (Ir.Prog.make ~entry:f.Ir.Prog.name [ f ]) in
+  p.Ir.Prog.funcs.(0)
+
 let folds_constants () =
   let f =
     {
@@ -57,7 +63,7 @@ let folds_constants () =
         |];
     }
   in
-  let s = Ir.Simplify.func f in
+  let s = simplify_func f in
   (match s.Ir.Prog.blocks.(0).Ir.Cfg.insns.(0) with
   | Ir.Insn.Mov (0, Imm 5) -> ()
   | _ -> Alcotest.fail "2+3 not folded");
@@ -82,7 +88,7 @@ let threads_jumps () =
         |];
     }
   in
-  let s = Ir.Simplify.func f in
+  let s = simplify_func f in
   Alcotest.(check int) "two blocks remain" 2 (Array.length s.Ir.Prog.blocks)
 
 let jump_cycle_safe () =
@@ -100,7 +106,7 @@ let jump_cycle_safe () =
         |];
     }
   in
-  let s = Ir.Simplify.func f in
+  let s = simplify_func f in
   Ir.Check.program
     (Ir.Prog.make ~entry:"f" [ s ])
 
@@ -164,7 +170,7 @@ let pipeline_integration () =
     (Ir.Prog.total_instr_count on.Placement.Pipeline.program
     < Ir.Prog.total_instr_count off.Placement.Pipeline.program);
   Alcotest.(check bool) "maps disjoint" true
-    (Placement.Address_map.is_disjoint on.Placement.Pipeline.optimized)
+    (Helpers.is_disjoint on.Placement.Pipeline.optimized)
 
 let suite =
   [

@@ -47,7 +47,7 @@ let exttsp_intra () =
 let exttsp_dead_blocks_sink () =
   (* Blocks 3 and 5 never execute: they sink below the active split. *)
   let w =
-    Placement.Weight.cfg_of_lists ~func_weight:1
+    Helpers.cfg_of_lists ~func_weight:1
       ~blocks:[ (0, 1); (1, 101); (2, 100); (4, 100) ]
       ~arcs:[ (0, 1, 1); (1, 2, 100); (2, 4, 100); (4, 1, 100) ]
   in
@@ -63,7 +63,7 @@ let exttsp_dead_blocks_sink () =
   (* Zero-weight function: empty active region. *)
   let z =
     Placement.Exttsp.layout diamond_loop_func
-      (Placement.Weight.cfg_of_lists ~func_weight:0 ~blocks:[] ~arcs:[])
+      (Helpers.cfg_of_lists ~func_weight:0 ~blocks:[] ~arcs:[])
   in
   Alcotest.(check int) "unexecuted inactive" 0
     z.Placement.Func_layout.active_blocks
@@ -177,7 +177,7 @@ let check_benchmark name =
       (* Each block mapped exactly once onto disjoint ranges covering
          the whole program. *)
       Alcotest.(check bool) (label ^ ": disjoint") true
-        (Placement.Address_map.is_disjoint map);
+        (Helpers.is_disjoint map);
       Alcotest.(check int)
         (label ^ ": covers program")
         (Ir.Prog.total_byte_size program)
@@ -222,7 +222,7 @@ let check_benchmark name =
     (generic_map p Placement.Strategy.natural)
     (Placement.Address_map.natural program);
   check_same_map (name ^ "/ph golden")
-    (Placement.Pipeline.map_for p Placement.Strategy.ph)
+    (Placement.Pipeline.map_for p (Placement.Strategy.find "ph"))
     (pre_refactor_ph_map p)
 
 let all_benchmarks_valid () =
@@ -250,8 +250,9 @@ let strategy_rows_complete () =
 let context_memoizes_strategies () =
   let ctx = Experiments.Context.create ~names:[ "tee" ] () in
   let e = List.hd (Experiments.Context.entries ctx) in
-  let m1 = Experiments.Context.strategy_map e Placement.Strategy.exttsp in
-  let m2 = Experiments.Context.strategy_map e Placement.Strategy.exttsp in
+  let exttsp = Placement.Strategy.find "exttsp" in
+  let m1 = Experiments.Context.strategy_map e exttsp in
+  let m2 = Experiments.Context.strategy_map e exttsp in
   Alcotest.(check bool) "strategy map built once" true (m1 == m2);
   Alcotest.(check bool) "impact map is the pipeline's" true
     (Experiments.Context.strategy_map e Placement.Strategy.impact

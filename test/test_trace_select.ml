@@ -43,7 +43,7 @@ let min_prob_cutoff () =
 
 let zero_weight_function () =
   let w =
-    Placement.Weight.cfg_of_lists ~func_weight:0 ~blocks:[] ~arcs:[]
+    Helpers.cfg_of_lists ~func_weight:0 ~blocks:[] ~arcs:[]
   in
   let sel = Placement.Trace_select.select diamond_loop_func w in
   Alcotest.(check bool) "partition" true
@@ -56,7 +56,7 @@ let entry_never_interior () =
      trace head (the appendix excludes ENTRY from forward growth and stops
      backward growth there). *)
   let w =
-    Placement.Weight.cfg_of_lists ~func_weight:1
+    Helpers.cfg_of_lists ~func_weight:1
       ~blocks:[ (0, 100); (1, 100); (2, 100); (3, 1); (4, 100); (5, 1) ]
       ~arcs:[ (0, 1, 100); (1, 2, 100); (2, 4, 100); (4, 1, 1) ]
   in
@@ -87,6 +87,21 @@ let prop_partition =
       let sel = Placement.Trace_select.select diamond_loop_func w in
       Placement.Trace_select.is_partition sel nblocks)
 
+(* Mean basic blocks per nonzero-weight trace. *)
+let mean_length ~w (t : Placement.Trace_select.t) =
+  let counted =
+    List.filter
+      (fun trace -> Placement.Trace_select.trace_weight w trace > 0)
+      (Array.to_list t.Placement.Trace_select.traces)
+  in
+  match counted with
+  | [] -> 0.
+  | _ ->
+    let total =
+      List.fold_left (fun acc trace -> acc + Array.length trace) 0 counted
+    in
+    float_of_int total /. float_of_int (List.length counted)
+
 let prop_mean_length =
   QCheck.Test.make ~name:"mean trace length within [1, nblocks]" ~count:200
     arbitrary_weights (fun ws ->
@@ -94,7 +109,7 @@ let prop_mean_length =
       let hot = (wlist.(0) mod 100) + 1 and cold = (wlist.(1) mod 100) + 1 in
       let w = diamond_weights ~hot ~cold () in
       let sel = Placement.Trace_select.select diamond_loop_func w in
-      let len = Placement.Trace_select.mean_length ~w sel in
+      let len = mean_length ~w sel in
       len >= 1. && len <= float_of_int nblocks)
 
 let suite =
