@@ -19,15 +19,17 @@ test-time:
 	exit $$status
 
 # Every table plus Figures A-C on one benchmark end to end: the
-# impact.table-run/v1 report must re-parse and stdout must carry the
-# three figure titles.
+# impact.table-run/v1 report must re-parse, stdout must carry the three
+# figure titles, and stdout must byte-compare against the committed
+# golden tables (so any replay change that moves a number fails here).
 all-smoke:
 	rm -rf _obs && mkdir -p _obs
-	dune exec bin/main.exe -- all -b wc --json _obs/all.json > _obs/all.txt
+	dune exec bin/main.exe -- all -b wc -j 1 --json _obs/all.json > _obs/all.txt
 	dune exec bin/checkjson.exe -- _obs/all.json
 	grep -q "^Figure A:" _obs/all.txt
 	grep -q "^Figure B:" _obs/all.txt
 	grep -q "^Figure C:" _obs/all.txt
+	cmp _obs/all.txt test/vectors/tables/all-wc.txt
 
 # Smoke the layout-strategy registry: the listing must enumerate it and
 # the comparison experiment must run every registered strategy end to end.

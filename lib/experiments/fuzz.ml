@@ -17,7 +17,7 @@
      instructions;
    - the two simulation engines agree bit-for-bit on the stored trace
      under each map: the word-granular reference ([Sim.Driver.reference])
-     and the block-granular sweep every experiment uses
+     and the span-fused sweep every experiment uses
      ([Sim.Driver.simulate]);
 
    - the abstract-interpretation cache bounds ([Analysis.Absint]) are
@@ -199,7 +199,7 @@ let check_program ?(strategies = Placement.Strategy.all)
                       ]
                     else
                       (* Engine differential: the word-granular reference
-                         and the block-granular sweep must agree on every
+                         and the span-fused sweep must agree on every
                          result field under this strategy's addresses. *)
                       match
                         catching Ir.Diag.Simulation (fun () ->
@@ -228,7 +228,7 @@ let check_program ?(strategies = Placement.Strategy.all)
                       | Ok _ ->
                         [
                           Ir.Diag.make ~stage:Ir.Diag.Simulation ~strategy:id
-                            "block-granular simulation diverged from the \
+                            "span-fused simulation diverged from the \
                              word-granular reference under this map";
                         ])
                   maps)))))))

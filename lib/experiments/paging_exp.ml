@@ -19,17 +19,16 @@ type row = {
 
 let config = Paging.Page_sim.default_config (* 512B pages, 16 frames *)
 
-(* The page simulator as a trace consumer: each executed block is one
-   (addr, words) run pushed into [Page_sim.access_run], the same
-   granularity the cache driver's sweep uses. *)
+(* The page simulator as a trace consumer: each maximal
+   address-contiguous span ([Sim.Trace.iter_spans], the walk the cache
+   sweep replays too) is one [Page_sim.access_run], which equals
+   per-word [access], so fusing blocks into spans changes nothing. *)
 let run_one map trace =
+  Obs.Span.with_ ~stage:"simulate" ~attrs:[ ("engine", "paging") ]
+  @@ fun () ->
   let sim = Paging.Page_sim.create config in
-  let addr_of = map.Placement.Address_map.block_addr
-  and words_of = map.Placement.Address_map.block_words in
-  Sim.Trace.iter_blocks
-    (fun fid label ->
-      Paging.Page_sim.access_run sim ~addr:addr_of.(fid).(label)
-        ~words:words_of.(fid).(label))
+  Sim.Trace.iter_spans map
+    (fun addr words -> Paging.Page_sim.access_run sim ~addr ~words)
     trace;
   sim
 

@@ -70,7 +70,7 @@ let create ?(model = default_model) policy =
 
 let on_hit t = t.accesses <- t.accesses + 1
 
-(* Bulk accounting for the block-granular engine: [n] hits at once. *)
+(* Bulk accounting for the span-fused sweep: [n] hits at once. *)
 let on_hits t n = t.accesses <- t.accesses + n
 
 let on_miss t ~words_per_block ~word_in_block ~run_words ~fetched_words =

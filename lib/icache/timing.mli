@@ -16,7 +16,7 @@ val create : ?model:model -> policy -> t
 val on_hit : t -> unit
 
 val on_hits : t -> int -> unit
-(** Account [n] hits at once (bulk path of the block-granular engine). *)
+(** Account [n] hits at once (bulk path of the span-fused sweep). *)
 
 val on_miss :
   t ->

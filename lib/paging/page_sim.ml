@@ -35,7 +35,10 @@ type t = {
 }
 
 let create cfg =
-  if cfg.page_bytes <= 0 || cfg.frames <= 0 || cfg.theta <= 0 then
+  if
+    cfg.page_bytes <= 0 || cfg.frames <= 0 || cfg.theta <= 0
+    || cfg.sample_every <= 0
+  then
     invalid_arg "Page_sim.create";
   {
     cfg;

@@ -11,8 +11,9 @@
 
    Two engines share the per-configuration state, the run bookkeeping
    and the result assembly below:
-   - [simulate] is the block-granular sweep every experiment uses: the
-     trace is walked ONCE, each executed block becomes a single
+   - [simulate] is the span-fused sweep every experiment uses: the
+     trace is walked ONCE as maximal address-contiguous spans
+     ([Trace.iter_spans]), each span becomes a single
      [Icache.Cache.access_run] call per configuration, and all
      configurations' caches, timers and run bookkeeping advance in the
      same pass;
@@ -61,41 +62,18 @@ type state = {
   cache : Icache.Cache.t;
   words_per_block : int;
   timers : Icache.Timing.t array; (* blocking, streaming, streaming_partial *)
-  mutable prev_addr : int; (* address of the last fetched word *)
+  mutable prev_addr : int; (* reference only: last fetched word's address *)
   mutable run_open : bool;
   mutable run_len : int;
   mutable run_word : int;
   mutable run_fetched : int;
   mutable runs_sum : int;
   mutable runs_count : int;
-  (* block-granular sweep only: *)
-  mutable next_at : int; (* words of the current block already accounted *)
-  mutable block_seq : bool; (* current block fall-through-entered? *)
+  (* sweep only: *)
+  mutable next_at : int; (* words of the current span already accounted *)
+  on_miss : at:int -> word_in_block:int -> fetched_words:int -> unit;
+      (* the span's miss callback, allocated once with the state *)
 }
-
-let state timing_model config =
-  {
-    s_config = config;
-    cache = Icache.Cache.create config;
-    words_per_block = Icache.Config.words_per_block config;
-    timers =
-      Array.map
-        (Icache.Timing.create ?model:timing_model)
-        [|
-          Icache.Timing.Blocking;
-          Icache.Timing.Streaming;
-          Icache.Timing.Streaming_partial;
-        |];
-    prev_addr = min_int;
-    run_open = false;
-    run_len = 0;
-    run_word = 0;
-    run_fetched = 0;
-    runs_sum = 0;
-    runs_count = 0;
-    next_at = 0;
-    block_seq = false;
-  }
 
 let close_run st =
   if st.run_open then begin
@@ -119,12 +97,51 @@ let open_run st ~word_in_block ~fetched_words =
   st.run_fetched <- fetched_words
 
 (* Account [n] consecutive hit fetches for the run bookkeeping.  Only the
-   first of the [n] can be non-sequential (within a block every later
+   first of the [n] can be non-sequential (within a span every later
    fetch is), and a non-sequential hit closes the run without extending
    it, after which the remaining hits are no-ops. *)
 let apply_hits st n ~first_seq =
   if st.run_open then
     if first_seq then st.run_len <- st.run_len + n else close_run st
+
+(* A span's first fetch is never sequential: a maximal span cannot start
+   at the address where the previous one ended.  Every later fetch in
+   the span is, so the hits before a miss at word [at] start
+   sequentially exactly when some word of the span came before them. *)
+let span_miss st ~at ~word_in_block ~fetched_words =
+  let gap = at - st.next_at in
+  if gap > 0 then apply_hits st gap ~first_seq:(st.next_at > 0);
+  open_run st ~word_in_block ~fetched_words;
+  st.next_at <- at + 1
+
+let state timing_model config =
+  let rec st =
+    {
+      s_config = config;
+      cache = Icache.Cache.create config;
+      words_per_block = Icache.Config.words_per_block config;
+      timers =
+        Array.map
+          (Icache.Timing.create ?model:timing_model)
+          [|
+            Icache.Timing.Blocking;
+            Icache.Timing.Streaming;
+            Icache.Timing.Streaming_partial;
+          |];
+      prev_addr = min_int;
+      run_open = false;
+      run_len = 0;
+      run_word = 0;
+      run_fetched = 0;
+      runs_sum = 0;
+      runs_count = 0;
+      next_at = 0;
+      on_miss =
+        (fun ~at ~word_in_block ~fetched_words ->
+          span_miss st ~at ~word_in_block ~fetched_words);
+    }
+  in
+  st
 
 (* Close the last run and read the metrics off the state. *)
 let result_of st =
@@ -181,8 +198,18 @@ let reference ?timing_model (config : Icache.Config.t)
   r
 
 (* ------------------------------------------------------------------ *)
-(* Block-granular, single-pass, multi-configuration sweep              *)
+(* Span-fused, single-pass, multi-configuration sweep                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Replay one maximal span.  [access_run] equals per-word [access], so
+   one call per span changes nothing against one per block; and a hit
+   run that a block boundary would have split continues sequentially,
+   where [apply_hits] only extends the open run. *)
+let replay_span st addr words =
+  st.next_at <- 0;
+  Icache.Cache.access_run st.cache ~addr ~words ~on_miss:st.on_miss;
+  let tail = words - st.next_at in
+  if tail > 0 then apply_hits st tail ~first_seq:(st.next_at > 0)
 
 let sweep ?timing_model configs (map : Placement.Address_map.t)
     (trace : Trace.t) : result list =
@@ -196,30 +223,16 @@ let sweep ?timing_model configs (map : Placement.Address_map.t)
   let states = List.map (state timing_model) configs in
   let states_arr = Array.of_list states in
   let nstates = Array.length states_arr in
-  let addr_of = map.Placement.Address_map.block_addr in
-  let words_of = map.Placement.Address_map.block_words in
-  Trace.iter_blocks
-    (fun fid label ->
-      let base = addr_of.(fid).(label) in
-      let words = words_of.(fid).(label) in
-      if words > 0 then
-        for i = 0 to nstates - 1 do
-          let st = states_arr.(i) in
-          st.block_seq <- base = st.prev_addr + Icache.Config.word_bytes;
-          st.next_at <- 0;
-          Icache.Cache.access_run st.cache ~addr:base ~words
-            ~on_miss:(fun ~at ~word_in_block ~fetched_words ->
-              let gap = at - st.next_at in
-              if gap > 0 then
-                apply_hits st gap ~first_seq:(st.next_at > 0 || st.block_seq);
-              open_run st ~word_in_block ~fetched_words;
-              st.next_at <- at + 1);
-          let tail = words - st.next_at in
-          if tail > 0 then
-            apply_hits st tail ~first_seq:(st.next_at > 0 || st.block_seq);
-          st.prev_addr <- base + ((words - 1) * Icache.Config.word_bytes)
-        done)
+  let spans = ref 0 in
+  Trace.iter_spans map
+    (fun addr words ->
+      incr spans;
+      for i = 0 to nstates - 1 do
+        replay_span states_arr.(i) addr words
+      done)
     trace;
+  Obs.Span.add_attr "blocks" (string_of_int (Trace.dyn_blocks trace));
+  Obs.Span.add_attr "spans" (string_of_int !spans);
   let results =
     List.map
       (fun st ->

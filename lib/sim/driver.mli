@@ -22,10 +22,12 @@ val simulate :
   Placement.Address_map.t ->
   Trace.t ->
   result list
-(** Block-granular sweep: walks the trace once and advances every
+(** Span-fused sweep: walks the trace once as maximal
+    address-contiguous spans ({!Trace.iter_spans}) and advances every
     configuration's cache, timers and run bookkeeping in the same pass,
-    using {!Icache.Cache.access_run} (one tag probe per cache block
-    touched).  Bit-identical to {!reference} per configuration.
+    with one {!Icache.Cache.access_run} per span per configuration (one
+    tag probe per cache block touched).  Bit-identical to {!reference}
+    per configuration.
 
     When a default {!Placement.Pool} with more than one lane is set, the
     configuration list is partitioned into contiguous chunks (one per

@@ -69,3 +69,38 @@ let record ?fuel prog input =
   let t = Ctrace.record ?fuel prog input in
   note t;
   t
+
+(* Maximal address-contiguous spans under [map]: a block extends the
+   open span when it starts at the span's end address, and zero-word
+   blocks fetch nothing, so they neither extend nor break a span.
+   Contiguity is decided per block from the map alone.  A compressed
+   run holds consecutive labels of one function (every code in it was
+   pushed, and a real label never fills the packed label field), so
+   each run costs one row lookup per map array. *)
+let iter_spans (map : Placement.Address_map.t) f t =
+  let addr_of = map.Placement.Address_map.block_addr
+  and words_of = map.Placement.Address_map.block_words in
+  let span_addr = ref 0 and span_words = ref 0 in
+  Ctrace.iter_runs
+    (fun ~code ~len ->
+      let fid = Trace_gen.unpack_fid code
+      and label = Trace_gen.unpack_label code in
+      let addrs = addr_of.(fid) and words = words_of.(fid) in
+      for l = label to label + len - 1 do
+        let w = words.(l) in
+        if w > 0 then begin
+          let a = addrs.(l) in
+          let span_end =
+            !span_addr + (!span_words * Ir.Insn.bytes_per_insn)
+          in
+          if !span_words > 0 && a = span_end then
+            span_words := !span_words + w
+          else begin
+            if !span_words > 0 then f !span_addr !span_words;
+            span_addr := a;
+            span_words := w
+          end
+        end
+      done)
+    t;
+  if !span_words > 0 then f !span_addr !span_words

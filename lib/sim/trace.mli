@@ -20,6 +20,15 @@ val dyn_insns : Placement.Address_map.t -> t -> int
 val iter_blocks : (int -> Cfg.label -> unit) -> t -> unit
 (** Every executed block as [(fid, label)], in execution order. *)
 
+val iter_spans : Placement.Address_map.t -> (int -> int -> unit) -> t -> unit
+(** [iter_spans map f t] calls [f addr words] once per maximal
+    address-contiguous span of the fetch stream under [map], in
+    execution order: a run of executed blocks in which each block
+    starts at the byte address where the previous one ended.  Zero-word
+    blocks are skipped without breaking a span.  The spans cover
+    exactly the words the per-block walk fetches, in the same order,
+    and no span starts where the previous one ended. *)
+
 type stats = {
   st_runs : int;  (** maximal sequential-code runs *)
   st_blocks : int;

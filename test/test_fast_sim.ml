@@ -1,4 +1,4 @@
-(* Differential tests for the block-granular fast simulation engine:
+(* Differential tests for the span-fused fast simulation engine:
    [Icache.Cache.access_run] and [Sim.Driver.simulate] must be exactly
    equivalent — counters, miss events, and every derived metric — to the
    word-granular reference ([access] / [Sim.Driver.reference]), across
@@ -124,7 +124,118 @@ let prop_simulate_equals_reference =
             List.map (fun c -> Sim.Driver.reference c map trace) config_pool
           in
           List.for_all2 results_equal ref_ fast)
-        [ pl.Placement.Pipeline.optimized; pl.Placement.Pipeline.natural ])
+        [
+          pl.Placement.Pipeline.optimized;
+          pl.Placement.Pipeline.natural;
+          (* ext-TSP maximises fall-through, so its spans are the longest *)
+          Placement.Pipeline.map_for pl (Placement.Strategy.find "exttsp");
+        ])
+
+(* --- span fusion --- *)
+
+(* A hand-built fixture: one function whose blocks sit at chosen
+   addresses, and a trace over them, built straight into the store.
+   The store needs an interpreter result; replay never reads it. *)
+let fixture_result =
+  lazy
+    (Vm.Interp.run
+       (Ir.Lower.program (Gen_prog.generate 1))
+       (Vm.Io.input []))
+
+let fixture_trace labels =
+  let b = Sim.Ctrace.builder () in
+  List.iter (fun l -> Sim.Ctrace.push b (Sim.Trace_gen.pack 0 l)) labels;
+  Sim.Ctrace.finish b (Lazy.force fixture_result)
+
+(* Labels 0..7 as (byte address, words).  The zero-word block 1 has an
+   address far from everything else, and 6 sits at 5's end. *)
+let fixture_map =
+  let blocks =
+    [|
+      (0, 10); (4096, 0); (40, 12); (88, 10); (16, 6); (1024, 20); (1104, 0);
+      (608, 4);
+    |]
+  in
+  {
+    Placement.Address_map.block_addr = [| Array.map fst blocks |];
+    block_words = [| Array.map snd blocks |];
+    total_bytes = 4096;
+    effective_bytes = 4096;
+  }
+
+(* One pass: 0 (+zero-word 1) +2 +3 is one span over bytes 0..128,
+   crossing the 64 B boundary and ending exactly on the 128 B one.  7
+   evicts the tail of that span from the small direct-mapped caches, so
+   the backward jump to 4 starts a span that opens on hits and then
+   misses; 2 and 3 extend it although their labels do not follow 4's.
+   5 (+6) jumps far ahead, and 0 again jumps back. *)
+let fixture_pass = [ 0; 1; 2; 3; 7; 4; 2; 3; 5; 6; 0; 1; 2; 3 ]
+
+let spans_of map trace =
+  let spans = ref [] in
+  Sim.Trace.iter_spans map (fun a w -> spans := (a, w) :: !spans) trace;
+  List.rev !spans
+
+let fixture_spans () =
+  Alcotest.(check (list (pair int int)))
+    "maximal spans"
+    [ (0, 32); (608, 4); (16, 28); (1024, 20); (0, 32) ]
+    (spans_of fixture_map (fixture_trace fixture_pass))
+
+let fixture_simulate () =
+  let trace =
+    fixture_trace (List.concat (List.init 4 (fun _ -> fixture_pass)))
+  in
+  let fast = Sim.Driver.simulate config_pool fixture_map trace in
+  List.iter2
+    (fun c r ->
+      Alcotest.(check bool)
+        (Icache.Config.describe c)
+        true
+        (results_equal (Sim.Driver.reference c fixture_map trace) r))
+    config_pool fast
+
+(* Every fetched word, block by block, in execution order. *)
+let words_of_blocks (map : Placement.Address_map.t) trace =
+  let out = ref [] in
+  Sim.Trace.iter_blocks
+    (fun fid l ->
+      let a = map.Placement.Address_map.block_addr.(fid).(l) in
+      for k = 0 to map.Placement.Address_map.block_words.(fid).(l) - 1 do
+        out := (a + (k * 4)) :: !out
+      done)
+    trace;
+  List.rev !out
+
+let prop_spans_cover_blocks =
+  QCheck.Test.make
+    ~name:"iter_spans = per-block walk, maximal (random programs)" ~count:20
+    seed_gen (fun seed ->
+      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+      let trace =
+        Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
+      in
+      List.for_all
+        (fun map ->
+          let spans = spans_of map trace in
+          let words =
+            List.concat_map
+              (fun (a, w) -> List.init w (fun k -> a + (k * 4)))
+              spans
+          in
+          let rec maximal = function
+            | (a, w) :: ((b, _) :: _ as rest) ->
+                w > 0 && b <> a + (w * 4) && maximal rest
+            | [ (_, w) ] -> w > 0
+            | [] -> true
+          in
+          words = words_of_blocks map trace && maximal spans)
+        [
+          pl.Placement.Pipeline.natural;
+          pl.Placement.Pipeline.optimized;
+          Placement.Pipeline.map_for pl (Placement.Strategy.find "exttsp");
+        ])
 
 (* --- hand-checked behavior of the bulk API --- *)
 
@@ -196,4 +307,8 @@ let suite =
     Alcotest.test_case "prefetch access_run" `Quick prefetch_run;
     QCheck_alcotest.to_alcotest prop_access_run_equals_access;
     QCheck_alcotest.to_alcotest prop_simulate_equals_reference;
+    Alcotest.test_case "span fixture: maximal spans" `Quick fixture_spans;
+    Alcotest.test_case "span fixture: simulate = reference" `Quick
+      fixture_simulate;
+    QCheck_alcotest.to_alcotest prop_spans_cover_blocks;
   ]

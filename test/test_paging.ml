@@ -46,6 +46,15 @@ let validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "frames=0 accepted"
 
+(* A zero sampling period must be refused up front, not surface as
+   [Division_by_zero] on the first access. *)
+let zero_sample_period () =
+  match mk ~sample_every:0 () with
+  | exception Invalid_argument _ -> ()
+  | sim ->
+      Paging.Page_sim.access_run sim ~addr:0 ~words:4;
+      Alcotest.fail "sample_every=0 accepted"
+
 let fault_rate_bounds () =
   let sim = mk () in
   feed sim (List.init 100 (fun k -> k * 4));
@@ -107,6 +116,8 @@ let suite =
     Alcotest.test_case "LRU replacement" `Quick lru_replacement;
     Alcotest.test_case "working set" `Quick working_set;
     Alcotest.test_case "validation" `Quick validation;
+    Alcotest.test_case "zero sample period rejected" `Quick
+      zero_sample_period;
     Alcotest.test_case "fault rate bounds" `Quick fault_rate_bounds;
     QCheck_alcotest.to_alcotest prop_access_run_equals_access;
   ]

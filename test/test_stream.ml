@@ -3,7 +3,7 @@
    - Ctrace round-trip: the run-length/delta coder reproduces the exact
      pushed code sequence (QCheck over adversarial run shapes).
    - Every benchmark: the stored trace replays exactly the block
-     sequence the VM streams, and the block-granular sweep over it
+     sequence the VM streams, and the span-fused sweep over it
      matches the word-granular reference.
    - Scaled workloads keep the original semantics (same return value and
      output, strictly more fetches and functions).
