@@ -45,41 +45,44 @@ let deadline_arg =
     & opt int Serve.Daemon.default_config.deadline_ms
     & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
-let max_bytes_arg =
-  let doc = "Maximum request-line size in bytes." in
-  Arg.(
-    value
-    & opt int Serve.Daemon.default_config.max_request_bytes
-    & info [ "max-request-bytes" ] ~docv:"N" ~doc)
+(* A size, cap or window: zero and negative values are usage errors,
+   rejected while parsing the command line. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
 
-let cap_arg name default doc =
-  Arg.(value & opt (some int) default & info [ name ] ~docv:"N" ~doc)
+let positive_arg name default doc =
+  Arg.(value & opt positive default & info [ name ] ~docv:"N" ~doc)
+
+let max_bytes_arg =
+  positive_arg "max-request-bytes"
+    Serve.Daemon.default_config.max_request_bytes
+    "Maximum request-line size in bytes."
 
 let profile_cap_arg =
-  cap_arg "profile-cap" Serve.Daemon.default_config.profile_cap
+  positive_arg "profile-cap" Serve.Daemon.default_config.profile_cap
     "LRU bound on named profiles in the store."
 
 let memo_cap_arg =
-  cap_arg "memo-cap" Serve.Daemon.default_config.memo_cap
+  positive_arg "memo-cap" Serve.Daemon.default_config.memo_cap
     "Per-benchmark LRU bound on memoized simulation results."
 
 let strategy_cap_arg =
-  cap_arg "strategy-cap" Serve.Daemon.default_config.strategy_cap
+  positive_arg "strategy-cap" Serve.Daemon.default_config.strategy_cap
     "Per-benchmark LRU bound on memoized strategy maps."
 
 let map_cap_arg =
-  let doc = "LRU bound on custom-profile address maps." in
-  Arg.(
-    value
-    & opt int Serve.Daemon.default_config.map_cap
-    & info [ "map-cap" ] ~docv:"N" ~doc)
+  positive_arg "map-cap" Serve.Daemon.default_config.map_cap
+    "LRU bound on custom-profile address maps."
 
 let window_arg =
-  let doc = "Live epochs per profile (older uploads are stale)." in
-  Arg.(
-    value
-    & opt int Serve.Daemon.default_config.epoch_window
-    & info [ "epoch-window" ] ~docv:"N" ~doc)
+  positive_arg "epoch-window" Serve.Daemon.default_config.epoch_window
+    "Live epochs per profile (older uploads are stale)."
 
 let slow_arg =
   let doc =

@@ -136,23 +136,25 @@ let run ?(config = default_config) (original : Prog.program)
    built are returned as-is — [Strategy.impact] under a non-default
    pipeline config means "this pipeline's placement", and reusing the
    stored maps keeps them physically shared for memoization. *)
+let map_of_profile (program : Prog.program) (profile : Vm.Profile.t)
+    (s : Strategy.t) : Address_map.t =
+  let layouts =
+    Array.mapi
+      (fun fid f -> s.Strategy.layout f (Weight.cfg_of_profile profile fid))
+      program.Prog.funcs
+  in
+  let order =
+    s.Strategy.global
+      (Array.length program.Prog.funcs)
+      ~entry:program.Prog.entry
+      (Weight.call_of_profile profile)
+  in
+  Address_map.build program ~layouts ~order
+
 let map_for (t : t) (s : Strategy.t) : Address_map.t =
   if s.Strategy.id = Strategy.impact.Strategy.id then t.optimized
   else if s.Strategy.id = Strategy.natural.Strategy.id then t.natural
   else
     Obs.Span.with_ ~stage:"strategy-layout"
       ~attrs:[ ("strategy", s.Strategy.id) ]
-      (fun () ->
-        let layouts =
-          Array.mapi
-            (fun fid f ->
-              s.Strategy.layout f (Weight.cfg_of_profile t.profile fid))
-            t.program.Prog.funcs
-        in
-        let order =
-          s.Strategy.global
-            (Array.length t.program.Prog.funcs)
-            ~entry:t.program.Prog.entry
-            (Weight.call_of_profile t.profile)
-        in
-        Address_map.build t.program ~layouts ~order)
+      (fun () -> map_of_profile t.program t.profile s)

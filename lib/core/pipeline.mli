@@ -33,6 +33,10 @@ type t = {
 
 val run : ?config:config -> Prog.program -> inputs:Vm.Io.input list -> t
 
+val map_of_profile : Prog.program -> Vm.Profile.t -> Strategy.t -> Address_map.t
+(** Address map of [program] under a layout strategy, with every
+    function's layout and the global order weighted by [profile]. *)
+
 val map_for : t -> Strategy.t -> Address_map.t
 (** Address map of the inlined program under any registered layout
     strategy, reusing the pipeline's profile.  For {!Strategy.impact}

@@ -56,16 +56,6 @@ let create cfg =
     prefetches = 0;
   }
 
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Bytes.fill t.valid 0 (Bytes.length t.valid) '\000';
-  Array.fill t.lru 0 (Array.length t.lru) 0;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.misses <- 0;
-  t.words_fetched <- 0;
-  t.prefetches <- 0
-
 let granule_valid t frame granule =
   Bytes.unsafe_get t.valid ((frame * t.granules) + granule) <> '\000'
 
@@ -324,10 +314,6 @@ let traffic_ratio t =
 let avg_fetch_words t =
   if t.misses = 0 then 0.
   else float_of_int t.words_fetched /. float_of_int t.misses
-
-(* Tag storage overhead in bytes, assuming 4 bytes of tag space per block
-   as in the paper's 3%-of-data-store estimate. *)
-let tag_bytes t = t.nsets * t.ways * 4
 
 let accesses t = t.accesses
 let misses t = t.misses

@@ -16,8 +16,6 @@ type t
 val create : Config.t -> t
 (** Raises {!Config.Invalid} on a bad configuration. *)
 
-val reset : t -> unit
-
 val access : t -> int -> outcome
 (** Simulate one instruction fetch at a byte address. *)
 
@@ -39,9 +37,6 @@ val miss_ratio : t -> float
 val traffic_ratio : t -> float
 val avg_fetch_words : t -> float
 (** Mean bus words per miss — Table 8's [avg.fetch] column. *)
-
-val tag_bytes : t -> int
-(** Tag storage, at 4 bytes per block frame (paper's overhead estimate). *)
 
 val invariant : t -> bool
 (** Internal consistency, for property tests. *)

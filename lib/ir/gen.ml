@@ -273,7 +273,9 @@ let shrink_candidates (p : Ast.program) : Ast.program list =
 (* Greedy shrink to a fixed point: repeatedly take the first candidate
    reduction on which [still_fails] holds.  [max_steps] bounds the work
    on pathological inputs. *)
-let shrink ?(max_steps = 400) (p : Ast.program)
+let max_steps = 400
+
+let shrink (p : Ast.program)
     ~(still_fails : Ast.program -> bool) : Ast.program * int =
   let steps = ref 0 in
   let current = ref p in

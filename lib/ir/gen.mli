@@ -6,10 +6,9 @@ val generate : ?size:int -> int -> Ast.program
 (** Generate a whole program from a seed; [size] scales the fuel. *)
 
 val shrink :
-  ?max_steps:int ->
   Ast.program ->
   still_fails:(Ast.program -> bool) ->
   Ast.program * int
 (** Greedily apply candidate reductions on which [still_fails] holds, to
-    a fixed point; returns the minimal reproducer and the number of
-    reduction steps taken. *)
+    a fixed point or at most 400 steps; returns the minimal reproducer
+    and the number of reduction steps taken. *)

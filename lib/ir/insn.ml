@@ -76,10 +76,6 @@ let intrinsic_name = function
   | Alloc -> "alloc"
   | Abort -> "abort"
 
-let is_comparison = function
-  | Lt | Le | Gt | Ge | Eq | Ne -> true
-  | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr -> false
-
 (* Integer semantics of a binary operator; division and remainder by zero
    are the caller's responsibility to fence. *)
 let eval_binop op a b =

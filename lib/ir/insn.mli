@@ -60,9 +60,6 @@ val bytes_per_insn : int
 val binop_name : binop -> string
 val intrinsic_name : intrinsic -> string
 
-val is_comparison : binop -> bool
-(** [true] for operators that produce a 0/1 result. *)
-
 val eval_binop : binop -> int -> int -> int
 (** Integer semantics.  [Div]/[Rem] by zero raise [Division_by_zero]. *)
 

@@ -25,9 +25,9 @@ let default_config () =
   {
     Daemon.default_config with
     max_request_bytes = 1 lsl 16;
-    profile_cap = Some 4;
-    memo_cap = Some 16;
-    strategy_cap = Some 4;
+    profile_cap = 4;
+    memo_cap = 16;
+    strategy_cap = 4;
     map_cap = 4;
     benches = Some benches;
     extra_strategies = [ chaos_strategy ];

@@ -70,10 +70,10 @@ type config = {
   retry_base_ms : int;
   max_request_bytes : int;
   max_batch : int;
-  profile_cap : int option;
+  profile_cap : int;
   epoch_window : int;
-  memo_cap : int option;
-  strategy_cap : int option;
+  memo_cap : int;
+  strategy_cap : int;
   map_cap : int;
   scale : int;
   benches : string list option;
@@ -89,10 +89,10 @@ let default_config =
     retry_base_ms = 25;
     max_request_bytes = 1 lsl 20;
     max_batch = 8;
-    profile_cap = Some 64;
+    profile_cap = 64;
     epoch_window = 4;
-    memo_cap = Some 256;
-    strategy_cap = Some 16;
+    memo_cap = 256;
+    strategy_cap = 16;
     map_cap = 32;
     scale = 1;
     benches = None;
@@ -105,21 +105,17 @@ type t = {
   context : Experiments.Context.t;
   store : Store.t;
   started_at : float;  (* wall clock at create; stats v2 uptime *)
-  lock : Mutex.t;  (* guards map_cache and the emit-time counters *)
-  mutable map_cache :
-    ((string * int * string * string) * Placement.Address_map.t) list;
-      (* (profile, revision, source kind, strategy id) -> map; MRU first *)
-  mutable absint_cache :
-    ((string * string) * Analysis.Absint.t) list;
-      (* (bench, cache geometry) -> natural-map abstract interpretation;
-         MRU first, capped like map_cache.  The classification depends
-         only on the program, the natural map and the geometry — never
-         on profile weights — so one analysis serves every profile
-         revision of a benchmark. *)
-  mutable map_evicted : int;
-      (* daemon-local twin of [map_evictions]: deterministic even with
-         the metrics registry disabled, so stats v2 can report it on
-         the replay path *)
+  lock : Mutex.t;  (* guards both caches and the emit-time counters *)
+  map_cache :
+    (string * int * string * string, Placement.Address_map.t)
+    Placement.Bounded.t;
+      (* (profile, revision, source kind, strategy id) -> map *)
+  absint_cache : (string * string, Analysis.Absint.t) Placement.Bounded.t;
+      (* (bench, cache geometry) -> natural-map abstract interpretation,
+         capped like map_cache.  The classification depends only on the
+         program, the natural map and the geometry — never on profile
+         weights — so one analysis serves every profile revision of a
+         benchmark. *)
   mutable served : int;
   mutable by_type : (string * int) list;
   mutable by_status : (string * int) list;
@@ -139,23 +135,23 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  if config.map_cap < 1 then invalid_arg "Daemon.create: map_cap must be >= 1";
   if config.max_batch < 1 then
     invalid_arg "Daemon.create: max_batch must be >= 1";
   let context =
-    Experiments.Context.create ~scale:config.scale ?memo_cap:config.memo_cap
-      ?strategy_cap:config.strategy_cap ?names:config.benches ()
+    Experiments.Context.create ~scale:config.scale ~memo_cap:config.memo_cap
+      ~strategy_cap:config.strategy_cap ?names:config.benches ()
   in
-  let store = Store.create ?cap:config.profile_cap ~window:config.epoch_window () in
+  let store =
+    Store.create ~cap:config.profile_cap ~window:config.epoch_window ()
+  in
   {
     config;
     context;
     store;
     started_at = Obs.Clock.now ();
     lock = Mutex.create ();
-    map_cache = [];
-    absint_cache = [];
-    map_evicted = 0;
+    map_cache = Placement.Bounded.create ~counter:map_evictions config.map_cap;
+    absint_cache = Placement.Bounded.create config.map_cap;
     served = 0;
     by_type = [];
     by_status = [];
@@ -193,83 +189,50 @@ let find_strategy t id =
   | None -> Placement.Strategy.find id
 
 (* ------------------------------------------------------------------ *)
-(* Custom-profile address maps                                         *)
+(* Daemon caches                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Maps derived from uploaded profiles are cached MRU-first under a
-   key that pins the store revision, so the same snapshot always yields
-   the same physical map — which is what keeps the context's simulation
-   memo (keyed on physical map identity) hot across requests. *)
-let cached_map t ~key build =
+(* Look [key] up in one of the daemon's LRU caches, building and
+   inserting it on a miss.  A hit refreshes the key; a [build] that
+   raises caches nothing. *)
+let cached t cache ~key build =
   Mutex.protect t.lock @@ fun () ->
-  match List.assoc_opt key t.map_cache with
-  | Some m ->
-      t.map_cache <- (key, m) :: List.remove_assoc key t.map_cache;
-      m
+  match Placement.Bounded.find cache key with
+  | Some v -> v
   | None ->
-      let m = build () in
-      let cache = (key, m) :: t.map_cache in
-      if List.length cache > t.config.map_cap then begin
-        t.map_cache <- List.filteri (fun i _ -> i < t.config.map_cap) cache;
-        t.map_evicted <- t.map_evicted + 1;
-        Obs.Metrics.incr map_evictions
-      end
-      else t.map_cache <- cache;
-      m
+      let v = build () in
+      Placement.Bounded.add cache key v;
+      v
 
-(* Mirror of [Placement.Pipeline.map_for], over an uploaded profile
-   instead of the pipeline's own. *)
+(* Maps derived from uploaded profiles are cached under a key that pins
+   the store revision, so the same snapshot always yields the same
+   physical map — which is what keeps the context's simulation memo
+   (keyed on physical map identity) hot across requests. *)
 let custom_map t entry (strat : Placement.Strategy.t) ~pname ~revision ~kind
     prof =
-  let pipe = Experiments.Context.pipeline entry in
-  let prog = pipe.Placement.Pipeline.program in
-  let key = (pname, revision, kind, strat.id) in
-  cached_map t ~key (fun () ->
-      let nfuncs = Array.length prog.Ir.Prog.funcs in
-      let layouts =
-        Array.init nfuncs (fun fid ->
-            strat.layout prog.funcs.(fid)
-              (Placement.Weight.cfg_of_profile prof fid))
-      in
-      let order =
-        strat.global nfuncs ~entry:prog.entry
-          (Placement.Weight.call_of_profile prof)
-      in
-      Placement.Address_map.build prog ~layouts ~order)
+  let prog =
+    (Experiments.Context.pipeline entry).Placement.Pipeline.program
+  in
+  cached t t.map_cache ~key:(pname, revision, kind, strat.id) (fun () ->
+      Placement.Pipeline.map_of_profile prog prof strat)
 
 (* ------------------------------------------------------------------ *)
 (* Certified bounds for the cheap-admission tier                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Natural-map abstract interpretation, memoized per (bench, geometry)
-   under the same lock and cap discipline as the custom-map cache.  The
-   first request at a new geometry pays the fixpoint (a few ms on the
-   paper's programs); every later one is a list lookup, which is what
-   lets a <= 5ms deadline carry a certified answer at all. *)
+   under the same lock and cap as the custom-map cache.  The first
+   request at a new geometry pays the fixpoint (a few ms on the paper's
+   programs); every later one is a table lookup, which is what lets a
+   <= 5ms deadline carry a certified answer at all. *)
 let cached_absint t entry cache_config =
   let key =
     (Experiments.Context.name entry, Icache.Config.describe cache_config)
   in
-  Mutex.protect t.lock @@ fun () ->
-  match List.assoc_opt key t.absint_cache with
-  | Some a ->
-      t.absint_cache <- (key, a) :: List.remove_assoc key t.absint_cache;
-      a
-  | None ->
-      let prog =
-        (Experiments.Context.pipeline entry).Placement.Pipeline.program
-      in
-      let a =
-        Analysis.Absint.analyze cache_config
-          (Experiments.Context.natural_map entry)
-          prog
-      in
-      let cache = (key, a) :: t.absint_cache in
-      t.absint_cache <-
-        (if List.length cache > t.config.map_cap then
-           List.filteri (fun i _ -> i < t.config.map_cap) cache
-         else cache);
-      a
+  cached t t.absint_cache ~key (fun () ->
+      Analysis.Absint.analyze cache_config
+        (Experiments.Context.natural_map entry)
+        (Experiments.Context.pipeline entry).Placement.Pipeline.program)
 
 let certified_json cache_config (a : Analysis.Absint.t)
     (iv : Analysis.Absint.interval) =
@@ -590,7 +553,7 @@ let handle_stats t ~id =
         Obs.Json.Obj
           [
             ("profiles", Obs.Json.Int (Store.evictions_total t.store));
-            ("maps", Obs.Json.Int t.map_evicted);
+            ("maps", Obs.Json.Int (Placement.Bounded.evictions t.map_cache));
             (* Per-context count, not the process-global metrics
                counter: stats stay deterministic and daemon-local. *)
             ( "memo",
@@ -618,18 +581,9 @@ let handle_stats t ~id =
       ( "limits",
         Obs.Json.Obj
           [
-            ( "profile_cap",
-              match t.config.profile_cap with
-              | Some c -> Obs.Json.Int c
-              | None -> Obs.Json.Null );
-            ( "memo_cap",
-              match t.config.memo_cap with
-              | Some c -> Obs.Json.Int c
-              | None -> Obs.Json.Null );
-            ( "strategy_cap",
-              match t.config.strategy_cap with
-              | Some c -> Obs.Json.Int c
-              | None -> Obs.Json.Null );
+            ("profile_cap", Obs.Json.Int t.config.profile_cap);
+            ("memo_cap", Obs.Json.Int t.config.memo_cap);
+            ("strategy_cap", Obs.Json.Int t.config.strategy_cap);
             ("map_cap", Obs.Json.Int t.config.map_cap);
             ("epoch_window", Obs.Json.Int t.config.epoch_window);
             ("max_batch", Obs.Json.Int t.config.max_batch);
@@ -718,12 +672,12 @@ let take_notifications t ~trace : Obs.Json.t list =
         List.iter (fun k -> Hashtbl.remove t.notified k) drop;
         let stale =
           Mutex.protect t.lock (fun () ->
-              List.filter_map
-                (fun ((p, rev, kind, strat), _) ->
+              Placement.Bounded.fold
+                (fun (p, rev, kind, strat) _ acc ->
                   if p = pname && rev < o.Store.revision then
-                    Some (strat, kind, rev)
-                  else None)
-                t.map_cache)
+                    (strat, kind, rev) :: acc
+                  else acc)
+                t.map_cache [])
           |> List.sort_uniq compare
           (* One staleness fact per (strategy, kind): several cached
              revisions of the same map collapse to the newest. *)
@@ -849,37 +803,36 @@ type item =
   | Job of job
   | Barrier of { trace : string; enq : float; p : Protocol.parsed }
 
+(* A request line as read: its text or, when the bounded reader dropped
+   an over-long payload, only its length in bytes. *)
+type line = Text of string | Too_long of int
+
 let classify t line : item option =
-  if String.trim line = "" then None
-  else begin
-    let trace = fresh_trace t in
-    let enq = if Obs.Metrics.enabled () then Obs.Clock.now () else 0.0 in
-    let n = String.length line in
-    if n > t.config.max_request_bytes then
-      Some
-        (Job
-           (Immediate
-              (with_trace trace (oversize_response n t.config.max_request_bytes))))
-    else
-      match
-        Obs.Span.with_ ~stage:"serve.parse" ~attrs:[ ("trace", trace) ]
-        @@ fun () ->
-        Protocol.parse_request ~max_bytes:t.config.max_request_bytes line
-      with
-      | Error (id, e) ->
-          Some
-            (Job
-               (Immediate
-                  (with_trace trace
-                     (Protocol.error_response ~id ~request:"unknown" e))))
-      | Ok p -> (
-          match p.req with
-          | Protocol.Layout_request _ | Protocol.Lint_request _ ->
-              Some (Job (Compute { trace; enq; p }))
-          | Protocol.Profile_upload _ | Protocol.Stats | Protocol.Subscribe _
-          | Protocol.Health | Protocol.Shutdown ->
-              Some (Barrier { trace; enq; p }))
-  end
+  let limit = t.config.max_request_bytes in
+  match line with
+  | Text s when String.trim s = "" -> None
+  | _ -> (
+      let trace = fresh_trace t in
+      let enq = if Obs.Metrics.enabled () then Obs.Clock.now () else 0.0 in
+      let immediate resp = Some (Job (Immediate (with_trace trace resp))) in
+      match line with
+      | Too_long n -> immediate (oversize_response n limit)
+      | Text s when String.length s > limit ->
+          immediate (oversize_response (String.length s) limit)
+      | Text s -> (
+          match
+            Obs.Span.with_ ~stage:"serve.parse" ~attrs:[ ("trace", trace) ]
+            @@ fun () -> Protocol.parse_request ~max_bytes:limit s
+          with
+          | Error (id, e) ->
+              immediate (Protocol.error_response ~id ~request:"unknown" e)
+          | Ok p -> (
+              match p.req with
+              | Protocol.Layout_request _ | Protocol.Lint_request _ ->
+                  Some (Job (Compute { trace; enq; p }))
+              | Protocol.Profile_upload _ | Protocol.Stats
+              | Protocol.Subscribe _ | Protocol.Health | Protocol.Shutdown ->
+                  Some (Barrier { trace; enq; p }))))
 
 let account t resp =
   Mutex.protect t.lock @@ fun () ->
@@ -913,7 +866,7 @@ let account t resp =
    flushed when [ready] says the next read would block, so a lone
    client is answered without waiting for the batch to fill; batch
    boundaries never change the emitted bytes. *)
-let serve_generic t ~(next : unit -> string option) ~(ready : unit -> bool)
+let serve_generic t ~(next : unit -> line option) ~(ready : unit -> bool)
     ~(emit : Obs.Json.t -> unit) =
   let emit_accounted resp =
     Obs.Span.with_ ~stage:"serve.emit" @@ fun () ->
@@ -973,7 +926,7 @@ let serve_generic t ~(next : unit -> string option) ~(ready : unit -> bool)
 (* Bounded line reader: never buffers more than the limit; an over-long
    line is consumed to its newline and reported by total length so the
    daemon can answer it with a structured error. *)
-let read_bounded ic limit : string option =
+let read_bounded ic limit : line option =
   let buf = Buffer.create 256 in
   let over = ref 0 in
   let fin = ref false in
@@ -990,11 +943,8 @@ let read_bounded ic limit : string option =
         else Buffer.add_char buf c
   done;
   if !eof then None
-  else if !over > 0 then
-    (* Synthesize a line that classifies as oversized without carrying
-       the payload. *)
-    Some (String.make (limit + 1) ' ')
-  else Some (Buffer.contents buf)
+  else if !over > 0 then Some (Too_long !over)
+  else Some (Text (Buffer.contents buf))
 
 (* Input is ready when the descriptor has bytes (or EOF) to read now.
    A line already sitting in the channel's buffer is not seen, which
@@ -1023,7 +973,7 @@ let run_lines t lines : Obs.Json.t list =
       | [] -> None
       | l :: rest ->
           remaining := rest;
-          Some l)
+          Some (Text l))
     ~ready:(fun () -> true)
     ~emit:(fun resp -> out := resp :: !out);
   List.rev !out

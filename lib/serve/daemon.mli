@@ -19,12 +19,15 @@ type config = {
       (** deadlines at or below this admit only the cheapest strategy *)
   retry_base_ms : int;  (** floor of the [retry_after_ms] hint *)
   max_request_bytes : int;
+      (** longer request lines are answered with a usage error *)
   max_batch : int;  (** pool batch width — constant, not lane-dependent *)
-  profile_cap : int option;  (** LRU bound on named profiles *)
+  profile_cap : int;  (** LRU bound on named profiles *)
   epoch_window : int;  (** live epochs per profile *)
-  memo_cap : int option;  (** per-bench simulation-memo LRU bound *)
-  strategy_cap : int option;  (** per-bench strategy-map LRU bound *)
-  map_cap : int;  (** custom-profile address-map LRU bound *)
+  memo_cap : int;  (** per-bench simulation-memo LRU bound *)
+  strategy_cap : int;  (** per-bench strategy-map LRU bound *)
+  map_cap : int;
+      (** LRU bound on custom-profile address maps, and separately on
+          the per-geometry abstract interpretations of the cheap tier *)
   scale : int;  (** workload scale of the resident contexts *)
   benches : string list option;  (** [None] = the full suite *)
   extra_strategies : Placement.Strategy.t list;
@@ -36,6 +39,10 @@ type config = {
 }
 
 val default_config : config
+(** The four caps, [epoch_window] and [max_batch] must be [>= 1]:
+    {!create} raises [Invalid_argument] otherwise.  The caps bound
+    {!Placement.Bounded} maps, so a hit refreshes its key and an insert
+    past the cap evicts the least recently used one. *)
 
 type t
 
@@ -60,7 +67,8 @@ val serve_channels : t -> in_channel -> out_channel -> unit
     as no further input is ready, so a client waiting on one response is
     never held for a batch to fill.  Lines are read through a bounded
     reader, so an over-long request costs its length in I/O but not in
-    memory. *)
+    memory; it is answered with a usage error that carries its length,
+    just as {!run_lines} answers it. *)
 
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix socket, serving connections sequentially until a

@@ -108,6 +108,11 @@ let get_opt_number ~what = function
   | Some Obs.Json.Null | None -> None
   | Some j -> Some (get_number ~what j)
 
+(* The simulated cache's state grows with its size, so one request must
+   not name an arbitrarily large one: 1 MiB is 128x the paper's largest
+   cache (8 KB). *)
+let max_cache_bytes = 1 lsl 20
+
 (* Cache geometry, mirroring the CLI's `simulate` flags: assoc is
    "direct" | "full" | an integer way count; fill is "whole" |
    "partial" | "sector:N".  Omitted fields default to the paper's
@@ -119,6 +124,8 @@ let parse_config json =
     let size =
       Option.value ~default:2048 (get_opt_int ~what:"cache.size" (member "size" c))
     in
+    if size > max_cache_bytes then
+      bad "cache.size must be at most %d bytes" max_cache_bytes;
     let block =
       Option.value ~default:64 (get_opt_int ~what:"cache.block" (member "block" c))
     in

@@ -5,6 +5,10 @@
 val schema : string
 (** ["impact.serve/v1"]. *)
 
+val max_cache_bytes : int
+(** Largest [cache.size] a layout request may name (1 MiB); a larger
+    one is a usage error. *)
+
 type upload = {
   profile : string;
   bench : string;

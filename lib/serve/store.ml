@@ -43,37 +43,21 @@ type profile = {
   mutable fresh_violations : int;
   mutable last_good : (int * int * Vm.Profile.t) option;
       (** epoch, revision, snapshot *)
-  mutable last_used : int;
 }
 
 type t = {
-  lock : Mutex.t;
-  cap : int option;
+  lock : Mutex.t;  (* guards [profiles] and every profile in it *)
   window : int;
-  profiles : (string, profile) Hashtbl.t;
-  mutable tick : int;
-  mutable evicted : int;
-      (* store-local eviction count: deterministic even when the global
-         metrics registry is disabled (the replay path) *)
+  profiles : (string, profile) Placement.Bounded.t;
 }
 
-let create ?cap ?(window = 4) () =
-  (match cap with
-  | Some c when c < 1 -> invalid_arg "Store.create: cap must be >= 1"
-  | _ -> ());
+let create ~cap ?(window = 4) () =
   if window < 1 then invalid_arg "Store.create: window must be >= 1";
   {
     lock = Mutex.create ();
-    cap;
     window;
-    profiles = Hashtbl.create 16;
-    tick = 0;
-    evicted = 0;
+    profiles = Placement.Bounded.create ~counter:evictions cap;
   }
-
-let tick t =
-  t.tick <- t.tick + 1;
-  t.tick
 
 (* ---- structural validation against the bench's program ---- *)
 
@@ -186,32 +170,27 @@ type outcome = {
 
 let min_live_epoch p = max 0 (p.current - p.window + 1)
 
-let evict_unlocked t =
-  match t.cap with
-  | Some cap when Hashtbl.length t.profiles >= cap ->
-      let stalest =
-        Hashtbl.fold
-          (fun name p acc ->
-            match acc with
-            | Some (_, best) when best <= p.last_used -> acc
-            | _ -> Some (name, p.last_used))
-          t.profiles None
-      in
-      (match stalest with
-      | Some (name, _) ->
-          Hashtbl.remove t.profiles name;
-          t.evicted <- t.evicted + 1;
-          Obs.Metrics.incr evictions
-      | None -> ())
-  | _ -> ()
+let outcome_of p ~accepted ~reason epoch =
+  {
+    accepted;
+    reason;
+    epoch;
+    min_live = min_live_epoch p;
+    epochs_live = List.length p.epochs;
+    poisoned = p.poisoned;
+    flow_violations = p.fresh_violations;
+    revision = p.revision;
+  }
 
 (* A new profile is built aside and only inserted (evicting at the cap)
-   once the upload is accepted: a rejected upload leaves no trace. *)
+   once the upload is accepted: a rejected upload leaves no trace.  An
+   existing profile counts as used once its bench matches, even if the
+   upload is then rejected. *)
 let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
     (outcome, Protocol.error_info) result =
   Mutex.protect t.lock @@ fun () ->
   let p, is_new =
-    match Hashtbl.find_opt t.profiles u.Protocol.profile with
+    match Placement.Bounded.peek t.profiles u.Protocol.profile with
     | Some p -> (p, false)
     | None ->
         ( {
@@ -227,7 +206,6 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
             fresh = None;
             fresh_violations = 0;
             last_good = None;
-            last_used = 0;
           },
           true )
   in
@@ -237,29 +215,16 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
          (Printf.sprintf "profile %S is bound to benchmark %S, not %S" p.name
             p.bench u.bench))
   else begin
-    p.last_used <- tick t;
+    if not is_new then ignore (Placement.Bounded.find t.profiles u.profile);
     let epoch = Option.value ~default:p.current u.epoch in
     if epoch < 0 then Error (Protocol.usage_error "epoch must be >= 0")
     else if epoch < min_live_epoch p then
-      Ok
-        {
-          accepted = false;
-          reason = Some "stale-epoch";
-          epoch;
-          min_live = min_live_epoch p;
-          epochs_live = List.length p.epochs;
-          poisoned = p.poisoned;
-          flow_violations = p.fresh_violations;
-          revision = p.revision;
-        }
+      Ok (outcome_of p ~accepted:false ~reason:(Some "stale-epoch") epoch)
     else
       match validate_upload p.prog u with
       | Some msg -> Error (Protocol.usage_error msg)
       | None ->
-          if is_new then begin
-            evict_unlocked t;
-            Hashtbl.replace t.profiles u.profile p
-          end;
+          if is_new then Placement.Bounded.add t.profiles u.profile p;
           if epoch > p.current then begin
             p.current <- epoch;
             let live = min_live_epoch p in
@@ -304,17 +269,7 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
               p.fresh <- None;
               p.poisoned <- true;
               p.fresh_violations <- List.length violations);
-          Ok
-            {
-              accepted = true;
-              reason = None;
-              epoch;
-              min_live = min_live_epoch p;
-              epochs_live = List.length p.epochs;
-              poisoned = p.poisoned;
-              flow_violations = p.fresh_violations;
-              revision = p.revision;
-            }
+          Ok (outcome_of p ~accepted:true ~reason:None epoch)
   end
 
 (* ---- read side ---- *)
@@ -327,10 +282,9 @@ type view =
 
 let view t name =
   Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.profiles name with
+  match Placement.Bounded.find t.profiles name with
   | None -> Unknown
   | Some p -> (
-      p.last_used <- tick t;
       match p.fresh with
       | Some vmprof when not p.poisoned ->
           Fresh { profile = vmprof; revision = p.revision; epoch = p.current }
@@ -342,22 +296,24 @@ let view t name =
 
 let bench_of t name =
   Mutex.protect t.lock @@ fun () ->
-  Option.map (fun p -> p.bench) (Hashtbl.find_opt t.profiles name)
+  Option.map (fun p -> p.bench) (Placement.Bounded.peek t.profiles name)
 
-let size t = Mutex.protect t.lock @@ fun () -> Hashtbl.length t.profiles
+let size t =
+  Mutex.protect t.lock @@ fun () -> Placement.Bounded.length t.profiles
 
-let evictions_total t = Mutex.protect t.lock @@ fun () -> t.evicted
+let evictions_total t =
+  Mutex.protect t.lock @@ fun () -> Placement.Bounded.evictions t.profiles
 
 let poisoned_count t =
   Mutex.protect t.lock @@ fun () ->
-  Hashtbl.fold
+  Placement.Bounded.fold
     (fun _ (p : profile) n -> if p.poisoned then n + 1 else n)
     t.profiles 0
 
 let stats_json t =
   Mutex.protect t.lock @@ fun () ->
   let rows =
-    Hashtbl.fold (fun _ p acc -> p :: acc) t.profiles []
+    Placement.Bounded.fold (fun _ p acc -> p :: acc) t.profiles []
     |> List.sort (fun a b -> compare a.name b.name)
     |> List.map (fun p ->
            Obs.Json.Obj

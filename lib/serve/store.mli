@@ -10,16 +10,21 @@
     {!Placement.Validate.flow}: a violation marks the profile
     {e poisoned} and pins readers to the last flow-conserving snapshot
     (the "last-good epoch" degradation tier).  The store is bounded:
-    with a cap set, creating one profile past it evicts the
-    least-recently-used one (counted in the [serve.profile_evictions]
-    metric). *)
+    creating one profile past its cap evicts the least-recently-used
+    one (a {!Placement.Bounded} map, counted in the
+    [serve.profile_evictions] metric). *)
 
 type t
 
-val create : ?cap:int -> ?window:int -> unit -> t
-(** [cap] bounds the number of named profiles (default unbounded);
-    [window] is the number of live epochs (default 4).  Both must be
-    [>= 1] ([Invalid_argument] otherwise). *)
+val create : cap:int -> ?window:int -> unit -> t
+(** [cap] bounds the number of named profiles; [window] is the number
+    of live epochs (default 4).  Both must be [>= 1]
+    ([Invalid_argument] otherwise).
+
+    A profile counts as used when {!view} reads it, and when an upload
+    names it with the matching bench — even if that upload is then
+    rejected.  {!bench_of}, {!poisoned_count} and {!stats_json} leave
+    recency alone. *)
 
 type outcome = {
   accepted : bool;
@@ -57,8 +62,9 @@ val bench_of : t -> string -> string option
 val size : t -> int
 
 val evictions_total : t -> int
-(** Profiles this store evicted via its LRU cap — a store-local count,
-    deterministic even when the metrics registry is disabled. *)
+(** Profiles this store evicted via its LRU cap — a store-local count
+    ({!Placement.Bounded.evictions}), deterministic even when the
+    metrics registry is disabled. *)
 
 val poisoned_count : t -> int
 (** Profiles currently poisoned (readers pinned to last-good). *)

@@ -114,15 +114,14 @@ let span_miss st ~at ~word_in_block ~fetched_words =
   open_run st ~word_in_block ~fetched_words;
   st.next_at <- at + 1
 
-let state timing_model config =
+let state config =
   let rec st =
     {
       s_config = config;
       cache = Icache.Cache.create config;
       words_per_block = Icache.Config.words_per_block config;
       timers =
-        Array.map
-          (Icache.Timing.create ?model:timing_model)
+        Array.map Icache.Timing.create
           [|
             Icache.Timing.Blocking;
             Icache.Timing.Streaming;
@@ -168,12 +167,12 @@ let result_of st =
 (* Word-granular reference                                             *)
 (* ------------------------------------------------------------------ *)
 
-let reference ?timing_model (config : Icache.Config.t)
+let reference (config : Icache.Config.t)
     (map : Placement.Address_map.t) (trace : Trace.t) : result =
   Obs.Span.with_ ~stage:"simulate"
     ~attrs:[ ("engine", "reference"); ("config", Icache.Config.describe config) ]
   @@ fun () ->
-  let st = state timing_model config in
+  let st = state config in
   let addr_of = map.Placement.Address_map.block_addr in
   let words_of = map.Placement.Address_map.block_words in
   Trace.iter_blocks
@@ -211,7 +210,7 @@ let replay_span st addr words =
   let tail = words - st.next_at in
   if tail > 0 then apply_hits st tail ~first_seq:(st.next_at > 0)
 
-let sweep ?timing_model configs (map : Placement.Address_map.t)
+let sweep configs (map : Placement.Address_map.t)
     (trace : Trace.t) : result list =
   Obs.Span.with_ ~stage:"simulate"
     ~attrs:
@@ -220,7 +219,7 @@ let sweep ?timing_model configs (map : Placement.Address_map.t)
         ("configs", string_of_int (List.length configs));
       ]
   @@ fun () ->
-  let states = List.map (state timing_model) configs in
+  let states = List.map state configs in
   let states_arr = Array.of_list states in
   let nstates = Array.length states_arr in
   let spans = ref 0 in
@@ -267,7 +266,7 @@ let partition k xs =
   in
   go 0 xs
 
-let simulate ?timing_model configs map trace =
+let simulate configs map trace =
   match Placement.Pool.default () with
   | Some pool
     when Placement.Pool.lanes pool > 1
@@ -289,6 +288,6 @@ let simulate ?timing_model configs map trace =
     let k = min (Placement.Pool.lanes pool) (List.length configs) in
     List.concat
       (Placement.Pool.map pool
-         (fun chunk -> sweep ?timing_model chunk map trace)
+         (fun chunk -> sweep chunk map trace)
          (partition k configs))
-  | _ -> sweep ?timing_model configs map trace
+  | _ -> sweep configs map trace

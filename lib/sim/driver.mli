@@ -17,7 +17,6 @@ type result = {
 }
 
 val simulate :
-  ?timing_model:Icache.Timing.model ->
   Icache.Config.t list ->
   Placement.Address_map.t ->
   Trace.t ->
@@ -36,7 +35,6 @@ val simulate :
     bit-identical to the serial sweep. *)
 
 val reference :
-  ?timing_model:Icache.Timing.model ->
   Icache.Config.t ->
   Placement.Address_map.t ->
   Trace.t ->

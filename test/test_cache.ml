@@ -104,11 +104,6 @@ let next_line_prefetch () =
   | exception Icache.Config.Invalid _ -> ()
   | _ -> Alcotest.fail "prefetch+partial accepted"
 
-let tag_overhead () =
-  let c = mk ~size:2048 ~block:64 () in
-  (* 32 frames x 4 bytes of tag space. *)
-  Alcotest.(check int) "tag bytes" 128 (Icache.Cache.tag_bytes c)
-
 let config_validation () =
   let invalid f =
     match f () with
@@ -122,14 +117,6 @@ let config_validation () =
       Icache.Config.make ~fill:(Icache.Config.Sectored 24) ~size:2048 ~block:64 ());
   invalid (fun () ->
       Icache.Config.make ~assoc:(Icache.Config.Ways 3) ~size:2048 ~block:64 ())
-
-let reset_behavior () =
-  let c = mk ~size:256 ~block:32 () in
-  ignore (feed c [ 0; 32; 64 ]);
-  Icache.Cache.reset c;
-  Alcotest.(check int) "counters cleared" 0 (Icache.Cache.accesses c);
-  Alcotest.(check bool) "cold after reset" true
-    (Icache.Cache.access c 0).Icache.Cache.miss
 
 (* --- qcheck properties over random address traces --- *)
 
@@ -229,9 +216,7 @@ let suite =
     Alcotest.test_case "sectored fill" `Quick sectored_fill;
     Alcotest.test_case "partial loading" `Quick partial_loading;
     Alcotest.test_case "next-line prefetch" `Quick next_line_prefetch;
-    Alcotest.test_case "tag overhead" `Quick tag_overhead;
     Alcotest.test_case "config validation" `Quick config_validation;
-    Alcotest.test_case "reset" `Quick reset_behavior;
     QCheck_alcotest.to_alcotest prop_ratios_bounded;
     QCheck_alcotest.to_alcotest prop_direct_equals_one_way;
     QCheck_alcotest.to_alcotest prop_lru_inclusion;

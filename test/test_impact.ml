@@ -25,6 +25,7 @@ let () =
       ("obs", Test_obs.suite);
       ("analysis", Test_analysis.suite);
       ("absint", Test_absint.suite);
+      ("bounded", Test_bounded.suite);
       ("parallel", Test_parallel.suite);
       ("serve", Test_serve.suite);
     ]

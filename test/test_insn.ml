@@ -36,15 +36,6 @@ let check_binop () =
         (Insn.eval_binop op a b))
     cases
 
-let check_comparison_classification () =
-  List.iter
-    (fun (op, expected) ->
-      Alcotest.(check bool) (Insn.binop_name op) expected (Insn.is_comparison op))
-    [
-      (Insn.Lt, true); (Insn.Eq, true); (Insn.Ne, true);
-      (Insn.Add, false); (Insn.Shl, false);
-    ]
-
 let check_max_reg () =
   Alcotest.(check int) "mov" 5 (Insn.max_reg (Mov (5, Imm 3)));
   Alcotest.(check int) "bin" 9 (Insn.max_reg (Bin (Add, 2, Reg 9, Reg 1)));
@@ -75,8 +66,6 @@ let div_by_zero () =
 let suite =
   [
     Alcotest.test_case "binop semantics" `Quick check_binop;
-    Alcotest.test_case "comparison classification" `Quick
-      check_comparison_classification;
     Alcotest.test_case "max_reg" `Quick check_max_reg;
     Alcotest.test_case "map_regs" `Quick check_map_regs;
     Alcotest.test_case "division by zero raises" `Quick div_by_zero;

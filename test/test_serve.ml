@@ -206,6 +206,78 @@ let oversize_bounded () =
   Alcotest.(check string) "oversize is an error" "error" (status_of resp);
   Alcotest.(check int) "usage code" 2 (error_code resp)
 
+(* An over-long line read from a channel is answered too: with a usage
+   error carrying its length, and the daemon goes on to the next
+   request. *)
+let oversize_over_pipe () =
+  let config = { small_config with max_request_bytes = 60 } in
+  let d = Serve.Daemon.create ~config () in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let server =
+    Domain.spawn (fun () ->
+        Serve.Daemon.serve_channels d
+          (Unix.in_channel_of_descr req_r)
+          (Unix.out_channel_of_descr resp_w))
+  in
+  let long =
+    request ~id:1 ~typ:"stats" [ ("pad", Obs.Json.String (String.make 40 'x')) ]
+  in
+  let to_daemon = Unix.out_channel_of_descr req_w in
+  output_string to_daemon (long ^ "\n" ^ request ~id:2 ~typ:"stats" [] ^ "\n");
+  close_out to_daemon;
+  Domain.join server;
+  Unix.close resp_w;
+  let lines = In_channel.input_lines (Unix.in_channel_of_descr resp_r) in
+  Unix.close resp_r;
+  Unix.close req_r;
+  match List.map Obs.Json.parse_exn lines with
+  | [ over; next ] ->
+      Alcotest.(check int) "over-long line is a usage error" 2
+        (error_code over);
+      let message =
+        match Obs.Json.member "error" over with
+        | Some err -> str_field "message" err
+        | None -> "<none>"
+      in
+      Alcotest.(check string) "its real length is reported"
+        (Printf.sprintf "request too large: %d bytes (limit 60)"
+           (String.length long))
+        message;
+      Alcotest.(check string) "next request served" "ok" (status_of next)
+  | other -> Alcotest.failf "expected 2 responses, got %d" (List.length other)
+
+(* A layout request cannot name a cache larger than
+   [Protocol.max_cache_bytes]: the simulated state grows with it. *)
+let cache_size_bounded () =
+  let parse size =
+    Serve.Protocol.parse_request
+      (layout_line ~id:1
+         [
+           ( "cache",
+             Obs.Json.Obj
+               [ ("size", Obs.Json.Int size); ("block", Obs.Json.Int 4) ] );
+         ])
+  in
+  (match parse Serve.Protocol.max_cache_bytes with
+  | Ok _ -> ()
+  | Error (_, e) -> Alcotest.failf "1 MiB cache rejected: %s" e.message);
+  (match parse (1 lsl 29) with
+  | Ok _ -> Alcotest.fail "a 512 MiB cache was accepted"
+  | Error (_, e) ->
+      Alcotest.(check int) "usage error" 2 e.Serve.Protocol.code);
+  let resp, _ =
+    serve_one (Lazy.force shared)
+      (layout_line ~id:2
+         [
+           ( "cache",
+             Obs.Json.Obj
+               [ ("size", Obs.Json.Int (2 * Serve.Protocol.max_cache_bytes)) ]
+           );
+         ])
+  in
+  Alcotest.(check string) "served as an error" "error" (status_of resp);
+  Alcotest.(check int) "usage code" 2 (error_code resp)
+
 (* ------------------------------------------------------------------ *)
 (* Profile merging                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -243,7 +315,7 @@ let must_upload store ~prog u =
 let merge_self_doubles () =
   let prof = pipeline_profile () in
   let prog = prog_of_shared () in
-  let store = Serve.Store.create () in
+  let store = Serve.Store.create ~cap:8 () in
   let u1 = upload_of ~name:"twice" prof in
   ignore (must_upload store ~prog u1);
   ignore (must_upload store ~prog u1);
@@ -267,7 +339,7 @@ let merge_commutative =
       let ua = upload_of ~name:"m" ~weight:(float_of_int w1) prof in
       let ub = upload_of ~name:"m" ~weight:(float_of_int w2) prof in
       let merged order =
-        let store = Serve.Store.create () in
+        let store = Serve.Store.create ~cap:8 () in
         List.iter (fun u -> ignore (must_upload store ~prog u)) order;
         snapshot store "m"
       in
@@ -278,7 +350,7 @@ let merge_commutative =
       String.length ab > 0 && ab <> "<empty>")
 
 let poisoned_pins_last_good () =
-  let store = Serve.Store.create () in
+  let store = Serve.Store.create ~cap:8 () in
   let prog = prog_of_shared () in
   let prof = pipeline_profile () in
   ignore (must_upload store ~prog (upload_of ~name:"p" ~epoch:1 prof));
@@ -309,7 +381,7 @@ let poisoned_pins_last_good () =
     (snapshot store "p")
 
 let stale_epoch_rejected () =
-  let store = Serve.Store.create ~window:4 () in
+  let store = Serve.Store.create ~cap:8 ~window:4 () in
   let prog = prog_of_shared () in
   let prof = pipeline_profile () in
   ignore (must_upload store ~prog (upload_of ~name:"s" ~epoch:5 prof));
@@ -331,6 +403,27 @@ let store_cap_evicts () =
     (Serve.Store.view store "d" <> Serve.Store.Unknown);
   Alcotest.(check bool) "oldest profile evicted" true
     (Serve.Store.view store "a" = Serve.Store.Unknown)
+
+(* Reading a profile's snapshot marks it used; asking for its bench does
+   not.  Cap 2, upload a and b, read a, then upload c: the victim is b
+   when a was viewed, and a when only its bench was asked. *)
+let store_recency () =
+  let prog = prog_of_shared () in
+  let prof = pipeline_profile () in
+  let run touch_a =
+    let store = Serve.Store.create ~cap:2 () in
+    let up name = ignore (must_upload store ~prog (upload_of ~name prof)) in
+    up "a";
+    up "b";
+    touch_a store;
+    up "c";
+    let resident name = Serve.Store.bench_of store name <> None in
+    (resident "a", resident "b")
+  in
+  Alcotest.(check (pair bool bool)) "view a: b evicted" (true, false)
+    (run (fun store -> ignore (Serve.Store.view store "a")));
+  Alcotest.(check (pair bool bool)) "bench_of a: a evicted" (false, true)
+    (run (fun store -> ignore (Serve.Store.bench_of store "a")))
 
 (* A rejected upload must not create (or, at the cap, evict for) its
    profile. *)
@@ -928,11 +1021,16 @@ let suite =
     Alcotest.test_case "lint min_prob range" `Quick lint_min_prob_range;
     Alcotest.test_case "request isolation" `Quick request_isolation;
     Alcotest.test_case "oversize bounded" `Quick oversize_bounded;
+    Alcotest.test_case "oversize answered over a pipe" `Quick
+      oversize_over_pipe;
+    Alcotest.test_case "cache size bounded" `Quick cache_size_bounded;
     Alcotest.test_case "self-merge doubles weights" `Quick merge_self_doubles;
     QCheck_alcotest.to_alcotest merge_commutative;
     Alcotest.test_case "poisoned pins last good" `Quick poisoned_pins_last_good;
     Alcotest.test_case "stale epoch rejected" `Quick stale_epoch_rejected;
     Alcotest.test_case "store cap evicts LRU" `Quick store_cap_evicts;
+    Alcotest.test_case "view refreshes, bench_of does not" `Quick
+      store_recency;
     Alcotest.test_case "rejected upload leaves no ghost" `Quick
       rejected_upload_no_ghost;
     Alcotest.test_case "deadline semantics" `Quick deadline_semantics;
