@@ -22,6 +22,88 @@ let scale_arg =
   Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 (* ------------------------------------------------------------------ *)
+(* Cache geometry flags (simulate, estimate, absint)                   *)
+(* ------------------------------------------------------------------ *)
+
+let assoc_conv =
+  let parse = function
+    | "direct" -> Ok Icache.Config.Direct
+    | "full" -> Ok Icache.Config.Full
+    | s -> (
+      match int_of_string_opt s with
+      | Some n -> Ok (Icache.Config.Ways n)
+      | None ->
+        Error
+          (Printf.sprintf
+             "invalid value '%s', expected direct, N (ways) or full" s))
+  in
+  let print ppf = function
+    | Icache.Config.Direct -> Format.pp_print_string ppf "direct"
+    | Icache.Config.Full -> Format.pp_print_string ppf "full"
+    | Icache.Config.Ways n -> Format.pp_print_int ppf n
+  in
+  Arg.conv' (parse, print)
+
+let fill_conv =
+  let parse s =
+    let bad =
+      Error
+        (Printf.sprintf
+           "invalid value '%s', expected whole, sector:N or partial" s)
+    in
+    match String.split_on_char ':' s with
+    | [ "whole" ] -> Ok Icache.Config.Whole
+    | [ "partial" ] -> Ok Icache.Config.Partial
+    | [ "sector"; n ] -> (
+      match int_of_string_opt n with
+      | Some n -> Ok (Icache.Config.Sectored n)
+      | None -> bad)
+    | _ -> bad
+  in
+  let print ppf = function
+    | Icache.Config.Whole -> Format.pp_print_string ppf "whole"
+    | Icache.Config.Partial -> Format.pp_print_string ppf "partial"
+    | Icache.Config.Sectored n -> Format.fprintf ppf "sector:%d" n
+  in
+  Arg.conv' (parse, print)
+
+(* The validated cache geometry of --size and --block, plus --assoc and
+   --fill/--prefetch where a command offers them (the rest stay at the
+   direct-mapped, whole-fill default).  A malformed value or an
+   impossible geometry ([Icache.Config.Invalid]) is a usage error, exit
+   124, like any flag cmdliner rejects. *)
+let geometry_term ?(with_assoc = false) ?(with_fill = false) () =
+  let size =
+    Arg.(value & opt int 2048 & info [ "size" ] ~doc:"Cache size in bytes.")
+  in
+  let block =
+    Arg.(value & opt int 64 & info [ "block" ] ~doc:"Block size in bytes.")
+  in
+  let assoc =
+    if with_assoc then
+      let doc = "Associativity: direct, N (ways), or full." in
+      Arg.(value & opt assoc_conv Icache.Config.Direct & info [ "assoc" ] ~doc)
+    else Term.const Icache.Config.Direct
+  in
+  let fill, prefetch =
+    if with_fill then
+      let doc = "Fill policy: whole, sector:N, or partial." in
+      ( Arg.(value & opt fill_conv Icache.Config.Whole & info [ "fill" ] ~doc),
+        Arg.(
+          value & flag & info [ "prefetch" ] ~doc:"Next-line tagged prefetch.")
+      )
+    else (Term.const Icache.Config.Whole, Term.const false)
+  in
+  let make size block assoc fill prefetch =
+    match Icache.Config.make ~assoc ~fill ~prefetch ~size ~block () with
+    | config -> Ok config
+    | exception Icache.Config.Invalid msg ->
+      Error (Printf.sprintf "invalid cache geometry: %s" msg)
+  in
+  Term.term_result' ~usage:true
+    Term.(const make $ size $ block $ assoc $ fill $ prefetch)
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry flags (table-producing commands)                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -384,23 +466,6 @@ let simulate_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"BENCH" ~doc:"Benchmark name.")
   in
-  let size_arg =
-    Arg.(value & opt int 2048 & info [ "size" ] ~doc:"Cache size in bytes.")
-  in
-  let block_arg =
-    Arg.(value & opt int 64 & info [ "block" ] ~doc:"Block size in bytes.")
-  in
-  let assoc_arg =
-    let doc = "Associativity: direct, N (ways), or full." in
-    Arg.(value & opt string "direct" & info [ "assoc" ] ~doc)
-  in
-  let fill_arg =
-    let doc = "Fill policy: whole, sector:N, or partial." in
-    Arg.(value & opt string "whole" & info [ "fill" ] ~doc)
-  in
-  let prefetch_arg =
-    Arg.(value & flag & info [ "prefetch" ] ~doc:"Next-line tagged prefetch.")
-  in
   let layout_arg =
     let doc =
       Printf.sprintf "Layout strategy: %s (`optimized' = impact)."
@@ -408,21 +473,7 @@ let simulate_cmd =
     in
     Arg.(value & opt string "impact" & info [ "layout" ] ~doc)
   in
-  let run name size block assoc fill prefetch layout =
-    let assoc =
-      match assoc with
-      | "direct" -> Icache.Config.Direct
-      | "full" -> Icache.Config.Full
-      | n -> Icache.Config.Ways (int_of_string n)
-    in
-    let fill =
-      match String.split_on_char ':' fill with
-      | [ "whole" ] -> Icache.Config.Whole
-      | [ "partial" ] -> Icache.Config.Partial
-      | [ "sector"; n ] -> Icache.Config.Sectored (int_of_string n)
-      | _ -> failwith "bad --fill (whole | sector:N | partial)"
-    in
-    let config = Icache.Config.make ~assoc ~fill ~prefetch ~size ~block () in
+  let run name config layout =
     let ctx = Experiments.Context.create ~names:[ name ] () in
     let e = Experiments.Context.find ctx name in
     let strategy =
@@ -455,8 +506,9 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate one cache configuration on a benchmark")
     Term.(
-      const run $ bench_arg $ size_arg $ block_arg $ assoc_arg $ fill_arg
-      $ prefetch_arg $ layout_arg)
+      const run $ bench_arg
+      $ geometry_term ~with_assoc:true ~with_fill:true ()
+      $ layout_arg)
 
 (* impact estimate BENCH *)
 let estimate_cmd =
@@ -466,14 +518,7 @@ let estimate_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"BENCH" ~doc:"Benchmark name.")
   in
-  let size_arg =
-    Arg.(value & opt int 2048 & info [ "size" ] ~doc:"Cache size in bytes.")
-  in
-  let block_arg =
-    Arg.(value & opt int 64 & info [ "block" ] ~doc:"Block size in bytes.")
-  in
-  let run name size block =
-    let config = Icache.Config.make ~size ~block () in
+  let run name config =
     let ctx = Experiments.Context.create ~names:[ name ] () in
     let e = Experiments.Context.find ctx name in
     let est =
@@ -494,7 +539,7 @@ let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Profile-only analytical miss estimate vs trace-driven simulation")
-    Term.(const run $ bench_arg $ size_arg $ block_arg)
+    Term.(const run $ bench_arg $ geometry_term ())
 
 (* impact lint [-b BENCH] [--strategy S|all] [--format text|json]
    [--fail-on warn|error] — the static layout linter: no trace, no
@@ -655,16 +700,6 @@ let absint_cmd =
     in
     Arg.(value & opt string "all" & info [ "strategy" ] ~docv:"S" ~doc)
   in
-  let size_arg =
-    Arg.(value & opt int 2048 & info [ "size" ] ~doc:"Cache size in bytes.")
-  in
-  let block_arg =
-    Arg.(value & opt int 64 & info [ "block" ] ~doc:"Block size in bytes.")
-  in
-  let assoc_arg =
-    let doc = "Associativity: direct, N (ways), or full." in
-    Arg.(value & opt string "direct" & info [ "assoc" ] ~doc)
-  in
   let max_iters_arg =
     let doc =
       "Cap the fixpoint solver at $(docv) worklist pops per domain \
@@ -680,16 +715,9 @@ let absint_cmd =
       & opt (Arg.enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FMT" ~doc)
   in
-  let run names strategy size block assoc max_iters format obs jobs =
+  let run names strategy config max_iters format obs jobs =
     with_telemetry obs @@ fun () ->
     with_parallel jobs @@ fun () ->
-    let assoc =
-      match assoc with
-      | "direct" -> Icache.Config.Direct
-      | "full" -> Icache.Config.Full
-      | n -> Icache.Config.Ways (int_of_string n)
-    in
-    let config = Icache.Config.make ~assoc ~size ~block () in
     let max_iters = if max_iters > 0 then Some max_iters else None in
     let strategies =
       if strategy = "all" then None
@@ -719,8 +747,9 @@ let absint_cmd =
           simulation): must/may/persistence domains over the CFG and \
           address map")
     Term.(
-      const run $ bench_names_arg $ strategy_arg $ size_arg $ block_arg
-      $ assoc_arg $ max_iters_arg $ format_arg $ obs_term $ jobs_term)
+      const run $ bench_names_arg $ strategy_arg
+      $ geometry_term ~with_assoc:true ()
+      $ max_iters_arg $ format_arg $ obs_term $ jobs_term)
 
 let main_cmd =
   let doc =

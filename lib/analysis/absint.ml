@@ -38,7 +38,7 @@ type scope = {
   s_fid : int;
   s_header : Cfg.label;
   s_depth : int;
-  s_body : int array;  (* gids of the syntactic loop body, sorted *)
+  s_body : int array;  (* first-miss member gids, sorted *)
   s_header_gid : int;
   s_persistent : Bytes.t;  (* per cache set: '\001' = scope fits *)
 }
@@ -94,9 +94,9 @@ let block_lines (config : Icache.Config.t) ~addr ~words =
 
 let default_max_iters nnodes = 1_000 + (100 * nnodes)
 
-let analyze ?max_iters (config : Icache.Config.t)
-    (map : Placement.Address_map.t) (prog : Prog.program) : t =
-  Obs.Span.with_ ~stage:"absint.analyze" @@ fun () ->
+(* Supergraph node numbering: one gid per (function, block), functions
+   in definition order. *)
+let number_nodes (prog : Prog.program) =
   let funcs = prog.Prog.funcs in
   let nfuncs = Array.length funcs in
   let offsets = Array.make nfuncs 0 in
@@ -113,6 +113,141 @@ let analyze ?max_iters (config : Icache.Config.t)
       node_label.(offsets.(fid) + l) <- l
     done
   done;
+  (offsets, node_fid, node_label)
+
+(* The program-only half of a scope: header, members and conflict
+   closure come from the loop forest and the call graph, never from the
+   address map or the cache geometry.  [analyze] adds per-set
+   persistence and [tracker] counts stays; both build their scopes
+   here, so scope index [si] names the same scope in every analysis of
+   one program. *)
+type shape = {
+  sh_fid : int;
+  sh_header : Cfg.label;
+  sh_depth : int;
+  sh_members : int array;  (* sorted gids *)
+  sh_closure : int list;  (* gids one stay can execute *)
+}
+
+(* Natural-loop scopes, per reducible function.  A scope's conflict
+   closure is its body plus every function transitively callable from
+   it (the blocks one stay can execute).  Its first-miss MEMBERS are the
+   body plus the PRIVATE part of that closure: functions all of whose
+   call sites lie in the body or in other private members, so their
+   blocks never execute outside a stay and the once-per-entry guarantee
+   extends to them.  Returns the irreducible-function flags, their
+   warnings in function order, and the scopes in creation order (a
+   function's outer loops first). *)
+let program_scopes (prog : Prog.program) ~offsets ~node_fid =
+  let funcs = prog.Prog.funcs in
+  let nfuncs = Array.length funcs in
+  let warnings = ref [] in
+  let irreducible = Array.make nfuncs false in
+  let call_sites = Array.make nfuncs [] in
+  let callee_fid g =
+    let f = node_fid.(g) in
+    match Cfg.callee funcs.(f).Prog.blocks.(g - offsets.(f)) with
+    | Some callee -> (
+        match Prog.func_index prog callee with
+        | cf -> Some cf
+        | exception _ -> None)
+    | None -> None
+  in
+  for v = 0 to Array.length node_fid - 1 do
+    match callee_fid v with
+    | Some cf -> call_sites.(cf) <- v :: call_sites.(cf)
+    | None -> ()
+  done;
+  let gids_of cf =
+    List.init (Array.length funcs.(cf).Prog.blocks) (fun l -> offsets.(cf) + l)
+  in
+  let shapes = ref [] in
+  for fid = 0 to nfuncs - 1 do
+    let loops = Loops.of_func funcs.(fid) in
+    if not loops.Loops.reducible then begin
+      irreducible.(fid) <- true;
+      warnings :=
+        Diag.make ~severity:Warning ~stage:Lint ~func:funcs.(fid).Prog.name
+          "absint: irreducible control flow; blocks degrade to unclassified"
+        :: !warnings
+    end
+    else
+      Array.iter
+        (fun (loop : Loops.loop) ->
+          let body_gids =
+            List.map (fun l -> offsets.(fid) + l) loop.Loops.body
+          in
+          let in_body = Hashtbl.create 16 in
+          List.iter (fun g -> Hashtbl.replace in_body g ()) body_gids;
+          (* Transitive callee closure of the body's call sites. *)
+          let fids = Hashtbl.create 8 in
+          let pending = ref [] in
+          let visit_calls gids =
+            List.iter
+              (fun g ->
+                match callee_fid g with
+                | Some cf when not (Hashtbl.mem fids cf) ->
+                    Hashtbl.replace fids cf ();
+                    pending := cf :: !pending
+                | _ -> ())
+              gids
+          in
+          visit_calls body_gids;
+          while !pending <> [] do
+            match !pending with
+            | [] -> ()
+            | cf :: rest ->
+                pending := rest;
+                visit_calls (gids_of cf)
+          done;
+          let closure =
+            Hashtbl.fold (fun cf () acc -> gids_of cf @ acc) fids body_gids
+          in
+          (* Greatest fixpoint of "private": drop any closure function
+             with a call site outside the body and outside every
+             still-private function. *)
+          let private_ = Hashtbl.copy fids in
+          Hashtbl.remove private_ prog.Prog.entry;
+          let changed = ref true in
+          while !changed do
+            changed := false;
+            Hashtbl.iter
+              (fun cf () ->
+                let exposed =
+                  List.exists
+                    (fun site ->
+                      (not (Hashtbl.mem in_body site))
+                      && not (Hashtbl.mem private_ node_fid.(site)))
+                    call_sites.(cf)
+                in
+                if exposed then begin
+                  Hashtbl.remove private_ cf;
+                  changed := true
+                end)
+              (Hashtbl.copy private_)
+          done;
+          let members =
+            Hashtbl.fold (fun cf () acc -> gids_of cf @ acc) private_ body_gids
+          in
+          shapes :=
+            {
+              sh_fid = fid;
+              sh_header = loop.Loops.header;
+              sh_depth = loop.Loops.depth;
+              sh_members = Array.of_list (List.sort_uniq compare members);
+              sh_closure = closure;
+            }
+            :: !shapes)
+        loops.Loops.loops
+  done;
+  (irreducible, List.rev !warnings, Array.of_list (List.rev !shapes))
+
+let analyze ?max_iters (config : Icache.Config.t)
+    (map : Placement.Address_map.t) (prog : Prog.program) : t =
+  Obs.Span.with_ ~stage:"absint.analyze" @@ fun () ->
+  let funcs = prog.Prog.funcs in
+  let offsets, node_fid, node_label = number_nodes prog in
+  let nnodes = Array.length node_fid in
   let lines_of_node =
     Array.init nnodes (fun v ->
         let fid = node_fid.(v) and l = node_label.(v) in
@@ -274,149 +409,41 @@ let analyze ?max_iters (config : Icache.Config.t)
             t.warnings @ must.Dataflow.v_warnings @ may.Dataflow.v_warnings;
         }
       else begin
-        (* Natural-loop scopes, per reducible function.  A scope's
-           conflict closure is its body plus every function transitively
-           callable from it (the blocks one stay can execute).  Its
-           first-miss MEMBERS are the body plus the PRIVATE part of that
-           closure: functions all of whose call sites lie in the body or
-           in other private members, so their blocks never execute
-           outside a stay and the once-per-entry guarantee extends to
-           them. *)
-        let warnings = ref [] in
-        let irreducible = Array.make nfuncs false in
-        let call_sites = Array.make nfuncs [] in
-        for v = 0 to nnodes - 1 do
-          match
-            Cfg.callee funcs.(node_fid.(v)).Prog.blocks.(node_label.(v))
-          with
-          | Some callee -> (
-              match Prog.func_index prog callee with
-              | cf -> call_sites.(cf) <- v :: call_sites.(cf)
-              | exception _ -> ())
-          | None -> ()
-        done;
-        let scopes = ref [] and nscopes = ref 0 in
-        for fid = 0 to nfuncs - 1 do
-          let loops = Loops.of_func funcs.(fid) in
-          if not loops.Loops.reducible then begin
-            irreducible.(fid) <- true;
-            warnings :=
-              Diag.make ~severity:Warning ~stage:Lint
-                ~func:funcs.(fid).Prog.name
-                "absint: irreducible control flow; blocks degrade to \
-                 unclassified"
-              :: !warnings
-          end
-          else
-            Array.iteri
-              (fun _li (loop : Loops.loop) ->
-                let body_gids =
-                  List.map (fun l -> offsets.(fid) + l) loop.Loops.body
-                in
-                let in_body = Hashtbl.create 16 in
-                List.iter (fun g -> Hashtbl.replace in_body g ()) body_gids;
-                (* Transitive callee closure of the body's call sites. *)
-                let fids = Hashtbl.create 8 in
-                let pending = ref [] in
-                let visit_calls f gids =
-                  List.iter
-                    (fun g ->
-                      match
-                        Cfg.callee funcs.(f).Prog.blocks.(node_label.(g))
-                      with
-                      | Some callee -> (
-                          match Prog.func_index prog callee with
-                          | cf ->
-                              if not (Hashtbl.mem fids cf) then begin
-                                Hashtbl.replace fids cf ();
-                                pending := cf :: !pending
-                              end
-                          | exception _ -> ())
-                      | None -> ())
-                    gids
-                in
-                visit_calls fid body_gids;
-                while !pending <> [] do
-                  match !pending with
-                  | [] -> ()
-                  | cf :: rest ->
-                      pending := rest;
-                      let n = Array.length funcs.(cf).Prog.blocks in
-                      visit_calls cf (List.init n (fun l -> offsets.(cf) + l))
-                done;
-                let closure_fids =
-                  Hashtbl.fold (fun cf () acc -> cf :: acc) fids []
-                in
-                let closure_gids =
-                  List.fold_left
-                    (fun acc cf ->
-                      let n = Array.length funcs.(cf).Prog.blocks in
-                      List.init n (fun l -> offsets.(cf) + l) @ acc)
-                    body_gids closure_fids
-                in
-                (* Greatest fixpoint of "private": drop any closure
-                   function with a call site outside the body and
-                   outside every still-private function. *)
-                let private_ = Hashtbl.copy fids in
-                Hashtbl.remove private_ prog.Prog.entry;
-                let changed = ref true in
-                while !changed do
-                  changed := false;
-                  Hashtbl.iter
-                    (fun cf () ->
-                      let exposed =
-                        List.exists
-                          (fun site ->
-                            (not (Hashtbl.mem in_body site))
-                            && not (Hashtbl.mem private_ node_fid.(site)))
-                          call_sites.(cf)
-                      in
-                      if exposed then begin
-                        Hashtbl.remove private_ cf;
-                        changed := true
+        let irreducible, warnings, shapes =
+          program_scopes prog ~offsets ~node_fid
+        in
+        (* A scope protects the cache sets where the distinct lines of
+           its closure fit in the ways. *)
+        let scopes =
+          Array.map
+            (fun sh ->
+              let seen = Bytes.make u.Cachedom.nlines '\000' in
+              let per_set = Array.make u.Cachedom.nsets 0 in
+              List.iter
+                (fun g ->
+                  Array.iter
+                    (fun id ->
+                      if Bytes.get seen id = '\000' then begin
+                        Bytes.set seen id '\001';
+                        per_set.(u.Cachedom.set_of.(id)) <-
+                          per_set.(u.Cachedom.set_of.(id)) + 1
                       end)
-                    (Hashtbl.copy private_)
-                done;
-                let member_gids =
-                  Hashtbl.fold
-                    (fun cf () acc ->
-                      let n = Array.length funcs.(cf).Prog.blocks in
-                      List.init n (fun l -> offsets.(cf) + l) @ acc)
-                    private_ body_gids
-                in
-                (* Distinct lines per cache set across the closure. *)
-                let seen = Bytes.make u.Cachedom.nlines '\000' in
-                let per_set = Array.make u.Cachedom.nsets 0 in
-                List.iter
-                  (fun g ->
-                    Array.iter
-                      (fun id ->
-                        if Bytes.get seen id = '\000' then begin
-                          Bytes.set seen id '\001';
-                          per_set.(u.Cachedom.set_of.(id)) <-
-                            per_set.(u.Cachedom.set_of.(id)) + 1
-                        end)
-                      accesses.(g))
-                  closure_gids;
-                let persistent = Bytes.make u.Cachedom.nsets '\000' in
-                for s = 0 to u.Cachedom.nsets - 1 do
-                  if per_set.(s) <= ways then Bytes.set persistent s '\001'
-                done;
-                incr nscopes;
-                scopes :=
-                  {
-                    s_fid = fid;
-                    s_header = loop.Loops.header;
-                    s_depth = loop.Loops.depth;
-                    s_body =
-                      Array.of_list (List.sort_uniq compare member_gids);
-                    s_header_gid = offsets.(fid) + loop.Loops.header;
-                    s_persistent = persistent;
-                  }
-                  :: !scopes)
-              loops.Loops.loops
-        done;
-        let scopes = Array.of_list (List.rev !scopes) in
+                    accesses.(g))
+                sh.sh_closure;
+              let persistent = Bytes.make u.Cachedom.nsets '\000' in
+              for s = 0 to u.Cachedom.nsets - 1 do
+                if per_set.(s) <= ways then Bytes.set persistent s '\001'
+              done;
+              {
+                s_fid = sh.sh_fid;
+                s_header = sh.sh_header;
+                s_depth = sh.sh_depth;
+                s_body = sh.sh_members;
+                s_header_gid = offsets.(sh.sh_fid) + sh.sh_header;
+                s_persistent = persistent;
+              })
+            shapes
+        in
         (* Per-node candidate scopes: creation order puts a function's
            outer loops first; prefer scopes of OTHER functions (the
            dynamically enclosing caller loops) over a block's own. *)
@@ -495,7 +522,7 @@ let analyze ?max_iters (config : Icache.Config.t)
           consistent = !consistent;
           must_iterations = must.Dataflow.v_iterations;
           may_iterations = may.Dataflow.v_iterations;
-          warnings = List.rev !warnings;
+          warnings;
         }
       end
 
@@ -647,56 +674,58 @@ let profile_entries (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
 
 (* Exact stay counting over an executed block stream: feed the blocks in
    order; a scope is entered when its header runs and the previous block
-   was not one of its members. *)
+   was not one of its members.  Scopes are the program's (see
+   [program_scopes]), so one walk serves every analysis of the program,
+   whatever its map or geometry. *)
 
 type tracker = {
-  tr : t;
-  headers : (int, int list) Hashtbl.t;  (* header gid -> scope indices *)
+  offsets : int array;
+  heads : int array array;  (* gid -> indices of the scopes it heads *)
   member : Bytes.t array;  (* scope -> per-gid membership *)
   counts : int array;  (* per-gid execution counts, a byproduct *)
   entered : int array;  (* per-scope stay count *)
   mutable prev : int;
 }
 
-let tracker (t : t) : tracker =
-  let headers = Hashtbl.create 16 in
+let tracker (prog : Prog.program) : tracker =
+  let offsets, node_fid, _ = number_nodes prog in
+  let nnodes = Array.length node_fid in
+  let _, _, shapes = program_scopes prog ~offsets ~node_fid in
+  let heads = Array.make nnodes [||] in
   Array.iteri
-    (fun si s ->
-      Hashtbl.replace headers s.s_header_gid
-        (si
-        :: Option.value ~default:[] (Hashtbl.find_opt headers s.s_header_gid)))
-    t.scopes;
+    (fun si sh ->
+      let g = offsets.(sh.sh_fid) + sh.sh_header in
+      heads.(g) <- Array.append heads.(g) [| si |])
+    shapes;
   let member =
     Array.map
-      (fun s ->
-        let m = Bytes.make t.nnodes '\000' in
-        Array.iter (fun g -> Bytes.set m g '\001') s.s_body;
+      (fun sh ->
+        let m = Bytes.make nnodes '\000' in
+        Array.iter (fun g -> Bytes.set m g '\001') sh.sh_members;
         m)
-      t.scopes
+      shapes
   in
   {
-    tr = t;
-    headers;
+    offsets;
+    heads;
     member;
-    counts = Array.make t.nnodes 0;
-    entered = Array.make (Array.length t.scopes) 0;
+    counts = Array.make nnodes 0;
+    entered = Array.make (Array.length shapes) 0;
     prev = -1;
   }
 
 let track (k : tracker) (fid : int) (label : Cfg.label) : unit =
-  let g = k.tr.offsets.(fid) + label in
+  let g = k.offsets.(fid) + label in
   k.counts.(g) <- k.counts.(g) + 1;
-  (match Hashtbl.find_opt k.headers g with
-  | None -> ()
-  | Some sis ->
-      List.iter
-        (fun si ->
-          if k.prev < 0 || Bytes.get k.member.(si) k.prev = '\000' then
-            k.entered.(si) <- k.entered.(si) + 1)
-        sis);
+  let heads = k.heads.(g) in
+  for i = 0 to Array.length heads - 1 do
+    let si = heads.(i) in
+    if k.prev < 0 || Bytes.get k.member.(si) k.prev = '\000' then
+      k.entered.(si) <- k.entered.(si) + 1
+  done;
   k.prev <- g
 
 let tracked_counts (k : tracker) (fid : int) (label : Cfg.label) : int =
-  k.counts.(k.tr.offsets.(fid) + label)
+  k.counts.(k.offsets.(fid) + label)
 
 let tracked_entries (k : tracker) (si : int) : int = k.entered.(si)

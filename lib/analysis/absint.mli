@@ -110,7 +110,13 @@ val profile_entries :
 
 type tracker
 
-val tracker : t -> tracker
+val tracker : Prog.program -> tracker
+(** A stay counter over the program's scopes.  Scopes depend only on
+    the program (loops and call graph), and {!analyze} numbers them the
+    same way, so one tracker fed one trace serves every analysis of the
+    program, under any map or geometry: [tracked_entries k si] is the
+    stay count of [scopes.(si)] of each such analysis.  Gated and capped
+    analyses have no scopes and never ask. *)
 
 val track : tracker -> int -> Cfg.label -> unit
 (** Feed executed blocks in order; accumulates per-block counts and

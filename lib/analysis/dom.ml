@@ -8,7 +8,7 @@
 
 open Ir
 
-type t = { root : int; idom : int array; rpo : int array }
+type t = { root : int; idom : int array }
 
 (* Generic core over an explicit graph. *)
 let compute ~nnodes ~root ~succs ~preds =
@@ -62,7 +62,7 @@ let compute ~nnodes ~root ~succs ~preds =
         end)
       reached
   done;
-  { root; idom; rpo }
+  { root; idom }
 
 let dominators (f : Prog.func) : t =
   let blocks = f.Prog.blocks in

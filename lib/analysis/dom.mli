@@ -12,8 +12,6 @@ type t = {
   idom : int array;
       (** immediate dominator per node; [idom.(root) = root]; [-1] when
           the node is disconnected from the root *)
-  rpo : int array;
-      (** reverse-postorder number per node, [-1] when disconnected *)
 }
 
 val dominators : Prog.func -> t

@@ -205,6 +205,14 @@ let compute ?(configs = default_configs)
          let prog = p.Placement.Pipeline.program in
          let profile = p.Placement.Pipeline.profile in
          let trace = Context.trace e in
+         (* Block and stay counts depend only on the program and the
+            trace, so one walk serves every (strategy, config). *)
+         let k =
+           Obs.Span.with_ ~stage:"absint.track" @@ fun () ->
+           let k = Absint.tracker prog in
+           Sim.Trace.iter_blocks (Absint.track k) trace;
+           k
+         in
          List.concat_map
            (fun (s : Placement.Strategy.t) ->
              let id = s.Placement.Strategy.id in
@@ -214,17 +222,15 @@ let compute ?(configs = default_configs)
                  ~block_weight:(Vm.Profile.block_weight profile)
                  ~func_entries:(Vm.Profile.func_weight profile)
              in
-             List.map
-               (fun config ->
+             (* One sweep simulates every geometry of this map. *)
+             let sims = Context.simulate_many e configs map trace in
+             List.map2
+               (fun config (r : Sim.Driver.result) ->
                  let t = Absint.analyze config map prog in
-                 let k = Absint.tracker t in
-                 Sim.Trace.iter_blocks (fun fid l -> Absint.track k fid l)
-                   trace;
                  let iv =
                    Absint.interval t ~counts:(Absint.tracked_counts k)
                      ~entries:(Absint.tracked_entries k)
                  in
-                 let r = Context.simulate e config map trace in
                  let tot = Absint.totals t in
                  let ratio n =
                    if r.Sim.Driver.accesses = 0 then 0.
@@ -248,7 +254,7 @@ let compute ?(configs = default_configs)
                      Printf.sprintf "%d/%d" tot.Absint.t_blocks_classified
                        tot.Absint.t_blocks;
                  })
-               configs)
+               configs sims)
            strategies)
        ctx
 
@@ -319,7 +325,7 @@ let check_oracle ?(configs = oracle_configs) ~strategy
       match (t.Absint.gated, t.Absint.universe) with
       | Some _, _ | _, None -> ()
       | None, Some u ->
-          let k = Absint.tracker t in
+          let k = Absint.tracker prog in
           let cache = Icache.Cache.create config in
           let line_bytes = config.Icache.Config.block in
           let fm_misses = Hashtbl.create 32 in

@@ -23,14 +23,15 @@ type policy =
   | Streaming
   | Streaming_partial
 
-type model = { hit_cycles : int; mem_latency : int }
-
-let default_model = { hit_cycles = 1; mem_latency = 10 }
+(* One-cycle hits; the first word arrives [mem_latency] cycles after a
+   miss. *)
+let hit_cycles = 1
+let mem_latency = 10
 
 (* Stall cycles (beyond the normal hit time) for one miss. *)
-let miss_stall model policy ~words_per_block ~word_in_block ~run_words
+let miss_stall policy ~words_per_block ~word_in_block ~run_words
     ~fetched_words =
-  let lat = model.mem_latency in
+  let lat = mem_latency in
   match policy with
   | Blocking -> lat + words_per_block
   | Streaming ->
@@ -58,15 +59,13 @@ let miss_stall model policy ~words_per_block ~word_in_block ~run_words
     initial + tail
 
 type t = {
-  model : model;
   policy : policy;
   mutable accesses : int;
   mutable stall_cycles : int;
   mutable misses : int;
 }
 
-let create ?(model = default_model) policy =
-  { model; policy; accesses = 0; stall_cycles = 0; misses = 0 }
+let create policy = { policy; accesses = 0; stall_cycles = 0; misses = 0 }
 
 let on_hit t = t.accesses <- t.accesses + 1
 
@@ -78,12 +77,12 @@ let on_miss t ~words_per_block ~word_in_block ~run_words ~fetched_words =
   t.misses <- t.misses + 1;
   t.stall_cycles <-
     t.stall_cycles
-    + miss_stall t.model t.policy ~words_per_block ~word_in_block ~run_words
+    + miss_stall t.policy ~words_per_block ~word_in_block ~run_words
         ~fetched_words
 
 (* Mean cycles per instruction fetch. *)
 let effective_access_time t =
-  if t.accesses = 0 then float_of_int t.model.hit_cycles
+  if t.accesses = 0 then float_of_int hit_cycles
   else
-    float_of_int ((t.accesses * t.model.hit_cycles) + t.stall_cycles)
+    float_of_int ((t.accesses * hit_cycles) + t.stall_cycles)
     /. float_of_int t.accesses

@@ -1,5 +1,6 @@
-(** Miss-penalty timing model (paper §4.2.1): interleaved memory
-    delivering one 4-byte word per cycle after an initial latency, with
+(** Miss-penalty timing model (paper §4.2.1): one-cycle hits and an
+    interleaved memory delivering one 4-byte word per cycle after a
+    10-cycle initial latency, with
     blocking, streaming (load forwarding + early continuation), or
     streaming-over-partial-load refill disciplines. *)
 
@@ -8,11 +9,9 @@ type policy =
   | Streaming
   | Streaming_partial
 
-type model = { hit_cycles : int; mem_latency : int }
-
 type t
 
-val create : ?model:model -> policy -> t
+val create : policy -> t
 val on_hit : t -> unit
 
 val on_hits : t -> int -> unit

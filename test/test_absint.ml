@@ -1,8 +1,9 @@
 (* Abstract cache-state analysis: hand fixtures with known
    classifications (straight-line cold misses, a direct-mapped conflict
    pair, a first-miss loop body), the irreducible and iteration-cap
-   degradations, QCheck properties (domain consistency over generated
-   programs, lattice monotonicity over random age vectors), -j
+   degradations, QCheck properties (domain consistency and one shared
+   stay tracker over generated programs, lattice monotonicity over
+   random age vectors), -j
    stability, and the acceptance check that the certified ranking on
    yacc at 8KB agrees with the simulated impact-vs-natural ordering. *)
 
@@ -264,6 +265,68 @@ let prop_domains_consistent =
           Icache.Config.make ~size:512 ~block:16 ~assoc:(Ways 2) ();
         ])
 
+(* One tracker per program serves every analysis of it.  A naive
+   counter, rebuilt per analysis from that analysis's own scopes, counts
+   a stay whenever a scope header runs and the previous block is not in
+   the scope's [s_body]; the shared tracker, built from the program and
+   fed the trace once, must give the same interval under every E19 and
+   oracle geometry and under the natural and IMPACT maps. *)
+let naive_interval (a : Analysis.Absint.t) trace =
+  let scopes = a.Analysis.Absint.scopes in
+  let counts = Array.make a.Analysis.Absint.nnodes 0 in
+  let entries = Array.make (Array.length scopes) 0 in
+  let prev = ref (-1) in
+  Sim.Trace.iter_blocks
+    (fun fid l ->
+      let g = Analysis.Absint.gid a fid l in
+      counts.(g) <- counts.(g) + 1;
+      Array.iteri
+        (fun si (s : Analysis.Absint.scope) ->
+          if
+            s.Analysis.Absint.s_header_gid = g
+            && (!prev < 0 || not (Array.mem !prev s.Analysis.Absint.s_body))
+          then entries.(si) <- entries.(si) + 1)
+        scopes;
+      prev := g)
+    trace;
+  Analysis.Absint.interval a
+    ~counts:(fun fid l -> counts.(Analysis.Absint.gid a fid l))
+    ~entries:(fun si -> entries.(si))
+
+let prop_shared_tracker =
+  QCheck.Test.make ~name:"one tracker serves every analysis of a program"
+    ~count:25
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let p = Lower.program (Gen.generate ~size:40 seed) in
+      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+      let prog = pl.Placement.Pipeline.program in
+      let trace = Sim.Trace.record prog (Vm.Io.input []) in
+      let k = Analysis.Absint.tracker prog in
+      Sim.Trace.iter_blocks (Analysis.Absint.track k) trace;
+      let configs =
+        [
+          (* E19 *)
+          Icache.Config.make ~size:2048 ~block:64 ();
+          Icache.Config.make ~size:8192 ~block:64 ();
+          Icache.Config.make ~size:4096 ~block:64 ~assoc:(Ways 2) ();
+          (* soundness oracle *)
+          Icache.Config.make ~size:512 ~block:16 ();
+          Icache.Config.make ~size:512 ~block:16 ~assoc:(Ways 2) ();
+        ]
+      in
+      List.for_all
+        (fun map ->
+          List.for_all
+            (fun config ->
+              let a = Analysis.Absint.analyze config map prog in
+              Analysis.Absint.interval a
+                ~counts:(Analysis.Absint.tracked_counts k)
+                ~entries:(Analysis.Absint.tracked_entries k)
+              = naive_interval a trace)
+            configs)
+        [ pl.Placement.Pipeline.natural; pl.Placement.Pipeline.optimized ])
+
 (* Random age vectors over a fixed line universe: the joins must be
    upper/lower bounds and the transfers monotone in the domain order
    (higher age = less knowledge for Must, more for May). *)
@@ -381,6 +444,7 @@ let suite =
     Alcotest.test_case "iteration cap gates soundly" `Quick
       solver_cap_degrades;
     QCheck_alcotest.to_alcotest prop_domains_consistent;
+    QCheck_alcotest.to_alcotest prop_shared_tracker;
     QCheck_alcotest.to_alcotest prop_lattice_monotone;
     Alcotest.test_case "sweep identical across pool sizes" `Quick
       stability_across_pools;

@@ -113,37 +113,36 @@ let classification () =
     (total counts) (total c2)
 
 (* Stall cycles of one miss, read back through the accumulated effective
-   access time: one access costs the hit time plus its stall. *)
-let miss_stall model policy ~words_per_block ~word_in_block ~run_words
+   access time: one access costs the one-cycle hit time plus its stall
+   (memory latency 10). *)
+let miss_stall policy ~words_per_block ~word_in_block ~run_words
     ~fetched_words =
-  let t = Icache.Timing.create ~model policy in
+  let t = Icache.Timing.create policy in
   Icache.Timing.on_miss t ~words_per_block ~word_in_block ~run_words
     ~fetched_words;
-  int_of_float (Icache.Timing.effective_access_time t)
-  - model.Icache.Timing.hit_cycles
+  int_of_float (Icache.Timing.effective_access_time t) - 1
 
 let timing_model () =
-  let model = { Icache.Timing.hit_cycles = 1; mem_latency = 10 } in
   (* Blocking: always latency + whole block. *)
   Alcotest.(check int) "blocking" 26
-    (miss_stall model Icache.Timing.Blocking ~words_per_block:16
+    (miss_stall Icache.Timing.Blocking ~words_per_block:16
        ~word_in_block:3 ~run_words:5 ~fetched_words:16);
   (* Streaming: wait for words before the miss; leaving early pays the
      remaining fill. *)
   let s =
-    miss_stall model Icache.Timing.Streaming ~words_per_block:16
+    miss_stall Icache.Timing.Streaming ~words_per_block:16
       ~word_in_block:0 ~run_words:16 ~fetched_words:16
   in
   Alcotest.(check int) "streaming straight-line run" 10 s;
   let s2 =
-    miss_stall model Icache.Timing.Streaming ~words_per_block:16
+    miss_stall Icache.Timing.Streaming ~words_per_block:16
       ~word_in_block:8 ~run_words:0 ~fetched_words:16
   in
   (* miss at word 8, immediate branch: initial 18, tail = 26-18 = ... *)
   Alcotest.(check bool) "early branch pays the tail" true (s2 > 18 - 1);
   (* Partial: fill starts at the miss, minimal initial wait. *)
   let p =
-    miss_stall model Icache.Timing.Streaming_partial
+    miss_stall Icache.Timing.Streaming_partial
       ~words_per_block:16 ~word_in_block:8 ~run_words:8 ~fetched_words:8
   in
   Alcotest.(check int) "partial straight-line" 10 p
