@@ -86,9 +86,9 @@ absint-smoke:
 	cmp _obs/absint.json test/vectors/absint/cmp-yacc.json
 	dune exec bin/fuzz.exe -- --seed 1 --count 200
 
-# Parallel bit-identity: the same table and the same quiet fuzz
-# campaign at -j 1 and -j 2 must produce byte-identical output (rows,
-# failures, everything on stdout).
+# Parallel bit-identity: the same table and the same fuzz campaigns,
+# quiet and with progress, at -j 1 and -j 2 must produce byte-identical
+# output (rows, failures, log lines, everything on stdout).
 par-smoke:
 	rm -rf _par && mkdir -p _par
 	dune exec bin/main.exe -- table strategy-comparison -b cmp,wc -j 1 \
@@ -101,6 +101,9 @@ par-smoke:
 	dune exec bin/fuzz.exe -- --seed 1 --count 200 --quiet -j 2 \
 	  > _par/fuzz-j2.txt
 	cmp _par/fuzz-j1.txt _par/fuzz-j2.txt
+	dune exec bin/fuzz.exe -- --seed 1 --count 60 -j 1 > _par/fuzz-log-j1.txt
+	dune exec bin/fuzz.exe -- --seed 1 --count 60 -j 2 > _par/fuzz-log-j2.txt
+	cmp _par/fuzz-log-j1.txt _par/fuzz-log-j2.txt
 
 # Compressed trace store on scaled workloads end to end: the same table
 # must be byte-identical between -j 1 and -j 2.

@@ -42,19 +42,13 @@ let metrics_out_arg =
            steps) and write its dump to $(docv) ($(b,-) = stderr).")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Check seeds on $(docv) domains (default: the number of \
-           cores).  Failures are identical to $(b,-j 1)'s: detection \
-           fans out, shrinking stays serial in seed order.")
+  Cli.jobs
+    ~default:(Domain.recommended_domain_count ())
+    "Check seeds on $(docv) domains (default: the number of cores).  \
+     Output is identical to $(b,-j 1)'s: detection fans out, shrinking \
+     stays serial in seed order."
 
 let run count first_seed size quiet metrics_out jobs =
-  if jobs < 1 then (
-    Printf.eprintf "fuzz: -j must be >= 1 (got %d)\n" jobs;
-    exit 2);
   Obs.Log.set_quiet quiet;
   if metrics_out <> None then Obs.Metrics.set_enabled true;
   Printf.printf
@@ -62,13 +56,12 @@ let run count first_seed size quiet metrics_out jobs =
     count first_seed size
     (String.concat " " (Placement.Strategy.ids ()));
   let log msg = if not quiet then Printf.printf "%s\n%!" msg in
-  let pool = if jobs > 1 then Some (Placement.Pool.create jobs) else None in
   let failures =
     Fun.protect
-      ~finally:(fun () ->
-        Option.iter Placement.Pool.shutdown pool;
-        Option.iter Obs.Metrics.write metrics_out)
-      (fun () -> Experiments.Fuzz.run ~size ~log ?pool ~first_seed ~count ())
+      ~finally:(fun () -> Option.iter Obs.Metrics.write metrics_out)
+      (fun () ->
+        Placement.Pool.with_default jobs (fun () ->
+            Experiments.Fuzz.run ~size ~log ~first_seed ~count ()))
   in
   match failures with
   | [] ->

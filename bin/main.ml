@@ -8,10 +8,6 @@ let bench_names_arg =
   let doc = "Restrict to these benchmarks (default: all ten)." in
   Arg.(value & opt (some (list string)) None & info [ "b"; "benchmarks" ] ~doc)
 
-let context_of ?(scale = 1) names =
-  if scale < 1 then failwith (Printf.sprintf "--scale must be >= 1 (got %d)" scale);
-  Experiments.Context.create ~scale ?names ()
-
 let scale_arg =
   let doc =
     "Workload scale factor: 1 (default) runs the paper's programs as-is; \
@@ -19,7 +15,7 @@ let scale_arg =
      deeper call graph, a larger library surface) with the same name, \
      inputs and outputs."
   in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc)
+  Arg.(value & opt Cli.positive 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* Cache geometry flags (simulate, estimate, absint)                   *)
@@ -153,33 +149,14 @@ let obs_term =
         { trace_out; metrics_out; json_out; quiet })
     $ trace_out $ metrics_out $ json_out $ quiet)
 
-(* -j N: run the command over a process-wide domain pool.  -j 1 (the
-   serial path) never creates a pool, so it is byte-for-byte the
-   pre-parallel behavior; a multi-lane pool fans out benchmarks within
-   a table, configurations within a sweep, and strategies within a lint
-   sweep, all with bit-identical output. *)
+(* -j N: a multi-lane pool fans out benchmarks within a table,
+   configurations within a sweep, and strategies within a lint sweep,
+   all with bit-identical output. *)
 let jobs_term =
-  let doc =
+  Cli.jobs
+    ~default:(Domain.recommended_domain_count ())
     "Use $(docv) domains (default: the number of cores).  Output is \
      bit-identical to $(b,-j 1)."
-  in
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let with_parallel jobs f =
-  if jobs < 1 then failwith (Printf.sprintf "-j must be >= 1 (got %d)" jobs)
-  else if jobs = 1 then f ()
-  else begin
-    let pool = Placement.Pool.create jobs in
-    Placement.Pool.set_default (Some pool);
-    Fun.protect
-      ~finally:(fun () ->
-        Placement.Pool.set_default None;
-        Placement.Pool.shutdown pool)
-      f
-  end
 
 (* Enable the requested telemetry around [f]; the trace and metrics
    files are written even when [f] raises (a failing run is exactly when
@@ -318,9 +295,9 @@ let table_cmd =
   in
   let run id names scale validate obs jobs =
     with_telemetry obs @@ fun () ->
-    with_parallel jobs @@ fun () ->
+    Placement.Pool.with_default jobs @@ fun () ->
     let spec = Experiments.Runner.find id in
-    let ctx = context_of ~scale names in
+    let ctx = Experiments.Context.create ~scale ?names () in
     let o = Experiments.Runner.run_spec ctx spec in
     print_string (Report.Table.render o.Experiments.Runner.table);
     Option.iter (fun p -> write_json_report p ~names [ o ]) obs.json_out;
@@ -367,8 +344,8 @@ let print_figures ctx =
 let all_cmd =
   let run names scale validate obs jobs =
     with_telemetry obs @@ fun () ->
-    with_parallel jobs @@ fun () ->
-    let ctx = context_of ~scale names in
+    Placement.Pool.with_default jobs @@ fun () ->
+    let ctx = Experiments.Context.create ~scale ?names () in
     let outcomes =
       List.map
         (fun spec ->
@@ -605,11 +582,11 @@ let lint_cmd =
   in
   let run names strategy format fail_on max_findings min_prob obs jobs =
     with_telemetry obs @@ fun () ->
-    with_parallel jobs @@ fun () ->
-    let ctx = context_of names in
+    Placement.Pool.with_default jobs @@ fun () ->
+    let ctx = Experiments.Context.create ?names () in
     let results =
       List.concat
-        (Experiments.Context.map_entries
+        (Placement.Pool.map_default
            (fun e ->
              if strategy = "all" then Experiments.Lint_exp.sweep ~min_prob e
              else
@@ -717,13 +694,13 @@ let absint_cmd =
   in
   let run names strategy config max_iters format obs jobs =
     with_telemetry obs @@ fun () ->
-    with_parallel jobs @@ fun () ->
+    Placement.Pool.with_default jobs @@ fun () ->
     let max_iters = if max_iters > 0 then Some max_iters else None in
     let strategies =
       if strategy = "all" then None
       else Some [ Placement.Strategy.find strategy ]
     in
-    let ctx = context_of names in
+    let ctx = Experiments.Context.create ?names () in
     let results =
       Experiments.Absint_exp.sweep ?max_iters ~config ?strategies ctx
     in

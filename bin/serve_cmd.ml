@@ -36,7 +36,7 @@ let benches_arg =
 
 let scale_arg =
   let doc = "Workload scale factor of the resident contexts." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc)
+  Arg.(value & opt Cli.positive 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let deadline_arg =
   let doc = "Default per-request deadline in milliseconds." in
@@ -45,19 +45,8 @@ let deadline_arg =
     & opt int Serve.Daemon.default_config.deadline_ms
     & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
-(* A size, cap or window: zero and negative values are usage errors,
-   rejected while parsing the command line. *)
-let positive =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-      Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
-  in
-  Arg.conv' (parse, Format.pp_print_int)
-
 let positive_arg name default doc =
-  Arg.(value & opt positive default & info [ name ] ~docv:"N" ~doc)
+  Arg.(value & opt Cli.positive default & info [ name ] ~docv:"N" ~doc)
 
 let max_bytes_arg =
   positive_arg "max-request-bytes"
@@ -113,11 +102,9 @@ let config_term =
     $ window_arg $ slow_arg)
 
 let jobs_term =
-  let doc =
+  Cli.jobs ~default:1
     "Use $(docv) domains for read-only request batches.  Responses are \
      byte-identical to $(b,-j 1)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let quiet_arg =
   let doc = "Suppress warning chatter on stderr." in
@@ -129,19 +116,6 @@ let metrics_arg =
      exit ($(b,-) writes to stderr)."
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let with_parallel jobs f =
-  if jobs < 1 then failwith (Printf.sprintf "-j must be >= 1 (got %d)" jobs)
-  else if jobs = 1 then f ()
-  else begin
-    let pool = Placement.Pool.create jobs in
-    Placement.Pool.set_default (Some pool);
-    Fun.protect
-      ~finally:(fun () ->
-        Placement.Pool.set_default None;
-        Placement.Pool.shutdown pool)
-      f
-  end
 
 let with_telemetry ~quiet ~metrics_out ~trace_out ~slow_ms f =
   Obs.Log.set_quiet quiet;
@@ -260,7 +234,8 @@ let run_replay config jobs requests expect =
   let lines = read_lines requests in
   let daemon = Serve.Daemon.create ~config () in
   let responses =
-    with_parallel jobs (fun () -> Serve.Daemon.run_lines daemon lines)
+    Placement.Pool.with_default jobs (fun () ->
+        Serve.Daemon.run_lines daemon lines)
   in
   let out = List.map Obs.Json.to_string responses in
   match expect with
@@ -343,7 +318,7 @@ let run_soak config seed duration_s interval_ms ceiling_mb out =
 
 let run_serve config jobs socket =
   let daemon = Serve.Daemon.create ~config () in
-  with_parallel jobs (fun () ->
+  Placement.Pool.with_default jobs (fun () ->
       match socket with
       | Some path -> Serve.Daemon.serve_socket daemon ~path
       | None -> Serve.Daemon.serve_channels daemon stdin stdout);

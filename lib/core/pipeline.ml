@@ -5,20 +5,9 @@
 
 open Ir
 
-type config = {
-  inline : Inline.config;
-  min_prob : float;
-  do_inline : bool; (* disable to ablate the inlining step *)
-  do_simplify : bool; (* CFG cleanups before profiling and after inlining *)
-}
+type config = { do_inline : bool (* disable to ablate the inlining step *) }
 
-let default_config =
-  {
-    inline = Inline.default_config;
-    min_prob = Trace_select.default_min_prob;
-    do_inline = true;
-    do_simplify = true;
-  }
+let default_config = { do_inline = true }
 
 type t = {
   original : Prog.program;
@@ -37,9 +26,7 @@ let run ?(config = default_config) (original : Prog.program)
     ~(inputs : Vm.Io.input list) : t =
   (* Step 0 (compiler hygiene): CFG cleanups before anything is profiled. *)
   let original =
-    if config.do_simplify then
-      Obs.Span.with_ ~stage:"simplify" (fun () -> Simplify.program original)
-    else original
+    Obs.Span.with_ ~stage:"simplify" (fun () -> Simplify.program original)
   in
   (* Step 1: execution profiling of the original program. *)
   let original_profile =
@@ -52,8 +39,7 @@ let run ?(config = default_config) (original : Prog.program)
   let program, inline_report, inlined_profile =
     if config.do_inline then
       Obs.Span.with_ ~stage:"inline" (fun () ->
-          Inline.expand ~config:config.inline ~profile:original_profile
-            original ~inputs)
+          Inline.expand ~profile:original_profile original ~inputs)
     else
       ( original,
         {
@@ -65,7 +51,7 @@ let run ?(config = default_config) (original : Prog.program)
         Some original_profile )
   in
   let program =
-    if config.do_simplify && config.do_inline then
+    if config.do_inline then
       Obs.Span.with_ ~stage:"simplify"
         ~attrs:[ ("program", "inlined") ]
         (fun () -> Simplify.program program)
@@ -92,8 +78,7 @@ let run ?(config = default_config) (original : Prog.program)
     Obs.Span.with_ ~stage:"trace-selection" (fun () ->
         Array.mapi
           (fun fid f ->
-            Trace_select.select ~min_prob:config.min_prob f
-              (Weight.cfg_of_profile profile fid))
+            Trace_select.select f (Weight.cfg_of_profile profile fid))
           program.Prog.funcs)
   in
   (* Step 4: function body layout. *)

@@ -4,16 +4,7 @@
 
 open Ir
 
-type config = {
-  inline : Inline.config;
-  min_prob : float;
-  do_inline : bool;  (** disable to ablate the inlining step *)
-  do_simplify : bool;
-      (** CFG cleanups (folding, threading, unreachable sweep) before
-          profiling and after inlining *)
-}
-
-val default_config : config
+type config = { do_inline : bool  (** disable to ablate the inlining step *) }
 
 type t = {
   original : Prog.program;  (** after cleanups, before inlining *)
@@ -32,6 +23,8 @@ type t = {
 }
 
 val run : ?config:config -> Prog.program -> inputs:Vm.Io.input list -> t
+(** Default: inlining on.  CFG cleanups (folding, threading, unreachable
+    sweep) always run before profiling, and again after inlining. *)
 
 val map_of_profile : Prog.program -> Vm.Profile.t -> Strategy.t -> Address_map.t
 (** Address map of [program] under a layout strategy, with every

@@ -23,11 +23,12 @@
    - A pool of [lanes <= 1] never spawns a domain and [map] degrades to
      [List.map]: `-j 1` is the serial path, byte for byte.
 
-   The process-wide default pool ([set_default]/[default]) is how the
-   CLI's `-j N` reaches the three parallel grains (benchmarks within a
-   table, configurations within a sweep, fuzzer seeds) without threading
-   a pool through every experiment signature.  It is written once at
-   startup, before any parallel section, and cleared after. *)
+   The process-wide default pool is how the CLI's `-j N` reaches the
+   parallel grains (benchmarks within a table, configurations within a
+   sweep, strategies within a lint sweep, fuzzer seeds, serve batches)
+   without threading a pool through every experiment signature.
+   [with_default] installs it around a run, before any parallel section,
+   and restores the previous one after; consumers call [map_default]. *)
 
 type job = {
   run : int -> unit;  (* execute task [i]; must not raise (see [map]) *)
@@ -172,3 +173,16 @@ let default_pool : t option ref = ref None
 
 let set_default p = default_pool := p
 let default () = !default_pool
+
+let map_default f xs =
+  match !default_pool with Some t -> map t f xs | None -> List.map f xs
+
+let with_default lanes f =
+  let t = create lanes in
+  let saved = !default_pool in
+  default_pool := Some t;
+  Fun.protect
+    ~finally:(fun () ->
+      default_pool := saved;
+      shutdown t)
+    f

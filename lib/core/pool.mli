@@ -34,10 +34,19 @@ val shutdown : t -> unit
 (** {2 Process-wide default pool}
 
     How `-j N` reaches the parallel grains (benchmarks within a table,
-    configurations within a sweep, fuzzer seeds) without threading a
-    pool through every experiment signature.  Set once at startup before
-    any parallel section, cleared after; [None] (the default) means
-    every consumer takes its serial path. *)
+    configurations within a sweep, strategies within a lint sweep,
+    fuzzer seeds, serve batches) without threading a pool through every
+    experiment signature.  [None] (the initial state) means every
+    consumer runs serially. *)
 
 val set_default : t option -> unit
 val default : unit -> t option
+
+val map_default : ('a -> 'b) -> 'a list -> 'b list
+(** [map] on the default pool, or [List.map] when none is set. *)
+
+val with_default : int -> (unit -> 'a) -> 'a
+(** [with_default lanes f] runs [f] with a fresh [lanes]-lane pool as
+    the default, then restores the previous default and shuts the pool
+    down, also when [f] raises.  [with_default 1] spawns no domain.
+    Raises [Invalid_argument] when [lanes <= 0]. *)

@@ -21,7 +21,7 @@ type row = {
 let config = Icache.Config.make ~size:2048 ~block:64 ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let miss map trace =
         (Context.simulate e config map trace).Sim.Driver.miss_ratio

@@ -121,7 +121,7 @@ let analyze_entry ?max_iters ~config e (s : Placement.Strategy.t) : result =
 let sweep ?max_iters ?(config = default_config)
     ?(strategies = Placement.Strategy.all) ctx =
   List.concat
-  @@ Context.map_entries
+  @@ Placement.Pool.map_default
        (fun e ->
          Obs.Span.with_ ~stage:"absint-exp"
            ~attrs:[ ("bench", Context.name e) ]
@@ -196,7 +196,7 @@ type row = {
 let compute ?(configs = default_configs)
     ?(strategies = Placement.Strategy.all) ctx =
   List.concat
-  @@ Context.map_entries
+  @@ Placement.Pool.map_default
        (fun e ->
          Obs.Span.with_ ~stage:"absint-exp"
            ~attrs:[ ("bench", Context.name e) ]

@@ -20,7 +20,7 @@ type row = {
 let at assoc = Icache.Config.make ~assoc ~size:2048 ~block:64 ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let trace = Context.trace e in
       let opt = Context.optimized_map e in

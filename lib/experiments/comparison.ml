@@ -28,7 +28,7 @@ let full =
     ~assoc:Icache.Config.Full ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let trace = Context.trace e in
       let original_trace = Context.original_trace e in

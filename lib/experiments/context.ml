@@ -105,8 +105,7 @@ let make_entry ?memo_cap ?strategy_cap bench =
          ~attrs:(("inline", "off") :: bench_attr)
          (fun () ->
            Placement.Pipeline.run
-             ~config:
-               { Placement.Pipeline.default_config with do_inline = false }
+             ~config:{ Placement.Pipeline.do_inline = false }
              (Workloads.Bench.program bench)
              ~inputs:(Workloads.Bench.profile_inputs bench)))
   in
@@ -172,13 +171,6 @@ let create ?(scale = 1) ?memo_cap ?strategy_cap ?names () =
   List.map (make_entry ?memo_cap ?strategy_cap) benches
 
 let entries t = t
-
-let map_entries f t =
-  match Placement.Pool.default () with
-  | Some pool
-    when Placement.Pool.lanes pool > 1 && List.compare_length_with t 1 > 0 ->
-    Placement.Pool.map pool f t
-  | _ -> List.map f t
 
 let find t name =
   match

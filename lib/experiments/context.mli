@@ -2,7 +2,12 @@
     recorded traces, derived address maps (one memoized table covering
     every registered layout strategy), and memoized cache simulation
     results — computed lazily and at most once, since every table draws
-    on the same artifacts. *)
+    on the same artifacts.
+
+    Every getter below is safe to call from any domain: each entry
+    serializes its own construction behind a mutex.  So an experiment
+    that maps over the entries with {!Placement.Pool.map_default} gets
+    its results in entry order, bit-identical to its serial run. *)
 
 type cached = { result : Sim.Driver.result; mutable last_used : int }
 (** A memoized simulation result with its LRU stamp. *)
@@ -56,14 +61,6 @@ val create :
     otherwise). *)
 
 val entries : t -> entry list
-
-val map_entries : (entry -> 'a) -> t -> 'a list
-(** [List.map f (entries t)], fanned out across the default
-    {!Placement.Pool} when one with more than one lane is set.  Results
-    come back in entry order, and every memoized getter is safe to call
-    from [f] on any domain (each entry serializes its own construction
-    behind a mutex), so experiments built on this are bit-identical to
-    their serial runs. *)
 
 val find : t -> string -> entry
 (** Raises [Workloads.Registry.Unknown_benchmark]. *)

@@ -18,7 +18,7 @@ type row = {
 let config = Icache.Config.make ~size:2048 ~block:64 ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let pl = Context.pipeline e in
       let est = Sim.Estimate.of_pipeline config pl in

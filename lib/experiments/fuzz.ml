@@ -263,14 +263,6 @@ let shrink_failure ~size ?strategies seed diags : failure =
     shrink_steps;
   }
 
-(* Fuzz one seed; [Some failure] if any invariant broke. *)
-let run_seed ?(size = 120) ?strategies seed : failure option =
-  let ast = Ir.Gen.generate ~size seed in
-  let diags = check_program ?strategies ast in
-  match first_error diags with
-  | None -> None
-  | Some _ -> Some (shrink_failure ~size ?strategies seed diags)
-
 (* Human-readable reproducer: the seed regenerates the program
    deterministically; the lowered IR of the shrunk case is printed when
    it still lowers (a Lower-stage failure has only the AST shape). *)
@@ -290,44 +282,31 @@ let report_failure ppf (f : failure) =
   Fmt.pf ppf "reproduce with: fuzz --seed %d --count 1 --size %d@." f.seed
     f.size
 
-let run_serial ~size ?strategies ~log ~first_seed ~count () : failure list =
-  let failures = ref [] in
-  for k = 0 to count - 1 do
-    let seed = first_seed + k in
-    Obs.Metrics.incr seeds_checked;
-    (match run_seed ~size ?strategies seed with
-    | None -> ()
-    | Some f ->
-      Obs.Metrics.incr failures_found;
-      Obs.Metrics.incr ~by:f.shrink_steps shrink_steps_taken;
-      log (Fmt.str "%a" report_failure f);
-      failures := f :: !failures);
-    if (k + 1) mod 50 = 0 || k = count - 1 then
-      log
-        (Fmt.str "checked %d/%d programs (seeds %d..%d), %d failure(s)"
-           (k + 1) count first_seed (first_seed + k)
-           (List.length !failures))
-  done;
-  List.rev !failures
-
-(* Parallel campaign: detection fans out over the pool (each seed's
-   program is regenerated from the seed, so a task depends only on its
-   seed), then the failing seeds are shrunk and reported serially in
-   seed order — the failure list and every report are identical to the
-   serial campaign's; only the progress cadence differs. *)
-let run_parallel pool ~size ?strategies ~log ~first_seed ~count () :
+(* Fuzz [count] consecutive seeds starting at [first_seed].  Detection
+   fans out over the default pool (each seed's program is regenerated
+   from the seed, so a task depends only on its seed); the failing seeds
+   are then shrunk and reported serially in seed order, so the failure
+   list, every report and the log lines are the same at any -j. *)
+let run ?(size = 120) ?strategies ?(log = ignore) ~first_seed ~count () :
     failure list =
-  let seeds = List.init count (fun k -> first_seed + k) in
+  let lanes =
+    Option.fold ~none:1 ~some:Placement.Pool.lanes (Placement.Pool.default ())
+  in
+  Obs.Span.with_ ~stage:"fuzz"
+    ~attrs:
+      ([
+         ("first_seed", string_of_int first_seed);
+         ("count", string_of_int count);
+       ]
+      @ if lanes > 1 then [ ("lanes", string_of_int lanes) ] else [])
+  @@ fun () ->
   let failing =
-    Placement.Pool.map pool
+    Placement.Pool.map_default
       (fun seed ->
         Obs.Metrics.incr seeds_checked;
-        let ast = Ir.Gen.generate ~size seed in
-        let diags = check_program ?strategies ast in
-        match first_error diags with
-        | None -> None
-        | Some _ -> Some (seed, diags))
-      seeds
+        let diags = check_program ?strategies (Ir.Gen.generate ~size seed) in
+        Option.map (fun _ -> (seed, diags)) (first_error diags))
+      (List.init count (fun k -> first_seed + k))
   in
   let failures =
     List.filter_map
@@ -345,21 +324,3 @@ let run_parallel pool ~size ?strategies ~log ~first_seed ~count () :
        (first_seed + count - 1)
        (List.length failures));
   failures
-
-(* Fuzz [count] consecutive seeds starting at [first_seed], reporting
-   progress through [log]; a multi-lane [pool] parallelizes detection. *)
-let run ?(size = 120) ?strategies ?(log = ignore) ?pool ~first_seed ~count
-    () : failure list =
-  let lanes = match pool with None -> 1 | Some p -> Placement.Pool.lanes p in
-  Obs.Span.with_ ~stage:"fuzz"
-    ~attrs:
-      ([
-         ("first_seed", string_of_int first_seed);
-         ("count", string_of_int count);
-       ]
-      @ if lanes > 1 then [ ("lanes", string_of_int lanes) ] else [])
-  @@ fun () ->
-  match pool with
-  | Some pool when lanes > 1 && count > 1 ->
-    run_parallel pool ~size ?strategies ~log ~first_seed ~count ()
-  | _ -> run_serial ~size ?strategies ~log ~first_seed ~count ()

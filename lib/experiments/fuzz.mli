@@ -25,13 +25,11 @@ val run :
   ?size:int ->
   ?strategies:Placement.Strategy.t list ->
   ?log:(string -> unit) ->
-  ?pool:Placement.Pool.t ->
   first_seed:int ->
   count:int ->
   unit ->
   failure list
-(** Fuzz [count] consecutive seeds, logging progress and failures.  With
-    a multi-lane [pool], seeds are checked in parallel and the failing
-    ones shrunk serially in seed order — the returned failures and their
-    reports are identical to the serial campaign's; only the progress
-    cadence differs. *)
+(** Fuzz [count] consecutive seeds.  Seeds are checked over the default
+    {!Placement.Pool}; the failing ones are then shrunk and logged
+    serially in seed order, followed by one summary line.  Failures,
+    reports and log lines are identical at any lane count. *)

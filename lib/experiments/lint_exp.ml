@@ -48,11 +48,7 @@ let lint_entry ?min_prob e (s : Placement.Strategy.t) =
    only around its memoized lookups), so a multi-lane default pool lints
    strategies concurrently; order is the registry's either way. *)
 let sweep ?min_prob e =
-  let lint s = lint_entry ?min_prob e s in
-  match Placement.Pool.default () with
-  | Some pool when Placement.Pool.lanes pool > 1 ->
-    Placement.Pool.map pool lint Placement.Strategy.all
-  | _ -> List.map lint Placement.Strategy.all
+  Placement.Pool.map_default (lint_entry ?min_prob e) Placement.Strategy.all
 
 (* Best first: smallest certified miss upper bound (the guarantee),
    then the heuristic tie-breakers — fewer static conflicts, fewer

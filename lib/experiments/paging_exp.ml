@@ -33,7 +33,7 @@ let run_one map trace =
   sim
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let trace = Context.trace e in
       let nat = run_one (Context.natural_map e) trace in

@@ -16,7 +16,7 @@ let base_config = Icache.Config.make ~size:2048 ~block:64 ()
 let pref_config = Icache.Config.make ~prefetch:true ~size:2048 ~block:64 ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let trace = Context.trace e in
       let map = Context.optimized_map e in

@@ -20,7 +20,7 @@ let config = Icache.Config.make ~size:2048 ~block:64 ()
    with the substitution marked in the strategy column. *)
 let compute ?(strategies = Placement.Strategy.all) ctx =
   List.concat
-  @@ Context.map_entries
+  @@ Placement.Pool.map_default
        (fun e ->
       Obs.Span.with_ ~stage:"strategy-exp"
         ~attrs:[ ("bench", Context.name e) ]

@@ -36,7 +36,7 @@ let simulate_entry configs map_of e =
   }
 
 let compute ctx configs ~map_of =
-  Context.map_entries (simulate_entry configs map_of) ctx
+  Placement.Pool.map_default (simulate_entry configs map_of) ctx
 
 (* Render measured next to paper values: each sweep point becomes two
    columns "miss" and "traffic", each cell "measured (paper)". *)

@@ -12,7 +12,7 @@ type row = {
 }
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let p = Context.pipeline e in
       let prof = p.Placement.Pipeline.original_profile in

@@ -16,7 +16,7 @@ type row = {
 }
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let p = Context.pipeline e in
       let before = p.Placement.Pipeline.original_profile in

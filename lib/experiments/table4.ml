@@ -29,7 +29,7 @@ let mean_trace_length (p : Placement.Pipeline.t) =
   else float_of_int !total_blocks /. float_of_int !total_traces
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let p = Context.pipeline e in
       let counts =

@@ -10,7 +10,7 @@ type row = {
 }
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let map = Context.optimized_map e in
       {

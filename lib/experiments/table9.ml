@@ -10,7 +10,7 @@ let config =
   Icache.Config.make ~size:2048 ~block:64 ~fill:Icache.Config.Partial ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let trace = Context.trace e in
       {

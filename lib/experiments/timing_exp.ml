@@ -19,7 +19,7 @@ let partial =
   Icache.Config.make ~size:2048 ~block:64 ~fill:Icache.Config.Partial ()
 
 let compute ctx =
-  Context.map_entries
+  Placement.Pool.map_default
     (fun e ->
       let map = Context.optimized_map e in
       let trace = Context.trace e in

@@ -95,4 +95,5 @@ let check ?level (t : Context.t) : Ir.Diag.t list =
   in
   Obs.Span.with_ ~stage:"validate"
     ~attrs:[ ("level", level_name) ]
-    (fun () -> List.concat (Context.map_entries (check_entry ?level) t))
+    (fun () ->
+      List.concat (Placement.Pool.map_default (check_entry ?level) t))

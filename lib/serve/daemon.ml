@@ -881,13 +881,7 @@ let serve_generic t ~(next : unit -> line option) ~(ready : unit -> bool)
       | Compute { trace; enq; p } -> respond t ~trace ~enq p
       | Immediate r -> r
     in
-    let responses =
-      match Placement.Pool.default () with
-      | Some pool when Placement.Pool.lanes pool > 1 && List.length jobs > 1 ->
-          Placement.Pool.map pool run jobs
-      | _ -> List.map run jobs
-    in
-    List.iter emit_accounted responses
+    List.iter emit_accounted (Placement.Pool.map_default run jobs)
   in
   let rec loop pending npending =
     if t.stopped then flush pending

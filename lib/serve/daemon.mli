@@ -79,9 +79,6 @@ val stopped : t -> bool
 
 (** {2 Telemetry} *)
 
-val map_evictions : Obs.Metrics.counter
-(** Custom-profile address maps dropped by the LRU cap. *)
-
 val latency_hist : string -> Obs.Metrics.histogram
 (** Per-request-type wall-clock latency histogram
     [serve.latency.<type>.seconds]; ["all"] aggregates every type. *)

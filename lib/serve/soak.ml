@@ -287,6 +287,31 @@ let run ?(config = default_config ()) () : report =
       take_sample ()
   done;
   take_sample ();
+  (* Map evictions as this daemon's own stats report them: the
+     [serve.map_evictions] metric also counts every other daemon in the
+     process. *)
+  let evictions_maps =
+    let stats =
+      Daemon.run_lines daemon
+        [
+          line_of
+            (Obs.Json.Obj
+               [
+                 ("schema", Obs.Json.String Protocol.schema);
+                 ("id", Obs.Json.String "soak-stats");
+                 ("type", Obs.Json.String "stats");
+               ]);
+        ]
+    in
+    match
+      List.filter_map (Obs.Json.member "evictions") stats
+      |> List.filter_map (Obs.Json.member "maps")
+    with
+    | [ Obs.Json.Int n ] -> n
+    | _ ->
+      violate "final stats response lacks evictions.maps";
+      0
+  in
   let latency_all = Daemon.latency_hist "all" in
   let latency_layout = Daemon.latency_hist "layout-request" in
   if !notifications = 0 then
@@ -315,7 +340,7 @@ let run ?(config = default_config ()) () : report =
     max_rss_bytes = !max_rss;
     ceiling_bytes = config.ceiling_bytes;
     evictions_profiles = Store.evictions_total (Daemon.store daemon);
-    evictions_maps = Obs.Metrics.value Daemon.map_evictions;
+    evictions_maps;
     violations = !violations;
   }
 

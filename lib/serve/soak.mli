@@ -43,6 +43,7 @@ type report = {
   ceiling_bytes : int;
   evictions_profiles : int;
   evictions_maps : int;
+      (** custom-profile maps this daemon evicted, as its stats report *)
   violations : string list;
 }
 

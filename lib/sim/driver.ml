@@ -276,7 +276,9 @@ let simulate configs map trace =
        in order is bit-identical to the serial sweep; only the trace
        walk cost is shared.  The chunk count matches the lane count:
        re-walking the trace is the dominant cost, so finer chunks would
-       walk it more times for no balance win. *)
+       walk it more times for no balance win.  That lane-sized grain is
+       why this reads the default pool itself rather than calling
+       [Pool.map_default]. *)
     Obs.Span.with_ ~stage:"simulate"
       ~attrs:
         [

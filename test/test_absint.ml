@@ -388,15 +388,7 @@ let stability_across_pools () =
     List.map Experiments.Absint_exp.summary (Experiments.Absint_exp.sweep ctx)
   in
   let serial = summaries () in
-  let pool = Placement.Pool.create 4 in
-  Placement.Pool.set_default (Some pool);
-  let parallel =
-    Fun.protect
-      ~finally:(fun () ->
-        Placement.Pool.set_default None;
-        Placement.Pool.shutdown pool)
-      summaries
-  in
+  let parallel = Placement.Pool.with_default 4 summaries in
   Alcotest.(check (list string)) "classification identical at -j 1 and -j 4"
     serial parallel
 

@@ -1,21 +1,15 @@
 (* Parallel execution: the domain pool's ordering/exception contract,
-   and serial-vs-parallel bit-identity of every consumer grain — table
-   rows, partitioned config sweeps, fuzz campaigns — plus the
-   exactly-once guarantee for strategy-fallback accounting and the
-   domain safety of the Obs layer. *)
+   the default-pool entry points, and serial-vs-parallel bit-identity
+   of every consumer grain — table rows, partitioned config sweeps,
+   fuzz campaigns — plus the exactly-once guarantee for
+   strategy-fallback accounting and the domain safety of the Obs
+   layer. *)
 
 let with_pool n f =
   let pool = Placement.Pool.create n in
   Fun.protect
     ~finally:(fun () -> Placement.Pool.shutdown pool)
     (fun () -> f pool)
-
-let with_default_pool n f =
-  with_pool n (fun pool ->
-      Placement.Pool.set_default (Some pool);
-      Fun.protect
-        ~finally:(fun () -> Placement.Pool.set_default None)
-        (fun () -> f pool))
 
 (* ---------------- pool contract ---------------- *)
 
@@ -60,6 +54,50 @@ let prop_map_exception =
             | Some i -> d.Ir.Diag.func = Some (string_of_int i)
             | None -> false)))
 
+(* [map_default] is [List.map] whatever the default: none, a 1-lane
+   pool (which spawns no domain) or a 3-lane pool. *)
+let prop_map_default =
+  QCheck.Test.make ~name:"Pool.map_default = List.map at any default"
+    ~count:25
+    QCheck.(list_of_size Gen.(int_range 0 60) small_nat)
+    (fun xs ->
+      let f x = (x * 2) + 1 in
+      let expected = List.map f xs in
+      Placement.Pool.default () = None
+      && Placement.Pool.map_default f xs = expected
+      && Placement.Pool.with_default 1 (fun () ->
+             Placement.Pool.map_default f xs)
+         = expected
+      && Placement.Pool.with_default 3 (fun () ->
+             Placement.Pool.map_default f xs)
+         = expected)
+
+exception Inner_failed
+
+(* A [with_default] whose body raises, nested inside another: the outer
+   default is back in place and the inner pool is shut down.  Each
+   round would otherwise leak two worker domains, and 70 rounds leak
+   past the runtime's 128-domain cap, so a missing shutdown fails the
+   next spawn. *)
+let with_default_restores () =
+  Placement.Pool.with_default 2 (fun () ->
+      let outer = Placement.Pool.default () in
+      for _ = 1 to 70 do
+        match
+          Placement.Pool.with_default 3 (fun () ->
+              Alcotest.(check int) "inner pool installed" 3
+                (Option.fold ~none:0 ~some:Placement.Pool.lanes
+                   (Placement.Pool.default ()));
+              raise Inner_failed)
+        with
+        | () -> Alcotest.fail "with_default swallowed the exception"
+        | exception Inner_failed ->
+          Alcotest.(check bool) "outer default restored" true
+            (Placement.Pool.default () == outer)
+      done);
+  Alcotest.(check bool) "no default after the outermost" true
+    (Placement.Pool.default () = None)
+
 (* A pool task that submits its own job to the same pool must complete
    (the submitter helps run its job), whatever the lane count. *)
 let nested_map () =
@@ -90,7 +128,9 @@ let render_tables ids names =
 let tables_bit_identical () =
   let ids = [ "6"; "17" ] and names = [ "cmp"; "wc" ] in
   let serial = render_tables ids names in
-  let parallel = with_default_pool 4 (fun _ -> render_tables ids names) in
+  let parallel =
+    Placement.Pool.with_default 4 (fun () -> render_tables ids names)
+  in
   List.iter2
     (fun s p -> Alcotest.(check string) "rendered table" s p)
     serial parallel
@@ -106,7 +146,8 @@ let driver_partition_identical () =
   let configs = Experiments.Table6.configs in
   let serial = Sim.Driver.simulate configs map trace in
   let parallel =
-    with_default_pool 4 (fun _ -> Sim.Driver.simulate configs map trace)
+    Placement.Pool.with_default 4 (fun () ->
+        Sim.Driver.simulate configs map trace)
   in
   Alcotest.(check bool) "results identical" true (serial = parallel)
 
@@ -124,14 +165,23 @@ let selective_strategy =
         else Placement.Strategy.natural.Placement.Strategy.layout f w);
   }
 
+(* Failures, reports and every log line agree between -j 1 and -j 3;
+   60 seeds, so a progress line every 50 seeds would show. *)
 let fuzz_parallel_identical () =
   let strategies = [ selective_strategy ] in
-  let run pool =
-    Experiments.Fuzz.run ~size:60 ~strategies ?pool ~first_seed:1 ~count:12
-      ()
+  let run jobs =
+    let lines = ref [] in
+    let log l = lines := l :: !lines in
+    let failures =
+      Placement.Pool.with_default jobs (fun () ->
+          Experiments.Fuzz.run ~size:60 ~strategies ~log ~first_seed:1
+            ~count:60 ())
+    in
+    (failures, List.rev !lines)
   in
-  let serial = run None in
-  let parallel = with_pool 3 (fun pool -> run (Some pool)) in
+  let serial, serial_log = run 1 in
+  let parallel, parallel_log = run 3 in
+  Alcotest.(check (list string)) "identical log" serial_log parallel_log;
   Alcotest.(check (list int))
     "same failing seeds"
     (List.map (fun f -> f.Experiments.Fuzz.seed) serial)
@@ -246,4 +296,7 @@ let suite =
       spans_across_domains;
     Alcotest.test_case "counter increments commute across domains" `Quick
       counters_across_domains;
+    QCheck_alcotest.to_alcotest prop_map_default;
+    Alcotest.test_case "with_default restores and shuts down on raise" `Quick
+      with_default_restores;
   ]

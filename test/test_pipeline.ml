@@ -97,9 +97,7 @@ let optimized_not_worse () =
 
 let ablation_no_inline () =
   let b = Workloads.Registry.find "wc" in
-  let config =
-    { Placement.Pipeline.default_config with do_inline = false }
-  in
+  let config = { Placement.Pipeline.do_inline = false } in
   let p =
     Placement.Pipeline.run ~config (Workloads.Bench.program b)
       ~inputs:(small_inputs "wc")
@@ -128,9 +126,7 @@ let prop_noinline_reuses =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let p = Ir.Lower.program (Gen_prog.generate seed) in
-      let config =
-        { Placement.Pipeline.default_config with do_inline = false }
-      in
+      let config = { Placement.Pipeline.do_inline = false } in
       let pl = Placement.Pipeline.run ~config p ~inputs:[ Vm.Io.input [] ] in
       pl.Placement.Pipeline.profile == pl.Placement.Pipeline.original_profile)
 

@@ -695,16 +695,7 @@ let batching_deterministic () =
     List.map line_of (Serve.Daemon.run_lines d lines)
   in
   let serial = run () in
-  let saved = Placement.Pool.default () in
-  let pool = Placement.Pool.create 2 in
-  Placement.Pool.set_default (Some pool);
-  let parallel =
-    Fun.protect
-      ~finally:(fun () ->
-        Placement.Pool.set_default saved;
-        Placement.Pool.shutdown pool)
-      run
-  in
+  let parallel = Placement.Pool.with_default 2 run in
   Alcotest.(check (list string)) "responses byte-identical under -j 2" serial
     parallel
 
@@ -971,16 +962,7 @@ let notifications_deterministic () =
   let serial = run () in
   Alcotest.(check bool) "stream produced notifications" true
     (List.exists (fun l -> contains_sub l "layouts-stale") serial);
-  let saved = Placement.Pool.default () in
-  let pool = Placement.Pool.create 2 in
-  Placement.Pool.set_default (Some pool);
-  let parallel =
-    Fun.protect
-      ~finally:(fun () ->
-        Placement.Pool.set_default saved;
-        Placement.Pool.shutdown pool)
-      run
-  in
+  let parallel = Placement.Pool.with_default 2 run in
   Alcotest.(check (list string))
     "responses and notifications byte-identical under -j 2" serial parallel
 
@@ -1013,6 +995,50 @@ let mini_soak () =
         (Obs.Json.member "schema" reparsed
         = Some (Obs.Json.String "impact.soak/v1"))
   | Error e -> Alcotest.failf "soak report does not reparse: %s" e
+
+(* The soak reports its own daemon's map evictions, not the process-wide
+   [serve.map_evictions] metric: another daemon evicts maps with metrics
+   on first, and the soak's count must equal the metric's growth over
+   the soak alone, when its daemon is the only one running. *)
+let soak_own_evictions () =
+  Obs.Log.set_quiet true;
+  let metrics0 = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.set_quiet false;
+      Obs.Metrics.set_enabled metrics0)
+  @@ fun () ->
+  let evicted = Obs.Metrics.counter "serve.map_evictions" in
+  let start = Obs.Metrics.value evicted in
+  let layout ~id name =
+    layout_line ~id [ ("profile", Obs.Json.String name) ]
+  in
+  ignore
+    (run_stream
+       ~config:{ small_config with Serve.Daemon.map_cap = 1 }
+       [
+         upload_line ~id:1 ~name:"A" ~epoch:1;
+         upload_line ~id:2 ~name:"B" ~epoch:1;
+         layout ~id:3 "A";
+         layout ~id:4 "B";
+       ]);
+  let before = Obs.Metrics.value evicted in
+  Alcotest.(check bool) "the other daemon evicted a map" true (before > start);
+  let report =
+    Serve.Soak.run
+      ~config:
+        {
+          (Serve.Soak.default_config ()) with
+          Serve.Soak.duration_s = 0.5;
+          interval_s = 0.2;
+          round_requests = 8;
+        }
+      ()
+  in
+  Alcotest.(check int) "soak counts only its own evictions"
+    (Obs.Metrics.value evicted - before)
+    report.Serve.Soak.evictions_maps
 
 let suite =
   [
@@ -1055,4 +1081,6 @@ let suite =
       notifications_deterministic;
     Alcotest.test_case "mini soak" `Slow mini_soak;
     Alcotest.test_case "chaos campaign" `Slow chaos_campaign;
+    Alcotest.test_case "soak counts its own evictions" `Slow
+      soak_own_evictions;
   ]

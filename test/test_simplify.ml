@@ -156,21 +156,20 @@ let workloads_preserved () =
     ]
 
 let pipeline_integration () =
-  (* The pipeline's simplify flag shrinks code without changing layout
-     validity. *)
+  (* The cleanups shrink code, the pipeline lays out the cleaned program,
+     and its layout stays valid. *)
   let b = Workloads.Registry.find "wc" in
   let inputs = [ Vm.Io.input [ "one two\n" ] ] in
-  let on = Placement.Pipeline.run (Workloads.Bench.program b) ~inputs in
-  let off =
-    Placement.Pipeline.run
-      ~config:{ Placement.Pipeline.default_config with do_simplify = false }
-      (Workloads.Bench.program b) ~inputs
-  in
+  let prog = Workloads.Bench.program b in
+  let simplified = Ir.Simplify.program prog in
+  let p = Placement.Pipeline.run prog ~inputs in
   Alcotest.(check bool) "simplified is smaller" true
-    (Ir.Prog.total_instr_count on.Placement.Pipeline.program
-    < Ir.Prog.total_instr_count off.Placement.Pipeline.program);
+    (Ir.Prog.total_instr_count simplified < Ir.Prog.total_instr_count prog);
+  Alcotest.(check int) "pipeline starts from the simplified program"
+    (Ir.Prog.total_instr_count simplified)
+    (Ir.Prog.total_instr_count p.Placement.Pipeline.original);
   Alcotest.(check bool) "maps disjoint" true
-    (Helpers.is_disjoint on.Placement.Pipeline.optimized)
+    (Helpers.is_disjoint p.Placement.Pipeline.optimized)
 
 let suite =
   [
