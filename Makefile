@@ -105,15 +105,18 @@ par-smoke:
 	dune exec bin/fuzz.exe -- --seed 1 --count 60 -j 2 > _par/fuzz-log-j2.txt
 	cmp _par/fuzz-log-j1.txt _par/fuzz-log-j2.txt
 
-# Compressed trace store on scaled workloads end to end: the same table
-# must be byte-identical between -j 1 and -j 2.
+# Trace store on scaled workloads end to end: each table that reads
+# the recording (6: cache replay, 4: the recorded run's transfers, 13:
+# paging replay) must be byte-identical between -j 1 and -j 2.
 stream-smoke:
 	rm -rf _stream && mkdir -p _stream
-	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 1 \
-	  > _stream/t6-scale-j1.txt
-	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 2 \
-	  > _stream/t6-scale-j2.txt
-	cmp _stream/t6-scale-j1.txt _stream/t6-scale-j2.txt
+	for t in 6 4 13; do \
+	  for j in 1 2; do \
+	    dune exec bin/main.exe -- table $$t -b cmp,wc --scale 2 -j $$j \
+	      > _stream/t$$t-scale-j$$j.txt || exit 1; \
+	  done; \
+	  cmp _stream/t$$t-scale-j1.txt _stream/t$$t-scale-j2.txt || exit 1; \
+	done
 
 # Layout service end to end: the committed golden request stream must
 # replay byte-identically to the committed responses (serially and with

@@ -1,6 +1,8 @@
 (* E4 / Table 4: trace selection results — classification of dynamic
    control transfers against the selected traces, and the mean number of
-   basic blocks per (executed) trace. *)
+   basic blocks per (executed) trace.  The transfers are those of the
+   recorded trace run (the inlined program on the trace input), so the
+   table runs no VM of its own. *)
 
 type row = {
   name : string;
@@ -33,9 +35,8 @@ let compute ctx =
     (fun e ->
       let p = Context.pipeline e in
       let counts =
-        Sim.Classify.run p.Placement.Pipeline.program
-          p.Placement.Pipeline.selections
-          (Workloads.Bench.trace_input e.Context.bench)
+        Sim.Classify.run p.Placement.Pipeline.selections
+          (Sim.Trace.result (Context.trace e))
       in
       {
         name = Context.name e;

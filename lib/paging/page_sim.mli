@@ -3,8 +3,9 @@
     instruction stream.
 
     Tracks simultaneously an unbounded-memory model (distinct pages
-    touched = compulsory faults) and a bounded-frame LRU model, and
-    samples the working set |W(t, theta)| periodically. *)
+    touched = compulsory faults) and a bounded-frame LRU model (an
+    {!Icache.Cache}: fully associative, one page per frame, whole-block
+    fill), and samples the working set |W(t, theta)| periodically. *)
 
 type config = {
   page_bytes : int;
@@ -19,16 +20,13 @@ val default_config : config
 type t
 
 val create : config -> t
-(** Raises [Invalid_argument] on non-positive parameters. *)
-
-val access : t -> int -> unit
-(** Record one instruction fetch at a byte address. *)
+(** Raises [Invalid_argument] on non-positive parameters, or when
+    [page_bytes] is not a multiple of 4. *)
 
 val access_run : t -> addr:int -> words:int -> unit
 (** Record [words] consecutive 4-byte instruction fetches starting at
-    byte address [addr].  Bit-identical to calling [access] once per
-    word (one span of bookkeeping per page touched instead of one per
-    word), including Denning working-set samples that land mid-run. *)
+    byte address [addr], with one span of bookkeeping per page touched;
+    working-set samples that land mid-run see the per-word state. *)
 
 val accesses : t -> int
 val distinct_pages : t -> int

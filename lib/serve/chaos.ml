@@ -110,7 +110,7 @@ let generate rng ~benches ~config i : string * string list * string =
           [
             ( "deadline_ms",
               Obs.Json.Int
-                (Workloads.Rng.range rng 1 config.Daemon.cheap_threshold_ms) );
+                (Workloads.Rng.range rng 1 Daemon.cheap_threshold_ms) );
           ] )
   | 5 ->
       ( "layout-bad-config",

@@ -64,12 +64,19 @@ let batch_size_hist =
   Obs.Metrics.histogram "serve.batch_size"
     ~help:"Read-only jobs per pool flush"
 
+(* Deadlines at or below this admit only the cheapest strategy. *)
+let cheap_threshold_ms = 5
+
+(* Floor of the [retry_after_ms] hint. *)
+let retry_base_ms = 25
+
+(* Pool batch width: constant, not lane-dependent, so batching (and
+   with it every response) is the same at any -j. *)
+let max_batch = 8
+
 type config = {
   deadline_ms : int;
-  cheap_threshold_ms : int;
-  retry_base_ms : int;
   max_request_bytes : int;
-  max_batch : int;
   profile_cap : int;
   epoch_window : int;
   memo_cap : int;
@@ -85,10 +92,7 @@ type config = {
 let default_config =
   {
     deadline_ms = 30_000;
-    cheap_threshold_ms = 5;
-    retry_base_ms = 25;
     max_request_bytes = 1 lsl 20;
-    max_batch = 8;
     profile_cap = 64;
     epoch_window = 4;
     memo_cap = 256;
@@ -135,8 +139,6 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  if config.max_batch < 1 then
-    invalid_arg "Daemon.create: max_batch must be >= 1";
   let context =
     Experiments.Context.create ~scale:config.scale ~memo_cap:config.memo_cap
       ~strategy_cap:config.strategy_cap ?names:config.benches ()
@@ -262,8 +264,8 @@ let certified_json cache_config (a : Analysis.Absint.t)
 (* layout-request                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let retry_after t deadline =
-  min 10_000 (max t.config.retry_base_ms (2 * deadline))
+let retry_after deadline =
+  min 10_000 (max retry_base_ms (2 * deadline))
 
 let elapsed_ms t0 = int_of_float ((Obs.Clock.now () -. t0) *. 1000.0)
 
@@ -320,7 +322,7 @@ let handle_layout t ~id ~bench ~strategy ~cache_config ~profile ~deadline_ms =
   if deadline = 0 then
     (* A zero deadline can never be met: deterministic typed timeout. *)
     Protocol.timeout_response ~id ~request
-      ~retry_after_ms:(retry_after t deadline)
+      ~retry_after_ms:(retry_after deadline)
   else begin
     let t0 = Obs.Clock.now () in
     let entry, strat, cheap =
@@ -330,7 +332,7 @@ let handle_layout t ~id ~bench ~strategy ~cache_config ~profile ~deadline_ms =
       @@ fun () ->
       let entry = Experiments.Context.find t.context bench in
       let strat = find_strategy t strategy in
-      (entry, strat, deadline <= t.config.cheap_threshold_ms)
+      (entry, strat, deadline <= cheap_threshold_ms)
     in
     (* Resolve the profile source first: a bad profile reference must
        error identically whatever the deadline says. *)
@@ -426,7 +428,7 @@ let handle_layout t ~id ~bench ~strategy ~cache_config ~profile ~deadline_ms =
        and serve — so the wall-clock timeout only applies outside it. *)
     if (not cheap) && elapsed_ms t0 > deadline then
       Protocol.timeout_response ~id ~request
-        ~retry_after_ms:(retry_after t deadline)
+        ~retry_after_ms:(retry_after deadline)
     else begin
       let tier =
         if cheap || over_before_sim then "cheapest-strategy"
@@ -586,7 +588,7 @@ let handle_stats t ~id =
             ("strategy_cap", Obs.Json.Int t.config.strategy_cap);
             ("map_cap", Obs.Json.Int t.config.map_cap);
             ("epoch_window", Obs.Json.Int t.config.epoch_window);
-            ("max_batch", Obs.Json.Int t.config.max_batch);
+            ("max_batch", Obs.Json.Int max_batch);
             ("max_request_bytes", Obs.Json.Int t.config.max_request_bytes);
             ("deadline_ms", Obs.Json.Int t.config.deadline_ms);
           ] );
@@ -898,7 +900,7 @@ let serve_generic t ~(next : unit -> line option) ~(ready : unit -> bool)
           | None -> loop pending npending
           | Some (Job j) ->
               let pending = j :: pending and npending = npending + 1 in
-              if npending >= t.config.max_batch then begin
+              if npending >= max_batch then begin
                 flush pending;
                 loop [] 0
               end

@@ -13,14 +13,14 @@
     emitted in input order, so `-j 1` and `-j N` runs of the same
     request stream are byte-identical. *)
 
+val cheap_threshold_ms : int
+(** Deadlines at or below this many ms admit only the cheapest
+    strategy. *)
+
 type config = {
   deadline_ms : int;  (** default per-request deadline *)
-  cheap_threshold_ms : int;
-      (** deadlines at or below this admit only the cheapest strategy *)
-  retry_base_ms : int;  (** floor of the [retry_after_ms] hint *)
   max_request_bytes : int;
       (** longer request lines are answered with a usage error *)
-  max_batch : int;  (** pool batch width — constant, not lane-dependent *)
   profile_cap : int;  (** LRU bound on named profiles *)
   epoch_window : int;  (** live epochs per profile *)
   memo_cap : int;  (** per-bench simulation-memo LRU bound *)
@@ -39,7 +39,7 @@ type config = {
 }
 
 val default_config : config
-(** The four caps, [epoch_window] and [max_batch] must be [>= 1]:
+(** The four caps and [epoch_window] must be [>= 1]:
     {!create} raises [Invalid_argument] otherwise.  The caps bound
     {!Placement.Bounded} maps, so a hit refreshes its key and an insert
     past the cap evicts the least recently used one. *)

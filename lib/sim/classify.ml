@@ -8,8 +8,6 @@
    - undesirable: the transfer enters and/or exits a trace at a
                   nonterminal basic block. *)
 
-open Ir
-
 type counts = {
   mutable desirable : int;
   mutable undesirable : int;
@@ -28,7 +26,8 @@ type prepared = {
   trace_len : int array; (* length of the block's trace *)
 }
 
-let prepare (sel : Placement.Trace_select.t) nblocks =
+let prepare (sel : Placement.Trace_select.t) =
+  let nblocks = Array.length sel.Placement.Trace_select.trace_of in
   let pos = Array.make nblocks 0 in
   let len = Array.make nblocks 0 in
   Array.iter
@@ -51,18 +50,11 @@ let classify_arc p src dst =
     if src_is_tail && dst_is_head then `Neutral else `Undesirable
   end
 
-(* Classify all dynamic intra-function transfers of one run. *)
-let run (prog : Prog.program)
-    (selections : Placement.Trace_select.t array) (input : Vm.Io.input) :
-    counts =
-  let prepared =
-    Array.mapi
-      (fun fid (f : Prog.func) ->
-        prepare selections.(fid) (Array.length f.blocks))
-      prog.funcs
-  in
+(* Classify all dynamic intra-function transfers of one finished run. *)
+let run (selections : Placement.Trace_select.t array)
+    (r : Vm.Interp.result) : counts =
+  let prepared = Array.map prepare selections in
   let counts = { desirable = 0; undesirable = 0; neutral = 0 } in
-  let r = Vm.Interp.run prog input in
   Vm.Interp.iter_arcs r.counts (fun fid src dst n ->
       match classify_arc prepared.(fid) src dst with
       | `Desirable -> counts.desirable <- counts.desirable + n

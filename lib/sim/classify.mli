@@ -1,8 +1,6 @@
 (** Control-transfer classification against a trace selection — the
     Table 4 [neutral]/[undesirable]/[desirable] columns. *)
 
-open Ir
-
 type counts = {
   mutable desirable : int;
       (** transfers to the block's successor within its trace *)
@@ -14,10 +12,7 @@ type counts = {
 
 val fraction : int -> counts -> float
 
-val run :
-  Prog.program ->
-  Placement.Trace_select.t array ->
-  Vm.Io.input ->
-  counts
-(** Execute the program on the input, classifying every dynamic
-    intra-function control transfer. *)
+val run : Placement.Trace_select.t array -> Vm.Interp.result -> counts
+(** Classify every dynamic intra-function control transfer of a
+    finished run (such as {!Trace.result} of a recording) against the
+    per-function trace selections of the program that ran. *)

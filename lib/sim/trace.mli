@@ -1,21 +1,51 @@
-(** The trace store: every recorded execution is held as one
-    run-length/delta-compressed {!Ctrace.t}, born compressed as the VM
-    streams its blocks into the builder. *)
+(** The trace store: one recorded execution, held as the sequence of
+    executed basic blocks.
+
+    A block is a (function id, label) pair packed into one int.  The
+    sequence is layout-independent: replaying it against different
+    address maps and cache configurations expands each block into
+    instruction-fetch addresses without re-running the interpreter.
+
+    Consecutive executed blocks very often have consecutive packed
+    codes, so the sequence is stored as runs; and loops make the run
+    sequence itself repetitive, so equal-shaped consecutive runs
+    collapse into one record.  Decoding reproduces the exact packed-code
+    sequence at a small fraction of the 8 bytes per block a plain code
+    vector would hold. *)
 
 open Ir
 
-type t = Ctrace.t
+type t
+
+exception Too_many_blocks of string
+
+val pack : int -> Cfg.label -> int
+val unpack_fid : int -> int
+val unpack_label : int -> Cfg.label
+
+(** {2 Construction} *)
 
 val record : ?fuel:int -> Prog.program -> Vm.Io.input -> t
-(** Execute and capture ({!Ctrace.record}).  Updates the [trace.*] gauges
-    when metrics are enabled. *)
+(** Execute the program, streaming every block straight into the
+    compressing builder, so peak residency is the compressed size.
+    Updates the [trace.*] gauges when metrics are enabled.  Raises
+    {!Too_many_blocks} if a function exceeds the packing capacity (2^20
+    blocks). *)
 
-val result : t -> Vm.Interp.result
-val dyn_blocks : t -> int
+type builder
 
-val dyn_insns : Placement.Address_map.t -> t -> int
-(** Dynamic instruction fetches under the given address map (accounts for
-    code scaling). *)
+val builder : unit -> builder
+
+val push : builder -> int -> unit
+(** Append one packed block code (see {!pack}). *)
+
+val finish : builder -> Vm.Interp.result -> t
+
+(** {2 Replay} *)
+
+val iter_runs : (code:int -> len:int -> unit) -> t -> unit
+(** Decoded runs in order: [len] consecutive packed codes starting at
+    [code]. *)
 
 val iter_blocks : (int -> Cfg.label -> unit) -> t -> unit
 (** Every executed block as [(fid, label)], in execution order. *)
@@ -28,6 +58,15 @@ val iter_spans : Placement.Address_map.t -> (int -> int -> unit) -> t -> unit
     blocks are skipped without breaking a span.  The spans cover
     exactly the words the per-block walk fetches, in the same order,
     and no span starts where the previous one ended. *)
+
+(** {2 Stats} *)
+
+val result : t -> Vm.Interp.result
+val dyn_blocks : t -> int
+
+val dyn_insns : Placement.Address_map.t -> t -> int
+(** Dynamic instruction fetches under the given address map (accounts for
+    code scaling). *)
 
 type stats = {
   st_runs : int;  (** maximal sequential-code runs *)

@@ -143,9 +143,9 @@ let fixture_result =
        (Vm.Io.input []))
 
 let fixture_trace labels =
-  let b = Sim.Ctrace.builder () in
-  List.iter (fun l -> Sim.Ctrace.push b (Sim.Trace_gen.pack 0 l)) labels;
-  Sim.Ctrace.finish b (Lazy.force fixture_result)
+  let b = Sim.Trace.builder () in
+  List.iter (fun l -> Sim.Trace.push b (Sim.Trace.pack 0 l)) labels;
+  Sim.Trace.finish b (Lazy.force fixture_result)
 
 (* Labels 0..7 as (byte address, words).  The zero-word block 1 has an
    address far from everything else, and 6 sits at 5's end. *)

@@ -5,7 +5,8 @@ let mk ?(page_bytes = 512) ?(frames = 4) ?(theta = 100) ?(sample_every = 10)
   Paging.Page_sim.create
     { Paging.Page_sim.page_bytes; frames; theta; sample_every }
 
-let feed sim addrs = List.iter (Paging.Page_sim.access sim) addrs
+let access sim addr = Paging.Page_sim.access_run sim ~addr ~words:1
+let feed sim addrs = List.iter (access sim) addrs
 
 let distinct_pages () =
   let sim = mk () in
@@ -30,21 +31,24 @@ let working_set () =
   (* One page touched continuously: working set stabilizes at 1. *)
   let sim = mk ~theta:50 ~sample_every:10 () in
   for _ = 1 to 100 do
-    Paging.Page_sim.access sim 0
+    access sim 0
   done;
   Alcotest.(check (float 0.01)) "ws = 1" 1.0 (Paging.Page_sim.mean_working_set sim);
   Alcotest.(check int) "max ws" 1 (Paging.Page_sim.max_working_set sim);
   (* Two pages alternating stay within the window: ws = 2. *)
   let sim2 = mk ~theta:50 ~sample_every:10 () in
   for k = 1 to 100 do
-    Paging.Page_sim.access sim2 (if k mod 2 = 0 then 0 else 512)
+    access sim2 (if k mod 2 = 0 then 0 else 512)
   done;
   Alcotest.(check int) "max ws 2" 2 (Paging.Page_sim.max_working_set sim2)
 
 let validation () =
-  match mk ~frames:0 () with
+  (match mk ~frames:0 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "frames=0 accepted"
+  | _ -> Alcotest.fail "frames=0 accepted");
+  match mk ~page_bytes:510 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "page_bytes=510 accepted"
 
 (* A zero sampling period must be refused up front, not surface as
    [Division_by_zero] on the first access. *)
@@ -61,10 +65,70 @@ let fault_rate_bounds () =
   let r = Paging.Page_sim.fault_rate sim in
   Alcotest.(check bool) "rate in [0,1]" true (r >= 0. && r <= 1.)
 
-(* Differential: [access_run] must be bit-identical to per-word [access]
-   on every observable, including working-set samples that land in the
+(* The oracle: one fetch at a time, with its own naive LRU over a
+   page -> last-touch table (victim: the least recently touched resident
+   page), and the working set sampled from a page -> last-access
+   table. *)
+type oracle = {
+  o_cfg : Paging.Page_sim.config;
+  o_last : (int, int) Hashtbl.t;
+  o_resident : (int, int) Hashtbl.t;
+  mutable o_time : int;
+  mutable o_pages : int;
+  mutable o_faults : int;
+  mutable o_samples : int;
+  mutable o_ws_sum : int;
+  mutable o_ws_max : int;
+}
+
+let oracle o_cfg =
+  {
+    o_cfg;
+    o_last = Hashtbl.create 64;
+    o_resident = Hashtbl.create 16;
+    o_time = 0;
+    o_pages = 0;
+    o_faults = 0;
+    o_samples = 0;
+    o_ws_sum = 0;
+    o_ws_max = 0;
+  }
+
+let oracle_access o addr =
+  let cfg = o.o_cfg in
+  o.o_time <- o.o_time + 1;
+  let page = addr / cfg.Paging.Page_sim.page_bytes in
+  if not (Hashtbl.mem o.o_last page) then o.o_pages <- o.o_pages + 1;
+  Hashtbl.replace o.o_last page o.o_time;
+  if not (Hashtbl.mem o.o_resident page) then begin
+    o.o_faults <- o.o_faults + 1;
+    if Hashtbl.length o.o_resident >= cfg.Paging.Page_sim.frames then begin
+      let victim, _ =
+        Hashtbl.fold
+          (fun p last (v, oldest) ->
+            if last < oldest then (p, last) else (v, oldest))
+          o.o_resident (-1, max_int)
+      in
+      Hashtbl.remove o.o_resident victim
+    end
+  end;
+  Hashtbl.replace o.o_resident page o.o_time;
+  if o.o_time mod cfg.Paging.Page_sim.sample_every = 0 then begin
+    let horizon = o.o_time - cfg.Paging.Page_sim.theta in
+    let live =
+      Hashtbl.fold
+        (fun _ last n -> if last > horizon then n + 1 else n)
+        o.o_last 0
+    in
+    o.o_samples <- o.o_samples + 1;
+    o.o_ws_sum <- o.o_ws_sum + live;
+    o.o_ws_max <- max o.o_ws_max live
+  end
+
+(* Differential: [access_run] must agree with the word-by-word oracle on
+   every observable, including working-set samples that land in the
    middle of a run.  Small pages/windows make runs span pages and put
-   sample ticks inside spans. *)
+   sample ticks inside spans; few frames make the LRU evict. *)
 let paging_chunks_gen =
   QCheck.make
     ~print:(fun l ->
@@ -77,38 +141,31 @@ let paging_chunks_gen =
 let prop_access_run_equals_access =
   QCheck.Test.make ~name:"paging access_run = per-word access" ~count:80
     paging_chunks_gen (fun chunks ->
-      let pairs =
-        List.map
-          (fun fresh -> (fresh (), fresh ()))
-          [
-            (fun () -> mk ~page_bytes:64 ~frames:3 ~theta:37 ~sample_every:5 ());
-            (fun () ->
-              mk ~page_bytes:128 ~frames:2 ~theta:100 ~sample_every:13 ());
-            (fun () ->
-              mk ~page_bytes:512 ~frames:16 ~theta:10_000 ~sample_every:1_000 ());
-          ]
-      in
       List.for_all
-        (fun ((ref_sim : Paging.Page_sim.t), (fast : Paging.Page_sim.t)) ->
+        (fun (page_bytes, frames, theta, sample_every) ->
+          let cfg =
+            { Paging.Page_sim.page_bytes; frames; theta; sample_every }
+          in
+          let o = oracle cfg and sim = Paging.Page_sim.create cfg in
           List.iter
             (fun (addr, words) ->
               for k = 0 to words - 1 do
-                Paging.Page_sim.access ref_sim (addr + (k * 4))
+                oracle_access o (addr + (k * 4))
               done;
-              Paging.Page_sim.access_run fast ~addr ~words)
+              Paging.Page_sim.access_run sim ~addr ~words)
             chunks;
-          Paging.Page_sim.accesses ref_sim = Paging.Page_sim.accesses fast
-          && Paging.Page_sim.distinct_pages ref_sim
-             = Paging.Page_sim.distinct_pages fast
-          && Paging.Page_sim.lru_faults ref_sim
-             = Paging.Page_sim.lru_faults fast
-          && Paging.Page_sim.fault_rate ref_sim
-             = Paging.Page_sim.fault_rate fast
-          && Paging.Page_sim.mean_working_set ref_sim
-             = Paging.Page_sim.mean_working_set fast
-          && Paging.Page_sim.max_working_set ref_sim
-             = Paging.Page_sim.max_working_set fast)
-        pairs)
+          let mean_ws =
+            if o.o_samples = 0 then 0.
+            else float_of_int o.o_ws_sum /. float_of_int o.o_samples
+          in
+          o.o_time = Paging.Page_sim.accesses sim
+          && o.o_pages = Paging.Page_sim.distinct_pages sim
+          && o.o_faults = Paging.Page_sim.lru_faults sim
+          && float_of_int o.o_faults /. float_of_int o.o_time
+             = Paging.Page_sim.fault_rate sim
+          && mean_ws = Paging.Page_sim.mean_working_set sim
+          && o.o_ws_max = Paging.Page_sim.max_working_set sim)
+        [ (64, 3, 37, 5); (128, 2, 100, 13); (512, 16, 10_000, 1_000) ])
 
 let suite =
   [

@@ -4,16 +4,16 @@
 open Helpers
 
 let pack_unpack () =
-  let code = Sim.Trace_gen.pack 7 123456 in
-  Alcotest.(check int) "fid" 7 (Sim.Trace_gen.unpack_fid code);
-  Alcotest.(check int) "label" 123456 (Sim.Trace_gen.unpack_label code)
+  let code = Sim.Trace.pack 7 123456 in
+  Alcotest.(check int) "fid" 7 (Sim.Trace.unpack_fid code);
+  Alcotest.(check int) "label" 123456 (Sim.Trace.unpack_label code)
 
 (* The plain block list of one execution, captured straight from the VM
    stream: the oracle the stored trace is checked against. *)
 let stream_blocks prog input =
   let blocks = ref [] in
   let result =
-    Sim.Trace_gen.stream prog input ~sink:(fun fid label ->
+    Vm.Interp.run prog input ~block_sink:(fun fid label ->
         blocks := (fid, label) :: !blocks)
   in
   (List.rev !blocks, result)
@@ -92,7 +92,7 @@ let classification () =
           (Placement.Weight.cfg_of_profile prof fid))
       p.Ir.Prog.funcs
   in
-  let counts = Sim.Classify.run p singleton_sel input in
+  let counts = Sim.Classify.run singleton_sel (Vm.Interp.run p input) in
   Alcotest.(check int) "no desirable with singleton traces" 0
     counts.Sim.Classify.desirable;
   Alcotest.(check int) "no undesirable with singleton traces" 0
@@ -106,11 +106,30 @@ let classification () =
           (Placement.Weight.cfg_of_profile prof fid))
       p.Ir.Prog.funcs
   in
-  let c2 = Sim.Classify.run p sel input in
+  let c2 = Sim.Classify.run sel (Vm.Interp.run p input) in
   Alcotest.(check bool) "desirable dominates undesirable" true
     (c2.Sim.Classify.desirable > c2.Sim.Classify.undesirable);
   Alcotest.(check int) "same total transfers"
     (total counts) (total c2)
+
+(* Table 4 classifies the recorded run: the interpreter result a trace
+   recording keeps classifies exactly like a fresh run of the same
+   program on the same input. *)
+let prop_classify_recorded_run =
+  QCheck.Test.make ~name:"classification of the recorded run = fresh run"
+    ~count:25
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let input = Vm.Io.input [] in
+      let pl =
+        Placement.Pipeline.run
+          (Ir.Lower.program (Ir.Gen.generate seed))
+          ~inputs:[ input ]
+      in
+      let program = pl.Placement.Pipeline.program
+      and sel = pl.Placement.Pipeline.selections in
+      Sim.Classify.run sel (Sim.Trace.result (Sim.Trace.record program input))
+      = Sim.Classify.run sel (Vm.Interp.run program input))
 
 (* Stall cycles of one miss, read back through the accumulated effective
    access time: one access costs the one-cycle hit time plus its stall
@@ -186,5 +205,6 @@ let suite =
     Alcotest.test_case "record consistency" `Quick record_consistency;
     Alcotest.test_case "driver metrics" `Quick driver_metrics;
     Alcotest.test_case "classification" `Quick classification;
+    QCheck_alcotest.to_alcotest prop_classify_recorded_run;
     Alcotest.test_case "timing model" `Quick timing_model;
   ]

@@ -1,6 +1,6 @@
 (* The compressed trace store:
 
-   - Ctrace round-trip: the run-length/delta coder reproduces the exact
+   - Store round-trip: the run-length/delta coder reproduces the exact
      pushed code sequence (QCheck over adversarial run shapes).
    - Every benchmark: the stored trace replays exactly the block
      sequence the VM streams, and the span-fused sweep over it
@@ -32,14 +32,14 @@ let interp_results_equal (a : Vm.Interp.result) (b : Vm.Interp.result) =
   && Vm.Io.output a.Vm.Interp.io 0 = Vm.Io.output b.Vm.Interp.io 0
   && Vm.Io.output a.Vm.Interp.io 1 = Vm.Io.output b.Vm.Interp.io 1
 
-(* A real interpreter result for Ctrace.finish in the synthetic
+(* A real interpreter result for Trace.finish in the synthetic
    round-trip tests (its content is irrelevant there). *)
 let dummy_result =
   lazy
     (let b = Workloads.Registry.find "cmp" in
      Vm.Interp.run (Workloads.Bench.program b) (Workloads.Bench.trace_input b))
 
-(* --- Ctrace round-trip on synthetic code sequences --- *)
+(* --- Store round-trip on synthetic code sequences --- *)
 
 (* Expand a run spec into the explicit packed-code list: [(base, len)]
    means codes base, base+1, ..., base+len-1.  Bases are arbitrary (runs
@@ -48,9 +48,9 @@ let dummy_result =
 let expand_runs spec =
   List.concat_map (fun (base, len) -> List.init len (fun k -> base + k)) spec
 
-let codes_of_ctrace ct =
+let codes_of_trace ct =
   let out = ref [] in
-  Sim.Ctrace.iter_runs (fun ~code ~len ->
+  Sim.Trace.iter_runs (fun ~code ~len ->
       for k = 0 to len - 1 do
         out := (code + k) :: !out
       done)
@@ -77,28 +77,28 @@ let runs_gen =
               ])
            (int_range 1 30)))
 
-let prop_ctrace_roundtrip =
-  QCheck.Test.make ~name:"Ctrace push/replay identity (arbitrary runs)"
+let prop_trace_roundtrip =
+  QCheck.Test.make ~name:"Trace push/replay identity (arbitrary runs)"
     ~count:200 runs_gen (fun spec ->
       let codes = expand_runs spec in
-      let b = Sim.Ctrace.builder () in
-      List.iter (Sim.Ctrace.push b) codes;
-      let ct = Sim.Ctrace.finish b (Lazy.force dummy_result) in
-      codes_of_ctrace ct = codes
-      && Sim.Ctrace.dyn_blocks ct = List.length codes
-      && Sim.Ctrace.raw_bytes ct = 8 * List.length codes)
+      let b = Sim.Trace.builder () in
+      List.iter (Sim.Trace.push b) codes;
+      let ct = Sim.Trace.finish b (Lazy.force dummy_result) in
+      codes_of_trace ct = codes
+      && Sim.Trace.dyn_blocks ct = List.length codes
+      && (Sim.Trace.stats ct).Sim.Trace.st_raw_bytes = 8 * List.length codes)
 
 (* Run coalescing: consecutive codes must land in one run, so the run
    count equals the number of breaks in the sequence. *)
-let ctrace_coalesces () =
-  let b = Sim.Ctrace.builder () in
-  List.iter (Sim.Ctrace.push b) [ 5; 6; 7; 42; 43; 9; 5; 6 ];
-  let ct = Sim.Ctrace.finish b (Lazy.force dummy_result) in
-  Alcotest.(check int) "4 runs" 4 (Sim.Ctrace.runs ct);
-  Alcotest.(check int) "8 blocks" 8 (Sim.Ctrace.dyn_blocks ct);
+let trace_coalesces () =
+  let b = Sim.Trace.builder () in
+  List.iter (Sim.Trace.push b) [ 5; 6; 7; 42; 43; 9; 5; 6 ];
+  let s = Sim.Trace.stats (Sim.Trace.finish b (Lazy.force dummy_result)) in
+  Alcotest.(check int) "4 runs" 4 s.Sim.Trace.st_runs;
+  Alcotest.(check int) "8 blocks" 8 s.Sim.Trace.st_blocks;
   Alcotest.(check bool)
     "compressed below raw" true
-    (Sim.Ctrace.compressed_bytes ct < Sim.Ctrace.raw_bytes ct)
+    (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
 (* --- simulate vs reference on every benchmark --- *)
 
@@ -128,14 +128,14 @@ let check_benchmark name =
   let n = ref 0 in
   Sim.Trace.iter_blocks
     (fun fid label ->
-      codes.(!n) <- Sim.Trace_gen.pack fid label;
+      codes.(!n) <- Sim.Trace.pack fid label;
       incr n)
     trace;
   let streamed = ref 0 and mismatches = ref 0 in
   let vm_result =
-    Sim.Trace_gen.stream program input ~sink:(fun fid label ->
+    Vm.Interp.run program input ~block_sink:(fun fid label ->
         let i = !streamed in
-        if i >= Array.length codes || codes.(i) <> Sim.Trace_gen.pack fid label
+        if i >= Array.length codes || codes.(i) <> Sim.Trace.pack fid label
         then incr mismatches;
         incr streamed)
   in
@@ -216,7 +216,6 @@ let gauges_account_recordings () =
   let g n = Obs.Metrics.gauge_value (Obs.Metrics.gauge n) in
   let raw0 = g "trace.raw_bytes"
   and stored0 = g "trace.compressed_bytes"
-  and peak0 = g "trace.peak_resident_bytes"
   and runs0 = g "trace.runs" in
   let b = Workloads.Registry.find "cmp" in
   let t =
@@ -229,8 +228,6 @@ let gauges_account_recordings () =
     (df raw0 (g "trace.raw_bytes"));
   Alcotest.(check int) "stored bump" s.Sim.Trace.st_stored_bytes
     (df stored0 (g "trace.compressed_bytes"));
-  Alcotest.(check int) "peak bump" s.Sim.Trace.st_stored_bytes
-    (df peak0 (g "trace.peak_resident_bytes"));
   Alcotest.(check int) "runs bump" s.Sim.Trace.st_runs
     (df runs0 (g "trace.runs"));
   Alcotest.(check bool) "stored < raw" true
@@ -245,8 +242,8 @@ let stats_consistent () =
   let input = Workloads.Bench.trace_input b in
   let blocks = ref 0 and runs = ref 0 and next = ref min_int in
   ignore
-    (Sim.Trace_gen.stream program input ~sink:(fun fid label ->
-         let code = Sim.Trace_gen.pack fid label in
+    (Vm.Interp.run program input ~block_sink:(fun fid label ->
+         let code = Sim.Trace.pack fid label in
          if code <> !next then incr runs;
          next := code + 1;
          incr blocks));
@@ -259,9 +256,9 @@ let stats_consistent () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_ctrace_roundtrip;
-    Alcotest.test_case "Ctrace coalesces consecutive codes" `Quick
-      ctrace_coalesces;
+    QCheck_alcotest.to_alcotest prop_trace_roundtrip;
+    Alcotest.test_case "Trace coalesces consecutive codes" `Quick
+      trace_coalesces;
     Alcotest.test_case "engines agree on every benchmark" `Slow
       engines_agree_all_benchmarks;
     Alcotest.test_case "scale preserves semantics" `Quick
