@@ -120,9 +120,11 @@ stream-smoke:
 
 # Layout service end to end: the committed golden request stream must
 # replay byte-identically to the committed responses (serially and with
-# a 2-lane pool), a 200-request seeded chaos campaign must finish with
-# zero crashes and one well-formed response per request, and the chaos
-# report plus the replayed responses must re-parse with checkjson.
+# a 2-lane pool), `--sample` must still print that request stream, a
+# 200-request seeded chaos campaign must finish with zero contract
+# violations (one well-formed response per request, at least one
+# staleness notification, each pushed once), and the chaos report plus
+# the replayed responses must re-parse with checkjson.
 serve-smoke:
 	rm -rf _serve && mkdir -p _serve
 	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \
@@ -130,6 +132,8 @@ serve-smoke:
 	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \
 	  -b cmp -q -j 2 > _serve/replay-j2.ndjson
 	cmp _serve/replay-j2.ndjson test/vectors/serve/responses.ndjson
+	dune exec bin/serve.exe -- --sample -b cmp > _serve/sample.ndjson
+	cmp _serve/sample.ndjson test/vectors/serve/requests.ndjson
 	dune exec bin/serve.exe -- --chaos --chaos-n 200 \
 	  --chaos-out _serve/chaos.json -q
 	dune exec bin/checkjson.exe -- _serve/chaos.json
@@ -152,10 +156,11 @@ trace-smoke:
 	grep -q "serve.latency.all.seconds" _trace/serve-metrics.txt
 
 # Sustained-load soak: 30 seconds of the seeded chaos-weighted workload
-# with telemetry live.  The harness itself asserts the contract — zero
-# crashes, one response per request, exactly-once staleness
-# notifications, nonzero latency quantiles, live heap under the ceiling
-# — and exits 1 on any violation; the impact.soak/v1 report must
+# with telemetry live.  The harness itself asserts the contract — the
+# chaos campaign's checker over every round (one well-formed response
+# per request, statuses and tiers, well-formed staleness notifications
+# pushed exactly once), nonzero latency quantiles, live heap under the
+# ceiling — and exits 1 on any violation; the impact.soak/v1 report must
 # re-parse with its required fields present.
 soak-smoke:
 	rm -rf _soak && mkdir -p _soak

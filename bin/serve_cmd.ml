@@ -158,14 +158,7 @@ let sample_lines config =
   let pipe = Experiments.Context.pipeline entry in
   let j = Obs.Json.to_string in
   let req ~id ~typ fields =
-    j
-      (Obs.Json.Obj
-         ([
-            ("schema", Obs.Json.String Serve.Protocol.schema);
-            ("id", Obs.Json.Int id);
-            ("type", Obs.Json.String typ);
-          ]
-         @ fields))
+    j (Serve.Protocol.request ~id:(Obs.Json.Int id) ~typ fields)
   in
   let layout ~id fields =
     req ~id ~typ:"layout-request"
@@ -255,36 +248,35 @@ let run_replay config jobs requests expect =
             line got expected;
           1)
 
+(* The chaos and soak harnesses end alike: a summary line, the optional
+   JSON report, one stderr line per violation, and exit 1 on any. *)
+let finish ~harness ~summary ~json ~violations out =
+  print_endline summary;
+  Option.iter (fun path -> Obs.Json.to_file path json) out;
+  List.iter (Printf.eprintf "%s violation: %s\n" harness) violations;
+  if violations = [] then 0 else 1
+
+(* Explicit -b overrides a harness's own benchmark pair; --scale always
+   applies. *)
+let harness_daemon config (base : Serve.Daemon.config) =
+  {
+    base with
+    benches =
+      (match config.Serve.Daemon.benches with
+      | Some _ as b -> b
+      | None -> base.benches);
+    scale = config.Serve.Daemon.scale;
+  }
+
 let run_chaos config seed n out =
-  let chaos_config =
-    (* Keep the campaign's small caps and raising strategy, but let the
-       explicit flags (benches, limits) override. *)
-    {
-      (Serve.Chaos.default_config ()) with
-      benches =
-        (match config.Serve.Daemon.benches with
-        | Some _ as b -> b
-        | None -> (Serve.Chaos.default_config ()).benches);
-      scale = config.Serve.Daemon.scale;
-    }
-  in
-  let report = Serve.Chaos.run ~seed ~n ~config:chaos_config () in
-  print_endline (Serve.Chaos.summary report);
-  Option.iter
-    (fun path -> Obs.Json.to_file path (Serve.Chaos.report_json report))
-    out;
-  if report.Serve.Chaos.violations = [] && report.responses = report.requests
-  then 0
-  else begin
-    List.iter
-      (fun v -> Printf.eprintf "chaos violation: %s\n" v)
-      report.violations;
-    1
-  end
+  let config = harness_daemon config (Serve.Chaos.default_config ()) in
+  let r = Serve.Chaos.run ~seed ~n ~config () in
+  finish ~harness:"chaos" ~summary:(Serve.Chaos.summary r)
+    ~json:(Serve.Chaos.report_json r) ~violations:r.violations out
 
 let run_soak config seed duration_s interval_ms ceiling_mb out =
+  let base = Serve.Soak.default_config () in
   let soak_config =
-    let base = Serve.Soak.default_config () in
     {
       base with
       Serve.Soak.seed;
@@ -293,28 +285,14 @@ let run_soak config seed duration_s interval_ms ceiling_mb out =
       ceiling_bytes = ceiling_mb * 1024 * 1024;
       daemon =
         {
-          base.Serve.Soak.daemon with
-          benches =
-            (match config.Serve.Daemon.benches with
-            | Some _ as b -> b
-            | None -> base.Serve.Soak.daemon.benches);
-          scale = config.Serve.Daemon.scale;
+          (harness_daemon config base.daemon) with
           slow_ms = config.Serve.Daemon.slow_ms;
         };
     }
   in
-  let report = Serve.Soak.run ~config:soak_config () in
-  print_endline (Serve.Soak.summary report);
-  Option.iter
-    (fun path -> Obs.Json.to_file path (Serve.Soak.report_json report))
-    out;
-  if report.Serve.Soak.violations = [] then 0
-  else begin
-    List.iter
-      (fun v -> Printf.eprintf "soak violation: %s\n" v)
-      report.violations;
-    1
-  end
+  let r = Serve.Soak.run ~config:soak_config () in
+  finish ~harness:"soak" ~summary:(Serve.Soak.summary r)
+    ~json:(Serve.Soak.report_json r) ~violations:r.violations out
 
 let run_serve config jobs socket =
   let daemon = Serve.Daemon.create ~config () in

@@ -1,8 +1,10 @@
 (* Fault-injection harness: fires a seeded stream of adversarial and
-   valid requests at a daemon and checks the robustness contract —
-   zero crashes, exactly one well-formed response per request, and the
-   right status (and degradation tier, where one is forced) for every
-   category of abuse. *)
+   valid requests at a daemon and checks the serve contract — zero
+   crashes, exactly one well-formed response per request, the right
+   status (and degradation tier, where one is forced) for every
+   category of abuse, and well-formed staleness notifications pushed
+   exactly once.  The contract checker is shared with the soak
+   harness. *)
 
 let chaos_strategy : Placement.Strategy.t =
   {
@@ -50,23 +52,16 @@ type report = {
 (* Request generators                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let line_of json = Obs.Json.to_string json
-
-let base ~id ~typ fields =
-  Obs.Json.Obj
-    ([
-       ("schema", Obs.Json.String Protocol.schema);
-       ("id", Obs.Json.Int id);
-       ("type", Obs.Json.String typ);
-     ]
-    @ fields)
+let line_of ~id ~typ fields =
+  Obs.Json.to_string (Protocol.request ~id:(Obs.Json.Int id) ~typ fields)
 
 let layout_line ~id ~bench ~strategy extra =
-  line_of
-    (base ~id ~typ:"layout-request"
-       ([ ("bench", Obs.Json.String bench);
-          ("strategy", Obs.Json.String strategy) ]
-       @ extra))
+  line_of ~id ~typ:"layout-request"
+    ([
+       ("bench", Obs.Json.String bench);
+       ("strategy", Obs.Json.String strategy);
+     ]
+    @ extra)
 
 let cache_obj rng =
   let sizes = [| 1024; 2048; 4096 |] in
@@ -79,33 +74,28 @@ let cache_obj rng =
 
 let strategies = [| "impact"; "natural"; "ph"; "exttsp"; "c3" |]
 
-(* One category per generator: (name, expected statuses, request line). *)
-let generate rng ~benches ~config i : string * string list * string =
+(* One category per generator: ((name, expected statuses), request line). *)
+let generate rng ~benches ~config i : (string * string list) * string =
   let bench () = Workloads.Rng.pick_list rng benches in
   let bench0 = List.hd benches in
   match Workloads.Rng.int rng 18 with
   | 0 ->
-      ( "layout-valid",
-        [ "ok" ],
+      ( ("layout-valid", [ "ok" ]),
         layout_line ~id:i ~bench:(bench ())
           ~strategy:(Workloads.Rng.pick rng strategies)
           [ ("cache", cache_obj rng) ] )
   | 1 ->
-      ( "layout-bad-bench",
-        [ "error" ],
+      ( ("layout-bad-bench", [ "error" ]),
         layout_line ~id:i ~bench:"no-such-bench" ~strategy:"impact" [] )
   | 2 ->
-      ( "layout-chaos-strategy",
-        [ "ok" ],
+      ( ("layout-chaos-strategy", [ "ok" ]),
         layout_line ~id:i ~bench:(bench ()) ~strategy:"chaos-raise" [] )
   | 3 ->
-      ( "layout-deadline-0",
-        [ "timeout" ],
+      ( ("layout-deadline-0", [ "timeout" ]),
         layout_line ~id:i ~bench:(bench ()) ~strategy:"impact"
           [ ("deadline_ms", Obs.Json.Int 0) ] )
   | 4 ->
-      ( "layout-deadline-cheap",
-        [ "ok" ],
+      ( ("layout-deadline-cheap", [ "ok" ]),
         layout_line ~id:i ~bench:(bench ()) ~strategy:"impact"
           [
             ( "deadline_ms",
@@ -113,8 +103,7 @@ let generate rng ~benches ~config i : string * string list * string =
                 (Workloads.Rng.range rng 1 Daemon.cheap_threshold_ms) );
           ] )
   | 5 ->
-      ( "layout-bad-config",
-        [ "error" ],
+      ( ("layout-bad-config", [ "error" ]),
         layout_line ~id:i ~bench:(bench ()) ~strategy:"impact"
           [
             ( "cache",
@@ -123,102 +112,109 @@ let generate rng ~benches ~config i : string * string list * string =
           ] )
   | 6 ->
       (* Exists once uploads have landed; unknown before that. *)
-      ( "layout-profile",
-        [ "ok"; "error" ],
+      ( ("layout-profile", [ "ok"; "error" ]),
         layout_line ~id:i ~bench:bench0
           ~strategy:(Workloads.Rng.pick rng strategies)
           [ ("profile", Obs.Json.String "chaos-epoch") ] )
   | 7 ->
       (* Structurally valid but not flow-conserving: poisons the profile
          (status stays ok — that is the degradation contract). *)
-      ( "upload-epoch",
-        [ "ok" ],
-        line_of
-          (base ~id:i ~typ:"profile-upload"
-             [
-               ("profile", Obs.Json.String "chaos-epoch");
-               ("bench", Obs.Json.String bench0);
-               ("epoch", Obs.Json.Int (Workloads.Rng.int rng 9));
-               ( "entries",
-                 Obs.Json.List
-                   [
-                     Obs.Json.List
-                       [
-                         Obs.Json.Int 0;
-                         Obs.Json.Float
-                           (float_of_int (1 + Workloads.Rng.int rng 50));
-                       ];
-                   ] );
-             ]) )
+      ( ("upload-epoch", [ "ok" ]),
+        line_of ~id:i ~typ:"profile-upload"
+          [
+            ("profile", Obs.Json.String "chaos-epoch");
+            ("bench", Obs.Json.String bench0);
+            ("epoch", Obs.Json.Int (Workloads.Rng.int rng 9));
+            ( "entries",
+              Obs.Json.List
+                [
+                  Obs.Json.List
+                    [
+                      Obs.Json.Int 0;
+                      Obs.Json.Float
+                        (float_of_int (1 + Workloads.Rng.int rng 50));
+                    ];
+                ] );
+          ] )
   | 8 ->
-      ( "upload-bad-ids",
-        [ "error" ],
-        line_of
-          (base ~id:i ~typ:"profile-upload"
-             [
-               ("profile", Obs.Json.String "chaos-bad");
-               ("bench", Obs.Json.String bench0);
-               ( "blocks",
-                 Obs.Json.List
-                   [
-                     Obs.Json.List
-                       [ Obs.Json.Int 9999; Obs.Json.Int 0; Obs.Json.Int 1 ];
-                   ] );
-             ]) )
+      ( ("upload-bad-ids", [ "error" ]),
+        line_of ~id:i ~typ:"profile-upload"
+          [
+            ("profile", Obs.Json.String "chaos-bad");
+            ("bench", Obs.Json.String bench0);
+            ( "blocks",
+              Obs.Json.List
+                [
+                  Obs.Json.List
+                    [ Obs.Json.Int 9999; Obs.Json.Int 0; Obs.Json.Int 1 ];
+                ] );
+          ] )
   | 9 ->
       let full =
         layout_line ~id:i ~bench:(bench ()) ~strategy:"impact"
           [ ("cache", cache_obj rng) ]
       in
       let cut = 1 + Workloads.Rng.int rng (String.length full - 1) in
-      ("truncated", [ "error" ], String.sub full 0 cut)
+      (("truncated", [ "error" ]), String.sub full 0 cut)
   | 10 ->
-      ( "depth-bomb",
-        [ "error" ],
+      ( ("depth-bomb", [ "error" ]),
         String.concat "" (List.init 2000 (fun _ -> "[")) )
   | 11 ->
-      ( "oversize",
-        [ "error" ],
+      ( ("oversize", [ "error" ]),
         String.make (config.Daemon.max_request_bytes + 16) 'x' )
   | 12 ->
-      ( "bad-schema",
-        [ "error" ],
-        line_of
-          (Obs.Json.Obj
-             [
-               ("schema", Obs.Json.String "impact.serve/v99");
-               ("id", Obs.Json.Int i);
-               ("type", Obs.Json.String "stats");
-             ]) )
+      ( ("bad-schema", [ "error" ]),
+        Printf.sprintf {|{"schema":"impact.serve/v99","id":%d,"type":"stats"}|}
+          i )
   | 13 ->
       (* Two half-written requests interleaved on one line. *)
       let a = layout_line ~id:i ~bench:(bench ()) ~strategy:"impact" [] in
-      ( "half-written",
-        [ "error" ],
+      ( ("half-written", [ "error" ]),
         String.sub a 0 (String.length a / 2) ^ "{\"schema\":" )
   | 14 ->
-      ( "lint-valid",
-        [ "ok" ],
-        line_of
-          (base ~id:i ~typ:"lint-request"
-             [
-               ("bench", Obs.Json.String (bench ()));
-               ( "strategy",
-                 Obs.Json.String (Workloads.Rng.pick rng strategies) );
-             ]) )
+      ( ("lint-valid", [ "ok" ]),
+        line_of ~id:i ~typ:"lint-request"
+          [
+            ("bench", Obs.Json.String (bench ()));
+            ("strategy", Obs.Json.String (Workloads.Rng.pick rng strategies));
+          ] )
   | 15 ->
-      (* Subscribing mid-campaign turns later accepted uploads into
-         push notifications — the pairing below must stay correct. *)
+      (* Re-subscribing mid-campaign (filtered or not) must leave the
+         pairing of responses with requests intact. *)
       let profiles =
         if Workloads.Rng.int rng 2 = 0 then []
         else [ ("profiles", Obs.Json.List [ Obs.Json.String "chaos-epoch" ]) ]
       in
-      ("subscribe", [ "ok" ], line_of (base ~id:i ~typ:"subscribe" profiles))
-  | 16 -> ("health", [ "ok" ], line_of (base ~id:i ~typ:"health" []))
-  | _ -> ("stats", [ "ok" ], line_of (base ~id:i ~typ:"stats" []))
+      (("subscribe", [ "ok" ]), line_of ~id:i ~typ:"subscribe" profiles)
+  | 16 -> (("health", [ "ok" ]), line_of ~id:i ~typ:"health" [])
+  | _ -> (("stats", [ "ok" ]), line_of ~id:i ~typ:"stats" [])
+
+(* A flow-conserving upload of [profile] (epoch 1), a subscribe-all
+   client, one layout against the profile so a custom map is cached,
+   and a flow-conserving re-upload at epoch 2 that makes the map stale:
+   the stream pushes at least one notification. *)
+let prelude daemon ~bench ~profile =
+  let pipe =
+    Experiments.Context.pipeline
+      (Experiments.Context.find (Daemon.context daemon) bench)
+  in
+  let upload cat ~id ~epoch =
+    ( (cat, [ "ok" ]),
+      Obs.Json.to_string
+        (Protocol.upload_request_of_profile ~id:(Obs.Json.Int id)
+           ~name:profile ~bench ~epoch pipe.Placement.Pipeline.profile) )
+  in
+  [
+    upload "upload-valid" ~id:(-1) ~epoch:1;
+    (("subscribe", [ "ok" ]), line_of ~id:(-2) ~typ:"subscribe" []);
+    ( ("layout-good", [ "ok" ]),
+      layout_line ~id:(-3) ~bench ~strategy:"impact"
+        [ ("profile", Obs.Json.String profile) ] );
+    upload "upload-advance" ~id:(-4) ~epoch:2;
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* Response contract                                                   *)
+(* The serve contract                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let field key resp =
@@ -226,41 +222,144 @@ let field key resp =
   | Some (Obs.Json.String s) -> Some s
   | _ -> None
 
-let tier_of resp = field "tier" resp
+type checker = {
+  counts : (string, int) Hashtbl.t;  (* requests per category *)
+  seen : (string * string * string * int, unit) Hashtbl.t;
+      (* exactly-once ledger: (profile, strategy, kind, epoch) pushed *)
+  mutable requests : int;
+  mutable responses : int;
+  mutable notifications : int;
+  mutable ok : int;
+  mutable errors : int;
+  mutable timeouts : int;
+  mutable violations : string list;  (* newest first *)
+}
 
-let well_formed resp =
-  field "status" resp <> None
-  && field "request" resp <> None
-  && field "schema" resp = Some Protocol.schema
+let checker () =
+  {
+    counts = Hashtbl.create 16;
+    seen = Hashtbl.create 16;
+    requests = 0;
+    responses = 0;
+    notifications = 0;
+    ok = 0;
+    errors = 0;
+    timeouts = 0;
+    violations = [];
+  }
 
-let check_response ~cat ~expected ~index resp : string list =
-  let violations = ref [] in
-  let fail fmt =
-    Printf.ksprintf (fun m -> violations := m :: !violations) fmt
-  in
-  if not (well_formed resp) then
-    fail "request %d (%s): response not well-formed: %s" index cat
+let violate c fmt =
+  Printf.ksprintf (fun m -> c.violations <- m :: c.violations) fmt
+
+let check_response c ~cat ~expected ~index resp =
+  if
+    field "request" resp = None || field "schema" resp <> Some Protocol.schema
+  then
+    violate c "request %d (%s): response not well-formed: %s" index cat
       (Obs.Json.to_string resp);
   (match field "status" resp with
-  | Some s when List.mem s expected -> ()
   | Some s ->
-      fail "request %d (%s): status %S, expected one of [%s]" index cat s
-        (String.concat "; " expected)
-  | None -> fail "request %d (%s): missing status" index cat);
-  (match cat with
+      (match s with
+      | "ok" -> c.ok <- c.ok + 1
+      | "error" -> c.errors <- c.errors + 1
+      | "timeout" -> c.timeouts <- c.timeouts + 1
+      | _ -> ());
+      if not (List.mem s expected) then
+        violate c "request %d (%s): status %S, expected one of [%s]" index cat
+          s (String.concat "; " expected)
+  | None -> violate c "request %d (%s): missing status" index cat);
+  match cat with
   | "layout-chaos-strategy" ->
-      if tier_of resp <> Some "natural-fallback" then
-        fail "request %d: chaos strategy should degrade to natural-fallback"
-          index
+      if field "tier" resp <> Some "natural-fallback" then
+        violate c
+          "request %d: chaos strategy should degrade to natural-fallback" index
   | "layout-deadline-cheap" ->
-      if tier_of resp <> Some "cheapest-strategy" then
-        fail "request %d: tight deadline should admit the cheapest strategy"
-          index
+      if field "tier" resp <> Some "cheapest-strategy" then
+        violate c
+          "request %d: tight deadline should admit the cheapest strategy" index
   | "layout-deadline-0" ->
       if Obs.Json.member "retry_after_ms" resp = None then
-        fail "request %d: timeout response must carry retry_after_ms" index
-  | _ -> ());
-  !violations
+        violate c "request %d: timeout response must carry retry_after_ms"
+          index
+  | _ -> ()
+
+let check_notification c n =
+  let i = c.notifications in
+  c.notifications <- i + 1;
+  if field "schema" n <> Some Protocol.schema then
+    violate c "notification %d: wrong schema" i;
+  if field "event" n <> Some "layouts-stale" then
+    violate c "notification %d: event must be layouts-stale" i;
+  let profile =
+    match field "profile" n with
+    | Some p -> p
+    | None ->
+        violate c "notification %d: no profile" i;
+        "?"
+  in
+  let epoch =
+    match Obs.Json.member "epoch" n with
+    | Some (Obs.Json.Int e) -> e
+    | _ ->
+        violate c "notification %d: no epoch" i;
+        -1
+  in
+  match Obs.Json.member "stale" n with
+  | Some (Obs.Json.List (_ :: _ as rows)) ->
+      List.iter
+        (fun row ->
+          let str k = Option.value ~default:"?" (field k row) in
+          let key = (profile, str "strategy", str "kind", epoch) in
+          if Hashtbl.mem c.seen key then
+            violate c "notification %d: %s/%s/%s epoch %d pushed twice" i
+              profile (str "strategy") (str "kind") epoch
+          else Hashtbl.add c.seen key ())
+        rows
+  | _ -> violate c "notification %d: must name at least one stale layout" i
+
+(* Push notifications ride the same stream but answer no request: they
+   are split out before responses are paired with requests, in order. *)
+let check c cats emitted =
+  let notes, resps =
+    List.partition (fun j -> field "type" j = Some "notification") emitted
+  in
+  let n = List.length cats and m = List.length resps in
+  if m <> n then violate c "%d requests but %d responses" n m;
+  List.iter (check_notification c) notes;
+  let rec pair index cats resps =
+    match (cats, resps) with
+    | (cat, expected) :: cats, resp :: resps ->
+        check_response c ~cat ~expected ~index resp;
+        pair (index + 1) cats resps
+    | _ -> ()
+  in
+  pair c.requests cats resps;
+  List.iter
+    (fun (cat, _) ->
+      Hashtbl.replace c.counts cat
+        (1 + Option.value ~default:0 (Hashtbl.find_opt c.counts cat)))
+    cats;
+  c.requests <- c.requests + n;
+  c.responses <- c.responses + m
+
+let finish c ~seed =
+  {
+    seed;
+    requests = c.requests;
+    responses = c.responses;
+    notifications = c.notifications;
+    ok = c.ok;
+    errors = c.errors;
+    timeouts = c.timeouts;
+    by_category =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.counts []
+      |> List.sort compare;
+    violations =
+      List.rev c.violations
+      @
+      if c.notifications = 0 then [ "no staleness notification observed" ]
+      else [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The campaign                                                        *)
@@ -275,79 +374,13 @@ let run ?(seed = 0xC4A05) ?(n = 200) ?config () : report =
     | None -> Workloads.Registry.names
   in
   let rng = Workloads.Rng.create seed in
-  (* Seed the store with one genuinely flow-conserving upload so the
-     named-profile path is exercised from both sides of validity. *)
-  let seed_upload =
-    let entry = Experiments.Context.find (Daemon.context daemon) (List.hd benches) in
-    let pipe = Experiments.Context.pipeline entry in
-    line_of
-      (Protocol.upload_request_of_profile ~id:(Obs.Json.Int (-1))
-         ~name:"chaos-good" ~bench:(List.hd benches)
-         pipe.Placement.Pipeline.profile)
+  let all =
+    prelude daemon ~bench:(List.hd benches) ~profile:"chaos-good"
+    @ List.init n (fun i -> generate rng ~benches ~config i)
   in
-  let seeded = [ ("upload-valid", [ "ok" ], seed_upload) ] in
-  let generated =
-    List.init n (fun i -> generate rng ~benches ~config i)
-  in
-  let all = seeded @ generated in
-  let lines = List.map (fun (_, _, l) -> l) all in
-  let emitted = Daemon.run_lines daemon lines in
-  (* Push notifications ride the same stream but answer no request:
-     split them out before pairing requests with responses. *)
-  let is_notification j =
-    match Obs.Json.member "type" j with
-    | Some (Obs.Json.String "notification") -> true
-    | _ -> false
-  in
-  let notifications, responses = List.partition is_notification emitted in
-  let violations = ref [] in
-  List.iteri
-    (fun i n ->
-      let bad fmt =
-        Printf.ksprintf (fun m -> violations := !violations @ [ m ]) fmt
-      in
-      if Obs.Json.member "schema" n <> Some (Obs.Json.String Protocol.schema)
-      then bad "notification %d: wrong schema" i;
-      (match Obs.Json.member "event" n with
-      | Some (Obs.Json.String "layouts-stale") -> ()
-      | _ -> bad "notification %d: event must be layouts-stale" i);
-      match Obs.Json.member "stale" n with
-      | Some (Obs.Json.List (_ :: _)) -> ()
-      | _ -> bad "notification %d: must name at least one stale layout" i)
-    notifications;
-  if List.length responses <> List.length all then
-    violations :=
-      [
-        Printf.sprintf "%d requests but %d responses" (List.length all)
-          (List.length responses);
-      ];
-  let counts = Hashtbl.create 16 in
-  let ok = ref 0 and errors = ref 0 and timeouts = ref 0 in
-  List.iteri
-    (fun index ((cat, expected, _), resp) ->
-      Hashtbl.replace counts cat
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts cat));
-      (match field "status" resp with
-      | Some "ok" -> incr ok
-      | Some "error" -> incr errors
-      | Some "timeout" -> incr timeouts
-      | _ -> ());
-      violations := !violations @ check_response ~cat ~expected ~index resp)
-    (List.combine
-       (List.filteri (fun i _ -> i < List.length responses) all)
-       responses);
-  {
-    seed;
-    requests = List.length all;
-    responses = List.length responses;
-    notifications = List.length notifications;
-    ok = !ok;
-    errors = !errors;
-    timeouts = !timeouts;
-    by_category =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [] |> List.sort compare;
-    violations = !violations;
-  }
+  let c = checker () in
+  check c (List.map fst all) (Daemon.run_lines daemon (List.map snd all));
+  finish c ~seed
 
 let report_json (r : report) =
   Obs.Json.Obj

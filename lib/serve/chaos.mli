@@ -1,15 +1,18 @@
-(** Fault-injection harness for the layout service.
+(** Fault-injection harness for the layout service, and the one checker
+    of its serve contract.
 
-    A campaign fires a seeded stream of requests — valid layouts and
-    lints, raising strategies, zero and near-zero deadlines, malformed
-    and truncated JSON, nesting bombs, oversized payloads, unknown
-    schema versions, uploads with out-of-range ids and non-conserving
-    counts, plus subscribe and health probes — through the full batched
-    serve loop and checks the robustness contract: the daemon never
-    crashes, answers every request with exactly one well-formed
-    response (push notifications are split out of the stream and
-    checked separately), and lands in the forced degradation tier where
-    one is expected. *)
+    A campaign opens with a {!prelude} that makes a staleness
+    notification push, then fires a seeded stream of requests — valid
+    layouts and lints, raising strategies, zero and near-zero deadlines,
+    malformed and truncated JSON, nesting bombs, oversized payloads,
+    unknown schema versions, uploads with out-of-range ids and
+    non-conserving counts, plus subscribe and health probes — through
+    the full batched serve loop.  {!check} holds the daemon to its
+    contract: it never crashes, answers every request with exactly one
+    well-formed response, lands in the forced degradation tier where
+    one is expected, and pushes well-formed notifications exactly once
+    per (profile, strategy, kind, epoch).  The soak harness runs the
+    same checker over its rounds. *)
 
 val chaos_strategy : Placement.Strategy.t
 (** Registry entry ["chaos-raise"]: raises from both layout hooks, for
@@ -39,14 +42,51 @@ val generate :
   benches:string list ->
   config:Daemon.config ->
   int ->
-  string * string list * string
-(** One seeded request: (category, expected statuses, line).  Exposed
+  (string * string list) * string
+(** One seeded request: ((category, expected statuses), line).  Exposed
     so the soak harness can reuse the adversarial mix. *)
 
+val prelude :
+  Daemon.t ->
+  bench:string ->
+  profile:string ->
+  ((string * string list) * string) list
+(** The requests every campaign opens with: a flow-conserving upload of
+    [profile] at epoch 1, a subscribe-all client, one layout against
+    the profile (caching a custom map), and a flow-conserving re-upload
+    at epoch 2 that makes that map stale — so the stream pushes at least
+    one staleness notification.  Same shape as {!generate}. *)
+
+(** {1 The serve contract} *)
+
+type checker
+(** Accumulates the contract over one or more batches of one daemon. *)
+
+val checker : unit -> checker
+
+val check :
+  checker -> (string * string list) list -> Obs.Json.t list -> unit
+(** [check c cats emitted] checks the lines a daemon emitted for one
+    batch of requests, whose (category, expected statuses) are [cats]
+    in order.  Notifications are split out; the remaining responses pair
+    with [cats] in order, and a count mismatch either way is a
+    violation.  Each paired response must be well-formed (schema,
+    request, status), its status within the category's set and tallied;
+    ["layout-chaos-strategy"] must land in the natural-fallback tier,
+    ["layout-deadline-cheap"] in cheapest-strategy, and
+    ["layout-deadline-0"] must carry [retry_after_ms].  Each notification
+    must carry the schema, event ["layouts-stale"], a profile, an epoch
+    and a non-empty [stale] list, and no (profile, strategy, kind,
+    epoch) may be pushed twice across every batch [c] has seen. *)
+
+val finish : checker -> seed:int -> report
+(** The tallies and violations so far, in order; a stream that pushed no
+    notification at all is a violation too. *)
+
 val run : ?seed:int -> ?n:int -> ?config:Daemon.config -> unit -> report
-(** Run a campaign of [n] (default 200) seeded requests plus one
-    flow-conserving profile upload.  Deterministic for a given seed and
-    config. *)
+(** Run a campaign of {!prelude} followed by [n] (default 200) seeded
+    requests, all in one batch, through {!check}.  Deterministic for a
+    given seed and config. *)
 
 val report_json : report -> Obs.Json.t
 val summary : report -> string

@@ -337,16 +337,22 @@ let parse_request ?max_depth ?max_bytes (line : string) :
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let response ~id ~request ~status fields =
+(* Every line the service reads or writes opens with the same three
+   fields. *)
+let envelope ~id ~typ fields =
   Obs.Json.Obj
-    ([
-       ("schema", Obs.Json.String schema);
-       ("id", id);
-       ("type", Obs.Json.String "response");
-       ("request", Obs.Json.String request);
-       ("status", Obs.Json.String status);
-     ]
-    @ fields)
+    (("schema", Obs.Json.String schema)
+    :: ("id", id)
+    :: ("type", Obs.Json.String typ)
+    :: fields)
+
+let request = envelope
+
+let response ~id ~request ~status fields =
+  envelope ~id ~typ:"response"
+    (("request", Obs.Json.String request)
+    :: ("status", Obs.Json.String status)
+    :: fields)
 
 let ok_response ~id ~request fields = response ~id ~request ~status:"ok" fields
 
@@ -370,11 +376,8 @@ let timeout_response ~id ~request ~retry_after_ms =
    any request, so "type" is "notification" and the id is null.  The
    trace ties it to the profile-upload that advanced the epoch. *)
 let stale_notification ~trace ~profile ~epoch ~revision ~poisoned ~stale =
-  Obs.Json.Obj
+  envelope ~id:Obs.Json.Null ~typ:"notification"
     [
-      ("schema", Obs.Json.String schema);
-      ("id", Obs.Json.Null);
-      ("type", Obs.Json.String "notification");
       ("event", Obs.Json.String "layouts-stale");
       ("trace", Obs.Json.String trace);
       ("profile", Obs.Json.String profile);
@@ -448,14 +451,8 @@ let upload_request_of_profile ?(id = Obs.Json.Null) ~name ~bench ?epoch
          (fun (a, b) -> Obs.Json.List [ Obs.Json.Int a; num (float_of_int b) ])
          (List.sort compare xs))
   in
-  Obs.Json.Obj
-    ([
-       ("schema", Obs.Json.String schema);
-       ("id", id);
-       ("type", Obs.Json.String "profile-upload");
-       ("profile", Obs.Json.String name);
-       ("bench", Obs.Json.String bench);
-     ]
+  request ~id ~typ:"profile-upload"
+    ([ ("profile", Obs.Json.String name); ("bench", Obs.Json.String bench) ]
     @ (match epoch with
       | Some e -> [ ("epoch", Obs.Json.Int e) ]
       | None -> [])

@@ -68,6 +68,12 @@ val parse_request :
     own when it could be extracted (so the error response still
     correlates), [Null] otherwise. *)
 
+val request :
+  id:Obs.Json.t -> typ:string -> (string * Obs.Json.t) list -> Obs.Json.t
+(** A request object: the [schema]/[id]/[type] envelope followed by
+    [fields] in order.  Every well-formed request the tests, the
+    harnesses and [serve.exe --sample] send is built here. *)
+
 val ok_response :
   id:Obs.Json.t -> request:string -> (string * Obs.Json.t) list -> Obs.Json.t
 

@@ -2,22 +2,22 @@
    daemon for a wall-clock duration, with memory kept under an asserted
    ceiling.
 
-   Each round sends a bounded batch through [Daemon.run_lines]: the
-   chaos generator's adversarial mix, plus one layout-request against
-   the soak profile (so a map is always cached and can go stale) and a
-   periodic epoch-advancing upload (so staleness notifications actually
-   push — the subscribe-all client registered in the preamble observes
-   them).  Between rounds the harness samples memory — OCaml live words
-   from [Gc.stat] and resident-set bytes from /proc/self/statm — into
-   the [serve.live_words]/[serve.rss_bytes] gauges and tracks the
-   maxima.
+   The chaos prelude registers a subscribe-all client and caches a map
+   on the soak profile.  Each round then sends a bounded batch through
+   [Daemon.run_lines]: the chaos generator's adversarial mix, one
+   layout-request against the soak profile (so a map is always cached
+   and can go stale) and, every third round, an epoch-advancing upload
+   (so staleness notifications keep pushing).  Every batch goes through
+   the chaos harness's contract checker, whose exactly-once ledger
+   spans the whole soak.  Between rounds the harness samples memory —
+   OCaml live words from [Gc.stat] and resident-set bytes from
+   /proc/self/statm — into the [serve.live_words]/[serve.rss_bytes]
+   gauges and tracks the maxima.
 
-   The report ([impact.soak/v1]) asserts the contract a long-running
-   service must keep: every request answered (notifications split out),
-   statuses within each category's expectation, at least one staleness
-   notification observed, exactly-once notification per (layout,
-   epoch), nonzero latency quantiles, and max live bytes under the
-   ceiling.  Any breach lands in [violations] and fails the run. *)
+   The report ([impact.soak/v1]) carries the checker's violations plus
+   the soak's own: max live bytes over the ceiling, zero latency
+   quantiles, and a final stats response without [evictions.maps].
+   Any breach fails the run. *)
 
 type config = {
   seed : int;
@@ -93,13 +93,6 @@ let sample_memory () =
   Obs.Metrics.set rss_gauge (float_of_int rss);
   (live_bytes, rss)
 
-let is_notification j =
-  match Obs.Json.member "type" j with
-  | Some (Obs.Json.String "notification") -> true
-  | _ -> false
-
-let line_of json = Obs.Json.to_string json
-
 let run ?(config = default_config ()) () : report =
   let metrics_were_on = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
@@ -115,118 +108,22 @@ let run ?(config = default_config ()) () : report =
   in
   let bench0 = List.hd benches in
   let rng = Workloads.Rng.create config.seed in
-  let entry = Experiments.Context.find (Daemon.context daemon) bench0 in
-  let pipe = Experiments.Context.pipeline entry in
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun m -> violations := !violations @ [ m ]) fmt
+  let pipe =
+    Experiments.Context.pipeline
+      (Experiments.Context.find (Daemon.context daemon) bench0)
   in
-  (* Exactly-once ledger: (profile, strategy, kind, epoch) already seen
-     in a notification must never reappear. *)
-  let seen_stale = Hashtbl.create 64 in
-  let requests = ref 0
-  and responses = ref 0
-  and notifications = ref 0
-  and ok = ref 0
-  and errors = ref 0
-  and timeouts = ref 0 in
-  let absorb cats emitted =
-    let notes, resps = List.partition is_notification emitted in
-    responses := !responses + List.length resps;
-    notifications := !notifications + List.length notes;
-    if List.length resps <> List.length cats then
-      violate "round answered %d of %d requests" (List.length resps)
-        (List.length cats);
-    List.iteri
-      (fun i resp ->
-        match Obs.Json.member "status" resp with
-        | Some (Obs.Json.String "ok") -> incr ok
-        | Some (Obs.Json.String "error") -> incr errors
-        | Some (Obs.Json.String "timeout") -> incr timeouts
-        | _ -> violate "response %d of a round has no status" i)
-      resps;
-    (* Status-contract check per category, in order. *)
-    (if List.length resps = List.length cats then
-       List.iter2
-         (fun (cat, expected) resp ->
-           match Obs.Json.member "status" resp with
-           | Some (Obs.Json.String s) when List.mem s expected -> ()
-           | Some (Obs.Json.String s) ->
-             violate "category %s answered %S (expected one of [%s])" cat s
-               (String.concat "; " expected)
-           | _ -> ())
-         cats resps);
-    List.iter
-      (fun n ->
-        let profile =
-          match Obs.Json.member "profile" n with
-          | Some (Obs.Json.String p) -> p
-          | _ ->
-            violate "notification without profile";
-            "?"
-        in
-        let epoch =
-          match Obs.Json.member "epoch" n with
-          | Some (Obs.Json.Int e) -> e
-          | _ ->
-            violate "notification without epoch";
-            -1
-        in
-        match Obs.Json.member "stale" n with
-        | Some (Obs.Json.List rows) when rows <> [] ->
-          List.iter
-            (fun row ->
-              let str k =
-                match Obs.Json.member k row with
-                | Some (Obs.Json.String s) -> s
-                | _ -> "?"
-              in
-              let key = (profile, str "strategy", str "kind", epoch) in
-              if Hashtbl.mem seen_stale key then
-                violate
-                  "duplicate staleness notification for %s/%s/%s epoch %d"
-                  profile (str "strategy") (str "kind") epoch
-              else Hashtbl.add seen_stale key ())
-            rows
-        | _ -> violate "notification with empty stale list")
-      notes
+  let contract = Chaos.checker () in
+  let send batch =
+    Chaos.check contract (List.map fst batch)
+      (Daemon.run_lines daemon (List.map snd batch))
   in
-  let send cats lines =
-    requests := !requests + List.length lines;
-    absorb cats (Daemon.run_lines daemon lines)
+  let request ~id ~typ fields =
+    Obs.Json.to_string
+      (Protocol.request ~id:(Obs.Json.String id) ~typ fields)
   in
-  (* Preamble: a subscribe-all client, a flow-conserving upload into the
-     soak profile, and one layout against it so a map is cached (and
-     can later go stale). *)
-  send
-    [
-      ("subscribe", [ "ok" ]);
-      ("upload-valid", [ "ok" ]);
-      ("layout-profile", [ "ok" ]);
-    ]
-    [
-      line_of
-        (Obs.Json.Obj
-           [
-             ("schema", Obs.Json.String Protocol.schema);
-             ("id", Obs.Json.String "soak-sub");
-             ("type", Obs.Json.String "subscribe");
-           ]);
-      line_of
-        (Protocol.upload_request_of_profile
-           ~id:(Obs.Json.String "soak-seed") ~name:"soak" ~bench:bench0
-           ~epoch:1 pipe.Placement.Pipeline.profile);
-      line_of
-        (Obs.Json.Obj
-           [
-             ("schema", Obs.Json.String Protocol.schema);
-             ("id", Obs.Json.String "soak-map");
-             ("type", Obs.Json.String "layout-request");
-             ("bench", Obs.Json.String bench0);
-             ("strategy", Obs.Json.String "impact");
-             ("profile", Obs.Json.String "soak");
-           ]);
-    ];
+  (* The chaos prelude caches a map on the soak profile at epoch 2 and
+     registers the subscribe-all client that observes its staleness. *)
+  send (Chaos.prelude daemon ~bench:bench0 ~profile:"soak");
   let t0 = Obs.Clock.now () in
   let last_sample = ref t0 in
   let max_live = ref 0 and max_rss = ref 0 and samples = ref 0 in
@@ -239,31 +136,26 @@ let run ?(config = default_config ()) () : report =
   in
   take_sample ();
   let rounds = ref 0 in
-  let epoch = ref 1 in
+  let epoch = ref 2 in
   while Obs.Clock.now () -. t0 < config.duration_s do
     incr rounds;
     let chaos_part =
       List.init config.round_requests (fun i ->
-          let cat, expected, l =
-            Chaos.generate rng ~benches ~config:config.daemon
-              (((!rounds - 1) * config.round_requests) + i)
-          in
-          ((cat, expected), l))
+          Chaos.generate rng ~benches ~config:config.daemon
+            (((!rounds - 1) * config.round_requests) + i))
     in
     (* One layout against the soak profile every round keeps a map
        cached at the current revision... *)
     let layout_soak =
       ( ("layout-soak", [ "ok" ]),
-        line_of
-          (Obs.Json.Obj
-             [
-               ("schema", Obs.Json.String Protocol.schema);
-               ("id", Obs.Json.String (Printf.sprintf "soak-l%d" !rounds));
-               ("type", Obs.Json.String "layout-request");
-               ("bench", Obs.Json.String bench0);
-               ("strategy", Obs.Json.String "impact");
-               ("profile", Obs.Json.String "soak");
-             ]) )
+        request
+          ~id:(Printf.sprintf "soak-l%d" !rounds)
+          ~typ:"layout-request"
+          [
+            ("bench", Obs.Json.String bench0);
+            ("strategy", Obs.Json.String "impact");
+            ("profile", Obs.Json.String "soak");
+          ] )
     in
     (* ...and every third round an epoch-advancing upload makes it
        stale, driving a push notification to the subscriber. *)
@@ -272,7 +164,7 @@ let run ?(config = default_config ()) () : report =
         incr epoch;
         [
           ( ("upload-advance", [ "ok" ]),
-            line_of
+            Obs.Json.to_string
               (Protocol.upload_request_of_profile
                  ~id:(Obs.Json.String (Printf.sprintf "soak-u%d" !rounds))
                  ~name:"soak" ~bench:bench0 ~epoch:!epoch
@@ -281,30 +173,21 @@ let run ?(config = default_config ()) () : report =
       end
       else []
     in
-    let batch = (layout_soak :: chaos_part) @ upload_part in
-    send (List.map fst batch) (List.map snd batch);
+    send ((layout_soak :: chaos_part) @ upload_part);
     if Obs.Clock.now () -. !last_sample >= config.interval_s then
       take_sample ()
   done;
   take_sample ();
+  let c = Chaos.finish contract ~seed:config.seed in
+  let own = ref [] in
+  let violate fmt = Printf.ksprintf (fun m -> own := !own @ [ m ]) fmt in
   (* Map evictions as this daemon's own stats report them: the
      [serve.map_evictions] metric also counts every other daemon in the
      process. *)
   let evictions_maps =
-    let stats =
-      Daemon.run_lines daemon
-        [
-          line_of
-            (Obs.Json.Obj
-               [
-                 ("schema", Obs.Json.String Protocol.schema);
-                 ("id", Obs.Json.String "soak-stats");
-                 ("type", Obs.Json.String "stats");
-               ]);
-        ]
-    in
     match
-      List.filter_map (Obs.Json.member "evictions") stats
+      Daemon.run_lines daemon [ request ~id:"soak-stats" ~typ:"stats" [] ]
+      |> List.filter_map (Obs.Json.member "evictions")
       |> List.filter_map (Obs.Json.member "maps")
     with
     | [ Obs.Json.Int n ] -> n
@@ -314,25 +197,23 @@ let run ?(config = default_config ()) () : report =
   in
   let latency_all = Daemon.latency_hist "all" in
   let latency_layout = Daemon.latency_hist "layout-request" in
-  if !notifications = 0 then
-    violate "no staleness notification observed by the subscriber";
   if !max_live > config.ceiling_bytes then
     violate "max live bytes %d exceeded the ceiling %d" !max_live
       config.ceiling_bytes;
-  if !responses > 0 && Obs.Metrics.hist_quantile latency_all 0.5 <= 0.0 then
-    violate "p50 latency is zero despite %d responses" !responses;
-  if !responses > 0 && Obs.Metrics.hist_quantile latency_all 0.99 <= 0.0 then
-    violate "p99 latency is zero despite %d responses" !responses;
+  if c.responses > 0 && Obs.Metrics.hist_quantile latency_all 0.5 <= 0.0 then
+    violate "p50 latency is zero despite %d responses" c.responses;
+  if c.responses > 0 && Obs.Metrics.hist_quantile latency_all 0.99 <= 0.0 then
+    violate "p99 latency is zero despite %d responses" c.responses;
   {
     seed = config.seed;
     duration_s = Obs.Clock.now () -. t0;
     rounds = !rounds;
-    requests = !requests;
-    responses = !responses;
-    notifications = !notifications;
-    ok = !ok;
-    errors = !errors;
-    timeouts = !timeouts;
+    requests = c.requests;
+    responses = c.responses;
+    notifications = c.notifications;
+    ok = c.ok;
+    errors = c.errors;
+    timeouts = c.timeouts;
     latency_all;
     latency_layout;
     memory_samples = !samples;
@@ -341,7 +222,7 @@ let run ?(config = default_config ()) () : report =
     ceiling_bytes = config.ceiling_bytes;
     evictions_profiles = Store.evictions_total (Daemon.store daemon);
     evictions_maps;
-    violations = !violations;
+    violations = c.violations @ !own;
   }
 
 let latency_json h =

@@ -2,14 +2,16 @@
     daemon for a wall-clock duration, with live telemetry on and memory
     asserted under a ceiling.
 
-    The preamble registers a subscribe-all client, seeds a
-    flow-conserving profile and caches one layout against it; each
-    round then replays the chaos mix plus a layout on the soak profile,
-    advancing its epoch every third round so push staleness
-    notifications actually flow.  Memory (OCaml live words, RSS) is
-    sampled each interval into the [serve.live_words] and
-    [serve.rss_bytes] gauges.  The report is the [impact.soak/v1]
-    document; a non-empty [violations] means the service contract broke
+    The preamble is {!Chaos.prelude} on the soak profile (a
+    subscribe-all client and one cached layout); each round then
+    replays the chaos mix plus a layout on the soak profile, advancing
+    its epoch every third round so push staleness notifications keep
+    flowing.  Every round is held to the serve contract by
+    {!Chaos.check}, one checker for the whole soak.  What is
+    soak-specific: the round loop, memory sampled each interval into
+    the [serve.live_words] and [serve.rss_bytes] gauges, the live-heap
+    ceiling, nonzero latency quantiles, and the [impact.soak/v1]
+    report; a non-empty [violations] means the service contract broke
     under sustained load. *)
 
 type config = {

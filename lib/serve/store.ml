@@ -38,12 +38,15 @@ type profile = {
   mutable epochs : (int * acc) list;  (** newest epoch first *)
   mutable revision : int;
   mutable uploads : int;
-  mutable poisoned : bool;
-  mutable fresh : Vm.Profile.t option;
-  mutable fresh_violations : int;
+  mutable flow_violations : int;  (** of the latest materialization *)
   mutable last_good : (int * int * Vm.Profile.t) option;
-      (** epoch, revision, snapshot *)
+      (** epoch, revision, snapshot; the latest materialization itself
+          exactly when [flow_violations = 0] *)
 }
+
+(* Only accepted uploads create a profile, so a profile always has a
+   materialization: poisoned when it broke flow conservation. *)
+let poisoned p = p.flow_violations > 0
 
 type t = {
   lock : Mutex.t;  (* guards [profiles] and every profile in it *)
@@ -177,8 +180,8 @@ let outcome_of p ~accepted ~reason epoch =
     epoch;
     min_live = min_live_epoch p;
     epochs_live = List.length p.epochs;
-    poisoned = p.poisoned;
-    flow_violations = p.fresh_violations;
+    poisoned = poisoned p;
+    flow_violations = p.flow_violations;
     revision = p.revision;
   }
 
@@ -202,9 +205,7 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
             epochs = [];
             revision = 0;
             uploads = 0;
-            poisoned = false;
-            fresh = None;
-            fresh_violations = 0;
+            flow_violations = 0;
             last_good = None;
           },
           true )
@@ -258,17 +259,9 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
           p.uploads <- p.uploads + 1;
           p.revision <- p.revision + 1;
           let vmprof = materialize p.prog p.epochs in
-          let violations = Placement.Validate.flow vmprof in
-          (match violations with
-          | [] ->
-              p.fresh <- Some vmprof;
-              p.poisoned <- false;
-              p.fresh_violations <- 0;
-              p.last_good <- Some (epoch, p.revision, vmprof)
-          | _ :: _ ->
-              p.fresh <- None;
-              p.poisoned <- true;
-              p.fresh_violations <- List.length violations);
+          p.flow_violations <- List.length (Placement.Validate.flow vmprof);
+          if not (poisoned p) then
+            p.last_good <- Some (epoch, p.revision, vmprof);
           Ok (outcome_of p ~accepted:true ~reason:None epoch)
   end
 
@@ -285,14 +278,12 @@ let view t name =
   match Placement.Bounded.find t.profiles name with
   | None -> Unknown
   | Some p -> (
-      match p.fresh with
-      | Some vmprof when not p.poisoned ->
+      match p.last_good with
+      | Some (_, _, vmprof) when not (poisoned p) ->
           Fresh { profile = vmprof; revision = p.revision; epoch = p.current }
-      | _ -> (
-          match p.last_good with
-          | Some (epoch, revision, vmprof) ->
-              Last_good { profile = vmprof; revision; epoch }
-          | None -> Empty))
+      | Some (epoch, revision, vmprof) ->
+          Last_good { profile = vmprof; revision; epoch }
+      | None -> Empty)
 
 let bench_of t name =
   Mutex.protect t.lock @@ fun () ->
@@ -307,7 +298,7 @@ let evictions_total t =
 let poisoned_count t =
   Mutex.protect t.lock @@ fun () ->
   Placement.Bounded.fold
-    (fun _ (p : profile) n -> if p.poisoned then n + 1 else n)
+    (fun _ p n -> if poisoned p then n + 1 else n)
     t.profiles 0
 
 let stats_json t =
@@ -323,7 +314,7 @@ let stats_json t =
                ("current_epoch", Obs.Json.Int p.current);
                ("epochs_live", Obs.Json.Int (List.length p.epochs));
                ("uploads", Obs.Json.Int p.uploads);
-               ("poisoned", Obs.Json.Bool p.poisoned);
+               ("poisoned", Obs.Json.Bool (poisoned p));
                ( "last_good_epoch",
                  match p.last_good with
                  | Some (e, _, _) -> Obs.Json.Int e

@@ -2,8 +2,9 @@
    per-request isolation, weighted profile-merge properties, the
    degradation tiers (natural fallback, cheapest strategy, last-good
    epoch), deadline/timeout semantics, the LRU bounds on the profile
-   store and context memo tables, golden-vector replay, and a seeded
-   chaos campaign through the full batched serve loop. *)
+   store and context memo tables, golden-vector replay, a seeded chaos
+   campaign through the full batched serve loop, and the contract
+   checker itself on synthetic streams. *)
 
 let bench = "cmp"
 
@@ -16,15 +17,8 @@ let shared = lazy (Serve.Daemon.create ~config:small_config ())
 
 let line_of = Obs.Json.to_string
 
-let request ?(schema = Serve.Protocol.schema) ~id ~typ fields =
-  line_of
-    (Obs.Json.Obj
-       ([
-          ("schema", Obs.Json.String schema);
-          ("id", Obs.Json.Int id);
-          ("type", Obs.Json.String typ);
-        ]
-       @ fields))
+let request ~id ~typ fields =
+  line_of (Serve.Protocol.request ~id:(Obs.Json.Int id) ~typ fields)
 
 let layout_line ?(bench = bench) ~id fields =
   request ~id ~typ:"layout-request" (("bench", Obs.Json.String bench) :: fields)
@@ -96,7 +90,7 @@ let protocol_roundtrip () =
   in
   expect_usage "unknown type" (request ~id:1 ~typ:"frobnicate" []);
   expect_usage "unknown schema"
-    (request ~schema:"impact.serve/v99" ~id:1 ~typ:"stats" []);
+    {|{"schema":"impact.serve/v99","id":1,"type":"stats"}|};
   expect_usage "missing schema" {|{"id":1,"type":"stats"}|};
   expect_usage "composite id"
     {|{"schema":"impact.serve/v1","id":[1,2],"type":"stats"}|};
@@ -167,7 +161,7 @@ let request_isolation () =
     [
       "not json at all";
       String.concat "" (List.init 2000 (fun _ -> "["));
-      {|{"schema":"impact.serve/v1","id":1,"type":"layout-request","bench":"no-such"}|};
+      layout_line ~bench:"no-such" ~id:1 [];
       layout_line ~id:2
         [
           ( "cache",
@@ -707,6 +701,8 @@ let chaos_campaign () =
     report.responses;
   Alcotest.(check (list string)) "no contract violations" []
     report.violations;
+  Alcotest.(check bool) "staleness notifications pushed" true
+    (report.notifications > 0);
   Alcotest.(check bool) "every abuse family exercised" true
     (List.length report.by_category >= 8)
 
@@ -1040,6 +1036,60 @@ let soak_own_evictions () =
     (Obs.Metrics.value evicted - before)
     report.Serve.Soak.evictions_maps
 
+(* The contract checker against synthetic streams: a clean stream
+   passes, and each breach yields its own violation — an extra response
+   included, which must be reported rather than raise. *)
+let contract_checker () =
+  let ok ?(fields = []) id =
+    Serve.Protocol.ok_response ~id:(Obs.Json.Int id) ~request:"layout-request"
+      fields
+  in
+  let note ?(stale = [ ("impact", "custom", 1) ]) epoch =
+    Serve.Protocol.stale_notification ~trace:"t" ~profile:"p" ~epoch
+      ~revision:2 ~poisoned:false ~stale
+  in
+  let cats = [ ("layout-chaos-strategy", [ "ok" ]); ("stats", [ "ok" ]) ] in
+  let fallback =
+    ok ~fields:[ ("tier", Obs.Json.String "natural-fallback") ] 1
+  in
+  let violations emitted =
+    let c = Serve.Chaos.checker () in
+    Serve.Chaos.check c cats emitted;
+    (Serve.Chaos.finish c ~seed:0).Serve.Chaos.violations
+  in
+  Alcotest.(check (list string)) "clean stream" []
+    (violations [ fallback; note 1; ok 2 ]);
+  let breach what emitted needle =
+    match violations emitted with
+    | [ v ] when contains_sub v needle -> ()
+    | vs ->
+        Alcotest.failf "%s: expected one violation naming %S, got [%s]" what
+          needle (String.concat "; " vs)
+  in
+  breach "missing response" [ fallback; note 1 ] "2 requests but 1 responses";
+  breach "extra response" [ fallback; note 1; ok 2; ok 3 ]
+    "2 requests but 3 responses";
+  breach "status outside the set"
+    [
+      fallback;
+      note 1;
+      Serve.Protocol.timeout_response ~id:(Obs.Json.Int 2) ~request:"stats"
+        ~retry_after_ms:5;
+    ]
+    "status \"timeout\"";
+  breach "no natural fallback" [ ok 1; note 1; ok 2 ] "natural-fallback";
+  breach "empty stale list" [ fallback; note 1; note ~stale:[] 2; ok 2 ]
+    "at least one stale layout";
+  breach "repeated staleness" [ fallback; note 1; ok 2; note 1 ]
+    "pushed twice";
+  breach "no notification" [ fallback; ok 2 ] "no staleness notification";
+  (* The ledger spans batches: a repeat in a later batch is caught. *)
+  let c = Serve.Chaos.checker () in
+  Serve.Chaos.check c cats [ fallback; note 1; ok 2 ];
+  Serve.Chaos.check c cats [ fallback; note 1; ok 2 ];
+  Alcotest.(check int) "repeat across batches" 1
+    (List.length (Serve.Chaos.finish c ~seed:0).violations)
+
 let suite =
   [
     Alcotest.test_case "protocol roundtrip" `Quick protocol_roundtrip;
@@ -1083,4 +1133,5 @@ let suite =
     Alcotest.test_case "chaos campaign" `Slow chaos_campaign;
     Alcotest.test_case "soak counts its own evictions" `Slow
       soak_own_evictions;
+    Alcotest.test_case "contract checker" `Quick contract_checker;
   ]
