@@ -161,11 +161,14 @@ trace-smoke:
 # per request, statuses and tiers, well-formed staleness notifications
 # pushed exactly once), nonzero latency quantiles, live heap under the
 # ceiling — and exits 1 on any violation; the impact.soak/v1 report must
-# re-parse with its required fields present.
+# re-parse with its required fields present, and without --seed the soak
+# runs on its own default seed (0x50ac), not the chaos campaign's.
 soak-smoke:
 	rm -rf _soak && mkdir -p _soak
 	dune exec bin/serve.exe -- --soak 30 --soak-ceiling-mb 512 \
-	  --soak-out _soak/soak.json -q
+	  --soak-out _soak/soak.json -q > _soak/summary.txt
+	cat _soak/summary.txt
+	grep -q "^soak: seed 0x50ac," _soak/summary.txt
 	dune exec bin/checkjson.exe -- _soak/soak.json
 
 ci: build test all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke

@@ -270,7 +270,7 @@ let harness_daemon config (base : Serve.Daemon.config) =
 
 let run_chaos config seed n out =
   let config = harness_daemon config (Serve.Chaos.default_config ()) in
-  let r = Serve.Chaos.run ~seed ~n ~config () in
+  let r = Serve.Chaos.run ?seed ~n ~config () in
   finish ~harness:"chaos" ~summary:(Serve.Chaos.summary r)
     ~json:(Serve.Chaos.report_json r) ~violations:r.violations out
 
@@ -279,7 +279,7 @@ let run_soak config seed duration_s interval_ms ceiling_mb out =
   let soak_config =
     {
       base with
-      Serve.Soak.seed;
+      Serve.Soak.seed = Option.value seed ~default:base.seed;
       duration_s;
       interval_s = float interval_ms /. 1000.0;
       ceiling_bytes = ceiling_mb * 1024 * 1024;
@@ -334,8 +334,11 @@ let chaos_n_arg =
   Arg.(value & opt int 200 & info [ "chaos-n" ] ~docv:"N" ~doc)
 
 let seed_arg =
-  let doc = "Chaos campaign seed." in
-  Arg.(value & opt int 0xC4A05 & info [ "seed" ] ~docv:"S" ~doc)
+  let doc =
+    "Seed of the $(b,--chaos) campaign or the $(b,--soak) workload (default: \
+     each harness's own seed)."
+  in
+  Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"S" ~doc)
 
 let chaos_out_arg =
   let doc = "Write the chaos report as JSON to $(docv)." in

@@ -20,11 +20,12 @@ type outcome = {
 
 type t = {
   cfg : Config.t;
+  words_per_block : int;
   nsets : int;
   ways : int;
   granules : int; (* granules per block *)
   words_per_granule : int;
-  tags : int array; (* frame -> tag, -1 when empty *)
+  tags : int array; (* frame -> resident block number, -1 when empty *)
   valid : Bytes.t; (* frame * granules + granule -> 0/1 *)
   lru : int array; (* frame -> last-touch clock *)
   mutable clock : int;
@@ -42,6 +43,7 @@ let create cfg =
   let frames = nsets * ways in
   {
     cfg;
+    words_per_block = Config.words_per_block cfg;
     nsets;
     ways;
     granules;
@@ -72,7 +74,7 @@ let fill t frame granule =
   | Config.Whole ->
     (* granules = 1 for whole-block fill *)
     set_granule t frame 0;
-    Config.words_per_block t.cfg
+    t.words_per_block
   | Config.Sectored _ ->
     set_granule t frame granule;
     t.words_per_granule
@@ -80,45 +82,38 @@ let fill t frame granule =
     (* Load from the accessed word to the end of the block or up to a
        valid entry previously loaded in (paper §4.2.2). *)
     let g = ref granule in
-    let fetched = ref 0 in
-    let stop = ref false in
-    while (not !stop) && !g < t.granules do
-      if granule_valid t frame !g then stop := true
-      else begin
-        set_granule t frame !g;
-        incr fetched;
-        incr g
-      end
+    while !g < t.granules && not (granule_valid t frame !g) do
+      set_granule t frame !g;
+      incr g
     done;
-    !fetched * t.words_per_granule
+    (!g - granule) * t.words_per_granule
 
-(* Set search: way index of [tag] in the set starting at frame [base], or
-   -1 when absent. *)
-let find_way t ~base ~tag =
-  let way = ref (-1) in
-  (try
-     for i = 0 to t.ways - 1 do
-       if t.tags.(base + i) = tag then begin
-         way := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !way
+(* Set search: way index of block [block_no] in the set starting at
+   frame [base], or -1 when absent.  A tag is the full block number, so
+   the probe is one compare per way. *)
+let find_way t ~base ~block_no =
+  let i = ref 0 in
+  while !i < t.ways && Array.unsafe_get t.tags (base + !i) <> block_no do
+    incr i
+  done;
+  if !i < t.ways then !i else -1
 
 (* Victim selection: an empty frame of the set if any, else the LRU one
    (first-scanned frame wins ties). *)
 let find_victim t ~base =
   let victim = ref base in
-  (try
-     for i = 0 to t.ways - 1 do
-       if t.tags.(base + i) = -1 then begin
-         victim := base + i;
-         raise Exit
-       end;
-       if t.lru.(base + i) < t.lru.(!victim) then victim := base + i
-     done
-   with Exit -> ());
+  let i = ref 0 in
+  while !i < t.ways do
+    let f = base + !i in
+    if t.tags.(f) = -1 then begin
+      victim := f;
+      i := t.ways
+    end
+    else begin
+      if t.lru.(f) < t.lru.(!victim) then victim := f;
+      incr i
+    end
+  done;
   !victim
 
 (* Next-line tagged prefetch: on a miss to block n, also fill block n+1
@@ -126,16 +121,14 @@ let find_victim t ~base =
    but not as a miss) and inserts at MRU. *)
 let prefetch_next t block_no =
   let nb = block_no + 1 in
-  let set = nb mod t.nsets in
-  let tag = nb / t.nsets in
-  let base = set * t.ways in
-  if find_way t ~base ~tag < 0 then begin
+  let base = (nb mod t.nsets) * t.ways in
+  if find_way t ~base ~block_no:nb < 0 then begin
     let frame = find_victim t ~base in
-    t.tags.(frame) <- tag;
+    t.tags.(frame) <- nb;
     clear_granules t frame;
     set_granule t frame 0;
     t.lru.(frame) <- t.clock;
-    t.words_fetched <- t.words_fetched + Config.words_per_block t.cfg;
+    t.words_fetched <- t.words_fetched + t.words_per_block;
     t.prefetches <- t.prefetches + 1
   end
 
@@ -143,13 +136,11 @@ let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let block_no = addr / t.cfg.Config.block in
-  let set = block_no mod t.nsets in
-  let tag = block_no / t.nsets in
   let offset = addr mod t.cfg.Config.block in
   let granule = offset / Config.granule_bytes t.cfg in
   let word_in_block = offset / Config.word_bytes in
-  let base = set * t.ways in
-  let way = find_way t ~base ~tag in
+  let base = (block_no mod t.nsets) * t.ways in
+  let way = find_way t ~base ~block_no in
   if way >= 0 then begin
     let frame = base + way in
     t.lru.(frame) <- t.clock;
@@ -167,7 +158,7 @@ let access t addr =
     (* Full miss: victimize an empty frame or the LRU one. *)
     t.misses <- t.misses + 1;
     let frame = find_victim t ~base in
-    t.tags.(frame) <- tag;
+    t.tags.(frame) <- block_no;
     clear_granules t frame;
     t.lru.(frame) <- t.clock;
     let w = fill t frame granule in
@@ -175,6 +166,70 @@ let access t addr =
     if t.cfg.Config.prefetch then prefetch_next t block_no;
     { miss = true; fetched_words = w; word_in_block }
   end
+
+(* A segment of a run whose block is resident in [frame] under sectored
+   or partial fill: misses can only come from invalid granules.  [at] is
+   the run index of the segment's first word, [wib] that word's offset
+   in the block.  (A resident whole-fill block hits throughout.) *)
+let resident_sectors t frame ~at ~wib ~seg_len ~on_miss =
+  let wpg = t.words_per_granule in
+  for g = wib / wpg to (wib + seg_len - 1) / wpg do
+    if not (granule_valid t frame g) then begin
+      t.misses <- t.misses + 1;
+      set_granule t frame g;
+      t.words_fetched <- t.words_fetched + wpg;
+      let miss_word = Int.max wib (g * wpg) in
+      on_miss ~at:(at + miss_word - wib) ~word_in_block:miss_word
+        ~fetched_words:wpg
+    end
+  done
+
+let resident_words t frame ~at ~wib ~seg_len ~on_miss =
+  let last = wib + seg_len - 1 in
+  let p = ref wib in
+  while !p <= last do
+    if granule_valid t frame !p then incr p
+    else begin
+      t.misses <- t.misses + 1;
+      let fetched = fill t frame !p in
+      t.words_fetched <- t.words_fetched + fetched;
+      on_miss ~at:(at + !p - wib) ~word_in_block:!p ~fetched_words:fetched;
+      (* The fill covered [!p .. !p + fetched - 1]: all hits. *)
+      p := !p + fetched
+    end
+  done
+
+(* One segment of a run whose block [block_no] is absent: a full miss at
+   the segment's first word, at clock [c0].  Returns the filled frame. *)
+let missing_segment t ~base ~block_no ~c0 ~at ~wib ~seg_len ~on_miss =
+  t.misses <- t.misses + 1;
+  let frame = find_victim t ~base in
+  t.tags.(frame) <- block_no;
+  clear_granules t frame;
+  t.lru.(frame) <- c0;
+  let wpg = t.words_per_granule in
+  let fetched = fill t frame (wib / wpg) in
+  t.words_fetched <- t.words_fetched + fetched;
+  on_miss ~at ~word_in_block:wib ~fetched_words:fetched;
+  if t.cfg.Config.prefetch then begin
+    (* The prefetched line is stamped at the missing access' clock. *)
+    t.clock <- c0;
+    prefetch_next t block_no
+  end;
+  (* The rest of the segment: Whole filled the block and Partial filled
+     through to the block end, so every further word hits; Sectored
+     misses once on each further sector touched. *)
+  (match t.cfg.Config.fill with
+  | Config.Whole | Config.Partial -> ()
+  | Config.Sectored _ ->
+    for g = (wib / wpg) + 1 to (wib + seg_len - 1) / wpg do
+      t.misses <- t.misses + 1;
+      set_granule t frame g;
+      t.words_fetched <- t.words_fetched + wpg;
+      on_miss ~at:(at + (g * wpg) - wib) ~word_in_block:(g * wpg)
+        ~fetched_words:wpg
+    done);
+  frame
 
 (* Bulk access: simulate [words] consecutive 4-byte fetches starting at
    [addr] — one basic block's sequential run — with one tag probe per
@@ -186,11 +241,18 @@ let access t addr =
    would have reported as a miss; [at] is the word index within the run.
    Words not reported are hits.
 
+   Hit-path cost: the run's first block number and set are divided out
+   once per call; every later segment starts at word 0 of the next
+   block, whose set is the previous one plus one, wrapping at [nsets].
+   Tags hold the full block number, so a resident block costs one tag
+   compare per way probed plus the LRU stamp.
+
    Why the tail arithmetic is exact, per fill policy:
    - Whole: a tag hit means the whole block is resident (a frame's tag is
      only ever installed together with a full fill or prefetch), so every
-     remaining word of the segment hits; on a tag miss only the first
-     word misses and the rest stream out of the freshly filled block.
+     word of the segment hits without a validity check; on a tag miss
+     only the first word misses and the rest stream out of the freshly
+     filled block.
    - Sectored: validity is per sector, so within a segment exactly the
      first word touched in each invalid sector misses (fetching one
      sector), and every other word hits.
@@ -206,101 +268,40 @@ let access t addr =
    prefetch happen at the clock of the segment's first word, as in the
    word-granular engine. *)
 let access_run t ~addr ~words ~on_miss =
-  let wpb = Config.words_per_block t.cfg in
-  let wpg = t.words_per_granule in
+  let wpb = t.words_per_block in
   let first_word = addr / Config.word_bytes in
-  let done_ = ref 0 in
-  while !done_ < words do
-    let w = first_word + !done_ in
-    let block_no = w / wpb in
-    let word_in_block = w - (block_no * wpb) in
+  let block_no = ref (first_word / wpb) in
+  let wib = ref (first_word - (!block_no * wpb)) in
+  let set = ref (!block_no mod t.nsets) in
+  let at = ref 0 in
+  while !at < words do
     (* The segment: the part of the run inside this cache block. *)
-    let seg_len = min (words - !done_) (wpb - word_in_block) in
+    let seg_len = Int.min (words - !at) (wpb - !wib) in
     let c0 = t.clock + 1 in
-    let set = block_no mod t.nsets in
-    let tag = block_no / t.nsets in
-    let base = set * t.ways in
-    let way = find_way t ~base ~tag in
+    let base = !set * t.ways in
+    let way = find_way t ~base ~block_no:!block_no in
     let frame =
       if way >= 0 then begin
-        (* Tag present: misses can only come from invalid granules. *)
         let frame = base + way in
         (match t.cfg.Config.fill with
-        | Config.Whole ->
-          if not (granule_valid t frame 0) then begin
-            t.misses <- t.misses + 1;
-            let fetched = fill t frame 0 in
-            t.words_fetched <- t.words_fetched + fetched;
-            on_miss ~at:!done_ ~word_in_block ~fetched_words:fetched
-          end
+        | Config.Whole -> ()
         | Config.Sectored _ ->
-          let g_last = (word_in_block + seg_len - 1) / wpg in
-          for g = word_in_block / wpg to g_last do
-            if not (granule_valid t frame g) then begin
-              t.misses <- t.misses + 1;
-              set_granule t frame g;
-              t.words_fetched <- t.words_fetched + wpg;
-              let miss_word = max word_in_block (g * wpg) in
-              on_miss
-                ~at:(!done_ + miss_word - word_in_block)
-                ~word_in_block:miss_word ~fetched_words:wpg
-            end
-          done
+          resident_sectors t frame ~at:!at ~wib:!wib ~seg_len ~on_miss
         | Config.Partial ->
-          let last = word_in_block + seg_len - 1 in
-          let p = ref word_in_block in
-          while !p <= last do
-            if granule_valid t frame !p then incr p
-            else begin
-              t.misses <- t.misses + 1;
-              let fetched = fill t frame !p in
-              t.words_fetched <- t.words_fetched + fetched;
-              on_miss
-                ~at:(!done_ + !p - word_in_block)
-                ~word_in_block:!p ~fetched_words:fetched;
-              (* The fill covered [!p .. !p + fetched - 1]: all hits. *)
-              p := !p + fetched
-            end
-          done);
+          resident_words t frame ~at:!at ~wib:!wib ~seg_len ~on_miss);
         frame
       end
-      else begin
-        (* Full miss at the segment's first word. *)
-        t.misses <- t.misses + 1;
-        let frame = find_victim t ~base in
-        t.tags.(frame) <- tag;
-        clear_granules t frame;
-        t.lru.(frame) <- c0;
-        let fetched = fill t frame (word_in_block / wpg) in
-        t.words_fetched <- t.words_fetched + fetched;
-        on_miss ~at:!done_ ~word_in_block ~fetched_words:fetched;
-        if t.cfg.Config.prefetch then begin
-          (* The prefetched line is stamped at the missing access' clock. *)
-          t.clock <- c0;
-          prefetch_next t block_no
-        end;
-        (* The rest of the segment: Whole filled the block and Partial
-           filled through to the block end, so every further word hits;
-           Sectored misses once on each further sector touched. *)
-        (match t.cfg.Config.fill with
-        | Config.Whole | Config.Partial -> ()
-        | Config.Sectored _ ->
-          let g_last = (word_in_block + seg_len - 1) / wpg in
-          for g = (word_in_block / wpg) + 1 to g_last do
-            t.misses <- t.misses + 1;
-            set_granule t frame g;
-            t.words_fetched <- t.words_fetched + wpg;
-            on_miss
-              ~at:(!done_ + (g * wpg) - word_in_block)
-              ~word_in_block:(g * wpg) ~fetched_words:wpg
-          done);
-        frame
-      end
+      else
+        missing_segment t ~base ~block_no:!block_no ~c0 ~at:!at ~wib:!wib
+          ~seg_len ~on_miss
     in
     t.accesses <- t.accesses + seg_len;
     t.clock <- c0 + seg_len - 1;
-    t.lru.(frame) <- t.clock;
-    done_ := !done_ + seg_len
+    Array.unsafe_set t.lru frame t.clock;
+    at := !at + seg_len;
+    incr block_no;
+    wib := 0;
+    set := if !set + 1 = t.nsets then 0 else !set + 1
   done
 
 let miss_ratio t =

@@ -3,7 +3,15 @@
     loading.
 
     Metric definitions follow the paper: miss ratio = misses / fetches;
-    traffic ratio = 4-byte bus words transferred / fetches. *)
+    traffic ratio = 4-byte bus words transferred / fetches.
+
+    Hit-path cost model: once code is placed, replay is nearly all hits,
+    so {!access_run} is shaped for them.  A frame's tag is the full block
+    number, so a probe compares without dividing; each call divides once
+    for its first block and set, then walks consecutive blocks by
+    stepping the set and wrapping at the set count (any valid geometry,
+    no power-of-two requirement).  A resident whole-fill block costs one
+    tag compare per way probed plus the LRU stamp. *)
 
 type outcome = {
   miss : bool;

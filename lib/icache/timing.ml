@@ -39,22 +39,22 @@ let miss_stall policy ~words_per_block ~word_in_block ~run_words
        after [lat + word_in_block + 1] cycles.  If control leaves the
        block before the fill completes, the CPU waits out the rest. *)
     let initial = lat + word_in_block in
-    let consumed = min run_words (words_per_block - word_in_block) in
+    let consumed = Int.min run_words (words_per_block - word_in_block) in
     let fill_done = lat + words_per_block in
     let leave_time = lat + word_in_block + consumed in
     let tail = if consumed < words_per_block - word_in_block then
-        max 0 (fill_done - leave_time)
+        Int.max 0 (fill_done - leave_time)
       else 0
     in
     initial + tail
   | Streaming_partial ->
     (* Fill starts at the missed word; [fetched_words] were transferred. *)
     let initial = lat in
-    let consumed = min run_words fetched_words in
+    let consumed = Int.min run_words fetched_words in
     let fill_done = lat + fetched_words in
     let leave_time = lat + consumed in
     let tail =
-      if consumed < fetched_words then max 0 (fill_done - leave_time) else 0
+      if consumed < fetched_words then Int.max 0 (fill_done - leave_time) else 0
     in
     initial + tail
 

@@ -84,7 +84,7 @@ let access_run t ~addr ~words =
     let a = addr + (!done_ * Icache.Config.word_bytes) in
     let page = a / t.cfg.page_bytes in
     let word_in_page = a mod t.cfg.page_bytes / Icache.Config.word_bytes in
-    let span = min (words - !done_) (wpp - word_in_page) in
+    let span = Int.min (words - !done_) (wpp - word_in_page) in
     let t0 = t.time in
     if not (Hashtbl.mem t.last_access page) then
       t.distinct_pages <- t.distinct_pages + 1;

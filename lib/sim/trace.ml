@@ -220,31 +220,48 @@ let record ?fuel (prog : Ir.Prog.program) input : t =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* One loop decodes every varint of a record in turn: [field] says
+   whether the next one is a token (0), a run length (1) or a repeat
+   count (2), and [repeat] is 0 while the record has a varint still to
+   come.  No local closure captures the cursor, so [pos] and [prev] stay
+   unboxed. *)
 let iter_runs f t =
-  let len = Bytes.length t.data in
-  let pos = ref 0 in
-  let prev = ref 0 in
-  let varint () =
-    let n = ref 0 and shift = ref 0 and more = ref true in
-    while !more do
-      let byte = Char.code (Bytes.unsafe_get t.data !pos) in
-      incr pos;
-      n := !n lor ((byte land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      more := byte >= 0x80
-    done;
-    !n
-  in
+  let data = t.data in
+  let len = Bytes.length data in
+  let pos = ref 0 and prev = ref 0 in
+  let field = ref 0 and token = ref 0 and rlen = ref 1 in
   while !pos < len do
-    let token = varint () in
-    let delta = unzigzag (token lsr 2) in
-    let rlen = if token land 2 = 2 then varint () + 2 else 1 in
-    let repeat = if token land 1 = 1 then varint () + 2 else 1 in
-    for _ = 1 to repeat do
-      let base = !prev + delta in
-      f ~code:base ~len:rlen;
-      prev := base + rlen - 1
-    done
+    let byte = ref (Char.code (Bytes.unsafe_get data !pos)) in
+    let n = ref (!byte land 0x7f) and shift = ref 7 in
+    incr pos;
+    while !byte >= 0x80 do
+      byte := Char.code (Bytes.unsafe_get data !pos);
+      incr pos;
+      n := !n lor ((!byte land 0x7f) lsl !shift);
+      shift := !shift + 7
+    done;
+    let repeat =
+      if !field = 0 then begin
+        token := !n;
+        rlen := 1;
+        if !n land 2 = 2 then (field := 1; 0)
+        else if !n land 1 = 1 then (field := 2; 0)
+        else 1
+      end
+      else if !field = 1 then begin
+        rlen := !n + 2;
+        if !token land 1 = 1 then (field := 2; 0) else (field := 0; 1)
+      end
+      else (field := 0; !n + 2)
+    in
+    if repeat > 0 then begin
+      let delta = unzigzag (!token lsr 2) and rlen = !rlen in
+      for _ = 1 to repeat do
+        let base = !prev + delta in
+        f ~code:base ~len:rlen;
+        prev := base + rlen - 1
+      done
+    end
   done
 
 let iter_blocks f t =

@@ -20,6 +20,14 @@ let config_pool =
       ~assoc:(Icache.Config.Ways 4) ();
     Icache.Config.make ~size:128 ~block:32 ~fill:(Icache.Config.Sectored 8)
       ~assoc:Icache.Config.Full ();
+    (* 48-byte blocks and 3 or 5 sets: a generated run spans up to three
+       blocks, so the set walk wraps inside one run at a non-power-of-two
+       set count. *)
+    Icache.Config.make ~size:144 ~block:48 ();
+    Icache.Config.make ~size:288 ~block:48 ~assoc:(Icache.Config.Ways 2) ();
+    Icache.Config.make ~size:240 ~block:48 ~fill:Icache.Config.Partial ();
+    Icache.Config.make ~size:144 ~block:48 ~fill:(Icache.Config.Sectored 16)
+      ();
   ]
 
 (* --- access_run vs access on random sequential runs --- *)
