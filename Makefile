@@ -123,8 +123,11 @@ stream-smoke:
 # a 2-lane pool), `--sample` must still print that request stream, a
 # 200-request seeded chaos campaign must finish with zero contract
 # violations (one well-formed response per request, at least one
-# staleness notification, each pushed once), and the chaos report plus
-# the replayed responses must re-parse with checkjson.
+# staleness notification, each pushed once), its report must match the
+# committed golden byte for byte (pinning the total ok/error/timeout
+# counts and the requests per category, not only the allowed statuses),
+# and the chaos report plus the replayed responses must re-parse with
+# checkjson.
 serve-smoke:
 	rm -rf _serve && mkdir -p _serve
 	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \
@@ -136,6 +139,7 @@ serve-smoke:
 	cmp _serve/sample.ndjson test/vectors/serve/requests.ndjson
 	dune exec bin/serve.exe -- --chaos --chaos-n 200 \
 	  --chaos-out _serve/chaos.json -q
+	cmp _serve/chaos.json test/vectors/serve/chaos-200.json
 	dune exec bin/checkjson.exe -- _serve/chaos.json
 	dune exec bin/checkjson.exe -- --ndjson _serve/replay-j2.ndjson \
 	  test/vectors/serve/responses.ndjson

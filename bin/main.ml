@@ -158,18 +158,9 @@ let jobs_term =
     "Use $(docv) domains (default: the number of cores).  Output is \
      bit-identical to $(b,-j 1)."
 
-(* Enable the requested telemetry around [f]; the trace and metrics
-   files are written even when [f] raises (a failing run is exactly when
-   a profile is wanted). *)
-let with_telemetry opts f =
-  Obs.Log.set_quiet opts.quiet;
-  if opts.trace_out <> None then Obs.Span.set_enabled true;
-  if opts.metrics_out <> None then Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Obs.Span.write_chrome opts.trace_out;
-      Option.iter Obs.Metrics.write opts.metrics_out)
-    f
+let with_telemetry o =
+  Cli.with_telemetry ~quiet:o.quiet ~trace_out:o.trace_out
+    ~metrics_out:o.metrics_out
 
 (* Machine-readable table report: one object per regenerated table with
    the header and rows exactly as printed, so downstream tooling never
@@ -738,25 +729,4 @@ let main_cmd =
       estimate_cmd; lint_cmd; absint_cmd;
     ]
 
-(* Deterministic exit codes: cmdliner owns usage errors (2); structured
-   diagnostics map each failure class to its own code (10..17 for the
-   pipeline stages, 18 for the static linter — see [Ir.Diag.exit_code]);
-   unknown names are usage errors. *)
-let () =
-  try exit (Cmd.eval ~catch:false main_cmd) with
-  | Ir.Diag.Fail d ->
-    (* Already carries its "[error <stage>]" prefix. *)
-    Obs.Log.error_raw (Ir.Diag.to_string d);
-    exit (Ir.Diag.exit_code d)
-  | Workloads.Registry.Unknown_benchmark name ->
-    Obs.Log.error "unknown benchmark: %s (see `impact list')" name;
-    exit 2
-  | Experiments.Runner.Unknown_experiment id ->
-    Obs.Log.error "unknown experiment: %s (see `impact list')" id;
-    exit 2
-  | Placement.Strategy.Unknown_strategy id ->
-    Obs.Log.error "unknown strategy: %s (see `impact list')" id;
-    exit 2
-  | Failure msg ->
-    Obs.Log.error "%s" msg;
-    exit 2
+let () = Cli.exit_with (fun () -> Cmd.eval ~catch:false main_cmd)

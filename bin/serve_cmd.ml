@@ -117,18 +117,6 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let with_telemetry ~quiet ~metrics_out ~trace_out ~slow_ms f =
-  Obs.Log.set_quiet quiet;
-  if metrics_out <> None then Obs.Metrics.set_enabled true;
-  (* The slow-request log needs the span tree, so --slow-ms implies
-     recording even without a trace file. *)
-  if trace_out <> None || slow_ms <> None then Obs.Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Obs.Metrics.write metrics_out;
-      Option.iter Obs.Span.write_chrome trace_out)
-    f
-
 (* ------------------------------------------------------------------ *)
 (* Modes                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -372,9 +360,10 @@ let soak_out_arg =
 
 let run config jobs quiet metrics_out trace_out socket sample replay expect
     chaos chaos_n seed chaos_out soak soak_interval soak_ceiling soak_out =
-  with_telemetry ~quiet ~metrics_out ~trace_out
-    ~slow_ms:config.Serve.Daemon.slow_ms
-  @@ fun () ->
+  (* The slow-request log needs the span tree, so --slow-ms implies
+     recording even without a trace file. *)
+  if config.Serve.Daemon.slow_ms <> None then Obs.Span.set_enabled true;
+  Cli.with_telemetry ~quiet ~trace_out ~metrics_out @@ fun () ->
   if sample then begin
     List.iter print_endline (sample_lines config);
     0
@@ -399,17 +388,4 @@ let cmd =
       $ chaos_arg $ chaos_n_arg $ seed_arg $ chaos_out_arg $ soak_arg
       $ soak_interval_arg $ soak_ceiling_arg $ soak_out_arg)
 
-let () =
-  try exit (Cmd.eval' ~catch:false cmd) with
-  | Ir.Diag.Fail d ->
-      Obs.Log.error_raw (Ir.Diag.to_string d);
-      exit (Ir.Diag.exit_code d)
-  | Workloads.Registry.Unknown_benchmark name ->
-      Obs.Log.error "unknown benchmark: %s" name;
-      exit 2
-  | Placement.Strategy.Unknown_strategy id ->
-      Obs.Log.error "unknown strategy: %s" id;
-      exit 2
-  | Failure msg ->
-      Obs.Log.error "%s" msg;
-      exit 2
+let () = Cli.exit_with (fun () -> Cmd.eval' ~catch:false cmd)

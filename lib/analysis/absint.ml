@@ -672,6 +672,19 @@ let profile_entries (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
   from_outside
   + (if s.s_header = 0 then w.Placement.Weight.func_weight else 0)
 
+(* The certified interval under profile weights: block counts and stay
+   bounds both come from [weights], built once per function for the
+   call (a weight view computes its function's incoming arcs). *)
+let profile_interval (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
+    : interval =
+  let views =
+    Array.init (Array.length t.prog.Prog.funcs) (fun fid -> lazy (weights fid))
+  in
+  let view fid = Lazy.force views.(fid) in
+  interval t
+    ~counts:(fun fid l -> (view fid).Placement.Weight.block l)
+    ~entries:(profile_entries t ~weights:view)
+
 (* Exact stay counting over an executed block stream: feed the blocks in
    order; a scope is entered when its header runs and the previous block
    was not one of its members.  Scopes are the program's (see

@@ -98,13 +98,16 @@ val interval :
     accesses in full and each (scope, line) first-miss group capped by
     [entries] — an upper bound on the number of stays in that scope,
     defaulting to the scope header's count (always sound, very loose
-    for hot loops; pass {!profile_entries} or {!tracked_entries} to get
+    for hot loops; {!profile_interval} and {!tracked_entries} give
     per-entry rather than per-iteration caps). *)
 
-val profile_entries :
-  t -> weights:(int -> Placement.Weight.cfg_weights) -> int -> int
-(** Stay bound from profile arc weights: arcs into the header from
-    outside the body, plus function invocations for a block-0 header. *)
+val profile_interval :
+  t -> weights:(int -> Placement.Weight.cfg_weights) -> interval
+(** The certified interval under profile weights: [counts] are the
+    weights' block counts, and each scope's stay bound is its profile
+    arcs into the header from outside the body, plus function
+    invocations for a block-0 header.  One weight view per function is
+    built inside the call. *)
 
 (** {2 Exact stay counting over an executed block stream} *)
 

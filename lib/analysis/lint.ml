@@ -399,10 +399,7 @@ let conflict_pass t =
 let absint_pass t =
   let a = Absint.analyze t.config t.map t.program in
   let counts fid l = (t.weights fid).Placement.Weight.block l in
-  let certified =
-    Absint.interval a ~counts
-      ~entries:(Absint.profile_entries a ~weights:t.weights)
-  in
+  let certified = Absint.profile_interval a ~weights:t.weights in
   let acc = ref [] in
   (* Degradations (gated configs, irreducible functions, capped solves)
      surface as zero-score findings so the report says WHY bounds are

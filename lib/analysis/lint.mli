@@ -67,8 +67,8 @@ type report = {
   hot_arc_total : int;  (** total weight of hot arcs *)
   hot_arc_broken : int;  (** weight of hot arcs not placed fall-through *)
   certified : Absint.interval;
-      (** sound miss-count interval under the profile weights, with
-          per-scope entry caps from {!Absint.profile_entries} *)
+      (** sound miss-count interval under the profile weights
+          ({!Absint.profile_interval}) *)
   absint_totals : Absint.totals;
   absint_gated : string option;  (** why everything is unclassified *)
 }

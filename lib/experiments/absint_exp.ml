@@ -91,16 +91,9 @@ let analyze_entry ?max_iters ~config e (s : Placement.Strategy.t) : result =
   let prog = p.Placement.Pipeline.program in
   let profile = p.Placement.Pipeline.profile in
   let t = Absint.analyze ?max_iters config map prog in
-  (* One CFG weight view (and its [in_arcs] array) per function. *)
-  let views =
-    Array.init (Array.length prog.Ir.Prog.funcs) (fun fid ->
-        lazy (Placement.Weight.cfg_of_profile profile fid))
-  in
   let certified =
-    Absint.interval t
-      ~counts:(Vm.Profile.block_weight profile)
-      ~entries:
-        (Absint.profile_entries t ~weights:(fun fid -> Lazy.force views.(fid)))
+    Absint.profile_interval t
+      ~weights:(Placement.Weight.cfg_of_profile profile)
   in
   {
     bench = Context.name e;

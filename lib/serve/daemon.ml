@@ -316,197 +316,185 @@ let predicted_json (r : Sim.Driver.result) =
       ("eat_streaming_partial", Obs.Json.Float r.eat_streaming_partial);
     ]
 
-let handle_layout t ~id ~bench ~strategy ~cache_config ~profile ~deadline_ms =
-  let request = "layout-request" in
+(* Raised by [handle_layout] when the deadline cannot be or was not met;
+   [respond] answers it with a typed timeout carrying this retry-after
+   hint in milliseconds. *)
+exception Timeout of int
+
+let handle_layout t ~bench ~strategy ~cache_config ~profile ~deadline_ms =
   let deadline = Option.value ~default:t.config.deadline_ms deadline_ms in
-  if deadline = 0 then
-    (* A zero deadline can never be met: deterministic typed timeout. *)
-    Protocol.timeout_response ~id ~request
-      ~retry_after_ms:(retry_after deadline)
-  else begin
-    let t0 = Obs.Clock.now () in
-    let entry, strat, cheap =
-      Obs.Span.with_ ~stage:"serve.admission"
-        ~attrs:
-          [ ("deadline_ms", string_of_int deadline); ("strategy", strategy) ]
-      @@ fun () ->
-      let entry = Experiments.Context.find t.context bench in
-      let strat = find_strategy t strategy in
-      (entry, strat, deadline <= cheap_threshold_ms)
-    in
-    (* Resolve the profile source first: a bad profile reference must
-       error identically whatever the deadline says. *)
-    let source, source_name, source_epoch, source_prof =
-      Obs.Span.with_ ~stage:"serve.store-lookup"
-        ~attrs:[ ("profile", Option.value ~default:"-" profile) ]
-      @@ fun () ->
-      match profile with
-      | None -> ("builtin", None, 0, None)
-      | Some pname -> (
-          (match Store.bench_of t.store pname with
-          | Some b when b <> bench ->
-              failwith
-                (Printf.sprintf "profile %S is bound to benchmark %S, not %S"
-                   pname b bench)
-          | _ -> ());
-          match Store.view t.store pname with
-          | Store.Unknown ->
-              failwith (Printf.sprintf "unknown profile %S" pname)
-          | Store.Fresh { profile; revision; epoch } ->
-              ("fresh", Some (pname, revision), epoch, Some profile)
-          | Store.Last_good { profile; revision; epoch } ->
-              ("last-good", Some (pname, revision), epoch, Some profile)
-          | Store.Empty ->
-              (* Poisoned (or never-good) with no snapshot: the builtin
-                 pipeline profile is the last-good epoch, numbered 0. *)
-              ("builtin", None, 0, None))
-    in
-    let effective, map, fell_back =
-      Obs.Span.with_ ~stage:"serve.strategy-map" @@ fun () ->
-      if cheap then
+  (* A zero deadline can never be met: deterministic typed timeout. *)
+  if deadline = 0 then raise (Timeout (retry_after deadline));
+  let t0 = Obs.Clock.now () in
+  let entry, strat, cheap =
+    Obs.Span.with_ ~stage:"serve.admission"
+      ~attrs:
+        [ ("deadline_ms", string_of_int deadline); ("strategy", strategy) ]
+    @@ fun () ->
+    let entry = Experiments.Context.find t.context bench in
+    let strat = find_strategy t strategy in
+    (entry, strat, deadline <= cheap_threshold_ms)
+  in
+  (* Resolve the profile source first: a bad profile reference must
+     error identically whatever the deadline says. *)
+  let source, source_name, source_epoch, source_prof =
+    Obs.Span.with_ ~stage:"serve.store-lookup"
+      ~attrs:[ ("profile", Option.value ~default:"-" profile) ]
+    @@ fun () ->
+    match profile with
+    | None -> ("builtin", None, 0, None)
+    | Some pname -> (
+        (match Store.bench_of t.store pname with
+        | Some b when b <> bench ->
+            failwith
+              (Printf.sprintf "profile %S is bound to benchmark %S, not %S"
+                 pname b bench)
+        | _ -> ());
+        match Store.view t.store pname with
+        | Store.Unknown ->
+            failwith (Printf.sprintf "unknown profile %S" pname)
+        | Store.Fresh { profile; revision; epoch } ->
+            ("fresh", Some (pname, revision), epoch, Some profile)
+        | Store.Last_good { profile; revision; epoch } ->
+            ("last-good", Some (pname, revision), epoch, Some profile)
+        | Store.Empty ->
+            (* Poisoned (or never-good) with no snapshot: the builtin
+               pipeline profile is the last-good epoch, numbered 0. *)
+            ("builtin", None, 0, None))
+  in
+  (* What the cheap tier, a raising strategy and the over-deadline
+     checkpoint all serve. *)
+  let natural () =
+    (Placement.Strategy.natural, Experiments.Context.natural_map entry)
+  in
+  let (effective, map), fell_back =
+    Obs.Span.with_ ~stage:"serve.strategy-map" @@ fun () ->
+    match (source_prof, source_name) with
+    | _ when cheap ->
         (* Admission control: the deadline only admits the cheapest
            layout.  Deterministic — no clock involved. *)
-        (Placement.Strategy.natural, Experiments.Context.natural_map entry,
-         false)
-      else
-        match source_prof, source_name with
-        | Some prof, Some (pname, revision) -> (
-            try (strat, custom_map t entry strat ~pname ~revision ~kind:source prof, false)
-            with _ ->
-              (Placement.Strategy.natural,
-               Experiments.Context.natural_map entry, true))
-        | _ ->
-            let map = Experiments.Context.strategy_map entry strat in
-            let fb = Experiments.Context.fell_back entry strat.id in
-            ((if fb then Placement.Strategy.natural else strat), map, fb)
-    in
-    (* Checkpoint: layout built but the deadline already passed — finish
-       with the cheapest result rather than burning more of it. *)
-    let over_before_sim = (not cheap) && elapsed_ms t0 > deadline in
-    let effective, map =
-      if over_before_sim then
-        (Placement.Strategy.natural, Experiments.Context.natural_map entry)
-      else (effective, map)
-    in
-    (* The cheap tier never replays a trace: it answers with the
-       memoized abstract interpretation's certified miss interval over
-       the natural layout — a sound promise, not a simulation — under
-       whichever profile weights the request resolved to (uploaded
-       snapshot or builtin).  Every other tier simulates as before. *)
-    let prediction =
-      if cheap then
-        Obs.Span.with_ ~stage:"serve.certify"
+        (natural (), false)
+    | Some prof, Some (pname, revision) -> (
+        try
+          let map =
+            custom_map t entry strat ~pname ~revision ~kind:source prof
+          in
+          ((strat, map), false)
+        with _ -> (natural (), true))
+    | _ ->
+        (* [strategy_map] records a fallback, so it runs first. *)
+        let map = Experiments.Context.strategy_map entry strat in
+        if Experiments.Context.fell_back entry strat.id then (natural (), true)
+        else ((strat, map), false)
+  in
+  (* Checkpoint: layout built but the deadline already passed — finish
+     with the cheapest result rather than burning more of it. *)
+  let over_before_sim = (not cheap) && elapsed_ms t0 > deadline in
+  let effective, map =
+    if over_before_sim then natural () else (effective, map)
+  in
+  (* The cheap tier never replays a trace: it answers with the memoized
+     abstract interpretation's certified miss interval over the natural
+     layout — a sound promise, not a simulation — under whichever
+     profile weights the request resolved to (uploaded snapshot or
+     builtin).  Every other tier simulates as before. *)
+  let prediction =
+    if cheap then
+      Obs.Span.with_ ~stage:"serve.certify"
+        ~attrs:[ ("cache", Icache.Config.describe cache_config) ]
+      @@ fun () ->
+      let prof =
+        match source_prof with
+        | Some p -> p
+        | None ->
+            (Experiments.Context.pipeline entry).Placement.Pipeline.profile
+      in
+      let a = cached_absint t entry cache_config in
+      let iv =
+        Analysis.Absint.profile_interval a
+          ~weights:(Placement.Weight.cfg_of_profile prof)
+      in
+      ("certified", certified_json cache_config a iv)
+    else
+      let result =
+        Obs.Span.with_ ~stage:"serve.simulate"
           ~attrs:[ ("cache", Icache.Config.describe cache_config) ]
         @@ fun () ->
-        let prof =
-          match source_prof with
-          | Some p -> p
-          | None ->
-              (Experiments.Context.pipeline entry).Placement.Pipeline.profile
-        in
-        let a = cached_absint t entry cache_config in
-        let iv =
-          Analysis.Absint.interval
-            ~entries:
-              (Analysis.Absint.profile_entries a
-                 ~weights:(Placement.Weight.cfg_of_profile prof))
-            a
-            ~counts:(Vm.Profile.block_weight prof)
-        in
-        ("certified", certified_json cache_config a iv)
-      else
-        let result =
-          Obs.Span.with_ ~stage:"serve.simulate"
-            ~attrs:[ ("cache", Icache.Config.describe cache_config) ]
-          @@ fun () ->
-          Experiments.Context.simulate entry cache_config map
-            (Experiments.Context.trace entry)
-        in
-        ("predicted", predicted_json result)
-    in
-    (* The cheap-admission tier is a deterministic promise — degrade
-       and serve — so the wall-clock timeout only applies outside it. *)
-    if (not cheap) && elapsed_ms t0 > deadline then
-      Protocol.timeout_response ~id ~request
-        ~retry_after_ms:(retry_after deadline)
-    else begin
-      let tier =
-        if cheap || over_before_sim then "cheapest-strategy"
-        else if source = "last-good" || (profile <> None && source = "builtin")
-        then "last-good-epoch"
-        else if fell_back then "natural-fallback"
-        else "none"
+        Experiments.Context.simulate entry cache_config map
+          (Experiments.Context.trace entry)
       in
-      if tier <> "none" then Obs.Metrics.incr degraded_total;
-      (* Attach the outcome to the enclosing serve.request span. *)
-      Obs.Span.add_attr "tier" tier;
-      Obs.Span.add_attr "strategy" effective.Placement.Strategy.id;
-      let prog =
-        (Experiments.Context.pipeline entry).Placement.Pipeline.program
-      in
-      Protocol.ok_response ~id ~request
+      ("predicted", predicted_json result)
+  in
+  (* The cheap-admission tier is a deterministic promise — degrade and
+     serve — so the wall-clock timeout only applies outside it. *)
+  if (not cheap) && elapsed_ms t0 > deadline then
+    raise (Timeout (retry_after deadline));
+  let tier =
+    if cheap || over_before_sim then "cheapest-strategy"
+    else if profile <> None && source <> "fresh" then "last-good-epoch"
+    else if fell_back then "natural-fallback"
+    else "none"
+  in
+  if tier <> "none" then Obs.Metrics.incr degraded_total;
+  (* Attach the outcome to the enclosing serve.request span. *)
+  Obs.Span.add_attr "tier" tier;
+  Obs.Span.add_attr "strategy" effective.Placement.Strategy.id;
+  let prog =
+    (Experiments.Context.pipeline entry).Placement.Pipeline.program
+  in
+  [
+    ("bench", Obs.Json.String bench);
+    ("strategy", Obs.Json.String effective.Placement.Strategy.id);
+    ("requested_strategy", Obs.Json.String strat.id);
+    ("tier", Obs.Json.String tier);
+    ( "profile",
+      Obs.Json.Obj
         [
-          ("bench", Obs.Json.String bench);
-          ("strategy", Obs.Json.String effective.Placement.Strategy.id);
-          ("requested_strategy", Obs.Json.String strat.id);
-          ("tier", Obs.Json.String tier);
-          ( "profile",
-            Obs.Json.Obj
-              [
-                ("source", Obs.Json.String source);
-                ( "name",
-                  match source_name with
-                  | Some (pname, _) -> Obs.Json.String pname
-                  | None -> Obs.Json.Null );
-                ("epoch", Obs.Json.Int source_epoch);
-              ] );
-          ("layout", layout_json prog map);
-          prediction;
-        ]
-    end
-  end
+          ("source", Obs.Json.String source);
+          ( "name",
+            match source_name with
+            | Some (pname, _) -> Obs.Json.String pname
+            | None -> Obs.Json.Null );
+          ("epoch", Obs.Json.Int source_epoch);
+        ] );
+    ("layout", layout_json prog map);
+    prediction;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* The other request kinds                                             *)
 (* ------------------------------------------------------------------ *)
 
-let handle_upload t ~id (u : Protocol.upload) =
-  let request = "profile-upload" in
+let handle_upload t (u : Protocol.upload) =
   let entry = Experiments.Context.find t.context u.bench in
   let prog = (Experiments.Context.pipeline entry).Placement.Pipeline.program in
-  match Store.upload t.store ~prog u with
-  | Error e -> Protocol.error_response ~id ~request e
-  | Ok (o : Store.outcome) ->
-      (* Uploads are barriers, so this write is serial; the serve loop
-         drains it into staleness notifications right after emitting
-         this response. *)
-      if o.accepted then t.last_upload <- Some (u.profile, o);
-      Protocol.ok_response ~id ~request
-        ([
-           ("accepted", Obs.Json.Bool o.accepted);
-         ]
-        @ (match o.reason with
-          | Some r -> [ ("reason", Obs.Json.String r) ]
-          | None -> [])
-        @ [
-            ("epoch", Obs.Json.Int o.epoch);
-            ("min_live_epoch", Obs.Json.Int o.min_live);
-            ("epochs_live", Obs.Json.Int o.epochs_live);
-            ("poisoned", Obs.Json.Bool o.poisoned);
-            ("flow_violations", Obs.Json.Int o.flow_violations);
-            ("revision", Obs.Json.Int o.revision);
-          ])
+  let o = Store.upload t.store ~prog u in
+  (* Uploads are barriers, so this write is serial; the serve loop
+     drains it into staleness notifications right after emitting this
+     response. *)
+  if o.accepted then t.last_upload <- Some (u.profile, o);
+  [ ("accepted", Obs.Json.Bool o.accepted) ]
+  @ (match o.reason with
+    | Some r -> [ ("reason", Obs.Json.String r) ]
+    | None -> [])
+  @ [
+      ("epoch", Obs.Json.Int o.epoch);
+      ("min_live_epoch", Obs.Json.Int o.min_live);
+      ("epochs_live", Obs.Json.Int o.epochs_live);
+      ("poisoned", Obs.Json.Bool o.poisoned);
+      ("flow_violations", Obs.Json.Int o.flow_violations);
+      ("revision", Obs.Json.Int o.revision);
+    ]
 
-let handle_lint t ~id ~bench ~strategy ~min_prob =
+let handle_lint t ~bench ~strategy ~min_prob =
   let entry = Experiments.Context.find t.context bench in
   let strat = find_strategy t strategy in
   let r = Experiments.Lint_exp.lint_entry ?min_prob entry strat in
-  Protocol.ok_response ~id ~request:"lint-request"
-    [
-      ("bench", Obs.Json.String bench);
-      ("fell_back", Obs.Json.Bool r.Experiments.Lint_exp.fell_back);
-      ("result", Experiments.Lint_exp.result_json r);
-    ]
+  [
+    ("bench", Obs.Json.String bench);
+    ("fell_back", Obs.Json.Bool r.Experiments.Lint_exp.fell_back);
+    ("result", Experiments.Lint_exp.result_json r);
+  ]
 
 (* Quantile summary of one latency-class histogram, in milliseconds.
    With the metrics registry disabled (the replay path) every field is
@@ -524,7 +512,7 @@ let quantiles_ms_json h =
 (* Stats is a barrier: it runs serially between batches and reads the
    emit-time counters, so its numbers are exact for everything already
    on the wire — identical under -j 1 and -j N. *)
-let handle_stats t ~id =
+let handle_stats t =
   Mutex.protect t.lock @@ fun () ->
   let assoc l =
     Obs.Json.Obj
@@ -536,108 +524,105 @@ let handle_stats t ~id =
     List.sort compare (List.map fst t.by_type) @ [ "all" ]
     |> List.map (fun name -> (name, quantiles_ms_json (latency_hist name)))
   in
-  Protocol.ok_response ~id ~request:"stats"
-    [
-      ("stats_version", Obs.Json.Int 2);
-      ( "uptime_seconds",
-        (* Wall clock, so zero unless telemetry is on: replayed stats
-           responses must stay byte-identical. *)
-        Obs.Json.Float
-          (if Obs.Metrics.enabled () then Obs.Clock.now () -. t.started_at
-           else 0.0) );
-      ("served", Obs.Json.Int t.served);
-      ("by_type", assoc t.by_type);
-      ("by_status", assoc t.by_status);
-      ("by_tier", assoc t.by_tier);
-      ("subscriptions", Obs.Json.Int (List.length t.subs));
-      ("notifications", Obs.Json.Int t.notifications_sent);
-      ( "evictions",
-        Obs.Json.Obj
-          [
-            ("profiles", Obs.Json.Int (Store.evictions_total t.store));
-            ("maps", Obs.Json.Int (Placement.Bounded.evictions t.map_cache));
-            (* Per-context count, not the process-global metrics
-               counter: stats stay deterministic and daemon-local. *)
-            ( "memo",
-              Obs.Json.Int
-                (List.fold_left
-                   (fun acc e ->
-                     acc + e.Experiments.Context.memo_evicted)
-                   0
-                   (Experiments.Context.entries t.context)) );
-          ] );
-      ("latency", Obs.Json.Obj latency_rows);
-      ("queue_wait", quantiles_ms_json queue_wait_hist);
-      ( "batch_size",
-        Obs.Json.Obj
-          [
-            ("count", Obs.Json.Int (Obs.Metrics.hist_count batch_size_hist));
-            ( "p50",
-              Obs.Json.Float (Obs.Metrics.hist_quantile batch_size_hist 0.50)
-            );
-            ( "p99",
-              Obs.Json.Float (Obs.Metrics.hist_quantile batch_size_hist 0.99)
-            );
-          ] );
-      ("profiles", Store.stats_json t.store);
-      ( "limits",
-        Obs.Json.Obj
-          [
-            ("profile_cap", Obs.Json.Int t.config.profile_cap);
-            ("memo_cap", Obs.Json.Int t.config.memo_cap);
-            ("strategy_cap", Obs.Json.Int t.config.strategy_cap);
-            ("map_cap", Obs.Json.Int t.config.map_cap);
-            ("epoch_window", Obs.Json.Int t.config.epoch_window);
-            ("max_batch", Obs.Json.Int max_batch);
-            ("max_request_bytes", Obs.Json.Int t.config.max_request_bytes);
-            ("deadline_ms", Obs.Json.Int t.config.deadline_ms);
-          ] );
-    ]
+  [
+    ("stats_version", Obs.Json.Int 2);
+    ( "uptime_seconds",
+      (* Wall clock, so zero unless telemetry is on: replayed stats
+         responses must stay byte-identical. *)
+      Obs.Json.Float
+        (if Obs.Metrics.enabled () then Obs.Clock.now () -. t.started_at
+         else 0.0) );
+    ("served", Obs.Json.Int t.served);
+    ("by_type", assoc t.by_type);
+    ("by_status", assoc t.by_status);
+    ("by_tier", assoc t.by_tier);
+    ("subscriptions", Obs.Json.Int (List.length t.subs));
+    ("notifications", Obs.Json.Int t.notifications_sent);
+    ( "evictions",
+      Obs.Json.Obj
+        [
+          ("profiles", Obs.Json.Int (Store.evictions_total t.store));
+          ("maps", Obs.Json.Int (Placement.Bounded.evictions t.map_cache));
+          (* Per-context count, not the process-global metrics
+             counter: stats stay deterministic and daemon-local. *)
+          ( "memo",
+            Obs.Json.Int
+              (List.fold_left
+                 (fun acc e ->
+                   acc + e.Experiments.Context.memo_evicted)
+                 0
+                 (Experiments.Context.entries t.context)) );
+        ] );
+    ("latency", Obs.Json.Obj latency_rows);
+    ("queue_wait", quantiles_ms_json queue_wait_hist);
+    ( "batch_size",
+      Obs.Json.Obj
+        [
+          ("count", Obs.Json.Int (Obs.Metrics.hist_count batch_size_hist));
+          ( "p50",
+            Obs.Json.Float (Obs.Metrics.hist_quantile batch_size_hist 0.50)
+          );
+          ( "p99",
+            Obs.Json.Float (Obs.Metrics.hist_quantile batch_size_hist 0.99)
+          );
+        ] );
+    ("profiles", Store.stats_json t.store);
+    ( "limits",
+      Obs.Json.Obj
+        [
+          ("profile_cap", Obs.Json.Int t.config.profile_cap);
+          ("memo_cap", Obs.Json.Int t.config.memo_cap);
+          ("strategy_cap", Obs.Json.Int t.config.strategy_cap);
+          ("map_cap", Obs.Json.Int t.config.map_cap);
+          ("epoch_window", Obs.Json.Int t.config.epoch_window);
+          ("max_batch", Obs.Json.Int max_batch);
+          ("max_request_bytes", Obs.Json.Int t.config.max_request_bytes);
+          ("deadline_ms", Obs.Json.Int t.config.deadline_ms);
+        ] );
+  ]
 
 (* Subscribe is a barrier: registering the filter between batches means
    every later upload's notifications are observed, none racily
    missed.  Duplicate filters collapse, so a client re-subscribing in a
    retry loop cannot grow the daemon. *)
-let handle_subscribe t ~id ~profiles =
+let handle_subscribe t ~profiles =
   Mutex.protect t.lock @@ fun () ->
   if not (List.mem profiles t.subs) then t.subs <- t.subs @ [ profiles ];
-  Protocol.ok_response ~id ~request:"subscribe"
-    [
-      ( "subscribed",
-        match profiles with
-        | None -> Obs.Json.String "all"
-        | Some l -> Obs.Json.List (List.map (fun p -> Obs.Json.String p) l) );
-      ("active_subscriptions", Obs.Json.Int (List.length t.subs));
-    ]
+  [
+    ( "subscribed",
+      match profiles with
+      | None -> Obs.Json.String "all"
+      | Some l -> Obs.Json.List (List.map (fun p -> Obs.Json.String p) l) );
+    ("active_subscriptions", Obs.Json.Int (List.length t.subs));
+  ]
 
 (* Health verdict from the degradation counters: degraded while any
    profile is poisoned or any request was served by natural-fallback
    (a strategy raised — a bug or an adversarial strategy, not an
    admission decision); ready otherwise.  Deterministic — counts only,
    no clock. *)
-let handle_health t ~id =
+let handle_health t =
   let poisoned = Store.poisoned_count t.store in
   Mutex.protect t.lock @@ fun () ->
   let tier k = Option.value ~default:0 (List.assoc_opt k t.by_tier) in
   let fallbacks = tier "natural-fallback" in
   let degraded = poisoned > 0 || fallbacks > 0 in
-  Protocol.ok_response ~id ~request:"health"
-    [
-      ("verdict", Obs.Json.String (if degraded then "degraded" else "ready"));
-      ("ready", Obs.Json.Bool (not degraded));
-      ( "checks",
-        Obs.Json.Obj
-          [
-            ("poisoned_profiles", Obs.Json.Int poisoned);
-            ("natural_fallbacks", Obs.Json.Int fallbacks);
-            ("last_good_served", Obs.Json.Int (tier "last-good-epoch"));
-            ("cheapest_served", Obs.Json.Int (tier "cheapest-strategy"));
-            ( "timeouts",
-              Obs.Json.Int
-                (Option.value ~default:0 (List.assoc_opt "timeout" t.by_status))
-            );
-          ] );
-    ]
+  [
+    ("verdict", Obs.Json.String (if degraded then "degraded" else "ready"));
+    ("ready", Obs.Json.Bool (not degraded));
+    ( "checks",
+      Obs.Json.Obj
+        [
+          ("poisoned_profiles", Obs.Json.Int poisoned);
+          ("natural_fallbacks", Obs.Json.Int fallbacks);
+          ("last_good_served", Obs.Json.Int (tier "last-good-epoch"));
+          ("cheapest_served", Obs.Json.Int (tier "cheapest-strategy"));
+          ( "timeouts",
+            Obs.Json.Int
+              (Option.value ~default:0 (List.assoc_opt "timeout" t.by_status))
+          );
+        ] );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Push-style staleness notifications                                  *)
@@ -664,45 +649,34 @@ let take_notifications t ~trace : Obs.Json.t list =
       else begin
         (* Forget guards below the live window; stale-epoch uploads
            can never notify again, so the table stays bounded. *)
-        let drop =
-          Hashtbl.fold
-            (fun (p, sk, e) () acc ->
-              if p = pname && e < o.Store.min_live then (p, sk, e) :: acc
-              else acc)
-            t.notified []
+        Hashtbl.filter_map_inplace
+          (fun (p, _, e) () ->
+            if p = pname && e < o.Store.min_live then None else Some ())
+          t.notified;
+        let guard (strat, kind, _) =
+          (pname, strat ^ "|" ^ kind, o.Store.epoch)
         in
-        List.iter (fun k -> Hashtbl.remove t.notified k) drop;
+        (* One staleness fact per (strategy, kind): several cached
+           revisions of the same map collapse to the newest. *)
+        let newest = Hashtbl.create 8 in
+        Mutex.protect t.lock (fun () ->
+            Placement.Bounded.fold
+              (fun (p, rev, kind, strat) _ () ->
+                if p = pname && rev < o.Store.revision then
+                  Hashtbl.replace newest (strat, kind)
+                    (match Hashtbl.find_opt newest (strat, kind) with
+                    | Some r -> Int.max r rev
+                    | None -> rev))
+              t.map_cache ());
         let stale =
-          Mutex.protect t.lock (fun () ->
-              Placement.Bounded.fold
-                (fun (p, rev, kind, strat) _ acc ->
-                  if p = pname && rev < o.Store.revision then
-                    (strat, kind, rev) :: acc
-                  else acc)
-                t.map_cache [])
-          |> List.sort_uniq compare
-          (* One staleness fact per (strategy, kind): several cached
-             revisions of the same map collapse to the newest. *)
-          |> List.fold_left
-               (fun acc (strat, kind, rev) ->
-                 match acc with
-                 | (s, k, r) :: tl when s = strat && k = kind ->
-                     (s, k, max r rev) :: tl
-                 | _ -> (strat, kind, rev) :: acc)
-               []
-          |> List.rev
-          |> List.filter (fun (strat, kind, _) ->
-                 not
-                   (Hashtbl.mem t.notified
-                      (pname, strat ^ "|" ^ kind, o.Store.epoch)))
+          Hashtbl.fold (fun (s, k) rev acc -> (s, k, rev) :: acc) newest []
+          |> List.filter (fun row -> not (Hashtbl.mem t.notified (guard row)))
+          |> List.sort compare
         in
         if stale = [] then []
         else begin
           List.iter
-            (fun (strat, kind, _) ->
-              Hashtbl.replace t.notified
-                (pname, strat ^ "|" ^ kind, o.Store.epoch)
-                ())
+            (fun row -> Hashtbl.replace t.notified (guard row) ())
             stale;
           t.notifications_sent <- t.notifications_sent + 1;
           Obs.Metrics.incr notifications_total;
@@ -735,7 +709,11 @@ let span_tree_lines (spans : Obs.Span.event list) =
                ^ "]"))
 
 (* Total: whatever a request provokes, the answer is a response.  The
-   whole dispatch runs inside a [serve.request] span (child spans mark
+   handlers return only their fields; this is the one place that wraps
+   them in the ok envelope, answers [Timeout] with a typed timeout, and
+   maps every other exception (a refusal is a [Failure]) through
+   {!Protocol.error_of_exn}.  The whole dispatch runs inside a
+   [serve.request] span (child spans mark
    parse/admission/store-lookup/strategy-map/simulate), feeds the
    per-type latency histograms, and — past --slow-ms — dumps the
    request's span tree to the log. *)
@@ -752,23 +730,25 @@ let respond t ~trace ?enq (p : Protocol.parsed) : Obs.Json.t =
       Obs.Span.with_ ~stage:"serve.request"
         ~attrs:[ ("trace", trace); ("type", name) ]
       @@ fun () ->
-      match p.req with
-      | Protocol.Layout_request
-          { bench; strategy; config; profile; deadline_ms } ->
-          handle_layout t ~id:p.id ~bench ~strategy ~cache_config:config
-            ~profile ~deadline_ms
-      | Protocol.Profile_upload u -> handle_upload t ~id:p.id u
-      | Protocol.Lint_request { bench; strategy; min_prob } ->
-          handle_lint t ~id:p.id ~bench ~strategy ~min_prob
-      | Protocol.Stats -> handle_stats t ~id:p.id
-      | Protocol.Subscribe { profiles } ->
-          handle_subscribe t ~id:p.id ~profiles
-      | Protocol.Health -> handle_health t ~id:p.id
-      | Protocol.Shutdown ->
-          Protocol.ok_response ~id:p.id ~request:"shutdown"
-            [ ("stopping", Obs.Json.Bool true) ]
-    with exn ->
-      Protocol.error_response ~id:p.id ~request:name (Protocol.error_of_exn exn)
+      Protocol.ok_response ~id:p.id ~request:name
+        (match p.req with
+        | Protocol.Layout_request
+            { bench; strategy; config; profile; deadline_ms } ->
+            handle_layout t ~bench ~strategy ~cache_config:config ~profile
+              ~deadline_ms
+        | Protocol.Profile_upload u -> handle_upload t u
+        | Protocol.Lint_request { bench; strategy; min_prob } ->
+            handle_lint t ~bench ~strategy ~min_prob
+        | Protocol.Stats -> handle_stats t
+        | Protocol.Subscribe { profiles } -> handle_subscribe t ~profiles
+        | Protocol.Health -> handle_health t
+        | Protocol.Shutdown -> [ ("stopping", Obs.Json.Bool true) ])
+    with
+    | Timeout retry_after_ms ->
+        Protocol.timeout_response ~id:p.id ~request:name ~retry_after_ms
+    | exn ->
+        Protocol.error_response ~id:p.id ~request:name
+          (Protocol.error_of_exn exn)
   in
   let dt = Obs.Clock.now () -. t0 in
   if Obs.Metrics.enabled () then begin

@@ -64,12 +64,9 @@ let create ~cap ?(window = 4) () =
 
 (* ---- structural validation against the bench's program ---- *)
 
-exception Invalid of string
+let invalidf fmt = Printf.ksprintf failwith fmt
 
-let invalidf fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
-
-let validate_upload (prog : Ir.Prog.program) (u : Protocol.upload) :
-    string option =
+let validate_upload (prog : Ir.Prog.program) (u : Protocol.upload) =
   let nfuncs = Array.length prog.funcs in
   let func what fid =
     if fid < 0 || fid >= nfuncs then
@@ -84,48 +81,45 @@ let validate_upload (prog : Ir.Prog.program) (u : Protocol.upload) :
     if not (Float.is_finite c) || c < 0.0 then
       invalidf "%s: count %g is not a finite non-negative number" what c
   in
-  try
-    List.iter
-      (fun (fid, lbl, c) ->
-        let f = func "blocks" fid in
-        label "blocks" f fid lbl;
-        count "blocks" c)
-      u.Protocol.blocks;
-    List.iter
-      (fun (fid, src, dst, c) ->
-        let f = func "arcs" fid in
-        label "arcs" f fid src;
-        label "arcs" f fid dst;
-        count "arcs" c;
-        if not (List.mem dst (Ir.Cfg.successors f.blocks.(src))) then
-          invalidf "arcs: %d -> %d is not a control-flow arc of function %d"
-            src dst fid)
-      u.arcs;
-    List.iter
-      (fun (fid, c) ->
-        ignore (func "entries" fid);
-        count "entries" c)
-      u.entries;
-    List.iter
-      (fun (fid, blk, callee, c) ->
-        let f = func "calls" fid in
-        label "calls" f fid blk;
-        ignore (func "calls" callee);
-        count "calls" c;
-        let ok =
-          match Ir.Cfg.callee f.blocks.(blk) with
-          | Some name -> (
-              match Hashtbl.find_opt prog.by_name name with
-              | Some i -> i = callee
-              | None -> false)
-          | None -> false
-        in
-        if not ok then
-          invalidf "calls: block %d of function %d does not call function %d"
-            blk fid callee)
-      u.calls;
-    None
-  with Invalid m -> Some m
+  List.iter
+    (fun (fid, lbl, c) ->
+      let f = func "blocks" fid in
+      label "blocks" f fid lbl;
+      count "blocks" c)
+    u.Protocol.blocks;
+  List.iter
+    (fun (fid, src, dst, c) ->
+      let f = func "arcs" fid in
+      label "arcs" f fid src;
+      label "arcs" f fid dst;
+      count "arcs" c;
+      if not (List.mem dst (Ir.Cfg.successors f.blocks.(src))) then
+        invalidf "arcs: %d -> %d is not a control-flow arc of function %d"
+          src dst fid)
+    u.arcs;
+  List.iter
+    (fun (fid, c) ->
+      ignore (func "entries" fid);
+      count "entries" c)
+    u.entries;
+  List.iter
+    (fun (fid, blk, callee, c) ->
+      let f = func "calls" fid in
+      label "calls" f fid blk;
+      ignore (func "calls" callee);
+      count "calls" c;
+      let ok =
+        match Ir.Cfg.callee f.blocks.(blk) with
+        | Some name -> (
+            match Hashtbl.find_opt prog.by_name name with
+            | Some i -> i = callee
+            | None -> false)
+        | None -> false
+      in
+      if not ok then
+        invalidf "calls: block %d of function %d does not call function %d"
+          blk fid callee)
+    u.calls
 
 (* ---- materialization ---- *)
 
@@ -189,8 +183,7 @@ let outcome_of p ~accepted ~reason epoch =
    once the upload is accepted: a rejected upload leaves no trace.  An
    existing profile counts as used once its bench matches, even if the
    upload is then rejected. *)
-let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
-    (outcome, Protocol.error_info) result =
+let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) : outcome =
   Mutex.protect t.lock @@ fun () ->
   let p, is_new =
     match Placement.Bounded.peek t.profiles u.Protocol.profile with
@@ -211,58 +204,53 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
           true )
   in
   if p.bench <> u.bench then
-    Error
-      (Protocol.usage_error
-         (Printf.sprintf "profile %S is bound to benchmark %S, not %S" p.name
-            p.bench u.bench))
+    invalidf "profile %S is bound to benchmark %S, not %S" p.name p.bench
+      u.bench;
+  if not is_new then ignore (Placement.Bounded.find t.profiles u.profile);
+  let epoch = Option.value ~default:p.current u.epoch in
+  if epoch < 0 then failwith "epoch must be >= 0";
+  if epoch < min_live_epoch p then
+    outcome_of p ~accepted:false ~reason:(Some "stale-epoch") epoch
   else begin
-    if not is_new then ignore (Placement.Bounded.find t.profiles u.profile);
-    let epoch = Option.value ~default:p.current u.epoch in
-    if epoch < 0 then Error (Protocol.usage_error "epoch must be >= 0")
-    else if epoch < min_live_epoch p then
-      Ok (outcome_of p ~accepted:false ~reason:(Some "stale-epoch") epoch)
-    else
-      match validate_upload p.prog u with
-      | Some msg -> Error (Protocol.usage_error msg)
+    validate_upload p.prog u;
+    if is_new then Placement.Bounded.add t.profiles u.profile p;
+    if epoch > p.current then begin
+      p.current <- epoch;
+      let live = min_live_epoch p in
+      p.epochs <- List.filter (fun (e, _) -> e >= live) p.epochs
+    end;
+    let acc =
+      match List.assoc_opt epoch p.epochs with
+      | Some a -> a
       | None ->
-          if is_new then Placement.Bounded.add t.profiles u.profile p;
-          if epoch > p.current then begin
-            p.current <- epoch;
-            let live = min_live_epoch p in
-            p.epochs <- List.filter (fun (e, _) -> e >= live) p.epochs
-          end;
-          let acc =
-            match List.assoc_opt epoch p.epochs with
-            | Some a -> a
-            | None ->
-                let a = acc_create () in
-                p.epochs <-
-                  List.sort (fun (a, _) (b, _) -> compare b a)
-                    ((epoch, a) :: p.epochs);
-                a
-          in
-          let w = u.weight in
-          List.iter
-            (fun (fid, lbl, c) -> acc_add acc.blocks (fid, lbl) (w *. c))
-            u.blocks;
-          List.iter
-            (fun (fid, src, dst, c) ->
-              acc_add acc.arcs (fid, src, dst) (w *. c))
-            u.arcs;
-          List.iter
-            (fun (fid, c) -> acc_add acc.entries fid (w *. c))
-            u.entries;
-          List.iter
-            (fun (fid, blk, callee, c) ->
-              acc_add acc.calls (fid, blk, callee) (w *. c))
-            u.calls;
-          p.uploads <- p.uploads + 1;
-          p.revision <- p.revision + 1;
-          let vmprof = materialize p.prog p.epochs in
-          p.flow_violations <- List.length (Placement.Validate.flow vmprof);
-          if not (poisoned p) then
-            p.last_good <- Some (epoch, p.revision, vmprof);
-          Ok (outcome_of p ~accepted:true ~reason:None epoch)
+          let a = acc_create () in
+          p.epochs <-
+            List.sort (fun (a, _) (b, _) -> compare b a)
+              ((epoch, a) :: p.epochs);
+          a
+    in
+    let w = u.weight in
+    List.iter
+      (fun (fid, lbl, c) -> acc_add acc.blocks (fid, lbl) (w *. c))
+      u.blocks;
+    List.iter
+      (fun (fid, src, dst, c) ->
+        acc_add acc.arcs (fid, src, dst) (w *. c))
+      u.arcs;
+    List.iter
+      (fun (fid, c) -> acc_add acc.entries fid (w *. c))
+      u.entries;
+    List.iter
+      (fun (fid, blk, callee, c) ->
+        acc_add acc.calls (fid, blk, callee) (w *. c))
+      u.calls;
+    p.uploads <- p.uploads + 1;
+    p.revision <- p.revision + 1;
+    let vmprof = materialize p.prog p.epochs in
+    p.flow_violations <- List.length (Placement.Validate.flow vmprof);
+    if not (poisoned p) then
+      p.last_good <- Some (epoch, p.revision, vmprof);
+    outcome_of p ~accepted:true ~reason:None epoch
   end
 
 (* ---- read side ---- *)

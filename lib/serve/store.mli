@@ -37,15 +37,15 @@ type outcome = {
   revision : int;  (** profile revision after the upload *)
 }
 
-val upload :
-  t ->
-  prog:Ir.Prog.program ->
-  Protocol.upload ->
-  (outcome, Protocol.error_info) result
+val upload : t -> prog:Ir.Prog.program -> Protocol.upload -> outcome
 (** Validate structurally against [prog] (ids in range, counts finite
     and non-negative, arcs along real control-flow edges, call rows at
-    real call sites), then merge.  [Error] carries a usage-stage
-    {!Protocol.error_info} and leaves the store unchanged. *)
+    real call sites), then merge.  An upload that names another bench
+    for a bound profile, a negative epoch, or a row that fails
+    validation is refused with [Failure] and leaves the store
+    unchanged; {!Protocol.error_of_exn} maps that to a usage error, as
+    it does every other refusal.  An upload to an expired epoch is not
+    refused: it is answered [accepted = false]. *)
 
 type view =
   | Fresh of { profile : Vm.Profile.t; revision : int; epoch : int }

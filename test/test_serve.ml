@@ -302,9 +302,8 @@ let snapshot store name =
   | Serve.Store.Unknown -> "<unknown>"
 
 let must_upload store ~prog u =
-  match Serve.Store.upload store ~prog u with
-  | Ok o -> o
-  | Error e -> Alcotest.failf "upload rejected: %s" e.message
+  try Serve.Store.upload store ~prog u
+  with Failure msg -> Alcotest.failf "upload rejected: %s" msg
 
 let merge_self_doubles () =
   let prof = pipeline_profile () in
@@ -428,8 +427,8 @@ let rejected_upload_no_ghost () =
   ignore (must_upload store ~prog (upload_of ~name:"A" prof));
   let bad = { (upload_of ~name:"B" prof) with blocks = [ (9999, 0, 1.0) ] } in
   (match Serve.Store.upload store ~prog bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "out-of-range upload accepted");
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "out-of-range upload accepted");
   Alcotest.(check bool) "A still fresh" true
     (match Serve.Store.view store "A" with
     | Serve.Store.Fresh _ -> true
@@ -1090,6 +1089,56 @@ let contract_checker () =
   Alcotest.(check int) "repeat across batches" 1
     (List.length (Serve.Chaos.finish c ~seed:0).violations)
 
+(* Refusals answer with exact bytes.  Every upload and profile refusal
+   takes the daemon's one error path; this pins what that path writes,
+   beside the accepted upload that binds the profile and the stale-epoch
+   upload, which is answered [accepted: false] rather than refused.  The
+   golden stream carries none of these, and chaos checks only their
+   status. *)
+let refusals_byte_identical () =
+  let d =
+    Serve.Daemon.create
+      ~config:{ small_config with benches = Some [ "cmp"; "tee" ] }
+      ()
+  in
+  let upload ~id ?(bench = bench) ~epoch fields =
+    request ~id ~typ:"profile-upload"
+      ([
+         ("profile", Obs.Json.String "bound");
+         ("bench", Obs.Json.String bench);
+         ("epoch", Obs.Json.Int epoch);
+       ]
+      @ fields)
+  in
+  let out_of_range =
+    Obs.Json.List
+      [ Obs.Json.List [ Obs.Json.Int 9999; Obs.Json.Int 0; Obs.Json.Int 1 ] ]
+  in
+  let lines =
+    [
+      upload ~id:1 ~epoch:10 [];
+      upload ~id:2 ~bench:"tee" ~epoch:10 [];
+      upload ~id:3 ~epoch:(-1) [];
+      upload ~id:4 ~epoch:1 [];
+      upload ~id:5 ~epoch:10 [ ("blocks", out_of_range) ];
+      layout_line ~id:6 [ ("profile", Obs.Json.String "never-uploaded") ];
+      layout_line ~bench:"tee" ~id:7 [ ("profile", Obs.Json.String "bound") ];
+    ]
+  in
+  let expected =
+    [
+      {|{"schema":"impact.serve/v1","id":1,"type":"response","request":"profile-upload","status":"ok","accepted":true,"epoch":10,"min_live_epoch":7,"epochs_live":1,"poisoned":false,"flow_violations":0,"revision":1,"trace":"t-000001"}|};
+      {|{"schema":"impact.serve/v1","id":2,"type":"response","request":"profile-upload","status":"error","error":{"stage":"usage","code":2,"message":"profile \"bound\" is bound to benchmark \"cmp\", not \"tee\""},"trace":"t-000002"}|};
+      {|{"schema":"impact.serve/v1","id":3,"type":"response","request":"profile-upload","status":"error","error":{"stage":"usage","code":2,"message":"epoch must be >= 0"},"trace":"t-000003"}|};
+      {|{"schema":"impact.serve/v1","id":4,"type":"response","request":"profile-upload","status":"ok","accepted":false,"reason":"stale-epoch","epoch":1,"min_live_epoch":7,"epochs_live":1,"poisoned":false,"flow_violations":0,"revision":1,"trace":"t-000004"}|};
+      {|{"schema":"impact.serve/v1","id":5,"type":"response","request":"profile-upload","status":"error","error":{"stage":"usage","code":2,"message":"blocks: function id 9999 out of range (37 functions)"},"trace":"t-000005"}|};
+      {|{"schema":"impact.serve/v1","id":6,"type":"response","request":"layout-request","status":"error","error":{"stage":"usage","code":2,"message":"unknown profile \"never-uploaded\""},"trace":"t-000006"}|};
+      {|{"schema":"impact.serve/v1","id":7,"type":"response","request":"layout-request","status":"error","error":{"stage":"usage","code":2,"message":"profile \"bound\" is bound to benchmark \"cmp\", not \"tee\""},"trace":"t-000007"}|};
+    ]
+  in
+  Alcotest.(check (list string)) "response lines" expected
+    (List.map line_of (Serve.Daemon.run_lines d lines))
+
 let suite =
   [
     Alcotest.test_case "protocol roundtrip" `Quick protocol_roundtrip;
@@ -1134,4 +1183,6 @@ let suite =
     Alcotest.test_case "soak counts its own evictions" `Slow
       soak_own_evictions;
     Alcotest.test_case "contract checker" `Quick contract_checker;
+    Alcotest.test_case "refusals answer byte-identically" `Quick
+      refusals_byte_identical;
   ]
