@@ -125,7 +125,8 @@ stream-smoke:
 # violations (one well-formed response per request, at least one
 # staleness notification, each pushed once), its report must match the
 # committed golden byte for byte (pinning the total ok/error/timeout
-# counts and the requests per category, not only the allowed statuses),
+# counts and the requests per category, not only the allowed statuses)
+# both serially and with a 2-lane pool,
 # and the chaos report plus the replayed responses must re-parse with
 # checkjson.
 serve-smoke:
@@ -140,6 +141,9 @@ serve-smoke:
 	dune exec bin/serve.exe -- --chaos --chaos-n 200 \
 	  --chaos-out _serve/chaos.json -q
 	cmp _serve/chaos.json test/vectors/serve/chaos-200.json
+	dune exec bin/serve.exe -- --chaos --chaos-n 200 -j 2 \
+	  --chaos-out _serve/chaos-j2.json -q
+	cmp _serve/chaos-j2.json test/vectors/serve/chaos-200.json
 	dune exec bin/checkjson.exe -- _serve/chaos.json
 	dune exec bin/checkjson.exe -- --ndjson _serve/replay-j2.ndjson \
 	  test/vectors/serve/responses.ndjson

@@ -211,13 +211,10 @@ let first_divergence (got : string list) (want : string list) =
   in
   go 1 got want
 
-let run_replay config jobs requests expect =
+let run_replay config requests expect =
   let lines = read_lines requests in
   let daemon = Serve.Daemon.create ~config () in
-  let responses =
-    Placement.Pool.with_default jobs (fun () ->
-        Serve.Daemon.run_lines daemon lines)
-  in
+  let responses = Serve.Daemon.run_lines daemon lines in
   let out = List.map Obs.Json.to_string responses in
   match expect with
   | None ->
@@ -282,12 +279,11 @@ let run_soak config seed duration_s interval_ms ceiling_mb out =
   finish ~harness:"soak" ~summary:(Serve.Soak.summary r)
     ~json:(Serve.Soak.report_json r) ~violations:r.violations out
 
-let run_serve config jobs socket =
+let run_serve config socket =
   let daemon = Serve.Daemon.create ~config () in
-  Placement.Pool.with_default jobs (fun () ->
-      match socket with
-      | Some path -> Serve.Daemon.serve_socket daemon ~path
-      | None -> Serve.Daemon.serve_channels daemon stdin stdout);
+  (match socket with
+  | Some path -> Serve.Daemon.serve_socket daemon ~path
+  | None -> Serve.Daemon.serve_channels daemon stdin stdout);
   0
 
 (* ------------------------------------------------------------------ *)
@@ -364,6 +360,8 @@ let run config jobs quiet metrics_out trace_out socket sample replay expect
      recording even without a trace file. *)
   if config.Serve.Daemon.slow_ms <> None then Obs.Span.set_enabled true;
   Cli.with_telemetry ~quiet ~trace_out ~metrics_out @@ fun () ->
+  (* Every mode that answers requests runs its batches on one pool. *)
+  Placement.Pool.with_default jobs @@ fun () ->
   if sample then begin
     List.iter print_endline (sample_lines config);
     0
@@ -375,8 +373,8 @@ let run config jobs quiet metrics_out trace_out socket sample replay expect
         run_soak config seed duration_s soak_interval soak_ceiling soak_out
     | None -> (
         match replay with
-        | Some requests -> run_replay config jobs requests expect
-        | None -> run_serve config jobs socket)
+        | Some requests -> run_replay config requests expect
+        | None -> run_serve config socket)
 
 let cmd =
   let doc = "Fault-tolerant layout service (impact.serve/v1 over stdio)" in

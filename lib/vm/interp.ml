@@ -1,4 +1,4 @@
-(* CFG interpreter.
+(* CFG interpreter, translate-then-run.
 
    Executes a lowered program against an input, counting every executed
    block, every control transfer and every call into dense per-run
@@ -6,6 +6,19 @@
    - plain execution (workload correctness tests),
    - execution profiling (paper step 1; [Profile] folds the counters),
    - dynamic trace generation for the cache simulation (see [Sim]).
+
+   [run] first translates every block of the program into a [code]
+   record (closure generation, Feeley & Lapalme 1987): its cost, global
+   index and first successor slot, its body as an array of closures over
+   the register file with every operand already resolved, and its exit
+   with labels, slots, callee and argument readers already resolved.
+   The loop then only counts, charges fuel, calls the body closures and
+   dispatches on the exit; nothing is matched on [Insn.t] or [Cfg.term]
+   while the program runs.  Translation is per run (programs are at most
+   ~1,100 static blocks), so runs share no mutable state.
+
+   A closure raises its fault when it executes, never at translation: a
+   block that never runs may hold any faulting instruction.
 
    Dynamic instruction counts use [Cfg.instr_count], so the code-scaling
    transform is reflected in the fetch stream without changing semantics. *)
@@ -133,137 +146,277 @@ type result = {
   counts : counts;
 }
 
+(* {1 Translation} *)
+
+(* Reads an operand from the register file. *)
+type reader = int array -> int
+
+(* A block's exit, resolved: every target is a global block index (-1
+   for a label outside its function, which faults with the same
+   [Invalid_argument] as an out-of-range label when taken). *)
+type exit =
+  | Goto of int
+  | If of reader * int * int (* condition, true target, false target *)
+  | Cases of reader * int array * int array * int
+      (* scrutinee, case values, case targets, default *)
+  | Return of reader
+  | Invoke of invoke
+
+and invoke = {
+  callee_fid : int; (* -1: absent, raised when the call executes *)
+  name : string;
+  frame_size : int; (* the callee's register count *)
+  args : reader array; (* the first [nparams] arguments *)
+  entry : int; (* the callee's block 0 *)
+  dst : int; (* result register, -1 for none *)
+  ret_to : int; (* continuation block *)
+}
+
+type code = {
+  fid : int;
+  label : Cfg.label;
+  cost : int; (* [Cfg.instr_count] *)
+  slot : int; (* first successor slot *)
+  body : (int array -> unit) array;
+  exit : exit;
+}
+
+let reader = function
+  | Insn.Reg r -> fun regs -> regs.(r)
+  | Insn.Imm n -> fun _ -> n
+
+let address base off : reader =
+  match (base, off) with
+  | Insn.Reg x, Insn.Imm n -> fun r -> r.(x) + n
+  | Insn.Reg x, Insn.Reg y -> fun r -> r.(x) + r.(y)
+  | Insn.Imm n, Insn.Reg y -> fun r -> n + r.(y)
+  | Insn.Imm n, Insn.Imm m ->
+    let a = n + m in
+    fun _ -> a
+
+let nonzero d = if d = 0 then fault "division by zero" else d [@@inline]
+
+let mov d = function
+  | Insn.Reg s -> fun r -> r.(d) <- r.(s)
+  | Insn.Imm n -> fun r -> r.(d) <- n
+
+(* One closure per operator and operand shape for the two shapes
+   lowering emits (Reg/Reg, Reg/Imm); the rest read both operands. *)
+let bin (op : Insn.binop) d a b : int array -> unit =
+  match (a, b) with
+  | Insn.Reg x, Insn.Reg y -> (
+    match op with
+    | Add -> fun r -> r.(d) <- r.(x) + r.(y)
+    | Sub -> fun r -> r.(d) <- r.(x) - r.(y)
+    | Mul -> fun r -> r.(d) <- r.(x) * r.(y)
+    | Div -> fun r -> r.(d) <- r.(x) / nonzero r.(y)
+    | Rem -> fun r -> r.(d) <- r.(x) mod nonzero r.(y)
+    | And -> fun r -> r.(d) <- r.(x) land r.(y)
+    | Or -> fun r -> r.(d) <- r.(x) lor r.(y)
+    | Xor -> fun r -> r.(d) <- r.(x) lxor r.(y)
+    | Shl -> fun r -> r.(d) <- r.(x) lsl (r.(y) land 31)
+    | Shr -> fun r -> r.(d) <- r.(x) asr (r.(y) land 31)
+    | Lt -> fun r -> r.(d) <- (if r.(x) < r.(y) then 1 else 0)
+    | Le -> fun r -> r.(d) <- (if r.(x) <= r.(y) then 1 else 0)
+    | Gt -> fun r -> r.(d) <- (if r.(x) > r.(y) then 1 else 0)
+    | Ge -> fun r -> r.(d) <- (if r.(x) >= r.(y) then 1 else 0)
+    | Eq -> fun r -> r.(d) <- (if r.(x) = r.(y) then 1 else 0)
+    | Ne -> fun r -> r.(d) <- (if r.(x) <> r.(y) then 1 else 0))
+  | Insn.Reg x, Insn.Imm n -> (
+    match op with
+    | Add -> fun r -> r.(d) <- r.(x) + n
+    | Sub -> fun r -> r.(d) <- r.(x) - n
+    | Mul -> fun r -> r.(d) <- r.(x) * n
+    | Div -> fun r -> r.(d) <- r.(x) / nonzero n
+    | Rem -> fun r -> r.(d) <- r.(x) mod nonzero n
+    | And -> fun r -> r.(d) <- r.(x) land n
+    | Or -> fun r -> r.(d) <- r.(x) lor n
+    | Xor -> fun r -> r.(d) <- r.(x) lxor n
+    | Shl ->
+      let n = n land 31 in
+      fun r -> r.(d) <- r.(x) lsl n
+    | Shr ->
+      let n = n land 31 in
+      fun r -> r.(d) <- r.(x) asr n
+    | Lt -> fun r -> r.(d) <- (if r.(x) < n then 1 else 0)
+    | Le -> fun r -> r.(d) <- (if r.(x) <= n then 1 else 0)
+    | Gt -> fun r -> r.(d) <- (if r.(x) > n then 1 else 0)
+    | Ge -> fun r -> r.(d) <- (if r.(x) >= n then 1 else 0)
+    | Eq -> fun r -> r.(d) <- (if r.(x) = n then 1 else 0)
+    | Ne -> fun r -> r.(d) <- (if r.(x) <> n then 1 else 0))
+  | Insn.Imm _, _ -> (
+    let a = reader a and b = reader b in
+    match op with
+    | Div | Rem ->
+      fun r -> r.(d) <- Insn.eval_binop op (a r) (nonzero (b r))
+    | Add | Sub | Mul | And | Or | Xor | Shl | Shr | Lt | Le | Gt | Ge | Eq
+    | Ne ->
+      fun r -> r.(d) <- Insn.eval_binop op (a r) (b r))
+
+(* An intrinsic's value; [dst] then stores or drops it. *)
+let intrinsic mem io heap (intr : Insn.intrinsic) args : reader =
+  match (intr, List.map reader args) with
+  | Getc, [ s ] -> fun r -> Io.getc io (s r)
+  | Putc, [ s; b ] ->
+    fun r ->
+      Io.putc io (s r) (b r);
+      0
+  | Stream_len, [ s ] -> fun r -> Io.stream_len io (s r)
+  | Arg, [ idx ] -> fun r -> Io.arg io (idx r)
+  | Alloc, [ n ] ->
+    fun r ->
+      let n = n r in
+      if n < 0 then fault "alloc of negative size %d" n;
+      let addr = !heap in
+      heap := (addr + n + 3) land lnot 3;
+      (* Touch the last byte so the memory grows eagerly. *)
+      if n > 0 then Memory.write8 mem (addr + n - 1) 0;
+      addr
+  | Abort, _ -> fun _ -> fault "abort intrinsic executed"
+  | (Getc | Putc | Stream_len | Arg | Alloc), _ ->
+    fun _ -> fault "intrinsic %s: wrong arity" (Insn.intrinsic_name intr)
+
+let insn mem io heap : Insn.t -> int array -> unit = function
+  | Mov (d, o) -> mov d o
+  | Bin (op, d, a, b) -> bin op d a b
+  | Load8 (d, b, o) ->
+    let a = address b o in
+    fun r -> r.(d) <- Memory.read8 mem (a r)
+  | Load32 (d, b, o) ->
+    let a = address b o in
+    fun r -> r.(d) <- Memory.read32 mem (a r)
+  | Store8 (b, o, v) ->
+    let a = address b o and v = reader v in
+    fun r -> Memory.write8 mem (a r) (v r)
+  | Store32 (b, o, v) ->
+    let a = address b o and v = reader v in
+    fun r -> Memory.write32 mem (a r) (v r)
+  | Intrin (intr, dst, args) -> (
+    let value = intrinsic mem io heap intr args in
+    match dst with
+    | Some d -> fun r -> r.(d) <- value r
+    | None -> fun r -> ignore (value r))
+
+(* The global index of block [l] of function [fid], -1 when out of range. *)
+let target c fid l =
+  let base = c.block_base.(fid) in
+  if l >= 0 && base + l < c.block_base.(fid + 1) then base + l else -1
+
+let entry c fid = target c fid 0
+
+(* Translate every block of the program, indexed by global block. *)
+let translate (prog : Prog.program) c mem io heap =
+  let target = target c and insn = insn mem io heap in
+  let exit fid g : Cfg.term -> exit = function
+    | Jump l -> Goto (target fid l)
+    | Br (o, t, f) -> If (reader o, target fid t, target fid f)
+    | Switch (o, cases, default) ->
+      Cases
+        ( reader o,
+          Array.map fst cases,
+          Array.map (fun (_, l) -> target fid l) cases,
+          target fid default )
+    | Ret o -> Return (reader (Option.value o ~default:(Insn.Imm 0)))
+    | Call { callee = name; args; dst; ret_to } ->
+      let callee_fid = c.callee.(g) in
+      let frame_size, nparams =
+        if callee_fid < 0 then (0, 0)
+        else
+          let f = prog.funcs.(callee_fid) in
+          (f.nregs, f.nparams)
+      in
+      Invoke
+        {
+          callee_fid;
+          name;
+          frame_size;
+          args =
+            Array.of_list
+              (List.filteri (fun i _ -> i < nparams) args |> List.map reader);
+          entry = (if callee_fid < 0 then -1 else entry c callee_fid);
+          dst = Option.value dst ~default:(-1);
+          ret_to = target fid ret_to;
+        }
+  in
+  Array.init (Array.length c.block_fid) (fun g ->
+      let fid = c.block_fid.(g) in
+      let label = g - c.block_base.(fid) in
+      let b = prog.funcs.(fid).blocks.(label) in
+      {
+        fid;
+        label;
+        cost = Cfg.instr_count b;
+        slot = c.slot_base.(g);
+        body = Array.map insn b.insns;
+        exit = exit fid g b.term;
+      })
+
+(* {1 Execution} *)
+
 type frame = {
-  caller_fid : int;
-  caller_base : int; (* global index of the caller's block 0 *)
   caller_regs : int array;
   ret_dst : int; (* destination register, -1 for none *)
-  ret_label : Cfg.label; (* continuation block in the caller *)
+  ret_to : int; (* continuation block in the caller *)
   ret_slot : int; (* global slot of the call block's continuation arc *)
 }
-
-type state = {
-  prog : Prog.program;
-  mem : Memory.t;
-  io : Io.t;
-  mutable heap : int;
-  mutable fuel : int;
-  mutable insns : int;
-  mutable blocks : int;
-  mutable calls : int;
-  mutable branches : int;
-}
-
-let ev regs = function Insn.Reg r -> regs.(r) | Insn.Imm n -> n
-
-let exec_intrin st regs intr dst args =
-  let value =
-    match (intr, args) with
-    | Insn.Getc, [ s ] -> Io.getc st.io (ev regs s)
-    | Insn.Putc, [ s; b ] ->
-      Io.putc st.io (ev regs s) (ev regs b);
-      0
-    | Insn.Stream_len, [ s ] -> Io.stream_len st.io (ev regs s)
-    | Insn.Arg, [ idx ] -> Io.arg st.io (ev regs idx)
-    | Insn.Alloc, [ n ] ->
-      let n = ev regs n in
-      if n < 0 then fault "alloc of negative size %d" n;
-      let addr = st.heap in
-      st.heap <- (st.heap + n + 3) land lnot 3;
-      (* Touch the last byte so the memory grows eagerly. *)
-      if n > 0 then Memory.write8 st.mem (addr + n - 1) 0;
-      addr
-    | Insn.Abort, _ -> fault "abort intrinsic executed"
-    | (Insn.Getc | Insn.Putc | Insn.Stream_len | Insn.Arg | Insn.Alloc), _ ->
-      fault "intrinsic %s: wrong arity" (Insn.intrinsic_name intr)
-  in
-  match dst with Some r -> regs.(r) <- value | None -> ()
-
-let exec_insn st regs insn =
-  match insn with
-  | Insn.Mov (d, o) -> regs.(d) <- ev regs o
-  | Insn.Bin (op, d, a, b) ->
-    let a = ev regs a and b = ev regs b in
-    if (op = Insn.Div || op = Insn.Rem) && b = 0 then
-      fault "division by zero";
-    regs.(d) <- Insn.eval_binop op a b
-  | Insn.Load8 (d, b, o) -> regs.(d) <- Memory.read8 st.mem (ev regs b + ev regs o)
-  | Insn.Load32 (d, b, o) ->
-    regs.(d) <- Memory.read32 st.mem (ev regs b + ev regs o)
-  | Insn.Store8 (b, o, value) ->
-    Memory.write8 st.mem (ev regs b + ev regs o) (ev regs value)
-  | Insn.Store32 (b, o, value) ->
-    Memory.write32 st.mem (ev regs b + ev regs o) (ev regs value)
-  | Insn.Intrin (intr, dst, args) -> exec_intrin st regs intr dst args
 
 let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
     (input : Io.input) : result =
   let io = Io.of_input input in
   let c = counts_of prog in
-  let st =
-    {
-      prog;
-      mem = Memory.of_program prog;
-      io;
-      heap = prog.heap_base;
-      fuel;
-      insns = 0;
-      blocks = 0;
-      calls = 0;
-      branches = 0;
-    }
-  in
+  let code = translate prog c (Memory.of_program prog) io (ref prog.heap_base) in
+  (* Instructions executed = fuel spent. *)
+  let fuel0 = fuel in
+  let fuel = ref fuel in
+  let blocks = ref 0 and calls = ref 0 and branches = ref 0 in
   (* The explicit call stack; returning from the entry function ends the
      program. *)
   let stack = ref [] in
-  let fid = ref prog.entry in
-  let base = ref c.block_base.(!fid) in
-  let func = ref prog.funcs.(!fid) in
-  let regs = ref (Array.make !func.nregs 0) in
-  let label = ref 0 in
+  let regs = ref (Array.make prog.funcs.(prog.entry).nregs 0) in
+  let cur = ref (entry c prog.entry) in
   let return_value = ref 0 in
   let running = ref true in
   while !running do
-    let b = !func.blocks.(!label) in
-    let g = !base + !label in
+    let g = !cur in
+    let b = code.(g) in
     c.blocks.(g) <- c.blocks.(g) + 1;
-    (match block_sink with None -> () | Some sink -> sink !fid !label);
-    let cost = Cfg.instr_count b in
-    st.insns <- st.insns + cost;
-    st.blocks <- st.blocks + 1;
-    st.fuel <- st.fuel - cost;
-    if st.fuel < 0 then fault "out of fuel (%d instructions executed)" st.insns;
-    let body = b.Cfg.insns in
+    (match block_sink with None -> () | Some sink -> sink b.fid b.label);
+    incr blocks;
+    fuel := !fuel - b.cost;
+    if !fuel < 0 then
+      fault "out of fuel (%d instructions executed)" (fuel0 - !fuel);
+    let r = !regs in
+    let body = b.body in
     for i = 0 to Array.length body - 1 do
-      exec_insn st !regs (Array.unsafe_get body i)
+      (Array.unsafe_get body i) r
     done;
-    match b.Cfg.term with
-    | Cfg.Jump l ->
-      st.branches <- st.branches + 1;
-      take c c.slot_base.(g);
-      label := l
-    | Cfg.Br (o, t, f) ->
-      st.branches <- st.branches + 1;
-      if ev !regs o <> 0 then begin
-        take c c.slot_base.(g);
-        label := t
+    match b.exit with
+    | Goto t ->
+      incr branches;
+      take c b.slot;
+      cur := t
+    | If (cond, t, f) ->
+      incr branches;
+      if cond r <> 0 then begin
+        take c b.slot;
+        cur := t
       end
       else begin
-        take c (c.slot_base.(g) + 1);
-        label := f
+        take c (b.slot + 1);
+        cur := f
       end
-    | Cfg.Switch (o, cases, default) ->
-      st.branches <- st.branches + 1;
-      let scrutinee = ev !regs o in
-      let n = Array.length cases in
+    | Cases (scrutinee, values, targets, default) ->
+      incr branches;
+      let v = scrutinee r in
+      let n = Array.length values in
       let k = ref 0 in
-      while !k < n && fst cases.(!k) <> scrutinee do
+      while !k < n && values.(!k) <> v do
         incr k
       done;
-      take c (c.slot_base.(g) + !k);
-      label := if !k < n then snd cases.(!k) else default
-    | Cfg.Ret o -> (
-      let value = match o with Some o -> ev !regs o | None -> 0 in
+      take c (b.slot + !k);
+      cur := if !k < n then targets.(!k) else default
+    | Return value -> (
+      let value = value r in
       match !stack with
       | [] ->
         return_value := value;
@@ -273,48 +426,32 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
         (* The intra-function arc from the call block to its return
            continuation is taken when the call returns. *)
         take c fr.ret_slot;
-        fid := fr.caller_fid;
-        base := fr.caller_base;
-        func := prog.funcs.(!fid);
         regs := fr.caller_regs;
-        if fr.ret_dst >= 0 then !regs.(fr.ret_dst) <- value;
-        label := fr.ret_label)
-    | Cfg.Call { callee; args; dst; ret_to } ->
-      st.calls <- st.calls + 1;
-      let callee_fid = c.callee.(g) in
-      if callee_fid < 0 then raise (Prog.Unknown_function callee);
+        if fr.ret_dst >= 0 then fr.caller_regs.(fr.ret_dst) <- value;
+        cur := fr.ret_to)
+    | Invoke k ->
+      incr calls;
+      if k.callee_fid < 0 then raise (Prog.Unknown_function k.name);
       if c.blocks.(g) = 1 then begin
         c.called.(c.n_called) <- g;
         c.n_called <- c.n_called + 1
       end;
-      let callee_func = prog.funcs.(callee_fid) in
-      let callee_regs = Array.make callee_func.nregs 0 in
-      List.iteri
-        (fun i o ->
-          if i < callee_func.nparams then callee_regs.(i) <- ev !regs o)
-        args;
+      let callee_regs = Array.make k.frame_size 0 in
+      for i = 0 to Array.length k.args - 1 do
+        callee_regs.(i) <- k.args.(i) r
+      done;
       stack :=
-        {
-          caller_fid = !fid;
-          caller_base = !base;
-          caller_regs = !regs;
-          ret_dst = (match dst with Some r -> r | None -> -1);
-          ret_label = ret_to;
-          ret_slot = c.slot_base.(g);
-        }
+        { caller_regs = r; ret_dst = k.dst; ret_to = k.ret_to; ret_slot = b.slot }
         :: !stack;
-      fid := callee_fid;
-      base := c.block_base.(callee_fid);
-      func := callee_func;
       regs := callee_regs;
-      label := 0
+      cur := k.entry
   done;
   {
     return_value = !return_value;
-    dyn_insns = st.insns;
-    dyn_blocks = st.blocks;
-    dyn_calls = st.calls;
-    dyn_branches = st.branches;
+    dyn_insns = fuel0 - !fuel;
+    dyn_blocks = !blocks;
+    dyn_calls = !calls;
+    dyn_branches = !branches;
     io;
     counts = c;
   }

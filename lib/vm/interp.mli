@@ -1,6 +1,11 @@
 (** CFG interpreter: plain execution, execution profiling (via the
     per-run counters) and dynamic-trace generation all use this engine.
 
+    Each {!run} first translates every block of the program into
+    closures with operands, labels, successor slots and callees already
+    resolved, then runs them; nothing is cached between runs.  A fault
+    is raised when its instruction executes, never at translation.
+
     Dynamic instruction counts honor {!Ir.Cfg.block.size_override}, so the
     code-scaling transform is reflected in the fetch stream without
     changing program semantics. *)
