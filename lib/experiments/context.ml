@@ -34,6 +34,13 @@
 
 type cached = { result : Sim.Driver.result; mutable last_used : int }
 
+type interned = {
+  map : Placement.Address_map.t;
+  id : int;
+  mutable programs : (int * Sim.Trace.program) list;
+      (* trace id -> the map's span program over that trace *)
+}
+
 type entry = {
   bench : Workloads.Bench.t;
   lock : Mutex.t; (* guards every mutable/lazy field below *)
@@ -57,9 +64,10 @@ type entry = {
       (* degradation warnings recorded during this entry's lifetime,
          newest first (e.g. a strategy that raised and fell back) *)
   mutable scaled_maps : (float * Placement.Address_map.t) list;
-  mutable map_ids : (Placement.Address_map.t * int) list;
-      (* interned maps; with [memo_cap] set, pruned to those the
-         remaining [sim_cache] keys reference *)
+  mutable map_ids : interned list;
+      (* interned maps with their span programs; with [memo_cap] set,
+         pruned to those the remaining [sim_cache] keys reference, which
+         drops their programs too *)
   mutable next_map_id : int;
       (* monotone id source: a pruned id is never reissued, so a fill
          computed outside the lock cannot land under another map's id *)
@@ -309,16 +317,14 @@ let scaled_map e factor =
    hundreds of design points.
    Interning mutates the entry, so callers hold its lock (the
    [_unlocked] suffix marks the requirement). *)
-let map_id_unlocked e map =
-  match
-    List.find_map (fun (m, i) -> if m == map then Some i else None) e.map_ids
-  with
-  | Some i -> i
+let intern_map_unlocked e map =
+  match List.find_opt (fun m -> m.map == map) e.map_ids with
+  | Some m -> m
   | None ->
-    let i = e.next_map_id in
-    e.next_map_id <- i + 1;
-    e.map_ids <- (map, i) :: e.map_ids;
-    i
+    let m = { map; id = e.next_map_id; programs = [] } in
+    e.next_map_id <- m.id + 1;
+    e.map_ids <- m :: e.map_ids;
+    m
 
 let trace_id_unlocked e trace =
   match
@@ -363,28 +369,31 @@ let evict_sim_unlocked e =
     (* Unpin the maps whose results are all gone. *)
     let live = Hashtbl.create 16 in
     Hashtbl.iter (fun (mid, _, _) _ -> Hashtbl.replace live mid ()) e.sim_cache;
-    e.map_ids <- List.filter (fun (_, i) -> Hashtbl.mem live i) e.map_ids
+    e.map_ids <- List.filter (fun m -> Hashtbl.mem live m.id) e.map_ids
   | _ -> ()
 
 (* Simulate every configuration of [configs] on (map, trace), reusing
-   cached results and running all uncached configurations through the
-   single-pass multi-configuration engine in one trace walk.  The sweep
-   itself runs outside the entry lock — it may fan out across the
-   domain pool, and the submitting domain helps run other pool tasks
-   while it waits, tasks that may need this very lock. *)
+   cached results and replaying all uncached configurations through the
+   map's span program over the trace, built at most once per interned
+   map (a double build by two racing domains is harmless: both build
+   the same program).  The build and the sweep run outside the entry
+   lock — the sweep may fan out across the domain pool, and the
+   submitting domain helps run other pool tasks while it waits, tasks
+   that may need this very lock. *)
 let simulate_many e configs map trace =
-  let mid, tid, missing =
+  let m, tid, missing, program =
     locked e (fun () ->
-        let mid = map_id_unlocked e map in
+        let m = intern_map_unlocked e map in
         let tid = trace_id_unlocked e trace in
         let missing =
           List.sort_uniq compare
             (List.filter
-               (fun c -> not (Hashtbl.mem e.sim_cache (mid, tid, c)))
+               (fun c -> not (Hashtbl.mem e.sim_cache (m.id, tid, c)))
                configs)
         in
-        (mid, tid, missing))
+        (m, tid, missing, List.assoc_opt tid m.programs))
   in
+  let mid = m.id in
   if Obs.Metrics.enabled () then begin
     let miss = List.length missing in
     Obs.Metrics.incr ~by:miss memo_misses;
@@ -393,7 +402,17 @@ let simulate_many e configs map trace =
   (match missing with
   | [] -> ()
   | _ ->
-    let results = Sim.Driver.simulate missing map trace in
+    let program =
+      match program with
+      | Some p -> p
+      | None ->
+        let p = Sim.Trace.program map trace in
+        locked e (fun () ->
+            if not (List.mem_assoc tid m.programs) then
+              m.programs <- (tid, p) :: m.programs);
+        p
+    in
+    let results = Sim.Driver.replay missing program in
     locked e (fun () ->
         List.iter2
           (fun c r ->

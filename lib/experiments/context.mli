@@ -12,6 +12,16 @@
 type cached = { result : Sim.Driver.result; mutable last_used : int }
 (** A memoized simulation result with its LRU stamp. *)
 
+type interned = {
+  map : Placement.Address_map.t;
+  id : int;
+  mutable programs : (int * Sim.Trace.program) list;
+      (** trace id -> the map's span program over that trace
+          ({!Sim.Trace.program}), built by the first {!simulate_many}
+          that replays the pair and dropped with the map *)
+}
+(** An interned address map. *)
+
 type entry = {
   bench : Workloads.Bench.t;
   lock : Mutex.t;  (** guards every mutable/lazy field of the entry *)
@@ -32,9 +42,9 @@ type entry = {
   mutable strategy_maps : (string * Placement.Address_map.t) list;
   mutable warnings : Ir.Diag.t list;
   mutable scaled_maps : (float * Placement.Address_map.t) list;
-  mutable map_ids : (Placement.Address_map.t * int) list;
-      (** interned maps; with [memo_cap] set, only those some memoized
-          result still references *)
+  mutable map_ids : interned list;
+      (** interned maps and their span programs; with [memo_cap] set,
+          only those some memoized result still references *)
   mutable next_map_id : int;  (** monotone: an id is never reissued *)
   mutable trace_ids : (Sim.Trace.t * int) list;
   sim_cache : (int * int * Icache.Config.t, cached) Hashtbl.t;
@@ -119,8 +129,10 @@ val simulate_many :
   Sim.Trace.t ->
   Sim.Driver.result list
 (** Like {!simulate} for several configurations at once: every uncached
-    configuration is simulated in a single pass over the trace via
-    {!Sim.Driver.simulate}. *)
+    configuration is replayed from the map's span program over the trace
+    ({!Sim.Driver.replay}).  The program is built once per interned map
+    and trace, by the first call that has a configuration to simulate,
+    and kept on the map's {!interned} entry. *)
 
 (** {2 Telemetry} *)
 

@@ -21,8 +21,9 @@ let config = Paging.Page_sim.default_config (* 512B pages, 16 frames *)
 
 (* The page simulator as a trace consumer: each maximal
    address-contiguous span ([Sim.Trace.iter_spans], the walk the cache
-   sweep replays too) is one [Page_sim.access_run], which equals a
-   word-by-word walk, so fusing blocks into spans changes nothing. *)
+   sweep's span programs are built from) is one [Page_sim.access_run],
+   which equals a word-by-word walk, so fusing blocks into spans
+   changes nothing. *)
 let run_one map trace =
   Obs.Span.with_ ~stage:"simulate" ~attrs:[ ("engine", "paging") ]
   @@ fun () ->

@@ -10,7 +10,7 @@ let simulate_entry configs map_of e =
   let trace = Context.trace e in
   let pairs = List.map (fun config -> (config, map_of e config)) configs in
   (* Warm the context's result cache one map at a time, so that all
-     configurations sharing a map run in a single pass over the trace. *)
+     configurations sharing a map run in one sweep of its span program. *)
   let distinct_maps =
     List.fold_left
       (fun acc (_, map) -> if List.memq map acc then acc else map :: acc)

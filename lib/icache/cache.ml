@@ -304,6 +304,14 @@ let access_run t ~addr ~words ~on_miss =
     set := if !set + 1 = t.nsets then 0 else !set + 1
   done
 
+(* [words] more fetches that replay, in the same order, a sequence of
+   fetches which just all hit: a hit fills, evicts and prefetches
+   nothing, and re-stamping the same frames in the same order leaves
+   every set's LRU order as it is, so only the access count moves.  The
+   clock stays put: victims depend only on the relative order of
+   stamps. *)
+let skip_hits t words = t.accesses <- t.accesses + words
+
 let miss_ratio t =
   if t.accesses = 0 then 0.
   else float_of_int t.misses /. float_of_int t.accesses

@@ -41,6 +41,14 @@ val access_run :
     [on_miss] fires in order for every fetch that would have missed,
     with [at] the word index within the run. *)
 
+val skip_hits : t -> int -> unit
+(** [skip_hits t words] accounts [words] fetches that repeat, in order,
+    a sequence of fetches that just all hit in [t] — as {!access_run}
+    on each of them would, which changes only the access count.  The
+    caller guarantees the all-hit precondition; the LRU clock stays
+    put, since re-stamping the same frames in the same order keeps
+    every set's LRU order. *)
+
 val miss_ratio : t -> float
 val traffic_ratio : t -> float
 val avg_fetch_words : t -> float

@@ -45,6 +45,8 @@ type report = {
   errors : int;
   timeouts : int;
   by_category : (string * int) list;
+  statuses_by_category : (string * (int * int * int)) list;
+      (** per category: (ok, error, timeout) responses *)
   violations : string list;  (** contract breaches; [[]] = clean campaign *)
 }
 
@@ -224,6 +226,8 @@ let field key resp =
 
 type checker = {
   counts : (string, int) Hashtbl.t;  (* requests per category *)
+  statuses : (string, int array) Hashtbl.t;
+      (* category -> [| ok; error; timeout |] responses *)
   seen : (string * string * string * int, unit) Hashtbl.t;
       (* exactly-once ledger: (profile, strategy, kind, epoch) pushed *)
   mutable requests : int;
@@ -238,6 +242,7 @@ type checker = {
 let checker () =
   {
     counts = Hashtbl.create 16;
+    statuses = Hashtbl.create 16;
     seen = Hashtbl.create 16;
     requests = 0;
     responses = 0;
@@ -259,10 +264,21 @@ let check_response c ~cat ~expected ~index resp =
       (Obs.Json.to_string resp);
   (match field "status" resp with
   | Some s ->
+      let tally i =
+        let t =
+          match Hashtbl.find_opt c.statuses cat with
+          | Some t -> t
+          | None ->
+              let t = Array.make 3 0 in
+              Hashtbl.replace c.statuses cat t;
+              t
+        in
+        t.(i) <- t.(i) + 1
+      in
       (match s with
-      | "ok" -> c.ok <- c.ok + 1
-      | "error" -> c.errors <- c.errors + 1
-      | "timeout" -> c.timeouts <- c.timeouts + 1
+      | "ok" -> c.ok <- c.ok + 1; tally 0
+      | "error" -> c.errors <- c.errors + 1; tally 1
+      | "timeout" -> c.timeouts <- c.timeouts + 1; tally 2
       | _ -> ());
       if not (List.mem s expected) then
         violate c "request %d (%s): status %S, expected one of [%s]" index cat
@@ -354,6 +370,11 @@ let finish c ~seed =
     by_category =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.counts []
       |> List.sort compare;
+    statuses_by_category =
+      Hashtbl.fold
+        (fun k t acc -> (k, (t.(0), t.(1), t.(2))) :: acc)
+        c.statuses []
+      |> List.sort compare;
     violations =
       List.rev c.violations
       @
@@ -396,6 +417,18 @@ let report_json (r : report) =
       ( "by_category",
         Obs.Json.Obj
           (List.map (fun (k, v) -> (k, Obs.Json.Int v)) r.by_category) );
+      ( "statuses_by_category",
+        Obs.Json.Obj
+          (List.map
+             (fun (k, (ok, error, timeout)) ->
+               ( k,
+                 Obs.Json.Obj
+                   [
+                     ("ok", Obs.Json.Int ok);
+                     ("error", Obs.Json.Int error);
+                     ("timeout", Obs.Json.Int timeout);
+                   ] ))
+             r.statuses_by_category) );
       ( "violations",
         Obs.Json.List (List.map (fun v -> Obs.Json.String v) r.violations) );
     ]

@@ -34,6 +34,8 @@ type report = {
   errors : int;
   timeouts : int;
   by_category : (string * int) list;
+  statuses_by_category : (string * (int * int * int)) list;
+      (** per category with a response: (ok, error, timeout) counts *)
   violations : string list;  (** contract breaches; [[]] = clean campaign *)
 }
 

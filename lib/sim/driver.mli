@@ -1,6 +1,9 @@
 (** Trace-driven simulation driver: replays a stored trace through an
     address map into cache configurations, computing the paper's
-    metrics. *)
+    metrics.  One sweep engine, {!replay}, walks the trace's span
+    program under the map ({!Trace.program}) and skips each repeated
+    window's copies once one copy hits throughout; {!reference} is the
+    word-granular oracle it is checked against. *)
 
 type result = {
   config : Icache.Config.t;
@@ -21,18 +24,22 @@ val simulate :
   Placement.Address_map.t ->
   Trace.t ->
   result list
-(** Span-fused sweep: walks the trace once as maximal
-    address-contiguous spans ({!Trace.iter_spans}) and advances every
-    configuration's cache, timers and run bookkeeping in the same pass,
-    with one {!Icache.Cache.access_run} per span per configuration (one
-    tag probe per cache block touched).  Bit-identical to {!reference}
-    per configuration.
+(** [simulate configs map trace] is
+    [replay configs (Trace.program map trace)]. *)
 
-    When a default {!Placement.Pool} with more than one lane is set, the
-    configuration list is partitioned into contiguous chunks (one per
-    lane) simulated on separate domains, each re-walking the trace;
-    results are concatenated back in input order, so the output is
-    bit-identical to the serial sweep. *)
+val replay : Icache.Config.t list -> Trace.program -> result list
+(** The sweep: replays a span program ({!Trace.program}) into every
+    configuration, with one {!Icache.Cache.access_run} per span walked.
+    A record's window is walked copy by copy until one copy misses
+    nowhere; the record's remaining copies are then all hits that change
+    no cache or run state, so they are accounted in bulk
+    ({!Icache.Cache.skip_hits}).  Bit-identical to {!reference} per
+    configuration.
+
+    When a default {!Placement.Pool} with more than one lane is set,
+    each configuration is its own pool task over the shared program;
+    results come back in input order, bit-identical to the serial
+    sweep. *)
 
 val reference :
   Icache.Config.t ->

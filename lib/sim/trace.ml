@@ -57,9 +57,31 @@ let unzigzag n = (n lsr 1) lxor (-(n land 1))
 (* Builder: a sink that compresses as it goes                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A growing byte string of varints. *)
+type varints = { mutable bytes : Bytes.t; mutable used : int }
+
+let varints () = { bytes = Bytes.create 256; used = 0 }
+
+let put_varint v n =
+  (* n >= 0; at most 10 bytes for a 63-bit int *)
+  if v.used + 10 > Bytes.length v.bytes then begin
+    let grown = Bytes.create (2 * Bytes.length v.bytes) in
+    Bytes.blit v.bytes 0 grown 0 v.used;
+    v.bytes <- grown
+  end;
+  let n = ref n in
+  while !n >= 0x80 do
+    Bytes.unsafe_set v.bytes v.used (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    v.used <- v.used + 1;
+    n := !n lsr 7
+  done;
+  Bytes.unsafe_set v.bytes v.used (Char.unsafe_chr !n);
+  v.used <- v.used + 1
+
+let contents v = Bytes.sub v.bytes 0 v.used
+
 type builder = {
-  mutable buf : Bytes.t;
-  mutable pos : int;
+  out : varints;
   mutable prev : int; (* last code of the previous completed run *)
   mutable base : int; (* pending run base; -1 = none *)
   mutable len : int; (* pending run length *)
@@ -74,8 +96,7 @@ type builder = {
 
 let builder () =
   {
-    buf = Bytes.create 4096;
-    pos = 0;
+    out = varints ();
     prev = 0;
     base = -1;
     len = 0;
@@ -86,31 +107,15 @@ let builder () =
     b_nblocks = 0;
   }
 
-let put_varint b n =
-  (* n >= 0; at most 10 bytes for a 63-bit int *)
-  if b.pos + 10 > Bytes.length b.buf then begin
-    let grown = Bytes.create (2 * Bytes.length b.buf) in
-    Bytes.blit b.buf 0 grown 0 b.pos;
-    b.buf <- grown
-  end;
-  let n = ref n in
-  while !n >= 0x80 do
-    Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
-    b.pos <- b.pos + 1;
-    n := !n lsr 7
-  done;
-  Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr !n);
-  b.pos <- b.pos + 1
-
 let write_held b =
   if b.held_repeat > 0 then begin
     let long = b.held_len > 1 and repeated = b.held_repeat > 1 in
-    put_varint b
+    put_varint b.out
       ((zigzag b.held_delta lsl 2)
       lor (Bool.to_int long lsl 1)
       lor Bool.to_int repeated);
-    if long then put_varint b (b.held_len - 2);
-    if repeated then put_varint b (b.held_repeat - 2);
+    if long then put_varint b.out (b.held_len - 2);
+    if repeated then put_varint b.out (b.held_repeat - 2);
     b.held_repeat <- 0
   end
 
@@ -148,7 +153,7 @@ let finish b (result : Vm.Interp.result) : t =
   flush b;
   write_held b;
   {
-    data = Bytes.sub b.buf 0 b.pos;
+    data = contents b.out;
     runs = b.b_runs;
     nblocks = b.b_nblocks;
     result;
@@ -314,3 +319,329 @@ let iter_spans (map : Placement.Address_map.t) f t =
       done)
     t;
   if !span_words > 0 then f !span_addr !span_words
+
+(* ------------------------------------------------------------------ *)
+(* Span programs                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The span stream under one map, decoded once and folded one level up
+   from the run store: a table of the distinct (addr, words) spans, a
+   table of the distinct windows of at most [max_window] span ids, and
+   records, each a window with a repeat count, as the varint
+   [window lsl 1 lor R] followed by [repeat - 2] when flag R is set
+   (repeat = 1 otherwise).  Windows dedupe well even where spans fold
+   poorly: a data-driven loop's iterations walk one of a few paths, so
+   its literal windows recur (wc and grep under the natural layout keep
+   ~50 and ~130 distinct windows over 130K and 650K records).  Its
+   records follow the input data and do not fold, so a record costs
+   one or two bytes rather than an int. *)
+type program = {
+  span_addr : int array;
+  span_words : int array;
+  windows : int array;
+  window_start : int array;
+  records : Bytes.t;
+  nrecords : int;
+  nspans : int;
+}
+
+let max_window = 8
+
+(* How many pending ids the fold sees past the one it commits at:
+   enough for every tandem candidate of period <= [max_window] to show
+   whether it runs on. *)
+let lookahead = 64
+
+(* Growable int vector. *)
+type vec = { mutable a : int array; mutable n : int }
+
+let vec () = { a = Array.make 64 0; n = 0 }
+
+let vpush v x =
+  if v.n = Array.length v.a then begin
+    let grown = Array.make (2 * v.n) 0 in
+    Array.blit v.a 0 grown 0 v.n;
+    v.a <- grown
+  end;
+  Array.unsafe_set v.a v.n x;
+  v.n <- v.n + 1
+
+let vcontents v = Array.sub v.a 0 v.n
+
+(* Short int sequences interned by content: sequence [i] is
+   [ids.(starts.(i) .. starts.(i + 1) - 1)], found through a chained
+   hash table over [buckets] (a power of two, doubled as it fills).
+   Spans are interned as (addr, words) pairs, windows as their ids. *)
+type table = {
+  ids : vec;
+  starts : vec; (* one more entry than sequences *)
+  chain : vec; (* sequence -> next sequence in its bucket, -1 ends *)
+  mutable buckets : int array;
+}
+
+let table () =
+  {
+    ids = vec ();
+    starts = { a = Array.make 64 0; n = 1 };
+    chain = vec ();
+    buckets = Array.make 64 (-1);
+  }
+
+let seq_hash src off len =
+  let h = ref len in
+  for i = off to off + len - 1 do
+    h := (!h * 65599) + Array.unsafe_get src i
+  done;
+  !h lxor (!h lsr 17)
+
+let rehash tb =
+  let buckets = Array.make (2 * Array.length tb.buckets) (-1) in
+  let mask = Array.length buckets - 1 in
+  for i = 0 to tb.chain.n - 1 do
+    let first = tb.starts.a.(i) in
+    let b = seq_hash tb.ids.a first (tb.starts.a.(i + 1) - first) land mask in
+    tb.chain.a.(i) <- buckets.(b);
+    buckets.(b) <- i
+  done;
+  tb.buckets <- buckets
+
+let intern tb src off len =
+  let b = seq_hash src off len land (Array.length tb.buckets - 1) in
+  let i = ref tb.buckets.(b) and found = ref false in
+  while !i >= 0 && not !found do
+    let first = tb.starts.a.(!i) in
+    if tb.starts.a.(!i + 1) - first = len then begin
+      let k = ref 0 in
+      while
+        !k < len && tb.ids.a.(first + !k) = Array.unsafe_get src (off + !k)
+      do
+        incr k
+      done;
+      found := !k = len
+    end;
+    if not !found then i := tb.chain.a.(!i)
+  done;
+  if !found then !i
+  else begin
+    let i = tb.chain.n in
+    for k = off to off + len - 1 do
+      vpush tb.ids (Array.unsafe_get src k)
+    done;
+    vpush tb.starts tb.ids.n;
+    vpush tb.chain tb.buckets.(b);
+    tb.buckets.(b) <- i;
+    if tb.chain.n > Array.length tb.buckets then rehash tb;
+    i
+  end
+
+(* The greedy tandem-repeat fold.  Span ids queue in [buf]; [fold]
+   commits at [lo] while [lookahead] ids follow it:
+   - the tandem repeat starting at [lo] (a window of period p <= 8
+     copied r >= 2 times in a row) that covers the most ids becomes one
+     record; a repeat still running at the end of the buffer becomes the
+     active repeat instead, which later ids extend one compare each;
+   - otherwise [lo] joins the literal window [buf.(lit..lo-1)], written
+     as a repeat-1 record once it holds [max_window] ids or a repeat
+     follows.
+   An id that breaks the active repeat writes the repeat's record and
+   queues the partial copy read so far, then itself. *)
+type folder = {
+  mutable buf : int array;
+  mutable lit : int; (* start of the literal window; [lit <= lo] *)
+  mutable lo : int;
+  mutable hi : int;
+  act : int array; (* the active repeat's window *)
+  mutable act_len : int; (* 0 = no active repeat *)
+  mutable act_rep : int; (* full copies so far *)
+  mutable act_pos : int; (* ids of the next copy matched so far *)
+  windows : table;
+  records : varints;
+  mutable nrecords : int;
+}
+
+let emit fl src off len repeat =
+  let w = intern fl.windows src off len in
+  if repeat = 1 then put_varint fl.records (w lsl 1)
+  else begin
+    put_varint fl.records ((w lsl 1) lor 1);
+    put_varint fl.records (repeat - 2)
+  end;
+  fl.nrecords <- fl.nrecords + 1
+
+(* Move the queued ids to the front of [buf], growing it when they fill
+   more than half. *)
+let compact fl =
+  let from = fl.lit in
+  let queued = fl.hi - from in
+  let dst =
+    if 2 * queued > Array.length fl.buf then
+      Array.make (2 * Array.length fl.buf) 0
+    else fl.buf
+  in
+  Array.blit fl.buf from dst 0 queued;
+  fl.buf <- dst;
+  fl.lit <- 0;
+  fl.lo <- fl.lo - from;
+  fl.hi <- queued
+
+let store fl id =
+  if fl.hi = Array.length fl.buf then compact fl;
+  Array.unsafe_set fl.buf fl.hi id;
+  fl.hi <- fl.hi + 1
+
+(* Commit at [lo] until [lookahead] ids are left, or all of them when
+   [final] (no id follows, so no repeat can still be running). *)
+let fold fl ~final =
+  let buf = fl.buf and hi = fl.hi in
+  let stop = if final then hi else hi - lookahead in
+  let lo = ref fl.lo and lit = ref fl.lit in
+  while fl.act_len = 0 && !lo < stop do
+    let lo_ = !lo in
+    let x = Array.unsafe_get buf lo_ in
+    let best_p = ref 0 and best_cov = ref 0 and best_open = ref false in
+    let p = ref 1 in
+    while (not !best_open) && !p <= max_window && lo_ + (2 * !p) <= hi do
+      let p_ = !p in
+      if Array.unsafe_get buf (lo_ + p_) = x then begin
+        (* The longest run of queued ids from [lo] with period p. *)
+        let k = ref (lo_ + p_ + 1) in
+        while
+          !k < hi && Array.unsafe_get buf !k = Array.unsafe_get buf (!k - p_)
+        do
+          incr k
+        done;
+        let cov = (!k - lo_) / p_ * p_ in
+        if cov >= 2 * p_ then
+          if (not final) && !k = hi then begin
+            best_p := p_;
+            best_cov := cov;
+            best_open := true
+          end
+          else if cov > !best_cov then begin
+            best_p := p_;
+            best_cov := cov
+          end
+      end;
+      incr p
+    done;
+    let p = !best_p in
+    if p = 0 then begin
+      lo := lo_ + 1;
+      if !lo - !lit = max_window then begin
+        emit fl buf !lit max_window 1;
+        lit := !lo
+      end
+    end
+    else begin
+      if !lit < lo_ then emit fl buf !lit (lo_ - !lit) 1;
+      let rep = !best_cov / p in
+      if !best_open then begin
+        Array.blit buf lo_ fl.act 0 p;
+        fl.act_len <- p;
+        fl.act_rep <- rep;
+        fl.act_pos <- hi - lo_ - !best_cov;
+        lo := hi
+      end
+      else begin
+        emit fl buf lo_ p rep;
+        lo := lo_ + !best_cov
+      end;
+      lit := !lo
+    end
+  done;
+  if final && !lit < !lo then begin
+    emit fl buf !lit (!lo - !lit) 1;
+    lit := !lo
+  end;
+  fl.lo <- !lo;
+  fl.lit <- !lit;
+  compact fl
+
+(* Write the active repeat's record and queue its partial copy
+   ([store] never touches [act]). *)
+let end_active fl =
+  emit fl fl.act 0 fl.act_len fl.act_rep;
+  fl.act_len <- 0;
+  for i = 0 to fl.act_pos - 1 do
+    store fl fl.act.(i)
+  done
+
+let rec feed fl id =
+  if fl.act_len > 0 then begin
+    if id = Array.unsafe_get fl.act fl.act_pos then begin
+      fl.act_pos <- fl.act_pos + 1;
+      if fl.act_pos = fl.act_len then begin
+        fl.act_rep <- fl.act_rep + 1;
+        fl.act_pos <- 0
+      end
+    end
+    else begin
+      end_active fl;
+      store fl id
+    end
+  end
+  else if fl.hi < Array.length fl.buf then store fl id
+  else begin
+    fold fl ~final:false;
+    feed fl id
+  end
+
+let program (map : Placement.Address_map.t) t =
+  Obs.Span.with_ ~stage:"simulate" ~attrs:[ ("engine", "span-program") ]
+  @@ fun () ->
+  let spans = table () and span = Array.make 2 0 in
+  let fl =
+    {
+      buf = Array.make (4 * lookahead) 0;
+      lit = 0;
+      lo = 0;
+      hi = 0;
+      act = Array.make max_window 0;
+      act_len = 0;
+      act_rep = 0;
+      act_pos = 0;
+      windows = table ();
+      records = varints ();
+      nrecords = 0;
+    }
+  in
+  let nspans = ref 0 in
+  iter_spans map
+    (fun a w ->
+      incr nspans;
+      span.(0) <- a;
+      span.(1) <- w;
+      feed fl (intern spans span 0 2))
+    t;
+  if fl.act_len > 0 then end_active fl;
+  fold fl ~final:true;
+  {
+    span_addr = Array.init spans.chain.n (fun i -> spans.ids.a.(2 * i));
+    span_words = Array.init spans.chain.n (fun i -> spans.ids.a.((2 * i) + 1));
+    windows = vcontents fl.windows.ids;
+    window_start = vcontents fl.windows.starts;
+    records = contents fl.records;
+    nrecords = fl.nrecords;
+    nspans = !nspans;
+  }
+
+let iter_records f (p : program) =
+  let data = p.records in
+  let len = Bytes.length data and pos = ref 0 in
+  let varint () =
+    let byte = ref (Char.code (Bytes.unsafe_get data !pos)) in
+    let n = ref (!byte land 0x7f) and shift = ref 7 in
+    incr pos;
+    while !byte >= 0x80 do
+      byte := Char.code (Bytes.unsafe_get data !pos);
+      incr pos;
+      n := !n lor ((!byte land 0x7f) lsl !shift);
+      shift := !shift + 7
+    done;
+    !n
+  in
+  while !pos < len do
+    let v = varint () in
+    let repeat = if v land 1 = 1 then varint () + 2 else 1 in
+    f (v lsr 1) repeat
+  done

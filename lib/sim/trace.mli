@@ -59,6 +59,38 @@ val iter_spans : Placement.Address_map.t -> (int -> int -> unit) -> t -> unit
     exactly the words the per-block walk fetches, in the same order,
     and no span starts where the previous one ended. *)
 
+(** {2 Span programs} *)
+
+type program = private {
+  span_addr : int array;  (** span id -> byte address *)
+  span_words : int array;  (** span id -> words fetched *)
+  windows : int array;  (** the distinct windows' span ids, back to back *)
+  window_start : int array;
+      (** window [w] is [windows.(window_start.(w))] to
+          [windows.(window_start.(w + 1) - 1)], 1 to 8 ids *)
+  records : Bytes.t;  (** read with {!iter_records} *)
+  nrecords : int;
+  nspans : int;  (** spans the program expands to *)
+}
+(** The span stream of one trace under one map ({!iter_spans}), decoded
+    once: a table of its distinct [(addr, words)] spans, a table of
+    distinct windows of at most 8 span ids, and records, each a window
+    repeated a number of times in a row.  Expanding every record's
+    window [repeat] times, in order, gives exactly the {!iter_spans}
+    sequence.  Since consecutive spans are never address-contiguous,
+    neither are a window's last span and its first one. *)
+
+val program : Placement.Address_map.t -> t -> program
+(** Decode the trace's spans under the map and fold them with a greedy
+    tandem-repeat pass: at each position the window of period at most
+    8 whose consecutive copies cover the most spans becomes one record,
+    and spans that start no repeat are grouped into repeat-1 windows.
+    Runs inside a [simulate] span, so its time counts as replay. *)
+
+val iter_records : (int -> int -> unit) -> program -> unit
+(** [iter_records f p] calls [f window repeat] once per record, in
+    order. *)
+
 (** {2 Stats} *)
 
 val result : t -> Vm.Interp.result

@@ -245,6 +245,120 @@ let prop_spans_cover_blocks =
           Placement.Pipeline.map_for pl (Placement.Strategy.find "exttsp");
         ])
 
+(* --- span programs --- *)
+
+(* Expand a span program record by record, window copy by copy. *)
+let expand (p : Sim.Trace.program) =
+  let out = ref [] in
+  Sim.Trace.iter_records
+    (fun w repeat ->
+      for _ = 1 to repeat do
+        for i = p.window_start.(w) to p.window_start.(w + 1) - 1 do
+          let id = p.windows.(i) in
+          out := (p.span_addr.(id), p.span_words.(id)) :: !out
+        done
+      done)
+    p;
+  List.rev !out
+
+let windows_bounded (p : Sim.Trace.program) =
+  let ok = ref true in
+  for w = 0 to Array.length p.window_start - 2 do
+    let len = p.window_start.(w + 1) - p.window_start.(w) in
+    if len < 1 || len > 8 then ok := false
+  done;
+  !ok
+
+(* A loop-heavy trace over a program's own blocks: the recorded block
+   sequence with random segments of 1 to 6 blocks repeated 2 to 40
+   times in a row, the way a counted loop repeats its body.  Replay only
+   reads block codes, so the trace need not be one the VM could run. *)
+let loop_heavy rng trace =
+  let blocks = ref [] in
+  Sim.Trace.iter_blocks
+    (fun fid l -> blocks := Sim.Trace.pack fid l :: !blocks)
+    trace;
+  let blocks = Array.of_list (List.rev !blocks) in
+  let n = Array.length blocks in
+  let b = Sim.Trace.builder () in
+  let i = ref 0 in
+  while !i < n do
+    let len = min (1 + Random.State.int rng 6) (n - !i) in
+    let reps =
+      if Random.State.int rng 3 = 0 then 2 + Random.State.int rng 39 else 1
+    in
+    for _ = 1 to reps do
+      for k = !i to !i + len - 1 do
+        Sim.Trace.push b blocks.(k)
+      done
+    done;
+    i := !i + len
+  done;
+  Sim.Trace.finish b (Sim.Trace.result trace)
+
+(* On the recorded trace and on a loop-heavy one, whose repeats outrun
+   the fold's lookahead and break part-way through a copy. *)
+let prop_program_expands_to_spans =
+  QCheck.Test.make
+    ~name:"span program expands to iter_spans (random programs, every strategy)"
+    ~count:20 seed_gen (fun seed ->
+      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+      let trace =
+        Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
+      in
+      let looped = loop_heavy (Random.State.make [| seed |]) trace in
+      List.for_all
+        (fun s ->
+          let map = Placement.Pipeline.map_for pl s in
+          List.for_all
+            (fun trace ->
+              let prog = Sim.Trace.program map trace in
+              let spans = spans_of map trace in
+              expand prog = spans
+              && prog.Sim.Trace.nspans = List.length spans
+              && windows_bounded prog)
+            [ trace; looped ])
+        Placement.Strategy.all)
+
+(* Caches small enough that a loop's window misses on every copy (the
+   walk never reaches a steady state) and large enough that it fits
+   (every copy after the first all-hit one is skipped), under every
+   fill policy, with and without prefetch (which needs whole-block
+   fill). *)
+let loop_configs =
+  let open Icache.Config in
+  [
+    make ~size:64 ~block:16 ();
+    make ~size:64 ~block:16 ~prefetch:true ();
+    make ~size:128 ~block:16 ~assoc:(Ways 2) ~fill:Partial ();
+    make ~size:128 ~block:32 ~assoc:Full ~fill:(Sectored 8) ();
+    make ~size:96 ~block:32 ~assoc:(Ways 3) ~prefetch:true ();
+    make ~size:4096 ~block:64 ();
+    make ~size:4096 ~block:32 ~assoc:(Ways 2) ~fill:Partial ();
+    make ~size:8192 ~block:64 ~assoc:(Ways 4) ~fill:(Sectored 16) ();
+    make ~size:2048 ~block:64 ~assoc:Full ~fill:Partial ();
+    make ~size:2048 ~block:64 ~assoc:Full ~prefetch:true ();
+  ]
+
+let prop_skip_equals_reference =
+  QCheck.Test.make
+    ~name:"steady-state skip = reference (loop-heavy traces, thrash and fit)"
+    ~count:20 seed_gen (fun seed ->
+      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+      let trace =
+        loop_heavy (Random.State.make [| seed |])
+          (Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input []))
+      in
+      List.for_all
+        (fun map ->
+          let fast = Sim.Driver.simulate loop_configs map trace in
+          List.for_all2
+            (fun c r -> results_equal (Sim.Driver.reference c map trace) r)
+            loop_configs fast)
+        [ pl.Placement.Pipeline.optimized; pl.Placement.Pipeline.natural ])
+
 (* --- hand-checked behavior of the bulk API --- *)
 
 let partial_run_events () =
@@ -319,4 +433,6 @@ let suite =
     Alcotest.test_case "span fixture: simulate = reference" `Quick
       fixture_simulate;
     QCheck_alcotest.to_alcotest prop_spans_cover_blocks;
+    QCheck_alcotest.to_alcotest prop_program_expands_to_spans;
+    QCheck_alcotest.to_alcotest prop_skip_equals_reference;
   ]

@@ -135,9 +135,9 @@ let tables_bit_identical () =
     (fun s p -> Alcotest.(check string) "rendered table" s p)
     serial parallel
 
-(* Driver.simulate's contiguous config partition under a pool
-   concatenates back to the exact results of the serial sweep it runs
-   with no default pool. *)
+(* Driver.simulate's per-configuration pool tasks over one shared span
+   program concatenate back to the exact results of the serial sweep it
+   runs with no default pool. *)
 let driver_partition_identical () =
   let ctx = Experiments.Context.create ~names:[ "cmp" ] () in
   let e = Experiments.Context.find ctx "cmp" in

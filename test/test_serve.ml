@@ -703,7 +703,17 @@ let chaos_campaign () =
   Alcotest.(check bool) "staleness notifications pushed" true
     (report.notifications > 0);
   Alcotest.(check bool) "every abuse family exercised" true
-    (List.length report.by_category >= 8)
+    (List.length report.by_category >= 8);
+  let sum f =
+    List.fold_left (fun acc (_, s) -> acc + f s) 0 report.statuses_by_category
+  in
+  Alcotest.(check (list int)) "per-category statuses add up to the totals"
+    [ report.ok; report.errors; report.timeouts ]
+    [
+      sum (fun (ok, _, _) -> ok);
+      sum (fun (_, error, _) -> error);
+      sum (fun (_, _, timeout) -> timeout);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability: stats v2, health, subscriptions, soak                *)
