@@ -14,7 +14,8 @@ let positive =
   Arg.conv' (parse, Format.pp_print_int)
 
 (* -j N: the lane count of the default domain pool, installed with
-   [Placement.Pool.with_default] around the command. *)
+   [Placement.Pool.with_default] around the command (serve parses it
+   but installs no pool). *)
 let jobs ~default doc =
   Arg.(value & opt positive default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -4,19 +4,24 @@
    - default: speak `impact.serve/v1` over stdio (one JSON request per
      line in, one response per line out).
    - --socket PATH: same protocol over a Unix socket, connections
-     served sequentially.
+     served sequentially.  A stale socket at PATH is replaced; any
+     other file there is refused (exit 2), never deleted.
    - --sample: print a deterministic request stream exercising the ok,
      error, timeout and degradation paths — the golden-vector input.
-   - --replay FILE [--expect FILE]: run a request file through the full
-     batched serve loop and print the responses; with --expect, compare
+   - --replay FILE [--expect FILE]: run a request file through the
+     serve loop and print the responses; with --expect, compare
      byte-for-byte against the recorded responses and fail on the first
-     divergence (the determinism gate: `-j 1` and `-j N` must agree
-     with the recording exactly).
+     divergence (the determinism gate: a replay must agree with the
+     recording exactly).
    - --chaos: run the seeded fault-injection campaign and fail unless
      every contract holds.
    - --soak SECONDS: drive the seeded chaos-weighted soak workload for
      the given duration with telemetry on, assert the memory ceiling,
      and emit an `impact.soak/v1` report.
+
+   Every mode answers one request at a time.  -j is still accepted
+   (and must be a positive integer) so existing command lines keep
+   working, but it changes nothing.
 
    Telemetry: --trace-out FILE enables request spans and writes one
    Chrome trace for the session on exit; --slow-ms N additionally dumps
@@ -103,8 +108,8 @@ let config_term =
 
 let jobs_term =
   Cli.jobs ~default:1
-    "Use $(docv) domains for read-only request batches.  Responses are \
-     byte-identical to $(b,-j 1)."
+    "Accepted for compatibility; changes nothing.  The daemon answers one \
+     request at a time."
 
 let quiet_arg =
   let doc = "Suppress warning chatter on stderr." in
@@ -354,14 +359,12 @@ let soak_out_arg =
   let doc = "Write the impact.soak/v1 report as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "soak-out" ] ~docv:"FILE" ~doc)
 
-let run config jobs quiet metrics_out trace_out socket sample replay expect
+let run config _jobs quiet metrics_out trace_out socket sample replay expect
     chaos chaos_n seed chaos_out soak soak_interval soak_ceiling soak_out =
   (* The slow-request log needs the span tree, so --slow-ms implies
      recording even without a trace file. *)
   if config.Serve.Daemon.slow_ms <> None then Obs.Span.set_enabled true;
   Cli.with_telemetry ~quiet ~trace_out ~metrics_out @@ fun () ->
-  (* Every mode that answers requests runs its batches on one pool. *)
-  Placement.Pool.with_default jobs @@ fun () ->
   if sample then begin
     List.iter print_endline (sample_lines config);
     0

@@ -25,8 +25,8 @@
 
    The process-wide default pool is how the CLI's `-j N` reaches the
    parallel grains (benchmarks within a table, configurations within a
-   sweep, strategies within a lint sweep, fuzzer seeds, serve batches)
-   without threading a pool through every experiment signature.
+   sweep, strategies within a lint sweep, fuzzer seeds) without
+   threading a pool through every experiment signature.
    [with_default] installs it around a run, before any parallel section,
    and restores the previous one after; consumers call [map_default]. *)
 

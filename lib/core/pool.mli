@@ -35,9 +35,9 @@ val shutdown : t -> unit
 
     How `-j N` reaches the parallel grains (benchmarks within a table,
     configurations within a sweep, strategies within a lint sweep,
-    fuzzer seeds, serve batches) without threading a pool through every
-    experiment signature.  [None] (the initial state) means every
-    consumer runs serially. *)
+    fuzzer seeds) without threading a pool through every experiment
+    signature.  [None] (the initial state) means every consumer runs
+    serially. *)
 
 val set_default : t option -> unit
 val default : unit -> t option

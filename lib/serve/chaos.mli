@@ -7,12 +7,12 @@
     malformed and truncated JSON, nesting bombs, oversized payloads,
     unknown schema versions, uploads with out-of-range ids and
     non-conserving counts, plus subscribe and health probes — through
-    the full batched serve loop.  {!check} holds the daemon to its
-    contract: it never crashes, answers every request with exactly one
-    well-formed response, lands in the forced degradation tier where
-    one is expected, and pushes well-formed notifications exactly once
-    per (profile, strategy, kind, epoch).  The soak harness runs the
-    same checker over its rounds. *)
+    the serve loop.  {!check} holds the daemon to its contract: it never
+    crashes, answers every request with exactly one well-formed
+    response, lands in the forced degradation tier where one is
+    expected, and pushes well-formed notifications exactly once per
+    (profile, strategy, kind, epoch).  The soak harness runs the same
+    checker over its rounds. *)
 
 val chaos_strategy : Placement.Strategy.t
 (** Registry entry ["chaos-raise"]: raises from both layout hooks, for

@@ -7,14 +7,11 @@
    structured error response on that request alone; the daemon never
    dies and never skips a response.
 
-   Parallelism and determinism: requests are read into bounded batches
-   dispatched across the default {!Placement.Pool}.  A batch holds only
-   read-only work (layout/lint/parse errors); profile-upload, stats and
-   shutdown are barriers handled serially between batches.  Responses
-   are emitted strictly in input order, accounting happens at emit time
-   on one domain, no response contains a wall-clock value, and the batch
-   width is a constant (not lane-dependent) — so `-j 1` and `-j N` runs
-   are byte-identical, which the golden-vector replay checker enforces
+   Determinism: each request is answered as it is read, before the next
+   line is read, so responses leave strictly in input order and every
+   request sees the effects of all requests before it.  No response
+   contains a wall-clock value, so a replay of the same request stream
+   is byte-identical, which the golden-vector replay checker enforces
    with a cmp-level comparison.
 
    Graceful degradation tiers, reported per response as ["tier"]:
@@ -48,31 +45,19 @@ let notifications_total =
   Obs.Metrics.counter "serve.notifications"
     ~help:"Push staleness notifications emitted to subscribers"
 
-(* Latency/queue/batch histograms.  Registered lazily per request type;
-   all no-ops while the metrics registry is disabled (the replay path),
-   so the determinism contract is untouched. *)
+(* Latency histograms.  Registered lazily per request type; all no-ops
+   while the metrics registry is disabled (the replay path), so the
+   determinism contract is untouched. *)
 let latency_hist name =
   Obs.Metrics.histogram
     ("serve.latency." ^ name ^ ".seconds")
     ~help:"Wall-clock handling time per request of this type"
-
-let queue_wait_hist =
-  Obs.Metrics.histogram "serve.queue_wait.seconds"
-    ~help:"Read-to-dispatch wait per request"
-
-let batch_size_hist =
-  Obs.Metrics.histogram "serve.batch_size"
-    ~help:"Read-only jobs per pool flush"
 
 (* Deadlines at or below this admit only the cheapest strategy. *)
 let cheap_threshold_ms = 5
 
 (* Floor of the [retry_after_ms] hint. *)
 let retry_base_ms = 25
-
-(* Pool batch width: constant, not lane-dependent, so batching (and
-   with it every response) is the same at any -j. *)
-let max_batch = 8
 
 type config = {
   deadline_ms : int;
@@ -108,7 +93,7 @@ type t = {
   config : config;
   context : Experiments.Context.t;
   store : Store.t;
-  started_at : float;  (* wall clock at create; stats v2 uptime *)
+  started_at : float;  (* wall clock at create; stats uptime *)
   lock : Mutex.t;  (* guards both caches and the emit-time counters *)
   map_cache :
     (string * int * string * string, Placement.Address_map.t)
@@ -125,8 +110,8 @@ type t = {
   mutable by_status : (string * int) list;
   mutable by_tier : (string * int) list;
   mutable next_trace : int;
-      (* trace-id source; bumped only by the single-threaded reader
-         (classify), so ids are deterministic in input order at any -j *)
+      (* trace-id source; bumped once per request line as it is read,
+         so ids are deterministic in input order *)
   mutable subs : string list option list;
       (* subscription filters in arrival order; None = every profile *)
   mutable notifications_sent : int;
@@ -134,7 +119,7 @@ type t = {
       (* (profile, strategy|kind, epoch) already pushed — the
          exactly-once guard; pruned below the live epoch window *)
   mutable last_upload : (string * Store.outcome) option;
-      (* set by the upload barrier, drained (or dropped) by the caller *)
+      (* set by an accepted upload, drained right after its response *)
   mutable stopped : bool;
 }
 
@@ -166,9 +151,8 @@ let create ?(config = default_config) () =
     stopped = false;
   }
 
-(* Trace ids: assigned at read/classify time by the single-threaded
-   reader, so the id of the Nth request line is always t-%06d of N —
-   byte-identical across -j levels and replays. *)
+(* Trace ids: assigned as each line is read, so the id of the Nth
+   request line is always t-%06d of N — byte-identical across replays. *)
 let fresh_trace t =
   t.next_trace <- t.next_trace + 1;
   Printf.sprintf "t-%06d" t.next_trace
@@ -469,9 +453,8 @@ let handle_upload t (u : Protocol.upload) =
   let entry = Experiments.Context.find t.context u.bench in
   let prog = (Experiments.Context.pipeline entry).Placement.Pipeline.program in
   let o = Store.upload t.store ~prog u in
-  (* Uploads are barriers, so this write is serial; the serve loop
-     drains it into staleness notifications right after emitting this
-     response. *)
+  (* The serve loop drains this into staleness notifications right
+     after emitting this response. *)
   if o.accepted then t.last_upload <- Some (u.profile, o);
   [ ("accepted", Obs.Json.Bool o.accepted) ]
   @ (match o.reason with
@@ -498,7 +481,7 @@ let handle_lint t ~bench ~strategy ~min_prob =
 
 (* Quantile summary of one latency-class histogram, in milliseconds.
    With the metrics registry disabled (the replay path) every field is
-   exactly zero, keeping stats v2 free of wall-clock values there. *)
+   exactly zero, keeping stats free of wall-clock values there. *)
 let quantiles_ms_json h =
   let ms p = Obs.Json.Float (1000.0 *. Obs.Metrics.hist_quantile h p) in
   Obs.Json.Obj
@@ -509,9 +492,8 @@ let quantiles_ms_json h =
       ("p99_ms", ms 0.99);
     ]
 
-(* Stats is a barrier: it runs serially between batches and reads the
-   emit-time counters, so its numbers are exact for everything already
-   on the wire — identical under -j 1 and -j N. *)
+(* Stats reads the emit-time counters, so its numbers are exact for
+   everything already on the wire. *)
 let handle_stats t =
   Mutex.protect t.lock @@ fun () ->
   let assoc l =
@@ -525,7 +507,7 @@ let handle_stats t =
     |> List.map (fun name -> (name, quantiles_ms_json (latency_hist name)))
   in
   [
-    ("stats_version", Obs.Json.Int 2);
+    ("stats_version", Obs.Json.Int 3);
     ( "uptime_seconds",
       (* Wall clock, so zero unless telemetry is on: replayed stats
          responses must stay byte-identical. *)
@@ -554,18 +536,6 @@ let handle_stats t =
                  (Experiments.Context.entries t.context)) );
         ] );
     ("latency", Obs.Json.Obj latency_rows);
-    ("queue_wait", quantiles_ms_json queue_wait_hist);
-    ( "batch_size",
-      Obs.Json.Obj
-        [
-          ("count", Obs.Json.Int (Obs.Metrics.hist_count batch_size_hist));
-          ( "p50",
-            Obs.Json.Float (Obs.Metrics.hist_quantile batch_size_hist 0.50)
-          );
-          ( "p99",
-            Obs.Json.Float (Obs.Metrics.hist_quantile batch_size_hist 0.99)
-          );
-        ] );
     ("profiles", Store.stats_json t.store);
     ( "limits",
       Obs.Json.Obj
@@ -575,16 +545,14 @@ let handle_stats t =
           ("strategy_cap", Obs.Json.Int t.config.strategy_cap);
           ("map_cap", Obs.Json.Int t.config.map_cap);
           ("epoch_window", Obs.Json.Int t.config.epoch_window);
-          ("max_batch", Obs.Json.Int max_batch);
           ("max_request_bytes", Obs.Json.Int t.config.max_request_bytes);
           ("deadline_ms", Obs.Json.Int t.config.deadline_ms);
         ] );
   ]
 
-(* Subscribe is a barrier: registering the filter between batches means
-   every later upload's notifications are observed, none racily
-   missed.  Duplicate filters collapse, so a client re-subscribing in a
-   retry loop cannot grow the daemon. *)
+(* Every upload after a subscribe is observed by it.  Duplicate filters
+   collapse, so a client re-subscribing in a retry loop cannot grow the
+   daemon. *)
 let handle_subscribe t ~profiles =
   Mutex.protect t.lock @@ fun () ->
   if not (List.mem profiles t.subs) then t.subs <- t.subs @ [ profiles ];
@@ -628,13 +596,12 @@ let handle_health t =
 (* Push-style staleness notifications                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* After an accepted upload (a barrier), every cached address map for
-   that profile at an older revision is stale.  Each (profile,
-   strategy|kind, epoch) is pushed at most once — the [notified] table
-   is the exactly-once guard — and only while some subscription filter
-   matches, so an unobserved staleness costs nothing.  Runs serially
-   right after the upload's own response, keeping notification order
-   deterministic at any -j. *)
+(* After an accepted upload, every cached address map for that profile
+   at an older revision is stale.  Each (profile, strategy|kind, epoch)
+   is pushed at most once — the [notified] table is the exactly-once
+   guard — and only while some subscription filter matches, so an
+   unobserved staleness costs nothing.  Runs right after the upload's
+   own response, keeping notification order deterministic. *)
 let take_notifications t ~trace : Obs.Json.t list =
   match t.last_upload with
   | None -> []
@@ -717,13 +684,9 @@ let span_tree_lines (spans : Obs.Span.event list) =
    parse/admission/store-lookup/strategy-map/simulate), feeds the
    per-type latency histograms, and — past --slow-ms — dumps the
    request's span tree to the log. *)
-let respond t ~trace ?enq (p : Protocol.parsed) : Obs.Json.t =
+let respond t ~trace (p : Protocol.parsed) : Obs.Json.t =
   let name = Protocol.request_name p.req in
   let t0 = Obs.Clock.now () in
-  (match enq with
-  | Some at when Obs.Metrics.enabled () ->
-      Obs.Metrics.observe queue_wait_hist (t0 -. at)
-  | _ -> ());
   let resp, spans =
     Obs.Span.collect @@ fun () ->
     try
@@ -771,50 +734,12 @@ let oversize_response n limit =
        (Printf.sprintf "request too large: %d bytes (limit %d)" n limit))
 
 (* ------------------------------------------------------------------ *)
-(* The batched serve loop                                              *)
+(* The serve loop                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Each job carries the trace id assigned at read time and the enqueue
-   timestamp (0 with metrics off — never read then). *)
-type job =
-  | Compute of { trace : string; enq : float; p : Protocol.parsed }
-      (** read-only: dispatched across the pool *)
-  | Immediate of Obs.Json.t  (** already answered (parse/size errors) *)
-
-type item =
-  | Job of job
-  | Barrier of { trace : string; enq : float; p : Protocol.parsed }
 
 (* A request line as read: its text or, when the bounded reader dropped
    an over-long payload, only its length in bytes. *)
 type line = Text of string | Too_long of int
-
-let classify t line : item option =
-  let limit = t.config.max_request_bytes in
-  match line with
-  | Text s when String.trim s = "" -> None
-  | _ -> (
-      let trace = fresh_trace t in
-      let enq = if Obs.Metrics.enabled () then Obs.Clock.now () else 0.0 in
-      let immediate resp = Some (Job (Immediate (with_trace trace resp))) in
-      match line with
-      | Too_long n -> immediate (oversize_response n limit)
-      | Text s when String.length s > limit ->
-          immediate (oversize_response (String.length s) limit)
-      | Text s -> (
-          match
-            Obs.Span.with_ ~stage:"serve.parse" ~attrs:[ ("trace", trace) ]
-            @@ fun () -> Protocol.parse_request ~max_bytes:limit s
-          with
-          | Error (id, e) ->
-              immediate (Protocol.error_response ~id ~request:"unknown" e)
-          | Ok p -> (
-              match p.req with
-              | Protocol.Layout_request _ | Protocol.Lint_request _ ->
-                  Some (Job (Compute { trace; enq; p }))
-              | Protocol.Profile_upload _ | Protocol.Stats
-              | Protocol.Subscribe _ | Protocol.Health | Protocol.Shutdown ->
-                  Some (Barrier { trace; enq; p }))))
 
 let account t resp =
   Mutex.protect t.lock @@ fun () ->
@@ -839,65 +764,48 @@ let account t resp =
   if status = "error" then Obs.Metrics.incr errors_total;
   if status = "timeout" then Obs.Metrics.incr timeouts_total
 
-(* Generic loop over a line producer: collects read-only jobs into
-   constant-width batches, fans each batch across the default pool,
-   emits in input order, and handles barriers serially in between.
-   Upload barriers additionally drain push-style staleness
-   notifications right after their own response — serially, so the
-   notification stream is deterministic at any -j.  A batch is also
-   flushed when [ready] says the next read would block, so a lone
-   client is answered without waiting for the batch to fill; batch
-   boundaries never change the emitted bytes. *)
-let serve_generic t ~(next : unit -> line option) ~(ready : unit -> bool)
+(* Generic loop over a line producer: each request is answered and
+   emitted before the next line is read.  Size and parse errors are
+   answered at once; everything else goes through [respond].  An upload
+   additionally drains push-style staleness notifications right after
+   its own response.  Stops at EOF or after a shutdown request. *)
+let serve_generic t ~(next : unit -> line option)
     ~(emit : Obs.Json.t -> unit) =
-  let emit_accounted resp =
-    Obs.Span.with_ ~stage:"serve.emit" @@ fun () ->
-    account t resp;
-    emit resp
+  let limit = t.config.max_request_bytes in
+  let answer trace = function
+    | Too_long n -> with_trace trace (oversize_response n limit)
+    | Text s when String.length s > limit ->
+        with_trace trace (oversize_response (String.length s) limit)
+    | Text s -> (
+        match
+          Obs.Span.with_ ~stage:"serve.parse" ~attrs:[ ("trace", trace) ]
+          @@ fun () -> Protocol.parse_request ~max_bytes:limit s
+        with
+        | Error (id, e) ->
+            with_trace trace (Protocol.error_response ~id ~request:"unknown" e)
+        | Ok p ->
+            (* The shutdown's own response is the last one emitted. *)
+            (match p.req with Protocol.Shutdown -> t.stopped <- true | _ -> ());
+            respond t ~trace p)
   in
-  let flush jobs =
-    let jobs = List.rev jobs in
-    if jobs <> [] && Obs.Metrics.enabled () then
-      Obs.Metrics.observe batch_size_hist (float_of_int (List.length jobs));
-    let run = function
-      | Compute { trace; enq; p } -> respond t ~trace ~enq p
-      | Immediate r -> r
-    in
-    List.iter emit_accounted (Placement.Pool.map_default run jobs)
-  in
-  let rec loop pending npending =
-    if t.stopped then flush pending
-    else if npending > 0 && not (ready ()) then begin
-      flush pending;
-      loop [] 0
-    end
-    else
+  let rec loop () =
+    if not t.stopped then
       match next () with
-      | None ->
-          flush pending  (* EOF: answer everything already read *)
-      | Some line -> (
-          match classify t line with
-          | None -> loop pending npending
-          | Some (Job j) ->
-              let pending = j :: pending and npending = npending + 1 in
-              if npending >= max_batch then begin
-                flush pending;
-                loop [] 0
-              end
-              else loop pending npending
-          | Some (Barrier { trace; enq; p }) ->
-              flush pending;
-              emit_accounted (respond t ~trace ~enq p);
-              (* Notifications ride the same stream but are not
-                 responses: emitted unaccounted (served/by_type count
-                 requests, and the chaos pairing filters them out). *)
-              List.iter emit (take_notifications t ~trace);
-              (match p.req with
-              | Protocol.Shutdown -> t.stopped <- true
-              | _ -> ());
-              if t.stopped then () else loop [] 0)
+      | None -> ()
+      | Some (Text s) when String.trim s = "" -> loop ()
+      | Some line ->
+          let trace = fresh_trace t in
+          let resp = answer trace line in
+          Obs.Span.with_ ~stage:"serve.emit" (fun () ->
+              account t resp;
+              emit resp);
+          (* Notifications ride the same stream but are not responses:
+             emitted unaccounted (served/by_type count requests, and the
+             chaos pairing filters them out). *)
+          List.iter emit (take_notifications t ~trace);
+          loop ()
   in
-  loop [] 0
+  loop ()
 
 (* Bounded line reader: never buffers more than the limit; an over-long
    line is consumed to its newline and reported by total length so the
@@ -922,19 +830,9 @@ let read_bounded ic limit : line option =
   else if !over > 0 then Some (Too_long !over)
   else Some (Text (Buffer.contents buf))
 
-(* Input is ready when the descriptor has bytes (or EOF) to read now.
-   A line already sitting in the channel's buffer is not seen, which
-   only flushes a batch early. *)
-let input_ready ic =
-  match Unix.select [ Unix.descr_of_in_channel ic ] [] [] 0.0 with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
 let serve_channels t ic oc =
   serve_generic t
     ~next:(fun () -> read_bounded ic t.config.max_request_bytes)
-    ~ready:(fun () -> input_ready ic)
     ~emit:(fun resp ->
       (* [to_channel] already terminates the line. *)
       Obs.Json.to_channel oc resp;
@@ -950,7 +848,6 @@ let run_lines t lines : Obs.Json.t list =
       | l :: rest ->
           remaining := rest;
           Some (Text l))
-    ~ready:(fun () -> true)
     ~emit:(fun resp -> out := resp :: !out);
   List.rev !out
 
@@ -961,10 +858,21 @@ let stopped t = t.stopped
 (* ------------------------------------------------------------------ *)
 
 let serve_socket t ~path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  (* Replace a socket left behind by an earlier daemon, never anything
+     else that lives at [path]. *)
+  (match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_SOCK -> Unix.unlink path
+  | _ ->
+      failwith
+        (Printf.sprintf "%s exists and is not a socket; not replacing it" path)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  (* A client that hangs up before its reply must not kill the daemon
+     with SIGPIPE: ignored, the write fails with a [Sys_error] instead. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe sigpipe;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
@@ -975,7 +883,9 @@ let serve_socket t ~path =
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
         (* A client disconnecting mid-stream must not kill the daemon:
-           treat any channel failure as that connection ending. *)
+           treat any channel failure as that connection ending.  Closing
+           through [oc] also drops a reply that could not be written, so
+           no exit-time flush retries it on a reused descriptor. *)
         (try serve_channels t ic oc with Sys_error _ | End_of_file -> ());
-        try Unix.close fd with Unix.Unix_error _ -> ()
+        close_out_noerr oc
       done)

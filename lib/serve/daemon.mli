@@ -7,11 +7,10 @@
     bounded request size, bounded profile/memo/map growth with LRU
     eviction, and graceful degradation tiers.
 
-    Read-only requests are dispatched in constant-width batches across
-    the default {!Placement.Pool}; profile-upload, stats and shutdown
-    are serial barriers.  Responses carry no wall-clock values and are
-    emitted in input order, so `-j 1` and `-j N` runs of the same
-    request stream are byte-identical. *)
+    Each request is answered and emitted before the next line is read,
+    so responses leave in input order and each request sees the effects
+    of every request before it.  Responses carry no wall-clock values,
+    so replays of the same request stream are byte-identical. *)
 
 val cheap_threshold_ms : int
 (** Deadlines at or below this many ms admit only the cheapest
@@ -55,25 +54,26 @@ val context : t -> Experiments.Context.t
 val store : t -> Store.t
 
 val run_lines : t -> string list -> Obs.Json.t list
-(** Run a request stream through the full batched serve loop (the same
-    code path as {!serve_channels}) and return the emitted lines —
-    responses in input order, with any staleness notifications
-    interleaved right after the upload that caused them.  Stops early
-    at a shutdown request; lines past it get no response. *)
+(** Run a request stream through the serve loop (the same code path as
+    {!serve_channels}) and return the emitted lines — responses in input
+    order, with any staleness notifications interleaved right after the
+    upload that caused them.  Stops early at a shutdown request; lines
+    past it get no response. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Serve until EOF or a shutdown request; each response line is
-    flushed as emitted.  Pending read-only requests are answered as soon
-    as no further input is ready, so a client waiting on one response is
-    never held for a batch to fill.  Lines are read through a bounded
-    reader, so an over-long request costs its length in I/O but not in
-    memory; it is answered with a usage error that carries its length,
-    just as {!run_lines} answers it. *)
+    flushed as emitted, before the next request is read.  Lines are read
+    through a bounded reader, so an over-long request costs its length
+    in I/O but not in memory; it is answered with a usage error that
+    carries its length, just as {!run_lines} answers it. *)
 
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix socket, serving connections sequentially until a
-    shutdown request arrives.  A client disconnecting mid-stream ends
-    that connection only.  The socket file is removed on exit. *)
+    shutdown request arrives.  A client disconnecting mid-stream, even
+    before its reply is written, ends that connection only.  A socket
+    already at [path] is replaced; any other file there is left alone and
+    the call fails with [Failure] naming the path.  The socket file is
+    removed on exit. *)
 
 val stopped : t -> bool
 

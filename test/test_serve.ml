@@ -2,9 +2,9 @@
    per-request isolation, weighted profile-merge properties, the
    degradation tiers (natural fallback, cheapest strategy, last-good
    epoch), deadline/timeout semantics, the LRU bounds on the profile
-   store and context memo tables, golden-vector replay, a seeded chaos
-   campaign through the full batched serve loop, and the contract
-   checker itself on synthetic streams. *)
+   store and context memo tables, golden-vector replay, the Unix-socket
+   front end, a seeded chaos campaign through the serve loop, and the
+   contract checker itself on synthetic streams. *)
 
 let bench = "cmp"
 
@@ -32,6 +32,11 @@ let str_field key resp =
   match Obs.Json.member key resp with
   | Some (Obs.Json.String s) -> s
   | _ -> "<none>"
+
+let contains_sub haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
 
 let error_code resp =
   match Obs.Json.member "error" resp with
@@ -607,7 +612,7 @@ let strategy_map_cap () =
     (List.length entry.Experiments.Context.strategy_maps <= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Golden vectors and batching determinism                             *)
+(* Golden vectors, determinism and the socket front end                *)
 (* ------------------------------------------------------------------ *)
 
 (* A lone stdio client gets its read-only response while the daemon is
@@ -641,6 +646,80 @@ let lone_client_answered () =
         (status_of (Obs.Json.parse_exn layout))
   | _ -> Alcotest.fail "expected two responses"
 
+let connect path =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.01;
+        go (tries - 1)
+  in
+  go 1000
+
+let send_line fd line =
+  let s = line ^ "\n" in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* A client that sends a request and hangs up before its reply ends that
+   connection only: the write fails on a closed peer, and the daemon
+   goes on to serve the next client. *)
+let socket_client_hangs_up () =
+  let path = Filename.temp_file "impact" ".sock" in
+  (* A unique path with nothing there: a regular file would be refused. *)
+  Sys.remove path;
+  let d = Serve.Daemon.create ~config:small_config () in
+  let server = Domain.spawn (fun () -> Serve.Daemon.serve_socket d ~path) in
+  let quitter = connect path in
+  send_line quitter (layout_line ~id:1 []);
+  Unix.close quitter;
+  let fd = connect path in
+  let ic = Unix.in_channel_of_descr fd in
+  send_line fd (request ~id:2 ~typ:"health" []);
+  let health = In_channel.input_line ic in
+  send_line fd (request ~id:3 ~typ:"shutdown" []);
+  let bye = In_channel.input_line ic in
+  Domain.join server;
+  close_in ic;
+  let status = function
+    | Some l -> status_of (Obs.Json.parse_exn l)
+    | None -> "<no reply>"
+  in
+  Alcotest.(check (list string)) "second client served" [ "ok"; "ok" ]
+    [ status health; status bye ];
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* --socket never deletes a file that is not a socket.  The daemon is
+   already stopped, so a call that wrongly took the path over would
+   return at once instead of serving. *)
+let socket_keeps_other_files () =
+  let path = Filename.temp_file "impact" ".sock" in
+  let contents = "not a socket\n" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  let d = Serve.Daemon.create ~config:small_config () in
+  ignore (Serve.Daemon.run_lines d [ request ~id:1 ~typ:"shutdown" [] ]);
+  let refusal =
+    match Serve.Daemon.serve_socket d ~path with
+    | () -> None
+    | exception Failure msg -> Some msg
+  in
+  let kept =
+    if Sys.file_exists path then begin
+      let s = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      Some s
+    end
+    else None
+  in
+  Alcotest.(check (option string)) "file survives unchanged" (Some contents)
+    kept;
+  match refusal with
+  | Some msg when contains_sub msg path -> ()
+  | Some msg -> Alcotest.failf "refusal does not name the path: %s" msg
+  | None -> Alcotest.fail "serve_socket took over a regular file"
+
 let read_lines path =
   In_channel.with_open_bin path @@ fun ic ->
   let rec go acc =
@@ -669,6 +748,9 @@ let golden_replay () =
         g)
     (List.combine got expected)
 
+(* Two daemons answer the same mixed stream byte for byte alike, also
+   with a 2-lane default pool installed, as `impact` installs for -j 2:
+   the daemon answers one request at a time and never uses the pool. *)
 let batching_deterministic () =
   Obs.Log.set_quiet true;
   Fun.protect ~finally:(fun () -> Obs.Log.set_quiet false) @@ fun () ->
@@ -689,7 +771,7 @@ let batching_deterministic () =
   in
   let serial = run () in
   let parallel = Placement.Pool.with_default 2 run in
-  Alcotest.(check (list string)) "responses byte-identical under -j 2" serial
+  Alcotest.(check (list string)) "responses byte-identical with a pool" serial
     parallel
 
 let chaos_campaign () =
@@ -716,13 +798,8 @@ let chaos_campaign () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Observability: stats v2, health, subscriptions, soak                *)
+(* Observability: stats v3, health, subscriptions, soak                *)
 (* ------------------------------------------------------------------ *)
-
-let contains_sub haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 let int_field key resp =
   match Obs.Json.member key resp with
@@ -806,7 +883,18 @@ let stats_v2_fields () =
       ]
   in
   let stats = List.nth out 2 in
-  Alcotest.(check int) "stats_version" 2 (int_field "stats_version" stats);
+  Alcotest.(check int) "stats_version" 3 (int_field "stats_version" stats);
+  (* v3 has no batching fields: requests are answered one at a time. *)
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " absent") true
+        (Obs.Json.member key stats = None))
+    [ "queue_wait"; "batch_size" ];
+  (match Obs.Json.member "limits" stats with
+  | Some limits ->
+      Alcotest.(check bool) "limits.max_batch absent" true
+        (Obs.Json.member "max_batch" limits = None)
+  | None -> Alcotest.fail "stats lacks limits");
   (* Metrics are off in tests, so every wall-clock field is exactly
      zero — the determinism contract for the replay path. *)
   Alcotest.(check bool) "uptime is zero with metrics off" true
@@ -932,9 +1020,9 @@ let subscribe_filters () =
         0 (List.length notes))
     [ false; true ]
 
-(* Concurrent subscribe/upload/layout interleavings: the batched loop
-   with a 2-domain pool must emit byte-identical output — responses
-   and notifications in the same positions. *)
+(* Subscribe/upload/layout interleavings: rerun with a 2-domain default
+   pool installed, the serve loop emits byte-identical output —
+   responses and notifications in the same positions. *)
 let notifications_deterministic () =
   Obs.Log.set_quiet true;
   Fun.protect ~finally:(fun () -> Obs.Log.set_quiet false) @@ fun () ->
@@ -969,7 +1057,7 @@ let notifications_deterministic () =
     (List.exists (fun l -> contains_sub l "layouts-stale") serial);
   let parallel = Placement.Pool.with_default 2 run in
   Alcotest.(check (list string))
-    "responses and notifications byte-identical under -j 2" serial parallel
+    "responses and notifications byte-identical with a pool" serial parallel
 
 let mini_soak () =
   Obs.Log.set_quiet true;
@@ -1181,6 +1269,10 @@ let suite =
     Alcotest.test_case "golden vector replay" `Quick golden_replay;
     Alcotest.test_case "batching deterministic" `Quick batching_deterministic;
     Alcotest.test_case "lone client answered" `Quick lone_client_answered;
+    Alcotest.test_case "socket survives a client that hangs up" `Quick
+      socket_client_hangs_up;
+    Alcotest.test_case "socket keeps other files" `Quick
+      socket_keeps_other_files;
     Alcotest.test_case "stats v2 fields" `Quick stats_v2_fields;
     Alcotest.test_case "health verdicts" `Quick health_verdicts;
     Alcotest.test_case "subscribe notifies exactly once" `Quick
