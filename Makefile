@@ -119,16 +119,16 @@ stream-smoke:
 	done
 
 # Layout service end to end: the committed golden request stream must
-# replay byte-identically to the committed responses (serially and with
-# a 2-lane pool), `--sample` must still print that request stream, a
+# replay byte-identically to the committed responses at `-j 1` and at
+# `-j 2` (serve answers each request as it is read, so `-j` must change
+# nothing), `--sample` must still print that request stream, a
 # 200-request seeded chaos campaign must finish with zero contract
 # violations (one well-formed response per request, at least one
 # staleness notification, each pushed once), its report must match the
 # committed golden byte for byte (pinning the total ok/error/timeout
 # counts and the requests per category, not only the allowed statuses)
-# both serially and with a 2-lane pool,
-# and the chaos report plus the replayed responses must re-parse with
-# checkjson.
+# at both `-j` settings, and the chaos report plus the replayed
+# responses must re-parse with checkjson.
 serve-smoke:
 	rm -rf _serve && mkdir -p _serve
 	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \

@@ -4,9 +4,11 @@
    Pupyrev et al. ("Optimizing Function Layout for Mobile
    Applications").
 
-   Functions start as singleton clusters.  The optimizer repeatedly
+   Functions start as singleton clusters.  The optimizer,
+   [Greedy_merge.run] (shared with ext-TSP chain merging), repeatedly
    merges the pair of call-connected clusters with the highest merge
-   gain, where the gain of placing cluster X directly before cluster Y
+   gain; this module supplies that gain and the cluster update.  The
+   gain of placing cluster X directly before cluster Y
    scores every call arc between the two by its proximity in the
    concatenated layout:
 
@@ -27,7 +29,6 @@
 
 let max_cluster_bytes = 16384
 let distance_horizon = 4096.
-let epsilon = 1e-9
 
 (* Telemetry: accepted cluster merges. *)
 let clusters_merged =
@@ -43,22 +44,7 @@ type cluster = {
 
 let global nfuncs ~entry (w : Weight.call_weights) : Global_layout.t =
   (* Undirected cross-cluster call weight per function pair. *)
-  let arc_tbl = Hashtbl.create 64 in
-  for caller = 0 to nfuncs - 1 do
-    List.iter
-      (fun callee ->
-        if caller <> callee then begin
-          let weight = w.pair caller callee in
-          if weight > 0 then begin
-            let key = (min caller callee, max caller callee) in
-            let cur =
-              match Hashtbl.find_opt arc_tbl key with Some c -> c | None -> 0
-            in
-            Hashtbl.replace arc_tbl key (cur + weight)
-          end
-        end)
-      (w.callees caller)
-  done;
+  let arc_tbl = Weight.call_pairs nfuncs w in
   let size fid = max 1 (w.size fid) in
   let cluster_of =
     Array.init nfuncs (fun fid ->
@@ -111,106 +97,32 @@ let global nfuncs ~entry (w : Weight.call_weights) : Global_layout.t =
             | [] -> false)
           [ ca.funcs @ cb.funcs; cb.funcs @ ca.funcs ]
       in
-      List.fold_left
-        (fun best funcs ->
-          let gain = score funcs in
-          match best with
-          | Some (bg, _) when bg >= gain -> best
-          | _ when gain > epsilon -> Some (gain, funcs)
-          | _ -> best)
-        None candidates
+      Greedy_merge.best score candidates
   in
   (* Candidate cluster pairs: those connected by a call arc. *)
-  let pair_tbl = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (f, g) _ ->
-      let a = cluster_of.(f).cid and b = cluster_of.(g).cid in
-      if a <> b then Hashtbl.replace pair_tbl (min a b, max a b) ())
-    arc_tbl;
-  let gain_cache = Hashtbl.create 64 in
-  let pair_gain (a, b) =
-    match Hashtbl.find_opt gain_cache (a, b) with
-    | Some g -> g
-    | None ->
+  Greedy_merge.run ~counter:clusters_merged
+    ~pairs:(fun connect -> Hashtbl.iter (fun (f, g) _ -> connect f g) arc_tbl)
+    ~gain:(fun a b ->
       let ca = cluster_of.(a) and cb = cluster_of.(b) in
-      let g =
-        if ca.bytes + cb.bytes > max_cluster_bytes then None
-        else merge_gain ca cb
-      in
-      Hashtbl.add gain_cache (a, b) g;
-      g
-  in
-  let merged = ref true in
-  while !merged do
-    merged := false;
-    let best = ref None in
-    Hashtbl.iter
-      (fun (a, b) () ->
-        if cluster_of.(a).cid = a && cluster_of.(b).cid = b then
-          match pair_gain (a, b) with
-          | None -> ()
-          | Some (gain, funcs) -> (
-            match !best with
-            | Some (bg, _, _) when bg > gain +. epsilon -> ()
-            | Some (bg, bk, _)
-              when bg >= gain -. epsilon && compare bk (a, b) <= 0 -> ()
-            | _ -> best := Some (gain, (a, b), funcs)))
-      pair_tbl;
-    match !best with
-    | None -> ()
-    | Some (_, (a, b), funcs) ->
-      Obs.Metrics.incr clusters_merged;
+      if ca.bytes + cb.bytes > max_cluster_bytes then None
+      else merge_gain ca cb)
+    ~merge:(fun a b funcs ->
       let ca = cluster_of.(a) and cb = cluster_of.(b) in
       ca.funcs <- funcs;
       ca.bytes <- ca.bytes + cb.bytes;
       ca.samples <- ca.samples + cb.samples;
-      List.iter (fun fid -> cluster_of.(fid) <- ca) cb.funcs;
-      let stale = ref [] and rekeyed = ref [] in
-      Hashtbl.iter
-        (fun (x, y) () ->
-          if x = a || y = a || x = b || y = b then begin
-            stale := (x, y) :: !stale;
-            let x' = if x = b then a else x and y' = if y = b then a else y in
-            if x' <> y' then rekeyed := (min x' y', max x' y') :: !rekeyed
-          end)
-        pair_tbl;
-      List.iter
-        (fun key ->
-          Hashtbl.remove pair_tbl key;
-          Hashtbl.remove gain_cache key)
-        !stale;
-      List.iter
-        (fun key ->
-          if not (Hashtbl.mem pair_tbl key) then Hashtbl.add pair_tbl key ())
-        !rekeyed;
-      merged := true
-  done;
+      List.iter (fun fid -> cluster_of.(fid) <- ca) cb.funcs);
   (* Emission order: entry cluster, executed clusters by density, cold
      functions in definition order. *)
   let executed fid = w.entries fid > 0 || fid = entry in
-  let clusters = ref [] in
-  Array.iteri
-    (fun fid c ->
-      if executed fid && not (List.memq c !clusters) then
-        clusters := c :: !clusters)
-    cluster_of;
-  let clusters = List.rev !clusters in
-  let entry_cluster = cluster_of.(entry) in
-  let density c =
-    float_of_int c.samples /. float_of_int (max 1 c.bytes)
+  let density c = float_of_int c.samples /. float_of_int (max 1 c.bytes) in
+  let clusters =
+    Greedy_merge.by_density
+      ~id:(fun c -> c.cid)
+      ~density ~first:cluster_of.(entry)
+      (List.filteri (fun fid _ -> executed fid) (Array.to_list cluster_of))
   in
-  let rest =
-    List.sort
-      (fun a b ->
-        match compare (density b) (density a) with
-        | 0 -> compare a.cid b.cid
-        | c -> c)
-      (List.filter (fun c -> c != entry_cluster) clusters)
-  in
-  let hot =
-    List.concat_map (fun c -> List.filter executed c.funcs)
-      (entry_cluster :: rest)
-  in
+  let hot = List.concat_map (fun c -> List.filter executed c.funcs) clusters in
   let cold =
     List.filter (fun fid -> not (executed fid)) (List.init nfuncs (fun i -> i))
   in

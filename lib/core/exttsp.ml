@@ -16,8 +16,10 @@
    with d the byte gap between the end of s and the start of t.
 
    The optimizer is the paper's greedy chain merger: every block starts
-   as a singleton chain; repeatedly apply the merge with the highest
-   score gain until no merge improves the objective.  Besides plain
+   as a singleton chain, and [Greedy_merge.run] — the loop C3 shares —
+   repeatedly applies the merge with the highest score gain until no
+   merge improves the objective.  This module supplies only a pair's
+   best arrangement and the chain update.  Besides plain
    concatenation X.Y, a merge may split the first chain at any point
    into X1,X2 and interleave the second — the paper's three splitting
    moves X1.Y.X2, Y.X2.X1 and X2.X1.Y — which lets a previously merged
@@ -37,7 +39,6 @@ let jump_gain = 0.1
 let forward_distance = 1024.
 let backward_distance = 640.
 let split_threshold = 64
-let epsilon = 1e-9
 
 type chain = {
   cid : int; (* stable id for deterministic tie-breaking *)
@@ -133,65 +134,24 @@ let layout (f : Prog.func) (w : Weight.cfg_weights) : Func_layout.t =
       in
       List.filter keeps_entry_first (base @ split)
     in
-    (* Chain pairs connected by at least one arc, keyed on cids. *)
-    let pair_tbl = Hashtbl.create 64 in
-    let connect a b =
-      if a.cid <> b.cid then begin
-        let key = (min a.cid b.cid, max a.cid b.cid) in
-        if not (Hashtbl.mem pair_tbl key) then Hashtbl.add pair_tbl key ()
-      end
-    in
-    Array.iteri
-      (fun src arcs ->
-        List.iter
-          (fun (dst, _) ->
-            if executed src && executed dst then
-              connect chain_of.(src) chain_of.(dst))
-          arcs)
-      arcs_out;
-    (* Gain of the best arrangement for a connected pair, cached until
-       one of the chains changes. *)
-    let gain_cache = Hashtbl.create 64 in
-    let best_merge (a, b) =
-      match Hashtbl.find_opt gain_cache (a, b) with
-      | Some best -> best
-      | None ->
+    (* Chains connected by at least one arc are the candidate pairs; a
+       pair's merge is its best arrangement. *)
+    Greedy_merge.run ~counter:Func_layout.chains_merged
+      ~pairs:(fun connect ->
+        Array.iteri
+          (fun src arcs ->
+            List.iter
+              (fun (dst, _) ->
+                if executed src && executed dst then connect src dst)
+              arcs)
+          arcs_out)
+      ~gain:(fun a b ->
         let ca = chain_of.(a) and cb = chain_of.(b) in
         let self = score_of ca +. score_of cb in
-        let best =
-          List.fold_left
-            (fun best seq ->
-              let gain = score_seq seq -. self in
-              match best with
-              | Some (bg, _) when bg >= gain -> best
-              | _ when gain > epsilon -> Some (gain, seq)
-              | _ -> best)
-            None
-            (arrangements ca cb @ arrangements cb ca)
-        in
-        Hashtbl.add gain_cache (a, b) best;
-        best
-    in
-    let merged = ref true in
-    while !merged do
-      merged := false;
-      let best = ref None in
-      Hashtbl.iter
-        (fun (a, b) () ->
-          if chain_of.(a).cid = a && chain_of.(b).cid = b then
-            match best_merge (a, b) with
-            | None -> ()
-            | Some (gain, seq) -> (
-              match !best with
-              | Some (bg, _, _) when bg > gain +. epsilon -> ()
-              | Some (bg, bk, _)
-                when bg >= gain -. epsilon && compare bk (a, b) <= 0 -> ()
-              | _ -> best := Some (gain, (a, b), seq)))
-        pair_tbl;
-      match !best with
-      | None -> ()
-      | Some (_, (a, b), seq) ->
-        Obs.Metrics.incr Ph_layout.chains_merged;
+        Greedy_merge.best
+          (fun seq -> score_seq seq -. self)
+          (arrangements ca cb @ arrangements cb ca))
+      ~merge:(fun a b seq ->
         let ca = chain_of.(a) and cb = chain_of.(b) in
         (* Keep [ca] as the surviving chain; retire [cb]. *)
         ca.blocks <- seq;
@@ -199,64 +159,18 @@ let layout (f : Prog.func) (w : Weight.cfg_weights) : Func_layout.t =
         ca.bytes <- ca.bytes + cb.bytes;
         Array.iter (fun l -> chain_of.(l) <- ca) cb.blocks;
         Hashtbl.remove chain_score a;
-        Hashtbl.remove chain_score b;
-        (* Re-key pairs that referenced [b] onto [a]; drop stale gains of
-           every pair touching either merged chain. *)
-        let stale = ref [] and rekeyed = ref [] in
-        Hashtbl.iter
-          (fun (x, y) () ->
-            if x = a || y = a || x = b || y = b then begin
-              stale := (x, y) :: !stale;
-              let x' = if x = b then a else x and y' = if y = b then a else y in
-              if x' <> y' then rekeyed := (min x' y', max x' y') :: !rekeyed
-            end)
-          pair_tbl;
-        List.iter
-          (fun key ->
-            Hashtbl.remove pair_tbl key;
-            Hashtbl.remove gain_cache key)
-          !stale;
-        List.iter
-          (fun key ->
-            if not (Hashtbl.mem pair_tbl key) then Hashtbl.add pair_tbl key ())
-          !rekeyed;
-        merged := true
-    done;
+        Hashtbl.remove chain_score b);
     (* Emit: entry chain first, remaining executed chains by decreasing
        density (score credit per byte is what the objective rewards),
        never-executed blocks last in label order. *)
-    let chains = ref [] in
-    Array.iteri
-      (fun l c ->
-        if executed l && not (List.memq c !chains) then chains := c :: !chains)
-      chain_of;
-    let chains = List.rev !chains in
-    let entry_chain = chain_of.(0) in
     let density c = float_of_int c.weight /. float_of_int (max 1 c.bytes) in
-    let rest =
-      List.sort
-        (fun a b ->
-          match compare (density b) (density a) with
-          | 0 -> compare a.cid b.cid
-          | c -> c)
-        (List.filter (fun c -> c != entry_chain) chains)
+    let chains =
+      Greedy_merge.by_density
+        ~id:(fun c -> c.cid)
+        ~density ~first:chain_of.(0)
+        (List.filteri (fun l _ -> executed l) (Array.to_list chain_of))
     in
-    let active_labels =
-      List.concat_map (fun c -> Array.to_list c.blocks) (entry_chain :: rest)
-    in
-    let dead_labels =
-      List.filter (fun l -> not (executed l)) (List.init n (fun l -> l))
-    in
-    Obs.Metrics.incr ~by:(List.length dead_labels)
-      Func_layout.dead_blocks_sunk;
-    let order = Array.of_list (active_labels @ dead_labels) in
-    let bytes labels =
-      List.fold_left (fun acc l -> acc + size.(l)) 0 labels
-    in
-    {
-      Func_layout.order;
-      active_blocks = List.length active_labels;
-      active_bytes = bytes active_labels;
-      total_bytes = Prog.func_byte_size f;
-    }
+    Func_layout.make f
+      ~active:(List.concat_map (fun c -> Array.to_list c.blocks) chains)
+      ~dead:(List.filter (fun l -> not (executed l)) (List.init n Fun.id))
   end

@@ -19,22 +19,35 @@ type t = {
   total_bytes : int;
 }
 
-(* Telemetry: blocks placed outside the packed effective region, across
-   every layout algorithm that sinks dead code. *)
+(* Telemetry shared by the body layouts: blocks placed outside the
+   packed effective region, and block-chain merges (Pettis-Hansen and
+   ext-TSP). *)
 let dead_blocks_sunk =
   Obs.Metrics.counter "layout.dead_blocks_sunk"
     ~help:"never-executed blocks placed after the effective region"
 
-(* Never-executed function: original order, empty effective region. *)
-let layout_unexecuted (f : Prog.func) : t =
-  let n = Array.length f.blocks in
-  Obs.Metrics.incr ~by:n dead_blocks_sunk;
+let chains_merged =
+  Obs.Metrics.counter "layout.chains_merged"
+    ~help:"block-chain merges applied (Pettis-Hansen + ext-TSP)"
+
+(* The one constructor: [active] labels form the effective region, in
+   order; [dead] ones follow it. *)
+let make (f : Prog.func) ~active ~dead : t =
+  Obs.Metrics.incr ~by:(List.length dead) dead_blocks_sunk;
+  let bytes =
+    List.fold_left (fun acc l -> acc + Cfg.byte_size f.blocks.(l)) 0
+  in
   {
-    order = Array.init n (fun l -> l);
-    active_blocks = 0;
-    active_bytes = 0;
+    order = Array.of_list (active @ dead);
+    active_blocks = List.length active;
+    active_bytes = bytes active;
     total_bytes = Prog.func_byte_size f;
   }
+
+let labels (f : Prog.func) = List.init (Array.length f.blocks) Fun.id
+
+(* Never-executed function: original order, empty effective region. *)
+let layout_unexecuted (f : Prog.func) : t = make f ~active:[] ~dead:(labels f)
 
 let layout (f : Prog.func) (w : Weight.cfg_weights) (sel : Trace_select.t) : t
     =
@@ -104,32 +117,12 @@ let layout (f : Prog.func) (w : Weight.cfg_weights) (sel : Trace_select.t) : t
   let order_of ids =
     List.concat_map (fun id -> Array.to_list sel.traces.(id)) ids
   in
-  let active_labels = order_of active_trace_order in
-  let inactive_labels = order_of inactive in
-  Obs.Metrics.incr ~by:(List.length inactive_labels) dead_blocks_sunk;
-  let order = Array.of_list (active_labels @ inactive_labels) in
-  let bytes labels =
-    List.fold_left (fun acc l -> acc + Cfg.byte_size f.blocks.(l)) 0 labels
-  in
-  {
-    order;
-    active_blocks = List.length active_labels;
-    active_bytes = bytes active_labels;
-    total_bytes = bytes active_labels + bytes inactive_labels;
-  }
+  make f ~active:(order_of active_trace_order) ~dead:(order_of inactive)
   end
 
 (* Identity layout: original block order, everything treated as active.
    This is the unoptimized baseline. *)
-let natural (f : Prog.func) : t =
-  let n = Array.length f.blocks in
-  let total = Prog.func_byte_size f in
-  {
-    order = Array.init n (fun l -> l);
-    active_blocks = n;
-    active_bytes = total;
-    total_bytes = total;
-  }
+let natural (f : Prog.func) : t = make f ~active:(labels f) ~dead:[]
 
 let is_permutation t nblocks =
   Array.length t.order = nblocks

@@ -16,6 +16,11 @@ type t = {
   total_bytes : int;
 }
 
+val make : Prog.func -> active:Cfg.label list -> dead:Cfg.label list -> t
+(** The one constructor of a body layout: [active] labels, in order, form
+    the effective region and [dead] ones follow it.  Counts the dead
+    blocks in {!dead_blocks_sunk}. *)
+
 val layout : Prog.func -> Weight.cfg_weights -> Trace_select.t -> t
 
 val layout_unexecuted : Prog.func -> t
@@ -30,3 +35,6 @@ val is_permutation : t -> int -> bool
 val dead_blocks_sunk : Obs.Metrics.counter
 (** Telemetry: blocks placed outside the packed effective region; shared
     by every layout algorithm that sinks dead code. *)
+
+val chains_merged : Obs.Metrics.counter
+(** Telemetry: block-chain merges, shared by {!Ph_layout} and {!Exttsp}. *)

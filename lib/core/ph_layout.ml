@@ -26,12 +26,8 @@ type chain = {
   mutable weight : int;
 }
 
-(* Telemetry: tail-to-head chain concatenations (intra-function) and
-   "closest is best" group concatenations (global). *)
-let chains_merged =
-  Obs.Metrics.counter "layout.chains_merged"
-    ~help:"block-chain merges applied (Pettis-Hansen + ext-TSP)"
-
+(* Telemetry: "closest is best" group concatenations (global); chain
+   merges count in [Func_layout.chains_merged]. *)
 let groups_merged =
   Obs.Metrics.counter "layout.groups_merged"
     ~help:"Pettis-Hansen closest-is-best group concatenations"
@@ -70,15 +66,11 @@ let layout (f : Prog.func) (w : Weight.cfg_weights) : Func_layout.t =
           ca.tail <- cb.tail;
           ca.weight <- ca.weight + cb.weight;
           List.iter (fun l -> chain_of.(l) <- ca) cb.blocks;
-          Obs.Metrics.incr chains_merged
+          Obs.Metrics.incr Func_layout.chains_merged
         end)
       arcs;
-    (* Distinct chains, in block order of their heads. *)
-    let chains = ref [] in
-    Array.iter
-      (fun c -> if not (List.memq c !chains) then chains := c :: !chains)
-      chain_of;
-    let chains = List.rev !chains in
+    (* Each chain once, in the order of its smallest label. *)
+    let chains = Greedy_merge.distinct head (Array.to_list chain_of) in
     let entry_chain = chain_of.(0) in
     let executed, dead =
       List.partition (fun c -> c.weight > 0) chains
@@ -89,45 +81,17 @@ let layout (f : Prog.func) (w : Weight.cfg_weights) : Func_layout.t =
            (fun a b -> compare b.weight a.weight)
            (List.filter (fun c -> c != entry_chain) executed)
     in
-    let order_list =
-      List.concat_map (fun c -> c.blocks) executed
-      @ List.concat_map (fun c -> c.blocks) dead
-    in
-    let order = Array.of_list order_list in
-    Obs.Metrics.incr
-      ~by:(List.length (List.concat_map (fun c -> c.blocks) dead))
-      Func_layout.dead_blocks_sunk;
-    let active_labels = List.concat_map (fun c -> c.blocks) executed in
-    let bytes labels =
-      List.fold_left (fun acc l -> acc + Cfg.byte_size f.blocks.(l)) 0 labels
-    in
-    {
-      Func_layout.order;
-      active_blocks = List.length active_labels;
-      active_bytes = bytes active_labels;
-      total_bytes = Prog.func_byte_size f;
-    }
+    let labels chains = List.concat_map (fun c -> c.blocks) chains in
+    Func_layout.make f ~active:(labels executed) ~dead:(labels dead)
   end
 
 (* ---------- global "closest is best" ordering ---------- *)
 
 let global nfuncs ~entry (w : Weight.call_weights) : Global_layout.t =
-  (* Undirected pair weights, deduplicated on the unordered pair. *)
-  let pair_tbl = Hashtbl.create 64 in
-  for a = 0 to nfuncs - 1 do
-    List.iter
-      (fun b ->
-        if a <> b then begin
-          let key = (min a b, max a b) in
-          if not (Hashtbl.mem pair_tbl key) then begin
-            let weight = w.pair a b + w.pair b a in
-            if weight > 0 then Hashtbl.add pair_tbl key weight
-          end
-        end)
-      (w.callees a)
-  done;
   let edges =
-    Hashtbl.fold (fun (a, b) weight acc -> (weight, a, b) :: acc) pair_tbl []
+    Hashtbl.fold
+      (fun (a, b) weight acc -> (weight, a, b) :: acc)
+      (Weight.call_pairs nfuncs w) []
   in
   let edges =
     List.sort
@@ -149,11 +113,9 @@ let global nfuncs ~entry (w : Weight.call_weights) : Global_layout.t =
     edges;
   (* Emit the entry's group first, then remaining groups by total entry
      weight, heaviest first. *)
-  let groups = ref [] in
-  Array.iter
-    (fun gr -> if not (List.memq gr !groups) then groups := gr :: !groups)
-    group_of;
-  let groups = List.rev !groups in
+  let groups =
+    Greedy_merge.distinct (fun gr -> List.hd !gr) (Array.to_list group_of)
+  in
   let entry_group = group_of.(entry) in
   let rest = List.filter (fun gr -> gr != entry_group) groups in
   let group_weight gr =

@@ -13,6 +13,3 @@ val layout : Prog.func -> Weight.cfg_weights -> Func_layout.t
 val global : int -> entry:int -> Weight.call_weights -> Global_layout.t
 (** Greedy merging of the undirected weighted call pairs; the entry's
     group is emitted first. *)
-
-val chains_merged : Obs.Metrics.counter
-(** Telemetry: block-chain merges applied; shared with {!Exttsp}. *)

@@ -60,3 +60,20 @@ let call_of_profile (profile : Vm.Profile.t) =
     entries = (fun fid -> Vm.Profile.func_weight profile fid);
     size = (fun fid -> Prog.func_byte_size prog.Prog.funcs.(fid));
   }
+
+(* Undirected call weight per function pair; the insertion order below
+   is part of C3's result (see the .mli). *)
+let call_pairs nfuncs (w : call_weights) =
+  let tbl = Hashtbl.create 64 in
+  for caller = 0 to nfuncs - 1 do
+    List.iter
+      (fun callee ->
+        let weight = w.pair caller callee in
+        if caller <> callee && weight > 0 then begin
+          let key = (min caller callee, max caller callee) in
+          let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+          Hashtbl.replace tbl key (cur + weight)
+        end)
+      (w.callees caller)
+  done;
+  tbl

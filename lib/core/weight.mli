@@ -25,3 +25,11 @@ type call_weights = {
 
 val cfg_of_profile : Vm.Profile.t -> int -> cfg_weights
 val call_of_profile : Vm.Profile.t -> call_weights
+
+val call_pairs : int -> call_weights -> (int * int, int) Hashtbl.t
+(** [call_pairs nfuncs w] maps each unordered pair [(f, g)], [f < g], of
+    functions joined by a weighted static call edge to the calls between
+    them both ways, [w.pair f g + w.pair g f] (calls only run along
+    static edges).  Pettis-Hansen and C3 share it; C3 iterates it, so
+    its insertion order (callers in fid order, each in [w.callees]
+    order) is part of C3's result. *)

@@ -10,9 +10,9 @@
    (so staleness notifications keep pushing).  Every batch goes through
    the chaos harness's contract checker, whose exactly-once ledger
    spans the whole soak.  Between rounds the harness samples memory —
-   OCaml live words from [Gc.stat] and resident-set bytes from
-   /proc/self/statm — into the [serve.live_words]/[serve.rss_bytes]
-   gauges and tracks the maxima.
+   OCaml live words from [Gc.stat] and resident-set bytes from the
+   [VmRSS:] line of /proc/self/status — into the
+   [serve.live_words]/[serve.rss_bytes] gauges and tracks the maxima.
 
    The report ([impact.soak/v1]) carries the checker's violations plus
    the soak's own: max live bytes over the ceiling, zero latency
@@ -67,22 +67,17 @@ let rss_gauge =
   Obs.Metrics.gauge "serve.rss_bytes"
     ~help:"Resident set size at the last soak sample"
 
-(* Resident set in bytes from /proc/self/statm (field 2 is resident
-   pages); 0 where /proc is unavailable. *)
+(* Resident set in bytes from the [VmRSS:] line of /proc/self/status,
+   which the kernel reports in kB whatever its page size; 0 where /proc
+   is unavailable. *)
 let rss_bytes () =
-  match open_in "/proc/self/statm" with
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_lines with
   | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match String.split_on_char ' ' (input_line ic) with
-        | _ :: resident :: _ ->
-          (match int_of_string_opt resident with
-          | Some pages -> pages * 4096
-          | None -> 0)
-        | _ -> 0
-        | exception End_of_file -> 0)
+  | lines ->
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "VmRSS: %d kB" (fun kb -> kb * 1024))
+      lines
+    |> Option.value ~default:0
 
 let word_bytes = Sys.word_size / 8
 

@@ -141,3 +141,16 @@ let is_disjoint (t : Placement.Address_map.t) =
     | [ _ ] | [] -> true
   in
   check sorted
+
+let read_lines path =
+  In_channel.with_open_bin path @@ fun ic ->
+  let rec go acc =
+    match In_channel.input_line ic with
+    | Some l -> go (l :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+(* `dune runtest` runs with the test directory as cwd; `dune exec
+   test/test_impact.exe` runs from the project root. *)
+let vector_path p = if Sys.file_exists p then p else Filename.concat "test" p

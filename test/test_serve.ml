@@ -720,22 +720,10 @@ let socket_keeps_other_files () =
   | Some msg -> Alcotest.failf "refusal does not name the path: %s" msg
   | None -> Alcotest.fail "serve_socket took over a regular file"
 
-let read_lines path =
-  In_channel.with_open_bin path @@ fun ic ->
-  let rec go acc =
-    match In_channel.input_line ic with
-    | Some l -> go (l :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
-(* `dune runtest` runs with the test directory as cwd; `dune exec
-   test/test_impact.exe` runs from the project root. *)
-let vector_path p = if Sys.file_exists p then p else Filename.concat "test" p
-
 let golden_replay () =
-  let requests = read_lines (vector_path "vectors/serve/requests.ndjson") in
-  let expected = read_lines (vector_path "vectors/serve/responses.ndjson") in
+  let vector p = Helpers.read_lines (Helpers.vector_path p) in
+  let requests = vector "vectors/serve/requests.ndjson" in
+  let expected = vector "vectors/serve/responses.ndjson" in
   Obs.Log.set_quiet true;
   Fun.protect ~finally:(fun () -> Obs.Log.set_quiet false) @@ fun () ->
   let d = Serve.Daemon.create ~config:small_config () in

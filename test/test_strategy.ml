@@ -2,7 +2,9 @@
    algorithms on hand-built weights, validity of every registered
    strategy's address map on every benchmark, and golden assertions that
    the refactored impact/natural/ph paths reproduce the pre-refactor
-   maps byte for byte. *)
+   maps byte for byte.  Every strategy's map on every benchmark, and the
+   merge-driven strategies' maps on generated programs, are pinned by
+   digest in test/vectors/maps/strategies.txt. *)
 
 open Helpers
 
@@ -104,6 +106,50 @@ let c3_cluster_cap () =
   Alcotest.(check (list int)) "density order under cap" [ 0; 3; 2; 1; 4 ]
     (Array.to_list g.Placement.Global_layout.order)
 
+(* The merge engine on a hand-built gain table over ids 0..3.  (0,1) and
+   (2,3) gain within epsilon of each other, (1,2) may never merge (C3's
+   byte cap answers [None] the same way), and (0,2) gains only once 2
+   and 3 are one group. *)
+let greedy_merge_engine () =
+  let eps = Placement.Greedy_merge.epsilon in
+  let merges = ref [] and gain_calls = ref [] in
+  let gain a b =
+    gain_calls := (a, b) :: !gain_calls;
+    match (a, b) with
+    | 0, 1 -> Some (5.0, "0+1")
+    | 2, 3 -> Some (5.0 +. (eps /. 2.), "2+3")
+    | 0, 2 when List.mem_assoc (2, 3) !merges -> Some (1.0, "01+23")
+    | _ -> None
+  in
+  let counter = Obs.Metrics.counter "test.greedy_merges" in
+  let before = Obs.Metrics.value counter in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
+      Placement.Greedy_merge.run ~counter
+        ~pairs:(fun connect ->
+          connect 3 2;
+          connect 1 2;
+          connect 0 1;
+          connect 2 3;
+          connect 2 2)
+        ~gain
+        ~merge:(fun a b m -> merges := ((a, b), m) :: !merges));
+  Alcotest.(check (list (pair (pair int int) string)))
+    "tie goes to the smaller pair; the None pair never merges"
+    [ ((0, 1), "0+1"); ((2, 3), "2+3"); ((0, 2), "01+23") ]
+    (List.rev !merges);
+  Alcotest.(check int) "one counter bump per merge" 3
+    (Obs.Metrics.value counter - before);
+  (* (1,2) was re-keyed onto the survivor as (0,2), whose gain is asked
+     again after each merge that changes 0 or 2. *)
+  let calls = List.rev !gain_calls in
+  Alcotest.(check int) "(1,2) asked once" 1
+    (List.length (List.filter (( = ) (1, 2)) calls));
+  Alcotest.(check int) "(0,2) recomputed after each merge" 2
+    (List.length (List.filter (( = ) (0, 2)) calls));
+  Alcotest.(check int) "(2,3) stays cached while 0 and 1 merge" 1
+    (List.length (List.filter (( = ) (2, 3)) calls))
+
 (* ------------------------------------------------------------------ *)
 (* Whole-benchmark validity and golden equivalence                     *)
 (* ------------------------------------------------------------------ *)
@@ -162,6 +208,42 @@ let pre_refactor_ph_map (p : Placement.Pipeline.t) =
   in
   Placement.Address_map.build program ~layouts ~order
 
+(* The digest perfbench's compile workload pins its maps with: total and
+   effective bytes, then every block's address and word count. *)
+let map_digest (m : Placement.Address_map.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d %d\n" m.total_bytes m.effective_bytes;
+  Array.iteri
+    (fun fid addrs ->
+      Printf.bprintf b "%d:" fid;
+      Array.iteri
+        (fun l a -> Printf.bprintf b " %d/%d" a m.block_words.(fid).(l))
+        addrs;
+      Buffer.add_char b '\n')
+    m.block_addr;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* test/vectors/maps/strategies.txt: "program strategy digest" lines. *)
+let pinned_digests =
+  lazy
+    (List.filter_map
+       (fun l ->
+         match String.split_on_char ' ' l with
+         | [ prog; strategy; digest ] when l.[0] <> '#' ->
+           Some ((prog, strategy), digest)
+         | _ -> None)
+       (Helpers.read_lines
+          (Helpers.vector_path "vectors/maps/strategies.txt")))
+
+(* The map of [strategy] on [prog] is byte-identical to the pinned one. *)
+let check_pinned prog (p : Placement.Pipeline.t) (s : Placement.Strategy.t) =
+  let label = prog ^ "/" ^ s.Placement.Strategy.id in
+  match List.assoc_opt (prog, s.id) (Lazy.force pinned_digests) with
+  | None -> Alcotest.failf "%s: no pinned digest" label
+  | Some digest ->
+    Alcotest.(check string) (label ^ ": pinned map digest") digest
+      (map_digest (Placement.Pipeline.map_for p s))
+
 let check_benchmark name =
   let b = Workloads.Registry.find name in
   let p =
@@ -174,6 +256,7 @@ let check_benchmark name =
     (fun s ->
       let label = name ^ "/" ^ s.Placement.Strategy.id in
       let map = Placement.Pipeline.map_for p s in
+      check_pinned name p s;
       (* Each block mapped exactly once onto disjoint ranges covering
          the whole program. *)
       Alcotest.(check bool) (label ^ ": disjoint") true
@@ -230,6 +313,22 @@ let all_benchmarks_valid () =
     (fun b -> check_benchmark b.Workloads.Bench.name)
     Workloads.Registry.all
 
+(* Small random CFGs are full of merges with equal gains, which only the
+   tie-break decides, so the merge-driven strategies are also pinned on
+   fifty generated programs, profiled the way the fuzzer profiles them. *)
+let generated_maps_pinned () =
+  for seed = 1 to 50 do
+    let prog = Ir.Lower.program (Ir.Gen.generate ~size:120 seed) in
+    let p = Placement.Pipeline.run prog ~inputs:[ Vm.Io.input [] ] in
+    List.iter
+      (fun id ->
+        check_pinned
+          (Printf.sprintf "seed-%d" seed)
+          p
+          (Placement.Strategy.find id))
+      [ "ph"; "exttsp"; "c3" ]
+  done
+
 let strategy_rows_complete () =
   (* The comparison experiment yields one row per benchmark x strategy. *)
   let names = [ "tee"; "cmp" ] in
@@ -271,8 +370,11 @@ let suite =
     Alcotest.test_case "exttsp dead blocks sink" `Quick exttsp_dead_blocks_sink;
     Alcotest.test_case "c3 global" `Quick c3_global;
     Alcotest.test_case "c3 cluster cap" `Quick c3_cluster_cap;
+    Alcotest.test_case "greedy merge engine" `Quick greedy_merge_engine;
     Alcotest.test_case "context memoizes strategies" `Quick
       context_memoizes_strategies;
+    Alcotest.test_case "generated programs keep pinned maps" `Quick
+      generated_maps_pinned;
     Alcotest.test_case "strategy rows complete" `Quick strategy_rows_complete;
     Alcotest.test_case "all strategies valid on all benchmarks" `Slow
       all_benchmarks_valid;
