@@ -1,9 +1,10 @@
 (* fuzz — differential layout fuzzer for the placement pipeline.
 
    Generates N seeded random programs, pushes each through lowering,
-   the full placement pipeline, every registered layout strategy and a
-   cache simulation, and checks all pipeline invariants plus
-   cross-strategy layout invariance.  Failing cases are shrunk to a
+   the VM and its profiler, the full placement pipeline, every
+   registered layout strategy and a cache simulation, and checks all
+   pipeline invariants, cross-strategy layout invariance and every fast
+   engine against its reference (lib/fuzz).  Failing cases are shrunk to a
    minimal reproducer and reported with the generating seed; the exit
    code identifies the first failure's stage. *)
 
@@ -61,22 +62,22 @@ let run count first_seed size quiet metrics_out jobs =
       ~finally:(fun () -> Option.iter Obs.Metrics.write metrics_out)
       (fun () ->
         Placement.Pool.with_default jobs (fun () ->
-            Experiments.Fuzz.run ~size ~log ~first_seed ~count ()))
+            Fuzz.run ~size ~log ~first_seed ~count ()))
   in
   match failures with
   | [] ->
     Printf.printf "ok: %d program(s) x %d strategies, no violations\n"
       count
       (List.length Placement.Strategy.all)
-  | (f : Experiments.Fuzz.failure) :: _ as fs ->
+  | (f : Fuzz.failure) :: _ as fs ->
     (* [log] already printed each failure unless --quiet. *)
     if quiet then
       List.iter
-        (fun f -> print_string (Fmt.str "%a" Experiments.Fuzz.report_failure f))
+        (fun f -> print_string (Fmt.str "%a" Fuzz.report_failure f))
         fs;
     Printf.eprintf "%d of %d seed(s) failed\n" (List.length fs) count;
     let code =
-      match Ir.Diag.errors f.Experiments.Fuzz.diags with
+      match Ir.Diag.errors f.Fuzz.diags with
       | d :: _ -> Ir.Diag.exit_code d
       | [] -> 1
     in

@@ -1,7 +1,6 @@
 (** E19 and the [impact absint] backend: sound static cache bounds
     ({!Analysis.Absint}) next to the paper-§5 heuristic estimate and
-    the simulated truth, plus the differential soundness oracle the
-    fuzzer replays on every generated program. *)
+    the simulated truth. *)
 
 open Analysis
 
@@ -41,21 +40,3 @@ val report_json : results:result list -> Obs.Json.t
 (** {2 E19 table} *)
 
 val table : Context.t -> Report.Table.t
-
-(** {2 Differential soundness oracle} *)
-
-val check_oracle :
-  ?configs:Icache.Config.t list ->
-  strategy:string ->
-  Ir.Prog.program ->
-  Placement.Address_map.t ->
-  Sim.Trace.t ->
-  Ir.Diag.t list
-(** Replays the trace against a fresh cache per config (default: two
-    small geometries that force conflicts on fuzz-sized programs,
-    512B/16B direct-mapped and 2-way) and checks every
-    claim: always-hit accesses never miss, always-miss accesses never
-    hit, first-miss (scope, line) pairs miss at most once per tracked
-    scope entry, the simulated miss total lands inside the certified
-    interval, and the Must/May domains never contradict.  Violations
-    come back as [Simulation]-stage error diags. *)

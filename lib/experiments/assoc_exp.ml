@@ -23,26 +23,31 @@ let compute ctx =
   Placement.Pool.map_default
     (fun e ->
       let trace = Context.trace e in
-      let opt = Context.optimized_map e in
       (* All four associativities of the optimized map share one pass. *)
-      ignore
-        (Context.simulate_many e
-           (List.map at
-              [
-                Icache.Config.Direct; Icache.Config.Ways 2;
-                Icache.Config.Ways 4; Icache.Config.Full;
-              ])
-           opt trace);
-      let miss assoc map =
-        (Context.simulate e (at assoc) map trace).Sim.Driver.miss_ratio
+      let direct, way2, way4, full =
+        match
+          Context.simulate_many e
+            (List.map at
+               [
+                 Icache.Config.Direct; Icache.Config.Ways 2;
+                 Icache.Config.Ways 4; Icache.Config.Full;
+               ])
+            (Context.optimized_map e) trace
+        with
+        | [ d; w2; w4; f ] -> (d, w2, w4, f)
+        | _ -> assert false
       in
+      let miss (r : Sim.Driver.result) = r.miss_ratio in
       {
         name = Context.name e;
-        nat_direct = miss Icache.Config.Direct (Context.natural_map e);
-        direct = miss Icache.Config.Direct opt;
-        way2 = miss (Icache.Config.Ways 2) opt;
-        way4 = miss (Icache.Config.Ways 4) opt;
-        full = miss Icache.Config.Full opt;
+        nat_direct =
+          miss
+            (Context.simulate e (at Icache.Config.Direct)
+               (Context.natural_map e) trace);
+        direct = miss direct;
+        way2 = miss way2;
+        way4 = miss way4;
+        full = miss full;
       })
     ctx
 

@@ -1,42 +1,28 @@
 (* Shared machinery for the cache-sweep tables (6, 7, 9): simulate each
-   benchmark's trace under a list of configurations and render miss and
-   traffic ratios side by side with the paper's numbers. *)
+   benchmark's trace under the optimized layout in a list of
+   configurations, and render miss and traffic ratios side by side with
+   the paper's numbers. *)
 
 type cell = { miss : float; traffic : float }
 
 type row = { name : string; cells : cell list }
 
-let simulate_entry configs map_of e =
-  let trace = Context.trace e in
-  let pairs = List.map (fun config -> (config, map_of e config)) configs in
-  (* Warm the context's result cache one map at a time, so that all
-     configurations sharing a map run in one sweep of its span program. *)
-  let distinct_maps =
-    List.fold_left
-      (fun acc (_, map) -> if List.memq map acc then acc else map :: acc)
-      [] pairs
+(* Every configuration replays the optimized map's span program in one
+   sweep. *)
+let simulate_entry configs e =
+  let results =
+    Context.simulate_many e configs (Context.optimized_map e) (Context.trace e)
   in
-  List.iter
-    (fun map ->
-      let cs =
-        List.filter_map
-          (fun (c, m) -> if m == map then Some c else None)
-          pairs
-      in
-      ignore (Context.simulate_many e cs map trace))
-    distinct_maps;
   {
     name = Context.name e;
     cells =
       List.map
-        (fun (config, map) ->
-          let r = Context.simulate e config map trace in
-          { miss = r.Sim.Driver.miss_ratio; traffic = r.Sim.Driver.traffic_ratio })
-        pairs;
+        (fun (r : Sim.Driver.result) ->
+          { miss = r.miss_ratio; traffic = r.traffic_ratio })
+        results;
   }
 
-let compute ctx configs ~map_of =
-  Placement.Pool.map_default (simulate_entry configs map_of) ctx
+let compute ctx configs = Placement.Pool.map_default (simulate_entry configs) ctx
 
 (* Render measured next to paper values: each sweep point becomes two
    columns "miss" and "traffic", each cell "measured (paper)". *)

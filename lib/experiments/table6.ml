@@ -6,8 +6,7 @@ let sizes = Paper.table6_sizes
 let configs =
   List.map (fun size -> Icache.Config.make ~size ~block:64 ()) sizes
 
-let compute ctx =
-  Sweep.compute ctx configs ~map_of:(fun e _ -> Context.optimized_map e)
+let compute ctx = Sweep.compute ctx configs
 
 let table ctx =
   Sweep.render

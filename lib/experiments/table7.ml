@@ -6,8 +6,7 @@ let blocks = Paper.table7_blocks
 let configs =
   List.map (fun block -> Icache.Config.make ~size:2048 ~block ()) blocks
 
-let compute ctx =
-  Sweep.compute ctx configs ~map_of:(fun e _ -> Context.optimized_map e)
+let compute ctx = Sweep.compute ctx configs
 
 let table ctx =
   Sweep.render

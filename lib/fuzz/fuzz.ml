@@ -4,6 +4,12 @@
    run the whole placement pipeline on it, build the address map of
    every registered layout strategy, and check
 
+   - the VM agrees with the matching interpreter
+     ([Oracle.Matching_interp]) on the lowered program: outcome, counts,
+     arc and call order, block stream, or the same fault and message;
+   - [Vm.Profile]'s dense counters agree with the per-transfer profiler
+     ([Oracle.Transfer_profile]): every count, every table in
+     first-taken order;
    - every structural / flow / selection / layout / map invariant
      ([Placement.Validate], at [Full] level);
    - inline expansion preserved semantics (the original and inlined
@@ -15,19 +21,18 @@
      same under every strategy's map (layout invariance);
    - a cache simulation over each map accesses exactly that many
      instructions;
-   - the two simulation engines agree bit-for-bit on the stored trace
-     under each map: the word-granular reference ([Sim.Driver.reference])
-     and the span-fused sweep every experiment uses
-     ([Sim.Driver.simulate]);
+   - the span-program sweep every experiment uses ([Sim.Driver.simulate])
+     agrees bit for bit with the word-granular reference
+     ([Oracle.Word_sim]) on the stored trace under each map;
 
    - the abstract-interpretation cache bounds ([Analysis.Absint]) are
      sound against the simulated truth on small conflict-heavy
      geometries: no always-hit access ever misses, no always-miss
      access ever hits, a first-miss line misses at most once per
      tracked loop entry, and the simulated miss total lands inside the
-     certified interval ([Absint_exp.check_oracle]).
+     certified interval ([Oracle.Absint_soundness]).
 
-   On failure the case is shrunk greedily ([Ir.Gen.shrink]) while the
+   On failure the case is shrunk greedily ([Oracle.Gen.shrink]) while the
    first violation stays in the same stage — so the reproducer exhibits
    the original failure class, not some unrelated breakage introduced by
    the reduction — and reported with its seed, which regenerates the
@@ -66,6 +71,27 @@ let catching stage f =
   | Vm.Interp.Fault m -> Error [ Ir.Diag.make ~stage "VM fault: %s" m ]
   | exn -> Error [ Ir.Diag.make ~stage "%s" (Printexc.to_string exn) ]
 
+(* The VM and its profiler against their oracles on the lowered
+   program.  A run that faults must fault the same way in both
+   interpreters; it is not profiled, and the pipeline stage reports the
+   fault. *)
+let engine_diags prog =
+  let differ fmt =
+    Fmt.kstr (fun m -> [ Ir.Diag.make ~stage:Ir.Diag.Profile "%s" m ]) fmt
+  in
+  match Oracle.Matching_interp.same_as_oracle ~fuel prog case_input with
+  | Error what -> differ "VM and matching interpreter differ: %s" what
+  | Ok (Error _) -> []
+  | Ok (Ok _) -> (
+    match
+      catching Ir.Diag.Profile (fun () ->
+          Oracle.Transfer_profile.same_as_oracle prog [ case_input ])
+    with
+    | Error ds -> ds
+    | Ok (Ok ()) -> []
+    | Ok (Error what) ->
+      differ "Vm.Profile and the per-transfer profiler differ: %s" what)
+
 (* All violations exhibited by one generated program, or [] if the whole
    pipeline holds up.  Stages are checked in order and a failing stage
    short-circuits the rest (its artifacts would be garbage anyway). *)
@@ -74,8 +100,15 @@ let check_program ?(strategies = Placement.Strategy.all)
   match catching Ir.Diag.Lower (fun () -> Ir.Lower.program ast) with
   | Error ds -> ds
   | Ok prog -> (
-    match Ir.Check.diags prog with
-    | _ :: _ as structural -> structural
+    (* A structurally valid program is run against the engine oracles
+       before the pipeline profiles it. *)
+    let early =
+      match Ir.Check.diags prog with
+      | [] -> engine_diags prog
+      | structural -> structural
+    in
+    match early with
+    | _ :: _ -> early
     | [] -> (
       match
         catching Ir.Diag.Profile (fun () ->
@@ -93,12 +126,8 @@ let check_program ?(strategies = Placement.Strategy.all)
           let semantics =
             match
               catching Ir.Diag.Structure (fun () ->
-                  let obs prog =
-                    let r = Vm.Interp.run ~fuel prog case_input in
-                    (r.Vm.Interp.return_value, Vm.Io.output r.Vm.Interp.io 0)
-                  in
-                  (obs p.Placement.Pipeline.original,
-                   obs p.Placement.Pipeline.program))
+                  (Oracle.Gen.observe p.Placement.Pipeline.original,
+                   Oracle.Gen.observe p.Placement.Pipeline.program))
             with
             | Error ds -> ds
             | Ok ((r0, o0), (r1, o1)) ->
@@ -203,7 +232,7 @@ let check_program ?(strategies = Placement.Strategy.all)
                          result field under this strategy's addresses. *)
                       match
                         catching Ir.Diag.Simulation (fun () ->
-                            ( Sim.Driver.reference sim_config m trace,
+                            ( Oracle.Word_sim.run sim_config m trace,
                               Sim.Driver.simulate [ sim_config ] m trace ))
                       with
                       | Error ds -> tagged ds
@@ -214,13 +243,14 @@ let check_program ?(strategies = Placement.Strategy.all)
                              trace holds %d"
                             r.Sim.Driver.accesses n;
                         ]
-                      | Ok (r, [ fast ]) when fast = r -> (
+                      | Ok (r, [ fast ])
+                        when Oracle.Word_sim.results_equal r fast -> (
                         (* Soundness oracle: replay the trace against the
                            abstract-interpretation claims on
                            conflict-forcing geometries. *)
                         match
                           catching Ir.Diag.Simulation (fun () ->
-                              Absint_exp.check_oracle ~strategy:id
+                              Oracle.Absint_soundness.check ~strategy:id
                                 p.Placement.Pipeline.program m trace)
                         with
                         | Error ds -> tagged ds
@@ -240,7 +270,7 @@ let first_error ds = match Ir.Diag.errors ds with d :: _ -> Some d | [] -> None
    can run in different places (the parallel campaign detects on worker
    domains and shrinks serially, in seed order). *)
 let shrink_failure ~size ?strategies seed diags : failure =
-  let ast = Ir.Gen.generate ~size seed in
+  let ast = Oracle.Gen.generate ~size seed in
   let d0 =
     match first_error diags with
     | Some d -> d
@@ -253,7 +283,7 @@ let shrink_failure ~size ?strategies seed diags : failure =
     | Some d -> d.Ir.Diag.stage = d0.Ir.Diag.stage
     | None -> false
   in
-  let shrunk, shrink_steps = Ir.Gen.shrink ast ~still_fails in
+  let shrunk, shrink_steps = Oracle.Gen.shrink ast ~still_fails in
   {
     seed;
     size;
@@ -304,7 +334,7 @@ let run ?(size = 120) ?strategies ?(log = ignore) ~first_seed ~count () :
     Placement.Pool.map_default
       (fun seed ->
         Obs.Metrics.incr seeds_checked;
-        let diags = check_program ?strategies (Ir.Gen.generate ~size seed) in
+        let diags = check_program ?strategies (Oracle.Gen.generate ~size seed) in
         Option.map (fun _ -> (seed, diags)) (first_error diags))
       (List.init count (fun k -> first_seed + k))
   in

@@ -1,9 +1,12 @@
 (** Differential layout fuzzer: seeded random programs are pushed
-    through lowering, the full placement pipeline, every registered
-    layout strategy, the static linter and a cache simulation, checking
-    all pipeline invariants plus cross-strategy layout invariance (and
-    that {!Analysis.Lint} neither crashes nor finds error-severity
-    contradictions on any strategy's map).  Failures are
+    through lowering, the VM and its profiler, the full placement
+    pipeline, every registered layout strategy, the static linter and a
+    cache simulation, checking all pipeline invariants plus
+    cross-strategy layout invariance (and that {!Analysis.Lint} neither
+    crashes nor finds error-severity contradictions on any strategy's
+    map).  Each fast engine is checked against its reference in the
+    [oracle] library: the VM, the profiler, the simulation sweep and
+    the abstract-interpretation bounds.  Failures are
     shrunk to a minimal reproducer (the shrink predicate keeps the
     first violation in its original stage) and carry the generating
     seed. *)

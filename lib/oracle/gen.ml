@@ -1,5 +1,5 @@
 (* Seeded random mini-C program generator, used by the differential
-   tests and the layout fuzzer (bin/fuzz.ml).
+   tests and the layout fuzzer (lib/fuzz).
 
    Programs terminate by construction: the only loops are counted for
    loops with small immediate bounds, and helper functions may call only
@@ -8,14 +8,15 @@
    program writes observable output (putc of expression values), making
    semantic divergence after a transformation visible.
 
-   The generator lives in [ir] (rather than the test tree) so that
-   production binaries can fuzz the pipeline; it therefore carries its
-   own deterministic RNG instead of depending on [Workloads.Rng]. *)
+   The generator carries its own deterministic RNG rather than
+   [Workloads.Rng], so a seed names the same program no matter how the
+   workloads' generator evolves (test/vectors/maps/strategies.txt pins
+   the maps of seeds 1-50). *)
 
+open Ir
 open Ast.Dsl
 
-(* Deterministic splitmix64, mirroring Workloads.Rng so promoted callers
-   keep reproducible seeds without a dependency cycle. *)
+(* Deterministic splitmix64, mirroring Workloads.Rng. *)
 module Rng = struct
   type t = { mutable state : int64 }
 
@@ -290,3 +291,10 @@ let shrink (p : Ast.program)
     | None -> ()
   done;
   (!current, !steps)
+
+(* Observable behaviour of a lowered program on the empty input: its
+   return value and stream-0 output, run on the VM.  Generated programs
+   terminate well within the fuel. *)
+let observe prog =
+  let r = Vm.Interp.run ~fuel:50_000_000 prog (Vm.Io.input []) in
+  (r.Vm.Interp.return_value, Vm.Io.output r.Vm.Interp.io 0)

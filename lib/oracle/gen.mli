@@ -2,8 +2,11 @@
     the differential tests and the layout fuzzer.  Generated programs
     terminate by construction and write observable output. *)
 
+open Ir
+
 val generate : ?size:int -> int -> Ast.program
-(** Generate a whole program from a seed; [size] scales the fuel. *)
+(** Generate a whole program from a seed; [size] scales the fuel.  The
+    same seed always yields the same program. *)
 
 val shrink :
   Ast.program ->
@@ -12,3 +15,8 @@ val shrink :
 (** Greedily apply candidate reductions on which [still_fails] holds, to
     a fixed point or at most 400 steps; returns the minimal reproducer
     and the number of reduction steps taken. *)
+
+val observe : Prog.program -> int * string
+(** Observable behaviour of a lowered program on the empty input: the
+    VM's return value and stream-0 output.  A transformation that
+    preserves semantics preserves this pair. *)

@@ -1,13 +1,13 @@
-(* Reference interpreter: the matching loop the VM used before it became
-   translate-then-run.  Every executed instruction is matched on its
+(* Matching interpreter: the loop the VM used before it became
+   translate-then-run, kept as the VM's oracle.  Every executed instruction is matched on its
    [Insn.t] constructor and every operand on [Reg]/[Imm]; every terminator
    is matched on its [Cfg.term] and its labels looked up in the current
    function.  It counts into the same dense per-run arrays and calls
    [block_sink] at the same points, and it raises the VM's own exceptions
    ([Vm.Interp.Fault], [Vm.Memory.Fault], [Ir.Prog.Unknown_function]) with
-   the same messages, so tests can compare the two engines run for run:
-   return value, dynamic totals, outputs, per-block counts, arc and call
-   order, the block stream, and every fault. *)
+   the same messages, so [same_as_oracle] can compare the two engines
+   run for run: return value, dynamic totals, outputs, per-block counts,
+   arc and call order, the block stream, and every fault. *)
 
 open Ir
 
@@ -30,7 +30,7 @@ let slot_target term k =
   | Cfg.Br (_, t, f) -> if k = 0 then t else f
   | Cfg.Switch (_, cases, default) ->
     if k < Array.length cases then snd cases.(k) else default
-  | Cfg.Ret _ -> invalid_arg "Interp_oracle.slot_target: Ret has no successors"
+  | Cfg.Ret _ -> invalid_arg "Matching_interp.slot_target: Ret has no successors"
 
 (* Blocks are numbered globally, function by function, and successor
    slots globally, block by block. *)
@@ -315,3 +315,99 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
     io;
     counts = c;
   }
+
+(* {1 Comparison with the VM}
+
+   Everything a run shows its caller, in one comparable value. *)
+
+type outcome = {
+  value : int;
+  totals : int list; (* dyn_insns, dyn_blocks, dyn_calls, dyn_branches *)
+  outputs : string list;
+  block_counts : int array list;
+  arcs : (int * int * int * int) list;
+  calls : (int * int * int * int) list;
+}
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun a b c d -> acc := (a, b, c, d) :: !acc);
+  List.rev !acc
+
+let outcome (p : Prog.program) ~value ~totals ~io ~block_count ~arcs ~calls =
+  {
+    value;
+    totals;
+    outputs = List.init Vm.Io.max_streams (Vm.Io.output io);
+    block_counts =
+      Array.to_list
+        (Array.mapi
+           (fun fid (f : Prog.func) ->
+             Array.init (Array.length f.blocks) (block_count fid))
+           p.funcs);
+    arcs = collect arcs;
+    calls = collect calls;
+  }
+
+let of_vm p (r : Vm.Interp.result) =
+  outcome p ~value:r.return_value
+    ~totals:[ r.dyn_insns; r.dyn_blocks; r.dyn_calls; r.dyn_branches ]
+    ~io:r.io ~block_count:(Vm.Interp.block_count r.counts)
+    ~arcs:(Vm.Interp.iter_arcs r.counts) ~calls:(Vm.Interp.iter_calls r.counts)
+
+let of_oracle p (r : result) =
+  outcome p ~value:r.return_value
+    ~totals:[ r.dyn_insns; r.dyn_blocks; r.dyn_calls; r.dyn_branches ]
+    ~io:r.io ~block_count:(block_count r.counts) ~arcs:(iter_arcs r.counts)
+    ~calls:(iter_calls r.counts)
+
+(* One block of the sink stream as a single int. *)
+let code fid l = (fid lsl 32) lor l
+
+(* Run the oracle, recording its block stream, then the VM, checking its
+   stream against the recording as it goes (a workload's stream is
+   millions of blocks). *)
+let same_as_oracle ?fuel p input =
+  let stream = Buffer.create 4096 in
+  let guard f =
+    match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+  in
+  let want =
+    guard (fun () ->
+        of_oracle p
+          (run ?fuel p input ~block_sink:(fun fid l ->
+               Buffer.add_int64_le stream (Int64.of_int (code fid l)))))
+  in
+  let stream = Buffer.to_bytes stream in
+  let n = Bytes.length stream / 8 in
+  let pos = ref 0 and diverged = ref (-1) in
+  let got =
+    guard (fun () ->
+        of_vm p
+          (Vm.Interp.run ?fuel p input ~block_sink:(fun fid l ->
+               if
+                 !diverged < 0
+                 && (!pos >= n
+                    || Int64.to_int (Bytes.get_int64_le stream (!pos * 8))
+                       <> code fid l)
+               then diverged := !pos;
+               incr pos)))
+  in
+  if !diverged >= 0 then
+    Error (Printf.sprintf "block streams (at block %d)" !diverged)
+  else if !pos <> n then Error "block stream lengths"
+  else
+    match (want, got) with
+    | Error w, Error g ->
+      if w <> g then Error (Printf.sprintf "faults (%s vs %s)" w g)
+      else Ok want
+    | Ok _, Error g -> Error ("outcomes (the VM raised " ^ g ^ ")")
+    | Error w, Ok _ -> Error ("outcomes (the oracle raised " ^ w ^ ")")
+    | Ok w, Ok g ->
+      if w.value <> g.value then Error "return values"
+      else if w.totals <> g.totals then Error "dyn_* totals"
+      else if w.outputs <> g.outputs then Error "outputs"
+      else if w.block_counts <> g.block_counts then Error "block counts"
+      else if w.arcs <> g.arcs then Error "iter_arcs sequences"
+      else if w.calls <> g.calls then Error "iter_calls sequences"
+      else Ok want

@@ -1,4 +1,4 @@
-(* Reference profiler: per-transfer counting.  Every executed block, arc
+(* Per-transfer profiler, the oracle of [Vm.Profile]'s dense counters.  Every executed block, arc
    and call bumps its hash-table key as it happens, so key insertion
    order is first-taken order by construction.
 
@@ -85,3 +85,16 @@ let view (p : Vm.Profile.t) =
     in_arcs = List.map (Vm.Profile.in_arcs p) fids;
     sites = Hashtbl.fold (fun k c acc -> (k, c) :: acc) p.site_counts [];
   }
+
+(* The dense-counter profile must equal the per-transfer oracle in every
+   count and in every hash table's fold order. *)
+let same_as_oracle prog inputs =
+  let got = view (Vm.Profile.profile prog inputs) in
+  let want = view (profile prog inputs) in
+  if got.blocks <> want.blocks then Error "block counts"
+  else if got.entries <> want.entries then Error "entry counts"
+  else if got.totals <> want.totals then Error "runs and dyn_* totals"
+  else if got.out_arcs <> want.out_arcs then Error "out_arcs"
+  else if got.in_arcs <> want.in_arcs then Error "in_arcs"
+  else if got.sites <> want.sites then Error "site_counts fold order"
+  else Ok ()

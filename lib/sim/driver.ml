@@ -9,17 +9,14 @@
    - avg.fetch: mean 4-byte entities transferred per miss (Table 8);
    - effective access time under the three refill timing policies.
 
-   Two engines share the per-configuration state, the run bookkeeping
-   and the result assembly below:
-   - [replay] is the sweep every experiment uses (through [simulate],
-     or through the context's memoized span programs): it walks a span
-     program ([Trace.program], the trace decoded once under a map), one
-     [Icache.Cache.access_run] per span walked per configuration, and
-     accounts a repeated window's copies after its first all-hit copy
-     in bulk, since they change no cache or run state;
-   - [reference] is the word-granular oracle: every instruction fetch
-     goes through [Icache.Cache.access] one at a time.
-   Their results are bit-identical (property-tested in
+   [replay] is the one engine (through [simulate], or through the
+   context's memoized span programs): it walks a span program
+   ([Trace.program], the trace decoded once under a map), one
+   [Icache.Cache.access_run] per span walked per configuration, and
+   accounts a repeated window's copies after its first all-hit copy in
+   bulk, since they change no cache or run state.  Its results are
+   bit-identical to the word-granular reference [Oracle.Word_sim], which
+   sends every fetch through [Icache.Cache.access] (property-tested in
    test/test_fast_sim.ml, pinned on every benchmark in
    test/test_stream.ml, and checked per seed by the fuzzer). *)
 
@@ -39,7 +36,8 @@ type result = {
 
 (* Telemetry: per-configuration cache counters, labelled with the
    configuration's human description, accumulated across every
-   simulation (reference and sweep alike). *)
+   simulation (the word-granular reference records its results here
+   too). *)
 let record_metrics (results : result list) =
   if Obs.Metrics.enabled () then
     List.iter
@@ -62,14 +60,12 @@ type state = {
   cache : Icache.Cache.t;
   words_per_block : int;
   timers : Icache.Timing.t array; (* blocking, streaming, streaming_partial *)
-  mutable prev_addr : int; (* reference only: last fetched word's address *)
   mutable run_open : bool;
   mutable run_len : int;
   mutable run_word : int;
   mutable run_fetched : int;
   mutable runs_sum : int;
   mutable runs_count : int;
-  (* sweep only: *)
   mutable next_at : int; (* words of the current span already accounted *)
   on_miss : at:int -> word_in_block:int -> fetched_words:int -> unit;
       (* the span's miss callback, allocated once with the state *)
@@ -127,7 +123,6 @@ let state config =
             Icache.Timing.Streaming;
             Icache.Timing.Streaming_partial;
           |];
-      prev_addr = min_int;
       run_open = false;
       run_len = 0;
       run_word = 0;
@@ -162,39 +157,6 @@ let result_of st =
     eat_streaming = eat 1;
     eat_streaming_partial = eat 2;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Word-granular reference                                             *)
-(* ------------------------------------------------------------------ *)
-
-let reference (config : Icache.Config.t)
-    (map : Placement.Address_map.t) (trace : Trace.t) : result =
-  Obs.Span.with_ ~stage:"simulate"
-    ~attrs:[ ("engine", "reference"); ("config", Icache.Config.describe config) ]
-  @@ fun () ->
-  let st = state config in
-  let addr_of = map.Placement.Address_map.block_addr in
-  let words_of = map.Placement.Address_map.block_words in
-  Trace.iter_blocks
-    (fun fid label ->
-      let base = addr_of.(fid).(label) in
-      for k = 0 to words_of.(fid).(label) - 1 do
-        let addr = base + (k * Ir.Insn.bytes_per_insn) in
-        let outcome = Icache.Cache.access st.cache addr in
-        let sequential = addr = st.prev_addr + Icache.Config.word_bytes in
-        st.prev_addr <- addr;
-        if outcome.Icache.Cache.miss then
-          open_run st ~word_in_block:outcome.Icache.Cache.word_in_block
-            ~fetched_words:outcome.Icache.Cache.fetched_words
-        else begin
-          Array.iter Icache.Timing.on_hit st.timers;
-          apply_hits st 1 ~first_seq:sequential
-        end
-      done)
-    trace;
-  let r = result_of st in
-  record_metrics [ r ];
-  r
 
 (* ------------------------------------------------------------------ *)
 (* Span-program sweep                                                  *)

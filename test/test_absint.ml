@@ -33,7 +33,7 @@ let record_trace prog =
 let oracle_clean what ?configs prog map =
   let trace = record_trace prog in
   match
-    Experiments.Absint_exp.check_oracle ?configs ~strategy:"natural" prog map
+    Oracle.Absint_soundness.check ?configs ~strategy:"natural" prog map
       trace
   with
   | [] -> ()
@@ -253,7 +253,7 @@ let prop_domains_consistent =
   QCheck.Test.make ~name:"must and may domains never contradict" ~count:25
     QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
     (fun seed ->
-      let prog = Lower.program (Gen.generate ~size:40 seed) in
+      let prog = Lower.program (Oracle.Gen.generate ~size:40 seed) in
       let map = Placement.Address_map.natural prog in
       List.for_all
         (fun config ->
@@ -298,7 +298,7 @@ let prop_shared_tracker =
     ~count:25
     QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
     (fun seed ->
-      let p = Lower.program (Gen.generate ~size:40 seed) in
+      let p = Lower.program (Oracle.Gen.generate ~size:40 seed) in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let prog = pl.Placement.Pipeline.program in
       let trace = Sim.Trace.record prog (Vm.Io.input []) in

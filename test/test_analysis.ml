@@ -256,7 +256,7 @@ let prop_dom_reach =
   QCheck.Test.make ~name:"dominators consistent with reachability" ~count:40
     QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
     (fun seed ->
-      let prog = Lower.program (Gen.generate ~size:30 seed) in
+      let prog = Lower.program (Oracle.Gen.generate ~size:30 seed) in
       Array.for_all
         (fun (f : Prog.func) ->
           let reach = Cfg.reachable f.Prog.blocks in

@@ -8,16 +8,16 @@ let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 let prop_simplify_preserves =
   QCheck.Test.make ~name:"simplify preserves behavior" ~count:120 seed_gen
     (fun seed ->
-      let ast = Gen_prog.generate seed in
+      let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
       let s = Ir.Simplify.program p in
       Ir.Check.program s;
-      Gen_prog.observe_lowered p = Gen_prog.observe_lowered s)
+      Oracle.Gen.observe p = Oracle.Gen.observe s)
 
 let prop_inline_preserves =
   QCheck.Test.make ~name:"inline expansion preserves behavior" ~count:60
     seed_gen (fun seed ->
-      let ast = Gen_prog.generate seed in
+      let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
       let config =
         {
@@ -31,20 +31,20 @@ let prop_inline_preserves =
         Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ]
       in
       Ir.Check.program inlined;
-      Gen_prog.observe_lowered p = Gen_prog.observe_lowered inlined)
+      Oracle.Gen.observe p = Oracle.Gen.observe inlined)
 
 let prop_scaling_preserves =
   QCheck.Test.make ~name:"code scaling preserves behavior" ~count:60 seed_gen
     (fun seed ->
-      let ast = Gen_prog.generate seed in
+      let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
       let scaled = Ir.Prog.scale_code 0.6 p in
-      Gen_prog.observe_lowered p = Gen_prog.observe_lowered scaled)
+      Oracle.Gen.observe p = Oracle.Gen.observe scaled)
 
 let prop_pipeline_invariants =
   QCheck.Test.make ~name:"pipeline invariants on random programs" ~count:40
     seed_gen (fun seed ->
-      let ast = Gen_prog.generate seed in
+      let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let program = pl.Placement.Pipeline.program in
@@ -65,15 +65,15 @@ let prop_pipeline_invariants =
                           (Array.length program.Ir.Prog.funcs.(fid).Ir.Prog.blocks)))))
          = 0
       (* behavior preserved end to end *)
-      && Gen_prog.observe_lowered pl.Placement.Pipeline.original
-         = Gen_prog.observe_lowered program)
+      && Oracle.Gen.observe pl.Placement.Pipeline.original
+         = Oracle.Gen.observe program)
 
 let prop_layouts_agree_on_accesses =
   (* Natural, IMPACT and P-H layouts of the same program replay the same
      number of fetches; all ratios bounded. *)
   QCheck.Test.make ~name:"layouts replay identical access counts" ~count:25
     seed_gen (fun seed ->
-      let ast = Gen_prog.generate seed in
+      let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =

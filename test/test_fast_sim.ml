@@ -1,7 +1,7 @@
 (* Differential tests for the span-fused fast simulation engine:
    [Icache.Cache.access_run] and [Sim.Driver.simulate] must be exactly
    equivalent — counters, miss events, and every derived metric — to the
-   word-granular reference ([access] / [Sim.Driver.reference]), across
+   word-granular reference ([access] / [Oracle.Word_sim.run]), across
    all fill policies, associativities, and prefetch settings. *)
 
 let config_pool =
@@ -100,18 +100,6 @@ let prop_access_run_equals_access =
 
 (* --- simulate vs reference on random programs --- *)
 
-let results_equal (a : Sim.Driver.result) (b : Sim.Driver.result) =
-  a.Sim.Driver.accesses = b.Sim.Driver.accesses
-  && a.Sim.Driver.misses = b.Sim.Driver.misses
-  && a.Sim.Driver.words_fetched = b.Sim.Driver.words_fetched
-  && a.Sim.Driver.miss_ratio = b.Sim.Driver.miss_ratio
-  && a.Sim.Driver.traffic_ratio = b.Sim.Driver.traffic_ratio
-  && a.Sim.Driver.avg_fetch_words = b.Sim.Driver.avg_fetch_words
-  && a.Sim.Driver.avg_exec_insns = b.Sim.Driver.avg_exec_insns
-  && a.Sim.Driver.eat_blocking = b.Sim.Driver.eat_blocking
-  && a.Sim.Driver.eat_streaming = b.Sim.Driver.eat_streaming
-  && a.Sim.Driver.eat_streaming_partial = b.Sim.Driver.eat_streaming_partial
-
 let seed_gen =
   QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 
@@ -119,7 +107,7 @@ let prop_simulate_equals_reference =
   QCheck.Test.make
     ~name:"simulate = per-config reference (random programs)" ~count:20
     seed_gen (fun seed ->
-      let ast = Gen_prog.generate seed in
+      let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
@@ -129,9 +117,9 @@ let prop_simulate_equals_reference =
         (fun map ->
           let fast = Sim.Driver.simulate config_pool map trace in
           let ref_ =
-            List.map (fun c -> Sim.Driver.reference c map trace) config_pool
+            List.map (fun c -> Oracle.Word_sim.run c map trace) config_pool
           in
-          List.for_all2 results_equal ref_ fast)
+          List.for_all2 Oracle.Word_sim.results_equal ref_ fast)
         [
           pl.Placement.Pipeline.optimized;
           pl.Placement.Pipeline.natural;
@@ -147,7 +135,7 @@ let prop_simulate_equals_reference =
 let fixture_result =
   lazy
     (Vm.Interp.run
-       (Ir.Lower.program (Gen_prog.generate 1))
+       (Ir.Lower.program (Oracle.Gen.generate 1))
        (Vm.Io.input []))
 
 let fixture_trace labels =
@@ -200,7 +188,7 @@ let fixture_simulate () =
       Alcotest.(check bool)
         (Icache.Config.describe c)
         true
-        (results_equal (Sim.Driver.reference c fixture_map trace) r))
+        (Oracle.Word_sim.results_equal (Oracle.Word_sim.run c fixture_map trace) r))
     config_pool fast
 
 (* Every fetched word, block by block, in execution order. *)
@@ -219,7 +207,7 @@ let prop_spans_cover_blocks =
   QCheck.Test.make
     ~name:"iter_spans = per-block walk, maximal (random programs)" ~count:20
     seed_gen (fun seed ->
-      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
         Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
@@ -302,7 +290,7 @@ let prop_program_expands_to_spans =
   QCheck.Test.make
     ~name:"span program expands to iter_spans (random programs, every strategy)"
     ~count:20 seed_gen (fun seed ->
-      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
         Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
@@ -345,7 +333,7 @@ let prop_skip_equals_reference =
   QCheck.Test.make
     ~name:"steady-state skip = reference (loop-heavy traces, thrash and fit)"
     ~count:20 seed_gen (fun seed ->
-      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
         loop_heavy (Random.State.make [| seed |])
@@ -355,7 +343,7 @@ let prop_skip_equals_reference =
         (fun map ->
           let fast = Sim.Driver.simulate loop_configs map trace in
           List.for_all2
-            (fun c r -> results_equal (Sim.Driver.reference c map trace) r)
+            (fun c r -> Oracle.Word_sim.results_equal (Oracle.Word_sim.run c map trace) r)
             loop_configs fast)
         [ pl.Placement.Pipeline.optimized; pl.Placement.Pipeline.natural ])
 

@@ -179,106 +179,24 @@ let counted_arcs () =
 
 (* {1 The matching oracle}
 
-   [Interp_oracle] is the matching interpreter the VM replaced.  Both
-   engines must agree on everything a run shows its caller: return
+   [Oracle.Matching_interp] is the matching interpreter the VM replaced.
+   Both engines must agree on everything a run shows its caller: return
    value, dynamic totals, outputs, every block count, the arc and call
    sequences, the [block_sink] stream and, on a fault, the exception and
-   its message. *)
+   its message.  Returns the oracle's run, so callers can choose a fuel
+   that faults. *)
 
-type outcome = {
-  value : int;
-  totals : int list; (* dyn_insns, dyn_blocks, dyn_calls, dyn_branches *)
-  outputs : string list;
-  block_counts : int array list;
-  arcs : (int * int * int * int) list;
-  calls : (int * int * int * int) list;
-}
-
-let collect iter =
-  let acc = ref [] in
-  iter (fun a b c d -> acc := (a, b, c, d) :: !acc);
-  List.rev !acc
-
-let outcome (p : Ir.Prog.program) ~value ~totals ~io ~block_count ~arcs ~calls =
-  {
-    value;
-    totals;
-    outputs = List.init Vm.Io.max_streams (Vm.Io.output io);
-    block_counts =
-      Array.to_list
-        (Array.mapi
-           (fun fid (f : Ir.Prog.func) ->
-             Array.init (Array.length f.blocks) (block_count fid))
-           p.funcs);
-    arcs = collect arcs;
-    calls = collect calls;
-  }
-
-let of_vm p (r : Vm.Interp.result) =
-  outcome p ~value:r.return_value
-    ~totals:[ r.dyn_insns; r.dyn_blocks; r.dyn_calls; r.dyn_branches ]
-    ~io:r.io ~block_count:(Vm.Interp.block_count r.counts)
-    ~arcs:(Vm.Interp.iter_arcs r.counts) ~calls:(Vm.Interp.iter_calls r.counts)
-
-let of_oracle p (r : Interp_oracle.result) =
-  outcome p ~value:r.return_value
-    ~totals:[ r.dyn_insns; r.dyn_blocks; r.dyn_calls; r.dyn_branches ]
-    ~io:r.io ~block_count:(Interp_oracle.block_count r.counts)
-    ~arcs:(Interp_oracle.iter_arcs r.counts)
-    ~calls:(Interp_oracle.iter_calls r.counts)
-
-(* One block of the sink stream as a single int. *)
-let code fid l = (fid lsl 32) lor l
-
-(* Run the oracle, recording its block stream, then the VM, checking its
-   stream against the recording as it goes (a workload's stream is
-   millions of blocks).  Returns the oracle's outcome, so callers can
-   choose a fuel that faults. *)
 let same_as_oracle ?fuel name p input =
-  let stream = Buffer.create 4096 in
-  let guard f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
-  let want =
-    guard (fun () ->
-        of_oracle p
-          (Interp_oracle.run ?fuel p input ~block_sink:(fun fid l ->
-               Buffer.add_int64_le stream (Int64.of_int (code fid l)))))
-  in
-  let stream = Buffer.to_bytes stream in
-  let n = Bytes.length stream / 8 in
-  let pos = ref 0 and diverged = ref (-1) in
-  let got =
-    guard (fun () ->
-        of_vm p
-          (Vm.Interp.run ?fuel p input ~block_sink:(fun fid l ->
-               if
-                 !diverged < 0
-                 && (!pos >= n
-                    || Int64.to_int (Bytes.get_int64_le stream (!pos * 8))
-                       <> code fid l)
-               then diverged := !pos;
-               incr pos)))
-  in
-  let fail what = Alcotest.failf "%s (%s): %s differ" name input.Vm.Io.label what in
-  if !diverged >= 0 then fail (Printf.sprintf "block streams (at block %d)" !diverged);
-  if !pos <> n then fail "block stream lengths";
-  (match (want, got) with
-  | Error w, Error g -> if w <> g then fail (Printf.sprintf "faults (%s vs %s)" w g)
-  | Ok _, Error g -> fail ("outcomes (the VM raised " ^ g ^ ")")
-  | Error w, Ok _ -> fail ("outcomes (the oracle raised " ^ w ^ ")")
-  | Ok w, Ok g ->
-    if w.value <> g.value then fail "return values";
-    if w.totals <> g.totals then fail "dyn_* totals";
-    if w.outputs <> g.outputs then fail "outputs";
-    if w.block_counts <> g.block_counts then fail "block counts";
-    if w.arcs <> g.arcs then fail "iter_arcs sequences";
-    if w.calls <> g.calls then fail "iter_calls sequences");
-  want
+  match Oracle.Matching_interp.same_as_oracle ?fuel p input with
+  | Ok run -> run
+  | Error what ->
+    Alcotest.failf "%s (%s): %s differ" name input.Vm.Io.label what
 
 let prop_oracle =
   QCheck.Test.make ~name:"VM equals the matching oracle" ~count:40
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
-      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
       let name = Printf.sprintf "seed %d" seed in
       let first =
         same_as_oracle ~fuel:50_000_000 name p (Vm.Io.input ~label:"empty" [])
@@ -289,7 +207,7 @@ let prop_oracle =
       (* Half the fuel the first run needed: the run must fault, at the
          same block and with the same instruction count. *)
       (match first with
-      | Ok { totals = insns :: _; _ } when insns >= 2 ->
+      | Ok { Oracle.Matching_interp.totals = insns :: _; _ } when insns >= 2 ->
         (match
            same_as_oracle ~fuel:(insns / 2) name p
              (Vm.Io.input ~label:"low fuel" [])

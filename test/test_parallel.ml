@@ -174,7 +174,7 @@ let fuzz_parallel_identical () =
     let log l = lines := l :: !lines in
     let failures =
       Placement.Pool.with_default jobs (fun () ->
-          Experiments.Fuzz.run ~size:60 ~strategies ~log ~first_seed:1
+          Fuzz.run ~size:60 ~strategies ~log ~first_seed:1
             ~count:60 ())
     in
     (failures, List.rev !lines)
@@ -184,13 +184,13 @@ let fuzz_parallel_identical () =
   Alcotest.(check (list string)) "identical log" serial_log parallel_log;
   Alcotest.(check (list int))
     "same failing seeds"
-    (List.map (fun f -> f.Experiments.Fuzz.seed) serial)
-    (List.map (fun f -> f.Experiments.Fuzz.seed) parallel);
+    (List.map (fun f -> f.Fuzz.seed) serial)
+    (List.map (fun f -> f.Fuzz.seed) parallel);
   List.iter2
     (fun a b ->
       Alcotest.(check string) "identical failure report"
-        (Fmt.str "%a" Experiments.Fuzz.report_failure a)
-        (Fmt.str "%a" Experiments.Fuzz.report_failure b))
+        (Fmt.str "%a" Fuzz.report_failure a)
+        (Fmt.str "%a" Fuzz.report_failure b))
     serial parallel
 
 (* ---------------- exactly-once fallback accounting ---------------- *)

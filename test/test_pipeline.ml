@@ -125,7 +125,7 @@ let prop_noinline_reuses =
   QCheck.Test.make ~name:"inlining off reuses the original profile" ~count:30
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
-      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
       let config = { Placement.Pipeline.do_inline = false } in
       let pl = Placement.Pipeline.run ~config p ~inputs:[ Vm.Io.input [] ] in
       pl.Placement.Pipeline.profile == pl.Placement.Pipeline.original_profile)

@@ -102,15 +102,9 @@ let entry_weights () =
 (* The dense-counter profile must equal the per-transfer oracle in every
    count and in every hash table's fold order. *)
 let same_as_oracle name prog inputs =
-  let got = Profile_oracle.view (Vm.Profile.profile prog inputs) in
-  let want = Profile_oracle.view (Profile_oracle.profile prog inputs) in
-  let check what ok = if not ok then Alcotest.failf "%s: %s differ" name what in
-  check "block counts" (got.blocks = want.blocks);
-  check "entry counts" (got.entries = want.entries);
-  check "runs and dyn_* totals" (got.totals = want.totals);
-  check "out_arcs" (got.out_arcs = want.out_arcs);
-  check "in_arcs" (got.in_arcs = want.in_arcs);
-  check "site_counts fold order" (got.sites = want.sites)
+  match Oracle.Transfer_profile.same_as_oracle prog inputs with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "%s: %s differ" name what
 
 (* Slots that share a target — [Br] with [t = f], a [Switch] with
    repeated targets — merge into one key at the first-taken position,
@@ -181,7 +175,7 @@ let prop_oracle =
   QCheck.Test.make ~name:"profile equals the per-transfer oracle" ~count:40
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
-      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
       same_as_oracle (Printf.sprintf "seed %d" seed) p
         [ Vm.Io.input []; Vm.Io.input ~args:[ 3 ] [ "input" ] ];
       true)

@@ -57,7 +57,7 @@ let driver_metrics () =
   let map = Placement.Address_map.natural p in
   (* A cache big enough for everything: only compulsory misses. *)
   let big = Icache.Config.make ~size:65536 ~block:64 () in
-  let r = Sim.Driver.reference big map trace in
+  let r = Oracle.Word_sim.run big map trace in
   Alcotest.(check int) "accesses = dyn insns"
     (Sim.Trace.dyn_insns map trace)
     r.Sim.Driver.accesses;
@@ -123,7 +123,7 @@ let prop_classify_recorded_run =
       let input = Vm.Io.input [] in
       let pl =
         Placement.Pipeline.run
-          (Ir.Lower.program (Ir.Gen.generate seed))
+          (Ir.Lower.program (Oracle.Gen.generate seed))
           ~inputs:[ input ]
       in
       let program = pl.Placement.Pipeline.program

@@ -1,10 +1,11 @@
 (* Layout-strategy layer tests: registry sanity, the ext-TSP and C3
    algorithms on hand-built weights, validity of every registered
    strategy's address map on every benchmark, and golden assertions that
-   the refactored impact/natural/ph paths reproduce the pre-refactor
-   maps byte for byte.  Every strategy's map on every benchmark, and the
-   merge-driven strategies' maps on generated programs, are pinned by
-   digest in test/vectors/maps/strategies.txt. *)
+   the generic strategy path reproduces the pipeline's impact and
+   natural maps byte for byte.  Every strategy's map on every benchmark
+   (Pettis-Hansen's included), and the merge-driven strategies' maps on
+   generated programs, are pinned by digest in
+   test/vectors/maps/strategies.txt. *)
 
 open Helpers
 
@@ -189,25 +190,6 @@ let generic_map (p : Placement.Pipeline.t) (s : Placement.Strategy.t) =
   in
   Placement.Address_map.build program ~layouts ~order
 
-(* Pre-refactor Pettis-Hansen map construction, exactly as the old
-   Experiments.Context.ph_map built it. *)
-let pre_refactor_ph_map (p : Placement.Pipeline.t) =
-  let program = p.Placement.Pipeline.program in
-  let layouts =
-    Array.mapi
-      (fun fid f ->
-        Placement.Ph_layout.layout f
-          (Placement.Weight.cfg_of_profile p.Placement.Pipeline.profile fid))
-      program.Ir.Prog.funcs
-  in
-  let order =
-    Placement.Ph_layout.global
-      (Array.length program.Ir.Prog.funcs)
-      ~entry:program.Ir.Prog.entry
-      (Placement.Weight.call_of_profile p.Placement.Pipeline.profile)
-  in
-  Placement.Address_map.build program ~layouts ~order
-
 (* The digest perfbench's compile workload pins its maps with: total and
    effective bytes, then every block's address and word count. *)
 let map_digest (m : Placement.Address_map.t) =
@@ -296,17 +278,14 @@ let check_benchmark name =
           program.Ir.Prog.funcs
       end)
     Placement.Strategy.all;
-  (* Goldens: the registry strategies reproduce the pre-refactor maps
+  (* Goldens: the generic path reproduces the pipeline's stored maps
      byte for byte. *)
   check_same_map (name ^ "/impact golden")
     (generic_map p Placement.Strategy.impact)
     p.Placement.Pipeline.optimized;
   check_same_map (name ^ "/natural golden")
     (generic_map p Placement.Strategy.natural)
-    (Placement.Address_map.natural program);
-  check_same_map (name ^ "/ph golden")
-    (Placement.Pipeline.map_for p (Placement.Strategy.find "ph"))
-    (pre_refactor_ph_map p)
+    (Placement.Address_map.natural program)
 
 let all_benchmarks_valid () =
   List.iter
@@ -318,7 +297,7 @@ let all_benchmarks_valid () =
    fifty generated programs, profiled the way the fuzzer profiles them. *)
 let generated_maps_pinned () =
   for seed = 1 to 50 do
-    let prog = Ir.Lower.program (Ir.Gen.generate ~size:120 seed) in
+    let prog = Ir.Lower.program (Oracle.Gen.generate ~size:120 seed) in
     let p = Placement.Pipeline.run prog ~inputs:[ Vm.Io.input [] ] in
     List.iter
       (fun id ->

@@ -9,18 +9,6 @@
      output, strictly more fetches and functions).
    - The trace.* gauges and stats account raw vs stored bytes. *)
 
-let results_equal (a : Sim.Driver.result) (b : Sim.Driver.result) =
-  a.Sim.Driver.accesses = b.Sim.Driver.accesses
-  && a.Sim.Driver.misses = b.Sim.Driver.misses
-  && a.Sim.Driver.words_fetched = b.Sim.Driver.words_fetched
-  && a.Sim.Driver.miss_ratio = b.Sim.Driver.miss_ratio
-  && a.Sim.Driver.traffic_ratio = b.Sim.Driver.traffic_ratio
-  && a.Sim.Driver.avg_fetch_words = b.Sim.Driver.avg_fetch_words
-  && a.Sim.Driver.avg_exec_insns = b.Sim.Driver.avg_exec_insns
-  && a.Sim.Driver.eat_blocking = b.Sim.Driver.eat_blocking
-  && a.Sim.Driver.eat_streaming = b.Sim.Driver.eat_streaming
-  && a.Sim.Driver.eat_streaming_partial = b.Sim.Driver.eat_streaming_partial
-
 (* Interpreter results are compared field-wise: [io] holds Buffers whose
    unwritten slack bytes make polymorphic equality unreliable. *)
 let interp_results_equal (a : Vm.Interp.result) (b : Vm.Interp.result) =
@@ -162,8 +150,8 @@ let check_benchmark name =
   if Sim.Trace.dyn_blocks trace < 500_000 then
     Alcotest.(check bool)
       (name ^ ": word-granular reference") true
-      (List.for_all2 results_equal fast
-         (List.map (fun c -> Sim.Driver.reference c map trace) diff_configs));
+      (List.for_all2 Oracle.Word_sim.results_equal fast
+         (List.map (fun c -> Oracle.Word_sim.run c map trace) diff_configs));
   (* The compressed representation really is smaller. *)
   let s = Sim.Trace.stats trace in
   Alcotest.(check bool)

@@ -151,21 +151,21 @@ let bad_permutation_strategy =
 let fuzz_catches_bad_permutation () =
   let strategies = [ Placement.Strategy.natural; bad_permutation_strategy ] in
   match
-    Experiments.Fuzz.run ~size:60 ~strategies ~first_seed:42 ~count:1 ()
+    Fuzz.run ~size:60 ~strategies ~first_seed:42 ~count:1 ()
   with
   | [] -> Alcotest.fail "broken strategy not caught by the fuzzer"
   | _ :: _ :: _ -> Alcotest.fail "one seed, several failures"
   | [ f ] ->
     Alcotest.(check int) "failure carries the seed" 42
-      f.Experiments.Fuzz.seed;
+      f.Fuzz.seed;
     Alcotest.(check bool) "violations recorded" true
-      (has_error f.Experiments.Fuzz.diags);
+      (has_error f.Fuzz.diags);
     Alcotest.(check bool) "shrunk reproducer still fails" true
-      (has_error f.Experiments.Fuzz.shrunk_diags);
+      (has_error f.Fuzz.shrunk_diags);
     Alcotest.(check bool) "shrunk is no larger" true
-      (List.length f.Experiments.Fuzz.shrunk.Ir.Ast.funcs
-      <= List.length (Ir.Gen.generate ~size:60 42).Ir.Ast.funcs);
-    let report = Fmt.str "%a" Experiments.Fuzz.report_failure f in
+      (List.length f.Fuzz.shrunk.Ir.Ast.funcs
+      <= List.length (Oracle.Gen.generate ~size:60 42).Ir.Ast.funcs);
+    let report = Fmt.str "%a" Fuzz.report_failure f in
     let contains s sub =
       let len = String.length s and l = String.length sub in
       let rec go i = i + l <= len && (String.sub s i l = sub || go (i + 1)) in
@@ -176,7 +176,7 @@ let fuzz_catches_bad_permutation () =
 
 let fuzz_smoke () =
   Alcotest.(check int) "10 seeds, all strategies, no violations" 0
-    (List.length (Experiments.Fuzz.run ~size:60 ~first_seed:1 ~count:10 ()))
+    (List.length (Fuzz.run ~size:60 ~first_seed:1 ~count:10 ()))
 
 (* ---------------- graceful strategy degradation ---------------- *)
 
