@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci` on every PR.
 
-.PHONY: all build test test-time all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
+.PHONY: all build test test-time all-smoke inline-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
 
 all: build
 
@@ -30,6 +30,14 @@ all-smoke:
 	grep -q "^Figure B:" _obs/all.txt
 	grep -q "^Figure C:" _obs/all.txt
 	cmp _obs/all.txt test/vectors/tables/all-wc.txt
+
+# Every inlining decision end to end: Table 3 (sites inlined, code
+# growth, call decrease per benchmark) on all ten programs must
+# byte-compare against the committed golden table.
+inline-smoke:
+	rm -rf _obs && mkdir -p _obs
+	dune exec bin/main.exe -- table 3 > _obs/t3.txt
+	cmp _obs/t3.txt test/vectors/tables/t3.txt
 
 # Smoke the layout-strategy registry: the listing must enumerate it and
 # the comparison experiment must run every registered strategy end to end.
@@ -179,7 +187,7 @@ soak-smoke:
 	grep -q "^soak: seed 0x50ac," _soak/summary.txt
 	dune exec bin/checkjson.exe -- _soak/soak.json
 
-ci: build test all-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
+ci: build test all-smoke inline-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
 
 clean:
 	dune clean

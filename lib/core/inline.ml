@@ -11,7 +11,17 @@
    becomes argument moves plus a jump to the inlined entry, and every
    callee [Ret] becomes a result move plus a jump to the original return
    continuation.  Function indices never change, so profile-derived site
-   identities stay valid while a round of inlining proceeds. *)
+   identities stay valid while a round of inlining proceeds.
+
+   Counts: the VM runs once, over the original program.  An inlined
+   program executes exactly the original's path, so a call block in an
+   inlined copy executes exactly as often as its original call site does
+   in the calling context the copy stands for.  Each round therefore
+   sums its [site_counts] and [dyn_calls] from the profile's
+   calling-context tree ([derive]) instead of re-running the program.
+   The splice layout is the provenance record: a copy's blocks keep
+   their order from its entry label, and the spliced call block jumps
+   to that entry. *)
 
 open Ir
 
@@ -20,7 +30,7 @@ type config = {
   min_call_fraction : float; (* ... or carry this share of all calls *)
   max_callee_insns : int; (* never inline callees larger than this *)
   max_program_growth : float; (* cap on total static code growth *)
-  rounds : int; (* re-profile and repeat, for nested inlining *)
+  rounds : int; (* repeat on the inlined program, for nested inlining *)
 }
 
 (* Defaults tuned so static growth lands in the paper's observed 0-34%
@@ -104,22 +114,64 @@ let splice (caller : Prog.func) site (callee : Prog.func) : Prog.func =
     Diag.error ~stage:Diag.Structure ~func:caller.name ~block:site
       "inline splice: block does not end in a call to %s" callee.name
 
+type counts = {
+  site_counts : (int * Cfg.label * int, int) Hashtbl.t;
+  dyn_calls : int;
+}
+
+(* A round's counts, summed from the calling-context tree of the
+   profiled program.  [prog] is that program after any number of
+   splices, and every block of it is still where [splice] put it: an
+   inlined copy of a function keeps its blocks in order from the copy's
+   entry label, and a spliced call block jumps to that entry.  So the
+   walk's state is a real frame (a function of [prog]) and the label
+   where the code of the current context's function starts in it: 0 in
+   the function's own body, the entry of an inlined copy otherwise.  A
+   context's call from original block [site] is then block [base + site]
+   of the frame.  If that block still calls, the call is real and its
+   callee opens a new frame; if it was spliced, the callee's code runs
+   in the same frame, from the copy its jump enters. *)
+let derive (profile : Vm.Profile.t) (prog : Prog.program) : counts =
+  let site_counts = Hashtbl.create 64 in
+  let dyn_calls = ref 0 in
+  let rec walk frame base (node : Vm.Interp.context) =
+    Array.iter
+      (function
+        | None -> ()
+        | Some (c : Vm.Interp.context) -> (
+          let block = base + c.site in
+          match prog.Prog.funcs.(frame).blocks.(block).Cfg.term with
+          | Cfg.Call _ ->
+            let key = (frame, block, c.fid) in
+            let n = Option.value ~default:0 (Hashtbl.find_opt site_counts key) in
+            Hashtbl.replace site_counts key (n + c.calls);
+            dyn_calls := !dyn_calls + c.calls;
+            walk c.fid 0 c
+          | Cfg.Jump entry -> walk frame entry c
+          | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ ->
+            Diag.error ~stage:Diag.Structure
+              ~func:prog.Prog.funcs.(frame).name ~block
+              "inline counts: block is neither a call nor a spliced call"))
+      node.callees
+  in
+  walk prog.Prog.entry 0 profile.Vm.Profile.contexts;
+  { site_counts; dyn_calls = !dyn_calls }
+
 (* One pass over the weighted call graph: inline the qualifying sites in
    decreasing dynamic-count order, respecting size and recursion limits.
    [budget] bounds the program's total instruction count. *)
-let expand_once config ~budget (prog : Prog.program)
-    (profile : Vm.Profile.t) : Prog.program * int =
-  let total_calls = profile.Vm.Profile.dyn_calls in
+let expand_once config ~budget (prog : Prog.program) (counts : counts) :
+    Prog.program * int =
   let threshold =
     max config.min_call_count
-      (int_of_float (config.min_call_fraction *. float_of_int total_calls))
+      (int_of_float (config.min_call_fraction *. float_of_int counts.dyn_calls))
   in
   let sites =
     Hashtbl.fold
       (fun (caller, block, callee) count acc ->
         if count >= threshold then (count, caller, block, callee) :: acc
         else acc)
-      profile.Vm.Profile.site_counts []
+      counts.site_counts []
     |> List.sort (fun (c1, a1, b1, d1) (c2, a2, b2, d2) ->
            match compare c2 c1 with
            | 0 -> compare (a1, b1, d1) (a2, b2, d2)
@@ -158,32 +210,24 @@ let expand_once config ~budget (prog : Prog.program)
     sites;
   (!prog, !inlined)
 
-(* Full expansion: profile, inline, and repeat so that calls inside freshly
-   inlined bodies can be expanded too (paper reduces dynamic calls to ~1%
-   of control transfers).  Round 0 uses [profile] when given; a round
-   that inlines nothing returns its input program, whose profile is
-   handed back. *)
-let expand ?(config = default_config) ?profile (prog : Prog.program)
-    ~(inputs : Vm.Io.input list) : Prog.program * report * Vm.Profile.t option
-    =
+(* Full expansion: count, inline, and repeat so that calls inside
+   freshly inlined bodies can be expanded too (paper reduces dynamic
+   calls to ~1% of control transfers).  [counts] gives each round's
+   call-site counts for the program that round starts from. *)
+let rounds ?(config = default_config) (prog : Prog.program)
+    (counts : Prog.program -> counts) : Prog.program * report =
   let insns_before = Prog.total_instr_count prog in
   let budget =
     int_of_float (config.max_program_growth *. float_of_int insns_before)
   in
-  let rec go round prog profile sites =
-    if round >= config.rounds then (prog, sites, round, None)
+  let rec go round prog sites =
+    if round >= config.rounds then (prog, sites, round)
     else begin
-      let profile =
-        match profile with
-        | Some p -> p
-        | None -> Vm.Profile.profile prog inputs
-      in
-      let prog', n = expand_once config ~budget prog profile in
-      if n = 0 then (prog', sites, round, Some profile)
-      else go (round + 1) prog' None (sites + n)
+      let prog', n = expand_once config ~budget prog (counts prog) in
+      if n = 0 then (prog', sites, round) else go (round + 1) prog' (sites + n)
     end
   in
-  let prog', sites_inlined, rounds_used, profile = go 0 prog profile 0 in
+  let prog', sites_inlined, rounds_used = go 0 prog 0 in
   Obs.Metrics.incr ~by:sites_inlined
     (Obs.Metrics.counter "pipeline.sites_inlined"
        ~help:"call sites expanded by inline rounds");
@@ -193,5 +237,10 @@ let expand ?(config = default_config) ?profile (prog : Prog.program)
       insns_before;
       insns_after = Prog.total_instr_count prog';
       rounds_used;
-    },
-    profile )
+    } )
+
+let expand ?config ~(profile : Vm.Profile.t) prog =
+  if profile.prog.Prog.funcs != prog.Prog.funcs
+     && profile.prog.Prog.funcs <> prog.Prog.funcs
+  then invalid_arg "Inline.expand: the profile is of another program";
+  rounds ?config prog (derive profile)

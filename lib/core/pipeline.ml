@@ -28,18 +28,22 @@ let run ?(config = default_config) (original : Prog.program)
   let original =
     Obs.Span.with_ ~stage:"simplify" (fun () -> Simplify.program original)
   in
-  (* Step 1: execution profiling of the original program. *)
-  let original_profile =
-    Obs.Span.with_ ~stage:"profile"
-      ~attrs:[ ("program", "original") ]
-      (fun () -> Vm.Profile.profile original inputs)
-  in
-  (* Step 2: inline expansion of the important call sites, then a second
-     cleanup pass over the splices. *)
-  let program, inline_report, inlined_profile =
+  (* Step 1: execution profiling of the original program, with its
+     calling-context tree. *)
+  let original_profile = Vm.Profile.profile original inputs in
+  (* Step 2: inline expansion of the important call sites, every round
+     counted from that one profile, then a second cleanup pass over the
+     splices. *)
+  let program, inline_report =
     if config.do_inline then
-      Obs.Span.with_ ~stage:"inline" (fun () ->
-          Inline.expand ~profile:original_profile original ~inputs)
+      let program, report =
+        Obs.Span.with_ ~stage:"inline" (fun () ->
+            Inline.expand ~profile:original_profile original)
+      in
+      ( Obs.Span.with_ ~stage:"simplify"
+          ~attrs:[ ("program", "inlined") ]
+          (fun () -> Simplify.program program),
+        report )
     else
       ( original,
         {
@@ -47,31 +51,20 @@ let run ?(config = default_config) (original : Prog.program)
           insns_before = Prog.total_instr_count original;
           insns_after = Prog.total_instr_count original;
           rounds_used = 0;
-        },
-        Some original_profile )
-  in
-  let program =
-    if config.do_inline then
-      Obs.Span.with_ ~stage:"simplify"
-        ~attrs:[ ("program", "inlined") ]
-        (fun () -> Simplify.program program)
-    else program
+        } )
   in
   (* Report code growth against what actually ships. *)
   let inline_report =
     { inline_report with Inline.insns_after = Prog.total_instr_count program }
   in
-  (* The layout steps need weights that match the transformed program's
-     control graphs.  A profile already taken of an identical program
-     (inlining and cleanup changed nothing) is that profile; otherwise
-     re-profile on the same inputs. *)
+  (* The layout steps need block and arc weights, in first-taken order,
+     that match the transformed program's control graphs.  When inlining
+     and cleanup left [funcs] structurally equal to the original's
+     (always with inlining off) the original profile is that profile;
+     otherwise profile again on the same inputs. *)
   let profile =
-    match inlined_profile with
-    | Some p when p.Vm.Profile.prog.Prog.funcs = program.Prog.funcs -> p
-    | _ ->
-      Obs.Span.with_ ~stage:"profile"
-        ~attrs:[ ("program", "inlined") ]
-        (fun () -> Vm.Profile.profile program inputs)
+    if program.Prog.funcs = original.Prog.funcs then original_profile
+    else Vm.Profile.profile program inputs
   in
   (* Step 3: trace selection per function. *)
   let selections =

@@ -7,9 +7,14 @@
    - the VM agrees with the matching interpreter
      ([Oracle.Matching_interp]) on the lowered program: outcome, counts,
      arc and call order, block stream, or the same fault and message;
+     and again on half the fuel the full run used, where both must
+     fault with the same out-of-fuel message;
    - [Vm.Profile]'s dense counters agree with the per-transfer profiler
      ([Oracle.Transfer_profile]): every count, every table in
      first-taken order;
+   - under aggressive inlining thresholds, every round's call-site
+     counts derived from the calling-context tree equal a VM pass over
+     that round's program ([Oracle.Inline_rounds]);
    - every structural / flow / selection / layout / map invariant
      ([Placement.Validate], at [Full] level);
    - inline expansion preserved semantics (the original and inlined
@@ -71,10 +76,12 @@ let catching stage f =
   | Vm.Interp.Fault m -> Error [ Ir.Diag.make ~stage "VM fault: %s" m ]
   | exn -> Error [ Ir.Diag.make ~stage "%s" (Printexc.to_string exn) ]
 
-(* The VM and its profiler against their oracles on the lowered
-   program.  A run that faults must fault the same way in both
-   interpreters; it is not profiled, and the pipeline stage reports the
-   fault. *)
+(* The VM, its profiler and the inline rounds' derived counts against
+   their oracles on the lowered program.  A run that faults must fault
+   the same way in both interpreters; it is not profiled, and the
+   pipeline stage reports the fault.  A run that completes is run again
+   on half the instructions it used, where both interpreters must run
+   out of fuel the same way. *)
 let engine_diags prog =
   let differ fmt =
     Fmt.kstr (fun m -> [ Ir.Diag.make ~stage:Ir.Diag.Profile "%s" m ]) fmt
@@ -82,15 +89,31 @@ let engine_diags prog =
   match Oracle.Matching_interp.same_as_oracle ~fuel prog case_input with
   | Error what -> differ "VM and matching interpreter differ: %s" what
   | Ok (Error _) -> []
-  | Ok (Ok _) -> (
+  | Ok (Ok run) -> (
+    let used = List.hd run.Oracle.Matching_interp.totals in
     match
-      catching Ir.Diag.Profile (fun () ->
-          Oracle.Transfer_profile.same_as_oracle prog [ case_input ])
+      Oracle.Matching_interp.same_as_oracle ~fuel:(used / 2) prog case_input
     with
-    | Error ds -> ds
-    | Ok (Ok ()) -> []
-    | Ok (Error what) ->
-      differ "Vm.Profile and the per-transfer profiler differ: %s" what)
+    | Error what ->
+      differ "VM and matching interpreter differ on %d of %d instructions' \
+              fuel: %s"
+        (used / 2) used what
+    | Ok (Ok _) ->
+      differ "the VM completed on %d of the %d instructions it needs"
+        (used / 2) used
+    | Ok (Error _) -> (
+      match
+        catching Ir.Diag.Profile (fun () ->
+            ( Oracle.Transfer_profile.same_as_oracle prog [ case_input ],
+              Oracle.Inline_rounds.same_as_oracle
+                ~config:Oracle.Inline_rounds.aggressive prog [ case_input ] ))
+      with
+      | Error ds -> ds
+      | Ok (Error what, _) ->
+        differ "Vm.Profile and the per-transfer profiler differ: %s" what
+      | Ok (Ok (), Error what) ->
+        differ "derived inline counts and the VM's differ at %s" what
+      | Ok (Ok (), Ok ()) -> []))
 
 (* All violations exhibited by one generated program, or [] if the whole
    pipeline holds up.  Stages are checked in order and a failing stage

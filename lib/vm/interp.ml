@@ -2,7 +2,10 @@
 
    Executes a lowered program against an input, counting every executed
    block, every control transfer and every call into dense per-run
-   arrays.  The same loop serves three purposes:
+   arrays, and every call into the node of its call path in a
+   calling-context tree: each frame carries its caller's node, so
+   [Invoke] descends to the callee's node and [Return] climbs back.
+   The same loop serves three purposes:
    - plain execution (workload correctness tests),
    - execution profiling (paper step 1; [Profile] folds the counters),
    - dynamic trace generation for the cache simulation (see [Sim]).
@@ -48,6 +51,29 @@ let slot_target term k =
     if k < Array.length cases then snd cases.(k) else default
   | Cfg.Ret _ -> invalid_arg "Interp.slot_target: Ret has no successors"
 
+(* A calling context: one node per distinct call path of the run (no
+   merging of recursive calls), its children indexed by the rank of the
+   call block among its function's call blocks, in label order. *)
+type context = {
+  fid : int;
+  site : Cfg.label;
+  mutable calls : int;
+  callees : context option array;
+}
+
+let call_sites (f : Prog.func) =
+  Array.fold_left
+    (fun n (b : Cfg.block) ->
+      match b.term with
+      | Cfg.Call _ -> n + 1
+      | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> n)
+    0 f.blocks
+
+let context (prog : Prog.program) fid ~site =
+  { fid; site; calls = 0; callees = Array.make (call_sites prog.funcs.(fid)) None }
+
+let root_context prog = context prog prog.Prog.entry ~site:(-1)
+
 (* Blocks are numbered globally, function by function, and successor
    slots globally, block by block. *)
 type counts = {
@@ -57,12 +83,14 @@ type counts = {
   slot_base : int array; (* per global block: first slot; +1 total *)
   slot_block : int array; (* per global slot: owning global block *)
   callee : int array; (* per global block: callee fid, -1 if none/unknown *)
+  call_rank : int array; (* per global call block: its rank in its function *)
   blocks : int array; (* executions per global block *)
   slots : int array; (* transfers per global slot *)
   taken : int array; (* slots in first-taken order, [n_taken] of them *)
   mutable n_taken : int;
   called : int array; (* call blocks in first-call order *)
   mutable n_called : int;
+  root : context; (* the run's calling-context tree *)
 }
 
 let counts_of (prog : Prog.program) =
@@ -76,6 +104,8 @@ let counts_of (prog : Prog.program) =
   let block_fid = Array.make nblocks 0 in
   let slot_base = Array.make (nblocks + 1) 0 in
   let callee = Array.make nblocks (-1) in
+  let call_rank = Array.make nblocks (-1) in
+  let rank = Array.make nfuncs 0 in
   Prog.iter_blocks
     (fun fid _ l (b : Cfg.block) ->
       let g = block_base.(fid) + l in
@@ -83,6 +113,8 @@ let counts_of (prog : Prog.program) =
       slot_base.(g + 1) <- slot_base.(g) + slot_count b.term;
       match b.term with
       | Cfg.Call { callee = name; _ } ->
+        call_rank.(g) <- rank.(fid);
+        rank.(fid) <- rank.(fid) + 1;
         Option.iter (fun i -> callee.(g) <- i) (Hashtbl.find_opt prog.by_name name)
       | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> ())
     prog;
@@ -98,12 +130,14 @@ let counts_of (prog : Prog.program) =
     slot_base;
     slot_block;
     callee;
+    call_rank;
     blocks = Array.make nblocks 0;
     slots = Array.make nslots 0;
     taken = Array.make nslots 0;
     n_taken = 0;
     called = Array.make nblocks 0;
     n_called = 0;
+    root = root_context prog;
   }
 
 let take c s =
@@ -116,6 +150,7 @@ let take c s =
 [@@inline]
 
 let block_count c fid l = c.blocks.(c.block_base.(fid) + l)
+let contexts c = c.root
 
 let iter_arcs c f =
   for i = 0 to c.n_taken - 1 do
@@ -165,6 +200,7 @@ type exit =
 and invoke = {
   callee_fid : int; (* -1: absent, raised when the call executes *)
   name : string;
+  rank : int; (* the call block's [call_rank] *)
   frame_size : int; (* the callee's register count *)
   args : reader array; (* the first [nparams] arguments *)
   entry : int; (* the callee's block 0 *)
@@ -329,6 +365,7 @@ let translate (prog : Prog.program) c mem io heap =
         {
           callee_fid;
           name;
+          rank = c.call_rank.(g);
           frame_size;
           args =
             Array.of_list
@@ -358,6 +395,7 @@ type frame = {
   ret_dst : int; (* destination register, -1 for none *)
   ret_to : int; (* continuation block in the caller *)
   ret_slot : int; (* global slot of the call block's continuation arc *)
+  ret_context : context; (* the caller's calling context *)
 }
 
 let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
@@ -374,6 +412,8 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
   let stack = ref [] in
   let regs = ref (Array.make prog.funcs.(prog.entry).nregs 0) in
   let cur = ref (entry c prog.entry) in
+  let ctx = ref c.root in
+  c.root.calls <- 1;
   let return_value = ref 0 in
   let running = ref true in
   while !running do
@@ -427,6 +467,7 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
            continuation is taken when the call returns. *)
         take c fr.ret_slot;
         regs := fr.caller_regs;
+        ctx := fr.ret_context;
         if fr.ret_dst >= 0 then fr.caller_regs.(fr.ret_dst) <- value;
         cur := fr.ret_to)
     | Invoke k ->
@@ -440,10 +481,27 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
       for i = 0 to Array.length k.args - 1 do
         callee_regs.(i) <- k.args.(i) r
       done;
+      let caller = !ctx in
+      let callee =
+        match caller.callees.(k.rank) with
+        | Some callee -> callee
+        | None ->
+          let callee = context prog k.callee_fid ~site:b.label in
+          caller.callees.(k.rank) <- Some callee;
+          callee
+      in
+      callee.calls <- callee.calls + 1;
       stack :=
-        { caller_regs = r; ret_dst = k.dst; ret_to = k.ret_to; ret_slot = b.slot }
+        {
+          caller_regs = r;
+          ret_dst = k.dst;
+          ret_to = k.ret_to;
+          ret_slot = b.slot;
+          ret_context = caller;
+        }
         :: !stack;
       regs := callee_regs;
+      ctx := callee;
       cur := k.entry
   done;
   {

@@ -1,5 +1,6 @@
 (** CFG interpreter: plain execution, execution profiling (via the
-    per-run counters) and dynamic-trace generation all use this engine.
+    per-run counters and calling-context tree) and dynamic-trace
+    generation all use this engine.
 
     Each {!run} first translates every block of the program into
     closures with operands, labels, successor slots and callees already
@@ -14,12 +15,29 @@ open Ir
 
 exception Fault of string
 
+type context = {
+  fid : int;  (** the function running in this context *)
+  site : Cfg.label;
+      (** the call block, in the parent context's function, that enters
+          this context; -1 at the root *)
+  mutable calls : int;  (** entries into this context *)
+  callees : context option array;
+      (** child contexts, indexed by the rank of their call block among
+          [fid]'s call blocks in label order *)
+}
+(** A node of the calling-context tree (Ammons, Ball & Larus 1997): one
+    node per distinct chain of call sites from the entry function, so a
+    recursive call opens a new node at every depth. *)
+
+val root_context : Prog.program -> context
+(** The root of an empty tree: the entry function, no calls yet. *)
+
 type counts
 (** Dense per-run counters: executions of every block, transfers through
     every successor slot of every terminator (a [Br]'s true then false
     target, a [Switch]'s cases then its default, a call's return
-    continuation), and the order in which slots and call blocks were
-    first taken. *)
+    continuation), the order in which slots and call blocks were first
+    taken, and the run's calling-context tree. *)
 
 val block_count : counts -> int -> Cfg.label -> int
 (** [block_count c fid label]: executions of the block in the run. *)
@@ -36,6 +54,12 @@ val iter_calls : counts -> (int -> Cfg.label -> int -> int -> unit) -> unit
 (** [iter_calls c f] calls [f caller_fid block callee_fid n] once per call
     block that made a call in the run, in first-call order; [n] is its
     number of calls. *)
+
+val contexts : counts -> context
+(** The run's calling-context tree: every executed call counts once, in
+    the node of its call path.  Each [Invoke] opens (or reuses) the
+    child of the current node and its frame remembers the caller's
+    node, which [Return] restores. *)
 
 type result = {
   return_value : int;

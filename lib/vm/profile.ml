@@ -4,6 +4,9 @@
    - the weighted control graph of every function (block and arc counts),
    - the weighted call graph (per-call-site counts and function entry
      counts),
+   - the calling-context tree of every call path, from which inlining
+     sums the call-site counts of each round's program without running
+     it,
    - whole-program dynamic totals for Table 2 / Table 3.
 
    Each run counts into the interpreter's dense per-run arrays; [run]
@@ -26,6 +29,7 @@ type t = {
   site_counts : (int * Cfg.label * int, int) Hashtbl.t;
       (* (caller fid, block, callee fid) -> dynamic calls *)
   entry_counts : int array; (* per function: number of invocations *)
+  contexts : Interp.context; (* calling-context tree, summed over the runs *)
   mutable runs : int;
   mutable dyn_insns : int;
   mutable dyn_blocks : int;
@@ -49,6 +53,7 @@ let create (prog : Prog.program) =
     funcs;
     site_counts = Hashtbl.create 64;
     entry_counts = Array.make (Array.length prog.funcs) 0;
+    contexts = Interp.root_context prog;
     runs = 0;
     dyn_insns = 0;
     dyn_blocks = 0;
@@ -59,6 +64,30 @@ let create (prog : Prog.program) =
 let add tbl key n =
   let cur = match Hashtbl.find_opt tbl key with Some c -> c | None -> 0 in
   Hashtbl.replace tbl key (cur + n)
+
+(* Add a run's calling-context tree into the profile's, node by node. *)
+let rec merge (into : Interp.context) (from : Interp.context) =
+  into.calls <- into.calls + from.calls;
+  Array.iteri
+    (fun k -> function
+      | None -> ()
+      | Some (c : Interp.context) ->
+        let sub =
+          match into.callees.(k) with
+          | Some sub -> sub
+          | None ->
+            let sub =
+              {
+                c with
+                calls = 0;
+                callees = Array.make (Array.length c.callees) None;
+              }
+            in
+            into.callees.(k) <- Some sub;
+            sub
+        in
+        merge sub c)
+    from.callees
 
 let run t input =
   t.entry_counts.(t.prog.entry) <- t.entry_counts.(t.prog.entry) + 1;
@@ -75,6 +104,7 @@ let run t input =
   Interp.iter_calls c (fun caller block callee n ->
       add t.site_counts (caller, block, callee) n;
       t.entry_counts.(callee) <- t.entry_counts.(callee) + n);
+  merge t.contexts (Interp.contexts c);
   t.runs <- t.runs + 1;
   t.dyn_insns <- t.dyn_insns + r.dyn_insns;
   t.dyn_blocks <- t.dyn_blocks + r.dyn_blocks;
@@ -83,6 +113,7 @@ let run t input =
   r
 
 let profile prog inputs =
+  Obs.Span.with_ ~stage:"profile" @@ fun () ->
   let t = create prog in
   List.iter (fun input -> ignore (run t input)) inputs;
   t

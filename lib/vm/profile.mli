@@ -15,6 +15,12 @@ type t = {
   site_counts : (int * Cfg.label * int, int) Hashtbl.t;
       (** [(caller fid, block, callee fid) -> dynamic call count] *)
   entry_counts : int array;  (** per function: number of invocations *)
+  contexts : Interp.context;
+      (** the calling-context tree summed over the runs: the root is the
+          entry function, entered once per run, and each call path is
+          one node whose [calls] is that path's dynamic call count.
+          Summing a call block's counts over every node that calls from
+          it gives its [site_counts] entry. *)
   mutable runs : int;
   mutable dyn_insns : int;
   mutable dyn_blocks : int;
@@ -26,9 +32,11 @@ type t = {
     [Hashtbl.fold] order is a function of the execution alone. *)
 
 val create : Prog.program -> t
+(** An empty profile: no runs, every count zero, a bare context root. *)
 
 val profile : Prog.program -> Io.input list -> t
-(** Profile the program over all inputs. *)
+(** Profile the program over all inputs: one VM pass, recorded as one
+    [profile] span. *)
 
 val block_weight : t -> int -> Cfg.label -> int
 val func_weight : t -> int -> int

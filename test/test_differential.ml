@@ -19,16 +19,10 @@ let prop_inline_preserves =
     seed_gen (fun seed ->
       let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
-      let config =
-        {
-          Placement.Inline.default_config with
-          min_call_count = 1;
-          min_call_fraction = 0.;
-          max_program_growth = 5.;
-        }
-      in
-      let inlined, _, _ =
-        Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ]
+      let inlined, _ =
+        Placement.Inline.expand ~config:Oracle.Inline_rounds.aggressive
+          ~profile:(Vm.Profile.profile p [ Vm.Io.input [] ])
+          p
       in
       Ir.Check.program inlined;
       Oracle.Gen.observe p = Oracle.Gen.observe inlined)

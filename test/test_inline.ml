@@ -6,7 +6,9 @@ open Helpers
 
 let behavior_preserved ?config prog inputs =
   let p = Ir.Lower.program prog in
-  let inlined, _report, _ = Placement.Inline.expand ?config p ~inputs in
+  let inlined, _report =
+    Placement.Inline.expand ?config ~profile:(Vm.Profile.profile p inputs) p
+  in
   Ir.Check.program inlined;
   List.iter
     (fun input ->
@@ -31,9 +33,9 @@ let aggressive =
 let simple_splice () =
   let p = Ir.Lower.program caller_prog in
   let prof = Vm.Profile.profile p [ Vm.Io.input [] ] in
-  let p', report, _ =
+  let p', report =
     Placement.Inline.expand ~config:{ aggressive with rounds = 1 }
-      ~profile:prof p ~inputs:[ Vm.Io.input [] ]
+      ~profile:prof p
   in
   Alcotest.(check int) "one site inlined" 1
     report.Placement.Inline.sites_inlined;
@@ -93,9 +95,9 @@ let recursion_not_inlined () =
   let prof = Vm.Profile.profile p [ Vm.Io.input [] ] in
   (* fact -> fact is recursive; main -> fact is fine (fact cannot reach
      main). *)
-  let p', _, _ =
+  let p', _ =
     Placement.Inline.expand ~config:{ aggressive with rounds = 1 }
-      ~profile:prof p ~inputs:[ Vm.Io.input [] ]
+      ~profile:prof p
   in
   Ir.Check.program p';
   let fact = Helpers.func_by_name p' "fact" in
@@ -139,7 +141,11 @@ let growth_budget_respected () =
   let config =
     { aggressive with Placement.Inline.max_program_growth = 1.0 }
   in
-  let p', report, _ = Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ] in
+  let p', report =
+    Placement.Inline.expand ~config
+      ~profile:(Vm.Profile.profile p [ Vm.Io.input [] ])
+      p
+  in
   (* With zero growth allowance nothing can be inlined. *)
   Alcotest.(check int) "no sites under zero budget" 0
     report.Placement.Inline.sites_inlined;
@@ -158,6 +164,76 @@ let workload_semantics_preserved () =
       ("cccp", Vm.Io.input [ "#define A 1\nx A y\n#undef A\nx A y\n" ]);
     ]
 
+(* Derived round counts against a VM pass per round. *)
+let same_as_oracle ?config name p inputs =
+  match Oracle.Inline_rounds.same_as_oracle ?config p inputs with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "%s: derived and VM counts differ at %s" name what
+
+let derived_counts_workloads () =
+  List.iter
+    (fun b ->
+      same_as_oracle b.Workloads.Bench.name
+        (Ir.Simplify.program (Workloads.Bench.program b))
+        (Workloads.Bench.profile_inputs b))
+    Workloads.Registry.all
+
+let prop_derived_counts =
+  QCheck.Test.make ~name:"derived round counts equal the VM's" ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      same_as_oracle ~config:Oracle.Inline_rounds.aggressive
+        (Printf.sprintf "seed %d" seed)
+        (Ir.Lower.program (Oracle.Gen.generate seed))
+        [ Vm.Io.input [] ];
+      true)
+
+(* An outside caller z of the mutually recursive b and c.  Inlining
+   never enters the b/c cycle itself, but z and main are outside it:
+   round 0 inlines z -> b and then main -> z, round 1 main's copy of
+   b -> c, round 2 its copy of c -> b, and so on down the recursion.
+   The depth varies with the loop counter, so each level of the
+   recursion has its own call counts: a tree that merged a recursive
+   call into its ancestor would give every copy the counts of all
+   levels. *)
+let recursion_prog =
+  {
+    Ir.Ast.globals = [];
+    funcs =
+      [
+        func "b" [ "n" ]
+          [ when_ (v "n" <=% i 0) [ ret (i 1) ]; ret (call "c" [ v "n" -% i 1 ] +% i 3) ];
+        func "c" [ "n" ]
+          [ when_ (v "n" <=% i 0) [ ret (i 2) ]; ret (call "b" [ v "n" -% i 1 ] *% i 2) ];
+        func "z" [ "k" ] [ ret (call "b" [ v "k" %% i 7 ]) ];
+        func "main" []
+          [
+            decl "s" (i 0);
+            for_ [ decl "k" (i 0) ] (v "k" <% i 50) [ incr_ "k" ]
+              [ set "s" (v "s" +% call "z" [ v "k" ]) ];
+            ret (v "s");
+          ];
+      ];
+    entry = "main";
+  }
+
+let derived_counts_recursion () =
+  let p = Ir.Lower.program recursion_prog in
+  let inputs = [ Vm.Io.input [] ] in
+  let config = { aggressive with Placement.Inline.rounds = 6 } in
+  same_as_oracle ~config "recursion" p inputs;
+  let p', report =
+    Placement.Inline.expand ~config ~profile:(Vm.Profile.profile p inputs) p
+  in
+  (* Two sites in round 0, then main's next call down the chain in each
+     later round: the deepest chain, b(6) -> c(5) -> ... -> b(0), is
+     seven calls, so every round finds one. *)
+  Alcotest.(check int) "every round inlined" 6 report.Placement.Inline.rounds_used;
+  Alcotest.(check int) "one level a round" 7 report.Placement.Inline.sites_inlined;
+  Alcotest.(check int) "value preserved"
+    (Vm.Interp.run p (Vm.Io.input [])).Vm.Interp.return_value
+    (Vm.Interp.run p' (Vm.Io.input [])).Vm.Interp.return_value
+
 let suite =
   [
     Alcotest.test_case "simple splice" `Quick simple_splice;
@@ -167,4 +243,8 @@ let suite =
     Alcotest.test_case "growth budget respected" `Quick growth_budget_respected;
     Alcotest.test_case "workload semantics preserved" `Quick
       workload_semantics_preserved;
+    Alcotest.test_case "derived counts: recursion" `Quick derived_counts_recursion;
+    QCheck_alcotest.to_alcotest prop_derived_counts;
+    Alcotest.test_case "derived counts: every workload" `Slow
+      derived_counts_workloads;
   ]

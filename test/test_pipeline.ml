@@ -144,6 +144,31 @@ let reprofiled_when_changed () =
   Alcotest.(check int) "full validation" 0
     (List.length (Placement.Validate.pipeline ~level:Placement.Validate.Full p))
 
+(* Inline rounds never run the VM: every VM pass is one [profile] span,
+   and a pipeline makes one over the original program plus one over the
+   inlined program when inlining changed it. *)
+let profile_passes () =
+  List.iter
+    (fun (name, passes) ->
+      let b = Workloads.Registry.find name in
+      let program = Workloads.Bench.program b in
+      let inputs = Workloads.Bench.profile_inputs b in
+      Obs.Span.set_enabled true;
+      let p, spans =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Span.set_enabled false;
+            Obs.Span.reset ())
+          (fun () ->
+            Obs.Span.collect (fun () -> Placement.Pipeline.run program ~inputs))
+      in
+      Alcotest.(check bool) (name ^ ": inlines iff two passes") (passes = 2)
+        (p.Placement.Pipeline.inline_report.Placement.Inline.sites_inlined > 0);
+      Alcotest.(check int) (name ^ ": VM profile passes") passes
+        (List.length
+           (List.filter (fun (e : Obs.Span.event) -> e.Obs.Span.name = "profile") spans)))
+    [ ("cccp", 2); ("tar", 2); ("tee", 1); ("cmp", 1) ]
+
 let suite =
   [
     Alcotest.test_case "structural invariants" `Quick structural_invariants;
@@ -158,4 +183,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_noinline_reuses;
     Alcotest.test_case "changed program is re-profiled" `Quick
       reprofiled_when_changed;
+    Alcotest.test_case "two VM passes when inlining, one without" `Quick
+      profile_passes;
   ]

@@ -171,6 +171,61 @@ let oracle_merged_slots () =
     "Br t = f is one arc" [ (1, Vm.Profile.block_weight prof helper 0) ]
     (Vm.Profile.out_arcs prof helper 0)
 
+(* First-taken order matters only where keys share a hash bucket: there
+   [Hashtbl.fold] returns them in reverse insertion order.  A loop runs
+   a 24-way switch once per case, in case order, and every case calls
+   [helper] from its own block; block 2's arc table (16 buckets) and
+   [site_counts] (64 buckets) then hold colliding keys, so a profile
+   that inserted a run's arcs or calls in any other order would fold
+   differently from the per-transfer oracle. *)
+let shared_buckets_prog =
+  let open Ir.Insn in
+  let b insns term = Ir.Cfg.mk_block (Array.of_list insns) term in
+  let cases = 24 in
+  let helper =
+    {
+      Ir.Prog.name = "helper";
+      nparams = 1;
+      nregs = 1;
+      blocks = [| b [ Bin (Add, 0, Reg 0, Imm 1) ] (Ret (Some (Reg 0))) |];
+    }
+  in
+  let main =
+    {
+      Ir.Prog.name = "main";
+      nparams = 0;
+      nregs = 4;
+      blocks =
+        Array.append
+          [|
+            b [ Mov (0, Imm 0); Mov (3, Imm 0) ] (Jump 1);
+            b [ Bin (Lt, 1, Reg 0, Imm cases) ] (Br (Reg 1, 2, 3));
+            b []
+              (Switch (Reg 0, Array.init cases (fun k -> (k, 5 + k)), 4));
+            b [] (Ret (Some (Reg 3)));
+            b [ Bin (Add, 3, Reg 3, Reg 2); Bin (Add, 0, Reg 0, Imm 1) ] (Jump 1);
+          |]
+          (Array.init cases (fun _ ->
+               b []
+                 (Call
+                    { callee = "helper"; args = [ Reg 0 ]; dst = Some 2; ret_to = 4 })));
+    }
+  in
+  Ir.Prog.make ~entry:"main" [ helper; main ]
+
+let oracle_shared_buckets () =
+  let p = shared_buckets_prog in
+  Ir.Check.program p;
+  let inputs = [ Vm.Io.input [] ] in
+  let prof = Vm.Profile.profile p inputs in
+  let main = Ir.Prog.func_index p "main" in
+  let collides tbl = (Hashtbl.stats tbl).Hashtbl.max_bucket_length >= 2 in
+  Alcotest.(check bool) "switch arcs share a bucket" true
+    (collides prof.Vm.Profile.funcs.(main).Vm.Profile.arc_counts.(2));
+  Alcotest.(check bool) "call sites share a bucket" true
+    (collides prof.Vm.Profile.site_counts);
+  same_as_oracle "shared buckets" p inputs
+
 let prop_oracle =
   QCheck.Test.make ~name:"profile equals the per-transfer oracle" ~count:40
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
@@ -194,6 +249,8 @@ let suite =
     Alcotest.test_case "in_arcs transposes out_arcs" `Quick transpose;
     Alcotest.test_case "block weight = incoming + entries" `Quick entry_weights;
     Alcotest.test_case "oracle: merged slots" `Quick oracle_merged_slots;
+    Alcotest.test_case "oracle: first-taken order in shared buckets" `Quick
+      oracle_shared_buckets;
     QCheck_alcotest.to_alcotest prop_oracle;
     Alcotest.test_case "oracle: every workload" `Slow oracle_workloads;
   ]
