@@ -18,10 +18,12 @@
    inlined copy executes exactly as often as its original call site does
    in the calling context the copy stands for.  Each round therefore
    sums its [site_counts] and [dyn_calls] from the profile's
-   calling-context tree ([derive]) instead of re-running the program.
-   The splice layout is the provenance record: a copy's blocks keep
-   their order from its entry label, and the spliced call block jumps
-   to that entry. *)
+   calling-context tree ([round_counts]) instead of re-running the
+   program, and the program that ships gets its whole profile replayed
+   from the original run's per-context counts ([derive]).  The splice
+   layout is the provenance record: a copy's blocks keep their order
+   from its entry label, and the spliced call block jumps to that
+   entry. *)
 
 open Ir
 
@@ -119,43 +121,119 @@ type counts = {
   dyn_calls : int;
 }
 
-(* A round's counts, summed from the calling-context tree of the
-   profiled program.  [prog] is that program after any number of
-   splices, and every block of it is still where [splice] put it: an
-   inlined copy of a function keeps its blocks in order from the copy's
-   entry label, and a spliced call block jumps to that entry.  So the
-   walk's state is a real frame (a function of [prog]) and the label
-   where the code of the current context's function starts in it: 0 in
-   the function's own body, the entry of an inlined copy otherwise.  A
-   context's call from original block [site] is then block [base + site]
-   of the frame.  If that block still calls, the call is real and its
-   callee opens a new frame; if it was spliced, the callee's code runs
-   in the same frame, from the copy its jump enters. *)
-let derive (profile : Vm.Profile.t) (prog : Prog.program) : counts =
-  let site_counts = Hashtbl.create 64 in
-  let dyn_calls = ref 0 in
-  let rec walk frame base (node : Vm.Interp.context) =
+(* Where each context of the profiled program's tree runs in [prog],
+   that program after any number of splices.  Every block of [prog] is
+   still where [splice] put it: an inlined copy of a function keeps its
+   blocks in order from the copy's entry label, and a spliced call block
+   jumps to that entry.  So a context runs in a real frame (a function
+   of [prog]) from the label where the code of its function starts in
+   it: 0 in the function's own body, the entry of an inlined copy
+   otherwise, and its original block [l] is block [base + l] of the
+   frame.  If a context's call block still calls, the call is real
+   ([call frame block child] is told) and the callee opens a new frame;
+   if it was spliced, the callee's code runs in the same frame, from
+   the copy its jump enters.  Returns the frame and base per context
+   id. *)
+let frames ?(call = fun _ _ _ -> ()) (root : Vm.Interp.context) (prog : Prog.program) =
+  let rec size (node : Vm.Interp.context) =
+    Array.fold_left (fun n c -> n + Option.fold ~none:0 ~some:size c) 1 node.callees
+  in
+  let n = size root in
+  let frame = Array.make n prog.Prog.entry and base = Array.make n 0 in
+  let rec walk (node : Vm.Interp.context) =
     Array.iter
       (function
         | None -> ()
-        | Some (c : Vm.Interp.context) -> (
-          let block = base + c.site in
-          match prog.Prog.funcs.(frame).blocks.(block).Cfg.term with
+        | Some (c : Vm.Interp.context) ->
+          let f = frame.(node.id) and block = base.(node.id) + c.site in
+          (match prog.Prog.funcs.(f).blocks.(block).Cfg.term with
           | Cfg.Call _ ->
-            let key = (frame, block, c.fid) in
-            let n = Option.value ~default:0 (Hashtbl.find_opt site_counts key) in
-            Hashtbl.replace site_counts key (n + c.calls);
-            dyn_calls := !dyn_calls + c.calls;
-            walk c.fid 0 c
-          | Cfg.Jump entry -> walk frame entry c
+            call f block c;
+            frame.(c.id) <- c.fid
+          | Cfg.Jump entry ->
+            frame.(c.id) <- f;
+            base.(c.id) <- entry
           | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ ->
-            Diag.error ~stage:Diag.Structure
-              ~func:prog.Prog.funcs.(frame).name ~block
-              "inline counts: block is neither a call nor a spliced call"))
+            Diag.error ~stage:Diag.Structure ~func:prog.Prog.funcs.(f).name
+              ~block "inline counts: block is neither a call nor a spliced call");
+          walk c)
       node.callees
   in
-  walk prog.Prog.entry 0 profile.Vm.Profile.contexts;
+  walk root;
+  (frame, base)
+
+(* A round's counts: each real call's count sums into its site. *)
+let round_counts (profile : Vm.Profile.t) prog =
+  let site_counts = Hashtbl.create 64 and dyn_calls = ref 0 in
+  ignore
+    (frames profile.contexts prog ~call:(fun frame block (c : Vm.Interp.context) ->
+         let key = (frame, block, c.fid) in
+         let n = Option.value ~default:0 (Hashtbl.find_opt site_counts key) in
+         Hashtbl.replace site_counts key (n + c.calls);
+         dyn_calls := !dyn_calls + c.calls));
   { site_counts; dyn_calls = !dyn_calls }
+
+(* The counts of [prog]'s simplification, replayed from the profiled
+   program's log, each context where [frames] places it.  The events
+   map one for one, in log order:
+   - a successor slot, or a [Ret]'s return, stays the same slot of the
+     frame's block (in a copy that [Ret] is a jump to the continuation,
+     and its one slot carries the returns);
+   - a real call's entry and continuation stay its entry and
+     continuation, and its entry opens the callee's context in
+     [prog]'s own tree;
+   - a spliced call's entry becomes its jump into the copy, and its
+     continuation disappears: the copy's returns carry those transfers;
+     the callee's context merges into the caller's.
+   Replaying them in log order through [Interp.count] rebuilds the tree
+   and log that running [prog] would, because [prog] takes the same
+   path at the same moments; block executions follow, as each passes
+   through one slot.  [kept] then maps each block onto the simplified
+   program ([-1]: dropped, with its events): a surviving block keeps its
+   slots, or has them folded into a [Jump]'s one. *)
+let derive (src : Vm.Interp.counts) (prog : Prog.program)
+    ~simplified:((shipped : Prog.program), (kept : Cfg.label array array)) =
+  let frame, base = frames (Vm.Interp.contexts src) prog in
+  let orig = Vm.Interp.program src in
+  let dst = Vm.Interp.empty shipped in
+  let root' = Vm.Interp.contexts dst in
+  root'.calls <- (Vm.Interp.contexts src).calls;
+  (* Per context of [src]: the context of [dst] it runs in. *)
+  let at = Array.make (Array.length frame) root' in
+  let count node' f block k n =
+    let b = kept.(f).(block) in
+    if b >= 0 then
+      let k =
+        match shipped.Prog.funcs.(f).blocks.(b).Cfg.term with
+        | Cfg.Jump _ -> 0
+        | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ | Cfg.Call _ -> k
+      in
+      Vm.Interp.count dst node' b k n
+  in
+  Vm.Interp.iter_events src (fun node l k n ->
+      let f = frame.(node.id) and node' = at.(node.id) in
+      let block = base.(node.id) + l in
+      let callee () = Option.get (Vm.Interp.child src node l) in
+      match
+        ( orig.Prog.funcs.(node.fid).blocks.(l).Cfg.term,
+          prog.Prog.funcs.(f).blocks.(block).Cfg.term )
+      with
+      | Cfg.Call _, Cfg.Jump _ ->
+        if k = 1 then begin
+          at.((callee ()).id) <- node';
+          count node' f block 0 n
+        end
+      | Cfg.Call _, _ ->
+        if k = 1 then begin
+          let c = callee () in
+          let c' = Vm.Interp.enter dst node' kept.(f).(block) in
+          c'.calls <- c'.calls + c.calls;
+          at.(c.id) <- c'
+        end;
+        count node' f block k n
+      | (Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _), _ ->
+        count node' f block k n);
+  dst
 
 (* One pass over the weighted call graph: inline the qualifying sites in
    decreasing dynamic-count order, respecting size and recursion limits.
@@ -243,4 +321,4 @@ let expand ?config ~(profile : Vm.Profile.t) prog =
   if profile.prog.Prog.funcs != prog.Prog.funcs
      && profile.prog.Prog.funcs <> prog.Prog.funcs
   then invalid_arg "Inline.expand: the profile is of another program";
-  rounds ?config prog (derive profile)
+  rounds ?config prog (round_counts profile)

@@ -5,10 +5,6 @@
 
 open Ir
 
-type config = { do_inline : bool (* disable to ablate the inlining step *) }
-
-let default_config = { do_inline = true }
-
 type t = {
   original : Prog.program;
   original_profile : Vm.Profile.t;
@@ -22,50 +18,8 @@ type t = {
   natural : Address_map.t;
 }
 
-let run ?(config = default_config) (original : Prog.program)
-    ~(inputs : Vm.Io.input list) : t =
-  (* Step 0 (compiler hygiene): CFG cleanups before anything is profiled. *)
-  let original =
-    Obs.Span.with_ ~stage:"simplify" (fun () -> Simplify.program original)
-  in
-  (* Step 1: execution profiling of the original program, with its
-     calling-context tree. *)
-  let original_profile = Vm.Profile.profile original inputs in
-  (* Step 2: inline expansion of the important call sites, every round
-     counted from that one profile, then a second cleanup pass over the
-     splices. *)
-  let program, inline_report =
-    if config.do_inline then
-      let program, report =
-        Obs.Span.with_ ~stage:"inline" (fun () ->
-            Inline.expand ~profile:original_profile original)
-      in
-      ( Obs.Span.with_ ~stage:"simplify"
-          ~attrs:[ ("program", "inlined") ]
-          (fun () -> Simplify.program program),
-        report )
-    else
-      ( original,
-        {
-          Inline.sites_inlined = 0;
-          insns_before = Prog.total_instr_count original;
-          insns_after = Prog.total_instr_count original;
-          rounds_used = 0;
-        } )
-  in
-  (* Report code growth against what actually ships. *)
-  let inline_report =
-    { inline_report with Inline.insns_after = Prog.total_instr_count program }
-  in
-  (* The layout steps need block and arc weights, in first-taken order,
-     that match the transformed program's control graphs.  When inlining
-     and cleanup left [funcs] structurally equal to the original's
-     (always with inlining off) the original profile is that profile;
-     otherwise profile again on the same inputs. *)
-  let profile =
-    if program.Prog.funcs = original.Prog.funcs then original_profile
-    else Vm.Profile.profile program inputs
-  in
+(* Steps 3-5 on a program and its profile. *)
+let place ~original ~original_profile ~program ~profile ~inline_report =
   (* Step 3: trace selection per function. *)
   let selections =
     Obs.Span.with_ ~stage:"trace-selection" (fun () ->
@@ -109,11 +63,59 @@ let run ?(config = default_config) (original : Prog.program)
     natural;
   }
 
+let run (original : Prog.program) ~(inputs : Vm.Io.input list) : t =
+  (* Step 0 (compiler hygiene): CFG cleanups before anything is profiled. *)
+  let original =
+    Obs.Span.with_ ~stage:"simplify" (fun () -> fst (Simplify.program original))
+  in
+  (* Step 1: execution profiling of the original program, with its
+     calling-context tree: the pipeline's one VM pass. *)
+  let original_profile, counts = Vm.Profile.run original inputs in
+  (* Step 2: inline expansion of the important call sites, every round
+     counted from that one profile, then a second cleanup pass over the
+     splices.  The layout steps need block and arc weights, in
+     first-taken order, that match the shipped program's control
+     graphs: when inlining and cleanup left [funcs] structurally equal
+     to the original's, the original profile is that profile; otherwise
+     it is derived from the original run's per-context counts, which
+     the pipeline then drops. *)
+  let program, profile, inline_report =
+    Obs.Span.with_ ~stage:"inline" (fun () ->
+        let inlined, report = Inline.expand ~profile:original_profile original in
+        let ((program, _) as simplified) =
+          Obs.Span.with_ ~stage:"simplify"
+            ~attrs:[ ("program", "inlined") ]
+            (fun () -> Simplify.program inlined)
+        in
+        let profile =
+          if program.Prog.funcs = original.Prog.funcs then original_profile
+          else Vm.Profile.of_counts (Inline.derive counts inlined ~simplified)
+        in
+        (program, profile, report))
+  in
+  (* Report code growth against what actually ships. *)
+  let inline_report =
+    { inline_report with Inline.insns_after = Prog.total_instr_count program }
+  in
+  place ~original ~original_profile ~program ~profile ~inline_report
+
+let no_inline (t : t) : t =
+  let insns = Prog.total_instr_count t.original in
+  place ~original:t.original ~original_profile:t.original_profile
+    ~program:t.original ~profile:t.original_profile
+    ~inline_report:
+      {
+        Inline.sites_inlined = 0;
+        insns_before = insns;
+        insns_after = insns;
+        rounds_used = 0;
+      }
+
 (* Address map of the (inlined, profiled) program under any registered
    layout strategy.  The IMPACT and natural maps the pipeline already
-   built are returned as-is — [Strategy.impact] under a non-default
-   pipeline config means "this pipeline's placement", and reusing the
-   stored maps keeps them physically shared for memoization. *)
+   built are returned as-is — [Strategy.impact] on a {!no_inline}
+   pipeline means "this pipeline's placement", and reusing the stored
+   maps keeps them physically shared for memoization. *)
 let map_of_profile (program : Prog.program) (profile : Vm.Profile.t)
     (s : Strategy.t) : Address_map.t =
   let layouts =

@@ -108,14 +108,13 @@ let make_entry ?memo_cap ?strategy_cap bench =
              ~inputs:(Workloads.Bench.profile_inputs bench)))
   in
   let pipeline_noinline =
+    (* The inline pipeline's original program and profile, laid out
+       without inlining: no second VM pass. *)
     lazy
-      (Obs.Span.with_ ~stage:"pipeline"
+      (let p = Lazy.force pipeline in
+       Obs.Span.with_ ~stage:"pipeline"
          ~attrs:(("inline", "off") :: bench_attr)
-         (fun () ->
-           Placement.Pipeline.run
-             ~config:{ Placement.Pipeline.do_inline = false }
-             (Workloads.Bench.program bench)
-             ~inputs:(Workloads.Bench.profile_inputs bench)))
+         (fun () -> Placement.Pipeline.no_inline p))
   in
   let trace =
     lazy

@@ -14,7 +14,10 @@
      first-taken order;
    - under aggressive inlining thresholds, every round's call-site
      counts derived from the calling-context tree equal a VM pass over
-     that round's program ([Oracle.Inline_rounds]);
+     that round's program ([Oracle.Inline_rounds]), and the profile
+     derived for the cleaned-up inlined program equals a VM pass over it
+     ([Oracle.Inlined_profile]): every table in fold order, the context
+     tree and the event log;
    - every structural / flow / selection / layout / map invariant
      ([Placement.Validate], at [Full] level);
    - inline expansion preserved semantics (the original and inlined
@@ -76,8 +79,9 @@ let catching stage f =
   | Vm.Interp.Fault m -> Error [ Ir.Diag.make ~stage "VM fault: %s" m ]
   | exn -> Error [ Ir.Diag.make ~stage "%s" (Printexc.to_string exn) ]
 
-(* The VM, its profiler and the inline rounds' derived counts against
-   their oracles on the lowered program.  A run that faults must fault
+(* The VM, its profiler, the inline rounds' derived counts and the
+   derived profile of the inlined program against their oracles on the
+   lowered program.  A run that faults must fault
    the same way in both interpreters; it is not profiled, and the
    pipeline stage reports the fault.  A run that completes is run again
    on half the instructions it used, where both interpreters must run
@@ -102,18 +106,24 @@ let engine_diags prog =
       differ "the VM completed on %d of the %d instructions it needs"
         (used / 2) used
     | Ok (Error _) -> (
+      let aggressive = Oracle.Inline_rounds.aggressive in
       match
         catching Ir.Diag.Profile (fun () ->
             ( Oracle.Transfer_profile.same_as_oracle prog [ case_input ],
-              Oracle.Inline_rounds.same_as_oracle
-                ~config:Oracle.Inline_rounds.aggressive prog [ case_input ] ))
+              Oracle.Inline_rounds.same_as_oracle ~config:aggressive prog
+                [ case_input ],
+              Oracle.Inlined_profile.same_as_oracle ~config:aggressive prog
+                [ case_input ] ))
       with
       | Error ds -> ds
-      | Ok (Error what, _) ->
+      | Ok (Error what, _, _) ->
         differ "Vm.Profile and the per-transfer profiler differ: %s" what
-      | Ok (Ok (), Error what) ->
+      | Ok (Ok (), Error what, _) ->
         differ "derived inline counts and the VM's differ at %s" what
-      | Ok (Ok (), Ok ()) -> []))
+      | Ok (Ok (), Ok (), Error what) ->
+        differ "the derived profile of the inlined program and the VM's \
+                differ in %s" what
+      | Ok (Ok (), Ok (), Ok ()) -> []))
 
 (* All violations exhibited by one generated program, or [] if the whole
    pipeline holds up.  Stages are checked in order and a failing stage

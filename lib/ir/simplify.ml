@@ -44,9 +44,10 @@ let forward_target (blocks : Cfg.block array) l =
   else None
 
 (* Resolve a jump chain with a cycle guard; the entry block (label 0) is
-   never threaded away as a target since calls land there. *)
+   never threaded away as a target since calls land there, so every
+   block that survives runs exactly as often as before. *)
 let rec chase blocks seen l =
-  if List.mem l seen then l
+  if l = 0 || List.mem l seen then l
   else
     match forward_target blocks l with
     | Some l' when l' <> l -> chase blocks (l :: seen) l'
@@ -60,7 +61,8 @@ let thread_jumps (blocks : Cfg.block array) =
 
 (* Drop blocks unreachable from the entry, compacting labels (entry stays
    0).  Reachability comes from the canonical [Cfg.reachable], shared
-   with the layout linter. *)
+   with the layout linter.  Returns each old label's new label (-1 when
+   dropped) with the blocks. *)
 let sweep_unreachable (blocks : Cfg.block array) =
   let n = Array.length blocks in
   let reach = Cfg.reachable blocks in
@@ -72,7 +74,7 @@ let sweep_unreachable (blocks : Cfg.block array) =
       incr next
     end
   done;
-  if !next = n then blocks
+  if !next = n then (remap, blocks)
   else begin
     let fresh = Array.make !next blocks.(0) in
     for l = 0 to n - 1 do
@@ -84,16 +86,14 @@ let sweep_unreachable (blocks : Cfg.block array) =
               Cfg.map_term_labels (fun t -> remap.(t)) blocks.(l).Cfg.term;
           }
     done;
-    fresh
+    (remap, fresh)
   end
 
-let func (f : Prog.func) : Prog.func =
-  let blocks = ref f.Prog.blocks in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 8 do
-    incr rounds;
-    let next =
+(* At most 8 rounds, each folding, threading and sweeping; [kept]
+   composes the rounds' label maps. *)
+let func (f : Prog.func) : Prog.func * Cfg.label array =
+  let rec go round blocks kept =
+    let folded =
       Array.map
         (fun b ->
           {
@@ -101,14 +101,15 @@ let func (f : Prog.func) : Prog.func =
             Cfg.insns = Array.map fold_insn b.Cfg.insns;
             term = fold_term b.Cfg.term;
           })
-        !blocks
+        blocks
     in
-    let next = thread_jumps next in
-    let next = sweep_unreachable next in
-    changed := next <> !blocks;
-    blocks := next
-  done;
-  { f with blocks = !blocks }
+    let remap, next = sweep_unreachable (thread_jumps folded) in
+    let kept = Array.map (fun l -> if l < 0 then l else remap.(l)) kept in
+    if next = blocks || round = 8 then ({ f with blocks = next }, kept)
+    else go (round + 1) next kept
+  in
+  go 1 f.Prog.blocks (Array.init (Array.length f.Prog.blocks) Fun.id)
 
-let program (p : Prog.program) : Prog.program =
-  Prog.with_funcs p (Array.map func p.Prog.funcs)
+let program (p : Prog.program) =
+  let simplified = Array.map func p.Prog.funcs in
+  (Prog.with_funcs p (Array.map fst simplified), Array.map snd simplified)

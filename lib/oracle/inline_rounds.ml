@@ -1,5 +1,5 @@
 (* Inline rounds with a VM pass per round, the oracle of the counts
-   [Placement.Inline.derive] sums from one calling-context tree. *)
+   [Placement.Inline.round_counts] sums from one calling-context tree. *)
 
 let aggressive =
   {
@@ -24,7 +24,7 @@ let same_as_oracle ?config prog inputs =
   let round = ref 0 and first = ref None in
   let counts p =
     let want = vm_counts inputs p in
-    let got = Placement.Inline.derive profile p in
+    let got = Placement.Inline.round_counts profile p in
     (if !first = None then
        if sorted got <> sorted want then
          first := Some (Fmt.str "round %d: site_counts" !round)

@@ -1,7 +1,7 @@
 (** Inline rounds with a VM pass per round: the loop
     {!Placement.Inline.expand} ran before it derived every round's
     counts from one calling-context tree.  {!same_as_oracle} checks
-    {!Placement.Inline.derive} against it round by round. *)
+    {!Placement.Inline.round_counts} against it round by round. *)
 
 val aggressive : Placement.Inline.config
 (** Inline every executed site that fits a five-fold growth budget: the

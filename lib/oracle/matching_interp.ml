@@ -350,9 +350,10 @@ let outcome (p : Prog.program) ~value ~totals ~io ~block_count ~arcs ~calls =
   }
 
 let of_vm p (r : Vm.Interp.result) =
+  let blocks = Vm.Interp.block_counts r.counts in
   outcome p ~value:r.return_value
     ~totals:[ r.dyn_insns; r.dyn_blocks; r.dyn_calls; r.dyn_branches ]
-    ~io:r.io ~block_count:(Vm.Interp.block_count r.counts)
+    ~io:r.io ~block_count:(fun fid l -> blocks.(fid).(l))
     ~arcs:(Vm.Interp.iter_arcs r.counts) ~calls:(Vm.Interp.iter_calls r.counts)
 
 let of_oracle p (r : result) =

@@ -86,11 +86,8 @@ let view (p : Vm.Profile.t) =
     sites = Hashtbl.fold (fun k c acc -> (k, c) :: acc) p.site_counts [];
   }
 
-(* The dense-counter profile must equal the per-transfer oracle in every
-   count and in every hash table's fold order. *)
-let same_as_oracle prog inputs =
-  let got = view (Vm.Profile.profile prog inputs) in
-  let want = view (profile prog inputs) in
+let same_tables ~got ~want =
+  let got = view got and want = view want in
   if got.blocks <> want.blocks then Error "block counts"
   else if got.entries <> want.entries then Error "entry counts"
   else if got.totals <> want.totals then Error "runs and dyn_* totals"
@@ -98,3 +95,8 @@ let same_as_oracle prog inputs =
   else if got.in_arcs <> want.in_arcs then Error "in_arcs"
   else if got.sites <> want.sites then Error "site_counts fold order"
   else Ok ()
+
+(* The dense-counter profile must equal the per-transfer oracle in every
+   count and in every hash table's fold order. *)
+let same_as_oracle prog inputs =
+  same_tables ~got:(Vm.Profile.profile prog inputs) ~want:(profile prog inputs)

@@ -11,3 +11,9 @@ val same_as_oracle :
     of the inputs in every count and every table's fold order;
     otherwise [Error what], naming the first table that differs, e.g.
     ["out_arcs"]. *)
+
+val same_tables :
+  got:Vm.Profile.t -> want:Vm.Profile.t -> (unit, string) result
+(** The comparison {!same_as_oracle} makes: block and entry counts, runs
+    and [dyn_*] totals, every block's [out_arcs] and [in_arcs], and
+    [site_counts], each hash table read in its [Hashtbl.fold] order. *)

@@ -1,24 +1,27 @@
 (* CFG interpreter, translate-then-run.
 
    Executes a lowered program against an input, counting every executed
-   block, every control transfer and every call into dense per-run
-   arrays, and every call into the node of its call path in a
-   calling-context tree: each frame carries its caller's node, so
-   [Invoke] descends to the callee's node and [Return] climbs back.
-   The same loop serves three purposes:
+   block and every transfer through an event slot (successor slots, a
+   call's entry into its callee, a [Ret]'s return into its caller) into
+   the node of its call path in a calling-context tree, and logging
+   each (node, slot) pair the first time it is taken: each frame
+   carries its caller's node, so [Invoke] descends to the callee's node
+   and [Return] climbs back.  The same loop serves three purposes:
    - plain execution (workload correctness tests),
-   - execution profiling (paper step 1; [Profile] folds the counters),
+   - execution profiling (paper step 1; [Profile] projects the tree
+     onto functions, and [Placement.Inline] onto an inlined program),
    - dynamic trace generation for the cache simulation (see [Sim]).
 
    [run] first translates every block of the program into a [code]
-   record (closure generation, Feeley & Lapalme 1987): its cost, global
-   index and first successor slot, its body as an array of closures over
+   record (closure generation, Feeley & Lapalme 1987): its cost, label
+   and first event slot, its body as an array of closures over
    the register file with every operand already resolved, and its exit
    with labels, slots, callee and argument readers already resolved.
    The loop then only counts, charges fuel, calls the body closures and
    dispatches on the exit; nothing is matched on [Insn.t] or [Cfg.term]
    while the program runs.  Translation is per run (programs are at most
-   ~1,100 static blocks), so runs share no mutable state.
+   ~1,100 static blocks), so runs share no mutable state but a tree the
+   caller passes.
 
    A closure raises its fault when it executes, never at translation: a
    block that never runs may hold any faulting instruction.
@@ -51,125 +54,245 @@ let slot_target term k =
     if k < Array.length cases then snd cases.(k) else default
   | Cfg.Ret _ -> invalid_arg "Interp.slot_target: Ret has no successors"
 
+(* Event slots of a block: its successor slots, then one more for a
+   call block (its entry into the callee, taken when it calls) and for
+   a [Ret] block (its return into the caller).  These two are the
+   transfers an inlined copy of the code turns into arcs. *)
+let event_slots term =
+  slot_count term
+  +
+  match term with
+  | Cfg.Call _ | Cfg.Ret _ -> 1
+  | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ -> 0
+
+(* The slot through which every execution of a block passes exactly
+   once: a call's entry, a return, or (summed) the successor slots. *)
+let executions term slots base =
+  match term with
+  | Cfg.Call _ -> slots.(base + 1)
+  | Cfg.Ret _ -> slots.(base)
+  | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ ->
+    let n = ref 0 in
+    for k = 0 to slot_count term - 1 do
+      n := !n + slots.(base + k)
+    done;
+    !n
+
 (* A calling context: one node per distinct call path of the run (no
    merging of recursive calls), its children indexed by the rank of the
    call block among its function's call blocks, in label order. *)
 type context = {
+  id : int;
   fid : int;
   site : Cfg.label;
   mutable calls : int;
   callees : context option array;
 }
 
-let call_sites (f : Prog.func) =
-  Array.fold_left
-    (fun n (b : Cfg.block) ->
-      match b.term with
-      | Cfg.Call _ -> n + 1
-      | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> n)
-    0 f.blocks
-
-let context (prog : Prog.program) fid ~site =
-  { fid; site; calls = 0; callees = Array.make (call_sites prog.funcs.(fid)) None }
-
-let root_context prog = context prog prog.Prog.entry ~site:(-1)
-
-(* Blocks are numbered globally, function by function, and successor
-   slots globally, block by block. *)
+(* Static per-function tables, the tree, the transfers each context
+   made through every event slot of its function (a block's executions
+   are its [executions]), and the log: every (context, slot) pair in
+   the order it was first taken, packed as [id lsl slot_bits lor slot]. *)
 type counts = {
   prog : Prog.program;
-  block_base : int array; (* per fid: global index of block 0; +1 total *)
-  block_fid : int array; (* per global block *)
-  slot_base : int array; (* per global block: first slot; +1 total *)
-  slot_block : int array; (* per global slot: owning global block *)
-  callee : int array; (* per global block: callee fid, -1 if none/unknown *)
-  call_rank : int array; (* per global call block: its rank in its function *)
-  blocks : int array; (* executions per global block *)
-  slots : int array; (* transfers per global slot *)
-  taken : int array; (* slots in first-taken order, [n_taken] of them *)
-  mutable n_taken : int;
-  called : int array; (* call blocks in first-call order *)
-  mutable n_called : int;
-  root : context; (* the run's calling-context tree *)
+  slot_base : int array array; (* per fid, per label: first slot; +1 total *)
+  slot_block : int array array; (* per fid, per slot: owning label *)
+  call_rank : int array array; (* per fid, per label: rank among call blocks *)
+  callee : int array array; (* per fid, per label: callee fid, -1 if none *)
+  mutable nodes : context array; (* by id; [n_nodes] of them *)
+  mutable slots : int array array; (* by id: per event slot of its fid *)
+  mutable n_nodes : int;
+  mutable log : int array;
+  mutable n_log : int;
 }
 
-let counts_of (prog : Prog.program) =
-  let nfuncs = Array.length prog.funcs in
-  let block_base = Array.make (nfuncs + 1) 0 in
-  Array.iteri
-    (fun fid (f : Prog.func) ->
-      block_base.(fid + 1) <- block_base.(fid) + Array.length f.blocks)
-    prog.funcs;
-  let nblocks = block_base.(nfuncs) in
-  let block_fid = Array.make nblocks 0 in
-  let slot_base = Array.make (nblocks + 1) 0 in
-  let callee = Array.make nblocks (-1) in
-  let call_rank = Array.make nblocks (-1) in
-  let rank = Array.make nfuncs 0 in
-  Prog.iter_blocks
-    (fun fid _ l (b : Cfg.block) ->
-      let g = block_base.(fid) + l in
-      block_fid.(g) <- fid;
-      slot_base.(g + 1) <- slot_base.(g) + slot_count b.term;
-      match b.term with
-      | Cfg.Call { callee = name; _ } ->
-        call_rank.(g) <- rank.(fid);
-        rank.(fid) <- rank.(fid) + 1;
-        Option.iter (fun i -> callee.(g) <- i) (Hashtbl.find_opt prog.by_name name)
-      | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> ())
-    prog;
-  let nslots = slot_base.(nblocks) in
-  let slot_block = Array.make nslots 0 in
-  for g = 0 to nblocks - 1 do
-    Array.fill slot_block slot_base.(g) (slot_base.(g + 1) - slot_base.(g)) g
-  done;
-  {
-    prog;
-    block_base;
-    block_fid;
-    slot_base;
-    slot_block;
-    callee;
-    call_rank;
-    blocks = Array.make nblocks 0;
-    slots = Array.make nslots 0;
-    taken = Array.make nslots 0;
-    n_taken = 0;
-    called = Array.make nblocks 0;
-    n_called = 0;
-    root = root_context prog;
-  }
+let slot_bits = 24
 
-let take c s =
-  let n = c.slots.(s) in
-  if n = 0 then begin
-    c.taken.(c.n_taken) <- s;
-    c.n_taken <- c.n_taken + 1
-  end;
-  c.slots.(s) <- n + 1
+(* Append to a growable array, doubling it when full. *)
+let push arr n x =
+  let arr =
+    if n < Array.length arr then arr
+    else Array.append arr (Array.make (max 16 n) x)
+  in
+  arr.(n) <- x;
+  arr
+
+let new_node c fid ~site =
+  let node =
+    {
+      id = c.n_nodes;
+      fid;
+      site;
+      calls = 0;
+      callees =
+        Array.make
+          (Array.fold_left
+             (fun n r -> if r >= 0 then n + 1 else n)
+             0 c.call_rank.(fid))
+          None;
+    }
+  in
+  c.nodes <- push c.nodes c.n_nodes node;
+  c.slots <- push c.slots c.n_nodes (Array.make (Array.length c.slot_block.(fid)) 0);
+  c.n_nodes <- c.n_nodes + 1;
+  node
+
+let empty (prog : Prog.program) =
+  let slot_base =
+    Array.map
+      (fun (f : Prog.func) ->
+        let base = Array.make (Array.length f.blocks + 1) 0 in
+        Array.iteri
+          (fun l (b : Cfg.block) -> base.(l + 1) <- base.(l) + event_slots b.term)
+          f.blocks;
+        if base.(Array.length f.blocks) >= 1 lsl slot_bits then
+          invalid_arg "Interp: too many event slots in one function";
+        base)
+      prog.funcs
+  in
+  let slot_block =
+    Array.map
+      (fun base ->
+        let n = Array.length base - 1 in
+        let owner = Array.make base.(n) 0 in
+        for l = 0 to n - 1 do
+          Array.fill owner base.(l) (base.(l + 1) - base.(l)) l
+        done;
+        owner)
+      slot_base
+  in
+  let call_rank =
+    Array.map
+      (fun (f : Prog.func) ->
+        let rank = ref 0 in
+        Array.map
+          (fun (b : Cfg.block) ->
+            match b.term with
+            | Cfg.Call _ ->
+              incr rank;
+              !rank - 1
+            | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> -1)
+          f.blocks)
+      prog.funcs
+  in
+  let callee =
+    Array.map
+      (fun (f : Prog.func) ->
+        Array.map
+          (fun (b : Cfg.block) ->
+            match b.term with
+            | Cfg.Call { callee = name; _ } ->
+              Option.value ~default:(-1) (Hashtbl.find_opt prog.by_name name)
+            | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> -1)
+          f.blocks)
+      prog.funcs
+  in
+  let c =
+    {
+      prog;
+      slot_base;
+      slot_block;
+      call_rank;
+      callee;
+      nodes = [||];
+      slots = [||];
+      n_nodes = 0;
+      log = [||];
+      n_log = 0;
+    }
+  in
+  ignore (new_node c prog.entry ~site:(-1));
+  c
+
+let program c = c.prog
+let contexts c = c.nodes.(0)
+
+let log c node s =
+  c.log <- push c.log c.n_log ((node.id lsl slot_bits) lor s);
+  c.n_log <- c.n_log + 1
+
+let add c node s n =
+  let slots = c.slots.(node.id) in
+  let m = slots.(s) in
+  if m = 0 then log c node s;
+  slots.(s) <- m + n
 [@@inline]
 
-let block_count c fid l = c.blocks.(c.block_base.(fid) + l)
-let contexts c = c.root
+let child c node l =
+  let r = c.call_rank.(node.fid).(l) in
+  if r < 0 then None else node.callees.(r)
+
+let enter c node l =
+  let r = c.call_rank.(node.fid).(l) in
+  match node.callees.(r) with
+  | Some callee -> callee
+  | None ->
+    let callee = new_node c c.callee.(node.fid).(l) ~site:l in
+    node.callees.(r) <- Some callee;
+    callee
+
+let count c node l k n = add c node (c.slot_base.(node.fid).(l) + k) n
+
+(* The [i]th logged pair. *)
+let event c i =
+  let e = c.log.(i) in
+  (c.nodes.(e lsr slot_bits), e land ((1 lsl slot_bits) - 1))
+
+let iter_events c f =
+  for i = 0 to c.n_log - 1 do
+    let node, s = event c i in
+    let l = c.slot_block.(node.fid).(s) in
+    f node l (s - c.slot_base.(node.fid).(l)) c.slots.(node.id).(s)
+  done
+
+(* {2 Per-function views: every context of a function summed} *)
+
+(* Event-slot transfers per function, summed over its contexts. *)
+let slot_totals c =
+  let sums = Array.map (fun owner -> Array.make (Array.length owner) 0) c.slot_block in
+  for id = 0 to c.n_nodes - 1 do
+    let sum = sums.(c.nodes.(id).fid) in
+    Array.iteri (fun s n -> sum.(s) <- sum.(s) + n) c.slots.(id)
+  done;
+  sums
+
+let block_counts c =
+  let sums = slot_totals c in
+  Array.mapi
+    (fun fid (f : Prog.func) ->
+      Array.mapi
+        (fun l (b : Cfg.block) ->
+          executions b.term sums.(fid) c.slot_base.(fid).(l))
+        f.blocks)
+    c.prog.funcs
+
+(* [f fid label k n] once per event slot of a function, in the order the
+   slot was first taken in any context; [n] sums its contexts. *)
+let iter_slots c f =
+  let sums = slot_totals c in
+  for i = 0 to c.n_log - 1 do
+    let node, s = event c i in
+    let fid = node.fid in
+    let n = sums.(fid).(s) in
+    if n > 0 then begin
+      sums.(fid).(s) <- 0;
+      let l = c.slot_block.(fid).(s) in
+      f fid l (s - c.slot_base.(fid).(l)) n
+    end
+  done
 
 let iter_arcs c f =
-  for i = 0 to c.n_taken - 1 do
-    let s = c.taken.(i) in
-    let g = c.slot_block.(s) in
-    let fid = c.block_fid.(g) in
-    let src = g - c.block_base.(fid) in
-    let term = c.prog.funcs.(fid).blocks.(src).Cfg.term in
-    f fid src (slot_target term (s - c.slot_base.(g))) c.slots.(s)
-  done
+  iter_slots c (fun fid l k n ->
+      let term = c.prog.funcs.(fid).blocks.(l).Cfg.term in
+      if k < slot_count term then f fid l (slot_target term k) n)
 
-(* A call block calls once per execution, so its block count is its
-   call count. *)
+(* A call block's extra slot is its entry into the callee: one per
+   call. *)
 let iter_calls c f =
-  for i = 0 to c.n_called - 1 do
-    let g = c.called.(i) in
-    let fid = c.block_fid.(g) in
-    f fid (g - c.block_base.(fid)) c.callee.(g) c.blocks.(g)
-  done
+  iter_slots c (fun fid l k n ->
+      match c.prog.funcs.(fid).blocks.(l).Cfg.term with
+      | Cfg.Call _ when k = 1 -> f fid l c.callee.(fid).(l) n
+      | Cfg.Call _ | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ | Cfg.Ret _ -> ())
 
 type result = {
   return_value : int;
@@ -200,7 +323,6 @@ type exit =
 and invoke = {
   callee_fid : int; (* -1: absent, raised when the call executes *)
   name : string;
-  rank : int; (* the call block's [call_rank] *)
   frame_size : int; (* the callee's register count *)
   args : reader array; (* the first [nparams] arguments *)
   entry : int; (* the callee's block 0 *)
@@ -333,17 +455,24 @@ let insn mem io heap : Insn.t -> int array -> unit = function
     | Some d -> fun r -> r.(d) <- value r
     | None -> fun r -> ignore (value r))
 
-(* The global index of block [l] of function [fid], -1 when out of range. *)
-let target c fid l =
-  let base = c.block_base.(fid) in
-  if l >= 0 && base + l < c.block_base.(fid + 1) then base + l else -1
+(* Global block indices: block [l] of function [fid] is
+   [base.(fid) + l]; [base] has one more entry, the total. *)
+let block_base (prog : Prog.program) =
+  let base = Array.make (Array.length prog.funcs + 1) 0 in
+  Array.iteri
+    (fun fid (f : Prog.func) -> base.(fid + 1) <- base.(fid) + Array.length f.blocks)
+    prog.funcs;
+  base
 
-let entry c fid = target c fid 0
+(* The global index of block [l] of function [fid], -1 when out of range. *)
+let target base fid l =
+  if l >= 0 && base.(fid) + l < base.(fid + 1) then base.(fid) + l else -1
 
 (* Translate every block of the program, indexed by global block. *)
 let translate (prog : Prog.program) c mem io heap =
-  let target = target c and insn = insn mem io heap in
-  let exit fid g : Cfg.term -> exit = function
+  let base = block_base prog in
+  let target = target base and insn = insn mem io heap in
+  let exit fid label : Cfg.term -> exit = function
     | Jump l -> Goto (target fid l)
     | Br (o, t, f) -> If (reader o, target fid t, target fid f)
     | Switch (o, cases, default) ->
@@ -354,7 +483,7 @@ let translate (prog : Prog.program) c mem io heap =
           target fid default )
     | Ret o -> Return (reader (Option.value o ~default:(Insn.Imm 0)))
     | Call { callee = name; args; dst; ret_to } ->
-      let callee_fid = c.callee.(g) in
+      let callee_fid = c.callee.(fid).(label) in
       let frame_size, nparams =
         if callee_fid < 0 then (0, 0)
         else
@@ -365,28 +494,32 @@ let translate (prog : Prog.program) c mem io heap =
         {
           callee_fid;
           name;
-          rank = c.call_rank.(g);
           frame_size;
           args =
             Array.of_list
               (List.filteri (fun i _ -> i < nparams) args |> List.map reader);
-          entry = (if callee_fid < 0 then -1 else entry c callee_fid);
+          entry = (if callee_fid < 0 then -1 else target callee_fid 0);
           dst = Option.value dst ~default:(-1);
           ret_to = target fid ret_to;
         }
   in
-  Array.init (Array.length c.block_fid) (fun g ->
-      let fid = c.block_fid.(g) in
-      let label = g - c.block_base.(fid) in
-      let b = prog.funcs.(fid).blocks.(label) in
-      {
-        fid;
-        label;
-        cost = Cfg.instr_count b;
-        slot = c.slot_base.(g);
-        body = Array.map insn b.insns;
-        exit = exit fid g b.term;
-      })
+  let code =
+    Array.mapi
+      (fun fid (f : Prog.func) ->
+        Array.mapi
+          (fun label (b : Cfg.block) ->
+            {
+              fid;
+              label;
+              cost = Cfg.instr_count b;
+              slot = c.slot_base.(fid).(label);
+              body = Array.map insn b.insns;
+              exit = exit fid label b.term;
+            })
+          f.blocks)
+      prog.funcs
+  in
+  (Array.concat (Array.to_list code), target prog.entry 0)
 
 (* {1 Execution} *)
 
@@ -394,15 +527,18 @@ type frame = {
   caller_regs : int array;
   ret_dst : int; (* destination register, -1 for none *)
   ret_to : int; (* continuation block in the caller *)
-  ret_slot : int; (* global slot of the call block's continuation arc *)
+  ret_slot : int; (* the call block's continuation slot *)
   ret_context : context; (* the caller's calling context *)
 }
 
-let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
+let run ?block_sink ?(fuel = 2_000_000_000) ?counts (prog : Prog.program)
     (input : Io.input) : result =
   let io = Io.of_input input in
-  let c = counts_of prog in
-  let code = translate prog c (Memory.of_program prog) io (ref prog.heap_base) in
+  let c = match counts with Some c -> c | None -> empty prog in
+  if c.prog != prog then invalid_arg "Interp.run: counts of another program";
+  let code, start =
+    translate prog c (Memory.of_program prog) io (ref prog.heap_base)
+  in
   (* Instructions executed = fuel spent. *)
   let fuel0 = fuel in
   let fuel = ref fuel in
@@ -411,15 +547,15 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
      program. *)
   let stack = ref [] in
   let regs = ref (Array.make prog.funcs.(prog.entry).nregs 0) in
-  let cur = ref (entry c prog.entry) in
-  let ctx = ref c.root in
-  c.root.calls <- 1;
+  let cur = ref start in
+  let root = contexts c in
+  let ctx = ref root in
+  root.calls <- root.calls + 1;
   let return_value = ref 0 in
   let running = ref true in
   while !running do
-    let g = !cur in
-    let b = code.(g) in
-    c.blocks.(g) <- c.blocks.(g) + 1;
+    let b = code.(!cur) in
+    let node = !ctx in
     (match block_sink with None -> () | Some sink -> sink b.fid b.label);
     incr blocks;
     fuel := !fuel - b.cost;
@@ -433,16 +569,16 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
     match b.exit with
     | Goto t ->
       incr branches;
-      take c b.slot;
+      add c node b.slot 1;
       cur := t
     | If (cond, t, f) ->
       incr branches;
       if cond r <> 0 then begin
-        take c b.slot;
+        add c node b.slot 1;
         cur := t
       end
       else begin
-        take c (b.slot + 1);
+        add c node (b.slot + 1) 1;
         cur := f
       end
     | Cases (scrutinee, values, targets, default) ->
@@ -453,19 +589,20 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
       while !k < n && values.(!k) <> v do
         incr k
       done;
-      take c (b.slot + !k);
+      add c node (b.slot + !k) 1;
       cur := if !k < n then targets.(!k) else default
     | Return value -> (
       let value = value r in
+      add c node b.slot 1;
       match !stack with
       | [] ->
         return_value := value;
         running := false
       | fr :: rest ->
         stack := rest;
-        (* The intra-function arc from the call block to its return
-           continuation is taken when the call returns. *)
-        take c fr.ret_slot;
+        (* After the return event, the intra-function arc from the call
+           block to its continuation, taken when the call returns. *)
+        add c fr.ret_context fr.ret_slot 1;
         regs := fr.caller_regs;
         ctx := fr.ret_context;
         if fr.ret_dst >= 0 then fr.caller_regs.(fr.ret_dst) <- value;
@@ -473,23 +610,12 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
     | Invoke k ->
       incr calls;
       if k.callee_fid < 0 then raise (Prog.Unknown_function k.name);
-      if c.blocks.(g) = 1 then begin
-        c.called.(c.n_called) <- g;
-        c.n_called <- c.n_called + 1
-      end;
+      add c node (b.slot + 1) 1;
       let callee_regs = Array.make k.frame_size 0 in
       for i = 0 to Array.length k.args - 1 do
         callee_regs.(i) <- k.args.(i) r
       done;
-      let caller = !ctx in
-      let callee =
-        match caller.callees.(k.rank) with
-        | Some callee -> callee
-        | None ->
-          let callee = context prog k.callee_fid ~site:b.label in
-          caller.callees.(k.rank) <- Some callee;
-          callee
-      in
+      let callee = enter c node b.label in
       callee.calls <- callee.calls + 1;
       stack :=
         {
@@ -497,7 +623,7 @@ let run ?block_sink ?(fuel = 2_000_000_000) (prog : Prog.program)
           ret_dst = k.dst;
           ret_to = k.ret_to;
           ret_slot = b.slot;
-          ret_context = caller;
+          ret_context = node;
         }
         :: !stack;
       regs := callee_regs;

@@ -9,8 +9,12 @@
      it,
    - whole-program dynamic totals for Table 2 / Table 3.
 
-   Each run counts into the interpreter's dense per-run arrays; [run]
-   then folds them into the hash tables below.  New keys are inserted in
+   Every run counts into one shared [Interp.counts]: what each function
+   did in each context, and the order in which each (context, event
+   slot) pair was first taken.  [of_counts] projects the contexts onto
+   their functions and keeps only the tree's shape; the counts outlive
+   the profile only where a caller keeps them, as the pipeline does to
+   derive the inlined program's profile.  New keys are inserted in
    first-taken order, so every table has the layout (and [Hashtbl.fold]
    order) that bumping a key per executed transfer would give: layout
    ties break on that order. *)
@@ -37,7 +41,7 @@ type t = {
   mutable dyn_branches : int;
 }
 
-let create (prog : Prog.program) =
+let with_tree (prog : Prog.program) contexts =
   let funcs =
     Array.map
       (fun (f : Prog.func) ->
@@ -53,7 +57,7 @@ let create (prog : Prog.program) =
     funcs;
     site_counts = Hashtbl.create 64;
     entry_counts = Array.make (Array.length prog.funcs) 0;
-    contexts = Interp.root_context prog;
+    contexts;
     runs = 0;
     dyn_insns = 0;
     dyn_blocks = 0;
@@ -61,62 +65,50 @@ let create (prog : Prog.program) =
     dyn_branches = 0;
   }
 
+let create prog = with_tree prog (Interp.contexts (Interp.empty prog))
+
 let add tbl key n =
   let cur = match Hashtbl.find_opt tbl key with Some c -> c | None -> 0 in
   Hashtbl.replace tbl key (cur + n)
 
-(* Add a run's calling-context tree into the profile's, node by node. *)
-let rec merge (into : Interp.context) (from : Interp.context) =
-  into.calls <- into.calls + from.calls;
+(* The per-function tables and totals of a tree: each run entered the
+   root once, and each executed block charged its instruction count and
+   made a call or a branch by its terminator. *)
+let of_counts counts =
+  let prog = Interp.program counts in
+  let t = with_tree prog (Interp.contexts counts) in
   Array.iteri
-    (fun k -> function
-      | None -> ()
-      | Some (c : Interp.context) ->
-        let sub =
-          match into.callees.(k) with
-          | Some sub -> sub
-          | None ->
-            let sub =
-              {
-                c with
-                calls = 0;
-                callees = Array.make (Array.length c.callees) None;
-              }
-            in
-            into.callees.(k) <- Some sub;
-            sub
-        in
-        merge sub c)
-    from.callees
-
-let run t input =
-  t.entry_counts.(t.prog.entry) <- t.entry_counts.(t.prog.entry) + 1;
-  let r = Interp.run t.prog input in
-  let c = r.counts in
-  Array.iteri
-    (fun fid fp ->
+    (fun fid blocks ->
+      let f = prog.funcs.(fid) in
       Array.iteri
-        (fun l n -> fp.block_counts.(l) <- n + Interp.block_count c fid l)
-        fp.block_counts)
-    t.funcs;
-  Interp.iter_arcs c (fun fid src dst n ->
+        (fun l n ->
+          let b = f.blocks.(l) in
+          t.funcs.(fid).block_counts.(l) <- n;
+          t.dyn_blocks <- t.dyn_blocks + n;
+          t.dyn_insns <- t.dyn_insns + (n * Cfg.instr_count b);
+          match b.term with
+          | Cfg.Call _ -> t.dyn_calls <- t.dyn_calls + n
+          | Cfg.Jump _ | Cfg.Br _ | Cfg.Switch _ ->
+            t.dyn_branches <- t.dyn_branches + n
+          | Cfg.Ret _ -> ())
+        blocks)
+    (Interp.block_counts counts);
+  Interp.iter_arcs counts (fun fid src dst n ->
       add t.funcs.(fid).arc_counts.(src) dst n);
-  Interp.iter_calls c (fun caller block callee n ->
+  Interp.iter_calls counts (fun caller block callee n ->
       add t.site_counts (caller, block, callee) n;
       t.entry_counts.(callee) <- t.entry_counts.(callee) + n);
-  merge t.contexts (Interp.contexts c);
-  t.runs <- t.runs + 1;
-  t.dyn_insns <- t.dyn_insns + r.dyn_insns;
-  t.dyn_blocks <- t.dyn_blocks + r.dyn_blocks;
-  t.dyn_calls <- t.dyn_calls + r.dyn_calls;
-  t.dyn_branches <- t.dyn_branches + r.dyn_branches;
-  r
-
-let profile prog inputs =
-  Obs.Span.with_ ~stage:"profile" @@ fun () ->
-  let t = create prog in
-  List.iter (fun input -> ignore (run t input)) inputs;
+  t.runs <- (Interp.contexts counts).calls;
+  t.entry_counts.(prog.entry) <- t.entry_counts.(prog.entry) + t.runs;
   t
+
+let run prog inputs =
+  Obs.Span.with_ ~stage:"profile" @@ fun () ->
+  let counts = Interp.empty prog in
+  List.iter (fun input -> ignore (Interp.run ~counts prog input)) inputs;
+  (of_counts counts, counts)
+
+let profile prog inputs = fst (run prog inputs)
 
 let block_weight t fid l = t.funcs.(fid).block_counts.(l)
 let func_weight t fid = t.entry_counts.(fid)

@@ -34,9 +34,22 @@ type t = {
 val create : Prog.program -> t
 (** An empty profile: no runs, every count zero, a bare context root. *)
 
-val profile : Prog.program -> Io.input list -> t
+val run : Prog.program -> Io.input list -> t * Interp.counts
 (** Profile the program over all inputs: one VM pass, recorded as one
-    [profile] span. *)
+    [profile] span, whose runs count into one [Interp.counts].  Returns
+    the profile and those counts (per-context transfers and their
+    first-taken log), which the profile does not keep. *)
+
+val of_counts : Interp.counts -> t
+(** The profile counts stand for: block counts, arcs and call sites
+    summed over each function's contexts and inserted in first-taken
+    order, [runs] the root's entries, and the [dyn_*] totals charged
+    per executed block ([Cfg.instr_count] instructions; a call or a
+    branch by its terminator).  Counts built without a run (an inlined
+    program's, say) yield that program's profile the same way. *)
+
+val profile : Prog.program -> Io.input list -> t
+(** [fst (run prog inputs)]. *)
 
 val block_weight : t -> int -> Cfg.label -> int
 val func_weight : t -> int -> int

@@ -10,7 +10,7 @@ let prop_simplify_preserves =
     (fun seed ->
       let ast = Oracle.Gen.generate seed in
       let p = Ir.Lower.program ast in
-      let s = Ir.Simplify.program p in
+      let s = fst (Ir.Simplify.program p) in
       Ir.Check.program s;
       Oracle.Gen.observe p = Oracle.Gen.observe s)
 

@@ -144,13 +144,13 @@ let counters () =
   (* dyn_insns equals the sum of instr_count over executed blocks *)
   let p = Ir.Lower.program caller_prog in
   let r2 = Vm.Interp.run p (Vm.Io.input []) in
+  let counts = Vm.Interp.block_counts r2.Vm.Interp.counts in
   let total = ref 0 in
   Ir.Prog.iter_blocks
     (fun fid _ l b ->
       total :=
         !total
-        + (Vm.Interp.block_count r2.Vm.Interp.counts fid l
-          * Ir.Cfg.instr_count b))
+        + (counts.(fid).(l) * Ir.Cfg.instr_count b))
     p;
   Alcotest.(check int) "dyn_insns = sum of block sizes" r2.Vm.Interp.dyn_insns
     !total

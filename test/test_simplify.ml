@@ -6,7 +6,7 @@ open Helpers
 
 let behavior_preserved name prog inputs =
   let p = Ir.Lower.program prog in
-  let s = Ir.Simplify.program p in
+  let s = fst (Ir.Simplify.program p) in
   Ir.Check.program s;
   List.iter
     (fun input ->
@@ -46,7 +46,7 @@ let shrinks_code () =
 (* One function simplified on its own, as the whole-program pass does
    for each of its functions. *)
 let simplify_func (f : Ir.Prog.func) =
-  let p = Ir.Simplify.program (Ir.Prog.make ~entry:f.Ir.Prog.name [ f ]) in
+  let p = fst (Ir.Simplify.program (Ir.Prog.make ~entry:f.Ir.Prog.name [ f ])) in
   p.Ir.Prog.funcs.(0)
 
 let folds_constants () =
@@ -124,7 +124,7 @@ let sweeps_unreachable () =
       ]
   in
   let p = Ir.Lower.program prog in
-  let s = Ir.Simplify.program p in
+  let s = fst (Ir.Simplify.program p) in
   let f = s.Ir.Prog.funcs.(s.Ir.Prog.entry) in
   let fp = p.Ir.Prog.funcs.(p.Ir.Prog.entry) in
   Alcotest.(check bool) "blocks removed" true
@@ -161,7 +161,7 @@ let pipeline_integration () =
   let b = Workloads.Registry.find "wc" in
   let inputs = [ Vm.Io.input [ "one two\n" ] ] in
   let prog = Workloads.Bench.program b in
-  let simplified = Ir.Simplify.program prog in
+  let simplified = fst (Ir.Simplify.program prog) in
   let p = Placement.Pipeline.run prog ~inputs in
   Alcotest.(check bool) "simplified is smaller" true
     (Ir.Prog.total_instr_count simplified < Ir.Prog.total_instr_count prog);
