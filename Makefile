@@ -115,7 +115,8 @@ par-smoke:
 
 # Trace store on scaled workloads end to end: each table that reads
 # the recording (6: cache replay, 4: the recorded run's transfers, 13:
-# paging replay) must be byte-identical between -j 1 and -j 2.
+# paging replay) must be byte-identical between -j 1 and -j 2, and to
+# its golden in test/vectors/tables/scale2-t*.txt.
 stream-smoke:
 	rm -rf _stream && mkdir -p _stream
 	for t in 6 4 13; do \
@@ -124,6 +125,8 @@ stream-smoke:
 	      > _stream/t$$t-scale-j$$j.txt || exit 1; \
 	  done; \
 	  cmp _stream/t$$t-scale-j1.txt _stream/t$$t-scale-j2.txt || exit 1; \
+	  cmp _stream/t$$t-scale-j1.txt test/vectors/tables/scale2-t$$t.txt \
+	    || exit 1; \
 	done
 
 # Layout service end to end: the committed golden request stream must

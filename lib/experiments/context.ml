@@ -405,7 +405,7 @@ let simulate_many e configs map trace =
       match program with
       | Some p -> p
       | None ->
-        let p = Sim.Trace.program map trace in
+        let p = Sim.Trace.program ~attrs:[ ("bench", name e) ] map trace in
         locked e (fun () ->
             if not (List.mem_assoc tid m.programs) then
               m.programs <- (tid, p) :: m.programs);

@@ -20,8 +20,8 @@ type row = {
 let config = Paging.Page_sim.default_config (* 512B pages, 16 frames *)
 
 (* The page simulator as a trace consumer: each maximal
-   address-contiguous span ([Sim.Trace.iter_spans], the walk the cache
-   sweep's span programs are built from) is one [Page_sim.access_run],
+   address-contiguous span ([Sim.Trace.iter_spans], the expansion of
+   the span program the cache sweep replays) is one [Page_sim.access_run],
    which equals a word-by-word walk, so fusing blocks into spans
    changes nothing. *)
 let run_one map trace =

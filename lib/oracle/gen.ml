@@ -3,7 +3,11 @@
 
    Programs terminate by construction: the only loops are counted for
    loops with small immediate bounds, and helper functions may call only
-   lower-numbered helpers (no recursion).  All memory accesses are masked
+   lower-numbered helpers (no recursion).  [generate_deep] adds what
+   those programs never reach: counted loops bounded in the hundreds in
+   [main], never one inside another, which break out part-way through
+   an iteration, and a recursive function whose depth argument is
+   masked below 8.  All memory accesses are masked
    into a scratch buffer, so generated programs never fault.  Every
    program writes observable output (putc of expression values), making
    semantic divergence after a transformation visible.
@@ -46,6 +50,7 @@ type ctx = {
   nhelpers : int;
   helper_idx : int; (* helpers may call only helpers below this index *)
   in_loop : bool;
+  deep : bool; (* long loops and calls to [walk] allowed here *)
 }
 
 let vars = [| "a"; "b"; "c"; "d" |]
@@ -87,6 +92,8 @@ let rec gen_expr ctx depth =
     | 11 ->
       (* masked scratch-buffer load: always in range *)
       ld8 (g "scratch" +% (gen_expr ctx (depth - 1) &% i 63))
+    | 12 when ctx.deep && Rng.bool ctx.rng ->
+      call "walk" [ gen_expr ctx (depth - 1) &% i 7; gen_expr ctx (depth - 1) ]
     | 12 when ctx.helper_idx > 0 ->
       let callee = Rng.int ctx.rng ctx.helper_idx in
       call
@@ -110,15 +117,7 @@ let rec gen_stmt ctx depth =
         (gen_body ctx (depth - 1))
         (gen_body ctx (depth - 1))
     | 4 -> when_ (gen_expr ctx 2) (gen_body ctx (depth - 1))
-    | 5 ->
-      (* bounded counted loop; the index variable is loop-local *)
-      let n = Rng.range ctx.rng 1 6 in
-      let idx = Printf.sprintf "k%d" (Rng.int ctx.rng 1000) in
-      for_
-        [ decl idx (i 0) ]
-        (v idx <% i n)
-        [ incr_ idx ]
-        (gen_body { ctx with in_loop = true } (depth - 1))
+    | 5 -> gen_loop ctx depth ~long:(ctx.deep && Rng.bool ctx.rng)
     | 6 when ctx.in_loop && Rng.bool ctx.rng ->
       when_ (gen_expr ctx 1) [ break_ ]
     | 7 when ctx.in_loop && Rng.bool ctx.rng ->
@@ -140,6 +139,24 @@ let rec gen_stmt ctx depth =
         (gen_expr ctx 2)
   end
 
+(* A bounded counted loop; the index variable is loop-local.  A long
+   one (100 to 400 iterations, never inside another) also leaves
+   part-way through an iteration. *)
+and gen_loop ctx depth ~long =
+  let n = if long then Rng.range ctx.rng 100 400 else Rng.range ctx.rng 1 6 in
+  let idx = Printf.sprintf "k%d" (Rng.int ctx.rng 1000) in
+  let body =
+    gen_body { ctx with in_loop = true; deep = ctx.deep && not long } (depth - 1)
+  in
+  let body =
+    if long then
+      List.hd body
+      :: when_ (v idx ==% i (Rng.range ctx.rng 50 (n - 1))) [ break_ ]
+      :: List.tl body
+    else body
+  in
+  for_ [ decl idx (i 0) ] (v idx <% i n) [ incr_ idx ] body
+
 and gen_body ctx depth =
   let n = Rng.range ctx.rng 1 4 in
   List.init n (fun _ -> gen_stmt ctx depth)
@@ -152,15 +169,37 @@ let gen_helper ctx idx =
   in
   func (Printf.sprintf "helper%d" idx) [ "p0"; "p1" ] body
 
-(* Generate a whole program from a seed.  [size] scales the fuel. *)
-let generate ?(size = 120) seed : Ast.program =
+(* [walk p0 p1] recurses to depth [p0] before running its body; it may
+   call every helper. *)
+let gen_walk ctx =
+  let body =
+    [
+      decl "a" (v "p0" +% i 1); decl "b" (v "p1"); decl "c" (i 0); decl "d" (i 3);
+      when_ (v "p0" >% i 0)
+        [ set "b" (v "b" +% call "walk" [ v "p0" -% i 1; gen_expr ctx 2 ]) ];
+    ]
+    @ gen_body ctx 2
+    @ [ ret ((v "a" ^% v "b") +% (v "c" -% v "d")) ]
+  in
+  func "walk" [ "p0"; "p1" ] body
+
+let gen_program ~deep ~size seed : Ast.program =
   let rng = Rng.create seed in
   let nhelpers = Rng.int rng 4 in
-  let ctx = { rng; fuel = size; nhelpers; helper_idx = 0; in_loop = false } in
+  let ctx =
+    { rng; fuel = size; nhelpers; helper_idx = 0; in_loop = false; deep = false }
+  in
   let helpers = List.init nhelpers (fun idx -> gen_helper ctx idx) in
+  let walk =
+    if deep then [ gen_walk { ctx with fuel = size; helper_idx = nhelpers } ]
+    else []
+  in
+  let main_ctx = { ctx with fuel = size; helper_idx = nhelpers; deep } in
   let main_body =
     [ decl "a" (i 1); decl "b" (i 2); decl "c" (i 3); decl "d" (i 4) ]
-    @ gen_body { ctx with fuel = size; helper_idx = nhelpers } 3
+    (* every deep program holds at least one long loop *)
+    @ (if deep then [ gen_loop main_ctx 3 ~long:true ] else [])
+    @ gen_body main_ctx 3
     @ [
         (* make all variable state observable *)
         putc (i 0) (v "a" &% i 255);
@@ -172,9 +211,13 @@ let generate ?(size = 120) seed : Ast.program =
   in
   {
     Ast.globals = [ ("scratch", Ast.Gzero 64) ];
-    funcs = helpers @ [ func "main" [] main_body ];
+    funcs = helpers @ walk @ [ func "main" [] main_body ];
     entry = "main";
   }
+
+(* Generate a whole program from a seed.  [size] scales the fuel. *)
+let generate ?(size = 120) seed = gen_program ~deep:false ~size seed
+let generate_deep ?(size = 120) seed = gen_program ~deep:true ~size seed
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

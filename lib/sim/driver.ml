@@ -11,7 +11,7 @@
 
    [replay] is the one engine (through [simulate], or through the
    context's memoized span programs): it walks a span program
-   ([Trace.program], the trace decoded once under a map), one
+   ([Trace.program], the trace's fold translated once under a map), one
    [Icache.Cache.access_run] per span walked per configuration, and
    accounts a repeated window's copies after its first all-hit copy in
    bulk, since they change no cache or run state.  Its results are

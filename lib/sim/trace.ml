@@ -1,29 +1,34 @@
 (* The trace store: every consumer of a recorded execution (driver,
    experiments, memo layer, paging) traffics in this type.
 
-   A run is captured as the sequence of executed basic blocks, function
-   id and label packed into one int.  Instruction fetch is overwhelmingly
+   An execution is captured as the sequence of executed basic blocks,
+   function id and label packed into one int.  Instruction fetch is overwhelmingly
    sequential: consecutive executed blocks very often have consecutive
    packed codes (same function, adjacent labels), so the sequence
-   compresses first into maximal runs of consecutive codes.  Loops then
-   make the *run sequence itself* repetitive — every iteration of a
-   steady loop body emits a run with the same length and the same delta
-   back to the loop head — so consecutive equal-shaped runs collapse
-   into one record:
+   compresses first into maximal runs of consecutive codes, each a
+   [(code, len)] pair.  A program executes few distinct runs (cmp's
+   600K runs are 37 distinct ones), and loops make the run sequence
+   repetitive, so the store is a run program, folded once while the VM
+   streams:
 
-     varint(zigzag(delta) lsl 2 | L lsl 1 | R)
-     varint(len - 2)      (only when flag bit L is set; len = 1 otherwise)
-     varint(repeat - 2)   (only when flag bit R is set; repeat = 1 otherwise)
+   - the distinct runs, each interned to a run id as it completes;
+   - the distinct windows of at most [max_window] run ids;
+   - records, each a window repeated a number of times in a row, as the
+     varint [window lsl 1 lor R] followed by [repeat - 2] when flag R is
+     set (repeat = 1 otherwise).
 
-   meaning: [repeat] times over, a run of [len] consecutive codes
-   starting [delta] after the last code of the previous run (prev = 0
-   before the first).  A single-block run break — by far the most common
-   record in branchy code — is one ~1-byte varint, a longer run ~2
-   bytes, and a steady loop one ~3-byte record for its whole execution,
-   against 8 bytes per block for a plain vector of packed codes.
+   A greedy tandem-repeat folder builds the windows and records from
+   the run ids as they arrive.  The two tables are written as varints
+   when the recording finishes, so a trace holds two byte strings: cmp's
+   702 KB of run-length/delta varints become 6.7 KB.  Decoding
+   reproduces the exact code sequence; the folder only groups runs it
+   was given.
 
-   Decoding reproduces the exact code sequence; the encoder only groups
-   numerically consecutive codes and never invents any.
+   A layout changes addresses, not the block sequence, so each address
+   map gets a translation of the one fold ([program]): every distinct
+   window is translated once, walking its runs' blocks, and every
+   record becomes a few span-program records.  That costs
+   O(records + windows), not a decode of every block per map.
 
    Telemetry: every recording bumps three gauges — trace.runs,
    trace.raw_bytes and trace.compressed_bytes.  raw/compressed
@@ -34,9 +39,10 @@
    read-modify-write: recordings can race across domains. *)
 
 type t = {
-  data : Bytes.t; (* varint run tokens, exactly [Bytes.length data] used *)
-  runs : int;
-  nblocks : int;
+  tables : Bytes.t; (* varints: run (code, len) pairs, window starts, window run ids *)
+  records : Bytes.t;
+  nruns : int; (* distinct runs *)
+  nwindows : int;
   result : Vm.Interp.result;
 }
 
@@ -50,307 +56,41 @@ let unpack_label code = code land label_mask
 
 exception Too_many_blocks of string
 
-let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
-let unzigzag n = (n lsr 1) lxor (-(n land 1))
-
 (* ------------------------------------------------------------------ *)
-(* Builder: a sink that compresses as it goes                          *)
+(* Varints, vectors and interning tables                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A growing byte string of varints. *)
-type varints = { mutable bytes : Bytes.t; mutable used : int }
-
-let varints () = { bytes = Bytes.create 256; used = 0 }
-
-let put_varint v n =
-  (* n >= 0; at most 10 bytes for a 63-bit int *)
-  if v.used + 10 > Bytes.length v.bytes then begin
-    let grown = Bytes.create (2 * Bytes.length v.bytes) in
-    Bytes.blit v.bytes 0 grown 0 v.used;
-    v.bytes <- grown
-  end;
-  let n = ref n in
-  while !n >= 0x80 do
-    Bytes.unsafe_set v.bytes v.used (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
-    v.used <- v.used + 1;
-    n := !n lsr 7
-  done;
-  Bytes.unsafe_set v.bytes v.used (Char.unsafe_chr !n);
-  v.used <- v.used + 1
-
-let contents v = Bytes.sub v.bytes 0 v.used
-
-type builder = {
-  out : varints;
-  mutable prev : int; (* last code of the previous completed run *)
-  mutable base : int; (* pending run base; -1 = none *)
-  mutable len : int; (* pending run length *)
-  (* Completed-but-unwritten record: [held_repeat] runs of shape
-     (held_delta, held_len); 0 = none held. *)
-  mutable held_delta : int;
-  mutable held_len : int;
-  mutable held_repeat : int;
-  mutable b_runs : int;
-  mutable b_nblocks : int;
-}
-
-let builder () =
-  {
-    out = varints ();
-    prev = 0;
-    base = -1;
-    len = 0;
-    held_delta = 0;
-    held_len = 0;
-    held_repeat = 0;
-    b_runs = 0;
-    b_nblocks = 0;
-  }
-
-let write_held b =
-  if b.held_repeat > 0 then begin
-    let long = b.held_len > 1 and repeated = b.held_repeat > 1 in
-    put_varint b.out
-      ((zigzag b.held_delta lsl 2)
-      lor (Bool.to_int long lsl 1)
-      lor Bool.to_int repeated);
-    if long then put_varint b.out (b.held_len - 2);
-    if repeated then put_varint b.out (b.held_repeat - 2);
-    b.held_repeat <- 0
-  end
-
-(* Complete the pending run: absorb it into the held record when it has
-   the same shape (the steady-loop case), otherwise emit the held record
-   and hold this run as the new candidate. *)
-let flush b =
-  if b.base >= 0 then begin
-    let delta = b.base - b.prev in
-    if b.held_repeat > 0 && delta = b.held_delta && b.len = b.held_len then
-      b.held_repeat <- b.held_repeat + 1
-    else begin
-      write_held b;
-      b.held_delta <- delta;
-      b.held_len <- b.len;
-      b.held_repeat <- 1
-    end;
-    b.prev <- b.base + b.len - 1;
-    b.b_runs <- b.b_runs + 1;
-    b.base <- -1
-  end
-
-(* Push one packed block code (codes are always >= 0, so -1 is a safe
-   "no pending run" sentinel). *)
-let push b code =
-  if b.base >= 0 && code = b.base + b.len then b.len <- b.len + 1
+(* Varints are written to a [Buffer.t]; [n >= 0]. *)
+let rec put_varint b n =
+  if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
   else begin
-    flush b;
-    b.base <- code;
-    b.len <- 1
-  end;
-  b.b_nblocks <- b.b_nblocks + 1
-
-let finish b (result : Vm.Interp.result) : t =
-  flush b;
-  write_held b;
-  {
-    data = contents b.out;
-    runs = b.b_runs;
-    nblocks = b.b_nblocks;
-    result;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Stats and telemetry                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  st_runs : int;
-  st_blocks : int;
-  st_raw_bytes : int; (* plain code-vector footprint of this trace *)
-  st_stored_bytes : int; (* what the compressed store actually holds *)
-}
-
-let stats t =
-  {
-    st_runs = t.runs;
-    st_blocks = t.nblocks;
-    st_raw_bytes = 8 * t.nblocks;
-    st_stored_bytes = Bytes.length t.data;
-  }
-
-let g_runs =
-  Obs.Metrics.gauge "trace.runs"
-    ~help:"sequential fetch runs across all recorded traces"
-
-let g_raw =
-  Obs.Metrics.gauge "trace.raw_bytes"
-    ~help:"plain (8 bytes/block) footprint of all recorded traces"
-
-let g_compressed =
-  Obs.Metrics.gauge "trace.compressed_bytes"
-    ~help:"bytes actually stored for all recorded traces"
-
-let metrics_lock = Mutex.create ()
-
-let note t =
-  if Obs.Metrics.enabled () then begin
-    let s = stats t in
-    let bump g by =
-      Obs.Metrics.set g (Obs.Metrics.gauge_value g +. float_of_int by)
-    in
-    Mutex.protect metrics_lock (fun () ->
-        bump g_runs s.st_runs;
-        bump g_raw s.st_raw_bytes;
-        bump g_compressed s.st_stored_bytes)
+    Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    put_varint b (n lsr 7)
   end
 
-(* Recording: the VM streams blocks straight into the compressing
-   builder, so no raw vector ever exists. *)
-let record ?fuel (prog : Ir.Prog.program) input : t =
-  Array.iter
-    (fun (f : Ir.Prog.func) ->
-      if Array.length f.blocks > label_mask then
-        raise (Too_many_blocks f.name))
-    prog.funcs;
-  let b = builder () in
-  let result =
-    Vm.Interp.run ?fuel prog input ~block_sink:(fun fid label ->
-        push b (pack fid label))
-  in
-  let t = finish b result in
-  note t;
-  t
+let rec varint_from data pos n shift =
+  let byte = Char.code (Bytes.unsafe_get data !pos) in
+  incr pos;
+  let n = n lor ((byte land 0x7f) lsl shift) in
+  if byte < 0x80 then n else varint_from data pos n (shift + 7)
 
-(* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
-(* ------------------------------------------------------------------ *)
+(* Read the varint at [!pos] and move past it. *)
+let get_varint data pos = varint_from data pos 0 0
 
-(* One loop decodes every varint of a record in turn: [field] says
-   whether the next one is a token (0), a run length (1) or a repeat
-   count (2), and [repeat] is 0 while the record has a varint still to
-   come.  No local closure captures the cursor, so [pos] and [prev] stay
-   unboxed. *)
-let iter_runs f t =
-  let data = t.data in
-  let len = Bytes.length data in
-  let pos = ref 0 and prev = ref 0 in
-  let field = ref 0 and token = ref 0 and rlen = ref 1 in
-  while !pos < len do
-    let byte = ref (Char.code (Bytes.unsafe_get data !pos)) in
-    let n = ref (!byte land 0x7f) and shift = ref 7 in
-    incr pos;
-    while !byte >= 0x80 do
-      byte := Char.code (Bytes.unsafe_get data !pos);
-      incr pos;
-      n := !n lor ((!byte land 0x7f) lsl !shift);
-      shift := !shift + 7
-    done;
-    let repeat =
-      if !field = 0 then begin
-        token := !n;
-        rlen := 1;
-        if !n land 2 = 2 then (field := 1; 0)
-        else if !n land 1 = 1 then (field := 2; 0)
-        else 1
-      end
-      else if !field = 1 then begin
-        rlen := !n + 2;
-        if !token land 1 = 1 then (field := 2; 0) else (field := 0; 1)
-      end
-      else (field := 0; !n + 2)
-    in
-    if repeat > 0 then begin
-      let delta = unzigzag (!token lsr 2) and rlen = !rlen in
-      for _ = 1 to repeat do
-        let base = !prev + delta in
-        f ~code:base ~len:rlen;
-        prev := base + rlen - 1
-      done
-    end
+(* Records of the run program and of span programs share one encoding. *)
+let put_record v w repeat =
+  if repeat = 1 then put_varint v (w lsl 1)
+  else begin
+    put_varint v ((w lsl 1) lor 1);
+    put_varint v (repeat - 2)
+  end
+
+let decode_records f data =
+  let pos = ref 0 in
+  while !pos < Bytes.length data do
+    let v = get_varint data pos in
+    f (v lsr 1) (if v land 1 = 1 then get_varint data pos + 2 else 1)
   done
-
-let iter_blocks f t =
-  iter_runs
-    (fun ~code ~len ->
-      for c = code to code + len - 1 do
-        f (unpack_fid c) (unpack_label c)
-      done)
-    t
-
-let result t = t.result
-let dyn_blocks t = t.nblocks
-
-let dyn_insns (map : Placement.Address_map.t) t =
-  let words_of = map.Placement.Address_map.block_words in
-  let total = ref 0 in
-  iter_blocks (fun fid label -> total := !total + words_of.(fid).(label)) t;
-  !total
-
-(* Maximal address-contiguous spans under [map]: a block extends the
-   open span when it starts at the span's end address, and zero-word
-   blocks fetch nothing, so they neither extend nor break a span.
-   Contiguity is decided per block from the map alone.  A compressed
-   run holds consecutive labels of one function (every code in it was
-   pushed, and a real label never fills the packed label field), so
-   each run costs one row lookup per map array. *)
-let iter_spans (map : Placement.Address_map.t) f t =
-  let addr_of = map.Placement.Address_map.block_addr
-  and words_of = map.Placement.Address_map.block_words in
-  let span_addr = ref 0 and span_words = ref 0 in
-  iter_runs
-    (fun ~code ~len ->
-      let fid = unpack_fid code and label = unpack_label code in
-      let addrs = addr_of.(fid) and words = words_of.(fid) in
-      for l = label to label + len - 1 do
-        let w = words.(l) in
-        if w > 0 then begin
-          let a = addrs.(l) in
-          let span_end =
-            !span_addr + (!span_words * Ir.Insn.bytes_per_insn)
-          in
-          if !span_words > 0 && a = span_end then
-            span_words := !span_words + w
-          else begin
-            if !span_words > 0 then f !span_addr !span_words;
-            span_addr := a;
-            span_words := w
-          end
-        end
-      done)
-    t;
-  if !span_words > 0 then f !span_addr !span_words
-
-(* ------------------------------------------------------------------ *)
-(* Span programs                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The span stream under one map, decoded once and folded one level up
-   from the run store: a table of the distinct (addr, words) spans, a
-   table of the distinct windows of at most [max_window] span ids, and
-   records, each a window with a repeat count, as the varint
-   [window lsl 1 lor R] followed by [repeat - 2] when flag R is set
-   (repeat = 1 otherwise).  Windows dedupe well even where spans fold
-   poorly: a data-driven loop's iterations walk one of a few paths, so
-   its literal windows recur (wc and grep under the natural layout keep
-   ~50 and ~130 distinct windows over 130K and 650K records).  Its
-   records follow the input data and do not fold, so a record costs
-   one or two bytes rather than an int. *)
-type program = {
-  span_addr : int array;
-  span_words : int array;
-  windows : int array;
-  window_start : int array;
-  records : Bytes.t;
-  nrecords : int;
-  nspans : int;
-}
-
-let max_window = 8
-
-(* How many pending ids the fold sees past the one it commits at:
-   enough for every tandem candidate of period <= [max_window] to show
-   whether it runs on. *)
-let lookahead = 64
 
 (* Growable int vector. *)
 type vec = { mutable a : int array; mutable n : int }
@@ -366,25 +106,18 @@ let vpush v x =
   Array.unsafe_set v.a v.n x;
   v.n <- v.n + 1
 
-let vcontents v = Array.sub v.a 0 v.n
-
 (* Short int sequences interned by content: sequence [i] is
-   [ids.(starts.(i) .. starts.(i + 1) - 1)], found through a chained
-   hash table over [buckets] (a power of two, doubled as it fills).
-   Spans are interned as (addr, words) pairs, windows as their ids. *)
-type table = {
-  ids : vec;
-  starts : vec; (* one more entry than sequences *)
-  chain : vec; (* sequence -> next sequence in its bucket, -1 ends *)
-  mutable buckets : int array;
-}
+   [ids.(starts.(i) .. starts.(i + 1) - 1)], found through an
+   open-addressing table of [i + 1] (0 = empty), kept at most half full.
+   Runs and spans are interned as pairs, windows as their ids. *)
+type table = { ids : vec; starts : vec; mutable slots : int array; pair : int array }
 
 let table () =
   {
     ids = vec ();
     starts = { a = Array.make 64 0; n = 1 };
-    chain = vec ();
-    buckets = Array.make 64 (-1);
+    slots = Array.make 64 0;
+    pair = Array.make 2 0;
   }
 
 let seq_hash src off len =
@@ -392,60 +125,104 @@ let seq_hash src off len =
   for i = off to off + len - 1 do
     h := (!h * 65599) + Array.unsafe_get src i
   done;
-  !h lxor (!h lsr 17)
+  let h = !h * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
 
-let rehash tb =
-  let buckets = Array.make (2 * Array.length tb.buckets) (-1) in
-  let mask = Array.length buckets - 1 in
-  for i = 0 to tb.chain.n - 1 do
-    let first = tb.starts.a.(i) in
-    let b = seq_hash tb.ids.a first (tb.starts.a.(i + 1) - first) land mask in
-    tb.chain.a.(i) <- buckets.(b);
-    buckets.(b) <- i
+(* Whether sequence [id] is [src.(off .. off + len - 1)]. *)
+let same tb id src off len =
+  let first = tb.starts.a.(id) and k = ref 0 in
+  tb.starts.a.(id + 1) - first = len
+  && begin
+    while !k < len && tb.ids.a.(first + !k) = Array.unsafe_get src (off + !k) do
+      incr k
+    done;
+    !k = len
+  end
+
+(* The slot holding that sequence, or the empty slot where it belongs:
+   linear probing from its hash. *)
+let slot tb src off len =
+  let mask = Array.length tb.slots - 1 in
+  let i = ref (seq_hash src off len land mask) in
+  while tb.slots.(!i) > 0 && not (same tb (tb.slots.(!i) - 1) src off len) do
+    i := (!i + 1) land mask
   done;
-  tb.buckets <- buckets
+  !i
 
 let intern tb src off len =
-  let b = seq_hash src off len land (Array.length tb.buckets - 1) in
-  let i = ref tb.buckets.(b) and found = ref false in
-  while !i >= 0 && not !found do
-    let first = tb.starts.a.(!i) in
-    if tb.starts.a.(!i + 1) - first = len then begin
-      let k = ref 0 in
-      while
-        !k < len && tb.ids.a.(first + !k) = Array.unsafe_get src (off + !k)
-      do
-        incr k
-      done;
-      found := !k = len
-    end;
-    if not !found then i := tb.chain.a.(!i)
-  done;
-  if !found then !i
+  let i = slot tb src off len in
+  if tb.slots.(i) > 0 then tb.slots.(i) - 1
   else begin
-    let i = tb.chain.n in
+    let id = tb.starts.n - 1 in
     for k = off to off + len - 1 do
       vpush tb.ids (Array.unsafe_get src k)
     done;
     vpush tb.starts tb.ids.n;
-    vpush tb.chain tb.buckets.(b);
-    tb.buckets.(b) <- i;
-    if tb.chain.n > Array.length tb.buckets then rehash tb;
-    i
+    tb.slots.(i) <- id + 1;
+    if 2 * (id + 1) > Array.length tb.slots then begin
+      tb.slots <- Array.make (2 * Array.length tb.slots) 0;
+      for j = 0 to id do
+        let first = tb.starts.a.(j) in
+        let len = tb.starts.a.(j + 1) - first in
+        tb.slots.(slot tb tb.ids.a first len) <- j + 1
+      done
+    end;
+    id
   end
 
-(* The greedy tandem-repeat fold.  Span ids queue in [buf]; [fold]
+(* [intern] of [[| x; y |]] in a table of pairs, where sequence [i] is
+   [ids.(2i)], [ids.(2i + 1)].  A run or a span is found with one
+   probe, usually, and no generic compare: it inlines [seq_hash]. *)
+let intern_pair tb x y =
+  let h = ((((2 * 65599) + x) * 65599) + y) * 0x2545F4914F6CDD1D in
+  let mask = Array.length tb.slots - 1 and ids = tb.ids.a in
+  let i = ref ((h lxor (h lsr 29)) land mask) in
+  while
+    tb.slots.(!i) > 0
+    && (ids.((2 * tb.slots.(!i)) - 2) <> x || ids.((2 * tb.slots.(!i)) - 1) <> y)
+  do
+    i := (!i + 1) land mask
+  done;
+  if tb.slots.(!i) > 0 then tb.slots.(!i) - 1
+  else begin
+    tb.pair.(0) <- x;
+    tb.pair.(1) <- y;
+    intern tb tb.pair 0 2
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The tandem-repeat folder                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A data-driven loop walks many runs per iteration: at 8 run ids per
+   window grep's trace folds to 649K records and wc's to 141K, at 16 to
+   235K and 39K. *)
+let max_window = 16
+
+(* How many pending ids the fold sees past the one it commits at:
+   enough for every tandem candidate of period <= [max_window] to show
+   whether it runs on. *)
+let lookahead = 64
+
+(* The greedy tandem-repeat fold.  Run ids queue in [buf]; [fold]
    commits at [lo] while [lookahead] ids follow it:
-   - the tandem repeat starting at [lo] (a window of period p <= 8
-     copied r >= 2 times in a row) that covers the most ids becomes one
-     record; a repeat still running at the end of the buffer becomes the
-     active repeat instead, which later ids extend one compare each;
+   - the tandem repeat starting at [lo] (a window of period
+     p <= [max_window] copied r >= 2 times in a row) that covers the
+     most ids becomes one record; a repeat still running at the end of
+     the buffer becomes the active repeat instead, which later ids
+     extend one compare each;
    - otherwise [lo] joins the literal window [buf.(lit..lo-1)], written
      as a repeat-1 record once it holds [max_window] ids or a repeat
      follows.
    An id that breaks the active repeat writes the repeat's record and
-   queues the partial copy read so far, then itself. *)
-type folder = {
+   queues the partial copy read so far, then itself.
+
+   The builder is the fold's state, plus the pending run ([base], -1 =
+   none, and [len]) and the distinct runs, as (code, len) pairs. *)
+type builder = {
+  mutable base : int;
+  mutable len : int;
+  runs : table;
   mutable buf : int array;
   mutable lit : int; (* start of the literal window; [lit <= lo] *)
   mutable lo : int;
@@ -455,18 +232,11 @@ type folder = {
   mutable act_rep : int; (* full copies so far *)
   mutable act_pos : int; (* ids of the next copy matched so far *)
   windows : table;
-  records : varints;
-  mutable nrecords : int;
+  records : Buffer.t;
 }
 
 let emit fl src off len repeat =
-  let w = intern fl.windows src off len in
-  if repeat = 1 then put_varint fl.records (w lsl 1)
-  else begin
-    put_varint fl.records ((w lsl 1) lor 1);
-    put_varint fl.records (repeat - 2)
-  end;
-  fl.nrecords <- fl.nrecords + 1
+  put_record fl.records (intern fl.windows src off len) repeat
 
 (* Move the queued ids to the front of [buf], growing it when they fill
    more than half. *)
@@ -586,62 +356,352 @@ let rec feed fl id =
     feed fl id
   end
 
-let program (map : Placement.Address_map.t) t =
-  Obs.Span.with_ ~stage:"simulate" ~attrs:[ ("engine", "span-program") ]
-  @@ fun () ->
-  let spans = table () and span = Array.make 2 0 in
-  let fl =
-    {
-      buf = Array.make (4 * lookahead) 0;
-      lit = 0;
-      lo = 0;
-      hi = 0;
-      act = Array.make max_window 0;
-      act_len = 0;
-      act_rep = 0;
-      act_pos = 0;
-      windows = table ();
-      records = varints ();
-      nrecords = 0;
-    }
-  in
-  let nspans = ref 0 in
-  iter_spans map
-    (fun a w ->
-      incr nspans;
-      span.(0) <- a;
-      span.(1) <- w;
-      feed fl (intern spans span 0 2))
-    t;
-  if fl.act_len > 0 then end_active fl;
-  fold fl ~final:true;
+let builder () =
   {
-    span_addr = Array.init spans.chain.n (fun i -> spans.ids.a.(2 * i));
-    span_words = Array.init spans.chain.n (fun i -> spans.ids.a.((2 * i) + 1));
-    windows = vcontents fl.windows.ids;
-    window_start = vcontents fl.windows.starts;
-    records = contents fl.records;
-    nrecords = fl.nrecords;
-    nspans = !nspans;
+    base = -1;
+    len = 0;
+    runs = table ();
+    buf = Array.make (4 * lookahead) 0;
+    lit = 0;
+    lo = 0;
+    hi = 0;
+    act = Array.make max_window 0;
+    act_len = 0;
+    act_rep = 0;
+    act_pos = 0;
+    windows = table ();
+    records = Buffer.create 256;
   }
 
-let iter_records f (p : program) =
-  let data = p.records in
-  let len = Bytes.length data and pos = ref 0 in
-  let varint () =
-    let byte = ref (Char.code (Bytes.unsafe_get data !pos)) in
-    let n = ref (!byte land 0x7f) and shift = ref 7 in
-    incr pos;
-    while !byte >= 0x80 do
-      byte := Char.code (Bytes.unsafe_get data !pos);
-      incr pos;
-      n := !n lor ((!byte land 0x7f) lsl !shift);
-      shift := !shift + 7
-    done;
-    !n
-  in
-  while !pos < len do
-    let v = varint () in
-    let repeat = if v land 1 = 1 then varint () + 2 else 1 in
-    f (v lsr 1) repeat
+(* Complete the pending run: intern it and feed its id to the folder. *)
+let flush b =
+  if b.base >= 0 then begin
+    feed b (intern_pair b.runs b.base b.len);
+    b.base <- -1
+  end
+
+(* Push one packed block code (codes are always >= 0, so -1 is a safe
+   "no pending run" sentinel). *)
+let push b code =
+  if b.base >= 0 && code = b.base + b.len then b.len <- b.len + 1
+  else begin
+    flush b;
+    b.base <- code;
+    b.len <- 1
+  end
+
+let finish b (result : Vm.Interp.result) : t =
+  flush b;
+  if b.act_len > 0 then end_active b;
+  fold b ~final:true;
+  let tables = Buffer.create 256 in
+  List.iter
+    (fun v -> Array.iter (put_varint tables) (Array.sub v.a 0 v.n))
+    [ b.runs.ids; b.windows.starts; b.windows.ids ];
+  {
+    tables = Buffer.to_bytes tables;
+    records = Buffer.to_bytes b.records;
+    nruns = b.runs.starts.n - 1;
+    nwindows = b.windows.starts.n - 1;
+    result;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Replay                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The decoded tables: run [r] is [(runs.(2r), runs.(2r + 1))] as
+   (code, len), and window [w] is [ids.(starts.(w) .. starts.(w + 1) - 1)]. *)
+let tables t =
+  let pos = ref 0 in
+  let ints n = Array.init n (fun _ -> get_varint t.tables pos) in
+  let runs = ints (2 * t.nruns) in
+  let starts = ints (t.nwindows + 1) in
+  (runs, starts, ints starts.(t.nwindows))
+
+let iter_windows f t =
+  let _, starts, ids = tables t in
+  for w = 0 to t.nwindows - 1 do
+    f (Array.sub ids starts.(w) (starts.(w + 1) - starts.(w)))
   done
+
+let iter_runs f t =
+  let runs, starts, ids = tables t in
+  decode_records
+    (fun w repeat ->
+      for _ = 1 to repeat do
+        for i = starts.(w) to starts.(w + 1) - 1 do
+          let r = 2 * Array.unsafe_get ids i in
+          f ~code:runs.(r) ~len:runs.(r + 1)
+        done
+      done)
+    t.records
+
+let iter_blocks f t =
+  iter_runs
+    (fun ~code ~len ->
+      for c = code to code + len - 1 do
+        f (unpack_fid c) (unpack_label c)
+      done)
+    t
+
+let result t = t.result
+
+(* [f fid label] for every block of one copy of window [w]. *)
+let window_blocks (runs, starts, ids) w f =
+  for i = starts.(w) to starts.(w + 1) - 1 do
+    let r = 2 * ids.(i) in
+    for c = runs.(r) to runs.(r) + runs.(r + 1) - 1 do
+      f (unpack_fid c) (unpack_label c)
+    done
+  done
+
+(* The sum, over windows, of [per_copy tables w] times the copies the
+   records make of window [w]. *)
+let sum_copies t per_copy =
+  let tb = tables t and copies = Array.make t.nwindows 0 and total = ref 0 in
+  decode_records (fun w repeat -> copies.(w) <- copies.(w) + repeat) t.records;
+  Array.iteri (fun w c -> total := !total + (c * per_copy tb w)) copies;
+  !total
+
+let block_sum t f =
+  sum_copies t (fun tb w ->
+      let n = ref 0 in
+      window_blocks tb w (fun fid l -> n := !n + f fid l);
+      !n)
+
+let dyn_blocks t = block_sum t (fun _ _ -> 1)
+
+let dyn_insns (map : Placement.Address_map.t) t =
+  block_sum t (fun fid l -> map.Placement.Address_map.block_words.(fid).(l))
+
+(* ------------------------------------------------------------------ *)
+(* Stats and telemetry                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type stats = {
+  st_runs : int;
+  st_blocks : int;
+  st_raw_bytes : int; (* plain code-vector footprint of this trace *)
+  st_stored_bytes : int; (* what the folded store actually holds *)
+}
+
+let stats t =
+  let blocks = dyn_blocks t in
+  {
+    st_runs = sum_copies t (fun (_, starts, _) w -> starts.(w + 1) - starts.(w));
+    st_blocks = blocks;
+    st_raw_bytes = 8 * blocks;
+    st_stored_bytes = Bytes.length t.tables + Bytes.length t.records;
+  }
+
+let g_runs =
+  Obs.Metrics.gauge "trace.runs"
+    ~help:"sequential fetch runs across all recorded traces"
+
+let g_raw =
+  Obs.Metrics.gauge "trace.raw_bytes"
+    ~help:"plain (8 bytes/block) footprint of all recorded traces"
+
+let g_compressed =
+  Obs.Metrics.gauge "trace.compressed_bytes"
+    ~help:"bytes actually stored for all recorded traces"
+
+let metrics_lock = Mutex.create ()
+
+let note t =
+  if Obs.Metrics.enabled () then begin
+    let s = stats t in
+    let bump g by =
+      Obs.Metrics.set g (Obs.Metrics.gauge_value g +. float_of_int by)
+    in
+    Mutex.protect metrics_lock (fun () ->
+        bump g_runs s.st_runs;
+        bump g_raw s.st_raw_bytes;
+        bump g_compressed s.st_stored_bytes)
+  end
+
+(* Recording: the VM streams blocks straight into the folding builder,
+   so no raw vector ever exists. *)
+let record ?fuel (prog : Ir.Prog.program) input : t =
+  Array.iter
+    (fun (f : Ir.Prog.func) ->
+      if Array.length f.blocks > label_mask then
+        raise (Too_many_blocks f.name))
+    prog.funcs;
+  let b = builder () in
+  let result =
+    Vm.Interp.run ?fuel prog input ~block_sink:(fun fid label ->
+        push b (pack fid label))
+  in
+  let t = finish b result in
+  note t;
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Span programs                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type program = {
+  span_addr : int array;
+  span_words : int array;
+  windows : int array;
+  window_start : int array;
+  records : Bytes.t;
+  nrecords : int;
+  nspans : int;
+}
+
+let contiguous addr words next = addr + (words * Ir.Insn.bytes_per_insn) = next
+
+(* Append span [(a, w)] to a vector of (addr, words) pairs, merging it
+   into the last pair when that one ends at [a]. *)
+let add_span v a w =
+  if v.n > 0 && contiguous v.a.(v.n - 2) v.a.(v.n - 1) a then
+    v.a.(v.n - 1) <- v.a.(v.n - 1) + w
+  else begin
+    vpush v a;
+    vpush v w
+  end
+
+(* The span-program writer.  Translated records arrive one at a time;
+   the latest, [held] repeated [held_rep] times, is held back until the
+   next one shows whether the seam between them merges two spans. *)
+type writer = {
+  spans : table; (* distinct (addr, words) pairs *)
+  wins : table; (* distinct windows of span ids *)
+  tmp : vec;
+  out : Buffer.t;
+  mutable nrec : int;
+  mutable nsp : int;
+  mutable held : int; (* -1 = none *)
+  mutable held_rep : int;
+}
+
+(* Write the held record, if any, and hold [w] ([-1] for none) instead. *)
+let hold wr w repeat =
+  let h = wr.held in
+  if h >= 0 then begin
+    put_record wr.out h wr.held_rep;
+    wr.nrec <- wr.nrec + 1;
+    wr.nsp <- wr.nsp + ((wr.wins.starts.a.(h + 1) - wr.wins.starts.a.(h)) * wr.held_rep)
+  end;
+  wr.held <- w;
+  wr.held_rep <- repeat
+
+(* The window of [w]'s spans [off .. off + len - 1], with span [at]
+   of them replaced by [span] when [at >= 0]. *)
+let variant wr w ~off ~len ~at span =
+  wr.tmp.n <- 0;
+  for i = 0 to len - 1 do
+    vpush wr.tmp wr.wins.ids.a.(wr.wins.starts.a.(w) + off + i)
+  done;
+  if at >= 0 then wr.tmp.a.(at) <- span;
+  intern wr.wins wr.tmp.a 0 len
+
+(* Append window [w] repeated [repeat] times, merging spans where one
+   ends at the next one's start, as the maximal stream does:
+   - when [w]'s last span ends at its first, its copies merge across
+     their own seam, so they become a head (all spans but the last),
+     [repeat - 1] rotated copies (the merged last-and-first span, then
+     the second to the second-to-last) and a tail (the last span);
+   - when the held output's last span ends at [w]'s first, the held
+     window's last copy is rewritten with its last span absorbing
+     [w]'s first, and [w]'s first copy continues from its second span.
+   No copy of [w] after that merges with its predecessor: a repeated
+   window here never ends where it starts, and a one-span window [s]
+   cannot follow a span that ends at [s]'s own end. *)
+let rec append wr w repeat =
+  let sp = wr.spans.ids.a and ids = wr.wins.ids.a in
+  let touches a b = contiguous sp.(2 * a) sp.((2 * a) + 1) sp.(2 * b) in
+  let merge a b = intern_pair wr.spans sp.(2 * a) (sp.((2 * a) + 1) + sp.((2 * b) + 1)) in
+  let n = wr.wins.starts.a.(w + 1) - wr.wins.starts.a.(w) in
+  let first = ids.(wr.wins.starts.a.(w)) and last = ids.(wr.wins.starts.a.(w + 1) - 1) in
+  let h = wr.held in
+  if repeat > 1 && n > 1 && touches last first then begin
+    let rotated = variant wr w ~off:0 ~len:(n - 1) ~at:0 (merge last first) in
+    append wr (variant wr w ~off:0 ~len:(n - 1) ~at:(-1) 0) 1;
+    append wr rotated (repeat - 1);
+    append wr (variant wr w ~off:(n - 1) ~len:1 ~at:(-1) 0) 1
+  end
+  else if h >= 0 && touches ids.(wr.wins.starts.a.(h + 1) - 1) first then begin
+    let hn = wr.wins.starts.a.(h + 1) - wr.wins.starts.a.(h) in
+    let merged = merge ids.(wr.wins.starts.a.(h + 1) - 1) first in
+    wr.held_rep <- wr.held_rep - 1;
+    if wr.held_rep = 0 then wr.held <- -1;
+    hold wr (variant wr h ~off:0 ~len:hn ~at:(hn - 1) merged) 1;
+    if n > 1 then hold wr (variant wr w ~off:1 ~len:(n - 1) ~at:(-1) 0) 1;
+    if repeat > 1 then hold wr w (repeat - 1)
+  end
+  else hold wr w repeat
+
+(* Translate the run program under [map]: each distinct window into its
+   maximal spans, walking its runs' blocks, then each record through
+   the writer, which merges the seams.  The program expands to exactly
+   the maximal span stream. *)
+let translate (map : Placement.Address_map.t) t =
+  let tb = tables t in
+  let wr =
+    {
+      spans = table ();
+      wins = table ();
+      tmp = vec ();
+      out = Buffer.create 256;
+      nrec = 0;
+      nsp = 0;
+      held = -1;
+      held_rep = 0;
+    }
+  in
+  let m = vec () in
+  let plain =
+    Array.init t.nwindows (fun w ->
+        m.n <- 0;
+        window_blocks tb w (fun fid l ->
+            (* Zero-word blocks neither extend nor break a span. *)
+            let words = map.Placement.Address_map.block_words.(fid).(l) in
+            if words > 0 then
+              add_span m map.Placement.Address_map.block_addr.(fid).(l) words);
+        wr.tmp.n <- 0;
+        for k = 0 to (m.n / 2) - 1 do
+          vpush wr.tmp (intern_pair wr.spans m.a.(2 * k) m.a.((2 * k) + 1))
+        done;
+        if wr.tmp.n = 0 then -1 else intern wr.wins wr.tmp.a 0 wr.tmp.n)
+  in
+  decode_records
+    (fun w repeat -> if plain.(w) >= 0 then append wr plain.(w) repeat)
+    t.records;
+  hold wr (-1) 0;
+  let sp = wr.spans in
+  {
+    span_addr = Array.init (sp.starts.n - 1) (fun i -> sp.ids.a.(2 * i));
+    span_words = Array.init (sp.starts.n - 1) (fun i -> sp.ids.a.((2 * i) + 1));
+    windows = Array.sub wr.wins.ids.a 0 wr.wins.ids.n;
+    window_start = Array.sub wr.wins.starts.a 0 wr.wins.starts.n;
+    records = Buffer.to_bytes wr.out;
+    nrecords = wr.nrec;
+    nspans = wr.nsp;
+  }
+
+let program ?(attrs = []) map t =
+  Obs.Span.with_ ~stage:"simulate" ~attrs:(("engine", "span-program") :: attrs)
+  @@ fun () ->
+  let p = translate map t in
+  List.iter
+    (fun (k, v) -> Obs.Span.add_attr k (string_of_int v))
+    [ ("runs", t.nruns); ("windows", t.nwindows); ("records", p.nrecords); ("spans", p.nspans) ];
+  p
+
+let iter_records f (p : program) = decode_records f p.records
+
+let iter_spans map f t =
+  let p = translate map t in
+  iter_records
+    (fun w repeat ->
+      for _ = 1 to repeat do
+        for i = p.window_start.(w) to p.window_start.(w + 1) - 1 do
+          let id = p.windows.(i) in
+          f p.span_addr.(id) p.span_words.(id)
+        done
+      done)
+    p

@@ -103,31 +103,56 @@ let prop_access_run_equals_access =
 let seed_gen =
   QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 
+let simulate_equals_reference generate seed =
+  let ast = generate seed in
+  let p = Ir.Lower.program ast in
+  let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+  let trace =
+    Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
+  in
+  List.for_all
+    (fun map ->
+      let fast = Sim.Driver.simulate config_pool map trace in
+      let ref_ =
+        List.map (fun c -> Oracle.Word_sim.run c map trace) config_pool
+      in
+      List.for_all2 Oracle.Word_sim.results_equal ref_ fast)
+    [
+      pl.Placement.Pipeline.optimized;
+      pl.Placement.Pipeline.natural;
+      (* ext-TSP maximises fall-through, so its spans are the longest *)
+      Placement.Pipeline.map_for pl (Placement.Strategy.find "exttsp");
+    ]
+
 let prop_simulate_equals_reference =
   QCheck.Test.make
     ~name:"simulate = per-config reference (random programs)" ~count:20
-    seed_gen (fun seed ->
-      let ast = Oracle.Gen.generate seed in
-      let p = Ir.Lower.program ast in
-      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
-      let trace =
-        Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
-      in
-      List.for_all
-        (fun map ->
-          let fast = Sim.Driver.simulate config_pool map trace in
-          let ref_ =
-            List.map (fun c -> Oracle.Word_sim.run c map trace) config_pool
-          in
-          List.for_all2 Oracle.Word_sim.results_equal ref_ fast)
-        [
-          pl.Placement.Pipeline.optimized;
-          pl.Placement.Pipeline.natural;
-          (* ext-TSP maximises fall-through, so its spans are the longest *)
-          Placement.Pipeline.map_for pl (Placement.Strategy.find "exttsp");
-        ])
+    seed_gen
+    (simulate_equals_reference (Oracle.Gen.generate ?size:None))
+
+(* Repeats of hundreds of copies, broken when a loop exits, and
+   recursion. *)
+let prop_simulate_equals_reference_deep =
+  QCheck.Test.make
+    ~name:"simulate = per-config reference (long loops, recursion)" ~count:10
+    seed_gen
+    (simulate_equals_reference (Oracle.Gen.generate_deep ?size:None))
 
 (* --- span fusion --- *)
+
+(* Expand a span program record by record, window copy by copy. *)
+let expand (p : Sim.Trace.program) =
+  let out = ref [] in
+  Sim.Trace.iter_records
+    (fun w repeat ->
+      for _ = 1 to repeat do
+        for i = p.window_start.(w) to p.window_start.(w + 1) - 1 do
+          let id = p.windows.(i) in
+          out := (p.span_addr.(id), p.span_words.(id)) :: !out
+        done
+      done)
+    p;
+  List.rev !out
 
 (* A hand-built fixture: one function whose blocks sit at chosen
    addresses, and a trace over them, built straight into the store.
@@ -167,16 +192,42 @@ let fixture_map =
    5 (+6) jumps far ahead, and 0 again jumps back. *)
 let fixture_pass = [ 0; 1; 2; 3; 7; 4; 2; 3; 5; 6; 0; 1; 2; 3 ]
 
-let spans_of map trace =
+let collect iter map trace =
   let spans = ref [] in
-  Sim.Trace.iter_spans map (fun a w -> spans := (a, w) :: !spans) trace;
+  iter map (fun a w -> spans := (a, w) :: !spans) trace;
   List.rev !spans
 
+let spans_of = collect Sim.Trace.iter_spans
+
+(* The reference: the per-block walk. *)
+let walk_of = collect Oracle.Span_walk.iter
+
 let fixture_spans () =
+  let expected = [ (0, 32); (608, 4); (16, 28); (1024, 20); (0, 32) ] in
+  let trace = fixture_trace fixture_pass in
   Alcotest.(check (list (pair int int)))
-    "maximal spans"
-    [ (0, 32); (608, 4); (16, 28); (1024, 20); (0, 32) ]
-    (spans_of fixture_map (fixture_trace fixture_pass))
+    "maximal spans" expected (spans_of fixture_map trace);
+  Alcotest.(check (list (pair int int)))
+    "per-block walk" expected (walk_of fixture_map trace)
+
+(* Seams.  Fixture labels 0, 2 and 3 make one span however they fall
+   into runs.  Repeated 40 times, a copy of 2 3 0 1 (1 has no words)
+   ends at 0's end, where the next copy starts, so the copies must
+   merge, and so must those of 3 0 2 and of 2 3 7 0; 0 2 3 is one span
+   per copy, and 4 2 3 5 6 starts at 16, where no copy ends.  The
+   trailing 2 3 merges into the last copy when that copy ends with 0. *)
+let fixture_seams () =
+  List.iter
+    (fun pass ->
+      let trace =
+        fixture_trace (List.concat (List.init 40 (fun _ -> pass)) @ [ 2; 3; 7 ])
+      in
+      Alcotest.(check (list (pair int int)))
+        (String.concat " " (List.map string_of_int pass))
+        (walk_of fixture_map trace)
+        (expand (Sim.Trace.program fixture_map trace)))
+    [ [ 2; 3; 0; 1 ]; [ 0; 2; 3 ]; [ 3; 0; 2 ]; [ 0 ]; [ 4; 2; 3; 5; 6 ];
+      [ 2; 3; 7; 0 ] ]
 
 let fixture_simulate () =
   let trace =
@@ -235,40 +286,33 @@ let prop_spans_cover_blocks =
 
 (* --- span programs --- *)
 
-(* Expand a span program record by record, window copy by copy. *)
-let expand (p : Sim.Trace.program) =
-  let out = ref [] in
-  Sim.Trace.iter_records
-    (fun w repeat ->
-      for _ = 1 to repeat do
-        for i = p.window_start.(w) to p.window_start.(w + 1) - 1 do
-          let id = p.windows.(i) in
-          out := (p.span_addr.(id), p.span_words.(id)) :: !out
-        done
-      done)
-    p;
-  List.rev !out
-
-let windows_bounded (p : Sim.Trace.program) =
+(* The run program's windows hold 1 to 16 run ids. *)
+let windows_bounded trace =
   let ok = ref true in
-  for w = 0 to Array.length p.window_start - 2 do
-    let len = p.window_start.(w + 1) - p.window_start.(w) in
-    if len < 1 || len > 8 then ok := false
-  done;
+  Sim.Trace.iter_windows
+    (fun ids ->
+      let len = Array.length ids in
+      if len < 1 || len > 16 then ok := false)
+    trace;
   !ok
+
+(* The packed block codes a trace replays. *)
+let codes_of trace =
+  let codes = ref [] in
+  Sim.Trace.iter_blocks
+    (fun fid l -> codes := Sim.Trace.pack fid l :: !codes)
+    trace;
+  List.rev !codes
 
 (* A loop-heavy trace over a program's own blocks: the recorded block
    sequence with random segments of 1 to 6 blocks repeated 2 to 40
    times in a row, the way a counted loop repeats its body.  Replay only
-   reads block codes, so the trace need not be one the VM could run. *)
-let loop_heavy rng trace =
-  let blocks = ref [] in
-  Sim.Trace.iter_blocks
-    (fun fid l -> blocks := Sim.Trace.pack fid l :: !blocks)
-    trace;
-  let blocks = Array.of_list (List.rev !blocks) in
+   reads block codes, so the trace need not be one the VM could run.
+   Returns the trace and the codes pushed into it. *)
+let loop_heavy_codes rng trace =
+  let blocks = Array.of_list (codes_of trace) in
   let n = Array.length blocks in
-  let b = Sim.Trace.builder () in
+  let b = Sim.Trace.builder () and pushed = ref [] in
   let i = ref 0 in
   while !i < n do
     let len = min (1 + Random.State.int rng 6) (n - !i) in
@@ -277,37 +321,59 @@ let loop_heavy rng trace =
     in
     for _ = 1 to reps do
       for k = !i to !i + len - 1 do
-        Sim.Trace.push b blocks.(k)
+        Sim.Trace.push b blocks.(k);
+        pushed := blocks.(k) :: !pushed
       done
     done;
     i := !i + len
   done;
-  Sim.Trace.finish b (Sim.Trace.result trace)
+  (Sim.Trace.finish b (Sim.Trace.result trace), List.rev !pushed)
+
+let loop_heavy rng trace = fst (loop_heavy_codes rng trace)
 
 (* On the recorded trace and on a loop-heavy one, whose repeats outrun
-   the fold's lookahead and break part-way through a copy. *)
+   the fold's lookahead and break part-way through a copy: each store
+   replays exactly the blocks the VM streamed or the test pushed, and
+   the translated program and [iter_spans] both expand to the
+   per-block walk. *)
+let expands_to_walk generate seed =
+  let p = Ir.Lower.program (generate seed) in
+  let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+  let streamed = ref [] in
+  ignore
+    (Vm.Interp.run pl.Placement.Pipeline.program (Vm.Io.input [])
+       ~block_sink:(fun fid l -> streamed := Sim.Trace.pack fid l :: !streamed));
+  let trace =
+    Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
+  in
+  let looped, pushed = loop_heavy_codes (Random.State.make [| seed |]) trace in
+  codes_of trace = List.rev !streamed
+  && codes_of looped = pushed
+  && List.for_all
+       (fun s ->
+         let map = Placement.Pipeline.map_for pl s in
+         List.for_all
+           (fun trace ->
+             let prog = Sim.Trace.program map trace in
+             let spans = walk_of map trace in
+             expand prog = spans
+             && spans_of map trace = spans
+             && prog.Sim.Trace.nspans = List.length spans
+             && windows_bounded trace)
+           [ trace; looped ])
+       Placement.Strategy.all
+
 let prop_program_expands_to_spans =
   QCheck.Test.make
     ~name:"span program expands to iter_spans (random programs, every strategy)"
-    ~count:20 seed_gen (fun seed ->
-      let p = Ir.Lower.program (Oracle.Gen.generate seed) in
-      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
-      let trace =
-        Sim.Trace.record pl.Placement.Pipeline.program (Vm.Io.input [])
-      in
-      let looped = loop_heavy (Random.State.make [| seed |]) trace in
-      List.for_all
-        (fun s ->
-          let map = Placement.Pipeline.map_for pl s in
-          List.for_all
-            (fun trace ->
-              let prog = Sim.Trace.program map trace in
-              let spans = spans_of map trace in
-              expand prog = spans
-              && prog.Sim.Trace.nspans = List.length spans
-              && windows_bounded prog)
-            [ trace; looped ])
-        Placement.Strategy.all)
+    ~count:20 seed_gen
+    (expands_to_walk (Oracle.Gen.generate ?size:None))
+
+let prop_program_expands_deep =
+  QCheck.Test.make
+    ~name:"span program expands to the block walk (long loops, recursion)"
+    ~count:10 seed_gen
+    (expands_to_walk (Oracle.Gen.generate_deep ?size:None))
 
 (* Caches small enough that a loop's window misses on every copy (the
    walk never reaches a steady state) and large enough that it fits
@@ -420,7 +486,11 @@ let suite =
     Alcotest.test_case "span fixture: maximal spans" `Quick fixture_spans;
     Alcotest.test_case "span fixture: simulate = reference" `Quick
       fixture_simulate;
+    Alcotest.test_case "span fixture: seams merge as the walk does" `Quick
+      fixture_seams;
     QCheck_alcotest.to_alcotest prop_spans_cover_blocks;
     QCheck_alcotest.to_alcotest prop_program_expands_to_spans;
+    QCheck_alcotest.to_alcotest prop_program_expands_deep;
+    QCheck_alcotest.to_alcotest prop_simulate_equals_reference_deep;
     QCheck_alcotest.to_alcotest prop_skip_equals_reference;
   ]

@@ -739,7 +739,7 @@ let golden_replay () =
 (* Two daemons answer the same mixed stream byte for byte alike, also
    with a 2-lane default pool installed, as `impact` installs for -j 2:
    the daemon answers one request at a time and never uses the pool. *)
-let batching_deterministic () =
+let serial_and_pool_agree () =
   Obs.Log.set_quiet true;
   Fun.protect ~finally:(fun () -> Obs.Log.set_quiet false) @@ fun () ->
   let lines =
@@ -861,7 +861,7 @@ let custom_map_lru_cap () =
   Alcotest.(check int) "the refreshed A still hits" 1 (maps_evicted 10);
   Alcotest.(check int) "B was the victim" 2 (maps_evicted 12)
 
-let stats_v2_fields () =
+let stats_v3_fields () =
   let out =
     run_stream
       [
@@ -1255,13 +1255,14 @@ let suite =
     Alcotest.test_case "strategy map cap" `Quick strategy_map_cap;
     Alcotest.test_case "custom map LRU cap" `Quick custom_map_lru_cap;
     Alcotest.test_case "golden vector replay" `Quick golden_replay;
-    Alcotest.test_case "batching deterministic" `Quick batching_deterministic;
+    Alcotest.test_case "serial and 2-lane pool answer alike" `Quick
+      serial_and_pool_agree;
     Alcotest.test_case "lone client answered" `Quick lone_client_answered;
     Alcotest.test_case "socket survives a client that hangs up" `Quick
       socket_client_hangs_up;
     Alcotest.test_case "socket keeps other files" `Quick
       socket_keeps_other_files;
-    Alcotest.test_case "stats v2 fields" `Quick stats_v2_fields;
+    Alcotest.test_case "stats v3 fields" `Quick stats_v3_fields;
     Alcotest.test_case "health verdicts" `Quick health_verdicts;
     Alcotest.test_case "subscribe notifies exactly once" `Quick
       subscribe_exactly_once;

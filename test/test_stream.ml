@@ -1,10 +1,11 @@
 (* The compressed trace store:
 
-   - Store round-trip: the run-length/delta coder reproduces the exact
-     pushed code sequence (QCheck over adversarial run shapes).
+   - Store round-trip: the folded store reproduces the exact pushed
+     code sequence (QCheck over adversarial run shapes).
    - Every benchmark: the stored trace replays exactly the block
-     sequence the VM streams, and the span-fused sweep over it
-     matches the word-granular reference.
+     sequence the VM streams, the span-fused sweep over it matches the
+     word-granular reference, and every strategy's span program
+     expands to the per-block span walk of that sequence.
    - Scaled workloads keep the original semantics (same return value and
      output, strictly more fetches and functions).
    - The trace.* gauges and stats account raw vs stored bytes. *)
@@ -100,10 +101,43 @@ let diff_configs =
     Icache.Config.make ~size:256 ~block:64 ~fill:Icache.Config.Partial ();
   ]
 
-(* For one benchmark (natural layout, no pipeline: this pins the trace
-   store, not the placement): the stored trace replays the VM's block
-   stream exactly, and simulating it agrees with the word-granular
-   reference. *)
+(* A pull cursor over a span program's expansion: [next ()] moves to
+   the next span, [(addr, words)] in [span], and is false past the
+   last one. *)
+let cursor (p : Sim.Trace.program) =
+  let recs = ref [] in
+  Sim.Trace.iter_records (fun w r -> recs := (w, r) :: !recs) p;
+  let recs = ref (List.rev !recs) and left = ref 0 in
+  let at = ref 0 and first = ref 0 and stop = ref 0 in
+  let span = [| 0; 0 |] in
+  let next () =
+    while !at = !stop && (!left > 0 || !recs <> []) do
+      if !left = 0 then begin
+        let w, r = List.hd !recs in
+        recs := List.tl !recs;
+        first := p.window_start.(w);
+        stop := p.window_start.(w + 1);
+        left := r
+      end;
+      at := !first;
+      decr left
+    done;
+    !at < !stop
+    && begin
+      let id = p.windows.(!at) in
+      incr at;
+      span.(0) <- p.span_addr.(id);
+      span.(1) <- p.span_words.(id);
+      true
+    end
+  in
+  (next, span)
+
+(* For one benchmark (the original program, no pipeline: this pins the
+   trace store and its translations, not the placement): the stored
+   trace replays the VM's block stream exactly, simulating it agrees
+   with the word-granular reference, and every strategy's span program
+   expands to the per-block walk of that stream. *)
 let check_benchmark name =
   let b = Workloads.Registry.find name in
   let program = Workloads.Bench.program b in
@@ -120,8 +154,9 @@ let check_benchmark name =
       incr n)
     trace;
   let streamed = ref 0 and mismatches = ref 0 in
+  let counts = Vm.Interp.empty program in
   let vm_result =
-    Vm.Interp.run program input ~block_sink:(fun fid label ->
+    Vm.Interp.run ~counts program input ~block_sink:(fun fid label ->
         let i = !streamed in
         if i >= Array.length codes || codes.(i) <> Sim.Trace.pack fid label
         then incr mismatches;
@@ -152,6 +187,31 @@ let check_benchmark name =
       (name ^ ": word-granular reference") true
       (List.for_all2 Oracle.Word_sim.results_equal fast
          (List.map (fun c -> Oracle.Word_sim.run c map trace) diff_configs));
+  (* Under every strategy's map, laid out from this run's profile, the
+     span program expands to the per-block walk of the stream checked
+     above, span by span. *)
+  let profile = Vm.Profile.of_counts counts in
+  List.iter
+    (fun (s : Placement.Strategy.t) ->
+      let map = Placement.Pipeline.map_of_profile program profile s in
+      let p = Sim.Trace.program map trace in
+      let next, span = cursor p and n = ref 0 in
+      let label = name ^ " " ^ s.Placement.Strategy.id in
+      let w =
+        Oracle.Span_walk.create map (fun a words ->
+            incr n;
+            if not (next () && span.(0) = a && span.(1) = words) then
+              Alcotest.failf "%s: span %d differs" label !n)
+      in
+      Array.iter
+        (fun c ->
+          Oracle.Span_walk.block w (Sim.Trace.unpack_fid c)
+            (Sim.Trace.unpack_label c))
+        codes;
+      Oracle.Span_walk.finish w;
+      Alcotest.(check bool) (label ^ ": no spans left") false (next ());
+      Alcotest.(check int) (label ^ ": nspans") !n p.Sim.Trace.nspans)
+    Placement.Strategy.all;
   (* The compressed representation really is smaller. *)
   let s = Sim.Trace.stats trace in
   Alcotest.(check bool)
