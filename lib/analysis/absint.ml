@@ -22,6 +22,12 @@
    set).  Only syntactic body blocks are classified first-miss, against
    the outermost enclosing scope that protects the line's set.
 
+   Everything that depends only on the program is built once, by
+   [prepare]: the supergraph, entry reachability, the loop forests and
+   the scopes with each node's candidate scopes.  Each [analyze] of a
+   (map, geometry) pays only for the line universe, the two solves and
+   the classification.
+
    Classifications are claims, so anything unverifiable is gated to
    Unclassified with a recorded reason instead of guessed at: sectored
    or partial fills (tag presence no longer implies whole-line
@@ -40,23 +46,32 @@ type scope = {
   s_depth : int;
   s_body : int array;  (* first-miss member gids, sorted *)
   s_header_gid : int;
-  s_persistent : Bytes.t;  (* per cache set: '\001' = scope fits *)
 }
 
-type t = {
+type program = {
   prog : Prog.program;
-  map : Placement.Address_map.t;
-  config : Icache.Config.t;
-  universe : Cachedom.universe option;  (* [None] iff gated before solving *)
   nnodes : int;
   offsets : int array;
   node_fid : int array;
   node_label : int array;
+  succs : int list array;
+  preds : int list array;
+  reachable : bool array;
+  loops : Loops.t array;
+  scope_warnings : Diag.t list;
+  scopes : scope array;
+  closures : int array array;  (* per scope: gids one stay can execute *)
+  candidates : int array array;
+      (* per gid: the scopes it is a member of, preferred first *)
+}
+
+type t = {
+  program : program;
+  map : Placement.Address_map.t;
+  universe : Cachedom.universe option;  (* [None] iff gated before solving *)
   naccesses : int array;  (* line fetches per node, valid even when gated *)
   accesses : int array array;  (* dense line ids per node; [||] when gated *)
   cls : cls array array;
-  reachable : bool array;
-  scopes : scope array;
   gated : string option;
   capped : bool;
   consistent : bool;  (* no access both must-hit and may-absent *)
@@ -77,20 +92,19 @@ let may_iterations_total =
   Obs.Metrics.counter "absint.may_iterations"
     ~help:"worklist pops of the May age analysis"
 
-let gid t fid label = t.offsets.(fid) + label
+let gid t fid label = t.program.offsets.(fid) + label
 
-(* Absolute line numbers fetched by a block, consecutive duplicates
-   collapsed (a 4-byte word sequence crosses a line at most once per
-   line). *)
+(* Absolute line numbers fetched by a block, ascending.  A block's words
+   are consecutive and a line holds a whole number of words, so they
+   cover every line from the first word's to the last word's. *)
 let block_lines (config : Icache.Config.t) ~addr ~words =
-  let lines = ref [] in
-  for w = words - 1 downto 0 do
-    let l = (addr + (w * Icache.Config.word_bytes)) / config.block in
-    match !lines with
-    | hd :: _ when hd = l -> ()
-    | _ -> lines := l :: !lines
-  done;
-  !lines
+  if words = 0 then [||]
+  else
+    let first = addr / config.block in
+    let last =
+      (addr + ((words - 1) * Icache.Config.word_bytes)) / config.block
+    in
+    Array.init (last - first + 1) (fun i -> first + i)
 
 let default_max_iters nnodes = 1_000 + (100 * nnodes)
 
@@ -115,148 +129,12 @@ let number_nodes (prog : Prog.program) =
   done;
   (offsets, node_fid, node_label)
 
-(* The program-only half of a scope: header, members and conflict
-   closure come from the loop forest and the call graph, never from the
-   address map or the cache geometry.  [analyze] adds per-set
-   persistence and [tracker] counts stays; both build their scopes
-   here, so scope index [si] names the same scope in every analysis of
-   one program. *)
-type shape = {
-  sh_fid : int;
-  sh_header : Cfg.label;
-  sh_depth : int;
-  sh_members : int array;  (* sorted gids *)
-  sh_closure : int list;  (* gids one stay can execute *)
-}
-
-(* Natural-loop scopes, per reducible function.  A scope's conflict
-   closure is its body plus every function transitively callable from
-   it (the blocks one stay can execute).  Its first-miss MEMBERS are the
-   body plus the PRIVATE part of that closure: functions all of whose
-   call sites lie in the body or in other private members, so their
-   blocks never execute outside a stay and the once-per-entry guarantee
-   extends to them.  Returns the irreducible-function flags, their
-   warnings in function order, and the scopes in creation order (a
-   function's outer loops first). *)
-let program_scopes (prog : Prog.program) ~offsets ~node_fid =
+(* Supergraph edges: the terminators' successors, and for a call the
+   edge to the callee's entry plus one from each of its [Ret] blocks to
+   the return label. *)
+let supergraph (prog : Prog.program) ~offsets ~node_fid ~node_label =
   let funcs = prog.Prog.funcs in
-  let nfuncs = Array.length funcs in
-  let warnings = ref [] in
-  let irreducible = Array.make nfuncs false in
-  let call_sites = Array.make nfuncs [] in
-  let callee_fid g =
-    let f = node_fid.(g) in
-    match Cfg.callee funcs.(f).Prog.blocks.(g - offsets.(f)) with
-    | Some callee -> (
-        match Prog.func_index prog callee with
-        | cf -> Some cf
-        | exception _ -> None)
-    | None -> None
-  in
-  for v = 0 to Array.length node_fid - 1 do
-    match callee_fid v with
-    | Some cf -> call_sites.(cf) <- v :: call_sites.(cf)
-    | None -> ()
-  done;
-  let gids_of cf =
-    List.init (Array.length funcs.(cf).Prog.blocks) (fun l -> offsets.(cf) + l)
-  in
-  let shapes = ref [] in
-  for fid = 0 to nfuncs - 1 do
-    let loops = Loops.of_func funcs.(fid) in
-    if not loops.Loops.reducible then begin
-      irreducible.(fid) <- true;
-      warnings :=
-        Diag.make ~severity:Warning ~stage:Lint ~func:funcs.(fid).Prog.name
-          "absint: irreducible control flow; blocks degrade to unclassified"
-        :: !warnings
-    end
-    else
-      Array.iter
-        (fun (loop : Loops.loop) ->
-          let body_gids =
-            List.map (fun l -> offsets.(fid) + l) loop.Loops.body
-          in
-          let in_body = Hashtbl.create 16 in
-          List.iter (fun g -> Hashtbl.replace in_body g ()) body_gids;
-          (* Transitive callee closure of the body's call sites. *)
-          let fids = Hashtbl.create 8 in
-          let pending = ref [] in
-          let visit_calls gids =
-            List.iter
-              (fun g ->
-                match callee_fid g with
-                | Some cf when not (Hashtbl.mem fids cf) ->
-                    Hashtbl.replace fids cf ();
-                    pending := cf :: !pending
-                | _ -> ())
-              gids
-          in
-          visit_calls body_gids;
-          while !pending <> [] do
-            match !pending with
-            | [] -> ()
-            | cf :: rest ->
-                pending := rest;
-                visit_calls (gids_of cf)
-          done;
-          let closure =
-            Hashtbl.fold (fun cf () acc -> gids_of cf @ acc) fids body_gids
-          in
-          (* Greatest fixpoint of "private": drop any closure function
-             with a call site outside the body and outside every
-             still-private function. *)
-          let private_ = Hashtbl.copy fids in
-          Hashtbl.remove private_ prog.Prog.entry;
-          let changed = ref true in
-          while !changed do
-            changed := false;
-            Hashtbl.iter
-              (fun cf () ->
-                let exposed =
-                  List.exists
-                    (fun site ->
-                      (not (Hashtbl.mem in_body site))
-                      && not (Hashtbl.mem private_ node_fid.(site)))
-                    call_sites.(cf)
-                in
-                if exposed then begin
-                  Hashtbl.remove private_ cf;
-                  changed := true
-                end)
-              (Hashtbl.copy private_)
-          done;
-          let members =
-            Hashtbl.fold (fun cf () acc -> gids_of cf @ acc) private_ body_gids
-          in
-          shapes :=
-            {
-              sh_fid = fid;
-              sh_header = loop.Loops.header;
-              sh_depth = loop.Loops.depth;
-              sh_members = Array.of_list (List.sort_uniq compare members);
-              sh_closure = closure;
-            }
-            :: !shapes)
-        loops.Loops.loops
-  done;
-  (irreducible, List.rev !warnings, Array.of_list (List.rev !shapes))
-
-let analyze ?max_iters (config : Icache.Config.t)
-    (map : Placement.Address_map.t) (prog : Prog.program) : t =
-  Obs.Span.with_ ~stage:"absint.analyze" @@ fun () ->
-  let funcs = prog.Prog.funcs in
-  let offsets, node_fid, node_label = number_nodes prog in
   let nnodes = Array.length node_fid in
-  let lines_of_node =
-    Array.init nnodes (fun v ->
-        let fid = node_fid.(v) and l = node_label.(v) in
-        block_lines config
-          ~addr:map.Placement.Address_map.block_addr.(fid).(l)
-          ~words:map.Placement.Address_map.block_words.(fid).(l))
-  in
-  let naccesses = Array.map List.length lines_of_node in
-  (* Supergraph edges. *)
   let succs = Array.make nnodes [] and preds = Array.make nnodes [] in
   let add_edge u v =
     succs.(u) <- v :: succs.(u);
@@ -289,40 +167,225 @@ let analyze ?max_iters (config : Icache.Config.t)
     | _ ->
         List.iter (fun s -> add_edge v (offsets.(fid) + s)) (Cfg.successors b)
   done;
-  let entry_gid = offsets.(prog.Prog.entry) in
-  let reachable = Array.make nnodes false in
-  let stack = ref [ entry_gid ] in
-  reachable.(entry_gid) <- true;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-        stack := rest;
-        List.iter
-          (fun s ->
-            if not reachable.(s) then begin
-              reachable.(s) <- true;
-              stack := s :: !stack
-            end)
-          succs.(v)
+  (succs, preds)
+
+let reachable_from entry_gid (succs : int list array) =
+  let reachable = Array.make (Array.length succs) false in
+  let rec reach v =
+    if not reachable.(v) then begin
+      reachable.(v) <- true;
+      List.iter reach succs.(v)
+    end
+  in
+  reach entry_gid;
+  reachable
+
+(* Natural-loop scopes, per reducible function.  A scope's conflict
+   closure is its body plus every function transitively callable from
+   it (the blocks one stay can execute).  Its first-miss MEMBERS are the
+   body plus the PRIVATE part of that closure: functions all of whose
+   call sites lie in the body or in other private members, so their
+   blocks never execute outside a stay and the once-per-entry guarantee
+   extends to them.  Returns the irreducible functions' warnings in
+   function order, and the scopes with their closures in creation order
+   (a function's outer loops first). *)
+let program_scopes (prog : Prog.program) ~loops ~offsets ~node_fid =
+  let funcs = prog.Prog.funcs in
+  let nfuncs = Array.length funcs in
+  let warnings = ref [] in
+  let call_sites = Array.make nfuncs [] in
+  let callee_fid g =
+    let f = node_fid.(g) in
+    match Cfg.callee funcs.(f).Prog.blocks.(g - offsets.(f)) with
+    | Some callee -> (
+        match Prog.func_index prog callee with
+        | cf -> Some cf
+        | exception _ -> None)
+    | None -> None
+  in
+  for v = 0 to Array.length node_fid - 1 do
+    match callee_fid v with
+    | Some cf -> call_sites.(cf) <- v :: call_sites.(cf)
+    | None -> ()
   done;
+  let gids_of cf =
+    List.init (Array.length funcs.(cf).Prog.blocks) (fun l -> offsets.(cf) + l)
+  in
+  let scopes = ref [] in
+  for fid = 0 to nfuncs - 1 do
+    let loops = loops.(fid) in
+    if not loops.Loops.reducible then
+      warnings :=
+        Diag.make ~severity:Warning ~stage:Lint ~func:funcs.(fid).Prog.name
+          "absint: irreducible control flow; blocks degrade to unclassified"
+        :: !warnings
+    else
+      Array.iter
+        (fun (loop : Loops.loop) ->
+          let body_gids =
+            List.map (fun l -> offsets.(fid) + l) loop.Loops.body
+          in
+          let in_body = Hashtbl.create 16 in
+          List.iter (fun g -> Hashtbl.replace in_body g ()) body_gids;
+          (* Transitive callee closure of the body's call sites. *)
+          let fids = Hashtbl.create 8 in
+          let rec visit_calls gids =
+            List.iter
+              (fun g ->
+                match callee_fid g with
+                | Some cf when not (Hashtbl.mem fids cf) ->
+                    Hashtbl.replace fids cf ();
+                    visit_calls (gids_of cf)
+                | _ -> ())
+              gids
+          in
+          visit_calls body_gids;
+          let closure =
+            Hashtbl.fold (fun cf () acc -> gids_of cf @ acc) fids body_gids
+          in
+          (* Greatest fixpoint of "private": drop any closure function
+             with a call site outside the body and outside every
+             still-private function. *)
+          let private_ = Hashtbl.copy fids in
+          Hashtbl.remove private_ prog.Prog.entry;
+          let changed = ref true in
+          while !changed do
+            changed := false;
+            Hashtbl.iter
+              (fun cf () ->
+                let exposed =
+                  List.exists
+                    (fun site ->
+                      (not (Hashtbl.mem in_body site))
+                      && not (Hashtbl.mem private_ node_fid.(site)))
+                    call_sites.(cf)
+                in
+                if exposed then begin
+                  Hashtbl.remove private_ cf;
+                  changed := true
+                end)
+              (Hashtbl.copy private_)
+          done;
+          let members =
+            Hashtbl.fold (fun cf () acc -> gids_of cf @ acc) private_ body_gids
+          in
+          scopes :=
+            ( {
+                s_fid = fid;
+                s_header = loop.Loops.header;
+                s_depth = loop.Loops.depth;
+                s_body = Array.of_list (List.sort_uniq compare members);
+                s_header_gid = offsets.(fid) + loop.Loops.header;
+              },
+              Array.of_list closure )
+            :: !scopes)
+        loops.Loops.loops
+  done;
+  let scopes, closures = List.split (List.rev !scopes) in
+  (List.rev !warnings, Array.of_list scopes, Array.of_list closures)
+
+(* Per-node candidate scopes: creation order puts a function's outer
+   loops first; prefer scopes of OTHER functions (the dynamically
+   enclosing caller loops) over a block's own. *)
+let candidate_scopes (scopes : scope array) ~node_fid =
+  let candidates = Array.make (Array.length node_fid) [] in
+  Array.iteri
+    (fun si s ->
+      Array.iter (fun g -> candidates.(g) <- si :: candidates.(g)) s.s_body)
+    scopes;
+  Array.mapi
+    (fun v c ->
+      let own si = if scopes.(si).s_fid = node_fid.(v) then 1 else 0 in
+      List.stable_sort
+        (fun a b ->
+          match compare (own a) (own b) with
+          | 0 -> compare (scopes.(a).s_depth, a) (scopes.(b).s_depth, b)
+          | c -> c)
+        (List.rev c)
+      |> Array.of_list)
+    candidates
+
+let prepare (prog : Prog.program) : program =
+  Obs.Span.with_ ~stage:"absint.prepare" @@ fun () ->
+  let offsets, node_fid, node_label = number_nodes prog in
+  let succs, preds = supergraph prog ~offsets ~node_fid ~node_label in
+  let loops = Array.map Loops.of_func prog.Prog.funcs in
+  let scope_warnings, scopes, closures =
+    program_scopes prog ~loops ~offsets ~node_fid
+  in
+  {
+    prog;
+    nnodes = Array.length node_fid;
+    offsets;
+    node_fid;
+    node_label;
+    succs;
+    preds;
+    reachable = reachable_from offsets.(prog.Prog.entry) succs;
+    loops;
+    scope_warnings;
+    scopes;
+    closures;
+    candidates = candidate_scopes scopes ~node_fid;
+  }
+
+(* Per scope, per dense line id: '\001' when the distinct lines of the
+   scope's closure in that line's cache set fit in the ways, so one stay
+   evicts none of them.  Only closure lines are ever asked about. *)
+let persistence (p : program) (u : Cachedom.universe) ~accesses =
+  let seen = Bytes.make u.Cachedom.nlines '\000' in
+  let per_set = Array.make (Array.length u.Cachedom.set_ids) 0 in
+  Array.map
+    (fun closure ->
+      let ids = ref [] in
+      Array.iter
+        (fun g ->
+          Array.iter
+            (fun id ->
+              if Bytes.get seen id = '\000' then begin
+                Bytes.set seen id '\001';
+                ids := id :: !ids;
+                let r = u.Cachedom.set_rank.(id) in
+                per_set.(r) <- per_set.(r) + 1
+              end)
+            accesses.(g))
+        closure;
+      let fits = Bytes.make u.Cachedom.nlines '\000' in
+      List.iter
+        (fun id ->
+          if per_set.(u.Cachedom.set_rank.(id)) <= u.Cachedom.ways then
+            Bytes.set fits id '\001')
+        !ids;
+      List.iter
+        (fun id ->
+          Bytes.set seen id '\000';
+          per_set.(u.Cachedom.set_rank.(id)) <- 0)
+        !ids;
+      fits)
+    p.closures
+
+let analyze_with ~solve ?max_iters (config : Icache.Config.t)
+    (map : Placement.Address_map.t) (p : program) : t =
+  Obs.Span.with_ ~stage:"absint.analyze" @@ fun () ->
+  let nnodes = p.nnodes in
+  let lines_of_node =
+    Array.init nnodes (fun v ->
+        let fid = p.node_fid.(v) and l = p.node_label.(v) in
+        block_lines config
+          ~addr:map.Placement.Address_map.block_addr.(fid).(l)
+          ~words:map.Placement.Address_map.block_words.(fid).(l))
+  in
+  let naccesses = Array.map Array.length lines_of_node in
   let cls = Array.map (fun n -> Array.make n Unknown) naccesses in
   let ways = Icache.Config.ways_of config in
   let gate reason =
     {
-      prog;
+      program = p;
       map;
-      config;
       universe = None;
-      nnodes;
-      offsets;
-      node_fid;
-      node_label;
       naccesses;
       accesses = Array.make nnodes [||];
       cls;
-      reachable;
-      scopes = [||];
       gated = Some reason;
       capped = false;
       consistent = true;
@@ -352,25 +415,19 @@ let analyze ?max_iters (config : Icache.Config.t)
            ways Cachedom.max_ways)
   | Whole ->
       let u =
-        Cachedom.universe config (List.concat (Array.to_list lines_of_node))
+        Cachedom.universe config (Array.concat (Array.to_list lines_of_node))
       in
-      let ids = Cachedom.id_table u in
-      let accesses =
-        Array.map
-          (fun ls ->
-            Array.of_list (List.map (fun l -> Hashtbl.find ids l) ls))
-          lines_of_node
-      in
+      let accesses = Array.map (Array.map (Cachedom.id u)) lines_of_node in
       let max_iters =
         match max_iters with Some m -> m | None -> default_max_iters nnodes
       in
       let solve lattice access =
-        Dataflow.solve_values ~max_iters
+        solve ~max_iters
           {
             Dataflow.v_nnodes = nnodes;
-            v_succs = (fun v -> succs.(v));
-            v_preds = (fun v -> preds.(v));
-            v_boundary = [ entry_gid ];
+            v_succs = (fun v -> p.succs.(v));
+            v_preds = (fun v -> p.preds.(v));
+            v_boundary = [ p.offsets.(p.prog.Prog.entry) ];
             v_boundary_value = Cachedom.top u;
             v_lattice = lattice;
             v_transfer =
@@ -409,73 +466,20 @@ let analyze ?max_iters (config : Icache.Config.t)
             t.warnings @ must.Dataflow.v_warnings @ may.Dataflow.v_warnings;
         }
       else begin
-        let irreducible, warnings, shapes =
-          program_scopes prog ~offsets ~node_fid
-        in
-        (* A scope protects the cache sets where the distinct lines of
-           its closure fit in the ways. *)
-        let scopes =
-          Array.map
-            (fun sh ->
-              let seen = Bytes.make u.Cachedom.nlines '\000' in
-              let per_set = Array.make u.Cachedom.nsets 0 in
-              List.iter
-                (fun g ->
-                  Array.iter
-                    (fun id ->
-                      if Bytes.get seen id = '\000' then begin
-                        Bytes.set seen id '\001';
-                        per_set.(u.Cachedom.set_of.(id)) <-
-                          per_set.(u.Cachedom.set_of.(id)) + 1
-                      end)
-                    accesses.(g))
-                sh.sh_closure;
-              let persistent = Bytes.make u.Cachedom.nsets '\000' in
-              for s = 0 to u.Cachedom.nsets - 1 do
-                if per_set.(s) <= ways then Bytes.set persistent s '\001'
-              done;
-              {
-                s_fid = sh.sh_fid;
-                s_header = sh.sh_header;
-                s_depth = sh.sh_depth;
-                s_body = sh.sh_members;
-                s_header_gid = offsets.(sh.sh_fid) + sh.sh_header;
-                s_persistent = persistent;
-              })
-            shapes
-        in
-        (* Per-node candidate scopes: creation order puts a function's
-           outer loops first; prefer scopes of OTHER functions (the
-           dynamically enclosing caller loops) over a block's own. *)
-        let candidates = Array.make nnodes [] in
-        Array.iteri
-          (fun si s ->
-            Array.iter
-              (fun g -> candidates.(g) <- si :: candidates.(g))
-              s.s_body)
-          scopes;
-        Array.iteri
-          (fun v c ->
-            candidates.(v) <-
-              List.stable_sort
-                (fun a b ->
-                  let own si = if scopes.(si).s_fid = node_fid.(v) then 1 else 0 in
-                  match compare (own a) (own b) with
-                  | 0 -> compare (scopes.(a).s_depth, a) (scopes.(b).s_depth, b)
-                  | c -> c)
-                (List.rev c))
-          candidates;
+        let persistent = persistence p u ~accesses in
         let persistent_scope v line_id =
-          let set = u.Cachedom.set_of.(line_id) in
-          List.find_opt
-            (fun si -> Bytes.get scopes.(si).s_persistent set = '\001')
-            candidates.(v)
+          Array.find_opt
+            (fun si -> Bytes.get persistent.(si) line_id = '\001')
+            p.candidates.(v)
         in
         let consistent = ref true in
         let blocks_classified = ref 0 in
         ( Obs.Span.with_ ~stage:"absint.classify" @@ fun () ->
           for v = 0 to nnodes - 1 do
-            if reachable.(v) && not irreducible.(node_fid.(v)) then begin
+            if
+              p.reachable.(v)
+              && p.loops.(p.node_fid.(v)).Loops.reducible
+            then begin
               let m = Cachedom.copy must.Dataflow.v_in.(v) in
               let y = Cachedom.copy may.Dataflow.v_in.(v) in
               let all = ref (naccesses.(v) > 0) in
@@ -504,27 +508,24 @@ let analyze ?max_iters (config : Icache.Config.t)
         Obs.Span.add_attr "classified_blocks"
           (string_of_int !blocks_classified);
         {
-          prog;
+          program = p;
           map;
-          config;
           universe = Some u;
-          nnodes;
-          offsets;
-          node_fid;
-          node_label;
           naccesses;
           accesses;
           cls;
-          reachable;
-          scopes;
           gated = None;
           capped = false;
           consistent = !consistent;
           must_iterations = must.Dataflow.v_iterations;
           may_iterations = may.Dataflow.v_iterations;
-          warnings;
+          warnings = p.scope_warnings;
         }
       end
+
+let analyze ?max_iters config map p =
+  analyze_with ~solve:(fun ~max_iters -> Dataflow.solve_values ~max_iters)
+    ?max_iters config map p
 
 (* Static (unweighted) classification census. *)
 
@@ -543,7 +544,7 @@ let totals (t : t) : totals =
   let blocks = ref 0 and classified = ref 0 in
   Array.iteri
     (fun v c ->
-      if t.reachable.(v) then begin
+      if t.program.reachable.(v) then begin
         incr blocks;
         let all = ref (Array.length c > 0) in
         Array.iter
@@ -593,15 +594,18 @@ let interval ?entries (t : t) ~(counts : int -> Cfg.label -> int) : interval =
   let entries =
     match entries with
     | Some f -> f
-    | None -> fun si -> counts t.scopes.(si).s_fid t.scopes.(si).s_header
+    | None ->
+        fun si ->
+          let s = t.program.scopes.(si) in
+          counts s.s_fid s.s_header
   in
   let lo = ref 0 and hi = ref 0 in
   let accesses = ref 0 and fetches = ref 0 in
   let w_hit = ref 0 and w_miss = ref 0 and w_first = ref 0 in
   let w_unknown = ref 0 in
   let groups = Hashtbl.create 64 in
-  for v = 0 to t.nnodes - 1 do
-    let fid = t.node_fid.(v) and label = t.node_label.(v) in
+  for v = 0 to t.program.nnodes - 1 do
+    let fid = t.program.node_fid.(v) and label = t.program.node_label.(v) in
     let c = counts fid label in
     if c > 0 then begin
       accesses := !accesses + (c * t.naccesses.(v));
@@ -620,11 +624,7 @@ let interval ?entries (t : t) ~(counts : int -> Cfg.label -> int) : interval =
               hi := !hi + c
           | First_miss si ->
               w_first := !w_first + c;
-              let key =
-                ( si,
-                  if Array.length t.accesses.(v) = 0 then i
-                  else t.accesses.(v).(i) )
-              in
+              let key = (si, t.accesses.(v).(i)) in
               Hashtbl.replace groups key
                 (c + Option.value ~default:0 (Hashtbl.find_opt groups key)))
         t.cls.(v)
@@ -648,10 +648,10 @@ let interval ?entries (t : t) ~(counts : int -> Cfg.label -> int) : interval =
    those arcs over-approximates the number of stays. *)
 let profile_entries (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
     (si : int) : int =
-  let s = t.scopes.(si) in
+  let s = t.program.scopes.(si) in
   let w = weights s.s_fid in
   let in_own_body u =
-    let g = t.offsets.(s.s_fid) + u in
+    let g = t.program.offsets.(s.s_fid) + u in
     let body = s.s_body in
     let rec bsearch lo hi =
       if lo >= hi then false
@@ -678,7 +678,8 @@ let profile_entries (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
 let profile_interval (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
     : interval =
   let views =
-    Array.init (Array.length t.prog.Prog.funcs) (fun fid -> lazy (weights fid))
+    Array.init (Array.length t.program.prog.Prog.funcs) (fun fid ->
+        lazy (weights fid))
   in
   let view fid = Lazy.force views.(fid) in
   interval t
@@ -687,9 +688,9 @@ let profile_interval (t : t) ~(weights : int -> Placement.Weight.cfg_weights)
 
 (* Exact stay counting over an executed block stream: feed the blocks in
    order; a scope is entered when its header runs and the previous block
-   was not one of its members.  Scopes are the program's (see
-   [program_scopes]), so one walk serves every analysis of the program,
-   whatever its map or geometry. *)
+   was not one of its members.  Scopes are the prepared program's, so
+   one walk serves every analysis of the program, whatever its map or
+   geometry. *)
 
 type tracker = {
   offsets : int array;
@@ -700,30 +701,27 @@ type tracker = {
   mutable prev : int;
 }
 
-let tracker (prog : Prog.program) : tracker =
-  let offsets, node_fid, _ = number_nodes prog in
-  let nnodes = Array.length node_fid in
-  let _, _, shapes = program_scopes prog ~offsets ~node_fid in
-  let heads = Array.make nnodes [||] in
+let tracker (p : program) : tracker =
+  let heads = Array.make p.nnodes [||] in
   Array.iteri
-    (fun si sh ->
-      let g = offsets.(sh.sh_fid) + sh.sh_header in
+    (fun si s ->
+      let g = s.s_header_gid in
       heads.(g) <- Array.append heads.(g) [| si |])
-    shapes;
+    p.scopes;
   let member =
     Array.map
-      (fun sh ->
-        let m = Bytes.make nnodes '\000' in
-        Array.iter (fun g -> Bytes.set m g '\001') sh.sh_members;
+      (fun s ->
+        let m = Bytes.make p.nnodes '\000' in
+        Array.iter (fun g -> Bytes.set m g '\001') s.s_body;
         m)
-      shapes
+      p.scopes
   in
   {
-    offsets;
+    offsets = p.offsets;
     heads;
     member;
-    counts = Array.make nnodes 0;
-    entered = Array.make (Array.length shapes) 0;
+    counts = Array.make p.nnodes 0;
+    entered = Array.make (Array.length p.scopes) 0;
     prev = -1;
   }
 

@@ -10,7 +10,11 @@
     cannot model (sectored/partial fill, prefetch, >254 ways, a capped
     solve) are gated — [gated] names the reason and every access stays
     [Unknown].  Irreducible functions degrade to [Unknown] per
-    function, with a warning carrying the {!Loops} witness. *)
+    function, with a warning carrying the {!Loops} witness.
+
+    What depends only on the program (supergraph, reachability, loop
+    forests, scopes) is built once by {!prepare}; each {!analyze} of a
+    map and geometry reads it. *)
 
 open Ir
 
@@ -18,7 +22,7 @@ type cls =
   | Hit  (** always hits (after the supergraph-entry boundary) *)
   | Miss  (** always misses *)
   | First_miss of int
-      (** misses at most once per entry to [scopes.(i)] *)
+      (** misses at most once per entry to [program.scopes.(i)] *)
   | Unknown
 
 type scope = {
@@ -30,23 +34,47 @@ type scope = {
           function whose call sites ALL lie inside the scope (their
           blocks cannot execute outside a stay in the loop) *)
   s_header_gid : int;
-  s_persistent : Bytes.t;  (** per cache set: ['\001'] = scope fits *)
 }
+(** A natural-loop scope.  Scopes depend only on the program (loops and
+    call graph), never on the map or the cache geometry. *)
 
-type t = {
+type program = private {
   prog : Prog.program;
-  map : Placement.Address_map.t;
-  config : Icache.Config.t;
-  universe : Cachedom.universe option;  (** [None] iff gated pre-solve *)
-  nnodes : int;
+  nnodes : int;  (** supergraph nodes, one per (function, block) *)
   offsets : int array;  (** fid -> first gid *)
   node_fid : int array;
   node_label : int array;
+  succs : int list array;
+      (** intra-function edges, call edges to the callee's entry and
+          return edges from its [Ret] blocks to the return label *)
+  preds : int list array;
+  reachable : bool array;  (** supergraph-reachable from the entry *)
+  loops : Loops.t array;  (** per function, with its dominator tree *)
+  scope_warnings : Diag.t list;
+      (** one per irreducible function, in function order; those
+          functions have no scopes and degrade to [Unknown] *)
+  scopes : scope array;  (** a function's outer loops first *)
+  closures : int array array;
+      (** per scope, the gids one stay can execute: its body plus every
+          function transitively callable from it *)
+  candidates : int array array;
+      (** per gid, the scopes it is a member of, preferred first:
+          other functions' scopes (the enclosing caller loops) before
+          its own, then by depth *)
+}
+(** The parts of the analysis that depend only on the program, built
+    once by {!prepare} and shared by every {!analyze} and {!tracker} of
+    it.  [Experiments.Context] holds one per benchmark entry. *)
+
+val prepare : Prog.program -> program
+
+type t = {
+  program : program;
+  map : Placement.Address_map.t;
+  universe : Cachedom.universe option;  (** [None] iff gated pre-solve *)
   naccesses : int array;  (** line fetches per node, valid when gated *)
   accesses : int array array;  (** dense line ids per node *)
   cls : cls array array;
-  reachable : bool array;  (** supergraph-reachable from the entry *)
-  scopes : scope array;
   gated : string option;
   capped : bool;
   consistent : bool;
@@ -60,13 +88,31 @@ type t = {
 val gid : t -> int -> Cfg.label -> int
 
 val analyze :
+  ?max_iters:int -> Icache.Config.t -> Placement.Address_map.t -> program -> t
+(** Must and May solves over the prepared supergraph, then the
+    classification.  An access that is neither a guaranteed hit nor a
+    guaranteed miss is [First_miss si] for the first candidate scope
+    [si] of its node in which its line is persistent: the distinct lines
+    of the scope's closure in that line's cache set fit in the ways.
+    Persistence is kept per dense line id, so nothing here is sized by
+    the cache's set count.  [First_miss] indexes [program.scopes].
+
+    [max_iters] defaults to [1000 + 100 * nodes] of the supergraph;
+    hitting the cap gates the whole result. *)
+
+val analyze_with :
+  solve:
+    (max_iters:int ->
+    Cachedom.state Dataflow.value_problem ->
+    Cachedom.state Dataflow.value_solution) ->
   ?max_iters:int ->
   Icache.Config.t ->
   Placement.Address_map.t ->
-  Prog.program ->
+  program ->
   t
-(** [max_iters] defaults to [1000 + 100 * nodes] of the supergraph;
-    hitting the cap gates the whole result. *)
+(** {!analyze} with the Must and then the May problem handed to [solve]
+    instead of {!Dataflow.solve_values}: how a reference solver is
+    compared with the product one. *)
 
 type totals = {
   t_hit : int;
@@ -113,13 +159,12 @@ val profile_interval :
 
 type tracker
 
-val tracker : Prog.program -> tracker
-(** A stay counter over the program's scopes.  Scopes depend only on
-    the program (loops and call graph), and {!analyze} numbers them the
-    same way, so one tracker fed one trace serves every analysis of the
-    program, under any map or geometry: [tracked_entries k si] is the
-    stay count of [scopes.(si)] of each such analysis.  Gated and capped
-    analyses have no scopes and never ask. *)
+val tracker : program -> tracker
+(** A stay counter over the prepared program's scopes, so one tracker
+    fed one trace serves every analysis of the program, under any map or
+    geometry: [tracked_entries k si] is the stay count of
+    [program.scopes.(si)].  Gated and capped analyses classify nothing
+    [First_miss] and never ask. *)
 
 val track : tracker -> int -> Cfg.label -> unit
 (** Feed executed blocks in order; accumulates per-block counts and

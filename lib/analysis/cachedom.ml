@@ -1,8 +1,8 @@
 (* Bounded age-vector lattice for abstract I-cache states.
 
    A state maps every cache line the program can touch (its "line
-   universe": dense ids over the distinct line numbers covered by the
-   address map) to an abstract LRU age in 0..ways, stored as one byte
+   universe": dense ids, the ranks of the distinct line numbers covered
+   by the address map) to an abstract LRU age in 0..ways, stored as one byte
    per line.  Age [ways] is the top element "possibly/definitely absent"
    depending on the domain reading it:
 
@@ -25,38 +25,55 @@ let max_ways = 254
 type universe = {
   ways : int;  (* also the top age *)
   nlines : int;
-  line_no : int array;  (* dense id -> absolute line number *)
-  set_of : int array;  (* dense id -> cache set index *)
-  mates : int array array;  (* dense id -> OTHER dense ids in its set *)
-  nsets : int;
+  line_no : int array;  (* dense id -> absolute line number, ascending *)
+  set_rank : int array;  (* dense id -> rank of its set among occupied sets *)
+  set_ids : int array array;  (* set rank -> its dense ids, ascending *)
 }
 
 type state = Bytes.t
 
-let universe (config : Icache.Config.t) (lines : int list) : universe =
+(* Dense ids are the ranks of the distinct lines, found by binary search;
+   ids sorted by (set, id) group into runs, one shared array per
+   occupied set.  Nothing here is sized by the cache's set count. *)
+let universe (config : Icache.Config.t) (lines : int array) : universe =
   let ways = Icache.Config.ways_of config in
   if ways > max_ways then
     invalid_arg
       (Printf.sprintf "Cachedom.universe: %d ways exceeds the %d-way cap" ways
          max_ways);
   let nsets = Icache.Config.nsets config in
-  let sorted = List.sort_uniq compare lines in
-  let line_no = Array.of_list sorted in
-  let nlines = Array.length line_no in
-  let set_of = Array.map (fun l -> l mod nsets) line_no in
-  let by_set = Array.make nsets [] in
-  Array.iteri (fun id s -> by_set.(s) <- id :: by_set.(s)) set_of;
-  let mates =
-    Array.init nlines (fun id ->
-        List.filter (fun m -> m <> id) by_set.(set_of.(id))
-        |> List.rev |> Array.of_list)
+  let line_no =
+    Array.of_list (List.sort_uniq Int.compare (Array.to_list lines))
   in
-  { ways; nlines; line_no; set_of; mates; nsets }
+  let nlines = Array.length line_no in
+  let set id = line_no.(id) mod nsets in
+  let by_set = Array.init nlines Fun.id in
+  (* stable: ids stay ascending within a set *)
+  Array.stable_sort (fun a b -> Int.compare (set a) (set b)) by_set;
+  let set_rank = Array.make nlines 0 in
+  let runs = ref [] and nruns = ref 0 and start = ref 0 in
+  for i = 1 to nlines do
+    if i = nlines || set by_set.(i) <> set by_set.(!start) then begin
+      let ids = Array.sub by_set !start (i - !start) in
+      Array.iter (fun id -> set_rank.(id) <- !nruns) ids;
+      runs := ids :: !runs;
+      incr nruns;
+      start := i
+    end
+  done;
+  { ways; nlines; line_no; set_rank; set_ids = Array.of_list (List.rev !runs) }
 
-let id_table (u : universe) : (int, int) Hashtbl.t =
-  let tbl = Hashtbl.create (2 * u.nlines) in
-  Array.iteri (fun id l -> Hashtbl.replace tbl l id) u.line_no;
-  tbl
+let id (u : universe) (line : int) : int =
+  let rec search lo hi =
+    if lo >= hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      let l = u.line_no.(mid) in
+      if l = line then mid
+      else if l < line then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 u.nlines
 
 (* All-absent: every age at top.  Both the boundary value (the simulator
    starts each run with an empty cache) and the interior init (for Must
@@ -88,7 +105,9 @@ let may_join_into ~(dst : state) (src : state) : unit =
 
 (* In-place access transfers.  Reading the accessed line's OLD age
    first makes the in-place mate updates safe: each mate moves
-   independently, compared against that saved bound. *)
+   independently, compared against that saved bound.  The walk covers
+   the accessed line's whole set, the line itself included; whatever it
+   does to the line, its age ends at 0. *)
 
 let access_must (u : universe) (st : state) (id : int) : unit =
   let bound = age st id in
@@ -96,7 +115,7 @@ let access_must (u : universe) (st : state) (id : int) : unit =
     (fun m ->
       let a = age st m in
       if a < bound then set_age st m (min (a + 1) u.ways))
-    u.mates.(id);
+    u.set_ids.(u.set_rank.(id));
   set_age st id 0
 
 let access_may (u : universe) (st : state) (id : int) : unit =
@@ -105,7 +124,7 @@ let access_may (u : universe) (st : state) (id : int) : unit =
     (fun m ->
       let a = age st m in
       if a <= bound then set_age st m (min (a + 1) u.ways))
-    u.mates.(id);
+    u.set_ids.(u.set_rank.(id));
   set_age st id 0
 
 let must_lattice (u : universe) : state Dataflow.lattice =

@@ -1,7 +1,7 @@
 (** Bounded age-vector lattice for abstract I-cache states: one byte of
     abstract LRU age (0..ways, [ways] = absent/top) per cache line in
-    the program's line universe, keyed by cache set from
-    {!Icache.Config}.  Must states hold upper bounds on true age
+    the program's line universe, with the lines grouped by their cache
+    set under {!Icache.Config}.  Must states hold upper bounds on true age
     (joined by pointwise max ⇒ [age < ways] certifies a hit); May
     states hold lower bounds (joined by pointwise min ⇒ [age = ways]
     certifies a miss).  {!Absint} runs both as
@@ -14,20 +14,25 @@ val max_ways : int
 type universe = {
   ways : int;  (** top age *)
   nlines : int;
-  line_no : int array;  (** dense id -> absolute line number *)
-  set_of : int array;  (** dense id -> cache set index *)
-  mates : int array array;  (** dense id -> other dense ids in its set *)
-  nsets : int;
+  line_no : int array;  (** dense id -> absolute line number, ascending *)
+  set_rank : int array;
+      (** dense id -> rank of its cache set among the sets the universe
+          occupies *)
+  set_ids : int array array;
+      (** set rank -> the dense ids in that set, ascending *)
 }
 
 type state = Bytes.t
 
-val universe : Icache.Config.t -> int list -> universe
-(** Dense-id universe over the given absolute line numbers (duplicates
-    fine).  Raises [Invalid_argument] beyond {!max_ways} ways. *)
+val universe : Icache.Config.t -> int array -> universe
+(** Dense-id universe over the given absolute line numbers (any order,
+    duplicates fine): an id is the rank of its line among the distinct
+    lines.  Its size follows the lines, not the cache's set count.
+    Raises [Invalid_argument] beyond {!max_ways} ways. *)
 
-val id_table : universe -> (int, int) Hashtbl.t
-(** Absolute line number -> dense id. *)
+val id : universe -> int -> int
+(** Absolute line number -> dense id, by binary search; raises
+    [Not_found] for a line outside the universe. *)
 
 val top : universe -> state
 (** All lines absent — the empty-cache boundary value of both domains. *)

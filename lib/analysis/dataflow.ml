@@ -1,10 +1,17 @@
-(* Iterative forward dataflow: a round-robin worklist over an explicit
-   graph, with the meet taken over graph predecessors and the transfer
-   supplied by the caller.  Values are mutated in place
-   ([assign]/[join_into]/[transfer] write into [dst]), so a lattice
-   instance over byte arrays allocates exactly 2n + 2 states for the
-   whole solve.  No join identity is required: the meet assigns the
-   first contributor and joins the rest. *)
+(* Iterative forward dataflow over an explicit graph, with the meet
+   taken over graph predecessors and the transfer supplied by the
+   caller.  Pending nodes are visited in sweeps over the reverse
+   postorder of the graph (Kam & Ullman, JACM 1976), so within a sweep a
+   node comes after its forward predecessors.  Values are mutated in
+   place ([assign]/[join_into]/[transfer] write into [dst]), so a
+   lattice instance over byte arrays allocates exactly 2n + 2 states for
+   the whole solve.  No join identity is required: the meet assigns the
+   first contributor and joins the rest.
+
+   Every value starts at [make ()], the top of the pointwise order the
+   cache domains use, and every transfer and join is monotone in it, so
+   each iterate stays above the greatest fixpoint and the solve stops
+   there, whatever the visit order: only the pop count depends on it. *)
 
 open Ir
 
@@ -20,8 +27,6 @@ let cap_warning ~max_iters ~iterations =
 
 type 'a lattice = {
   make : unit -> 'a;
-      (* fresh interior value; only nodes never popped (unreachable from
-         every boundary) still hold it in the solution *)
   assign : dst:'a -> 'a -> unit;
   join_into : dst:'a -> 'a -> unit;
   equal : 'a -> 'a -> bool;
@@ -45,6 +50,26 @@ type 'a value_solution = {
   v_warnings : Diag.t list;
 }
 
+(* Reverse postorder of every node: a depth-first walk from each
+   boundary node, then from each node still unvisited in index order,
+   so the nodes no boundary reaches are ordered too. *)
+let reverse_postorder n ~succs ~roots =
+  let order = Array.make n 0 and next = ref n in
+  let seen = Bytes.make n '\000' in
+  let rec walk v =
+    if Bytes.get seen v = '\000' then begin
+      Bytes.set seen v '\001';
+      List.iter walk (succs v);
+      decr next;
+      order.(!next) <- v
+    end
+  in
+  List.iter walk roots;
+  for v = 0 to n - 1 do
+    walk v
+  done;
+  order
+
 let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
   let n = p.v_nnodes in
   let lat = p.v_lattice in
@@ -57,31 +82,25 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
       boundary.(b) <- true;
       lat.assign ~dst:in_.(b) p.v_boundary_value)
     p.v_boundary;
-  let on_list = Array.make n false in
-  let queue = Queue.create () in
+  let order = reverse_postorder n ~succs:p.v_succs ~roots:p.v_boundary in
+  (* Every node starts pending. *)
+  let pending = Array.make n true and npending = ref n in
   let push v =
-    if not on_list.(v) then begin
-      on_list.(v) <- true;
-      Queue.add v queue
+    if not pending.(v) then begin
+      pending.(v) <- true;
+      incr npending
     end
   in
-  List.iter push p.v_boundary;
-  for v = 0 to n - 1 do
-    push v
-  done;
   let iterations = ref 0 in
   let capped = ref false in
   let over_cap () =
     match max_iters with
     | Some m when !iterations >= m ->
         capped := true;
-        Queue.clear queue;
         true
     | _ -> false
   in
-  while not (Queue.is_empty queue || over_cap ()) do
-    let v = Queue.pop queue in
-    on_list.(v) <- false;
+  let visit v =
     incr iterations;
     let preds = p.v_preds v in
     if preds <> [] || boundary.(v) then begin
@@ -101,6 +120,19 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
       lat.assign ~dst:out.(v) scratch;
       List.iter push (p.v_succs v)
     end
+  in
+  (* Sweeps over [order], wrapping round while anything is pending:
+     a node re-queued ahead of the sweep is visited in this sweep, one
+     re-queued behind it (over a back edge) in the next. *)
+  let k = ref 0 in
+  while !npending > 0 && not (over_cap ()) do
+    let v = order.(!k) in
+    if pending.(v) then begin
+      pending.(v) <- false;
+      decr npending;
+      visit v
+    end;
+    k := if !k + 1 = n then 0 else !k + 1
   done;
   Obs.Metrics.incr ~by:!iterations iterations_total;
   let warnings =

@@ -1,9 +1,9 @@
 (** Generic forward dataflow over an explicit flow graph: chaotic
-    iteration over caller-supplied lattice operations, run by a
-    round-robin worklist to the fixpoint.  The cache age-vector domains
-    of {!Absint} are its instances.  Values are mutated in place; [make]
-    need not produce a join identity because the meet assigns its first
-    contributor and joins the rest. *)
+    iteration over caller-supplied lattice operations to the fixpoint,
+    visiting pending nodes in reverse postorder of the graph.  The cache
+    age-vector domains of {!Absint} are its instances.  Values are
+    mutated in place; [make] need not produce a join identity because
+    the meet assigns its first contributor and joins the rest. *)
 
 open Ir
 
@@ -36,7 +36,17 @@ type 'a value_solution = {
 }
 
 val solve_values : ?max_iters:int -> 'a value_problem -> 'a value_solution
-(** [max_iters] caps worklist pops (a widening stand-in for graphs that
+(** Every node starts pending, those no boundary reaches included.  The
+    nodes are numbered in reverse postorder (a depth-first walk from the
+    boundary, then from each unvisited node in index order), and the
+    solve sweeps that order, round after round, visiting the pending
+    nodes until none is left.  When every value starts at the top of a
+    finite order and every transfer and join is monotone in it, each
+    iterate stays above the greatest fixpoint and stops there, so [v_in]
+    and [v_out] do not depend on the visit order; only [v_iterations]
+    does.
+
+    [max_iters] caps worklist pops (a widening stand-in for graphs that
     converge slowly, e.g. irreducible CFGs); hitting it sets [v_capped]
     and logs a warning. *)
 

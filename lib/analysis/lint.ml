@@ -21,7 +21,7 @@
 open Ir
 
 type input = {
-  program : Prog.program;
+  prepared : Absint.program;
   weights : int -> Placement.Weight.cfg_weights;
   calls : Placement.Weight.call_weights;
   profile : Vm.Profile.t option;
@@ -31,12 +31,19 @@ type input = {
   min_prob : float;
 }
 
+(* One weight view per function, built on first use: a view computes its
+   function's incoming arcs, and every pass reads the views. *)
 let of_pipeline ?(min_prob = Placement.Trace_select.default_min_prob)
-    ?strategy (p : Placement.Pipeline.t) ~map ~config =
+    ?strategy ~prepared (p : Placement.Pipeline.t) ~map ~config =
   let profile = p.Placement.Pipeline.profile in
+  let views =
+    Array.init
+      (Array.length prepared.Absint.prog.Prog.funcs)
+      (fun fid -> lazy (Placement.Weight.cfg_of_profile profile fid))
+  in
   {
-    program = p.Placement.Pipeline.program;
-    weights = (fun fid -> Placement.Weight.cfg_of_profile profile fid);
+    prepared;
+    weights = (fun fid -> Lazy.force views.(fid));
     calls = Placement.Weight.call_of_profile profile;
     profile = Some profile;
     map;
@@ -100,7 +107,8 @@ let addr t fid l = t.map.Placement.Address_map.block_addr.(fid).(l)
 let bytes t fid l =
   t.map.Placement.Address_map.block_words.(fid).(l) * Insn.bytes_per_insn
 
-let fname t fid = t.program.Prog.funcs.(fid).Prog.name
+let funcs t = t.prepared.Absint.prog.Prog.funcs
+let fname t fid = (funcs t).(fid).Prog.name
 
 let mk t ?(severity = Diag.Warning) ~pass ~score ?func ?block fmt =
   Fmt.kstr
@@ -186,7 +194,7 @@ let unreachable_pass t =
             end
           end)
         f.Prog.blocks)
-    t.program.Prog.funcs;
+    (funcs t);
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
@@ -200,7 +208,7 @@ let hot_arc_pass t =
     (fun fid (f : Prog.func) ->
       let w = t.weights fid in
       if w.Placement.Weight.func_weight > 0 then begin
-        let dom = Dom.dominators f in
+        let dom = t.prepared.Absint.loops.(fid).Loops.dom in
         Array.iteri
           (fun l _ ->
             let wl = w.Placement.Weight.block l in
@@ -239,7 +247,7 @@ let hot_arc_pass t =
                 (w.Placement.Weight.arcs_out l))
           f.Prog.blocks
       end)
-    t.program.Prog.funcs;
+    (funcs t);
   (List.rev !acc, !total, !broken)
 
 (* ------------------------------------------------------------------ *)
@@ -256,7 +264,7 @@ let loop_pass t =
     (fun fid (f : Prog.func) ->
       let w = t.weights fid in
       if w.Placement.Weight.func_weight > 0 then begin
-        let loops = Loops.of_func f in
+        let loops = t.prepared.Absint.loops.(fid) in
         Array.iter
           (fun (loop : Loops.loop) ->
             let hw = w.Placement.Weight.block loop.Loops.header in
@@ -300,7 +308,7 @@ let loop_pass t =
             end)
           loops.Loops.loops
       end)
-    t.program.Prog.funcs;
+    (funcs t);
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
@@ -328,7 +336,7 @@ let set_footprint t fid (f : Prog.func) =
 let conflict_pass t =
   let nsets = Icache.Config.nsets t.config in
   let ways = Icache.Config.ways_of t.config in
-  let nfuncs = Array.length t.program.Prog.funcs in
+  let nfuncs = Array.length (funcs t) in
   let hot fid =
     (t.weights fid).Placement.Weight.func_weight > 0
   in
@@ -338,7 +346,7 @@ let conflict_pass t =
     match footprints.(fid) with
     | Some fp -> fp
     | None ->
-      let fp = set_footprint t fid t.program.Prog.funcs.(fid) in
+      let fp = set_footprint t fid (funcs t).(fid) in
       footprints.(fid) <- Some fp;
       fp
   in
@@ -397,7 +405,7 @@ let conflict_pass t =
    {!Absint} is a pair of dataflow solves. *)
 
 let absint_pass t =
-  let a = Absint.analyze t.config t.map t.program in
+  let a = Absint.analyze t.config t.map t.prepared in
   let counts fid l = (t.weights fid).Placement.Weight.block l in
   let certified = Absint.profile_interval a ~weights:t.weights in
   let acc = ref [] in
@@ -414,8 +422,9 @@ let absint_pass t =
         }
         :: !acc)
     a.Absint.warnings;
-  for v = 0 to a.Absint.nnodes - 1 do
-    let fid = a.Absint.node_fid.(v) and l = a.Absint.node_label.(v) in
+  let p = t.prepared in
+  for v = 0 to p.Absint.nnodes - 1 do
+    let fid = p.Absint.node_fid.(v) and l = p.Absint.node_label.(v) in
     let w = counts fid l in
     if w > 0 then begin
       let nmiss =

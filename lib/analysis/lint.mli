@@ -27,7 +27,9 @@
 open Ir
 
 type input = {
-  program : Prog.program;
+  prepared : Absint.program;
+      (** the program, with the loop forests and dominators the
+          [hot-arc] and [loop-split] passes read *)
   weights : int -> Placement.Weight.cfg_weights;
   calls : Placement.Weight.call_weights;
   profile : Vm.Profile.t option;  (** enables the [flow] pass *)
@@ -41,12 +43,15 @@ val of_pipeline :
   ?min_prob:float ->
   (* default {!Placement.Trace_select.default_min_prob} *)
   ?strategy:string ->
+  prepared:Absint.program ->
   Placement.Pipeline.t ->
   map:Placement.Address_map.t ->
   config:Icache.Config.t ->
   input
 (** Lint input for a completed pipeline's program/profile under any of
-    its strategy maps. *)
+    its strategy maps; [prepared] is {!Absint.prepare} of the
+    pipeline's program.  The weight views are built lazily, one per
+    function, and shared by every pass. *)
 
 type finding = {
   pass : string;

@@ -24,6 +24,7 @@ type t = {
   loop_of : int array;
   reducible : bool;
   irreducible_edges : (Cfg.label * Cfg.label) list;
+  dom : Dom.t;
 }
 
 let of_func (f : Prog.func) : t =
@@ -135,4 +136,5 @@ let of_func (f : Prog.func) : t =
     loop_of;
     reducible = irreducible_edges = [];
     irreducible_edges;
+    dom;
   }

@@ -26,6 +26,7 @@ type t = {
   reducible : bool;
   irreducible_edges : (Cfg.label * Cfg.label) list;
       (** retreating edges whose target does not dominate their source *)
+  dom : Dom.t;  (** the dominator tree the loops were found with *)
 }
 
 val of_func : Prog.func -> t

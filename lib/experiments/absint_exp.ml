@@ -85,9 +85,8 @@ let analyze_entry ?max_iters ~config e (s : Placement.Strategy.t) : result =
   let id = s.Placement.Strategy.id in
   let p = Context.pipeline e in
   let map = Context.strategy_map e s in
-  let prog = p.Placement.Pipeline.program in
   let profile = p.Placement.Pipeline.profile in
-  let t = Absint.analyze ?max_iters config map prog in
+  let t = Absint.analyze ?max_iters config map (Context.absint_program e) in
   let certified =
     Absint.profile_interval t
       ~weights:(Placement.Weight.cfg_of_profile profile)
@@ -101,7 +100,10 @@ let analyze_entry ?max_iters ~config e (s : Placement.Strategy.t) : result =
     certified;
     gated = t.Absint.gated;
     consistent = t.Absint.consistent;
-    scopes = Array.length t.Absint.scopes;
+    scopes =
+      (match t.Absint.gated with
+      | Some _ -> 0
+      | None -> Array.length t.Absint.program.Absint.scopes);
     must_iterations = t.Absint.must_iterations;
     may_iterations = t.Absint.may_iterations;
   }
@@ -191,15 +193,14 @@ let compute ?(configs = default_configs)
          Obs.Span.with_ ~stage:"absint-exp"
            ~attrs:[ ("bench", Context.name e) ]
          @@ fun () ->
-         let p = Context.pipeline e in
-         let prog = p.Placement.Pipeline.program in
-         let profile = p.Placement.Pipeline.profile in
+         let profile = (Context.pipeline e).Placement.Pipeline.profile in
+         let prepared = Context.absint_program e in
          let trace = Context.trace e in
          (* Block and stay counts depend only on the program and the
             trace, so one walk serves every (strategy, config). *)
          let k =
            Obs.Span.with_ ~stage:"absint.track" @@ fun () ->
-           let k = Absint.tracker prog in
+           let k = Absint.tracker prepared in
            Sim.Trace.iter_blocks (Absint.track k) trace;
            k
          in
@@ -208,6 +209,9 @@ let compute ?(configs = default_configs)
              let id = s.Placement.Strategy.id in
              let map = Context.strategy_map e s in
              let est_of config =
+               Obs.Span.with_ ~stage:"absint-exp"
+                 ~attrs:[ ("phase", "estimate") ]
+               @@ fun () ->
                Sim.Estimate.estimate config map
                  ~block_weight:(Vm.Profile.block_weight profile)
                  ~func_entries:(Vm.Profile.func_weight profile)
@@ -216,12 +220,13 @@ let compute ?(configs = default_configs)
              let sims = Context.simulate_many e configs map trace in
              List.map2
                (fun config (r : Sim.Driver.result) ->
-                 let t = Absint.analyze config map prog in
-                 let iv =
-                   Absint.interval t ~counts:(Absint.tracked_counts k)
-                     ~entries:(Absint.tracked_entries k)
+                 let t = Absint.analyze config map prepared in
+                 let iv, tot =
+                   Obs.Span.with_ ~stage:"absint.interval" @@ fun () ->
+                   ( Absint.interval t ~counts:(Absint.tracked_counts k)
+                       ~entries:(Absint.tracked_entries k),
+                     Absint.totals t )
                  in
-                 let tot = Absint.totals t in
                  let ratio n =
                    if r.Sim.Driver.accesses = 0 then 0.
                    else float_of_int n /. float_of_int r.Sim.Driver.accesses

@@ -57,6 +57,8 @@ type entry = {
   trace : Sim.Trace.t Lazy.t; (* inlined program, trace input *)
   original_trace : Sim.Trace.t Lazy.t; (* pre-inlining program *)
   lazy_original_map : Placement.Address_map.t Lazy.t;
+  absint_program : Analysis.Absint.program Lazy.t;
+      (* the inlined program's supergraph and scopes, once per entry *)
   mutable strategy_maps : (string * Placement.Address_map.t) list;
       (* strategy id -> map of the inlined program under that strategy,
          most recently used first (so the cap drops the coldest) *)
@@ -141,6 +143,11 @@ let make_entry ?memo_cap ?strategy_cap bench =
       (Placement.Address_map.natural
          (Lazy.force pipeline).Placement.Pipeline.original)
   in
+  let absint_program =
+    lazy
+      (Analysis.Absint.prepare
+         (Lazy.force pipeline).Placement.Pipeline.program)
+  in
   {
     bench;
     lock = Mutex.create ();
@@ -153,6 +160,7 @@ let make_entry ?memo_cap ?strategy_cap bench =
     trace;
     original_trace;
     lazy_original_map;
+    absint_program;
     strategy_maps = [];
     warnings = [];
     scaled_maps = [];
@@ -179,6 +187,27 @@ let create ?(scale = 1) ?memo_cap ?strategy_cap ?names () =
 
 let entries t = t
 
+(* Fresh entries over the same lazies: pipelines, traces, the original
+   map and the prepared program are shared (forced or not), and every
+   memo starts empty, the span programs with the interned maps. *)
+let reset (t : t) : t =
+  List.map
+    (fun e ->
+      {
+        e with
+        lock = Mutex.create ();
+        memo_tick = 0;
+        memo_evicted = 0;
+        strategy_maps = [];
+        warnings = [];
+        scaled_maps = [];
+        map_ids = [];
+        next_map_id = 0;
+        trace_ids = [];
+        sim_cache = Hashtbl.create 64;
+      })
+    t
+
 let find t name =
   match
     List.find_opt (fun e -> e.bench.Workloads.Bench.name = name) t
@@ -202,6 +231,7 @@ let original_trace e = locked e (fun () -> Lazy.force e.original_trace)
 let optimized_map e = (pipeline e).Placement.Pipeline.optimized
 let natural_map e = (pipeline e).Placement.Pipeline.natural
 let original_map e = locked e (fun () -> Lazy.force e.lazy_original_map)
+let absint_program e = locked e (fun () -> Lazy.force e.absint_program)
 
 (* Address map of the inlined program under a registered layout
    strategy, built at most once per (entry, strategy).

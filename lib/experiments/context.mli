@@ -39,6 +39,7 @@ type entry = {
   trace : Sim.Trace.t Lazy.t;
   original_trace : Sim.Trace.t Lazy.t;
   lazy_original_map : Placement.Address_map.t Lazy.t;
+  absint_program : Analysis.Absint.program Lazy.t;
   mutable strategy_maps : (string * Placement.Address_map.t) list;
   mutable warnings : Ir.Diag.t list;
   mutable scaled_maps : (float * Placement.Address_map.t) list;
@@ -72,6 +73,15 @@ val create :
 
 val entries : t -> entry list
 
+val reset : t -> t
+(** The same benchmarks with every memo emptied: new entries that share
+    the pipelines, traces, original map and prepared program (forced or
+    not), with no strategy, scaled or interned maps (so no span
+    programs), no simulation results, no warnings and a zeroed eviction
+    count.  Tables regenerated from them are byte-identical.  Each new
+    entry has a lock of its own, so use the old and the new entries from
+    one domain at a time: a shared lazy is forced under either lock. *)
+
 val find : t -> string -> entry
 (** Raises [Workloads.Registry.Unknown_benchmark]. *)
 
@@ -86,6 +96,11 @@ val natural_map : entry -> Placement.Address_map.t
 val original_map : entry -> Placement.Address_map.t
 (** Natural layout of the pre-inlining program: the fully unoptimized
     baseline.  Memoized. *)
+
+val absint_program : entry -> Analysis.Absint.program
+(** {!Analysis.Absint.prepare} of the inlined program, built once per
+    entry: every static analysis of the entry (lint, certified bounds,
+    E19) shares it. *)
 
 val strategy_map : entry -> Placement.Strategy.t -> Placement.Address_map.t
 (** Address map of the inlined program under a registered layout

@@ -28,7 +28,8 @@ let lint_entry ?min_prob e (s : Placement.Strategy.t) =
   let p = Context.pipeline e in
   let map = Context.strategy_map e s in
   let input =
-    Analysis.Lint.of_pipeline ?min_prob ~strategy:id p ~map ~config
+    Analysis.Lint.of_pipeline ?min_prob ~strategy:id
+      ~prepared:(Context.absint_program e) p ~map ~config
   in
   let profile = p.Placement.Pipeline.profile in
   let estimate =

@@ -59,8 +59,12 @@ let simulation_cross_check e : Ir.Diag.t list =
         ])
     (strategy_maps e)
 
+(* Each pass gets a span of its own, inside the run's [validate] span. *)
+let pass name f = Obs.Span.with_ ~stage:"validate" ~attrs:[ ("pass", name) ] f
+
 let check_entry ?(level = Cheap) (e : Context.entry) : Ir.Diag.t list =
   let pipeline_diags =
+    pass "pipeline" @@ fun () ->
     Placement.Validate.pipeline ~level (Context.pipeline e)
   in
   (* Per-strategy address maps.  [Context.strategy_map] substitutes the
@@ -68,6 +72,7 @@ let check_entry ?(level = Cheap) (e : Context.entry) : Ir.Diag.t list =
      that case the map no longer carries the strategy's metadata claims,
      so validate it as a plain map. *)
   let per_strategy =
+    pass "maps" @@ fun () ->
     List.concat_map
       (fun ((s : Placement.Strategy.t), map) ->
         let p = Context.pipeline e in
@@ -82,8 +87,12 @@ let check_entry ?(level = Cheap) (e : Context.entry) : Ir.Diag.t list =
           map)
       (strategy_maps e)
   in
-  let invariance = layout_invariance e in
-  let sim = match level with Cheap -> [] | Full -> simulation_cross_check e in
+  let invariance = pass "invariance" @@ fun () -> layout_invariance e in
+  let sim =
+    match level with
+    | Cheap -> []
+    | Full -> pass "cross-check" @@ fun () -> simulation_cross_check e
+  in
   let fallbacks = Context.warnings e in
   pipeline_diags @ per_strategy @ invariance @ sim @ fallbacks
 

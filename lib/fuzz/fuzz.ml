@@ -212,6 +212,12 @@ let check_program ?(strategies = Placement.Strategy.all)
             match strategy_diags @ map_diags with
             | _ :: _ as ds -> ds
             | [] -> (
+              (* One prepared program serves the linter and the
+                 soundness oracle under every map; forced inside their
+                 [catching], so a failure is reported by each. *)
+              let prepared =
+                lazy (Analysis.Absint.prepare p.Placement.Pipeline.program)
+              in
               (* The static linter must survive every generated program
                  under every strategy map, and its error-severity
                  findings (profile weight on a statically dead block,
@@ -225,7 +231,8 @@ let check_program ?(strategies = Placement.Strategy.all)
                       catching Ir.Diag.Lint (fun () ->
                           Analysis.Lint.run
                             (Analysis.Lint.of_pipeline
-                               ~strategy:s.Placement.Strategy.id p ~map:m
+                               ~strategy:s.Placement.Strategy.id
+                               ~prepared:(Lazy.force prepared) p ~map:m
                                ~config:sim_config))
                     with
                     | Error ds -> ds
@@ -284,7 +291,7 @@ let check_program ?(strategies = Placement.Strategy.all)
                         match
                           catching Ir.Diag.Simulation (fun () ->
                               Oracle.Absint_soundness.check ~strategy:id
-                                p.Placement.Pipeline.program m trace)
+                                (Lazy.force prepared) m trace)
                         with
                         | Error ds -> tagged ds
                         | Ok ds -> ds)

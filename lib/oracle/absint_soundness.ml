@@ -14,9 +14,9 @@ let default_configs =
     Icache.Config.make ~size:512 ~block:16 ~assoc:(Ways 2) ();
   ]
 
-let check ?(configs = default_configs) ~strategy
-    (prog : Ir.Prog.program) (map : Placement.Address_map.t)
-    (trace : Sim.Trace.t) : Ir.Diag.t list =
+let check ?(configs = default_configs) ~strategy (p : Absint.program)
+    (map : Placement.Address_map.t) (trace : Sim.Trace.t) : Ir.Diag.t list =
+  let prog = p.Absint.prog in
   let diags = ref [] in
   let fail fmt =
     Fmt.kstr
@@ -29,7 +29,7 @@ let check ?(configs = default_configs) ~strategy
   in
   List.iter
     (fun config ->
-      let t = Absint.analyze config map prog in
+      let t = Absint.analyze config map p in
       if not t.Absint.consistent then
         fail "absint oracle: inconsistent domains at %s (must-hit and \
               may-absent on one access)"
@@ -37,7 +37,7 @@ let check ?(configs = default_configs) ~strategy
       match (t.Absint.gated, t.Absint.universe) with
       | Some _, _ | _, None -> ()
       | None, Some u ->
-          let k = Absint.tracker prog in
+          let k = Absint.tracker p in
           let cache = Icache.Cache.create config in
           let line_bytes = config.Icache.Config.block in
           let fm_misses = Hashtbl.create 32 in
@@ -96,9 +96,9 @@ let check ?(configs = default_configs) ~strategy
                   "absint oracle: first-miss line %d missed %d times but \
                    its scope (%s b%d) was entered %d times under %s"
                   u.Cachedom.line_no.(id) misses
-                  prog.Ir.Prog.funcs.(t.Absint.scopes.(si).Absint.s_fid)
+                  prog.Ir.Prog.funcs.(p.Absint.scopes.(si).Absint.s_fid)
                     .Ir.Prog.name
-                  t.Absint.scopes.(si).Absint.s_header entries
+                  p.Absint.scopes.(si).Absint.s_header entries
                   (Icache.Config.describe config))
             fm_misses;
           let iv =

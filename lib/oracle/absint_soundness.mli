@@ -5,7 +5,7 @@
 val check :
   ?configs:Icache.Config.t list ->
   strategy:string ->
-  Ir.Prog.program ->
+  Analysis.Absint.program ->
   Placement.Address_map.t ->
   Sim.Trace.t ->
   Ir.Diag.t list

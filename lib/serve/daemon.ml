@@ -218,7 +218,7 @@ let cached_absint t entry cache_config =
   cached t t.absint_cache ~key (fun () ->
       Analysis.Absint.analyze cache_config
         (Experiments.Context.natural_map entry)
-        (Experiments.Context.pipeline entry).Placement.Pipeline.program)
+        (Experiments.Context.absint_program entry))
 
 let certified_json cache_config (a : Analysis.Absint.t)
     (iv : Analysis.Absint.interval) =

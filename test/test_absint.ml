@@ -3,8 +3,9 @@
    pair, a first-miss loop body), the irreducible and iteration-cap
    degradations, QCheck properties (domain consistency and one shared
    stay tracker over generated programs, lattice monotonicity over
-   random age vectors), -j
-   stability, and the acceptance check that the certified ranking on
+   random age vectors, the reverse-postorder solve against the
+   round-robin oracle, one prepared program reused across geometries),
+   -j stability, and the acceptance check that the certified ranking on
    yacc at 8KB agrees with the simulated impact-vs-natural ordering. *)
 
 open Ir
@@ -33,8 +34,8 @@ let record_trace prog =
 let oracle_clean what ?configs prog map =
   let trace = record_trace prog in
   match
-    Oracle.Absint_soundness.check ?configs ~strategy:"natural" prog map
-      trace
+    Oracle.Absint_soundness.check ?configs ~strategy:"natural"
+      (Analysis.Absint.prepare prog) map trace
   with
   | [] -> ()
   | d :: _ -> Alcotest.failf "%s: oracle violation: %s" what (Diag.to_string d)
@@ -62,7 +63,9 @@ let straight_prog =
 let straight_line_exact () =
   let map = Placement.Address_map.natural straight_prog in
   let config = Icache.Config.make ~size:128 ~block:16 () in
-  let a = Analysis.Absint.analyze config map straight_prog in
+  let a =
+    Analysis.Absint.analyze config map (Analysis.Absint.prepare straight_prog)
+  in
   Alcotest.(check (option string)) "not gated" None a.Analysis.Absint.gated;
   check_cls "b0 cold" "miss" a 0 0;
   check_cls "b1 cold" "miss" a 0 1;
@@ -102,7 +105,9 @@ let conflict_prog =
 let conflict_pair_always_miss () =
   let map = Placement.Address_map.natural conflict_prog in
   let config = Icache.Config.make ~size:32 ~block:16 () in
-  let a = Analysis.Absint.analyze config map conflict_prog in
+  let a =
+    Analysis.Absint.analyze config map (Analysis.Absint.prepare conflict_prog)
+  in
   Alcotest.(check (option string)) "not gated" None a.Analysis.Absint.gated;
   (* The header and the latch thrash one set; the middle block owns the
      other and is a first-miss once the loop is entered. *)
@@ -112,7 +117,7 @@ let conflict_pair_always_miss () =
      a.Analysis.Absint.cls.(Analysis.Absint.gid a 0 2)
    with
   | [| Analysis.Absint.First_miss si |] ->
-      let s = a.Analysis.Absint.scopes.(si) in
+      let s = a.Analysis.Absint.program.Analysis.Absint.scopes.(si) in
       Alcotest.(check int) "scope headed at the loop header" 1
         s.Analysis.Absint.s_header
   | [| c |] -> Alcotest.failf "body block should be first-miss, got %s" (cls_str c)
@@ -135,7 +140,9 @@ let loop_first_miss_body () =
      loop block is at worst a first miss and the certified interval
      under one loop entry collapses to the five cold misses. *)
   let config = Icache.Config.make ~size:128 ~block:16 () in
-  let a = Analysis.Absint.analyze config map conflict_prog in
+  let a =
+    Analysis.Absint.analyze config map (Analysis.Absint.prepare conflict_prog)
+  in
   Array.iter
     (fun label ->
       match a.Analysis.Absint.cls.(Analysis.Absint.gid a 0 label) with
@@ -189,7 +196,10 @@ let irreducible_prog =
 let irreducible_degrades () =
   let map = Placement.Address_map.natural irreducible_prog in
   let config = Icache.Config.make ~size:128 ~block:16 () in
-  let a = Analysis.Absint.analyze config map irreducible_prog in
+  let a =
+    Analysis.Absint.analyze config map
+      (Analysis.Absint.prepare irreducible_prog)
+  in
   (* Not a whole-analysis gate: only the irreducible function loses its
      classifications, with a warning naming it. *)
   Alcotest.(check (option string)) "not gated" None a.Analysis.Absint.gated;
@@ -229,7 +239,10 @@ let irreducible_degrades () =
 let solver_cap_degrades () =
   let map = Placement.Address_map.natural conflict_prog in
   let config = Icache.Config.make ~size:32 ~block:16 () in
-  let a = Analysis.Absint.analyze ~max_iters:1 config map conflict_prog in
+  let a =
+    Analysis.Absint.analyze ~max_iters:1 config map
+      (Analysis.Absint.prepare conflict_prog)
+  in
   Alcotest.(check bool) "capped" true a.Analysis.Absint.capped;
   (match a.Analysis.Absint.gated with
   | Some reason ->
@@ -255,9 +268,10 @@ let prop_domains_consistent =
     (fun seed ->
       let prog = Lower.program (Oracle.Gen.generate ~size:40 seed) in
       let map = Placement.Address_map.natural prog in
+      let prepared = Analysis.Absint.prepare prog in
       List.for_all
         (fun config ->
-          let a = Analysis.Absint.analyze config map prog in
+          let a = Analysis.Absint.analyze config map prepared in
           a.Analysis.Absint.consistent)
         (* the soundness oracle's geometries: 512B/16B direct, 2-way *)
         [
@@ -272,8 +286,9 @@ let prop_domains_consistent =
    fed the trace once, must give the same interval under every E19 and
    oracle geometry and under the natural and IMPACT maps. *)
 let naive_interval (a : Analysis.Absint.t) trace =
-  let scopes = a.Analysis.Absint.scopes in
-  let counts = Array.make a.Analysis.Absint.nnodes 0 in
+  let p = a.Analysis.Absint.program in
+  let scopes = p.Analysis.Absint.scopes in
+  let counts = Array.make p.Analysis.Absint.nnodes 0 in
   let entries = Array.make (Array.length scopes) 0 in
   let prev = ref (-1) in
   Sim.Trace.iter_blocks
@@ -302,7 +317,8 @@ let prop_shared_tracker =
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let prog = pl.Placement.Pipeline.program in
       let trace = Sim.Trace.record prog (Vm.Io.input []) in
-      let k = Analysis.Absint.tracker prog in
+      let prepared = Analysis.Absint.prepare prog in
+      let k = Analysis.Absint.tracker prepared in
       Sim.Trace.iter_blocks (Analysis.Absint.track k) trace;
       let configs =
         [
@@ -319,13 +335,170 @@ let prop_shared_tracker =
         (fun map ->
           List.for_all
             (fun config ->
-              let a = Analysis.Absint.analyze config map prog in
+              let a = Analysis.Absint.analyze config map prepared in
               Analysis.Absint.interval a
                 ~counts:(Analysis.Absint.tracked_counts k)
                 ~entries:(Analysis.Absint.tracked_entries k)
               = naive_interval a trace)
             configs)
         [ pl.Placement.Pipeline.natural; pl.Placement.Pipeline.optimized ])
+
+(* --- solver order -------------------------------------------------- *)
+
+(* [analyze_with] under a solver that keeps the solutions it returns:
+   the Must solve's, then the May solve's. *)
+let analyze_keeping solve config map prepared =
+  let solved = ref [] in
+  let a =
+    Analysis.Absint.analyze_with
+      ~solve:(fun ~max_iters problem ->
+        let s = solve ~max_iters problem in
+        solved := s :: !solved;
+        s)
+      config map prepared
+  in
+  (a, List.rev !solved)
+
+let product_solve ~max_iters p = Analysis.Dataflow.solve_values ~max_iters p
+let oracle_solve ~max_iters p = Oracle.Round_robin.solve_values ~max_iters p
+
+(* Everything an analysis reports except its pop counts. *)
+let same_classes (a : Analysis.Absint.t) (b : Analysis.Absint.t) =
+  a.Analysis.Absint.cls = b.Analysis.Absint.cls
+  && a.Analysis.Absint.accesses = b.Analysis.Absint.accesses
+  && a.Analysis.Absint.naccesses = b.Analysis.Absint.naccesses
+  && a.Analysis.Absint.universe = b.Analysis.Absint.universe
+  && a.Analysis.Absint.gated = b.Analysis.Absint.gated
+  && a.Analysis.Absint.capped = b.Analysis.Absint.capped
+  && a.Analysis.Absint.consistent = b.Analysis.Absint.consistent
+
+(* The reverse-postorder solve and the round-robin oracle reach the same
+   in- and out-states in both domains, so the same classification. *)
+let orders_agree config map prepared =
+  let a, sa = analyze_keeping product_solve config map prepared in
+  let b, sb = analyze_keeping oracle_solve config map prepared in
+  same_classes a b
+  && List.length sa = 2
+  && List.length sb = 2
+  && List.for_all2
+       (fun (x : _ Analysis.Dataflow.value_solution)
+            (y : _ Analysis.Dataflow.value_solution) ->
+         x.Analysis.Dataflow.v_in = y.Analysis.Dataflow.v_in
+         && x.Analysis.Dataflow.v_out = y.Analysis.Dataflow.v_out
+         && not x.Analysis.Dataflow.v_capped)
+       sa sb
+
+(* Direct-mapped, 2-way and 4-way, small enough to conflict on
+   generated programs. *)
+let order_configs =
+  [
+    Icache.Config.make ~size:512 ~block:16 ();
+    Icache.Config.make ~size:512 ~block:16 ~assoc:(Ways 2) ();
+    Icache.Config.make ~size:1024 ~block:16 ~assoc:(Ways 4) ();
+  ]
+
+let prop_order_independent name generate =
+  QCheck.Test.make
+    ~name:("solve order: reverse postorder = round robin, " ^ name)
+    ~count:30
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let p = Lower.program (generate seed) in
+      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+      let prepared = Analysis.Absint.prepare pl.Placement.Pipeline.program in
+      List.for_all
+        (fun map ->
+          List.for_all
+            (fun config -> orders_agree config map prepared)
+            order_configs)
+        [ pl.Placement.Pipeline.natural; pl.Placement.Pipeline.optimized ])
+
+(* [dead] is never called but calls [leaf], so [leaf]'s entry has a
+   predecessor no path from [main] reaches, and [leaf]'s return edge
+   leads into dead code.  A solve that skips the dead call block leaves
+   its out-state at top, which the Must join at [leaf]'s entry keeps. *)
+let dead_pred_prog =
+  Prog.make ~entry:"main"
+    [
+      {
+        Prog.name = "main";
+        nparams = 0;
+        nregs = 2;
+        blocks =
+          [|
+            b ~size:4 [ Insn.Mov (0, Imm 1) ]
+              (Call { callee = "leaf"; args = []; dst = Some 1; ret_to = 1 });
+            b ~size:4 [] (Ret (Some (Insn.Reg 1)));
+          |];
+      };
+      {
+        Prog.name = "dead";
+        nparams = 0;
+        nregs = 2;
+        blocks =
+          [|
+            b ~size:4 [ Insn.Mov (0, Imm 2) ]
+              (Call { callee = "leaf"; args = []; dst = Some 1; ret_to = 1 });
+            b ~size:4 [] (Ret (Some (Insn.Reg 1)));
+          |];
+      };
+      {
+        Prog.name = "leaf";
+        nparams = 0;
+        nregs = 1;
+        blocks =
+          [| b ~size:4 [ Insn.Mov (0, Imm 3) ] (Ret (Some (Insn.Reg 0))) |];
+      };
+    ]
+
+let dead_pred_orders_agree () =
+  let map = Placement.Address_map.natural dead_pred_prog in
+  let prepared = Analysis.Absint.prepare dead_pred_prog in
+  let dead = Prog.func_index dead_pred_prog "dead" in
+  let open Analysis.Absint in
+  Alcotest.(check bool) "dead code is unreachable" false
+    prepared.reachable.(prepared.offsets.(dead));
+  List.iter
+    (fun config ->
+      Alcotest.(check bool)
+        ("same states and classes at " ^ Icache.Config.describe config)
+        true
+        (orders_agree config map prepared))
+    (Icache.Config.make ~size:128 ~block:16 () :: order_configs)
+
+(* Nothing an analysis does changes the prepared program it reads: one
+   prepared program analysed at every geometry in turn gives what a
+   fresh [prepare] per geometry gives, pop counts included. *)
+let prop_prepared_reusable =
+  QCheck.Test.make ~name:"one prepared program serves every geometry"
+    ~count:25
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let p = Lower.program (Oracle.Gen.generate ~size:40 seed) in
+      let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
+      let prog = pl.Placement.Pipeline.program in
+      let map = pl.Placement.Pipeline.optimized in
+      let shared = Analysis.Absint.prepare prog in
+      List.for_all
+        (fun config ->
+          let a = Analysis.Absint.analyze config map shared in
+          let b =
+            Analysis.Absint.analyze config map (Analysis.Absint.prepare prog)
+          in
+          same_classes a b
+          && a.Analysis.Absint.must_iterations
+             = b.Analysis.Absint.must_iterations
+          && a.Analysis.Absint.may_iterations
+             = b.Analysis.Absint.may_iterations
+          && a.Analysis.Absint.warnings = b.Analysis.Absint.warnings
+          && Analysis.Absint.interval a ~counts:(fun _ _ -> 3)
+             = Analysis.Absint.interval b ~counts:(fun _ _ -> 3))
+        (order_configs
+        @ [
+            Icache.Config.make ~size:2048 ~block:64 ();
+            Icache.Config.make ~size:4096 ~block:64 ~assoc:(Ways 2) ();
+            Icache.Config.make ~size:512 ~block:16 ~fill:Partial ();
+          ]))
 
 (* Random age vectors over a fixed line universe: the joins must be
    upper/lower bounds and the transfers monotone in the domain order
@@ -336,7 +509,7 @@ let prop_lattice_monotone =
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
     (fun seed ->
       let config = Icache.Config.make ~assoc:(Icache.Config.Ways 2) ~size:64 ~block:16 () in
-      let u = Analysis.Cachedom.universe config [ 0; 1; 2; 3; 5; 9; 13 ] in
+      let u = Analysis.Cachedom.universe config [| 0; 1; 2; 3; 5; 9; 13 |] in
       let rng = Workloads.Rng.create seed in
       let random_state () =
         let s = Analysis.Cachedom.top u in
@@ -438,6 +611,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_domains_consistent;
     QCheck_alcotest.to_alcotest prop_shared_tracker;
     QCheck_alcotest.to_alcotest prop_lattice_monotone;
+    QCheck_alcotest.to_alcotest
+      (prop_order_independent "generate" (Oracle.Gen.generate ~size:40));
+    QCheck_alcotest.to_alcotest
+      (prop_order_independent "generate_deep"
+         (Oracle.Gen.generate_deep ?size:None));
+    Alcotest.test_case "solve order: dead predecessor" `Quick
+      dead_pred_orders_agree;
+    QCheck_alcotest.to_alcotest prop_prepared_reusable;
     Alcotest.test_case "sweep identical across pool sizes" `Quick
       stability_across_pools;
     Alcotest.test_case "yacc at 8KB: certified ranking matches simulation"

@@ -293,7 +293,7 @@ let lint_dead_weight () =
   in
   let input =
     {
-      Analysis.Lint.program;
+      Analysis.Lint.prepared = Analysis.Absint.prepare program;
       weights;
       calls = no_calls;
       profile = None;

@@ -99,6 +99,38 @@ let context_caching () =
   let t2 = Experiments.Context.trace e in
   Alcotest.(check bool) "trace computed once" true (t1 == t2)
 
+(* [reset] keeps what the entries built (pipelines, traces, the prepared
+   program) and empties every memo; the tables it regenerates are
+   byte-identical to the first run's. *)
+let context_reset () =
+  let ctx = Experiments.Context.create ~names:[ "tee" ] () in
+  let render ctx =
+    List.map
+      (fun spec ->
+        Report.Table.render (Experiments.Runner.run_spec ctx spec).table)
+      Experiments.Runner.all
+  in
+  let first = render ctx in
+  let emptied = Experiments.Context.reset ctx in
+  let e = List.hd ctx and r = List.hd emptied in
+  let open Experiments.Context in
+  Alcotest.(check bool) "the first run memoized results" true
+    (Hashtbl.length e.sim_cache > 0
+    && e.map_ids <> [] && e.strategy_maps <> []);
+  Alcotest.(check int) "no simulation results" 0 (Hashtbl.length r.sim_cache);
+  Alcotest.(check bool) "no memoized maps" true
+    (r.strategy_maps = [] && r.scaled_maps = [] && r.map_ids = []
+   && r.trace_ids = []);
+  Alcotest.(check bool) "no warnings, no evictions" true
+    (r.warnings = [] && r.memo_evicted = 0 && r.memo_tick = 0);
+  Alcotest.(check bool) "pipeline, traces and prepared program kept" true
+    (pipeline r == pipeline e
+    && trace r == trace e
+    && original_trace r == original_trace e
+    && absint_program r == absint_program e);
+  Alcotest.(check (list string)) "tables byte-identical" first
+    (render emptied)
+
 let scaled_map_properties () =
   let ctx = Experiments.Context.create ~names:[ "tee" ] () in
   let e = List.hd (Experiments.Context.entries ctx) in
@@ -120,6 +152,7 @@ let suite =
     Alcotest.test_case "format helpers" `Quick fmt_helpers;
     Alcotest.test_case "charts" `Quick charts;
     Alcotest.test_case "context caching" `Quick context_caching;
+    Alcotest.test_case "context reset" `Quick context_reset;
     Alcotest.test_case "scaled map properties" `Quick scaled_map_properties;
     Alcotest.test_case "all tables render" `Slow all_tables_render;
   ]
