@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci` on every PR.
 
-.PHONY: all build test test-time all-smoke inline-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
+.PHONY: all build test test-time all-smoke inline-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci loc clean
 
 all: build
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	dune runtest
+
+# Code lines (non-blank, non-comment .ml/.mli lines) per library, with
+# the product and test-only totals.
+loc:
+	@python3 test/loc.py
 
 # Suite wall time: the whole test suite rerun from scratch (built
 # artefacts reused), timed end to end.
@@ -149,10 +154,10 @@ serve-smoke:
 	cmp _serve/replay-j2.ndjson test/vectors/serve/responses.ndjson
 	dune exec bin/serve.exe -- --sample -b cmp > _serve/sample.ndjson
 	cmp _serve/sample.ndjson test/vectors/serve/requests.ndjson
-	dune exec bin/serve.exe -- --chaos --chaos-n 200 \
+	dune exec bin/serve.exe -- --chaos \
 	  --chaos-out _serve/chaos.json -q
 	cmp _serve/chaos.json test/vectors/serve/chaos-200.json
-	dune exec bin/serve.exe -- --chaos --chaos-n 200 -j 2 \
+	dune exec bin/serve.exe -- --chaos -j 2 \
 	  --chaos-out _serve/chaos-j2.json -q
 	cmp _serve/chaos-j2.json test/vectors/serve/chaos-200.json
 	dune exec bin/checkjson.exe -- _serve/chaos.json
@@ -184,7 +189,7 @@ trace-smoke:
 # runs on its own default seed (0x50ac), not the chaos campaign's.
 soak-smoke:
 	rm -rf _soak && mkdir -p _soak
-	dune exec bin/serve.exe -- --soak 30 --soak-ceiling-mb 512 \
+	dune exec bin/serve.exe -- --soak 30 \
 	  --soak-out _soak/soak.json -q > _soak/summary.txt
 	cat _soak/summary.txt
 	grep -q "^soak: seed 0x50ac," _soak/summary.txt

@@ -653,7 +653,7 @@ let lint_cmd =
       $ max_findings_arg $ min_prob_arg $ obs_term $ jobs_term)
 
 (* impact absint [-b BENCH] [--strategy S|all] [--size --block --assoc]
-   [--max-iters N] [--format text|json] — abstract interpretation of
+   [--format text|json] — abstract interpretation of
    cache states: per-block always-hit / always-miss / first-miss
    classification and a certified miss-count interval under the profile
    weights.  Like lint, this path never records a trace and never
@@ -668,14 +668,6 @@ let absint_cmd =
     in
     Arg.(value & opt string "all" & info [ "strategy" ] ~docv:"S" ~doc)
   in
-  let max_iters_arg =
-    let doc =
-      "Cap the fixpoint solver at $(docv) worklist pops per domain \
-       (0 = the size-derived default); a capped run degrades to an \
-       unclassified — still sound — result with a warning."
-    in
-    Arg.(value & opt int 0 & info [ "max-iters" ] ~docv:"N" ~doc)
-  in
   let format_arg =
     let doc = "Output format: $(b,text) (default) or $(b,json)." in
     Arg.(
@@ -683,17 +675,16 @@ let absint_cmd =
       & opt (Arg.enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FMT" ~doc)
   in
-  let run names strategy config max_iters format obs jobs =
+  let run names strategy config format obs jobs =
     with_telemetry obs @@ fun () ->
     Placement.Pool.with_default jobs @@ fun () ->
-    let max_iters = if max_iters > 0 then Some max_iters else None in
     let strategies =
       if strategy = "all" then None
       else Some [ Placement.Strategy.find strategy ]
     in
     let ctx = Experiments.Context.create ?names () in
     let results =
-      Experiments.Absint_exp.sweep ?max_iters ~config ?strategies ctx
+      Experiments.Absint_exp.sweep ~config ?strategies ctx
     in
     (match format with
     | `Json ->
@@ -717,7 +708,7 @@ let absint_cmd =
     Term.(
       const run $ bench_names_arg $ strategy_arg
       $ geometry_term ~with_assoc:true ()
-      $ max_iters_arg $ format_arg $ obs_term $ jobs_term)
+      $ format_arg $ obs_term $ jobs_term)
 
 let main_cmd =
   let doc =

@@ -13,11 +13,12 @@
      byte-for-byte against the recorded responses and fail on the first
      divergence (the determinism gate: a replay must agree with the
      recording exactly).
-   - --chaos: run the seeded fault-injection campaign and fail unless
-     every contract holds.
+   - --chaos: run the seeded 200-request fault-injection campaign and
+     fail unless every contract holds.
    - --soak SECONDS: drive the seeded chaos-weighted soak workload for
-     the given duration with telemetry on, assert the memory ceiling,
-     and emit an `impact.soak/v1` report.
+     the given duration with telemetry on, sampling memory every second,
+     assert the 512 MiB live-heap ceiling, and emit an `impact.soak/v1`
+     report.
 
    Every mode answers one request at a time.  -j is still accepted
    (and must be a positive integer) so existing command lines keep
@@ -258,21 +259,19 @@ let harness_daemon config (base : Serve.Daemon.config) =
     scale = config.Serve.Daemon.scale;
   }
 
-let run_chaos config seed n out =
+let run_chaos config seed out =
   let config = harness_daemon config (Serve.Chaos.default_config ()) in
-  let r = Serve.Chaos.run ?seed ~n ~config () in
+  let r = Serve.Chaos.run ?seed ~config () in
   finish ~harness:"chaos" ~summary:(Serve.Chaos.summary r)
     ~json:(Serve.Chaos.report_json r) ~violations:r.violations out
 
-let run_soak config seed duration_s interval_ms ceiling_mb out =
+let run_soak config seed duration_s out =
   let base = Serve.Soak.default_config () in
   let soak_config =
     {
       base with
       Serve.Soak.seed = Option.value seed ~default:base.seed;
       duration_s;
-      interval_s = float interval_ms /. 1000.0;
-      ceiling_bytes = ceiling_mb * 1024 * 1024;
       daemon =
         {
           (harness_daemon config base.daemon) with
@@ -318,10 +317,6 @@ let chaos_arg =
   let doc = "Run the seeded fault-injection campaign and exit." in
   Arg.(value & flag & info [ "chaos" ] ~doc)
 
-let chaos_n_arg =
-  let doc = "Number of chaos requests." in
-  Arg.(value & opt int 200 & info [ "chaos-n" ] ~docv:"N" ~doc)
-
 let seed_arg =
   let doc =
     "Seed of the $(b,--chaos) campaign or the $(b,--soak) workload (default: \
@@ -347,20 +342,12 @@ let soak_arg =
   in
   Arg.(value & opt (some float) None & info [ "soak" ] ~docv:"SECONDS" ~doc)
 
-let soak_interval_arg =
-  let doc = "Memory sampling period for the soak, in milliseconds." in
-  Arg.(value & opt int 1000 & info [ "soak-interval-ms" ] ~docv:"MS" ~doc)
-
-let soak_ceiling_arg =
-  let doc = "OCaml live-heap ceiling asserted by the soak, in MiB." in
-  Arg.(value & opt int 512 & info [ "soak-ceiling-mb" ] ~docv:"MB" ~doc)
-
 let soak_out_arg =
   let doc = "Write the impact.soak/v1 report as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "soak-out" ] ~docv:"FILE" ~doc)
 
 let run config _jobs quiet metrics_out trace_out socket sample replay expect
-    chaos chaos_n seed chaos_out soak soak_interval soak_ceiling soak_out =
+    chaos seed chaos_out soak soak_out =
   (* The slow-request log needs the span tree, so --slow-ms implies
      recording even without a trace file. *)
   if config.Serve.Daemon.slow_ms <> None then Obs.Span.set_enabled true;
@@ -369,11 +356,11 @@ let run config _jobs quiet metrics_out trace_out socket sample replay expect
     List.iter print_endline (sample_lines config);
     0
   end
-  else if chaos then run_chaos config seed chaos_n chaos_out
+  else if chaos then run_chaos config seed chaos_out
   else
     match soak with
     | Some duration_s ->
-        run_soak config seed duration_s soak_interval soak_ceiling soak_out
+        run_soak config seed duration_s soak_out
     | None -> (
         match replay with
         | Some requests -> run_replay config requests expect
@@ -386,7 +373,6 @@ let cmd =
     Term.(
       const run $ config_term $ jobs_term $ quiet_arg $ metrics_arg
       $ trace_arg $ socket_arg $ sample_arg $ replay_arg $ expect_arg
-      $ chaos_arg $ chaos_n_arg $ seed_arg $ chaos_out_arg $ soak_arg
-      $ soak_interval_arg $ soak_ceiling_arg $ soak_out_arg)
+      $ chaos_arg $ seed_arg $ chaos_out_arg $ soak_arg $ soak_out_arg)
 
 let () = Cli.exit_with (fun () -> Cmd.eval' ~catch:false cmd)

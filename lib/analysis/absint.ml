@@ -33,7 +33,7 @@
    or partial fills (tag presence no longer implies whole-line
    residence), prefetch (extra fills the transfer does not model),
    associativity beyond the byte-age encoding, a capped (pre-fixpoint)
-   solve, and irreducible functions (the `Loops` witnesses), which
+   solve, and irreducible functions ([Loops.t.reducible] false), which
    degrade per function. *)
 
 open Ir
@@ -170,14 +170,16 @@ let supergraph (prog : Prog.program) ~offsets ~node_fid ~node_label =
   (succs, preds)
 
 let reachable_from entry_gid (succs : int list array) =
-  let reachable = Array.make (Array.length succs) false in
-  let rec reach v =
-    if not reachable.(v) then begin
-      reachable.(v) <- true;
-      List.iter reach succs.(v)
-    end
+  let n = Array.length succs in
+  let order, nreached =
+    Dataflow.reverse_postorder n
+      ~succs:(fun v -> succs.(v))
+      ~roots:[ entry_gid ]
   in
-  reach entry_gid;
+  let reachable = Array.make n false in
+  for k = n - nreached to n - 1 do
+    reachable.(order.(k)) <- true
+  done;
   reachable
 
 (* Natural-loop scopes, per reducible function.  A scope's conflict
@@ -364,7 +366,7 @@ let persistence (p : program) (u : Cachedom.universe) ~accesses =
       fits)
     p.closures
 
-let analyze_with ~solve ?max_iters (config : Icache.Config.t)
+let analyze_with ~solve (config : Icache.Config.t)
     (map : Placement.Address_map.t) (p : program) : t =
   Obs.Span.with_ ~stage:"absint.analyze" @@ fun () ->
   let nnodes = p.nnodes in
@@ -418,9 +420,7 @@ let analyze_with ~solve ?max_iters (config : Icache.Config.t)
         Cachedom.universe config (Array.concat (Array.to_list lines_of_node))
       in
       let accesses = Array.map (Array.map (Cachedom.id u)) lines_of_node in
-      let max_iters =
-        match max_iters with Some m -> m | None -> default_max_iters nnodes
-      in
+      let max_iters = default_max_iters nnodes in
       let solve lattice access =
         solve ~max_iters
           {
@@ -523,9 +523,9 @@ let analyze_with ~solve ?max_iters (config : Icache.Config.t)
         }
       end
 
-let analyze ?max_iters config map p =
+let analyze config map p =
   analyze_with ~solve:(fun ~max_iters -> Dataflow.solve_values ~max_iters)
-    ?max_iters config map p
+    config map p
 
 (* Static (unweighted) classification census. *)
 

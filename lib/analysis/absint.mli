@@ -9,8 +9,9 @@
     analysis cannot promise is [Unknown], and whole configurations it
     cannot model (sectored/partial fill, prefetch, >254 ways, a capped
     solve) are gated — [gated] names the reason and every access stays
-    [Unknown].  Irreducible functions degrade to [Unknown] per
-    function, with a warning carrying the {!Loops} witness.
+    [Unknown].  Irreducible functions ({!Loops.t.reducible} false)
+    degrade to [Unknown] per function, with a warning that names the
+    function.
 
     What depends only on the program (supergraph, reachability, loop
     forests, scopes) is built once by {!prepare}; each {!analyze} of a
@@ -87,8 +88,7 @@ type t = {
 
 val gid : t -> int -> Cfg.label -> int
 
-val analyze :
-  ?max_iters:int -> Icache.Config.t -> Placement.Address_map.t -> program -> t
+val analyze : Icache.Config.t -> Placement.Address_map.t -> program -> t
 (** Must and May solves over the prepared supergraph, then the
     classification.  An access that is neither a guaranteed hit nor a
     guaranteed miss is [First_miss si] for the first candidate scope
@@ -97,22 +97,22 @@ val analyze :
     Persistence is kept per dense line id, so nothing here is sized by
     the cache's set count.  [First_miss] indexes [program.scopes].
 
-    [max_iters] defaults to [1000 + 100 * nodes] of the supergraph;
-    hitting the cap gates the whole result. *)
+    Each solve is capped at [1000 + 100 * nodes] worklist pops of the
+    supergraph, a safety bound; hitting it gates the whole result. *)
 
 val analyze_with :
   solve:
     (max_iters:int ->
     Cachedom.state Dataflow.value_problem ->
     Cachedom.state Dataflow.value_solution) ->
-  ?max_iters:int ->
   Icache.Config.t ->
   Placement.Address_map.t ->
   program ->
   t
 (** {!analyze} with the Must and then the May problem handed to [solve]
-    instead of {!Dataflow.solve_values}: how a reference solver is
-    compared with the product one. *)
+    instead of {!Dataflow.solve_values}, with the size-derived cap as
+    [max_iters]: how a reference solver is compared with the product
+    one, and how a test reaches the capped path. *)
 
 type totals = {
   t_hit : int;

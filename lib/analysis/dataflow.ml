@@ -51,8 +51,9 @@ type 'a value_solution = {
 }
 
 (* Reverse postorder of every node: a depth-first walk from each
-   boundary node, then from each node still unvisited in index order,
-   so the nodes no boundary reaches are ordered too. *)
+   root, then from each node still unvisited in index order, so the
+   nodes no root reaches are ordered too.  Postorder fills [order] from
+   the back, so the roots' walk ends up in its last [reached] slots. *)
 let reverse_postorder n ~succs ~roots =
   let order = Array.make n 0 and next = ref n in
   let seen = Bytes.make n '\000' in
@@ -65,10 +66,11 @@ let reverse_postorder n ~succs ~roots =
     end
   in
   List.iter walk roots;
+  let reached = n - !next in
   for v = 0 to n - 1 do
     walk v
   done;
-  order
+  (order, reached)
 
 let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
   let n = p.v_nnodes in
@@ -82,7 +84,7 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
       boundary.(b) <- true;
       lat.assign ~dst:in_.(b) p.v_boundary_value)
     p.v_boundary;
-  let order = reverse_postorder n ~succs:p.v_succs ~roots:p.v_boundary in
+  let order, _ = reverse_postorder n ~succs:p.v_succs ~roots:p.v_boundary in
   (* Every node starts pending. *)
   let pending = Array.make n true and npending = ref n in
   let push v =

@@ -50,5 +50,13 @@ val solve_values : ?max_iters:int -> 'a value_problem -> 'a value_solution
     converge slowly, e.g. irreducible CFGs); hitting it sets [v_capped]
     and logs a warning. *)
 
+val reverse_postorder :
+  int -> succs:(int -> int list) -> roots:int list -> int array * int
+(** [reverse_postorder n ~succs ~roots] is [(order, reached)]: every
+    node of [0 .. n-1] in reverse postorder of a depth-first walk from
+    [roots], then from each unvisited node in index order.  The last
+    [reached] entries of [order] are the nodes the roots reach, in their
+    own reverse postorder; the nodes no root reaches come first. *)
+
 val cfg_preds : Cfg.block array -> Cfg.label list array
 (** Predecessor lists derived from {!Cfg.successors}, deduplicated. *)

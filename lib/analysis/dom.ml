@@ -8,31 +8,23 @@
 
 open Ir
 
-type t = { root : int; idom : int array }
+type t = { root : int; idom : int array; rpo : int array }
 
-(* Generic core over an explicit graph. *)
-let compute ~nnodes ~root ~succs ~preds =
-  let rpo = Array.make nnodes (-1) in
-  let order = Array.make nnodes (-1) in
-  (* order: nodes in reverse postorder *)
-  let visited = Array.make nnodes false in
-  let next = ref nnodes in
-  (* Iterative DFS computing postorder, then reversed by filling [order]
-     from the back. *)
-  let rec visit v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      List.iter visit (succs v);
-      decr next;
-      order.(!next) <- v
-    end
+let dominators (f : Prog.func) : t =
+  let blocks = f.Prog.blocks in
+  let n = Array.length blocks in
+  let preds = Dataflow.cfg_preds blocks in
+  let root = 0 in
+  let order, nreached =
+    Dataflow.reverse_postorder n
+      ~succs:(fun l -> Cfg.successors blocks.(l))
+      ~roots:[ root ]
   in
-  visit root;
-  let first = !next in
-  (* Compact the visited prefix and number it. *)
-  let reached = Array.sub order first (nnodes - first) in
+  (* The entry's walk fills the last [nreached] slots of [order]. *)
+  let reached = Array.sub order (n - nreached) nreached in
+  let rpo = Array.make n (-1) in
   Array.iteri (fun k v -> rpo.(v) <- k) reached;
-  let idom = Array.make nnodes (-1) in
+  let idom = Array.make n (-1) in
   idom.(root) <- root;
   let rec intersect a b =
     if a = b then a
@@ -52,7 +44,7 @@ let compute ~nnodes ~root ~succs ~preds =
                 else match acc with
                   | None -> Some p
                   | Some a -> Some (intersect a p))
-              None (preds v)
+              None preds.(v)
           in
           match new_idom with
           | Some d when idom.(v) <> d ->
@@ -62,14 +54,7 @@ let compute ~nnodes ~root ~succs ~preds =
         end)
       reached
   done;
-  { root; idom }
-
-let dominators (f : Prog.func) : t =
-  let blocks = f.Prog.blocks in
-  let preds = Dataflow.cfg_preds blocks in
-  compute ~nnodes:(Array.length blocks) ~root:0
-    ~succs:(fun l -> Cfg.successors blocks.(l))
-    ~preds:(fun l -> preds.(l))
+  { root; idom; rpo }
 
 let dominates t a b =
   if t.idom.(b) < 0 || t.idom.(a) < 0 then false

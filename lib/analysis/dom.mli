@@ -12,6 +12,9 @@ type t = {
   idom : int array;
       (** immediate dominator per node; [idom.(root) = root]; [-1] when
           the node is disconnected from the root *)
+  rpo : int array;
+      (** reverse-postorder number of a depth-first walk from the root
+          ({!Dataflow.reverse_postorder}); [-1] when disconnected *)
 }
 
 val dominators : Prog.func -> t

@@ -350,25 +350,11 @@ let conflict_pass t =
       footprints.(fid) <- Some fp;
       fp
   in
-  (* Unordered call-graph-adjacent pairs of hot functions. *)
-  let pairs = Hashtbl.create 64 in
-  for fid = 0 to nfuncs - 1 do
-    List.iter
-      (fun g ->
-        if g <> fid then begin
-          let key = (min fid g, max fid g) in
-          if not (Hashtbl.mem pairs key) then Hashtbl.add pairs key ()
-        end)
-      (t.calls.Placement.Weight.callees fid)
-  done;
   let acc = ref [] in
   let score = ref 0. in
   Hashtbl.iter
-    (fun (f, g) () ->
-      let w =
-        t.calls.Placement.Weight.pair f g + t.calls.Placement.Weight.pair g f
-      in
-      if w > 0 && hot f && hot g then begin
+    (fun (f, g) w ->
+      if hot f && hot g then begin
         let a = footprint f and b = footprint g in
         let overlap = ref 0 in
         for s = 0 to nsets - 1 do
@@ -391,7 +377,7 @@ let conflict_pass t =
             :: !acc
         end
       end)
-    pairs;
+    (Placement.Weight.call_pairs nfuncs t.calls);
   (List.rev !acc, !score)
 
 (* ------------------------------------------------------------------ *)

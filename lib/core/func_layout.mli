@@ -19,7 +19,7 @@ type t = {
 val make : Prog.func -> active:Cfg.label list -> dead:Cfg.label list -> t
 (** The one constructor of a body layout: [active] labels, in order, form
     the effective region and [dead] ones follow it.  Counts the dead
-    blocks in {!dead_blocks_sunk}. *)
+    blocks in the [layout.dead_blocks_sunk] metric. *)
 
 val layout : Prog.func -> Weight.cfg_weights -> Trace_select.t -> t
 
@@ -31,10 +31,6 @@ val natural : Prog.func -> t
 
 val is_permutation : t -> int -> bool
 (** Sanity: [order] is a permutation of the function's blocks. *)
-
-val dead_blocks_sunk : Obs.Metrics.counter
-(** Telemetry: blocks placed outside the packed effective region; shared
-    by every layout algorithm that sinks dead code. *)
 
 val chains_merged : Obs.Metrics.counter
 (** Telemetry: block-chain merges, shared by {!Ph_layout} and {!Exttsp}. *)

@@ -15,14 +15,15 @@
 
 open Analysis
 
-let default_configs =
+(* E19's geometries; the first is [impact absint]'s default. *)
+let configs =
   [
     Icache.Config.make ~size:2048 ~block:64 ();
     Icache.Config.make ~size:8192 ~block:64 ();
     Icache.Config.make ~size:4096 ~block:64 ~assoc:(Ways 2) ();
   ]
 
-let default_config = List.hd default_configs
+let default_config = List.hd configs
 
 (* ------------------------------------------------------------------ *)
 (* Shared JSON pieces (schema impact.absint/v1)                        *)
@@ -81,12 +82,12 @@ type result = {
   may_iterations : int;
 }
 
-let analyze_entry ?max_iters ~config e (s : Placement.Strategy.t) : result =
+let analyze_entry ~config e (s : Placement.Strategy.t) : result =
   let id = s.Placement.Strategy.id in
   let p = Context.pipeline e in
   let map = Context.strategy_map e s in
   let profile = p.Placement.Pipeline.profile in
-  let t = Absint.analyze ?max_iters config map (Context.absint_program e) in
+  let t = Absint.analyze config map (Context.absint_program e) in
   let certified =
     Absint.profile_interval t
       ~weights:(Placement.Weight.cfg_of_profile profile)
@@ -110,7 +111,7 @@ let analyze_entry ?max_iters ~config e (s : Placement.Strategy.t) : result =
 
 (* Per-entry strategy sweeps fan out across the default pool, like the
    lint sweep; results come back in registry order either way. *)
-let sweep ?max_iters ?(config = default_config)
+let sweep ?(config = default_config)
     ?(strategies = Placement.Strategy.all) ctx =
   List.concat
   @@ Placement.Pool.map_default
@@ -118,7 +119,7 @@ let sweep ?max_iters ?(config = default_config)
          Obs.Span.with_ ~stage:"absint-exp"
            ~attrs:[ ("bench", Context.name e) ]
          @@ fun () ->
-         List.map (fun s -> analyze_entry ?max_iters ~config e s) strategies)
+         List.map (fun s -> analyze_entry ~config e s) strategies)
        ctx
 
 let strategy_cell r =
@@ -185,8 +186,7 @@ type row = {
   r_classified : string;  (* fully classified blocks / reachable *)
 }
 
-let compute ?(configs = default_configs)
-    ?(strategies = Placement.Strategy.all) ctx =
+let compute ctx =
   List.concat
   @@ Placement.Pool.map_default
        (fun e ->
@@ -250,7 +250,7 @@ let compute ?(configs = default_configs)
                        tot.Absint.t_blocks;
                  })
                configs sims)
-           strategies)
+           Placement.Strategy.all)
        ctx
 
 let table ctx =

@@ -24,7 +24,6 @@ type result = {
 }
 
 val sweep :
-  ?max_iters:int ->
   ?config:Icache.Config.t ->
   ?strategies:Placement.Strategy.t list ->
   Context.t ->

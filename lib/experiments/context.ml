@@ -4,9 +4,8 @@
    draws on the same artifacts.
 
    Traces are held as [Sim.Trace.t]: the VM streams blocks straight
-   into the run-length/delta compressing builder, so what the context
-   memoizes is the compressed store (typically ~10x smaller than a plain
-   8-byte-per-block vector of the same trace).
+   into the folding builder, so what the context memoizes is the folded
+   run program ([Sim.Trace]; cmp's trace holds 6.7 KB).
 
    Address maps are produced per layout strategy through one memoized
    table ([strategy_map]); adding a strategy to [Placement.Strategy.all]

@@ -25,6 +25,8 @@
    - the static linter ([Analysis.Lint]) runs without crashing on every
      strategy's map and reports no error-severity finding (a statically
      unreachable block carrying profile weight, a flow violation);
+   - the trace store replays exactly the block stream the VM executed
+     while recording it;
    - the dynamic instruction count of the recorded block trace is the
      same under every strategy's map (layout invariance);
    - a cache simulation over each map accesses exactly that many
@@ -124,6 +126,47 @@ let engine_diags prog =
         differ "the derived profile of the inlined program and the VM's \
                 differ in %s" what
       | Ok (Ok (), Ok (), Ok ()) -> []))
+
+(* The trace recording, built by the same builder as [Sim.Trace.record]
+   from a block sink that also keeps the VM's own packed codes, and the
+   violation when the store does not replay exactly that stream.  Every
+   other reader of the trace decodes the same store, so only this
+   comparison can see a fault in the store itself. *)
+let record_checked prog =
+  let b = Sim.Trace.builder () in
+  let codes = ref (Array.make 1024 0) and n = ref 0 in
+  let result =
+    Vm.Interp.run ~fuel prog case_input ~block_sink:(fun fid l ->
+        let c = Sim.Trace.pack fid l in
+        Sim.Trace.push b c;
+        if !n = Array.length !codes then begin
+          let grown = Array.make (2 * !n) 0 in
+          Array.blit !codes 0 grown 0 !n;
+          codes := grown
+        end;
+        !codes.(!n) <- c;
+        incr n)
+  in
+  let trace = Sim.Trace.finish b result in
+  (* The first index where the replay and the VM's codes differ, the
+     end of the shorter stream included; -1 when they are equal. *)
+  let k = ref 0 and diverged = ref (-1) in
+  Sim.Trace.iter_blocks
+    (fun fid l ->
+      if !diverged < 0 && (!k >= !n || !codes.(!k) <> Sim.Trace.pack fid l)
+      then diverged := !k;
+      incr k)
+    trace;
+  if !diverged < 0 && !k <> !n then diverged := !k;
+  ( trace,
+    if !diverged < 0 then []
+    else
+      [
+        Ir.Diag.make ~stage:Ir.Diag.Simulation
+          "the trace store replays %d blocks, diverging at block %d, where \
+           the VM executed %d"
+          !k !diverged !n;
+      ] )
 
 (* All violations exhibited by one generated program, or [] if the whole
    pipeline holds up.  Stages are checked in order and a failing stage
@@ -244,11 +287,10 @@ let check_program ?(strategies = Placement.Strategy.all)
               | [] -> (
               match
                 catching Ir.Diag.Simulation (fun () ->
-                    Sim.Trace.record ~fuel p.Placement.Pipeline.program
-                      case_input)
+                    record_checked p.Placement.Pipeline.program)
               with
-              | Error ds -> ds
-              | Ok trace ->
+              | Error ds | Ok (_, (_ :: _ as ds)) -> ds
+              | Ok (trace, []) ->
                 let reference =
                   Sim.Trace.dyn_insns p.Placement.Pipeline.natural trace
                 in

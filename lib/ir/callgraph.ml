@@ -1,32 +1,21 @@
-(* Static call graph over a lowered program.  Nodes are function indices;
-   a call site is (caller function, block label, callee function). *)
+(* Static call graph over a lowered program.  Nodes are function
+   indices; each caller lists its callees once, in reverse order of
+   their first call sites. *)
 
-type site = { caller : int; block : Cfg.label; callee : int }
-
-type t = {
-  sites : site list;
-  callees : int list array; (* deduplicated, per caller *)
-  callers : int list array; (* deduplicated, per callee *)
-}
+type t = { callees : int list array }
 
 let build (p : Prog.program) =
-  let n = Array.length p.funcs in
-  let sites = ref [] in
-  let callees = Array.make n [] in
-  let callers = Array.make n [] in
+  let callees = Array.make (Array.length p.funcs) [] in
   Prog.iter_blocks
-    (fun fid _ l b ->
+    (fun fid _ _ b ->
       match Cfg.callee b with
       | None -> ()
       | Some name ->
         let callee = Prog.func_index p name in
-        sites := { caller = fid; block = l; callee } :: !sites;
         if not (List.mem callee callees.(fid)) then
-          callees.(fid) <- callee :: callees.(fid);
-        if not (List.mem fid callers.(callee)) then
-          callers.(callee) <- fid :: callers.(callee))
+          callees.(fid) <- callee :: callees.(fid))
     p;
-  { sites = List.rev !sites; callees; callers }
+  { callees }
 
 (* [true] when a call chain leads from [src] back to [src] through [dst]
    (i.e. inlining [dst] into [src] could require unbounded expansion). *)

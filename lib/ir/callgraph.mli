@@ -1,14 +1,6 @@
 (** Static call graph over a lowered program. *)
 
-type site = { caller : int; block : Cfg.label; callee : int }
-(** One call site: caller function index, block label of the call, callee
-    function index. *)
-
-type t = {
-  sites : site list;
-  callees : int list array;  (** deduplicated, indexed by caller *)
-  callers : int list array;  (** deduplicated, indexed by callee *)
-}
+type t = { callees : int list array  (** deduplicated, indexed by caller *) }
 
 val build : Prog.program -> t
 

@@ -255,9 +255,9 @@ let parse_id json =
     Option.value ~default:Obs.Json.Null (member "id" json)
   | Some _ -> bad "id must be a string, an integer or null"
 
-let parse_request ?max_depth ?max_bytes (line : string) :
+let parse_request ?max_bytes (line : string) :
     (parsed, Obs.Json.t * error_info) result =
-  match Obs.Json.parse ?max_depth ?max_bytes line with
+  match Obs.Json.parse ?max_bytes line with
   | Error msg ->
     Error (Obs.Json.Null, usage_error (Printf.sprintf "parse error: %s" msg))
   | Ok json -> (

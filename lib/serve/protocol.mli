@@ -60,7 +60,6 @@ val error_of_exn : exn -> error_info
 val request_name : request -> string
 
 val parse_request :
-  ?max_depth:int ->
   ?max_bytes:int ->
   string ->
   (parsed, Obs.Json.t * error_info) result

@@ -85,6 +85,24 @@ let nested_loops_func : Prog.func =
       |];
   }
 
+(* A self-loop at 1, a loop {2, 3} with latch 3, and a dead block 5
+   that jumps into that latch. *)
+let self_loop_func : Prog.func =
+  {
+    Prog.name = "selfloop";
+    nparams = 1;
+    nregs = 1;
+    blocks =
+      [|
+        b [] (Jump 1);
+        b [] (Br (Insn.Reg 0, 1, 2));
+        b [] (Br (Insn.Reg 0, 3, 4));
+        b [] (Jump 2);
+        b [] (Ret None);
+        b [] (Jump 3);
+      |];
+  }
+
 let labels n = List.init n Fun.id
 
 (* --- dominators ------------------------------------------------------ *)
@@ -136,21 +154,10 @@ let loop_nesting () =
   Alcotest.(check int) "outer header" 1 outer.Analysis.Loops.header;
   Alcotest.(check (list int))
     "outer body" [ 1; 2; 3; 4 ] outer.Analysis.Loops.body;
-  Alcotest.(check (list int)) "outer latch" [ 4 ] outer.Analysis.Loops.latches;
   Alcotest.(check int) "outer depth" 1 outer.Analysis.Loops.depth;
-  Alcotest.(check (option int))
-    "outer has no parent" None outer.Analysis.Loops.parent;
   Alcotest.(check int) "inner header" 2 inner.Analysis.Loops.header;
   Alcotest.(check (list int)) "inner body" [ 2; 3 ] inner.Analysis.Loops.body;
   Alcotest.(check int) "inner depth" 2 inner.Analysis.Loops.depth;
-  Alcotest.(check (option int))
-    "inner nests in outer" (Some 0) inner.Analysis.Loops.parent;
-  Alcotest.(check (list int))
-    "depth_of per block" [ 0; 1; 2; 2; 1; 0 ]
-    (Array.to_list t.Analysis.Loops.depth_of);
-  Alcotest.(check (list int))
-    "loop_of per block" [ -1; 0; 1; 1; 0; -1 ]
-    (Array.to_list t.Analysis.Loops.loop_of);
   (* The diamond has exactly one loop: header 1, body everything but the
      entry and the exit, latch 5. *)
   let d = Analysis.Loops.of_func diamond in
@@ -158,23 +165,137 @@ let loop_nesting () =
     (Array.length d.Analysis.Loops.loops);
   Alcotest.(check (list int))
     "diamond loop body" [ 1; 2; 3; 4; 5 ]
-    d.Analysis.Loops.loops.(0).Analysis.Loops.body;
-  Alcotest.(check (list int))
-    "diamond latch" [ 5 ]
-    d.Analysis.Loops.loops.(0).Analysis.Loops.latches
+    d.Analysis.Loops.loops.(0).Analysis.Loops.body
 
 let irreducible_detected () =
   let t = Analysis.Loops.of_func irreducible_func in
   Alcotest.(check bool) "not reducible" false t.Analysis.Loops.reducible;
   Alcotest.(check int) "no natural loops" 0
     (Array.length t.Analysis.Loops.loops);
-  Alcotest.(check (list (pair int int)))
-    "witness edge closes the two-entry cycle" [ (2, 1) ]
-    t.Analysis.Loops.irreducible_edges;
-  (* The reducible fixtures report no witnesses. *)
-  Alcotest.(check (list (pair int int)))
-    "diamond reducible" []
-    (Analysis.Loops.of_func diamond).Analysis.Loops.irreducible_edges
+  Alcotest.(check bool) "diamond reducible" true
+    (Analysis.Loops.of_func diamond).Analysis.Loops.reducible
+
+(* --- loops against an on-stack DFS ----------------------------------- *)
+
+(* The loop forest found the classic way, independent of [Dom] and of
+   the numbering [Loops] classifies edges by: retreating edges from an
+   on-stack DFS colouring, back edges by dominance (the target dominates
+   the source when no path from the entry avoiding the target reaches
+   the source), bodies by flooding predecessors from the latches.
+   Returns the loops as (header, body, depth), by header, and whether
+   every retreating edge is a back edge. *)
+let reference_loops (f : Prog.func) =
+  let blocks = f.Prog.blocks in
+  let n = Array.length blocks in
+  let succs l = Cfg.successors blocks.(l) in
+  let reach_avoiding avoid =
+    let seen = Array.make n false in
+    let rec go v =
+      if v <> avoid && not seen.(v) then begin
+        seen.(v) <- true;
+        List.iter go (succs v)
+      end
+    in
+    go 0;
+    seen
+  in
+  let reach = reach_avoiding (-1) in
+  let color = Array.make n 0 and retreating = ref [] in
+  let rec visit u =
+    color.(u) <- 1;
+    List.iter
+      (fun v ->
+        if color.(v) = 0 then visit v
+        else if color.(v) = 1 then retreating := (u, v) :: !retreating)
+      (succs u);
+    color.(u) <- 2
+  in
+  visit 0;
+  let back, irreducible =
+    List.partition
+      (fun (u, v) -> u = v || not (reach_avoiding v).(u))
+      !retreating
+  in
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun u _ -> List.iter (fun v -> preds.(v) <- u :: preds.(v)) (succs u))
+    blocks;
+  let bodies =
+    List.map
+      (fun h ->
+        let in_body = Array.make n false in
+        in_body.(h) <- true;
+        let rec flood v =
+          if reach.(v) && not in_body.(v) then begin
+            in_body.(v) <- true;
+            List.iter flood preds.(v)
+          end
+        in
+        List.iter (fun (u, v) -> if v = h then flood u) back;
+        (h, List.filter (fun l -> in_body.(l)) (labels n)))
+      (List.sort_uniq compare (List.map snd back))
+  in
+  ( List.map
+      (fun (h, body) ->
+        let outer =
+          List.filter (fun (h', b') -> h' <> h && List.mem h b') bodies
+        in
+        (h, body, 1 + List.length outer))
+      bodies,
+    irreducible = [] )
+
+let loops_as_reference (f : Prog.func) =
+  let t = Analysis.Loops.of_func f in
+  ( Array.to_list
+      (Array.map
+         (fun (l : Analysis.Loops.loop) ->
+           (l.Analysis.Loops.header, l.Analysis.Loops.body,
+            l.Analysis.Loops.depth))
+         t.Analysis.Loops.loops),
+    t.Analysis.Loops.reducible )
+
+let same_loops_as_reference (prog : Prog.program) =
+  Array.for_all
+    (fun f -> loops_as_reference f = reference_loops f)
+    prog.Prog.funcs
+
+let loops_reference_fixtures () =
+  List.iter
+    (fun (f : Prog.func) ->
+      Alcotest.(check bool) (f.Prog.name ^ " as the reference") true
+        (loops_as_reference f = reference_loops f))
+    [
+      diamond;
+      dead_block_func;
+      irreducible_func;
+      nested_loops_func;
+      self_loop_func;
+    ];
+  Alcotest.(check bool) "reference sees the irreducible cycle" false
+    (snd (reference_loops irreducible_func));
+  Alcotest.(check bool) "self-loop, and no dead block in a body" true
+    (loops_as_reference self_loop_func
+    = ([ (1, [ 1 ], 1); (2, [ 2; 3 ], 1) ], true))
+
+let loops_reference_workloads () =
+  List.iter
+    (fun (b : Workloads.Bench.t) ->
+      let prog = Workloads.Bench.program b in
+      List.iter
+        (fun (what, p) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (%s) as the reference" b.Workloads.Bench.name
+               what)
+            true (same_loops_as_reference p))
+        [ ("lowered", prog); ("simplified", fst (Ir.Simplify.program prog)) ])
+    Workloads.Registry.all
+
+let prop_loops_reference name generate =
+  QCheck.Test.make
+    ~name:("loops equal the on-stack DFS reference (" ^ name ^ ")")
+    ~count:40
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed -> same_loops_as_reference (Lower.program (generate seed)))
 
 (* --- reachability unification ---------------------------------------- *)
 
@@ -439,6 +560,15 @@ let suite =
       dominators_dead_blocks;
     Alcotest.test_case "loop nesting" `Quick loop_nesting;
     Alcotest.test_case "irreducible graph" `Quick irreducible_detected;
+    Alcotest.test_case "loops: reference on the fixtures" `Quick
+      loops_reference_fixtures;
+    Alcotest.test_case "loops: reference on every workload" `Quick
+      loops_reference_workloads;
+    QCheck_alcotest.to_alcotest
+      (prop_loops_reference "generate" (Oracle.Gen.generate ?size:None));
+    QCheck_alcotest.to_alcotest
+      (prop_loops_reference "generate_deep"
+         (Oracle.Gen.generate_deep ?size:None));
     Alcotest.test_case "reachability unified" `Quick reach_unified;
     Alcotest.test_case "dataflow: iteration cap" `Quick dataflow_cap;
     QCheck_alcotest.to_alcotest prop_dom_reach;
